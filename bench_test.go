@@ -452,10 +452,10 @@ func BenchmarkEngineVsBatch(b *testing.B) {
 // million open-system jobs through a Discard engine. Tiny message
 // quotas keep the bench about event-loop and allocation machinery, not
 // network arithmetic; bytes_per_job and live_heap_mb document the
-// constant-memory claim in BENCH_4.json. Since PR 9 the run also
-// reports events_per_sec (engine event-core counter over wall time) and
-// peak_live_heap_mb (HeapAlloc sampled every 50k finishes) — the
-// BENCH_9.json headline numbers guarded by cmd/benchcheck in CI.
+// constant-memory claim in BENCH_4.json. The run also reports
+// events_per_sec (engine event-core counter over wall time) and
+// peak_live_heap_mb (HeapAlloc sampled every 50k finishes), the
+// BENCH_9.json headline numbers.
 func BenchmarkOpenSystemMillionJobs(b *testing.B) {
 	const jobs = 1_000_000
 	var m0, m1 runtime.MemStats
@@ -511,86 +511,40 @@ func BenchmarkOpenSystemMillionJobs(b *testing.B) {
 	reportMetric(b, "events_per_sec", float64(events)/b.Elapsed().Seconds())
 }
 
-// --- Event-core overhaul benches (see BENCH.md: BENCH_9.json) ---
+// --- Scheduler benches (see BENCH.md: BENCH_9.json) ---
 
-// BenchmarkEventCore isolates the event-queue choice: the same 100k-job
-// open-system workload through the calendar queue and the retained
-// binary heap, everything else identical (both runs produce bit-equal
-// results; sim's equivalence tests pin that). ns_per_event divides wall
-// time by the engine's own event counter.
-func BenchmarkEventCore(b *testing.B) {
-	const jobs = 100_000
-	for _, equeue := range []string{"calendar", "heap"} {
-		b.Run(equeue, func(b *testing.B) {
-			var events int64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{
-					MeshW: 16, MeshH: 16,
-					Alloc: "hilbert/bestfit", Pattern: "nbody",
-					Seed:          1,
-					MsgsPerSecond: 1e-4,
-					EventQueue:    equeue,
-					KeepRecords:   sim.Discard,
-					KeepNodes:     sim.Discard,
-				}
-				e, err := sim.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := e.RunSource(trace.Limit(trace.NewPoisson(1000, 256, 1), jobs), 0); err != nil {
-					b.Fatal(err)
-				}
-				cs := e.CoreStats()
-				if cs.Events == 0 || cs.CalFellBack {
-					b.Fatalf("degenerate run: %+v", cs)
-				}
-				events += cs.Events
-			}
-			reportMetric(b, "ns_per_event", float64(b.Elapsed().Nanoseconds())/float64(events))
-			reportMetric(b, "events_per_sec", float64(events)/b.Elapsed().Seconds())
-		})
-	}
-}
-
-// BenchmarkSchedulerRound isolates the incremental scheduler state: the
-// EASY backfill policy — the one whose shadow-time scan used to copy and
-// sort the running set every round — over a saturated closed workload,
-// with the persistent end-time-ordered index against the retained
-// rebuild-per-round reference. ns_per_round divides wall time by rounds
-// actually run (head-blocked skips are the watermark's job and count for
-// neither side; EASY never skips).
+// BenchmarkSchedulerRound times the incremental scheduler state: the
+// EASY backfill policy — the one whose shadow-time scan reads the
+// end-time-ordered running index every round — over a saturated closed
+// workload. ns_per_round divides wall time by rounds actually run (EASY
+// never skips on the head-blocked watermark).
 func BenchmarkSchedulerRound(b *testing.B) {
 	tr := benchTrace(5000, 256)
-	for _, variant := range []string{"incremental", "rebuild"} {
-		b.Run(variant, func(b *testing.B) {
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{
-					MeshW: 16, MeshH: 16,
-					Alloc: "hilbert/bestfit", Pattern: "nbody",
-					Load: 0.4, TimeScale: 0.01, Seed: 1,
-					Scheduler:    "easy",
-					RebuildSched: variant == "rebuild",
-					KeepRecords:  sim.Discard,
-					KeepNodes:    sim.Discard,
-				}
-				e, err := sim.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				count := 0
-				e.Observe(func(sim.JobRecord) { count++ })
-				if err := e.RunSource(tr.Source(), 0); err != nil {
-					b.Fatal(err)
-				}
-				if count != len(tr.Jobs) {
-					b.Fatal("short run")
-				}
-				rounds += e.CoreStats().SchedRounds
-			}
-			reportMetric(b, "ns_per_round", float64(b.Elapsed().Nanoseconds())/float64(rounds))
-		})
+	var rounds int64
+	for i := 0; i < b.N; i++ {
+		cfg := sim.Config{
+			MeshW: 16, MeshH: 16,
+			Alloc: "hilbert/bestfit", Pattern: "nbody",
+			Load: 0.4, TimeScale: 0.01, Seed: 1,
+			Scheduler:   "easy",
+			KeepRecords: sim.Discard,
+			KeepNodes:   sim.Discard,
+		}
+		e, err := sim.NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		count := 0
+		e.Observe(func(sim.JobRecord) { count++ })
+		if err := e.RunSource(tr.Source(), 0); err != nil {
+			b.Fatal(err)
+		}
+		if count != len(tr.Jobs) {
+			b.Fatal("short run")
+		}
+		rounds += e.CoreStats().SchedRounds
 	}
+	reportMetric(b, "ns_per_round", float64(b.Elapsed().Nanoseconds())/float64(rounds))
 }
 
 // --- Parallel experiment fabric (see BENCH.md: BENCH_5.json) ---
@@ -642,36 +596,28 @@ func BenchmarkParallelSweepExtSteady(b *testing.B) {
 	})
 }
 
-// BenchmarkAllocateParallel times the sharded candidate scan against
-// the sequential loop on a large machine at realistic occupancy. The
-// parallel scan answers are bit-identical (see alloc's parallel tests);
-// the question here is only the goroutine overhead versus core count.
+// BenchmarkAllocateParallel times Gen-Alg's sharded candidate scan
+// against the sequential loop on a large machine at realistic
+// occupancy. The parallel scan answers are bit-identical (see alloc's
+// parallel tests); the question here is only the goroutine overhead
+// versus core count.
 func BenchmarkAllocateParallel(b *testing.B) {
-	variants := []struct {
-		name string
-		mk   func(*topo.Grid) alloc.Allocator
-	}{
-		{"mc", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC(g) }},
-		{"genalg", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlg(g) }},
-	}
-	for _, v := range variants {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("32x32/%s/workers%d", v.name, workers), func(b *testing.B) {
-				g := topo.New([]int{32, 32})
-				a := v.mk(g)
-				a.(alloc.ParallelScorer).SetParallelism(workers)
-				prefillAllocator(b, a, g.Size())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ids, err := a.Allocate(alloc.Request{Size: 64})
-					if err != nil {
-						b.Fatal(err)
-					}
-					a.Release(ids)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("32x32/genalg/workers%d", workers), func(b *testing.B) {
+			g := topo.New([]int{32, 32})
+			a := alloc.NewGenAlg(g)
+			a.SetParallelism(workers)
+			prefillAllocator(b, a, g.Size())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, err := a.Allocate(alloc.Request{Size: 64})
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-			})
-		}
+				a.Release(ids)
+			}
+			reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
+		})
 	}
 }
 
@@ -808,10 +754,8 @@ func prefillPacker(b *testing.B, p *binpack.Packer, total int) {
 }
 
 // BenchmarkBitsetScan times first-fit and best-fit candidate enumeration
-// over the word-parallel bitset free map against the retained naive
-// rank-by-rank walk, at mixed occupancy on 32x32 and 16x16x16 machines.
-// The speedup_word_vs_naive metric in BENCH_7.json is PR 7's >= 3x
-// acceptance bar (see BENCH.md).
+// over the word-parallel bitset free map at mixed occupancy on 32x32 and
+// 16x16x16 machines (BENCH_7.json; see BENCH.md).
 func BenchmarkBitsetScan(b *testing.B) {
 	machines := []struct {
 		name string
@@ -826,39 +770,30 @@ func BenchmarkBitsetScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, strat := range []binpack.Strategy{binpack.FirstFit, binpack.BestFit} {
-			var wall [2]float64
-			for vi, variant := range []string{"word", "naive"} {
-				b.Run(fmt.Sprintf("%s/%s/%s", m.name, strat, variant), func(b *testing.B) {
-					p := binpack.New(order)
-					p.SetWordScan(variant == "word")
-					prefillPacker(b, p, len(order))
-					// A small request keeps the shared Allocate/Release
-					// bookkeeping (id slice, rank marking) from drowning
-					// out the interval enumeration under measurement.
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ids, err := p.Allocate(8, strat)
-						if err != nil {
-							b.Fatal(err)
-						}
-						p.Release(ids)
+			b.Run(fmt.Sprintf("%s/%s", m.name, strat), func(b *testing.B) {
+				p := binpack.New(order)
+				prefillPacker(b, p, len(order))
+				// A small request keeps the shared Allocate/Release
+				// bookkeeping (id slice, rank marking) from drowning out
+				// the interval enumeration under measurement.
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ids, err := p.Allocate(8, strat)
+					if err != nil {
+						b.Fatal(err)
 					}
-					wall[vi] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					reportMetric(b, "ns_per_alloc", wall[vi])
-					if vi == 1 && wall[1] > 0 {
-						reportMetric(b, "speedup_word_vs_naive", wall[1]/wall[0])
-					}
-				})
-			}
+					p.Release(ids)
+				}
+				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
+			})
 		}
 	}
 }
 
 // BenchmarkIncrementalMC times the MC scorer's same-size steady state —
-// the workload where cached candidate scores survive between jobs — with
-// the incremental score cache on versus the full per-event rescan (the
-// PR 3 index path). Both runs allocate bit-identically; only the share
-// of candidates rescored per event differs (BENCH_7.json; see BENCH.md).
+// the workload where cached candidate scores survive between jobs, so
+// only candidates near the previous winner are rescored (BENCH_7.json;
+// see BENCH.md).
 func BenchmarkIncrementalMC(b *testing.B) {
 	machines := []struct {
 		name string
@@ -869,30 +804,20 @@ func BenchmarkIncrementalMC(b *testing.B) {
 	}
 	for _, m := range machines {
 		for _, size := range []int{16, 64} {
-			var wall [2]float64
-			for vi, variant := range []string{"cached", "rescan"} {
-				b.Run(fmt.Sprintf("%s/size%d/%s", m.name, size, variant), func(b *testing.B) {
-					g := topo.New(m.dims)
-					a := alloc.NewMC(g)
-					if variant == "rescan" {
-						a.SetScoreCache(false)
+			b.Run(fmt.Sprintf("%s/size%d", m.name, size), func(b *testing.B) {
+				g := topo.New(m.dims)
+				a := alloc.NewMC(g)
+				prefillAllocator(b, a, g.Size())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ids, err := a.Allocate(alloc.Request{Size: size})
+					if err != nil {
+						b.Fatal(err)
 					}
-					prefillAllocator(b, a, g.Size())
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ids, err := a.Allocate(alloc.Request{Size: size})
-						if err != nil {
-							b.Fatal(err)
-						}
-						a.Release(ids)
-					}
-					wall[vi] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-					reportMetric(b, "ns_per_alloc", wall[vi])
-					if vi == 1 && wall[1] > 0 {
-						reportMetric(b, "speedup_cached_vs_rescan", wall[1]/wall[0])
-					}
-				})
-			}
+					a.Release(ids)
+				}
+				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
+			})
 		}
 	}
 }

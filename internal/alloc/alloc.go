@@ -437,13 +437,8 @@ type MC struct {
 	// so the steady state allocates only the returned slice.
 	gatherBuf []int
 	bestBuf   []int
-	// workers belongs to the opt-in parallel candidate scan (see
-	// parallel.go); workers <= 1 (the default) keeps the sequential loop.
-	workers int
-	// cache is the incremental score cache of the indexed scorer;
-	// noCache (SetScoreCache(false)) restores scoring from scratch.
-	cache   mcCache
-	noCache bool
+	// cache is the incremental score cache of the indexed scorer.
+	cache mcCache
 	// maskBuf feeds single-node fault deltas into cacheInvalidate
 	// without a per-event allocation.
 	maskBuf [1]int
@@ -477,10 +472,10 @@ const (
 // During a scan, an exact entry substitutes for the scoring loop and a
 // bound entry at or above the incumbent proves the candidate cannot win
 // (its exact cost is at least the bound, and elections need strictly
-// less). Which entries hold which kind may differ between worker counts
-// or scan orders — pruning depends on the incumbent — but every stored
-// value is occupancy-faithful, which is why cached scans stay
-// bit-identical to uncached ones.
+// less). Which entries hold which kind depends on the scan history —
+// pruning depends on the incumbent — but every stored value is
+// occupancy-faithful, which is why cached scans stay bit-identical to
+// the naive reference scorer.
 type mcCache struct {
 	live   bool
 	ext    topo.Point
@@ -595,17 +590,6 @@ func (a *MC) Reset() {
 	a.cache.live = false
 }
 
-// SetScoreCache toggles incremental score reuse between consecutive
-// Allocate calls (on by default for the indexed scorer; the naive
-// reference scorer never caches). Both settings produce bit-identical
-// allocations — the cache only skips recomputing scores proven unchanged.
-func (a *MC) SetScoreCache(on bool) {
-	a.noCache = !on
-	if !on {
-		a.cache.live = false
-	}
-}
-
 // NewMC returns the shape-aware MC allocator.
 func NewMC(g *topo.Grid) *MC {
 	a := &MC{tracker: newTracker(g)}
@@ -655,48 +639,38 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 	if a.boxes == nil {
 		return a.allocateNaive(ext, req.Size)
 	}
-	var cache *mcCache
-	if !a.noCache {
-		a.cache.ensure(a.g.Size(), ext, req.Size)
-		cache = &a.cache
-	}
+	cache := &a.cache
+	cache.ensure(a.g.Size(), ext, req.Size)
 	bestCost, bestCenter := -1, -1
-	if a.workers > 1 {
-		bestCost, bestCenter = a.scanParallel(ext, req.Size, cache)
-	} else {
-		for center := 0; center < a.g.Size(); center++ {
-			if a.busy[center] {
+	for center := 0; center < a.g.Size(); center++ {
+		if a.busy[center] {
+			continue
+		}
+		var cost int
+		if cache.state[center] == cacheExact {
+			// An exact entry is the cost the uncached loop would
+			// recompute; candidates it would have pruned simply lose the
+			// strict-< comparison below.
+			cost = cache.cost[center]
+		} else {
+			if cache.state[center] == cacheBound && bestCost >= 0 && cache.cost[center] >= bestCost {
+				// The cached lower bound already proves this candidate
+				// cannot strictly beat the incumbent.
 				continue
 			}
-			var cost int
-			if cache != nil && cache.state[center] == cacheExact {
-				// An exact entry is the cost the uncached loop would
-				// recompute; candidates it would have pruned simply lose
-				// the strict-< comparison below.
-				cost = cache.cost[center]
-			} else {
-				if cache != nil && cache.state[center] == cacheBound &&
-					bestCost >= 0 && cache.cost[center] >= bestCost {
-					// The cached lower bound already proves this candidate
-					// cannot strictly beat the incumbent.
-					continue
+			coord := a.g.Coord(center)
+			c, rad, ok := a.countCost(coord, ext, req.Size, bestCost)
+			if !ok {
+				if rad >= 0 {
+					cache.store(a.g, cacheBound, center, coord, ext, rad, c)
 				}
-				coord := a.g.Coord(center)
-				c, rad, ok := a.countCost(coord, ext, req.Size, bestCost)
-				if !ok {
-					if cache != nil && rad >= 0 {
-						cache.store(a.g, cacheBound, center, coord, ext, rad, c)
-					}
-					continue
-				}
-				cost = c
-				if cache != nil {
-					cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
-				}
+				continue
 			}
-			if bestCost == -1 || cost < bestCost {
-				bestCost, bestCenter = cost, center
-			}
+			cost = c
+			cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
+		}
+		if bestCost == -1 || cost < bestCost {
+			bestCost, bestCenter = cost, center
 		}
 	}
 	if bestCost == -1 {

@@ -22,32 +22,29 @@ import (
 // inherently two-dimensional and keeps a mesh view beside the generic
 // busy tracker.
 //
-// The free-box search is word-parallel by default: each mesh row keeps a
-// free bitmask, a per-row RunMask marks every x where a horizontal run of
-// the shape's width starts, and ANDing h consecutive rows' masks leaves
-// exactly the anchors of fully-free w x h submeshes — the first set bit is
-// the same anchor the cell-by-cell reference scan finds, 64 anchors per
+// The free-box search is word-parallel: each mesh row keeps a free
+// bitmask, a per-row RunMask marks every x where a horizontal run of the
+// shape's width starts, and ANDing h consecutive rows' masks leaves
+// exactly the anchors of fully-free w x h submeshes — the first set bit
+// is the same anchor a cell-by-cell scan finds, 64 anchors per
 // instruction.
 type SubmeshFirstFit struct {
 	tracker
 	m *mesh.Mesh
 	// rowBits holds one free bitmask per mesh row (bit x of row y set =
 	// node (x,y) free), ww words per row; rmBuf is the per-row run-mask
-	// scratch of findFree. wordScan selects the bitmask search; the naive
-	// anchor probe is retained as the reference path.
-	ww       int
-	rowBits  []uint64
-	rmBuf    []uint64
-	wordScan bool
+	// scratch of findFree.
+	ww      int
+	rowBits []uint64
+	rmBuf   []uint64
 }
 
 // NewSubmeshFirstFit returns a first-fit contiguous submesh allocator.
 func NewSubmeshFirstFit(m *mesh.Mesh) *SubmeshFirstFit {
 	a := &SubmeshFirstFit{
-		tracker:  newTracker(m.Grid()),
-		m:        m,
-		ww:       (m.Width() + 63) >> 6,
-		wordScan: true,
+		tracker: newTracker(m.Grid()),
+		m:       m,
+		ww:      (m.Width() + 63) >> 6,
 	}
 	a.rowBits = make([]uint64, m.Height()*a.ww)
 	a.rmBuf = make([]uint64, m.Height()*a.ww)
@@ -115,11 +112,6 @@ func (a *SubmeshFirstFit) MarkUp(id int) {
 	row, x := a.g.RowOf(id)
 	a.rowBits[row*a.ww+x>>6] |= 1 << (uint(x) & 63)
 }
-
-// SetWordScan toggles the word-parallel free-box search (on by default);
-// both paths return bit-identical anchors, pinned by the equivalence
-// tests.
-func (a *SubmeshFirstFit) SetWordScan(on bool) { a.wordScan = on }
 
 // Occupy shadows tracker.Occupy so restore-time occupation lands in the
 // take shadow that keeps the row bitmasks in lockstep.
@@ -212,9 +204,6 @@ func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
 	if w > a.m.Width() || h > a.m.Height() {
 		return nil
 	}
-	if !a.wordScan {
-		return a.findFreeRef(w, h, size)
-	}
 	// Per-row run masks: bit x of row y set iff cells (x..x+w-1, y) are
 	// all free. Pad bits are clear, so no run crosses the right edge.
 	for y := 0; y < a.m.Height(); y++ {
@@ -231,23 +220,6 @@ func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
 				ids := a.m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x, Y: y}, W: w, H: h})
 				return ids[:size]
 			}
-		}
-	}
-	return nil
-}
-
-// findFreeRef is the cell-by-cell reference anchor scan.
-func (a *SubmeshFirstFit) findFreeRef(w, h, size int) []int {
-	for y := 0; y+h <= a.m.Height(); y++ {
-	anchors:
-		for x := 0; x+w <= a.m.Width(); x++ {
-			ids := a.m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x, Y: y}, W: w, H: h})
-			for _, id := range ids {
-				if a.busy[id] {
-					continue anchors
-				}
-			}
-			return ids[:size]
 		}
 	}
 	return nil

@@ -163,39 +163,52 @@ func TestPagedClippedPagesFullMachine(t *testing.T) {
 	}
 }
 
-// TestSubmeshWordScanMatchesNaive churns the word-parallel free-box
-// search against the cell-by-cell reference on meshes around and past
-// the 64-bit word boundary: identical anchors, errors, and free counts
-// at every step.
+// findFreeRef is the cell-by-cell reference anchor scan the word-parallel
+// findFree must reproduce: the first fully-free w x h submesh in
+// row-major anchor order, read straight off the busy bitmap.
+func findFreeRef(a *SubmeshFirstFit, w, h, size int) []int {
+	if w > a.m.Width() || h > a.m.Height() {
+		return nil
+	}
+	for y := 0; y+h <= a.m.Height(); y++ {
+	anchors:
+		for x := 0; x+w <= a.m.Width(); x++ {
+			ids := a.m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x, Y: y}, W: w, H: h})
+			for _, id := range ids {
+				if a.busy[id] {
+					continue anchors
+				}
+			}
+			return ids[:size]
+		}
+	}
+	return nil
+}
+
+// TestSubmeshWordScanMatchesNaive churns the allocator on meshes around
+// and past the 64-bit word boundary and, before every request, checks
+// the word-parallel free-box search against the cell-by-cell reference
+// for each candidate shape: identical anchors, including "none".
 func TestSubmeshWordScanMatchesNaive(t *testing.T) {
 	for _, dims := range [][2]int{{5, 9}, {8, 8}, {16, 22}, {33, 7}, {70, 3}} {
-		word := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
-		ref := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
-		ref.SetWordScan(false)
+		a := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
 		x := xorshift(uint64(dims[0]*100+dims[1]) | 1)
 		var live [][]int
 		for step := 0; step < 80; step++ {
-			if word.NumFree() != ref.NumFree() {
-				t.Fatalf("%v step %d: NumFree %d vs %d", dims, step, word.NumFree(), ref.NumFree())
-			}
-			if word.NumFree() > 0 && (len(live) == 0 || x.intn(3) != 0) {
-				size := 1 + x.intn(min(word.NumFree(), 14))
-				got, err1 := word.Allocate(Request{Size: size})
-				want, err2 := ref.Allocate(Request{Size: size})
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%v step %d size %d: error mismatch %v vs %v", dims, step, size, err1, err2)
+			if a.NumFree() > 0 && (len(live) == 0 || x.intn(3) != 0) {
+				req := Request{Size: 1 + x.intn(min(a.NumFree(), 14))}
+				for _, s := range a.candidateShapes(req) {
+					got := a.findFree(s[0], s[1], req.Size)
+					if want := findFreeRef(a, s[0], s[1], req.Size); !sameIDs(got, want) {
+						t.Fatalf("%v step %d shape %v: word anchors %v, reference %v", dims, step, s, got, want)
+					}
 				}
-				if err1 != nil {
-					continue
+				if ids, err := a.Allocate(req); err == nil {
+					live = append(live, ids)
 				}
-				if !sameIDs(got, want) {
-					t.Fatalf("%v step %d size %d: word anchors %v, reference %v", dims, step, size, got, want)
-				}
-				live = append(live, got)
 			} else if len(live) > 0 {
 				i := x.intn(len(live))
-				word.Release(live[i])
-				ref.Release(live[i])
+				a.Release(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
 		}

@@ -84,61 +84,54 @@ func TestMarkDownExcludesNodes(t *testing.T) {
 
 // TestSubmeshMaskMatchesBusy pins the submesh row-bit masking to the
 // tracker semantics: marking nodes down must yield bit-identical
-// placements to an allocator where the same nodes are busy, on both
-// the word-parallel and reference scan paths.
+// placements to an allocator where the same nodes are busy.
 func TestSubmeshMaskMatchesBusy(t *testing.T) {
-	for _, wordScan := range []bool{true, false} {
-		x := xorshift(97)
-		for trial := 0; trial < 20; trial++ {
-			m := mesh.New(3+x.intn(10), 3+x.intn(10))
-			masked := NewSubmeshFirstFit(m)
-			busy := NewSubmeshFirstFit(m)
-			masked.SetWordScan(wordScan)
-			busy.SetWordScan(wordScan)
-			var down []int
-			for id := 0; id < m.Grid().Size(); id++ {
-				if x.intn(8) == 0 {
-					down = append(down, id)
-				}
+	x := xorshift(97)
+	for trial := 0; trial < 20; trial++ {
+		m := mesh.New(3+x.intn(10), 3+x.intn(10))
+		masked := NewSubmeshFirstFit(m)
+		busy := NewSubmeshFirstFit(m)
+		var down []int
+		for id := 0; id < m.Grid().Size(); id++ {
+			if x.intn(8) == 0 {
+				down = append(down, id)
 			}
-			for _, id := range down {
-				masked.MarkDown(id)
+		}
+		for _, id := range down {
+			masked.MarkDown(id)
+		}
+		if len(down) > 0 {
+			busy.take(down)
+		}
+		for step := 0; step < 30; step++ {
+			size := 1 + x.intn(m.Grid().Size()/2)
+			got, err1 := masked.Allocate(Request{Size: size})
+			want, err2 := busy.Allocate(Request{Size: size})
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("trial %d step %d: error mismatch %v vs %v", trial, step, err1, err2)
 			}
-			if len(down) > 0 {
-				busy.take(down)
+			if err1 != nil {
+				continue
 			}
-			for step := 0; step < 30; step++ {
-				size := 1 + x.intn(m.Grid().Size()/2)
-				got, err1 := masked.Allocate(Request{Size: size})
-				want, err2 := busy.Allocate(Request{Size: size})
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("wordScan=%v trial %d step %d: error mismatch %v vs %v",
-						wordScan, trial, step, err1, err2)
-				}
-				if err1 != nil {
-					continue
-				}
-				if !sameIDs(got, want) {
-					t.Fatalf("wordScan=%v trial %d step %d: ids %v vs %v",
-						wordScan, trial, step, got, want)
-				}
-				masked.Release(got)
-				busy.Release(want)
+			if !sameIDs(got, want) {
+				t.Fatalf("trial %d step %d: ids %v vs %v", trial, step, got, want)
 			}
-			for _, id := range down {
-				masked.MarkUp(id)
-			}
-			if masked.NumFree() != m.Grid().Size() {
-				t.Fatalf("submesh NumFree after repair = %d", masked.NumFree())
-			}
+			masked.Release(got)
+			busy.Release(want)
+		}
+		for _, id := range down {
+			masked.MarkUp(id)
+		}
+		if masked.NumFree() != m.Grid().Size() {
+			t.Fatalf("submesh NumFree after repair = %d", masked.NumFree())
 		}
 	}
 }
 
 // TestMCMaskCacheConsistent interleaves mask churn with the same-size
 // allocate/release steady state that keeps incremental score-cache
-// entries alive: the cached scorer must stay bit-identical to the
-// cache-off scorer through every MarkDown/MarkUp invalidation.
+// entries alive: the cached scorer must stay bit-identical to the naive
+// reference scorer through every MarkDown/MarkUp invalidation.
 func TestMCMaskCacheConsistent(t *testing.T) {
 	for _, oneByOne := range []bool{false, true} {
 		x := xorshift(171)
@@ -146,9 +139,8 @@ func TestMCMaskCacheConsistent(t *testing.T) {
 			g := equivGrid(x.next())
 			cached := NewMC(g)
 			cached.oneByOne = oneByOne
-			plain := NewMC(g)
+			plain := NewMCNaive(g)
 			plain.oneByOne = oneByOne
-			plain.SetScoreCache(false)
 			size := 1 + x.intn(6)
 			var live [][]int
 			downSet := map[int]bool{}

@@ -8,9 +8,9 @@ import (
 
 // Tests pinning the incremental MC score cache: repeated same-size
 // workloads (the case where entries actually survive between Allocate
-// calls) must produce bit-identical allocations with the cache on, off,
-// against the naive reference scorer, and at any worker count — and
-// every entry the cache holds must equal a fresh exact recomputation.
+// calls) must produce bit-identical allocations to the naive reference
+// scorer, and every entry the cache holds must equal a fresh exact
+// recomputation.
 
 // churnSteady drives pairs of allocators through a same-size
 // allocate/release workload, the steady state the cache accelerates,
@@ -63,24 +63,6 @@ func TestIncrementalMCMatchesNaiveSteady(t *testing.T) {
 			naive.oneByOne = oneByOne
 			size := 1 + x.intn(9)
 			churnSteady(t, name, cached, naive, x.next(), size, 30)
-		}
-	}
-}
-
-// TestScoreCacheOnOffIdentical compares the indexed scorer with the
-// cache against itself with SetScoreCache(false), at several worker
-// counts: allocations must match bit for bit.
-func TestScoreCacheOnOffIdentical(t *testing.T) {
-	for _, workers := range []int{1, 2, 5} {
-		x := xorshift(uint64(workers)*977 + 5)
-		for trial := 0; trial < 20; trial++ {
-			g := equivGrid(x.next())
-			on := NewMC(g)
-			on.SetParallelism(workers)
-			off := NewMC(g)
-			off.SetScoreCache(false)
-			size := 1 + x.intn(9)
-			churnSteady(t, "mc/cache-on-off", on, off, x.next(), size, 25)
 		}
 	}
 }
@@ -184,18 +166,17 @@ func TestScoreCacheResetDropsEntries(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalMC fuzzes cache-on versus cache-off over arbitrary
-// machine shapes, densities, and request sizes.
+// FuzzIncrementalMC fuzzes the cached scorer against the naive reference
+// over arbitrary machine shapes, densities, and request sizes.
 func FuzzIncrementalMC(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(120), false)
 	f.Add(uint64(77), uint8(6), uint8(40), true)
 	f.Fuzz(func(t *testing.T, seed uint64, size, density uint8, oneByOne bool) {
 		g := equivGrid(seed)
-		on := NewMC(g)
-		on.oneByOne = oneByOne
-		off := NewMC(g)
-		off.oneByOne = oneByOne
-		off.SetScoreCache(false)
+		cached := NewMC(g)
+		cached.oneByOne = oneByOne
+		naive := NewMCNaive(g)
+		naive.oneByOne = oneByOne
 		x := xorshift(seed ^ 0xabcdef | 1)
 		var busy []int
 		for id := 0; id < g.Size(); id++ {
@@ -204,10 +185,10 @@ func FuzzIncrementalMC(f *testing.F) {
 			}
 		}
 		if len(busy) > 0 {
-			on.take(busy)
-			off.take(busy)
+			cached.take(busy)
+			naive.take(busy)
 		}
 		sz := int(size)%12 + 1
-		churnSteady(t, "fuzz", on, off, seed, sz, 15)
+		churnSteady(t, "fuzz", cached, naive, seed, sz, 15)
 	})
 }

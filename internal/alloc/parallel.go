@@ -1,20 +1,16 @@
 package alloc
 
-import (
-	"sync"
+import "sync"
 
-	"meshalloc/internal/topo"
-)
-
-// Parallel candidate scoring, layer 3 of the experiment fabric. The MC
-// and Gen-Alg candidate loops score every free processor against a
-// read-only snapshot of the machine (the busy bitmap and the occupancy
-// indexes are only mutated between Allocate calls, never during a
-// scan), so the loop shards cleanly: each worker scans one contiguous
-// chunk of the center range with a private incumbent, and the chunks
-// reduce in ascending order with a strict < comparison.
+// Parallel candidate scoring for Gen-Alg. The candidate loop scores
+// every free processor against a read-only snapshot of the machine (the
+// busy bitmap and the ball index are only mutated between Allocate
+// calls, never during a scan), so the loop shards cleanly: each worker
+// scans one contiguous chunk of the center range with a private
+// incumbent, and the chunks reduce in ascending order with a strict <
+// comparison.
 //
-// Determinism contract: the sequential loops keep the FIRST strictly
+// Determinism contract: the sequential loop keeps the FIRST strictly
 // better candidate, so among equal-cost candidates the lowest center id
 // wins. The chunked scan reproduces that exactly — a worker's local
 // incumbent is the lowest-id best of its chunk, and the in-order
@@ -25,27 +21,14 @@ import (
 //
 // Parallel scoring is opt-in (SetParallelism, or sim.Config.AllocWorkers
 // through the engine); the default remains the sequential zero-alloc
-// loop. Only the indexed scorers shard — the naive reference scorers
-// share gather buffers across candidates and stay sequential.
-
-// ParallelScorer is implemented by allocators whose candidate scoring
-// loop can shard across worker goroutines without changing any result
-// bit. SetParallelism(1) (or less) restores the sequential loop.
-type ParallelScorer interface {
-	SetParallelism(workers int)
-}
-
-// SetParallelism bounds the number of goroutines scoring MC candidates.
-func (a *MC) SetParallelism(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	a.workers = workers
-}
+// loop. Only the indexed scorer shards — the naive reference scorer
+// shares gather buffers across candidates and stays sequential. MC has
+// no parallel scan: its candidates are cheap enough that the goroutine
+// fan-out costs more than it saves on a 2-CPU host (see BENCH.md).
 
 // SetParallelism bounds the number of goroutines scoring Gen-Alg
 // candidates, growing the pool of worker-private scoring scratches to
-// match.
+// match. SetParallelism(1) (or less) restores the sequential loop.
 func (a *GenAlg) SetParallelism(workers int) {
 	if workers < 1 {
 		workers = 1
@@ -77,66 +60,6 @@ func reduceChunks(res []chunkBest) (bestCost, bestCenter int) {
 		}
 	}
 	return bestCost, bestCenter
-}
-
-// scanParallel shards MC's indexed candidate scan over a.workers
-// goroutines. Pruning via the local incumbent only changes how much
-// work a chunk does, never which candidate it elects, because countCost
-// reports the exact cost of every candidate that beats the incumbent.
-// The score cache composes: chunks cover disjoint center ranges and the
-// cache is indexed by center, so workers read and write disjoint entries
-// race-free. Which entries hold exact costs versus pruned lower bounds
-// can vary with the worker count (different incumbents prune
-// differently), but every cached value is occupancy-faithful, so
-// elections stay bit-identical at any parallelism.
-func (a *MC) scanParallel(ext topo.Point, size int, cache *mcCache) (bestCost, bestCenter int) {
-	n := a.g.Size()
-	workers := a.workers
-	if workers > n {
-		workers = n
-	}
-	res := make([]chunkBest, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			best := chunkBest{cost: -1, center: -1}
-			for center := lo; center < hi; center++ {
-				if a.busy[center] {
-					continue
-				}
-				var cost int
-				if cache != nil && cache.state[center] == cacheExact {
-					cost = cache.cost[center]
-				} else {
-					if cache != nil && cache.state[center] == cacheBound &&
-						best.cost >= 0 && cache.cost[center] >= best.cost {
-						continue
-					}
-					coord := a.g.Coord(center)
-					c, rad, ok := a.countCost(coord, ext, size, best.cost)
-					if !ok {
-						if cache != nil && rad >= 0 {
-							cache.store(a.g, cacheBound, center, coord, ext, rad, c)
-						}
-						continue
-					}
-					cost = c
-					if cache != nil {
-						cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
-					}
-				}
-				if best.cost == -1 || cost < best.cost {
-					best = chunkBest{cost: cost, center: center}
-				}
-			}
-			res[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return reduceChunks(res)
 }
 
 // scanParallel shards Gen-Alg's indexed candidate scan over a.workers

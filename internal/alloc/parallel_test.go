@@ -8,32 +8,27 @@ import (
 	"meshalloc/internal/topo"
 )
 
-// Parallel-scoring determinism tests: a parallel allocator driven
-// through the same allocate/release workload as a sequential twin must
-// return identical id slices at every step — the lowest-id-wins argmin
+// Parallel-scoring determinism tests: a parallel Gen-Alg driven through
+// the same allocate/release workload as a sequential twin must return
+// identical id slices at every step — the lowest-id-wins argmin
 // contract — at every worker count, on 2-D and 3-D machines.
 
 // runParallelEquivalence drives a sequential/parallel allocator pair
 // through a random workload and requires identical outcomes step by
 // step. Releases happen in random order so busy patterns fragment the
 // way long simulations fragment them.
-func runParallelEquivalence(t *testing.T, g *topo.Grid, workers int, seed uint64,
-	mk func(*topo.Grid) Allocator) {
+func runParallelEquivalence(t *testing.T, g *topo.Grid, workers int, seed uint64) {
 	t.Helper()
-	seq := mk(g)
-	par := mk(g)
-	ps, ok := par.(ParallelScorer)
-	if !ok {
-		t.Fatalf("%s does not implement ParallelScorer", par.Name())
-	}
-	ps.SetParallelism(workers)
+	seq := NewGenAlg(g)
+	par := NewGenAlg(g)
+	par.SetParallelism(workers)
 
 	x := xorshift(seed | 1)
 	var seqLive, parLive [][]int
 	for step := 0; step < 40; step++ {
 		if seq.NumFree() != par.NumFree() {
-			t.Fatalf("%s dims %v workers %d step %d: NumFree %d vs %d",
-				seq.Name(), g.Dims(), workers, step, seq.NumFree(), par.NumFree())
+			t.Fatalf("dims %v workers %d step %d: NumFree %d vs %d",
+				g.Dims(), workers, step, seq.NumFree(), par.NumFree())
 		}
 		if free := seq.NumFree(); free > 0 && (len(seqLive) == 0 || x.intn(3) > 0) {
 			size := 1 + x.intn(min(free, 24))
@@ -44,15 +39,15 @@ func runParallelEquivalence(t *testing.T, g *topo.Grid, workers int, seed uint64
 			got, err1 := seq.Allocate(req)
 			want, err2 := par.Allocate(req)
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s dims %v workers %d size %d: error mismatch %v vs %v",
-					seq.Name(), g.Dims(), workers, size, err1, err2)
+				t.Fatalf("dims %v workers %d size %d: error mismatch %v vs %v",
+					g.Dims(), workers, size, err1, err2)
 			}
 			if err1 != nil {
 				continue
 			}
 			if !sameIDs(got, want) {
-				t.Fatalf("%s dims %v workers %d size %d seed %#x: sequential ids %v != parallel ids %v",
-					seq.Name(), g.Dims(), workers, size, seed, got, want)
+				t.Fatalf("dims %v workers %d size %d seed %#x: sequential ids %v != parallel ids %v",
+					g.Dims(), workers, size, seed, got, want)
 			}
 			seqLive = append(seqLive, got)
 			parLive = append(parLive, want)
@@ -72,19 +67,9 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		topo.New([]int{16, 22}),
 		topo.New([]int{8, 8, 8}),
 	}
-	mks := []struct {
-		name string
-		mk   func(*topo.Grid) Allocator
-	}{
-		{"mc", func(g *topo.Grid) Allocator { return NewMC(g) }},
-		{"mc1x1", func(g *topo.Grid) Allocator { return NewMC1x1(g) }},
-		{"genalg", func(g *topo.Grid) Allocator { return NewGenAlg(g) }},
-	}
-	for _, m := range mks {
-		for gi, g := range grids {
-			for _, workers := range []int{2, 3, 8} {
-				runParallelEquivalence(t, g, workers, uint64(gi)*1021+uint64(workers), m.mk)
-			}
+	for gi, g := range grids {
+		for _, workers := range []int{2, 3, 8} {
+			runParallelEquivalence(t, g, workers, uint64(gi)*1021+uint64(workers))
 		}
 	}
 }
@@ -95,7 +80,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestSetParallelismOneIsSequential(t *testing.T) {
 	g := topo.New([]int{8, 8})
 	for _, workers := range []int{0, 1, -3} {
-		a := NewMC(g)
+		a := NewGenAlg(g)
 		a.SetParallelism(workers)
 		if a.workers != 1 {
 			t.Fatalf("SetParallelism(%d): workers = %d, want 1", workers, a.workers)
@@ -110,21 +95,16 @@ func TestSetParallelismOneIsSequential(t *testing.T) {
 	}
 }
 
-// TestParallelScanLeavesNoGoroutines checks the chunked scans join all
+// TestParallelScanLeavesNoGoroutines checks the chunked scan joins all
 // workers before Allocate returns.
 func TestParallelScanLeavesNoGoroutines(t *testing.T) {
 	g := topo.New([]int{16, 16})
 	base := runtime.NumGoroutine()
-	for _, mk := range []func(*topo.Grid) Allocator{
-		func(g *topo.Grid) Allocator { return NewMC(g) },
-		func(g *topo.Grid) Allocator { return NewGenAlg(g) },
-	} {
-		a := mk(g)
-		a.(ParallelScorer).SetParallelism(8)
-		for i := 0; i < 10; i++ {
-			if _, err := a.Allocate(Request{Size: 9}); err != nil {
-				t.Fatal(err)
-			}
+	a := NewGenAlg(g)
+	a.SetParallelism(8)
+	for i := 0; i < 10; i++ {
+		if _, err := a.Allocate(Request{Size: 9}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// Workers are joined by wg.Wait before Allocate returns; any excess

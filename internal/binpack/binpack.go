@@ -106,8 +106,7 @@ type Packer struct {
 	// prefix enumeration can scan 64 ranks per instruction. free stays the
 	// ground truth for double-release detection; bits is kept in lockstep
 	// by Allocate/Release/Reset.
-	bits     *occupancy.Bitset
-	wordScan bool
+	bits *occupancy.Bitset
 	// nextStart remembers where NextFit resumes scanning.
 	nextStart int
 	// ivsBuf and ranksBuf are persistent per-Allocate workspaces so the
@@ -121,12 +120,11 @@ type Packer struct {
 // permutation: the curve is static configuration.
 func New(order []int) *Packer {
 	p := &Packer{
-		order:    append([]int(nil), order...),
-		rankOf:   make([]int, len(order)),
-		free:     make([]bool, len(order)),
-		numFree:  len(order),
-		bits:     occupancy.NewBitset(len(order)),
-		wordScan: true,
+		order:   append([]int(nil), order...),
+		rankOf:  make([]int, len(order)),
+		free:    make([]bool, len(order)),
+		numFree: len(order),
+		bits:    occupancy.NewBitset(len(order)),
 	}
 	p.bits.SetAll()
 	for i := range p.rankOf {
@@ -158,31 +156,17 @@ func (p *Packer) Reset() {
 	p.nextStart = 0
 }
 
-// SetWordScan toggles the word-parallel bitset scans (on by default). The
-// naive boolean walk is retained as the reference path; both produce
-// identical intervals and ranks, pinned by the equivalence tests.
-func (p *Packer) SetWordScan(on bool) { p.wordScan = on }
-
 // Intervals returns the current maximal free intervals in rank order.
 func (p *Packer) Intervals() []Interval {
-	return p.appendIntervals(nil)
+	return p.AppendIntervals(nil)
 }
 
 // AppendIntervals appends the current maximal free intervals to ivs in
 // rank order, reusing ivs' capacity. It is the candidate-enumeration hot
-// path of every fit strategy, exported for benchmarks and external reuse.
+// path of every fit strategy, exported for benchmarks and external reuse:
+// it hops between runs with TrailingZeros64 scans over the free bitset,
+// 64 ranks per instruction.
 func (p *Packer) AppendIntervals(ivs []Interval) []Interval {
-	return p.appendIntervals(ivs)
-}
-
-// appendIntervals appends the current maximal free intervals to ivs in
-// rank order. The word-parallel path hops between runs with
-// TrailingZeros64 scans over the free bitset; the boolean walk is the
-// bit-identical reference.
-func (p *Packer) appendIntervals(ivs []Interval) []Interval {
-	if !p.wordScan {
-		return p.appendIntervalsRef(ivs)
-	}
 	for i := 0; ; {
 		j := p.bits.NextSet(i)
 		if j < 0 {
@@ -191,23 +175,6 @@ func (p *Packer) appendIntervals(ivs []Interval) []Interval {
 		k := p.bits.NextClear(j)
 		ivs = append(ivs, Interval{Start: j, Len: k - j})
 		i = k
-	}
-	return ivs
-}
-
-// appendIntervalsRef is the naive reference interval scan.
-func (p *Packer) appendIntervalsRef(ivs []Interval) []Interval {
-	i := 0
-	for i < len(p.free) {
-		if !p.free[i] {
-			i++
-			continue
-		}
-		start := i
-		for i < len(p.free) && p.free[i] {
-			i++
-		}
-		ivs = append(ivs, Interval{Start: start, Len: i - start})
 	}
 	return ivs
 }
@@ -358,28 +325,20 @@ func (p *Packer) MarkUp(id int) {
 
 // prefixRanks returns the first size free ranks (sorted free list) in the
 // persistent rank workspace; the result is only valid until the next
-// Allocate call. The word path walks free runs rather than testing every
-// rank, so fully busy stretches cost one popcount-scan per 64 ranks.
+// Allocate call. It walks free runs rather than testing every rank, so
+// fully busy stretches cost one popcount-scan per 64 ranks.
 func (p *Packer) prefixRanks(size int) []int {
 	ranks := p.ranksBuf[:0]
-	if p.wordScan {
-		for i := 0; len(ranks) < size; {
-			j := p.bits.NextSet(i)
-			if j < 0 {
-				break
-			}
-			k := p.bits.NextClear(j)
-			for r := j; r < k && len(ranks) < size; r++ {
-				ranks = append(ranks, r)
-			}
-			i = k
+	for i := 0; len(ranks) < size; {
+		j := p.bits.NextSet(i)
+		if j < 0 {
+			break
 		}
-	} else {
-		for r := 0; r < len(p.free) && len(ranks) < size; r++ {
-			if p.free[r] {
-				ranks = append(ranks, r)
-			}
+		k := p.bits.NextClear(j)
+		for r := j; r < k && len(ranks) < size; r++ {
+			ranks = append(ranks, r)
 		}
+		i = k
 	}
 	p.ranksBuf = ranks
 	return ranks
@@ -389,7 +348,7 @@ func (p *Packer) prefixRanks(size int) []int {
 // back to the minimal-span window when no interval is large enough. Like
 // prefixRanks it returns a view of the persistent rank workspace.
 func (p *Packer) fitRanks(size int, pick func([]Interval, int) int) []int {
-	p.ivsBuf = p.appendIntervals(p.ivsBuf[:0])
+	p.ivsBuf = p.AppendIntervals(p.ivsBuf[:0])
 	if idx := pick(p.ivsBuf, size); idx >= 0 {
 		iv := p.ivsBuf[idx]
 		ranks := p.ranksBuf[:0]

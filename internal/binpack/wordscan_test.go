@@ -1,6 +1,7 @@
 package binpack
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -18,71 +19,84 @@ func (r *bpRand) next() uint64 {
 
 var allStrategies = []Strategy{FreeList, FirstFit, BestFit, SumOfSquares, WorstFit, NextFit}
 
-// churnPair drives two packers through the identical allocate/release
-// sequence and fails if they ever disagree on ids, free counts, or
-// intervals. steps and seed parameterize the workload.
-func churnPair(t *testing.T, word, ref *Packer, s Strategy, seed uint64, steps int) {
+// intervalsRef is the naive reference interval scan: a rank-by-rank walk
+// of the boolean free array the word-parallel scan must reproduce.
+func intervalsRef(p *Packer) []Interval {
+	var ivs []Interval
+	for i := 0; i < len(p.free); {
+		if !p.free[i] {
+			i++
+			continue
+		}
+		start := i
+		for i < len(p.free) && p.free[i] {
+			i++
+		}
+		ivs = append(ivs, Interval{Start: start, Len: i - start})
+	}
+	return ivs
+}
+
+// prefixRanksRef is the naive reference for prefixRanks: the first size
+// free ranks found by testing every rank in order.
+func prefixRanksRef(p *Packer, size int) []int {
+	var ranks []int
+	for r := 0; r < len(p.free) && len(ranks) < size; r++ {
+		if p.free[r] {
+			ranks = append(ranks, r)
+		}
+	}
+	return ranks
+}
+
+// checkScans compares the word-parallel interval and prefix scans with
+// their rank-by-rank references on the packer's current state. Every
+// strategy decision is a function of these two scans, so agreement here
+// is agreement of every allocation.
+func checkScans(t *testing.T, p *Packer, step int) {
 	t.Helper()
-	r := bpRand(seed)
-	var live [][]int
-	for step := 0; step < steps; step++ {
-		if r.next()%3 != 0 && word.NumFree() > 0 {
-			size := int(r.next())%word.NumFree() + 1
-			if size < 0 {
-				size = -size
-			}
-			a, errA := word.Allocate(size, s)
-			b, errB := ref.Allocate(size, s)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("step %d: error mismatch %v vs %v", step, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if len(a) != len(b) {
-				t.Fatalf("step %d: len %d vs %d", step, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("step %d id %d: word %d vs ref %d", step, i, a[i], b[i])
-				}
-			}
-			live = append(live, a)
-		} else if len(live) > 0 {
-			i := int(r.next()) % len(live)
-			if i < 0 {
-				i = -i
-			}
-			word.Release(live[i])
-			ref.Release(live[i])
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if word.NumFree() != ref.NumFree() {
-			t.Fatalf("step %d: NumFree %d vs %d", step, word.NumFree(), ref.NumFree())
-		}
-		wi, ri := word.Intervals(), ref.Intervals()
-		if len(wi) != len(ri) {
-			t.Fatalf("step %d: intervals %v vs %v", step, wi, ri)
-		}
-		for i := range wi {
-			if wi[i] != ri[i] {
-				t.Fatalf("step %d: intervals %v vs %v", step, wi, ri)
-			}
+	if got, want := p.Intervals(), intervalsRef(p); !slices.Equal(got, want) {
+		t.Fatalf("step %d: intervals %v, reference %v", step, got, want)
+	}
+	for _, size := range []int{1, p.NumFree() / 2, p.NumFree()} {
+		if got, want := p.prefixRanks(size), prefixRanksRef(p, size); !slices.Equal(got, want) {
+			t.Fatalf("step %d: prefixRanks(%d) %v, reference %v", step, size, got, want)
 		}
 	}
 }
 
-// TestWordScanMatchesNaive churns word-scan and naive packers through the
-// same workload for every strategy and several awkward sizes (word
-// boundaries, sub-word, multi-word).
+// churnScans drives a packer through a random allocate/release workload
+// under strategy s, checking the scans against their references after
+// every step.
+func churnScans(t *testing.T, p *Packer, s Strategy, seed uint64, steps int) {
+	t.Helper()
+	r := bpRand(seed)
+	var live [][]int
+	for step := 0; step < steps; step++ {
+		if r.next()%3 != 0 && p.NumFree() > 0 {
+			size := int(r.next()%uint64(p.NumFree())) + 1
+			ids, err := p.Allocate(size, s)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			live = append(live, ids)
+		} else if len(live) > 0 {
+			i := int(r.next() % uint64(len(live)))
+			p.Release(live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		checkScans(t, p, step)
+	}
+}
+
+// TestWordScanMatchesNaive churns a packer through the same workload for
+// every strategy and several awkward sizes (word boundaries, sub-word,
+// multi-word), checking the word-parallel scans against the naive walks.
 func TestWordScanMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 17, 64, 65, 127, 128, 300, 1024} {
 		for _, s := range allStrategies {
-			word := New(identityOrder(n))
-			ref := New(identityOrder(n))
-			ref.SetWordScan(false)
-			churnPair(t, word, ref, s, uint64(n)*13+uint64(s)+1, 200)
+			churnScans(t, New(identityOrder(n)), s, uint64(n)*13+uint64(s)+1, 200)
 		}
 	}
 }
@@ -116,17 +130,14 @@ func TestWordScanBitsMirrorsFree(t *testing.T) {
 	}
 }
 
-// FuzzWordScanEquivalence fuzzes the word/naive pairing over arbitrary
-// op streams: identical allocations, errors, and interval structure.
+// FuzzWordScanEquivalence fuzzes the word/naive scan pairing over
+// arbitrary op streams.
 func FuzzWordScanEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(64), uint8(1))
 	f.Add(uint64(99), uint8(200), uint8(5))
 	f.Fuzz(func(t *testing.T, seed uint64, size, strat uint8) {
 		n := int(size)%512 + 1
 		s := allStrategies[int(strat)%len(allStrategies)]
-		word := New(identityOrder(n))
-		ref := New(identityOrder(n))
-		ref.SetWordScan(false)
-		churnPair(t, word, ref, s, seed|1, 120)
+		churnScans(t, New(identityOrder(n)), s, seed|1, 120)
 	})
 }

@@ -216,8 +216,8 @@ func TestCheckScorecard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) < 8 {
-		t.Fatalf("only %d checks ran", len(results))
+	if len(results) != 9 {
+		t.Fatalf("%d checks ran, want 9", len(results))
 	}
 	pass := 0
 	for _, r := range results {
@@ -235,6 +235,34 @@ func TestCheckScorecard(t *testing.T) {
 	rendered := RenderChecks(results)
 	if !strings.Contains(rendered, "claims reproduced") {
 		t.Fatal("render missing summary")
+	}
+}
+
+// TestCheckScorecardSmallTrace: a trace too short to put 8 large jobs in
+// the Figure 9/10 band still yields all 9 claims, with both correlation
+// claims failing on the "too few large jobs" detail.
+func TestCheckScorecardSmallTrace(t *testing.T) {
+	results, err := Check(Options{Jobs: 300, TimeScale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 9 {
+		t.Fatalf("%d checks ran, want 9", len(results))
+	}
+	short := 0
+	for _, r := range results {
+		if strings.Contains(r.Detail, "too few large jobs") {
+			if r.Pass {
+				t.Fatalf("claim %q passed with detail %q", r.Claim, r.Detail)
+			}
+			if !strings.Contains(r.Claim, "fig 9") && !strings.Contains(r.Claim, "fig 10") {
+				t.Fatalf("unexpected short-trace claim %q", r.Claim)
+			}
+			short++
+		}
+	}
+	if short != 2 {
+		t.Fatalf("%d claims report too few large jobs, want the fig 9 and fig 10 claims", short)
 	}
 }
 

@@ -89,10 +89,7 @@ func (e *Engine) Audit() error {
 	if slack < 0 {
 		errs = append(errs, violatef("free-count",
 			"machine %d < busy %d + masked %d + free %d", e.grid.Size(), e.busyProcs, e.maskedN, e.allocator.NumFree()))
-	} else if slack > 0 && e.batcher != nil {
-		// Exact-size allocators (the BatchAllocator contract) leave no
-		// internal fragmentation; paged forms legitimately strand the
-		// tail of a partially-used page, so only slack < 0 is wrong there.
+	} else if slack > 0 && exactSize(e.allocator) {
 		errs = append(errs, violatef("free-count",
 			"%d processors unaccounted for (machine %d, busy %d, masked %d, free %d)",
 			slack, e.grid.Size(), e.busyProcs, e.maskedN, e.allocator.NumFree()))
@@ -125,10 +122,11 @@ func (e *Engine) Audit() error {
 		}
 	})
 
-	// Scheduler mirrors: on the incremental path pendBuf shadows the
-	// queue entry for entry and runOrd holds exactly the live set in
-	// ascending (EstEnd, handle) order.
-	if e.trackPend {
+	// Scheduler mirrors: under every policy but strict FCFS, pendBuf
+	// shadows the queue entry for entry and runOrd holds exactly the
+	// live set in ascending (EstEnd, handle) order — what rebuilding both
+	// from queue and store would produce.
+	if !e.isFCFS {
 		if len(e.pendBuf) != len(e.queue) {
 			errs = append(errs, violatef("pend-mirror", "pendBuf holds %d entries, queue %d", len(e.pendBuf), len(e.queue)))
 		} else {
@@ -139,8 +137,6 @@ func (e *Engine) Audit() error {
 				}
 			}
 		}
-	}
-	if e.trackRun {
 		if len(e.runOrd) != live || len(e.runOrdH) != len(e.runOrd) {
 			errs = append(errs, violatef("run-mirror", "runOrd holds %d entries for %d live jobs", len(e.runOrd), live))
 		} else {
@@ -239,6 +235,20 @@ func (e *Engine) Audit() error {
 	return errors.Join(errs...)
 }
 
+// exactSize reports whether the free-count audit holds a to an exact
+// balance: Paging, the MC family, Gen-Alg and Random consume exactly the
+// requested processor count and leave no internal fragmentation. Buddy
+// rounds requests up to whole blocks and paged forms strand the tail of
+// a partially-used page, so for the other allocators only a negative
+// free-count slack is a violation.
+func exactSize(a alloc.Allocator) bool {
+	switch a.(type) {
+	case *alloc.Paging, *alloc.MC, *alloc.GenAlg, *alloc.Random:
+		return true
+	}
+	return false
+}
+
 // rebuildDerived reconstructs every derived index from the engine's
 // authoritative state: the allocator's occupancy structures from the
 // live jobs' node sets, the fault masks from the availability flags and
@@ -320,13 +330,11 @@ func (e *Engine) rebuildDerived() (err error) {
 	}
 
 	// Scheduler mirrors.
-	if e.trackPend {
+	if !e.isFCFS {
 		e.pendBuf = e.pendBuf[:0]
 		for _, j := range e.queue {
 			e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
 		}
-	}
-	if e.trackRun {
 		e.runOrd, e.runOrdH = e.runOrd[:0], e.runOrdH[:0]
 		var hs []int32
 		for h := range s.inUse {

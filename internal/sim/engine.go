@@ -56,15 +56,33 @@ func sortedCopy(ids []int) []int {
 	return out
 }
 
-// eventHeap is a hand-rolled binary min-heap of events ordered by (t,
-// seq). container/heap would box every pushed and popped event into an
-// interface — one garbage allocation per simulated event, right on the
-// hottest loop of the simulator — so the sift operations are written out
-// against the concrete slice instead. The heap is the reference
-// implementation of the eventQueue contract (see equeue.go) and the
-// fallback for timestamp distributions that defeat the calendar queue's
-// bucketing.
+// eventHeap is the engine's event queue: a hand-rolled binary min-heap
+// popping events in strictly ascending (t, seq) order — the FIFO tie
+// rule every golden digest depends on. container/heap would box every
+// pushed and popped event into an interface — one garbage allocation per
+// simulated event, right on the hottest loop of the simulator — so the
+// sift operations are written out against the concrete slice instead.
 type eventHeap []event
+
+func (h eventHeap) len() int { return len(h) }
+
+// head returns the earliest event's time and kind without removing it;
+// ok is false on an empty queue.
+func (h eventHeap) head() (t float64, kind int, ok bool) {
+	if len(h) == 0 {
+		return 0, 0, false
+	}
+	return h[0].t, h[0].kind, true
+}
+
+// each visits every queued event in heap order without consuming it —
+// the snapshot and audit walk. Events carry their assigned seq, so any
+// visit order re-pushes into an equivalent queue.
+func (h eventHeap) each(fn func(event)) {
+	for _, ev := range h {
+		fn(ev)
+	}
+}
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
@@ -135,47 +153,38 @@ type Engine struct {
 	cfg       Config
 	grid      *topo.Grid
 	allocator alloc.Allocator
-	// batcher is non-nil when the allocator supports batch allocation;
-	// the FCFS dispatch then serves each runnable queue prefix in one
-	// call. Results are bit-identical to one-at-a-time dispatch (see
-	// scheduleFCFSBatch); tests null it out to compare both paths.
-	batcher alloc.BatchAllocator
-	pattern comm.Pattern
-	policy  sched.Policy
+	pattern   comm.Pattern
+	policy    sched.Policy
 	// sorted is non-nil when the policy exploits the end-time-ordered
-	// running index (EASY); used only on the incremental path.
+	// running index (EASY).
 	sorted sched.SortedPolicy
 	isFCFS bool
 	isSJF  bool
 	net    *netsim.Network
 	rng    *stats.RNG
 
-	events eventQueue
+	events eventHeap
 	seq    int64
 	now    float64
 	queue  []trace.Job // FCFS arrival order, already scaled
 	store  jobStore    // in-flight job state, SoA, handle-indexed
 
-	// Scheduler-round state. On the incremental path (RebuildSched
-	// false), pendBuf mirrors queue entry for entry (trackPend) and
-	// runOrd/runOrdH hold the running set ordered by (EstEnd, handle)
-	// (trackRun), both maintained at the events that change them instead
-	// of rebuilt every round; runBuf only serves the rebuild reference
-	// path. blocked is the head-blocked watermark: set when an FCFS/SJF
-	// round ends without a dispatch, letting the next round short-
-	// circuit in O(1), and invalidated only on release and fault
-	// transitions (plus arrivals that can change the decision: any
-	// arrival under SJF, an arrival into an empty queue under FCFS).
-	// EASY never blocks — its backfill decisions depend on the clock.
-	pendBuf   []sched.Pending
-	runBuf    []sched.Running
-	reqBuf    []alloc.Request
-	runOrd    []sched.Running
-	runOrdH   []int32
-	trackPend bool
-	trackRun  bool
-	canBlock  bool
-	blocked   bool
+	// Scheduler-round state. Strict FCFS only ever inspects the queue
+	// head; every other policy reads pendBuf, which mirrors queue entry
+	// for entry, and runOrd/runOrdH, which hold the running set ordered
+	// by (EstEnd, handle). Both are maintained at the events that change
+	// them instead of rebuilt every round. blocked is the head-blocked
+	// watermark: set when an FCFS/SJF round ends without a dispatch,
+	// letting the next round short-circuit in O(1), and invalidated only
+	// on release and fault transitions (plus arrivals that can change the
+	// decision: any arrival under SJF, an arrival into an empty queue
+	// under FCFS). EASY never blocks — its backfill decisions depend on
+	// the clock.
+	pendBuf  []sched.Pending
+	runOrd   []sched.Running
+	runOrdH  []int32
+	canBlock bool
+	blocked  bool
 
 	// setScratch backs the counted per-finish dispersal metrics.
 	setScratch topo.SetScratch
@@ -267,8 +276,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.AllocWorkers > 1 {
-		if ps, ok := allocator.(alloc.ParallelScorer); ok {
-			ps.SetParallelism(cfg.AllocWorkers)
+		if ga, ok := allocator.(*alloc.GenAlg); ok {
+			ga.SetParallelism(cfg.AllocWorkers)
 		}
 	}
 	pattern, err := comm.ByName(cfg.Pattern)
@@ -286,34 +295,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	_, isFCFS := policy.(sched.FCFS)
 	_, isSJF := policy.(sched.SJF)
-	batcher, _ := allocator.(alloc.BatchAllocator)
+	sorted, _ := policy.(sched.SortedPolicy)
 	e := &Engine{
 		cfg:        cfg,
 		grid:       m,
 		allocator:  allocator,
-		batcher:    batcher,
 		pattern:    pattern,
 		policy:     policy,
+		sorted:     sorted,
 		isFCFS:     isFCFS,
 		isSJF:      isSJF,
 		net:        netsim.New(m, cfg.Net),
 		rng:        stats.NewRNG(cfg.Seed),
 		respMedian: stats.NewP2Quantile(0.5),
 		auditEvery: int64(cfg.AuditEvery),
-	}
-	switch cfg.EventQueue {
-	case "calendar":
-		e.events = newCalQueue()
-	case "heap":
-		e.events = &eventHeap{}
-	default:
-		return nil, fmt.Errorf("sim: unknown event queue %q (valid: calendar, heap)", cfg.EventQueue)
-	}
-	if !cfg.RebuildSched {
-		e.trackPend = !isFCFS
-		e.trackRun = !isFCFS
-		e.canBlock = isFCFS || isSJF
-		e.sorted, _ = policy.(sched.SortedPolicy)
+		canBlock:   isFCFS || isSJF,
 	}
 	if cfg.Faults.Enabled() {
 		if err := e.initFaults(); err != nil {
@@ -403,15 +399,9 @@ func (e *Engine) RunningJobs() int { return e.store.live }
 func (e *Engine) Finished() int { return e.finished }
 
 // CoreStats snapshots the event-core counters: events processed by
-// kind, scheduler rounds run versus skipped by the head-blocked
-// watermark, and the calendar queue's adaptation history.
-func (e *Engine) CoreStats() stats.EventCoreStats {
-	cs := e.core
-	if cq, ok := e.events.(*calQueue); ok {
-		cs.CalResizes, cs.CalDirectScans, cs.CalFellBack = cq.queueStats()
-	}
-	return cs
-}
+// kind, and scheduler rounds run versus skipped by the head-blocked
+// watermark.
+func (e *Engine) CoreStats() stats.EventCoreStats { return e.core }
 
 // ErrOversize is the sentinel matched by errors.Is for jobs rejected
 // because they can never (or, under strict capacity, currently cannot)
@@ -514,7 +504,7 @@ func (e *Engine) afterEvent() {
 // incremental policy snapshot in lockstep.
 func (e *Engine) enqueue(j trace.Job) {
 	e.queue = append(e.queue, j)
-	if e.trackPend {
+	if !e.isFCFS {
 		e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
 	}
 }
@@ -523,7 +513,7 @@ func (e *Engine) enqueue(j trace.Job) {
 // the incremental snapshot in lockstep.
 func (e *Engine) dequeueAt(i int) {
 	e.queue = append(e.queue[:i], e.queue[i+1:]...)
-	if e.trackPend {
+	if !e.isFCFS {
 		e.pendBuf = append(e.pendBuf[:i], e.pendBuf[i+1:]...)
 	}
 }
@@ -594,8 +584,8 @@ func (e *Engine) Step() bool {
 		e.enqueue(ev.arr)
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
-			// before scheduling once, so simultaneous arrivals dispatch
-			// as one batch. Under FCFS this is bit-identical to
+			// before scheduling once, so simultaneous arrivals share one
+			// scheduler round. Under FCFS this is bit-identical to
 			// scheduling after each arrival: the drain stops at any
 			// earlier-sequenced non-arrival event, queue order is
 			// arrival order either way, and the combined trySchedule
@@ -911,7 +901,7 @@ func (e *Engine) killJob(h int32, now float64) {
 	e.killed++
 	e.killCount[job.ID]++
 	kills := e.killCount[job.ID]
-	if e.trackRun {
+	if !e.isFCFS {
 		e.runRemove(h)
 	}
 	// The job's one outstanding step/finish event still references the
@@ -960,44 +950,22 @@ func (e *Engine) trySchedule(now float64) {
 		return
 	}
 	e.core.SchedRounds++
-	if e.isFCFS && e.batcher != nil {
-		e.scheduleFCFSBatch(now)
-		return
-	}
 	for {
 		var pick int
 		switch {
 		case e.isFCFS:
-			// Fast path: strict FCFS only ever inspects the head.
+			// Strict FCFS only ever inspects the head.
 			pick = -1
 			if len(e.queue) > 0 && e.queue[0].Size <= e.allocator.NumFree() {
 				pick = 0
 			}
-		case e.cfg.RebuildSched:
-			// Reference path: rebuild the policy's snapshots from
-			// scratch every round, iterating live handles in ascending
-			// order so equal-EstEnd running entries land in the same
-			// relative order the incremental index keeps.
-			e.pendBuf = e.pendBuf[:0]
-			for _, j := range e.queue {
-				e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
-			}
-			e.runBuf = e.runBuf[:0]
-			for h := 0; h < len(e.store.job); h++ {
-				if e.store.inUse[h] && !e.store.dead[h] {
-					e.runBuf = append(e.runBuf, sched.Running{Size: e.store.job[h].Size, EstEnd: e.store.estEnd[h]})
-				}
-			}
-			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runBuf)
+		case e.sorted != nil:
+			// pendBuf mirrors the queue and runOrd is already (EstEnd,
+			// handle)-sorted, so the round costs one policy scan and
+			// nothing else.
+			pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		default:
-			// Incremental path: pendBuf mirrors the queue and runOrd is
-			// already (EstEnd, handle)-sorted, so the round costs one
-			// policy scan and nothing else.
-			if e.sorted != nil {
-				pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-			} else {
-				pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-			}
+			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		}
 		if pick < 0 {
 			e.block()
@@ -1020,58 +988,6 @@ func (e *Engine) trySchedule(now float64) {
 		e.dequeueAt(pick)
 		e.startJob(job, nodes, now)
 	}
-}
-
-// scheduleFCFSBatch dispatches the runnable FCFS queue prefix in one
-// AllocateBatch call. The BatchAllocator contract (exact-size
-// consumption, success whenever size <= NumFree) makes the cumulative
-// size check below exactly the head-fits rule the sequential loop
-// applies after each allocation, and AllocateBatch is defined as the
-// in-order sequence of Allocates, so the jobs started, their node sets,
-// the RNG consumption, and the relative event order are all identical
-// to the one-at-a-time loop — pinned by the golden digests and the
-// batch equivalence suite.
-func (e *Engine) scheduleFCFSBatch(now float64) {
-	free := e.allocator.NumFree()
-	n := 0
-	for n < len(e.queue) && e.queue[n].Size <= free {
-		free -= e.queue[n].Size
-		n++
-	}
-	if n == 0 {
-		e.block()
-		return
-	}
-	if n == 1 {
-		// Single-job rounds skip the batch call and its result slice —
-		// the common steady-state case stays zero-alloc.
-		job := e.queue[0]
-		nodes, err := e.allocator.Allocate(alloc.Request{Size: job.Size})
-		if err != nil {
-			panic(fmt.Sprintf("sim: batch allocator %s refused %d procs with %d free: %v",
-				e.allocator.Name(), job.Size, e.allocator.NumFree(), err))
-		}
-		e.queue = e.queue[:copy(e.queue, e.queue[1:])]
-		e.startJob(job, nodes, now)
-		e.block()
-		return
-	}
-	e.reqBuf = e.reqBuf[:0]
-	for i := 0; i < n; i++ {
-		e.reqBuf = append(e.reqBuf, alloc.Request{Size: e.queue[i].Size})
-	}
-	batch, err := e.batcher.AllocateBatch(e.reqBuf)
-	if err != nil || len(batch) != n {
-		panic(fmt.Sprintf("sim: batch allocator %s served %d of %d requests with %d free: %v",
-			e.allocator.Name(), len(batch), n, e.allocator.NumFree(), err))
-	}
-	for i := 0; i < n; i++ {
-		e.startJob(e.queue[i], batch[i], now)
-	}
-	e.queue = e.queue[:copy(e.queue, e.queue[n:])]
-	// n was the maximal runnable prefix, so the remaining head (if any)
-	// exceeds the remaining free count: the round ends blocked.
-	e.block()
 }
 
 // startJob registers an allocated job: claim a store handle, draw its
@@ -1098,7 +1014,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 			e.owner[id] = h
 		}
 	}
-	if e.trackRun {
+	if !e.isFCFS {
 		e.runInsert(h, s.estEnd[h], job.Size)
 	}
 	for _, fn := range e.deltaObs {
@@ -1130,7 +1046,7 @@ func (e *Engine) finish(h int32, now float64) {
 		}
 		delete(e.killCount, job.ID)
 	}
-	if e.trackRun {
+	if !e.isFCFS {
 		e.runRemove(h)
 	}
 	end := s.lastArr[h]
@@ -1138,20 +1054,11 @@ func (e *Engine) finish(h int32, now float64) {
 		end = now
 	}
 	inv := 1 / e.cfg.TimeScale
-	var nComps int
-	var avgPair float64
-	if e.cfg.NaiveMetrics {
-		// Reference walks: materialize the components, decode a
-		// coordinate pair per distance.
-		nComps = len(e.grid.Components(nodes))
-		avgPair = e.grid.AvgPairwiseDist(nodes)
-	} else {
-		// Counted forms: integer-exact per-axis histograms and an
-		// epoch-stamped flood fill — bit-identical results at a
-		// fraction of the cost (see topo/setmetrics.go).
-		nComps = e.grid.CountComponents(nodes, &e.setScratch)
-		avgPair = e.grid.AvgPairwiseDistCounted(nodes, &e.setScratch)
-	}
+	// Counted forms: integer-exact per-axis histograms and an
+	// epoch-stamped flood fill, bit-identical to the materializing
+	// Components/AvgPairwiseDist walks (see topo/setmetrics.go).
+	nComps := e.grid.CountComponents(nodes, &e.setScratch)
+	avgPair := e.grid.AvgPairwiseDistCounted(nodes, &e.setScratch)
 	rec := JobRecord{
 		ID:          job.ID,
 		Size:        job.Size,

@@ -3,38 +3,51 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// drainCompare pops both queues dry and fails on the first divergence in
-// (t, seq, kind) order. The heap is the reference.
-func drainCompare(t *testing.T, ref *eventHeap, q eventQueue, tag string) {
+// eventBefore is the (t, seq) order the event heap must pop in.
+func eventBefore(a, b event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// sortedOracle returns evs in pop order.
+func sortedOracle(evs []event) []event {
+	out := append([]event(nil), evs...)
+	sort.Slice(out, func(i, j int) bool { return eventBefore(out[i], out[j]) })
+	return out
+}
+
+// drainCheck pops q dry and fails on the first divergence from want in
+// (t, seq, kind), also checking that head() reports each event before
+// pop returns it.
+func drainCheck(t *testing.T, q *eventHeap, want []event, tag string) {
 	t.Helper()
-	i := 0
-	for ref.len() > 0 {
-		if q.len() == 0 {
-			t.Fatalf("%s: queue empty with %d reference events left", tag, ref.len())
-		}
+	for i, w := range want {
 		ht, hk, ok := q.head()
-		want := ref.pop()
 		got := q.pop()
 		if !ok || ht != got.t || hk != got.kind {
 			t.Fatalf("%s: head() reported (%v, kind %d, ok %v) but pop returned (%v, kind %d)",
 				tag, ht, hk, ok, got.t, got.kind)
 		}
-		if got.t != want.t || got.seq != want.seq || got.kind != want.kind {
+		if got.t != w.t || got.seq != w.seq || got.kind != w.kind {
 			t.Fatalf("%s: pop %d: got (t=%v seq=%d kind=%d), want (t=%v seq=%d kind=%d)",
-				tag, i, got.t, got.seq, got.kind, want.t, want.seq, want.kind)
+				tag, i, got.t, got.seq, got.kind, w.t, w.seq, w.kind)
 		}
-		i++
 	}
 	if q.len() != 0 {
 		t.Fatalf("%s: %d stray events left in queue", tag, q.len())
 	}
+	if _, _, ok := q.head(); ok {
+		t.Fatalf("%s: head() reports an event on an empty queue", tag)
+	}
 }
 
-// streamGen produces one timestamp per call; implementations model the
-// distributions the satellite names.
+// streamGen produces one timestamp per call.
 type streamGen func(rng *rand.Rand, i int) float64
 
 var eventStreams = map[string]streamGen{
@@ -67,29 +80,40 @@ var eventStreams = map[string]streamGen{
 	},
 }
 
-// TestCalQueueMatchesHeapStreams pushes each stream into both queues and
-// requires identical pop order, across push-all-then-pop-all and
-// interleaved push/pop schedules.
-func TestCalQueueMatchesHeapStreams(t *testing.T) {
+// TestEventHeapStreams pushes each stream into the heap and requires the
+// sort oracle's pop order, across push-all-then-pop-all and interleaved
+// push/pop schedules. In the interleaved schedule each pop must return
+// the earliest event pushed and not yet popped.
+func TestEventHeapStreams(t *testing.T) {
 	for name, gen := range eventStreams {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range []int{0, 1, 7, 300, 5000} {
 				rng := rand.New(rand.NewSource(int64(n) + 11))
-				ref, q := &eventHeap{}, newCalQueue()
+				q := &eventHeap{}
+				var pushed []event
 				for i := 0; i < n; i++ {
 					ev := event{t: gen(rng, i), seq: int64(i), kind: i % 3}
-					ref.push(ev)
 					q.push(ev)
+					pushed = append(pushed, ev)
 				}
-				drainCompare(t, ref, q, name)
+				drainCheck(t, q, sortedOracle(pushed), name)
 
 				// Interleaved: random mix of pushes and pops, then drain.
 				rng = rand.New(rand.NewSource(int64(n) + 77))
-				ref, q = &eventHeap{}, newCalQueue()
+				q = &eventHeap{}
+				var live []event
 				seq := int64(0)
 				for i := 0; i < 2*n; i++ {
 					if q.len() > 0 && rng.Intn(3) == 0 {
-						want, got := ref.pop(), q.pop()
+						first := 0
+						for k := range live {
+							if eventBefore(live[k], live[first]) {
+								first = k
+							}
+						}
+						want, got := live[first], q.pop()
+						live[first] = live[len(live)-1]
+						live = live[:len(live)-1]
 						if got.t != want.t || got.seq != want.seq {
 							t.Fatalf("%s interleaved: got (t=%v seq=%d), want (t=%v seq=%d)",
 								name, got.t, got.seq, want.t, want.seq)
@@ -98,133 +122,35 @@ func TestCalQueueMatchesHeapStreams(t *testing.T) {
 					}
 					ev := event{t: gen(rng, i), seq: seq, kind: i % 3}
 					seq++
-					ref.push(ev)
 					q.push(ev)
+					live = append(live, ev)
 				}
-				drainCompare(t, ref, q, name+" interleaved drain")
+				drainCheck(t, q, sortedOracle(live), name+" interleaved drain")
 			}
 		})
 	}
 }
 
-// TestCalQueueFaultFirstTieRule replays the engine's fault-versus-event
-// tie decision over both queue implementations: a pending fault at
-// exactly the head event's time must win (processFault runs first), and
-// the head() t both queues report is what the engine compares against.
-func TestCalQueueFaultFirstTieRule(t *testing.T) {
-	for _, impl := range []string{"heap", "calendar"} {
-		var q eventQueue
-		if impl == "heap" {
-			q = &eventHeap{}
-		} else {
-			q = newCalQueue()
-		}
-		// Three events at t=5 (seq order 1,2,3) and one at t=7.
-		q.push(event{t: 5, seq: 2, kind: kindStep})
-		q.push(event{t: 7, seq: 4, kind: kindFinish})
-		q.push(event{t: 5, seq: 1, kind: kindArrival})
-		q.push(event{t: 5, seq: 3, kind: kindFinish})
-		faultT := 5.0
-		ht, _, ok := q.head()
-		if !ok || !(faultT <= ht) {
-			t.Fatalf("%s: fault at %v must apply before head at %v", impl, faultT, ht)
-		}
-		for want := int64(1); want <= 3; want++ {
-			if ev := q.pop(); ev.t != 5 || ev.seq != want {
-				t.Fatalf("%s: tie pop got (t=%v seq=%d), want (5, %d)", impl, ev.t, ev.seq, want)
-			}
-		}
-		if ev := q.pop(); ev.t != 7 || ev.seq != 4 {
-			t.Fatalf("%s: final pop got (t=%v seq=%d), want (7, 4)", impl, ev.t, ev.seq)
-		}
+// TestEventHeapFaultFirstTieRule replays the engine's fault-versus-event
+// tie decision: a pending fault at exactly the head event's time must
+// win (processFault runs first), the head() t the heap reports is what
+// the engine compares against, and same-time events pop in seq order.
+func TestEventHeapFaultFirstTieRule(t *testing.T) {
+	q := &eventHeap{}
+	// Three events at t=5 (seq order 1,2,3) and one at t=7.
+	evs := []event{
+		{t: 5, seq: 2, kind: kindStep},
+		{t: 7, seq: 4, kind: kindFinish},
+		{t: 5, seq: 1, kind: kindArrival},
+		{t: 5, seq: 3, kind: kindFinish},
 	}
-}
-
-// TestCalQueueFallback force-feeds a distribution engineered to defeat
-// bucketing — astronomically spread timestamps pushed newest-first so
-// every operation pays a full scan — and checks the queue demotes itself
-// to the heap and still pops the exact reference order.
-func TestCalQueueFallback(t *testing.T) {
-	ref, q := &eventHeap{}, newCalQueue()
-	rng := rand.New(rand.NewSource(9))
-	seq := int64(0)
-	// Interleave pops so the cursor keeps rescanning a nearly-empty
-	// calendar with huge gaps: worst case for year walks.
-	for i := 0; i < 40000; i++ {
-		ev := event{t: math.Exp(rng.Float64() * 50), seq: seq}
-		seq++
-		ref.push(ev)
+	for _, ev := range evs {
 		q.push(ev)
-		if i%2 == 1 {
-			want, got := ref.pop(), q.pop()
-			if got.t != want.t || got.seq != want.seq {
-				t.Fatalf("pop %d diverged: got (t=%v seq=%d), want (t=%v seq=%d)",
-					i, got.t, got.seq, want.t, want.seq)
-			}
-		}
 	}
-	drainCompare(t, ref, q, "fallback drain")
-	if _, _, fell := q.queueStats(); !fell {
-		t.Fatalf("pathological exponential spread did not trigger the heap fallback")
+	faultT := 5.0
+	ht, _, ok := q.head()
+	if !ok || !(faultT <= ht) {
+		t.Fatalf("fault at %v must apply before head at %v", faultT, ht)
 	}
-}
-
-// TestCalQueueAdaptsWithoutFallback checks the common case stays on the
-// calendar: a million-event DES-like clock stream must never demote.
-func TestCalQueueAdaptsWithoutFallback(t *testing.T) {
-	q := newCalQueue()
-	rng := rand.New(rand.NewSource(4))
-	seq := int64(0)
-	clock := 0.0
-	for i := 0; i < 200000; i++ {
-		// Hold ~200 events in flight, popping and pushing lookahead work.
-		if q.len() >= 200 {
-			ev := q.pop()
-			clock = ev.t
-		}
-		q.push(event{t: clock + rng.Float64()*30, seq: seq})
-		seq++
-	}
-	resizes, _, fell := q.queueStats()
-	if fell {
-		t.Fatalf("DES clock stream fell back to the heap (resizes=%d)", resizes)
-	}
-	if resizes == 0 {
-		t.Fatalf("bucket-width adaptation never ran on a 200k-event stream")
-	}
-}
-
-// FuzzCalQueueEquivalence drives random interleaved schedules through
-// both implementations from a fuzzed seed and scale.
-func FuzzCalQueueEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(10))
-	f.Add(int64(42), uint16(4000), uint8(1))
-	f.Add(int64(7), uint16(512), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, scale uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		ref, q := &eventHeap{}, newCalQueue()
-		mult := float64(scale)/8 + 0.001
-		seq := int64(0)
-		for i := 0; i < int(n); i++ {
-			switch {
-			case q.len() > 0 && rng.Intn(4) == 0:
-				want, got := ref.pop(), q.pop()
-				if got.t != want.t || got.seq != want.seq || got.kind != want.kind {
-					t.Fatalf("pop diverged: got (t=%v seq=%d kind=%d), want (t=%v seq=%d kind=%d)",
-						got.t, got.seq, got.kind, want.t, want.seq, want.kind)
-				}
-			default:
-				// Mix exact repeats (ties) with scaled random spreads.
-				tt := float64(rng.Intn(50)) * mult
-				if rng.Intn(3) == 0 {
-					tt = rng.Float64() * 1e6 * mult
-				}
-				ev := event{t: tt, seq: seq, kind: rng.Intn(3)}
-				seq++
-				ref.push(ev)
-				q.push(ev)
-			}
-		}
-		drainCompare(t, ref, q, "fuzz drain")
-	})
+	drainCheck(t, q, sortedOracle(evs), "tie rule")
 }

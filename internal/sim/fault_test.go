@@ -337,47 +337,32 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultRunAcrossEventCoreToggles: a fault-injected run — kills,
-// retries, mask/unmask churn and all — produces one digest across the
-// whole event-core matrix: {calendar, heap} queue × {incremental,
-// rebuild} scheduler state × {counted, naive} metrics. Fault events
-// stress exactly the paths the fault-free goldens cannot (the
-// fault-first tie rule against the queue head, watermark invalidation
-// on mask/unmask, dead-handle recycling through the queue).
-func TestFaultRunAcrossEventCoreToggles(t *testing.T) {
-	for _, spec := range []string{"hilbert/bestfit", "mc1x1"} {
-		t.Run(spec, func(t *testing.T) {
-			tr := faultTrace(150, 32)
-			base, err := Run(faultyCfg(spec, 0), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Killed == 0 {
-				t.Fatalf("workload too calm: no kills")
-			}
-			want := goldenDigest(base)
-			for _, equeue := range []string{"calendar", "heap"} {
-				for _, rebuild := range []bool{false, true} {
-					for _, naive := range []bool{false, true} {
-						cfg := faultyCfg(spec, 0)
-						cfg.EventQueue = equeue
-						cfg.RebuildSched = rebuild
-						cfg.NaiveMetrics = naive
-						res, err := Run(cfg, tr)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := goldenDigest(res); got != want {
-							t.Fatalf("%s/rebuild=%v/naive=%v digest %s, want %s",
-								equeue, rebuild, naive, got, want)
-						}
-						if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
-							t.Fatalf("%s/rebuild=%v/naive=%v fault counters diverge", equeue, rebuild, naive)
-						}
-					}
+// TestFaultRunAcrossEngineVariants: a fault-injected run — kills,
+// retries, mask/unmask churn and all — reproduces its pinned digest
+// under every engine variant (default, audit after every event,
+// watermark off). Fault events stress exactly the paths the fault-free
+// goldens cannot (the fault-first tie rule against the queue head,
+// watermark invalidation on mask/unmask, dead-handle recycling through
+// the queue).
+func TestFaultRunAcrossEngineVariants(t *testing.T) {
+	for _, tc := range []struct{ spec, digest string }{
+		{"hilbert/bestfit", "beb8477ccfa15d5b"},
+		{"mc1x1", "20dbcb91c730614e"},
+	} {
+		for _, v := range engineVariants {
+			t.Run(tc.spec+"/"+v.name, func(t *testing.T) {
+				res, err := runWith(faultyCfg(tc.spec, 0), faultTrace(150, 32), v.hook)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				if res.Killed == 0 {
+					t.Fatalf("workload too calm: no kills")
+				}
+				if got := goldenDigest(res); got != tc.digest {
+					t.Fatalf("digest %s, want %s", got, tc.digest)
+				}
+			})
+		}
 	}
 }
 
@@ -405,11 +390,9 @@ func TestFaultsDisabledMatchesGolden(t *testing.T) {
 
 // TestFaultDeltaMirror: delta observers see mask/unmask transitions as
 // allocate/release deltas, so an external mirror of the free count
-// stays in lockstep with the allocator through a faulty run. As in
-// TestDeltaObserverMirrorsOccupancy, batch dispatch lets the allocator
-// run ahead of the per-job allocate deltas, so instantaneous agreement
-// is only checked at releases (which mask/unmask events also are) and
-// at the end of the run.
+// stays in lockstep with the allocator through a faulty run. Every
+// allocator change — Allocate, Release, MarkDown, MarkUp — is followed
+// at once by its delta, so the mirror must equal NumFree at every delta.
 func TestFaultDeltaMirror(t *testing.T) {
 	cfg := faultyCfg("hilbert/bestfit", 0)
 	e, err := NewEngine(cfg)
@@ -417,15 +400,15 @@ func TestFaultDeltaMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := e.MachineSize()
-	bad := false
 	e.ObserveDeltas(func(now float64, ids []int, allocated bool) {
 		if allocated {
 			free -= len(ids)
 		} else {
 			free += len(ids)
-			if free != e.NumFree() {
-				bad = true
-			}
+		}
+		if free != e.NumFree() {
+			t.Fatalf("t=%v: delta mirror says %d free, allocator says %d (allocated=%v)",
+				now, free, e.NumFree(), allocated)
 		}
 	})
 	for _, j := range faultTrace(150, 32).Jobs {
@@ -434,9 +417,6 @@ func TestFaultDeltaMirror(t *testing.T) {
 		}
 	}
 	e.Drain()
-	if bad {
-		t.Fatal("delta mirror diverged from allocator free count at a release")
-	}
 	if free != e.NumFree() {
 		t.Fatalf("final mirror %d != NumFree %d", free, e.NumFree())
 	}

@@ -98,37 +98,40 @@ func TestBatchRunGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestsAcrossEventCoreToggles re-runs every golden case
-// through the full event-core configuration matrix — {calendar, heap}
-// event queue × {incremental, rebuild-per-round} scheduler state ×
-// {counted, naive} dispersal metrics — and requires the identical
-// pre-overhaul digest from each of the eight combinations. This is the
-// equivalence contract of the PR 9 overhaul: every fast path must be a
-// pure performance change, indistinguishable in any output bit from the
-// retained reference implementations.
-func TestGoldenDigestsAcrossEventCoreToggles(t *testing.T) {
+// engineVariants are the three ways every golden run must reproduce its
+// digest: the default engine; the invariant auditor after every event,
+// whose pend-mirror, run-mirror and run-order checks compare the
+// incremental scheduler state with what a rebuild from queue and store
+// would produce; and the head-blocked watermark switched off, so no
+// scheduler round is ever skipped.
+var engineVariants = []struct {
+	name string
+	hook func(*Engine)
+}{
+	{"default", func(*Engine) {}},
+	{"audit-every-1", func(e *Engine) { e.auditEvery = 1 }},
+	{"watermark-off", (*Engine).disableWatermark},
+}
+
+// TestGoldenDigestsAcrossEngineVariants re-runs every golden case under
+// each engine variant and requires the identical pinned digest: the
+// incremental scheduler state and the watermark must be pure
+// performance, indistinguishable in any output bit from their
+// references.
+func TestGoldenDigestsAcrossEngineVariants(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, equeue := range []string{"calendar", "heap"} {
-			for _, rebuild := range []bool{false, true} {
-				for _, naive := range []bool{false, true} {
-					cfg := tc.cfg
-					cfg.EventQueue = equeue
-					cfg.RebuildSched = rebuild
-					cfg.NaiveMetrics = naive
-					name := fmt.Sprintf("%s/%s/rebuild=%v/naive=%v", tc.name, equeue, rebuild, naive)
-					t.Run(name, func(t *testing.T) {
-						tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
-							FilterMaxSize(tc.max)
-						res, err := Run(cfg, tr)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := goldenDigest(res); got != tc.digest {
-							t.Fatalf("digest %s, want %s (toggle combination diverged)", got, tc.digest)
-						}
-					})
+		for _, v := range engineVariants {
+			t.Run(tc.name+"/"+v.name, func(t *testing.T) {
+				tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).
+					FilterMaxSize(tc.max)
+				res, err := runWith(tc.cfg, tr, v.hook)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				if got := goldenDigest(res); got != tc.digest {
+					t.Fatalf("digest %s, want %s (engine variant diverged)", got, tc.digest)
+				}
+			})
 		}
 	}
 }

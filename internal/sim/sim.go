@@ -119,12 +119,11 @@ type Config struct {
 	// (Keep, default). Discard skips the per-job copy; dispersal
 	// metrics (AvgPairwise, Components) are computed either way.
 	KeepNodes KeepPolicy
-	// AllocWorkers shards the allocator's candidate-scoring loop over
-	// this many goroutines when the allocator supports it (MC, MC1x1 and
-	// Gen-Alg on their indexed paths). The parallel scan is bit-identical
-	// to the sequential one — the lowest-id candidate wins ties either
-	// way — so this knob only trades goroutines for wall clock. 0 or 1
-	// keeps the sequential loop; other allocators ignore it.
+	// AllocWorkers shards Gen-Alg's indexed candidate-scoring loop over
+	// this many goroutines. The parallel scan is bit-identical to the
+	// sequential one — the lowest-id candidate wins ties either way — so
+	// this knob only trades goroutines for wall clock. 0 or 1 keeps the
+	// sequential loop; every other allocator ignores it.
 	AllocWorkers int
 	// Faults injects node failure/repair events (see fault.Config). The
 	// zero value disables injection, leaving every code path and output
@@ -141,26 +140,6 @@ type Config struct {
 	// with no attempt bound; parse "none", "immediate[:N]" or
 	// "backoff:BASE,CAP[,N]" specs with fault.ParseRetry.
 	Retry fault.Retry
-	// EventQueue selects the event-core priority queue: "calendar"
-	// (default — adaptive calendar queue, O(1) amortized, with an
-	// automatic demotion to the heap on pathological timestamp
-	// distributions) or "heap" (the retained binary-heap reference).
-	// Both pop the identical (t, seq) order, so every output is
-	// bit-identical either way; the knob exists for equivalence testing
-	// and for profiling one against the other.
-	EventQueue string
-	// RebuildSched, when true, rebuilds the scheduler's pending/running
-	// snapshots from scratch on every round and disables the
-	// head-blocked watermark — the reference path the incremental
-	// structures are equivalence-tested against. Outputs are identical;
-	// the default (false) is just faster.
-	RebuildSched bool
-	// NaiveMetrics, when true, computes each finished job's dispersal
-	// metrics (Components, AvgPairwise) with the materializing
-	// reference walks instead of the counted forms in topo/setmetrics.go.
-	// The counted forms are integer-exact, so outputs are bit-identical
-	// either way; the knob exists for equivalence testing.
-	NaiveMetrics bool
 	// AuditEvery, when positive, runs the invariant auditor (see
 	// Engine.Audit) after every AuditEvery-th processed event. A
 	// violation panics — it means engine bookkeeping has diverged, the
@@ -186,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MsgsPerSecond == 0 {
 		c.MsgsPerSecond = 1
-	}
-	if c.EventQueue == "" {
-		c.EventQueue = "calendar"
 	}
 	return c
 }
@@ -292,6 +268,12 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.runTrace(tr)
+}
+
+// runTrace is Run on an already-built engine: submit every job up
+// front, drain, and audit.
+func (e *Engine) runTrace(tr *trace.Trace) (*Result, error) {
 	// Submit validates each job (oversized jobs error out here, before
 	// any event is processed — the whole run is rejected, as always).
 	for _, j := range tr.Jobs {

@@ -19,10 +19,9 @@ import (
 
 // ErrConfigMismatch is returned (wrapped) by RestoreEngine when the
 // snapshot was taken under a semantically different Config than the one
-// the restore supplies. Fields that cannot change outcomes — EventQueue,
-// AllocWorkers, RebuildSched, NaiveMetrics, AuditEvery — are excluded
-// from the comparison, so a run may legally resume under a different
-// queue implementation or worker count.
+// the restore supplies. The fields that cannot change outcomes —
+// AllocWorkers and AuditEvery — are excluded from the comparison, so a
+// run may legally resume at a different worker count or audit cadence.
 var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different configuration")
 
 // cfgFingerprint hashes the semantic configuration fields — the ones
@@ -284,8 +283,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // sequence, records and aggregates are bit-identical to the run that
 // never stopped. cfg must match the snapshotting run's semantic
 // configuration (ErrConfigMismatch otherwise); the outcome-neutral
-// fields — EventQueue, AllocWorkers, RebuildSched, NaiveMetrics,
-// AuditEvery — may differ freely.
+// fields AllocWorkers and AuditEvery may differ freely.
 //
 // Corrupt input is rejected with a typed error, never a panic:
 // snap.ErrBadMagic, snap.ErrVersion or snap.ErrChecksum for a damaged

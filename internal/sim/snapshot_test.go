@@ -102,72 +102,36 @@ func countEvents(t *testing.T, cfg Config, tr *trace.Trace) int {
 // snapshot at an interior event count, throw the engine away, restore
 // from the bytes, run to completion — and require the bit-identical
 // golden digest of the run that never stopped. Three interior points ×
-// both event-queue implementations × every resume case, including
-// active fault injection.
+// every resume case, including active fault injection.
 func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 	for _, tc := range resumeCases {
-		for _, equeue := range []string{"calendar", "heap"} {
-			cfg := tc.cfg
-			cfg.EventQueue = equeue
-			tr := tc.tr()
-			res, err := Run(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := goldenDigest(res)
-			total := countEvents(t, cfg, tr)
-			for _, n := range []int{total / 4, total / 2, 3 * total / 4} {
-				name := fmt.Sprintf("%s/%s/at=%d", tc.name, equeue, n)
-				t.Run(name, func(t *testing.T) {
-					blob := snapshotAt(t, cfg, tr, n)
-					e, err := RestoreEngine(bytes.NewReader(blob), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.Drain()
-					if e.Deadlocked() {
-						t.Fatal("restored run deadlocked")
-					}
-					if err := e.Audit(); err != nil {
-						t.Fatalf("post-drain audit: %v", err)
-					}
-					if got := goldenDigest(e.Result()); got != want {
-						t.Fatalf("resumed digest %s, want %s (resume is not bit-identical)", got, want)
-					}
-				})
-			}
+		cfg := tc.cfg
+		tr := tc.tr()
+		res, err := Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestSnapshotResumeAcrossQueueImplementations: the snapshot is queue-
-// agnostic — a calendar-queue run restored into a heap engine (and vice
-// versa) still reproduces the uninterrupted digest, because EventQueue
-// is excluded from the config fingerprint and events re-sort by (t, seq).
-func TestSnapshotResumeAcrossQueueImplementations(t *testing.T) {
-	tc := resumeCases[0]
-	tr := tc.tr()
-	res, err := Run(tc.cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := goldenDigest(res)
-	total := countEvents(t, tc.cfg, tr)
-	for _, dir := range []struct{ from, to string }{{"calendar", "heap"}, {"heap", "calendar"}} {
-		t.Run(dir.from+"-to-"+dir.to, func(t *testing.T) {
-			cfgFrom, cfgTo := tc.cfg, tc.cfg
-			cfgFrom.EventQueue = dir.from
-			cfgTo.EventQueue = dir.to
-			blob := snapshotAt(t, cfgFrom, tr, total/2)
-			e, err := RestoreEngine(bytes.NewReader(blob), cfgTo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Drain()
-			if got := goldenDigest(e.Result()); got != want {
-				t.Fatalf("cross-queue resume digest %s, want %s", got, want)
-			}
-		})
+		want := goldenDigest(res)
+		total := countEvents(t, cfg, tr)
+		for _, n := range []int{total / 4, total / 2, 3 * total / 4} {
+			t.Run(fmt.Sprintf("%s/at=%d", tc.name, n), func(t *testing.T) {
+				blob := snapshotAt(t, cfg, tr, n)
+				e, err := RestoreEngine(bytes.NewReader(blob), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Drain()
+				if e.Deadlocked() {
+					t.Fatal("restored run deadlocked")
+				}
+				if err := e.Audit(); err != nil {
+					t.Fatalf("post-drain audit: %v", err)
+				}
+				if got := goldenDigest(e.Result()); got != want {
+					t.Fatalf("resumed digest %s, want %s (resume is not bit-identical)", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -279,9 +243,7 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatalf("alloc change: got %v, want ErrConfigMismatch", err)
 	}
 	ok := tc.cfg
-	ok.EventQueue = "heap"
 	ok.AllocWorkers = 4
-	ok.RebuildSched = true
 	ok.AuditEvery = 10
 	if _, err := RestoreEngine(bytes.NewReader(blob), ok); err != nil {
 		t.Fatalf("outcome-neutral changes rejected: %v", err)
