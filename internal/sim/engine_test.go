@@ -349,59 +349,61 @@ func TestEngineDiscardBoundedMemory(t *testing.T) {
 }
 
 // TestDeltaObserverMirrorsOccupancy rebuilds the machine's occupancy
-// purely from delta events on a burst-heavy workload and checks it
-// against the allocator at every delta: each Allocate and Release is
-// followed at once by its delta, so the mirror must equal NumFree
-// whenever a delta arrives, and allocate/release deltas must balance by
-// the end.
+// purely from delta events on every burst case and checks it against
+// the allocator at every delta: each Allocate and Release is followed
+// at once by its delta, so for every allocator family the mirror must
+// equal NumFree whenever a delta arrives, and allocate/release deltas
+// must balance by the end.
 func TestDeltaObserverMirrorsOccupancy(t *testing.T) {
-	cfg := Config{MeshW: 16, MeshH: 16, Alloc: "hilbert/bestfit", Pattern: "alltoall",
-		Load: 0.4, TimeScale: 0.01, Seed: 1}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy := make([]bool, e.MachineSize())
-	numBusy, allocs, releases := 0, 0, 0
-	lastT := math.Inf(-1)
-	e.ObserveDeltas(func(now float64, ids []int, allocated bool) {
-		if now < lastT {
-			t.Fatalf("delta time went backwards: %v after %v", now, lastT)
-		}
-		lastT = now
-		for _, id := range ids {
-			if busy[id] == allocated {
-				t.Fatalf("delta allocated=%v for node %d with busy=%v", allocated, id, busy[id])
+	for _, tc := range burstCases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			busy[id] = allocated
-			if allocated {
-				numBusy++
-			} else {
-				numBusy--
+			busy := make([]bool, e.MachineSize())
+			numBusy, allocs, releases := 0, 0, 0
+			lastT := math.Inf(-1)
+			e.ObserveDeltas(func(now float64, ids []int, allocated bool) {
+				if now < lastT {
+					t.Fatalf("delta time went backwards: %v after %v", now, lastT)
+				}
+				lastT = now
+				for _, id := range ids {
+					if busy[id] == allocated {
+						t.Fatalf("delta allocated=%v for node %d with busy=%v", allocated, id, busy[id])
+					}
+					busy[id] = allocated
+					if allocated {
+						numBusy++
+					} else {
+						numBusy--
+					}
+				}
+				if allocated {
+					allocs++
+				} else {
+					releases++
+				}
+				if e.MachineSize()-numBusy != e.NumFree() {
+					t.Fatalf("delta mirror says %d free, allocator says %d (allocated=%v)",
+						e.MachineSize()-numBusy, e.NumFree(), allocated)
+				}
+			})
+			for _, j := range burstCaseTrace(tc.cfg, tc.jobs).Jobs {
+				if err := e.Submit(j); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if allocated {
-			allocs++
-		} else {
-			releases++
-		}
-		if e.MachineSize()-numBusy != e.NumFree() {
-			t.Fatalf("delta mirror says %d free, allocator says %d (allocated=%v)",
-				e.MachineSize()-numBusy, e.NumFree(), allocated)
-		}
-	})
-	for _, j := range burstTrace(100, 256, 500).Jobs {
-		if err := e.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Drain()
-	if numBusy != 0 {
-		t.Fatalf("%d nodes still busy after drain", numBusy)
-	}
-	if allocs != releases || allocs != e.Finished() {
-		t.Fatalf("%d allocate deltas, %d release deltas, %d finished jobs",
-			allocs, releases, e.Finished())
+			e.Drain()
+			if numBusy != 0 {
+				t.Fatalf("%d nodes still busy after drain", numBusy)
+			}
+			if allocs != releases || allocs != e.Finished() {
+				t.Fatalf("%d allocate deltas, %d release deltas, %d finished jobs",
+					allocs, releases, e.Finished())
+			}
+		})
 	}
 }
 

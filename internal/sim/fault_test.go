@@ -340,7 +340,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 // TestFaultRunAcrossEngineVariants: a fault-injected run — kills,
 // retries, mask/unmask churn and all — reproduces its pinned digest
 // under every engine variant (default, audit after every event,
-// watermark off). Fault events stress exactly the paths the fault-free
+// watermark off, and both). Fault events stress exactly the paths the fault-free
 // goldens cannot (the fault-first tie rule against the queue head,
 // watermark invalidation on mask/unmask, dead-handle recycling through
 // the queue).

@@ -98,12 +98,14 @@ func TestBatchRunGoldenDigests(t *testing.T) {
 	}
 }
 
-// engineVariants are the three ways every golden run must reproduce its
+// engineVariants are the ways every golden run must reproduce its
 // digest: the default engine; the invariant auditor after every event,
 // whose pend-mirror, run-mirror and run-order checks compare the
 // incremental scheduler state with what a rebuild from queue and store
-// would produce; and the head-blocked watermark switched off, so no
-// scheduler round is ever skipped.
+// would produce; the head-blocked watermark switched off, so no
+// scheduler round is ever skipped; and both at once, so the auditor
+// also sees the state after every round the watermark would have
+// skipped.
 var engineVariants = []struct {
 	name string
 	hook func(*Engine)
@@ -111,6 +113,10 @@ var engineVariants = []struct {
 	{"default", func(*Engine) {}},
 	{"audit-every-1", func(e *Engine) { e.auditEvery = 1 }},
 	{"watermark-off", (*Engine).disableWatermark},
+	{"audit-every-1+watermark-off", func(e *Engine) {
+		e.auditEvery = 1
+		e.disableWatermark()
+	}},
 }
 
 // TestGoldenDigestsAcrossEngineVariants re-runs every golden case under

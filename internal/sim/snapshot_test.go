@@ -102,7 +102,10 @@ func countEvents(t *testing.T, cfg Config, tr *trace.Trace) int {
 // snapshot at an interior event count, throw the engine away, restore
 // from the bytes, run to completion — and require the bit-identical
 // golden digest of the run that never stopped. Three interior points ×
-// every resume case, including active fault injection.
+// every resume case, including active fault injection, and each
+// snapshot is resumed under every engine variant: the restored
+// scheduler state must pass the auditor after every event and must not
+// depend on the restored head-blocked watermark.
 func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 	for _, tc := range resumeCases {
 		cfg := tc.cfg
@@ -116,19 +119,24 @@ func TestSnapshotResumeGoldenEquivalence(t *testing.T) {
 		for _, n := range []int{total / 4, total / 2, 3 * total / 4} {
 			t.Run(fmt.Sprintf("%s/at=%d", tc.name, n), func(t *testing.T) {
 				blob := snapshotAt(t, cfg, tr, n)
-				e, err := RestoreEngine(bytes.NewReader(blob), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Drain()
-				if e.Deadlocked() {
-					t.Fatal("restored run deadlocked")
-				}
-				if err := e.Audit(); err != nil {
-					t.Fatalf("post-drain audit: %v", err)
-				}
-				if got := goldenDigest(e.Result()); got != want {
-					t.Fatalf("resumed digest %s, want %s (resume is not bit-identical)", got, want)
+				for _, v := range engineVariants {
+					t.Run(v.name, func(t *testing.T) {
+						e, err := RestoreEngine(bytes.NewReader(blob), cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						v.hook(e)
+						e.Drain()
+						if e.Deadlocked() {
+							t.Fatal("restored run deadlocked")
+						}
+						if err := e.Audit(); err != nil {
+							t.Fatalf("post-drain audit: %v", err)
+						}
+						if got := goldenDigest(e.Result()); got != want {
+							t.Fatalf("resumed digest %s, want %s (resume is not bit-identical)", got, want)
+						}
+					})
 				}
 			})
 		}
