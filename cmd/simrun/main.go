@@ -19,11 +19,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"meshalloc/internal/alloc"
@@ -74,7 +72,7 @@ func main() {
 	)
 	flag.Parse()
 
-	dims, err := parseMesh(*meshSpec)
+	dims, err := topo.ParseDims(*meshSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -319,7 +317,7 @@ func main() {
 // ends at the horizon (trace seconds) or the jobs cap, whichever comes
 // first.
 func runOpen(cfg sim.Config, spec string, maxSize int, seed int64, jobs int, horizon float64, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
-	src, err := parseArrival(spec, maxSize, seed)
+	src, err := trace.ParseArrival(spec, maxSize, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -539,7 +537,7 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 		flush = observeNDJSON(e)
 	}
 	if hasSrc {
-		src, err := parseArrival(arrivalSpec, maxSize, seed)
+		src, err := trace.ParseArrival(arrivalSpec, maxSize, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -580,38 +578,6 @@ func observeNDJSON(e *sim.Engine) (flush func()) {
 	}
 }
 
-// parseArrival builds the open-system source from its flag spec:
-// "poisson:MEANSEC" or "bursty:MEANSEC,ONSEC,OFFSEC".
-func parseArrival(spec string, maxSize int, seed int64) (trace.Source, error) {
-	kind, args, _ := strings.Cut(spec, ":")
-	var nums []float64
-	if args != "" {
-		for _, p := range strings.Split(args, ",") {
-			v, err := strconv.ParseFloat(p, 64)
-			// NaN fails every comparison and ±Inf passes v > 0, so
-			// reject non-finite values explicitly.
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				return nil, fmt.Errorf("bad arrival parameter %q in %q", p, spec)
-			}
-			nums = append(nums, v)
-		}
-	}
-	switch kind {
-	case "poisson":
-		if len(nums) != 1 {
-			return nil, fmt.Errorf("poisson arrival wants poisson:MEANSEC, got %q", spec)
-		}
-		return trace.NewPoisson(nums[0], maxSize, seed), nil
-	case "bursty":
-		if len(nums) != 3 {
-			return nil, fmt.Errorf("bursty arrival wants bursty:MEANSEC,ONSEC,OFFSEC, got %q", spec)
-		}
-		return trace.NewBursty(nums[0], nums[1], nums[2], maxSize, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q (want poisson or bursty)", kind)
-	}
-}
-
 // renderHeatmap draws per-node utilization as digit intensities.
 func renderHeatmap(util []float64, w, h int) string {
 	max := 0.0
@@ -646,22 +612,6 @@ func meshForDims(w, h int, torus bool) *mesh.Mesh {
 		return mesh.NewTorus(w, h)
 	}
 	return mesh.New(w, h)
-}
-
-func parseMesh(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) < 2 || len(parts) > topo.MaxDims {
-		return nil, fmt.Errorf("bad mesh spec %q, want WxH or WxHxD", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		d, err := strconv.Atoi(p)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad mesh spec %q: extent %q", s, p)
-		}
-		dims[i] = d
-	}
-	return dims, nil
 }
 
 // allocUsage lists the valid -alloc spec forms and the registry names

@@ -145,11 +145,10 @@ type Network struct {
 	busyTime []float64 // per directed link: accumulated service time
 	stats    Stats
 	clock    float64 // latest Send time, for the monotonicity check
-	// routeBuf and altBuf are persistent route scratch so steady-state
-	// Send is allocation-free; altBuf holds the alternative candidate
-	// under adaptive routing.
-	routeBuf []topo.Link
-	altBuf   []topo.Link
+	// segs and alt are persistent route scratch: the runs of link
+	// indices the message takes, and under adaptive routing the
+	// alternative order's runs.
+	segs, alt [topo.MaxSegs]topo.Seg
 }
 
 // New returns a network over the grid g with the given configuration. It
@@ -159,17 +158,11 @@ func New(g *topo.Grid, cfg Config) *Network {
 	if cfg.MessageFlits <= 0 || cfg.FlitCycle < 0 || cfg.HopLatency < 0 || cfg.LocalDelay < 0 {
 		panic(fmt.Sprintf("netsim: invalid config %+v", cfg))
 	}
-	maxRoute := 0
-	for i := 0; i < g.ND(); i++ {
-		maxRoute += g.Dim(i)
-	}
 	return &Network{
 		m:        g,
 		cfg:      cfg,
 		freeAt:   make([]float64, g.NumLinks()),
 		busyTime: make([]float64, g.NumLinks()),
-		routeBuf: make([]topo.Link, 0, maxRoute),
-		altBuf:   make([]topo.Link, 0, maxRoute),
 	}
 }
 
@@ -187,6 +180,9 @@ type Result struct {
 // its delivery result. Send must be called with nondecreasing t; it
 // panics otherwise, since out-of-order sends would corrupt link state
 // silently.
+//
+// The route is never materialized: the grid's walker hands back straight
+// runs of dense link indices, and Send updates link state along them.
 func (n *Network) Send(src, dst int, t float64) Result {
 	if t < n.clock {
 		panic(fmt.Sprintf("netsim: Send at %g before clock %g", t, n.clock))
@@ -199,61 +195,66 @@ func (n *Network) Send(src, dst int, t float64) Result {
 		return Result{Arrival: t + n.cfg.LocalDelay}
 	}
 
-	service := n.cfg.serviceTime()
-	route := n.pickRoute(src, dst, t)
+	service, hop := n.cfg.serviceTime(), n.cfg.HopLatency
+	freeAt, busyTime := n.freeAt, n.busyTime
 	cur := t
 	queued := 0.0
-	for _, l := range route {
-		li := n.m.LinkIndex(l)
-		depart := cur
-		if n.freeAt[li] > depart {
-			queued += n.freeAt[li] - depart
-			depart = n.freeAt[li]
+	hops := 0
+	for _, s := range n.pickRoute(src, dst, t) {
+		for k, li := 0, s.First; k < s.N; k, li = k+1, li+s.Stride {
+			depart := cur
+			if f := freeAt[li]; f > depart {
+				queued += f - depart
+				depart = f
+			}
+			freeAt[li] = depart + service
+			busyTime[li] += service
+			// The header reaches the next router one hop latency after it
+			// starts on this link; the body pipelines behind.
+			cur = depart + hop
 		}
-		n.freeAt[li] = depart + service
-		n.busyTime[li] += service
-		// The header reaches the next router one hop latency after it
-		// starts on this link; the body pipelines behind.
-		cur = depart + n.cfg.HopLatency
+		hops += s.N
 	}
 	// After the header arrives, the remaining flits stream in over one
 	// link service time.
 	arrival := cur + service
 
 	n.stats.Messages++
-	n.stats.TotalHops += int64(len(route))
+	n.stats.TotalHops += int64(hops)
 	n.stats.TotalDistSec += arrival - t
 	n.stats.TotalQueueSec += queued
-	return Result{Arrival: arrival, Hops: len(route), Queued: queued}
+	return Result{Arrival: arrival, Hops: hops, Queued: queued}
 }
 
-// pickRoute returns the links a message injected at time t will take. The
-// returned slice aliases the network's route scratch and is only valid
-// until the next Send.
-func (n *Network) pickRoute(src, dst int, t float64) []topo.Link {
+// pickRoute returns the runs of links a message injected at time t will
+// take. The returned slice aliases the network's route scratch and is
+// only valid until the next Send.
+func (n *Network) pickRoute(src, dst int, t float64) []topo.Seg {
 	switch n.cfg.Routing {
 	case RouteYX:
-		n.routeBuf = n.m.AppendRouteRev(n.routeBuf[:0], src, dst)
+		return n.segs[:n.m.RouteSegs(&n.segs, src, dst, false)]
 	case RouteAdaptive:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
-		n.altBuf = n.m.AppendRouteRev(n.altBuf[:0], src, dst)
-		if n.routeWait(n.altBuf, t) < n.routeWait(n.routeBuf, t) {
-			return n.altBuf
+		route := n.segs[:n.m.RouteSegs(&n.segs, src, dst, true)]
+		alt := n.alt[:n.m.RouteSegs(&n.alt, src, dst, false)]
+		if n.routeWait(alt, t) < n.routeWait(route, t) {
+			return alt
 		}
+		return route
 	default:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
+		return n.segs[:n.m.RouteSegs(&n.segs, src, dst, true)]
 	}
-	return n.routeBuf
 }
 
 // routeWait estimates the queueing a message would see on a route if its
 // header could teleport: the sum of positive (freeAt - t) over links. It
 // is a heuristic for adaptive route selection, not an exact simulation.
-func (n *Network) routeWait(route []topo.Link, t float64) float64 {
+func (n *Network) routeWait(route []topo.Seg, t float64) float64 {
 	wait := 0.0
-	for _, l := range route {
-		if f := n.freeAt[n.m.LinkIndex(l)]; f > t {
-			wait += f - t
+	for _, s := range route {
+		for k, li := 0, s.First; k < s.N; k, li = k+1, li+s.Stride {
+			if f := n.freeAt[li]; f > t {
+				wait += f - t
+			}
 		}
 	}
 	return wait

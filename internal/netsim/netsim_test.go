@@ -1,11 +1,14 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func testConfig() Config {
@@ -383,4 +386,195 @@ func TestDefaultConfigSane(t *testing.T) {
 	if cfg.HopLatency <= 0 || cfg.HopLatency >= cfg.serviceTime() {
 		t.Fatalf("hop latency %g should be positive and below service time", cfg.HopLatency)
 	}
+}
+
+// refNetwork is the route-building Send the route-free walk replaced,
+// kept as the oracle: every message's route is materialized as
+// []topo.Link through AppendRoute/AppendRouteRev and link state is
+// indexed with LinkIndex, one link at a time.
+type refNetwork struct {
+	m                *topo.Grid
+	cfg              Config
+	freeAt, busyTime []float64
+	stats            Stats
+	clock            float64
+	routeBuf, altBuf []topo.Link
+}
+
+func newRefNetwork(g *topo.Grid, cfg Config) *refNetwork {
+	return &refNetwork{m: g, cfg: cfg, freeAt: make([]float64, g.NumLinks()), busyTime: make([]float64, g.NumLinks())}
+}
+
+func (n *refNetwork) Send(src, dst int, t float64) Result {
+	n.clock = t
+	if src == dst {
+		n.stats.Messages++
+		n.stats.TotalDistSec += n.cfg.LocalDelay
+		return Result{Arrival: t + n.cfg.LocalDelay}
+	}
+	service := n.cfg.serviceTime()
+	route := n.pickRoute(src, dst, t)
+	cur := t
+	queued := 0.0
+	for _, l := range route {
+		li := n.m.LinkIndex(l)
+		depart := cur
+		if n.freeAt[li] > depart {
+			queued += n.freeAt[li] - depart
+			depart = n.freeAt[li]
+		}
+		n.freeAt[li] = depart + service
+		n.busyTime[li] += service
+		cur = depart + n.cfg.HopLatency
+	}
+	arrival := cur + service
+	n.stats.Messages++
+	n.stats.TotalHops += int64(len(route))
+	n.stats.TotalDistSec += arrival - t
+	n.stats.TotalQueueSec += queued
+	return Result{Arrival: arrival, Hops: len(route), Queued: queued}
+}
+
+func (n *refNetwork) pickRoute(src, dst int, t float64) []topo.Link {
+	switch n.cfg.Routing {
+	case RouteYX:
+		n.routeBuf = n.m.AppendRouteRev(n.routeBuf[:0], src, dst)
+	case RouteAdaptive:
+		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
+		n.altBuf = n.m.AppendRouteRev(n.altBuf[:0], src, dst)
+		if n.routeWait(n.altBuf, t) < n.routeWait(n.routeBuf, t) {
+			return n.altBuf
+		}
+	default:
+		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
+	}
+	return n.routeBuf
+}
+
+func (n *refNetwork) routeWait(route []topo.Link, t float64) float64 {
+	wait := 0.0
+	for _, l := range route {
+		if f := n.freeAt[n.m.LinkIndex(l)]; f > t {
+			wait += f - t
+		}
+	}
+	return wait
+}
+
+// sameBits reports whether two float slices are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchesRef reports where n's last Result r and its state (what State
+// returns) first differ from the reference's, or "" when they are
+// bit-equal.
+func matchesRef(n *Network, ref *refNetwork, r, want Result) string {
+	switch {
+	case r.Hops != want.Hops || math.Float64bits(r.Arrival) != math.Float64bits(want.Arrival) ||
+		math.Float64bits(r.Queued) != math.Float64bits(want.Queued):
+		return fmt.Sprintf("result %+v, reference %+v", r, want)
+	case n.stats != ref.stats || math.Float64bits(n.clock) != math.Float64bits(ref.clock):
+		return fmt.Sprintf("stats %+v clock %v, reference %+v clock %v", n.stats, n.clock, ref.stats, ref.clock)
+	case !sameBits(n.freeAt, ref.freeAt):
+		return "per-link freeAt differs"
+	case !sameBits(n.busyTime, ref.busyTime):
+		return "per-link busyTime differs"
+	}
+	return ""
+}
+
+// oracleGrids are the machines the Send oracle runs on: the paper's
+// 16x22 mesh, the native 3-D cube, a 4-D mesh with odd extents, and tori
+// in two and three dimensions whose routes wrap.
+var oracleGrids = []struct {
+	dims  []int
+	torus bool
+}{
+	{[]int{16, 22}, false},
+	{[]int{8, 8, 8}, false},
+	{[]int{3, 4, 2, 5}, false},
+	{[]int{6, 6}, true},
+	{[]int{5, 4, 3}, true},
+}
+
+func oracleGrid(i int) *topo.Grid {
+	if og := oracleGrids[i]; og.torus {
+		return topo.NewTorus(og.dims)
+	}
+	return topo.New(oracleGrids[i].dims)
+}
+
+// TestSendMatchesReference drives Send and the route-building reference
+// with the same 12,000 random sends at nondecreasing times — bursts at
+// one instant build queues, gaps drain them, and a few messages are
+// self-addressed — on every oracle grid under every routing, and
+// requires the Result and the full network state to be bit-equal after
+// every send.
+func TestSendMatchesReference(t *testing.T) {
+	for gi := range oracleGrids {
+		for _, routing := range []Routing{RouteXY, RouteYX, RouteAdaptive} {
+			g := oracleGrid(gi)
+			t.Run(fmt.Sprintf("%v/torus=%v/%v", oracleGrids[gi].dims, g.Torus(), routing), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Routing = routing
+				n, ref := New(g, cfg), newRefNetwork(g, cfg)
+				rng := rand.New(rand.NewSource(int64(gi)*3 + int64(routing) + 1))
+				now := 0.0
+				for i := 0; i < 12000; i++ {
+					if rng.Intn(4) == 0 {
+						now += rng.Float64() * 0.3
+					}
+					src, dst := rng.Intn(g.Size()), rng.Intn(g.Size())
+					if rng.Intn(50) == 0 {
+						dst = src
+					}
+					r, want := n.Send(src, dst, now), ref.Send(src, dst, now)
+					if msg := matchesRef(n, ref, r, want); msg != "" {
+						t.Fatalf("send %d (%d->%d at %v): %s", i, src, dst, now, msg)
+					}
+				}
+				st := n.State()
+				if !sameBits(st.FreeAt, ref.freeAt) || !sameBits(st.BusyTime, ref.busyTime) || st.Stats != ref.stats {
+					t.Fatal("State() differs from the reference")
+				}
+			})
+		}
+	}
+}
+
+// FuzzSendMatchesReference is the oracle under fuzzer-chosen traffic:
+// the first two bytes pick the grid and routing, then every three bytes
+// are one send (source, destination, time step).
+func FuzzSendMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 200, 0, 1, 200, 0, 5, 9, 3})
+	f.Add([]byte{3, 2, 0, 35, 0, 35, 0, 0, 17, 18, 1, 7, 30, 2})
+	f.Add([]byte{4, 1, 0, 59, 0, 59, 0, 0, 12, 40, 0, 40, 12, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		g := oracleGrid(int(data[0]) % len(oracleGrids))
+		cfg := testConfig()
+		cfg.Routing = Routing(int(data[1]) % 3)
+		n, ref := New(g, cfg), newRefNetwork(g, cfg)
+		now := 0.0
+		for i := 2; i+2 < len(data); i += 3 {
+			src := int(data[i]) * g.Size() / 256
+			dst := int(data[i+1]) * g.Size() / 256
+			now += float64(data[i+2]%8) * 0.02
+			r, want := n.Send(src, dst, now), ref.Send(src, dst, now)
+			if msg := matchesRef(n, ref, r, want); msg != "" {
+				t.Fatalf("send %d->%d at %v: %s", src, dst, now, msg)
+			}
+		}
+	})
 }

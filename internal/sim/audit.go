@@ -102,8 +102,23 @@ func (e *Engine) Audit() error {
 
 	// Event queue: every queued event is in the clock's future, carries
 	// a sequence number below the engine's counter, no two events share
-	// one, and job events reference in-use handles.
+	// one, and job events reference in-use handles. Arrival slab: every
+	// arrival event parks its job in its own in-range slot, off the free
+	// list, and every slot is either parked or free.
 	seqs := make(map[int64]bool)
+	const slotFree, slotUsed = 1, 2
+	slot := make([]uint8, len(e.slots))
+	for _, h := range e.slotFree {
+		switch {
+		case h < 0 || int(h) >= len(e.slots):
+			errs = append(errs, violatef("arrival-slots", "free-list slot %d outside [0,%d)", h, len(e.slots)))
+		case slot[h] != 0:
+			errs = append(errs, violatef("arrival-slots", "slot %d on the free list twice", h))
+		default:
+			slot[h] = slotFree
+		}
+	}
+	arrivals := 0
 	e.events.each(func(ev event) {
 		if ev.t < e.now {
 			errs = append(errs, violatef("event-time", "event seq %d at t=%v behind clock %v", ev.seq, ev.t, e.now))
@@ -119,8 +134,24 @@ func (e *Engine) Audit() error {
 			if ev.h < 0 || int(ev.h) >= len(s.inUse) || !s.inUse[ev.h] {
 				errs = append(errs, violatef("event-handle", "event seq %d references unused handle %d", ev.seq, ev.h))
 			}
+			return
+		}
+		arrivals++
+		switch {
+		case ev.h < 0 || int(ev.h) >= len(e.slots):
+			errs = append(errs, violatef("arrival-slots", "arrival seq %d references slot %d outside [0,%d)", ev.seq, ev.h, len(e.slots)))
+		case slot[ev.h] == slotUsed:
+			errs = append(errs, violatef("arrival-slots", "arrival seq %d shares slot %d with another arrival", ev.seq, ev.h))
+		case slot[ev.h] == slotFree:
+			errs = append(errs, violatef("arrival-slots", "arrival seq %d references free slot %d", ev.seq, ev.h))
+		default:
+			slot[ev.h] = slotUsed
 		}
 	})
+	if len(e.slots) != arrivals+len(e.slotFree) {
+		errs = append(errs, violatef("arrival-slots", "%d slots != %d arrival events + %d free",
+			len(e.slots), arrivals, len(e.slotFree)))
+	}
 
 	// Scheduler mirrors: under every policy but strict FCFS, pendBuf
 	// shadows the queue entry for entry and runOrd holds exactly the
@@ -216,12 +247,6 @@ func (e *Engine) Audit() error {
 	// finished job, or a kill victim (whose successor instance, if the
 	// policy granted one, is counted under retried). A job RunSource
 	// holds past the horizon is not yet submitted.
-	arrivals := 0
-	e.events.each(func(ev event) {
-		if ev.kind == kindArrival {
-			arrivals++
-		}
-	})
 	if in, out := e.submitted+e.retried, arrivals+len(e.queue)+live+e.finished+e.killed; in != out {
 		errs = append(errs, violatef("job-conservation",
 			"%d submitted + %d retried != %d arrival events + %d queued + %d running + %d finished + %d killed",

@@ -32,16 +32,16 @@ type Observer func(JobRecord)
 // or mutated past the call.
 type DeltaObserver func(now float64, ids []int, allocated bool)
 
-// event is one entry of the event queue. It is deliberately
-// pointer-free: running jobs are referenced by jobStore handle, so the
-// queue — however deep a run makes it — contributes nothing to GC scan
-// work.
+// event is one entry of the event queue: 24 bytes and pointer-free.
+// Running jobs are referenced by jobStore handle and queued arrivals by
+// their slot in the engine's arrival slab, so a heap sift moves well
+// under half a cache line per level and the queue — however deep a run
+// makes it — contributes nothing to GC scan work.
 type event struct {
 	t    float64
-	seq  int64     // FIFO tie-break for determinism
-	kind int       // kindArrival, kindStep or kindFinish
-	h    int32     // jobStore handle (kindStep/kindFinish)
-	arr  trace.Job // arrival: the (already scaled) job
+	seq  int64 // FIFO tie-break for determinism
+	h    int32 // jobStore handle (kindStep/kindFinish) or arrival slot
+	kind int32 // kindArrival, kindStep or kindFinish
 }
 
 const (
@@ -68,7 +68,7 @@ func (h eventHeap) len() int { return len(h) }
 
 // head returns the earliest event's time and kind without removing it;
 // ok is false on an empty queue.
-func (h eventHeap) head() (t float64, kind int, ok bool) {
+func (h eventHeap) head() (t float64, kind int32, ok bool) {
 	if len(h) == 0 {
 		return 0, 0, false
 	}
@@ -84,52 +84,58 @@ func (h eventHeap) each(fn func(event)) {
 	}
 }
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a pops before b. Keys are unique — every
+// queued event has its own seq — so the order is total.
+func before(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
+// push and pop move a hole along the sift path and write the moving
+// event once at its final slot. With unique keys this leaves exactly
+// the array the swap-per-level formulation does, so the queue-internal
+// order snapshots record is unchanged.
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	s := *h
-	// Sift up.
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !before(&e, &s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{}
-	*h = s[:n]
+	last := s[n]
 	s = s[:n]
-	// Sift down.
+	*h = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		if r := c + 1; r < n && before(&s[r], &s[c]) {
+			c = r
+		}
+		if !before(&s[c], &last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	return top
 }
@@ -168,6 +174,11 @@ type Engine struct {
 	now    float64
 	queue  []trace.Job // FCFS arrival order, already scaled
 	store  jobStore    // in-flight job state, SoA, handle-indexed
+	// slots is the arrival slab: the (already scaled) job of every
+	// queued arrival event, at the event's h. Freed slots recycle LIFO
+	// through slotFree.
+	slots    []trace.Job
+	slotFree []int32
 
 	// Scheduler-round state. Strict FCFS only ever inspects the queue
 	// head; every other policy reads pendBuf, which mirrors queue entry
@@ -257,13 +268,8 @@ type Engine struct {
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	dims := cfg.dims()
-	if len(dims) < 1 || len(dims) > topo.MaxDims {
-		return nil, fmt.Errorf("sim: machine needs 1..%d dimensions, got %d", topo.MaxDims, len(dims))
-	}
-	for i, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("sim: invalid machine extent %d on axis %d", d, i)
-		}
+	if err := topo.CheckDims(dims); err != nil {
+		return nil, fmt.Errorf("sim: machine %v: %w", dims, err)
 	}
 	var m *topo.Grid
 	if cfg.Torus {
@@ -461,7 +467,7 @@ func (e *Engine) Submit(j trace.Job) error {
 		j.Arrival = e.now
 	}
 	e.submitted++
-	e.push(event{t: j.Arrival, kind: kindArrival, arr: j})
+	e.pushArrival(j.Arrival, j)
 	return nil
 }
 
@@ -581,7 +587,7 @@ func (e *Engine) Step() bool {
 	case kindArrival:
 		e.core.Arrivals++
 		wasEmpty := len(e.queue) == 0
-		e.enqueue(ev.arr)
+		e.enqueue(e.takeArrival(ev.h))
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
 			// before scheduling once, so simultaneous arrivals share one
@@ -600,7 +606,7 @@ func (e *Engine) Step() bool {
 				next := e.events.pop()
 				e.core.Events++
 				e.core.Arrivals++
-				e.enqueue(next.arr)
+				e.enqueue(e.takeArrival(next.h))
 			}
 		}
 		// A new arrival re-arms a blocked FCFS round only when it
@@ -910,7 +916,7 @@ func (e *Engine) killJob(h int32, now float64) {
 	if e.cfg.Retry.Allow(kills) {
 		e.retried++
 		delay := e.cfg.Retry.Delay(kills) * e.cfg.TimeScale
-		e.push(event{t: now + delay, kind: kindArrival, arr: job})
+		e.pushArrival(now+delay, job)
 	} else {
 		e.givenUp++
 		delete(e.killCount, job.ID)
@@ -922,6 +928,31 @@ func (e *Engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
 	e.events.push(ev)
+}
+
+// pushArrival queues the arrival of job j at time t, its job parked in
+// the arrival slab.
+func (e *Engine) pushArrival(t float64, j trace.Job) {
+	e.push(event{t: t, kind: kindArrival, h: e.park(j)})
+}
+
+// park stores j in a free arrival slot and returns the slot.
+func (e *Engine) park(j trace.Job) int32 {
+	if n := len(e.slotFree); n > 0 {
+		h := e.slotFree[n-1]
+		e.slotFree = e.slotFree[:n-1]
+		e.slots[h] = j
+		return h
+	}
+	e.slots = append(e.slots, j)
+	return int32(len(e.slots) - 1)
+}
+
+// takeArrival returns the job parked in slot h and frees the slot: the
+// popped arrival event was its only reference.
+func (e *Engine) takeArrival(h int32) trace.Job {
+	e.slotFree = append(e.slotFree, h)
+	return e.slots[h]
 }
 
 func (e *Engine) quotaOf(j trace.Job) int64 {

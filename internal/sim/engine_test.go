@@ -194,6 +194,25 @@ func TestEngineSubmitValidates(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsShapes: a machine shape the engine cannot hold —
+// an extent past the coordinate table's 16 bits, more than
+// topo.MaxNodes nodes, no axes or too many — is an error from
+// NewEngine, never a panic or a giant allocation.
+func TestNewEngineRejectsShapes(t *testing.T) {
+	for _, cfg := range []Config{
+		{Dims: []int{70000, 2}},
+		{MeshW: 100000, MeshH: 100000},
+		{Dims: []int{4096, 4096}},
+		{MeshW: 0, MeshH: 8},
+		{Dims: []int{2, 2, 2, 2, 2}},
+	} {
+		cfg.Alloc, cfg.Pattern = "mc1x1", "nbody"
+		if _, err := NewEngine(cfg); err == nil {
+			t.Errorf("NewEngine accepted machine %v", cfg.dims())
+		}
+	}
+}
+
 // TestEngineRunSourcePoisson drives the engine from an unbounded
 // Poisson source under a horizon, the canonical open-system run.
 func TestEngineRunSourcePoisson(t *testing.T) {

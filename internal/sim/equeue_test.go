@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // eventBefore is the (t, seq) order the event heap must pop in.
@@ -92,7 +93,7 @@ func TestEventHeapStreams(t *testing.T) {
 				q := &eventHeap{}
 				var pushed []event
 				for i := 0; i < n; i++ {
-					ev := event{t: gen(rng, i), seq: int64(i), kind: i % 3}
+					ev := event{t: gen(rng, i), seq: int64(i), kind: int32(i % 3)}
 					q.push(ev)
 					pushed = append(pushed, ev)
 				}
@@ -120,7 +121,7 @@ func TestEventHeapStreams(t *testing.T) {
 						}
 						continue
 					}
-					ev := event{t: gen(rng, i), seq: seq, kind: i % 3}
+					ev := event{t: gen(rng, i), seq: seq, kind: int32(i % 3)}
 					seq++
 					q.push(ev)
 					live = append(live, ev)
@@ -153,4 +154,12 @@ func TestEventHeapFaultFirstTieRule(t *testing.T) {
 		t.Fatalf("fault at %v must apply before head at %v", faultT, ht)
 	}
 	drainCheck(t, q, sortedOracle(evs), "tie rule")
+}
+
+// TestEventIs24Bytes pins the compact event layout: every heap sift
+// moves events, so their size is a direct cost of the queue.
+func TestEventIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event is %d bytes, want 24", n)
+	}
 }

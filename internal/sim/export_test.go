@@ -22,3 +22,22 @@ func runWith(cfg Config, tr *trace.Trace, hook func(*Engine)) (*Result, error) {
 	hook(e)
 	return e.runTrace(tr)
 }
+
+// aliasArrivalSlot points the second queued arrival event at the first
+// one's slab slot, leaving the second slot parked but unreferenced. It
+// reports false when fewer than two arrivals are queued.
+func (e *Engine) aliasArrivalSlot() bool {
+	first := -1
+	for i, ev := range e.events {
+		if ev.kind != kindArrival {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		e.events[i].h = e.events[first].h
+		return true
+	}
+	return false
+}

@@ -170,13 +170,22 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	for _, j := range e.queue {
 		writeJob(w, j)
 	}
+	// Every event is written as (t, seq, kind, handle, job). An arrival
+	// writes handle 0 and its job from the arrival slab; the others
+	// write their store handle and a zero job. Slot numbers are never
+	// written: restore parks arrivals in fresh slots.
 	w.Int(e.events.len())
 	e.events.each(func(ev event) {
 		w.F64(ev.t)
 		w.I64(ev.seq)
-		w.Int(ev.kind)
-		w.Int(int(ev.h))
-		writeJob(w, ev.arr)
+		w.Int(int(ev.kind))
+		if ev.kind == kindArrival {
+			w.Int(0)
+			writeJob(w, e.slots[ev.h])
+		} else {
+			w.Int(int(ev.h))
+			writeJob(w, trace.Job{})
+		}
 	})
 	w.Bool(e.hasHeld)
 	if e.hasHeld {
@@ -439,31 +448,36 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	}
 	ne := r.Count(1 << 31)
 	for i := 0; i < ne && r.Err() == nil; i++ {
-		ev := event{t: r.F64(), seq: r.I64(), kind: r.Int(), h: int32(r.Int())}
-		if ev.kind == kindArrival {
+		t, seq, kind, h := r.F64(), r.I64(), r.Int(), r.Int()
+		var arr trace.Job
+		if kind == kindArrival {
 			j, err := e.readJob(r)
 			if err != nil {
 				return nil, err
 			}
-			ev.arr = j
+			arr = j
 		} else {
 			// Non-arrival events carry a zero job; skip its fields.
 			if _, err := e.readJob(r); err != nil && r.Err() != nil {
 				return nil, r.Err()
 			}
-			if r.Err() == nil && (ev.h < 0 || int(ev.h) >= nh) {
-				return nil, fmt.Errorf("sim: event handle %d outside [0,%d): %w", ev.h, nh, snap.ErrCorrupt)
+			if r.Err() == nil && (h < 0 || h >= nh) {
+				return nil, fmt.Errorf("sim: event handle %d outside [0,%d): %w", h, nh, snap.ErrCorrupt)
 			}
 		}
 		if r.Err() != nil {
 			break
 		}
-		if !finite(ev.t) || ev.t < e.now || ev.seq < 0 || ev.seq >= e.seq {
+		if !finite(t) || t < e.now || seq < 0 || seq >= e.seq {
 			return nil, fmt.Errorf("sim: event (t=%v seq=%d) inconsistent with clock %v seq %d: %w",
-				ev.t, ev.seq, e.now, e.seq, snap.ErrCorrupt)
+				t, seq, e.now, e.seq, snap.ErrCorrupt)
 		}
-		if ev.kind < kindArrival || ev.kind > kindFinish {
-			return nil, fmt.Errorf("sim: unknown event kind %d: %w", ev.kind, snap.ErrCorrupt)
+		if kind < kindArrival || kind > kindFinish {
+			return nil, fmt.Errorf("sim: unknown event kind %d: %w", kind, snap.ErrCorrupt)
+		}
+		ev := event{t: t, seq: seq, h: int32(h), kind: int32(kind)}
+		if kind == kindArrival {
+			ev.h = e.park(arr)
 		}
 		e.events.push(ev)
 	}

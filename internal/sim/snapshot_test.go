@@ -436,4 +436,12 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	check("store-live", "store-live", func(e *Engine) { e.store.live++ })
 	check("job-conservation", "job-conservation", func(e *Engine) { e.submitted++ })
 	check("event-seq", "event-seq", func(e *Engine) { e.seq = 0 })
+	check("arrival-slots", "arrival-slots", func(e *Engine) {
+		if !e.aliasArrivalSlot() {
+			t.Fatal("fewer than two arrivals queued to alias")
+		}
+	})
+	check("arrival-slots/count", "arrival-slots", func(e *Engine) {
+		e.slots = append(e.slots, trace.Job{})
+	})
 }

@@ -7,6 +7,74 @@ package topo
 // alternative deterministic routing used for routing-sensitivity
 // studies. On a torus each axis takes the shorter way around (positive
 // on ties).
+//
+// RouteSegs is the one route walker. It describes a route as straight
+// runs of dense link indices, which is all the network simulator needs
+// per message; the []Link forms below expand the same runs.
+
+// Seg is one straight run of a route: N consecutive links along one
+// axis, the k-th of which has dense link index First + k*Stride (see
+// LinkIndex).
+type Seg struct {
+	First, Stride, N int
+}
+
+// MaxSegs bounds the runs of one route: one per axis, plus one more on
+// each torus axis whose run wraps around.
+const MaxSegs = 2 * MaxDims
+
+// RouteSegs writes the dimension-ordered route from src to dst into segs,
+// in traversal order, and returns the number of runs written: zero when
+// src == dst. asc selects ascending axis order (x-y), otherwise
+// descending (y-x). A plain-grid axis is always one run with a constant
+// stride; a torus axis splits into two where it wraps.
+func (g *Grid) RouteSegs(segs *[MaxSegs]Seg, src, dst int, asc bool) int {
+	cs, cd := &g.coords[src], &g.coords[dst]
+	nd2 := g.NumDirs()
+	id, n := src, 0
+	for k := 0; k < g.nd; k++ {
+		a := k
+		if !asc {
+			a = g.nd - 1 - k
+		}
+		from, to := int(cs[a]), int(cd[a])
+		if from == to {
+			continue
+		}
+		hops, dir := to-from, 2*a
+		if g.torus {
+			ext := g.dim[a]
+			if fwd := (hops + ext) % ext; fwd <= ext-fwd {
+				hops = fwd
+			} else {
+				hops, dir = ext-fwd, dir+1
+			}
+		} else if hops < 0 {
+			hops, dir = -hops, dir+1
+		}
+		stride := g.lstride[a]
+		// run is the number of links before the walk wraps: up to the
+		// last coordinate going up, down to 0 going down.
+		run, wrapAt := hops, 0
+		if dir&1 != 0 {
+			stride = -stride
+			if g.torus && run > from+1 {
+				run, wrapAt = from+1, g.dim[a]-1
+			}
+		} else if g.torus && run > g.dim[a]-from {
+			run = g.dim[a] - from
+		}
+		segs[n] = Seg{First: id*nd2 + dir, Stride: stride, N: run}
+		n++
+		if run < hops {
+			wrapID := id + (wrapAt-from)*g.stride[a]
+			segs[n] = Seg{First: wrapID*nd2 + dir, Stride: stride, N: hops - run}
+			n++
+		}
+		id += (to - from) * g.stride[a]
+	}
+	return n
+}
 
 // Route returns the ascending dimension-ordered route from src to dst as
 // the ordered sequence of directed links traversed. An empty slice means
@@ -29,65 +97,15 @@ func (g *Grid) AppendRouteRev(links []Link, src, dst int) []Link {
 	return g.appendRouteDimOrdered(links, src, dst, false)
 }
 
+// appendRouteDimOrdered expands RouteSegs into links.
 func (g *Grid) appendRouteDimOrdered(links []Link, src, dst int, asc bool) []Link {
-	cur, d := g.Coord(src), g.Coord(dst)
-	// id is maintained incrementally: one multiply-free update per hop
-	// instead of a full ID recomputation.
-	id := src
-	if asc {
-		for axis := 0; axis < g.nd; axis++ {
-			links, id = g.appendAxisHops(links, &cur, id, axis, d[axis])
-		}
-	} else {
-		for axis := g.nd - 1; axis >= 0; axis-- {
-			links, id = g.appendAxisHops(links, &cur, id, axis, d[axis])
+	var segs [MaxSegs]Seg
+	for _, s := range segs[:g.RouteSegs(&segs, src, dst, asc)] {
+		for k, li := 0, s.First; k < s.N; k, li = k+1, li+s.Stride {
+			links = append(links, g.LinkAt(li))
 		}
 	}
 	return links
-}
-
-// axisDir picks the traversal direction along one axis; on a torus it
-// takes the shorter way around (positive on ties).
-func (g *Grid) axisDir(from, to, axis int) Dir {
-	pos, neg := Dir(2*axis), Dir(2*axis+1)
-	if !g.torus {
-		if to > from {
-			return pos
-		}
-		return neg
-	}
-	extent := g.dim[axis]
-	forward := ((to - from) + extent) % extent
-	if forward <= extent-forward {
-		return pos
-	}
-	return neg
-}
-
-// appendAxisHops walks cur along one axis to the target coordinate,
-// appending the links traversed and returning the updated id.
-func (g *Grid) appendAxisHops(links []Link, cur *Point, id, axis, target int) ([]Link, int) {
-	extent, stride := g.dim[axis], g.stride[axis]
-	for cur[axis] != target {
-		dir := g.axisDir(cur[axis], target, axis)
-		links = append(links, Link{From: id, Dir: dir})
-		if dir.Positive() {
-			cur[axis]++
-			id += stride
-			if cur[axis] == extent {
-				cur[axis] = 0
-				id -= extent * stride
-			}
-		} else {
-			cur[axis]--
-			id -= stride
-			if cur[axis] < 0 {
-				cur[axis] = extent - 1
-				id += extent * stride
-			}
-		}
-	}
-	return links, id
 }
 
 // RouteLen returns the number of links on the dimension-ordered route

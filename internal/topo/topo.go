@@ -101,23 +101,56 @@ type Grid struct {
 	nd     int
 	dim    [MaxDims]int
 	stride [MaxDims]int
-	size   int
-	torus  bool
+	// lstride is stride scaled to dense link indices: one hop along an
+	// axis moves a link index by lstride (see LinkIndex).
+	lstride [MaxDims]int
+	size    int
+	torus   bool
+	// coords is the packed coordinate of every node, built once so Coord
+	// is a table read rather than a division per axis.
+	coords [][MaxDims]uint16
 }
 
-// New returns a grid with the given extents. It panics on an empty or
-// over-long dims list or a non-positive extent: machine shape is static
-// configuration, so a bad shape is a programming error rather than a
-// runtime condition.
-func New(dims []int) *Grid {
+// MaxExtent is the largest extent one axis may have: the coordinate
+// table stores each coordinate in 16 bits.
+const MaxExtent = 1<<16 - 1
+
+// MaxNodes caps a grid's processor count. Each node costs a simulation
+// its coordinate-table row, 2*ND directed links of network state and
+// allocator and fault state; 2^21 nodes (128x128x128, or 2048x1024) is
+// on the order of a gigabyte in all.
+const MaxNodes = 1 << 21
+
+// CheckDims reports why dims is not a shape New can build: no axes or
+// more than MaxDims, an extent outside [1, MaxExtent], or more than
+// MaxNodes nodes in all.
+func CheckDims(dims []int) error {
 	if len(dims) < 1 || len(dims) > MaxDims {
-		panic(fmt.Sprintf("topo: grid needs 1..%d dimensions, got %d", MaxDims, len(dims)))
+		return fmt.Errorf("topo: grid needs 1..%d dimensions, got %d", MaxDims, len(dims))
+	}
+	size := 1
+	for i, d := range dims {
+		if d <= 0 || d > MaxExtent {
+			return fmt.Errorf("topo: extent %d on axis %d outside [1,%d]", d, i, MaxExtent)
+		}
+		// size <= MaxNodes and d <= MaxExtent, so this cannot overflow.
+		if size *= d; size > MaxNodes {
+			return fmt.Errorf("topo: grid %v has more than %d nodes", dims, MaxNodes)
+		}
+	}
+	return nil
+}
+
+// New returns a grid with the given extents. It panics on a shape
+// CheckDims rejects: machine shape is static configuration, so a bad
+// shape is a programming error rather than a runtime condition. Callers
+// taking shapes from users validate them first (ParseDims does).
+func New(dims []int) *Grid {
+	if err := CheckDims(dims); err != nil {
+		panic(err.Error())
 	}
 	g := &Grid{nd: len(dims), size: 1}
 	for i, d := range dims {
-		if d <= 0 {
-			panic(fmt.Sprintf("topo: invalid extent %d on axis %d", d, i))
-		}
 		g.dim[i] = d
 		g.stride[i] = g.size
 		g.size *= d
@@ -127,6 +160,21 @@ func New(dims []int) *Grid {
 	for i := len(dims); i < MaxDims; i++ {
 		g.dim[i] = 1
 		g.stride[i] = g.size
+	}
+	for i := range g.lstride {
+		g.lstride[i] = g.stride[i] * g.NumDirs()
+	}
+	// Axis 0 is fastest, so the table fills as an odometer.
+	g.coords = make([][MaxDims]uint16, g.size)
+	var c [MaxDims]uint16
+	for id := range g.coords {
+		g.coords[id] = c
+		for i := 0; i < g.nd; i++ {
+			if c[i]++; int(c[i]) < g.dim[i] {
+				break
+			}
+			c[i] = 0
+		}
 	}
 	return g
 }
@@ -186,22 +234,15 @@ func (g *Grid) ID(p Point) int {
 }
 
 // Coord maps a dense id back to its coordinate. It panics on
-// out-of-range ids. Digits are peeled from the highest axis down so the
-// conversion costs one division per axis — this sits under every
-// distance computation and shell walk.
+// out-of-range ids. It is one read of the coordinate table New builds —
+// no division — and small enough to inline: it sits under every
+// distance computation, shell walk and route.
 func (g *Grid) Coord(id int) Point {
-	if id < 0 || id >= g.size {
+	if uint(id) >= uint(len(g.coords)) {
 		panic("topo: Coord of id outside the grid")
 	}
-	var p Point
-	rem := id
-	for i := g.nd - 1; i > 0; i-- {
-		v := rem / g.stride[i]
-		rem -= v * g.stride[i]
-		p[i] = v
-	}
-	p[0] = rem
-	return p
+	c := &g.coords[id]
+	return Point{int(c[0]), int(c[1]), int(c[2]), int(c[3])}
 }
 
 // axisDist returns the hop distance along one axis, wrapping on a torus.

@@ -105,3 +105,43 @@ func FuzzReadSWFLenient(f *testing.F) {
 		}
 	})
 }
+
+func TestParseArrival(t *testing.T) {
+	for _, spec := range []string{"poisson:900", "bursty:300,3600,7200", "poisson:1e-3"} {
+		if _, err := ParseArrival(spec, 64, 1); err != nil {
+			t.Errorf("ParseArrival(%q) = %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"", "poisson", "poisson:", "poisson:0", "poisson:-5", "poisson:NaN",
+		"poisson:+Inf", "poisson:1e300", "bursty:1e9,1e-9,1", "poisson:1,2", "bursty:1,2", "bursty:1,2,0", "uniform:5", "poisson:5,"} {
+		if _, err := ParseArrival(spec, 64, 1); err == nil {
+			t.Errorf("ParseArrival(%q) accepted", spec)
+		}
+	}
+}
+
+// FuzzParseArrival: ParseArrival never panics, and every source it
+// accepts yields jobs of 1..maxSize processors with non-negative,
+// nondecreasing arrivals.
+func FuzzParseArrival(f *testing.F) {
+	for _, s := range []string{"poisson:900", "bursty:300,3600,7200", "poisson:0", "bursty:1,2", "poisson:1e-300", "x:1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		src, err := ParseArrival(spec, 64, 1)
+		if err != nil {
+			return
+		}
+		prev := 0.0
+		for i := 0; i < 50; i++ {
+			j, ok := src.Next()
+			if !ok {
+				t.Fatalf("%q: source ended after %d jobs", spec, i)
+			}
+			if j.Size < 1 || j.Size > 64 || !(j.Arrival >= prev) {
+				t.Fatalf("%q: job %d is %+v after arrival %v", spec, i, j, prev)
+			}
+			prev = j.Arrival
+		}
+	})
+}

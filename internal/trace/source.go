@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"meshalloc/internal/stats"
 )
@@ -207,4 +209,52 @@ func (l *limited) Next() (Job, bool) {
 		l.left--
 	}
 	return j, ok
+}
+
+// maxArrivalSec caps every ParseArrival parameter. It is far above any
+// trace's time span; parameters near the float64 limit would overflow
+// arrival times to +Inf within a few draws.
+const maxArrivalSec = 1e12
+
+// maxGapOverOn caps MEANSEC/ONSEC for bursty arrivals. Each arrival
+// consumes about that many ON periods, one draw each, so an uncapped
+// ratio lets a single Next run for hours.
+const maxGapOverOn = 1e6
+
+// ParseArrival builds an open-system arrival source from its spec:
+// "poisson:MEANSEC" or "bursty:MEANSEC,ONSEC,OFFSEC", every parameter a
+// positive number of seconds no larger than 1e12, and for bursty
+// MEANSEC at most 1e6 times ONSEC. Jobs request 1..maxSize
+// processors.
+func ParseArrival(spec string, maxSize int, seed int64) (Source, error) {
+	kind, args, _ := strings.Cut(spec, ":")
+	var nums []float64
+	if args != "" {
+		for _, p := range strings.Split(args, ",") {
+			v, err := strconv.ParseFloat(p, 64)
+			// NaN fails every comparison, so test for the valid range
+			// rather than against the invalid one.
+			if err != nil || !(v > 0 && v <= maxArrivalSec) {
+				return nil, fmt.Errorf("bad arrival parameter %q in %q (want a number in (0,%g])", p, spec, maxArrivalSec)
+			}
+			nums = append(nums, v)
+		}
+	}
+	switch kind {
+	case "poisson":
+		if len(nums) != 1 {
+			return nil, fmt.Errorf("poisson arrival wants poisson:MEANSEC, got %q", spec)
+		}
+		return NewPoisson(nums[0], maxSize, seed), nil
+	case "bursty":
+		if len(nums) != 3 {
+			return nil, fmt.Errorf("bursty arrival wants bursty:MEANSEC,ONSEC,OFFSEC, got %q", spec)
+		}
+		if nums[0] > maxGapOverOn*nums[1] {
+			return nil, fmt.Errorf("bursty arrival %q: MEANSEC over ONSEC is above %g", spec, maxGapOverOn)
+		}
+		return NewBursty(nums[0], nums[1], nums[2], maxSize, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown arrival process %q (want poisson or bursty)", kind)
+	}
 }

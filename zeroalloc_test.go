@@ -76,27 +76,37 @@ func TestRouteAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// sendAllocs returns the allocations per steady-state Send on g.
+func sendAllocs(g *topo.Grid, r netsim.Routing) float64 {
+	cfg := netsim.DefaultConfig()
+	cfg.Routing = r
+	net := netsim.New(g, cfg)
+	clock := 0.0
+	src := 0
+	return testing.AllocsPerRun(500, func() {
+		net.Send(src%g.Size(), (src*7+13)%g.Size(), clock)
+		src++
+		clock++
+	})
+}
+
 // TestNetworkSendZeroAlloc pins steady-state netsim.Send — the
 // per-message path of every simulation — at zero allocations, for each
-// routing mode.
+// routing mode, on the paper's 16x22 mesh and on the torus of the same
+// shape, whose routes wrap.
 func TestNetworkSendZeroAlloc(t *testing.T) {
-	for _, r := range []netsim.Routing{netsim.RouteXY, netsim.RouteYX, netsim.RouteAdaptive} {
-		t.Run(r.String(), func(t *testing.T) {
-			m := mesh.New(16, 22)
-			cfg := netsim.DefaultConfig()
-			cfg.Routing = r
-			net := netsim.New(m.Grid(), cfg)
-			clock := 0.0
-			src := 0
-			n := testing.AllocsPerRun(500, func() {
-				net.Send(src%m.Size(), (src*7+13)%m.Size(), clock)
-				src++
-				clock++
-			})
-			if n != 0 {
-				t.Fatalf("Send(%s) allocates %.1f objects/run, want 0", r, n)
+	for _, torus := range []bool{false, true} {
+		for _, r := range []netsim.Routing{netsim.RouteXY, netsim.RouteYX, netsim.RouteAdaptive} {
+			name, g := r.String(), topo.New([]int{16, 22})
+			if torus {
+				name, g = "torus/"+name, topo.NewTorus([]int{16, 22})
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				if n := sendAllocs(g, r); n != 0 {
+					t.Fatalf("Send(%s) allocates %.1f objects/run, want 0", name, n)
+				}
+			})
+		}
 	}
 }
 
@@ -351,26 +361,21 @@ func TestGridWalkersZeroAlloc(t *testing.T) {
 }
 
 // TestNetworkSend3DZeroAlloc pins steady-state Send on a native 3-D
-// machine at zero allocations for every routing mode, the guarantee the
-// ext-cube3d contention runs depend on.
+// machine, mesh and torus, at zero allocations for every routing mode,
+// the guarantee the ext-cube3d contention runs depend on.
 func TestNetworkSend3DZeroAlloc(t *testing.T) {
-	for _, r := range []netsim.Routing{netsim.RouteXY, netsim.RouteYX, netsim.RouteAdaptive} {
-		t.Run(r.String(), func(t *testing.T) {
-			g := topo.New([]int{8, 8, 8})
-			cfg := netsim.DefaultConfig()
-			cfg.Routing = r
-			net := netsim.New(g, cfg)
-			clock := 0.0
-			src := 0
-			n := testing.AllocsPerRun(500, func() {
-				net.Send(src%g.Size(), (src*7+13)%g.Size(), clock)
-				src++
-				clock++
-			})
-			if n != 0 {
-				t.Fatalf("Send(%s) allocates %.1f objects/run on 3-D, want 0", r, n)
+	for _, torus := range []bool{false, true} {
+		for _, r := range []netsim.Routing{netsim.RouteXY, netsim.RouteYX, netsim.RouteAdaptive} {
+			name, g := r.String(), topo.New([]int{8, 8, 8})
+			if torus {
+				name, g = "torus/"+name, topo.NewTorus([]int{8, 8, 8})
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				if n := sendAllocs(g, r); n != 0 {
+					t.Fatalf("Send(%s) allocates %.1f objects/run on 3-D, want 0", name, n)
+				}
+			})
+		}
 	}
 }
 
