@@ -8,6 +8,7 @@
 package meshalloc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -866,6 +867,74 @@ func BenchmarkFaultInjection(b *testing.B) {
 				}
 				reportMetric(b, "ns_per_job", float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Jobs)))
 			})
+		}
+	}
+}
+
+// checkpointEngine builds the faults-ckpt workload of the bench/
+// benchmark — 40,000 SDSC jobs capped at 128 processors on 16x16, EASY,
+// dense exponential node faults with backoff retries, all submitted up
+// front — and steps it to its first checkpoint at 10,000 events. Most of
+// those are message steps, so almost every arrival is still queued:
+// 39,778 of them, in a 2.57 MB snapshot.
+func checkpointEngine(b *testing.B) *sim.Engine {
+	b.Helper()
+	e, err := sim.NewEngine(sim.Config{
+		MeshW: 16, MeshH: 16,
+		Alloc: "hilbert/bestfit", Pattern: "nbody", Scheduler: "easy",
+		TimeScale: 0.02, MsgsPerSecond: 0.5, Seed: 1,
+		KeepRecords: sim.Discard, KeepNodes: sim.Discard,
+		Faults: fault.Config{
+			Seed: 1,
+			MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 3e5},
+			MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 1.5e4},
+		},
+		Retry: fault.Retry{Kind: fault.RetryBackoff, Base: 60, Cap: 3600, MaxAttempts: 4},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, j := range trace.NewSDSC(trace.SDSCConfig{Jobs: 40000, MaxSize: 128, Seed: 1}).Jobs {
+		if err := e.Submit(j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		e.Step()
+	}
+	return e
+}
+
+// BenchmarkSnapshot times one checkpoint's Engine.Snapshot on the
+// faults-ckpt state, into a buffer reused across iterations as a
+// checkpointing run reuses its own.
+func BenchmarkSnapshot(b *testing.B) {
+	e := checkpointEngine(b)
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := e.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportMetric(b, "snapshot_bytes", float64(buf.Len()))
+}
+
+// BenchmarkAudit times one checkpoint's Engine.Audit on the faults-ckpt
+// state.
+func BenchmarkAudit(b *testing.B) {
+	e := checkpointEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Audit(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

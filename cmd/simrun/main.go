@@ -17,9 +17,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -415,14 +417,18 @@ func armCheckpoint(e *sim.Engine, src trace.Source, ck ckptSpec) {
 
 // writeCheckpoint serializes the engine (and, for open systems, the
 // arrival source position) into a snap container at path. The file is
-// staged as path.tmp and renamed into place so a crash mid-write never
-// corrupts the previous good checkpoint.
+// staged as path.tmp, synced, and renamed into place, and the directory
+// is synced after the rename, so neither a kill nor a power loss
+// mid-write can replace the previous good checkpoint with a partial
+// one. On any failure the temp file is removed.
 func writeCheckpoint(path string, e *sim.Engine, src trace.Source) error {
 	var blob bytes.Buffer
 	if err := e.Snapshot(&blob); err != nil {
 		return err
 	}
 	w := snap.NewWriter()
+	// The blob and its length prefix, plus room for the source state.
+	w.Grow(8 + blob.Len() + 256)
 	w.Bytes(blob.Bytes())
 	if src != nil {
 		st, err := trace.CaptureSource(src)
@@ -439,16 +445,34 @@ func writeCheckpoint(path string, e *sim.Engine, src trace.Source) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Flush(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	err = w.Flush(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir flushes a directory's entries to stable storage, making a
+// rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 func writeSourceState(w *snap.Writer, st trace.SourceState) {

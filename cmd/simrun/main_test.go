@@ -1,0 +1,116 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"meshalloc/internal/fault"
+	"meshalloc/internal/sim"
+	"meshalloc/internal/trace"
+)
+
+// checkpointCfg is a small faulty EASY run, so a checkpoint carries
+// fault clocks, retry bookkeeping and the running-set mirror.
+func checkpointCfg() sim.Config {
+	return sim.Config{
+		Dims:  []int{8, 8},
+		Alloc: "hilbert/bestfit", Pattern: "nbody", Scheduler: "easy",
+		Load: 0.6, TimeScale: 0.02, Seed: 1,
+		Faults: fault.Config{
+			MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 3e5},
+			MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 1.5e4},
+		},
+		Retry: fault.Retry{Kind: fault.RetryBackoff, Base: 60, Cap: 3600, MaxAttempts: 4},
+	}
+}
+
+// TestCheckpointResumesToUninterruptedResult checkpoints a closed and an
+// open run once, halfway through, then resumes the file: the resumed
+// result must equal the uninterrupted run's, and no staging file may be
+// left behind.
+func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
+	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
+	cases := []struct {
+		name    string
+		arrival string
+		run     func(ck ckptSpec) (*sim.Result, *sim.Engine, error)
+	}{
+		{"closed", "", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
+			return runBatch(checkpointCfg(), tr, ck)
+		}},
+		{"open", arrival, func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+			return runOpen(checkpointCfg(), arrival, maxSize, seed, jobs, 0, false, ck)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, e, err := tc.run(ckptSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := e.CoreStats().Events
+			if events < 100 {
+				t.Fatalf("run too short to checkpoint mid-way: %d events", events)
+			}
+
+			path := filepath.Join(t.TempDir(), "ck.snap")
+			// One checkpoint, at just past half the run's events.
+			if _, _, err := tc.run(ckptSpec{path: path, every: events/2 + 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("staging file left behind: stat err %v", err)
+			}
+			got, _, err := runResume(checkpointCfg(), path, tc.arrival, maxSize, seed, jobs, 0, false, ckptSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed result differs from the uninterrupted run:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointWriteFailures: a checkpoint that cannot be staged or
+// renamed into place returns an error and leaves no staging file.
+func TestCheckpointWriteFailures(t *testing.T) {
+	e, err := sim.NewEngine(checkpointCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range trace.NewSDSC(trace.SDSCConfig{Jobs: 50, MaxSize: 64, Seed: 1}).Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		e.Step()
+	}
+	dir := t.TempDir()
+
+	missing := filepath.Join(dir, "missing", "ck.snap")
+	if err := writeCheckpoint(missing, e, nil); err == nil {
+		t.Fatal("checkpoint into a missing directory succeeded")
+	}
+
+	// A directory where the checkpoint should go makes the rename fail
+	// after the staging file is written and synced.
+	occupied := filepath.Join(dir, "ck.snap")
+	if err := os.Mkdir(occupied, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(occupied, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpoint(occupied, e, nil); err == nil {
+		t.Fatal("checkpoint over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(occupied + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed rename left its staging file: stat err %v", err)
+	}
+}

@@ -35,9 +35,10 @@ func violatef(invariant, format string, args ...any) error {
 // retry bookkeeping. It returns nil when every invariant holds, or all
 // violations found joined into one error.
 //
-// The walk is read-only and costs O(machine + events + jobs); it is
-// cheap enough to run between events (see Config.AuditEvery) and is
-// run automatically after a snapshot restore.
+// The walk is read-only and costs O(machine + events + jobs) time and a
+// fixed number of allocations of O(events + handles) bytes; it is cheap
+// enough to run between events (see Config.AuditEvery) and is run
+// automatically after a snapshot restore.
 func (e *Engine) Audit() error {
 	var errs []error
 	s := &e.store
@@ -54,22 +55,25 @@ func (e *Engine) Audit() error {
 	if live != s.live {
 		errs = append(errs, violatef("store-live", "counted %d live handles, cached %d", live, s.live))
 	}
-	seenFree := make(map[int32]bool, len(s.free))
+	// mark holds per-handle audit bits: markFree for a handle seen on
+	// the free list, markRun for one seen in the running-set mirror.
+	const markFree, markRun = 1, 2
+	mark := make([]uint8, len(s.inUse))
 	for _, h := range s.free {
 		if h < 0 || int(h) >= len(s.inUse) {
 			errs = append(errs, violatef("store-free", "free-list handle %d outside [0,%d)", h, len(s.inUse)))
 			continue
 		}
-		if seenFree[h] {
+		if mark[h]&markFree != 0 {
 			errs = append(errs, violatef("store-free", "handle %d on the free list twice", h))
 		}
-		seenFree[h] = true
+		mark[h] |= markFree
 		if s.inUse[h] {
 			errs = append(errs, violatef("store-free", "handle %d both in use and on the free list", h))
 		}
 	}
 	for h := range s.inUse {
-		if !s.inUse[int32(h)] && !seenFree[int32(h)] {
+		if !s.inUse[h] && mark[h]&markFree == 0 {
 			errs = append(errs, violatef("store-free", "handle %d neither in use nor on the free list", h))
 		}
 	}
@@ -105,7 +109,7 @@ func (e *Engine) Audit() error {
 	// one, and job events reference in-use handles. Arrival slab: every
 	// arrival event parks its job in its own in-range slot, off the free
 	// list, and every slot is either parked or free.
-	seqs := make(map[int64]bool)
+	seqs := newSeqSet(len(e.events))
 	const slotFree, slotUsed = 1, 2
 	slot := make([]uint8, len(e.slots))
 	for _, h := range e.slotFree {
@@ -119,22 +123,21 @@ func (e *Engine) Audit() error {
 		}
 	}
 	arrivals := 0
-	e.events.each(func(ev event) {
+	for _, ev := range e.events {
 		if ev.t < e.now {
 			errs = append(errs, violatef("event-time", "event seq %d at t=%v behind clock %v", ev.seq, ev.t, e.now))
 		}
 		if ev.seq < 0 || ev.seq >= e.seq {
 			errs = append(errs, violatef("event-seq", "event seq %d outside [0,%d)", ev.seq, e.seq))
 		}
-		if seqs[ev.seq] {
+		if seqs.add(ev.seq) {
 			errs = append(errs, violatef("event-seq", "two events share seq %d", ev.seq))
 		}
-		seqs[ev.seq] = true
 		if ev.kind == kindStep || ev.kind == kindFinish {
 			if ev.h < 0 || int(ev.h) >= len(s.inUse) || !s.inUse[ev.h] {
 				errs = append(errs, violatef("event-handle", "event seq %d references unused handle %d", ev.seq, ev.h))
 			}
-			return
+			continue
 		}
 		arrivals++
 		switch {
@@ -147,7 +150,7 @@ func (e *Engine) Audit() error {
 		default:
 			slot[ev.h] = slotUsed
 		}
-	})
+	}
 	if len(e.slots) != arrivals+len(e.slotFree) {
 		errs = append(errs, violatef("arrival-slots", "%d slots != %d arrival events + %d free",
 			len(e.slots), arrivals, len(e.slotFree)))
@@ -171,13 +174,16 @@ func (e *Engine) Audit() error {
 		if len(e.runOrd) != live || len(e.runOrdH) != len(e.runOrd) {
 			errs = append(errs, violatef("run-mirror", "runOrd holds %d entries for %d live jobs", len(e.runOrd), live))
 		} else {
-			seen := make(map[int32]bool, live)
+			seen := 0 // distinct live handles in runOrdH
 			for i, h := range e.runOrdH {
 				if h < 0 || int(h) >= len(s.inUse) || !s.inUse[h] || s.dead[h] {
 					errs = append(errs, violatef("run-mirror", "runOrd[%d] references non-live handle %d", i, h))
 					continue
 				}
-				seen[h] = true
+				if mark[h]&markRun == 0 {
+					mark[h] |= markRun
+					seen++
+				}
 				if e.runOrd[i].EstEnd != s.estEnd[h] || e.runOrd[i].Size != s.job[h].Size {
 					errs = append(errs, violatef("run-mirror", "runOrd[%d]=%+v disagrees with handle %d", i, e.runOrd[i], h))
 				}
@@ -186,7 +192,7 @@ func (e *Engine) Audit() error {
 					errs = append(errs, violatef("run-order", "runOrd[%d..%d] out of (EstEnd, handle) order", i-1, i))
 				}
 			}
-			if len(seen) != len(e.runOrdH) {
+			if seen != len(e.runOrdH) {
 				errs = append(errs, violatef("run-mirror", "runOrd repeats a handle"))
 			}
 		}
@@ -258,6 +264,45 @@ func (e *Engine) Audit() error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// seqSet is the audit's set of queued event seqs: open addressing with
+// linear probing over a table at most half full, so a duplicate check
+// costs one allocation of O(events) however large the seqs are. Zero
+// marks an empty slot, so seq 0 is tracked by its own flag.
+type seqSet struct {
+	tab   []int64
+	shift uint // 64 - log2(len(tab))
+	zero  bool
+}
+
+// newSeqSet returns an empty set with room for n seqs at load <= 1/2.
+func newSeqSet(n int) seqSet {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return seqSet{tab: make([]int64, 1<<bits), shift: 64 - bits}
+}
+
+// add inserts seq and reports whether it was already present.
+func (s *seqSet) add(seq int64) bool {
+	if seq == 0 {
+		dup := s.zero
+		s.zero = true
+		return dup
+	}
+	// Fibonacci hashing spreads consecutive seqs across the table.
+	mask := len(s.tab) - 1
+	for i := int(uint64(seq) * 0x9E3779B97F4A7C15 >> s.shift); ; i = (i + 1) & mask {
+		switch s.tab[i] {
+		case 0:
+			s.tab[i] = seq
+			return false
+		case seq:
+			return true
+		}
+	}
 }
 
 // exactSize reports whether the free-count audit holds a to an exact

@@ -75,15 +75,6 @@ func (h eventHeap) head() (t float64, kind int32, ok bool) {
 	return h[0].t, h[0].kind, true
 }
 
-// each visits every queued event in heap order without consuming it —
-// the snapshot and audit walk. Events carry their assigned seq, so any
-// visit order re-pushes into an equivalent queue.
-func (h eventHeap) each(fn func(event)) {
-	for _, ev := range h {
-		fn(ev)
-	}
-}
-
 // before reports whether a pops before b. Keys are unique — every
 // queued event has its own seq — so the order is total.
 func before(a, b *event) bool {
@@ -261,6 +252,12 @@ type Engine struct {
 	givenUp    int
 	wastedArea float64 // processor-seconds consumed by later-killed jobs
 	downArea   float64 // node-seconds masked out of service
+
+	// fp caches cfgFingerprint(cfg) once a snapshot needs it (0 until
+	// then). snapLen is the previous Snapshot's payload length, the size
+	// hint for the next one. Neither is part of the snapshot.
+	fp      uint64
+	snapLen int
 }
 
 // NewEngine validates cfg and builds an idle engine with an empty queue

@@ -41,3 +41,62 @@ func (e *Engine) aliasArrivalSlot() bool {
 	}
 	return false
 }
+
+// shareEventSeq gives the first two queued events seq. It reports
+// false when fewer than two events are queued.
+func (e *Engine) shareEventSeq(seq int64) bool {
+	if len(e.events) < 2 {
+		return false
+	}
+	e.events[0].seq, e.events[1].seq = seq, seq
+	return true
+}
+
+// duplicateFreeHandle overwrites the first free-list entry with the
+// second, so one handle is on the free list twice and the overwritten
+// one is neither in use nor free. It reports false when fewer than two
+// handles are free.
+func (e *Engine) duplicateFreeHandle() bool {
+	if len(e.store.free) < 2 {
+		return false
+	}
+	e.store.free[0] = e.store.free[1]
+	return true
+}
+
+// repeatRunHandle copies the first running-mirror entry over the
+// second, so runOrdH repeats a handle while staying in (EstEnd,
+// handle) order. It reports false when fewer than two jobs run.
+func (e *Engine) repeatRunHandle() bool {
+	if len(e.runOrdH) < 2 {
+		return false
+	}
+	e.runOrd[1], e.runOrdH[1] = e.runOrd[0], e.runOrdH[0]
+	return true
+}
+
+// backdateEvent moves the last queued event to before the clock. It
+// reports false on an empty queue.
+func (e *Engine) backdateEvent() bool {
+	if len(e.events) == 0 {
+		return false
+	}
+	e.events[len(e.events)-1].t = e.now - 1
+	return true
+}
+
+// freeEventHandle points the first queued job event at a handle on the
+// free list. It reports false when no job event is queued or no handle
+// is free.
+func (e *Engine) freeEventHandle() bool {
+	if len(e.store.free) == 0 {
+		return false
+	}
+	for i, ev := range e.events {
+		if ev.kind == kindStep || ev.kind == kindFinish {
+			e.events[i].h = e.store.free[0]
+			return true
+		}
+	}
+	return false
+}

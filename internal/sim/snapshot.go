@@ -36,6 +36,16 @@ func cfgFingerprint(cfg Config) uint64 {
 	return h.Sum64()
 }
 
+// fingerprint returns cfgFingerprint(e.cfg), computed on first use:
+// formatting the config costs a dozen allocations, and cfg never changes
+// after NewEngine.
+func (e *Engine) fingerprint() uint64 {
+	if e.fp == 0 {
+		e.fp = cfgFingerprint(e.cfg)
+	}
+	return e.fp
+}
+
 func writeJob(w *snap.Writer, j trace.Job) {
 	w.Int(j.ID)
 	w.Int(j.Size)
@@ -73,8 +83,12 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // uninterrupted run would have: every record, digest and aggregate is
 // bit-identical.
 func (e *Engine) Snapshot(out io.Writer) error {
+	// Size the payload from the previous snapshot plus an eighth, so a
+	// steady run encodes into one allocation. The buffer itself is not
+	// kept: between checkpoints it would only add to the live heap.
 	w := snap.NewWriter()
-	w.U64(cfgFingerprint(e.cfg))
+	w.Grow(e.snapLen + e.snapLen/8)
+	w.U64(e.fingerprint())
 
 	// Clock, sequence and streaming aggregates.
 	w.F64(e.now)
@@ -163,9 +177,9 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		w.Int(int(h))
 	}
 
-	// The pending FCFS queue and the event queue. Events are visited in
-	// queue-internal order; each carries its assigned seq, so any visit
-	// order restores an equivalent queue.
+	// The pending FCFS queue and the event queue. Events are written in
+	// heap-array order; each carries its assigned seq, so any order
+	// restores an equivalent queue.
 	w.Int(len(e.queue))
 	for _, j := range e.queue {
 		writeJob(w, j)
@@ -174,8 +188,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	// writes handle 0 and its job from the arrival slab; the others
 	// write their store handle and a zero job. Slot numbers are never
 	// written: restore parks arrivals in fresh slots.
-	w.Int(e.events.len())
-	e.events.each(func(ev event) {
+	w.Int(len(e.events))
+	for _, ev := range e.events {
 		w.F64(ev.t)
 		w.I64(ev.seq)
 		w.Int(int(ev.kind))
@@ -186,7 +200,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 			w.Int(int(ev.h))
 			writeJob(w, trace.Job{})
 		}
-	})
+	}
 	w.Bool(e.hasHeld)
 	if e.hasHeld {
 		writeJob(w, e.held)
@@ -284,6 +298,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		}
 	}
 
+	e.snapLen = w.Len()
 	return w.Flush(out)
 }
 
@@ -310,7 +325,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got, want := r.U64(), cfgFingerprint(e.cfg); r.Err() == nil && got != want {
+	if got, want := r.U64(), e.fingerprint(); r.Err() == nil && got != want {
 		return nil, fmt.Errorf("sim: snapshot fingerprint %016x, config fingerprint %016x: %w",
 			got, want, ErrConfigMismatch)
 	}

@@ -392,33 +392,41 @@ func TestPeriodicAudit(t *testing.T) {
 }
 
 // TestAuditDetectsCorruption corrupts engine bookkeeping directly and
-// requires Audit to name the broken invariant as a typed *Violation.
+// requires Audit to name the broken invariant as a typed *Violation,
+// with every expected detail in its report.
 func TestAuditDetectsCorruption(t *testing.T) {
-	mk := func() *Engine {
-		e, err := NewEngine(resumeCases[0].cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := resumeCases[0].tr()
-		for _, j := range tr.Jobs {
-			if err := e.Submit(j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			e.Step()
-		}
-		if err := e.Audit(); err != nil {
-			t.Fatalf("healthy engine failed audit: %v", err)
-		}
-		return e
+	const fcfs, easy = 0, 2
+	if resumeCases[easy].cfg.Scheduler != "easy" {
+		t.Fatalf("resume case %d is not EASY", easy)
 	}
 
-	check := func(name, invariant string, corrupt func(*Engine)) {
+	// check runs resume case tc for 100 events, audits it clean, then
+	// keeps stepping until corrupt applies (it returns false, changing
+	// nothing, while the state it needs is missing). The audit must then
+	// report invariant with every string in details.
+	check := func(name string, tc int, invariant string, details []string, corrupt func(*Engine) bool) {
 		t.Run(name, func(t *testing.T) {
-			e := mk()
-			corrupt(e)
-			err := e.Audit()
+			e, err := NewEngine(resumeCases[tc].cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range resumeCases[tc].tr().Jobs {
+				if err := e.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				e.Step()
+			}
+			if err := e.Audit(); err != nil {
+				t.Fatalf("healthy engine failed audit: %v", err)
+			}
+			for !corrupt(e) {
+				if !e.Step() {
+					t.Fatal("run drained before the corruption could apply")
+				}
+			}
+			err = e.Audit()
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -429,19 +437,31 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			if !strings.Contains(err.Error(), fmt.Sprintf("%q", invariant)) {
 				t.Fatalf("audit reported %v, want invariant %q", err, invariant)
 			}
+			for _, d := range details {
+				if !strings.Contains(err.Error(), d) {
+					t.Fatalf("audit reported %v, want detail %q", err, d)
+				}
+			}
 		})
 	}
 
-	check("busy-procs", "busy-procs", func(e *Engine) { e.busyProcs++ })
-	check("store-live", "store-live", func(e *Engine) { e.store.live++ })
-	check("job-conservation", "job-conservation", func(e *Engine) { e.submitted++ })
-	check("event-seq", "event-seq", func(e *Engine) { e.seq = 0 })
-	check("arrival-slots", "arrival-slots", func(e *Engine) {
-		if !e.aliasArrivalSlot() {
-			t.Fatal("fewer than two arrivals queued to alias")
-		}
+	check("busy-procs", fcfs, "busy-procs", nil, func(e *Engine) bool { e.busyProcs++; return true })
+	check("store-live", fcfs, "store-live", nil, func(e *Engine) bool { e.store.live++; return true })
+	check("job-conservation", fcfs, "job-conservation", nil, func(e *Engine) bool { e.submitted++; return true })
+	check("event-seq", fcfs, "event-seq", []string{"outside [0,0)"}, func(e *Engine) bool { e.seq = 0; return true })
+	check("event-seq/share", fcfs, "event-seq", []string{"two events share seq"}, func(e *Engine) bool {
+		return e.shareEventSeq(e.seq - 1)
 	})
-	check("arrival-slots/count", "arrival-slots", func(e *Engine) {
+	check("event-seq/share-out-of-range", fcfs, "event-seq", []string{"outside [0,", "two events share seq"},
+		func(e *Engine) bool { return e.shareEventSeq(e.seq + 5) })
+	check("event-time", fcfs, "event-time", []string{"behind clock"}, (*Engine).backdateEvent)
+	check("event-handle", fcfs, "event-handle", []string{"references unused handle"}, (*Engine).freeEventHandle)
+	check("store-free", fcfs, "store-free",
+		[]string{"on the free list twice", "neither in use nor on the free list"}, (*Engine).duplicateFreeHandle)
+	check("run-mirror", easy, "run-mirror", []string{"runOrd repeats a handle"}, (*Engine).repeatRunHandle)
+	check("arrival-slots", fcfs, "arrival-slots", nil, (*Engine).aliasArrivalSlot)
+	check("arrival-slots/count", fcfs, "arrival-slots", nil, func(e *Engine) bool {
 		e.slots = append(e.slots, trace.Job{})
+		return true
 	})
 }

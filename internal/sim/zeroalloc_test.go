@@ -8,8 +8,10 @@ package sim
 // trySchedule round in isolation.
 
 import (
+	"bytes"
 	"testing"
 
+	"meshalloc/internal/fault"
 	"meshalloc/internal/trace"
 )
 
@@ -100,5 +102,73 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("finished %d of %d jobs", e.Finished(), id)
 			}
 		})
+	}
+}
+
+// TestCheckpointAllocsIndependentOfQueueDepth pins the checkpoint path
+// of a faulty EASY run: Snapshot into a pre-grown buffer and Audit each
+// make a fixed number of allocations, and queueing 20,000 more
+// far-future arrivals leaves both counts unchanged — neither call may
+// allocate per queued event.
+func TestCheckpointAllocsIndependentOfQueueDepth(t *testing.T) {
+	cfg := Config{
+		MeshW: 16, MeshH: 16,
+		Alloc: "hilbert/bestfit", Pattern: "nbody", Scheduler: "easy",
+		TimeScale: 0.02, MsgsPerSecond: 0.5, Seed: 1,
+		KeepRecords: Discard, KeepNodes: Discard,
+		Faults: fault.Config{
+			Seed: 1,
+			MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 3e5},
+			MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 1.5e4},
+		},
+		Retry: fault.Retry{Kind: fault.RetryBackoff, Base: 60, Cap: 3600, MaxAttempts: 4},
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range trace.NewSDSC(trace.SDSCConfig{Jobs: 2000, MaxSize: 128, Seed: 1}).Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		e.Step()
+	}
+	if e.RunningJobs() < 2 || e.faults == nil {
+		t.Fatalf("setup: %d running jobs", e.RunningJobs())
+	}
+
+	// AllocsPerRun's warm-up call grows buf and sets the engine's
+	// payload-size hint, so the counted calls are steady state.
+	var buf bytes.Buffer
+	measure := func() (snapAllocs, auditAllocs float64) {
+		snapAllocs = testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if err := e.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		auditAllocs = testing.AllocsPerRun(20, func() {
+			if err := e.Audit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return snapAllocs, auditAllocs
+	}
+	snap0, audit0 := measure()
+	events0, bytes0 := len(e.events), buf.Len()
+	for i := 0; i < 20000; i++ {
+		j := trace.Job{ID: 1_000_000 + i, Size: 1 + i%128, Arrival: 1e12 + float64(i), Runtime: 100}
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap1, audit1 := measure()
+	t.Logf("%d events (%d B): Snapshot %.0f allocs, Audit %.0f; %d events (%d B): Snapshot %.0f, Audit %.0f",
+		events0, bytes0, snap0, audit0, len(e.events), buf.Len(), snap1, audit1)
+	if snap1 != snap0 || audit1 != audit0 {
+		t.Fatalf("20,000 more queued events changed allocations: Snapshot %.0f -> %.0f, Audit %.0f -> %.0f",
+			snap0, snap1, audit0, audit1)
 	}
 }

@@ -17,13 +17,13 @@
 package snap
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot container.
@@ -48,20 +48,23 @@ var (
 )
 
 // Writer accumulates a payload of typed primitives and emits the
-// framed, checksummed container with Flush.
+// framed, checksummed container with Flush. Every primitive is appended
+// to one byte slice; with Grow reserving room up front, a payload whose
+// size is known in advance costs one allocation.
 type Writer struct {
-	buf bytes.Buffer
-	tmp [8]byte
+	buf []byte
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// Grow makes room for at least n more payload bytes, so the next n
+// bytes of writes append without reallocating. It panics if n is
+// negative.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
 // U64 appends an unsigned 64-bit value.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.tmp[:], v)
-	w.buf.Write(w.tmp[:])
-}
+func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 // I64 appends a signed 64-bit value.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -78,23 +81,23 @@ func (w *Writer) Bool(v bool) {
 	if v {
 		b = 1
 	}
-	w.buf.WriteByte(b)
+	w.buf = append(w.buf, b)
 }
 
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) Bytes(p []byte) {
 	w.U64(uint64(len(p)))
-	w.buf.Write(p)
+	w.buf = append(w.buf, p...)
 }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
 
 // Len returns the current payload size in bytes.
-func (w *Writer) Len() int { return w.buf.Len() }
+func (w *Writer) Len() int { return len(w.buf) }
 
 // Flush writes the framed container (magic, version, length, payload,
 // CRC32) to out. The Writer keeps its payload, so Flush may be retried
@@ -103,19 +106,17 @@ func (w *Writer) Flush(out io.Writer) error {
 	head := make([]byte, 0, 16)
 	head = append(head, Magic...)
 	head = binary.LittleEndian.AppendUint32(head, Version)
-	head = binary.LittleEndian.AppendUint64(head, uint64(w.buf.Len()))
-	crc := crc32.NewIEEE()
-	crc.Write(head)
-	crc.Write(w.buf.Bytes())
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(w.buf)))
+	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, head), crc32.IEEETable, w.buf)
 	if _, err := out.Write(head); err != nil {
 		return err
 	}
-	if _, err := out.Write(w.buf.Bytes()); err != nil {
+	if _, err := out.Write(w.buf); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := out.Write(tail[:])
+	// io.Writer must not retain what it is given, so head's storage
+	// carries the CRC.
+	_, err := out.Write(binary.LittleEndian.AppendUint32(head[:0], crc))
 	return err
 }
 
