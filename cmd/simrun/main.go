@@ -93,6 +93,9 @@ func main() {
 	if _, err := sched.ByName(*scheduler); err != nil {
 		fatal(fmt.Errorf("%v (valid -sched values: fcfs, easy, sjf)", err))
 	}
+	if *allocWk < 0 {
+		fatal(fmt.Errorf("-alloc-workers must be >= 0 (got %d)", *allocWk))
+	}
 
 	// Durability flags fail fast before any workload is built: a typo'd
 	// checkpoint cadence must not surface hours into a sweep.

@@ -784,9 +784,11 @@ func (a *MC) gather(center, ext topo.Point, size int) (int, bool) {
 // set's coordinate marginals, the boundary ring alone is walked for the
 // row-major tie-breaking tail, and the exact total pairwise distance
 // follows from the marginals because L1 distance separates per axis.
-// Only the winning center performs the real ring gather. Torus machines
-// and dimensionalities without ball support fall back to the reference
-// scorer (wrapped distances do not separate per axis).
+// A per-Allocate pre-pass (twins.go) skips every free center whose
+// gathered set is a translate of an earlier candidate's: it can only
+// tie. Only the winning center performs the real ring gather. Torus
+// machines and dimensionalities without ball support fall back to the
+// reference scorer (wrapped distances do not separate per axis).
 type GenAlg struct {
 	tracker
 	// Persistent candidate scratch, as in MC: nearest fills nearBuf and
@@ -800,6 +802,8 @@ type GenAlg struct {
 	// parallel.go) so the loop can shard without sharing mutable state.
 	scratch genScratch
 	maxR    int
+	// twin is the indexed scan's twin pre-pass workspace (see twins.go).
+	twin twinScratch
 	// workers and parScratch belong to the opt-in parallel candidate
 	// scan; workers <= 1 (the default) keeps the sequential loop.
 	workers    int
@@ -831,6 +835,9 @@ func NewGenAlg(g *topo.Grid) *GenAlg {
 	if !g.Torus() {
 		a.balls = occupancy.NewBalls(g) // nil on unsupported dimensionalities
 	}
+	if a.balls != nil {
+		a.twin = newTwinScratch(g)
+	}
 	return a
 }
 
@@ -859,13 +866,14 @@ func (a *GenAlg) Allocate(req Request) ([]int, error) {
 	if a.balls == nil {
 		return a.allocateNaive(req.Size)
 	}
+	skip := a.twinSkips(req.Size)
 	bestDist, bestCenter := -1, -1
 	if a.workers > 1 {
-		bestDist, bestCenter = a.scanParallel(req.Size)
+		bestDist, bestCenter = a.scanParallel(req.Size, skip)
 	} else {
 		a.scratch.radius = 0
-		for center := 0; center < a.g.Size(); center++ {
-			if a.busy[center] {
+		for center, s := range skip {
+			if s {
 				continue
 			}
 			d := a.countPairwise(&a.scratch, center, req.Size)

@@ -391,10 +391,3 @@ func TestMCPrefersCompactOverFragmented(t *testing.T) {
 		t.Errorf("MC1x1 straddled the wall: %d left, %d right", left, right)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -32,20 +32,31 @@ func (x *xorshift) next() uint64 {
 
 func (x *xorshift) intn(n int) int { return int(x.next() % uint64(n)) }
 
-// equivGrid derives a small random 2-D or 3-D grid from sel.
+// equivGrid derives a random grid from sel: a small 2-D or 3-D grid,
+// or one time in four a larger 3-D grid (7-12 per axis) whose long axes
+// give Gen-Alg's twin classes several members.
 func equivGrid(sel uint64) *topo.Grid {
 	x := xorshift(sel | 1)
-	if x.intn(2) == 0 {
+	switch x.intn(4) {
+	case 0, 1:
 		return topo.New([]int{2 + x.intn(10), 2 + x.intn(10)})
+	case 2:
+		return topo.New([]int{2 + x.intn(5), 2 + x.intn(5), 2 + x.intn(5)})
 	}
-	return topo.New([]int{2 + x.intn(5), 2 + x.intn(5), 2 + x.intn(5)})
+	return topo.New([]int{7 + x.intn(6), 7 + x.intn(6), 7 + x.intn(6)})
 }
 
 // equivPair builds an indexed/naive allocator pair over g with an
-// identical random busy pattern of roughly density/256 busy cells.
+// identical random busy pattern of roughly density/256 busy cells —
+// an eighth of that on equivGrid's larger grids (over 6x6x6 nodes),
+// which stay sparse (at most ~12% busy) so that many of their centers
+// are twins.
 func equivPair(g *topo.Grid, pattern uint64, density int,
 	mk func(*topo.Grid) Allocator) (indexed, naive Allocator, busy []int) {
 	indexed = mk(g)
+	if g.Size() > 6*6*6 {
+		density /= 8
+	}
 	x := xorshift(pattern | 1)
 	for id := 0; id < g.Size(); id++ {
 		if x.intn(256) < density {
@@ -220,6 +231,8 @@ func FuzzIndexedScoringEquivalence(f *testing.F) {
 	f.Add(uint64(0xfeed), uint64(0xbeef), uint8(200))
 	f.Add(uint64(0x1234), uint64(0x5678), uint8(10))
 	f.Add(uint64(42), uint64(42), uint8(128))
+	f.Add(uint64(3), uint64(7), uint8(0))
+	f.Add(uint64(11), uint64(99), uint8(60))
 	f.Fuzz(func(t *testing.T, dimSel, pattern uint64, density uint8) {
 		g := equivGrid(dimSel)
 		for _, v := range equivVariants {

@@ -3,12 +3,12 @@ package alloc
 import "sync"
 
 // Parallel candidate scoring for Gen-Alg. The candidate loop scores
-// every free processor against a read-only snapshot of the machine (the
-// busy bitmap and the ball index are only mutated between Allocate
-// calls, never during a scan), so the loop shards cleanly: each worker
-// scans one contiguous chunk of the center range with a private
-// incumbent, and the chunks reduce in ascending order with a strict <
-// comparison.
+// every free processor that is not a twin (twins.go) against a
+// read-only snapshot of the machine (the busy bitmap, the ball index
+// and the twin marks are only mutated between scans, never during
+// one), so the loop shards cleanly: each worker scans one contiguous
+// chunk of the center range with a private incumbent, and the chunks
+// reduce in ascending order with a strict < comparison.
 //
 // Determinism contract: the sequential loop keeps the FIRST strictly
 // better candidate, so among equal-cost candidates the lowest center id
@@ -63,10 +63,13 @@ func reduceChunks(res []chunkBest) (bestCost, bestCenter int) {
 }
 
 // scanParallel shards Gen-Alg's indexed candidate scan over a.workers
-// goroutines, each scoring through its own genScratch. The radius hint
-// resets per chunk, which is harmless: ballCutoff's result is
-// independent of the hint, so scores do not depend on chunking.
-func (a *GenAlg) scanParallel(k int) (bestDist, bestCenter int) {
+// goroutines, each scoring through its own genScratch and passing over
+// the centers skip marks (see twinSkips). The radius hint resets per
+// chunk, which is harmless: ballCutoff's result is independent of the
+// hint, so scores do not depend on chunking. The twin marks are global
+// — a twin's lower-id class member may sit in an earlier chunk — which
+// the in-order reduction honours like the sequential loop does.
+func (a *GenAlg) scanParallel(k int, skip []bool) (bestDist, bestCenter int) {
 	n := a.g.Size()
 	workers := a.workers
 	if workers > n {
@@ -83,7 +86,7 @@ func (a *GenAlg) scanParallel(k int) (bestDist, bestCenter int) {
 			s.radius = 0
 			best := chunkBest{cost: -1, center: -1}
 			for center := lo; center < hi; center++ {
-				if a.busy[center] {
+				if skip[center] {
 					continue
 				}
 				d := a.countPairwise(s, center, k)

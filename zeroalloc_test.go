@@ -147,9 +147,10 @@ func TestAllocatorSteadyStateAllocs(t *testing.T) {
 
 // TestIndexedAllocatorSteadyStateAllocs pins the count-don't-gather
 // MC/MC1x1/Gen-Alg scorers at one allocation per cycle on a
-// production-scale machine at mixed occupancy: the occupancy-index
-// queries (box counts, ball counts, marginals) and the winner-only
-// gather must all run in persistent scratch.
+// production-scale machine at mixed occupancy, and Gen-Alg also on a
+// sparse one: the occupancy-index queries (box counts, ball counts,
+// marginals), Gen-Alg's twin pre-pass and the winner-only gather must
+// all run in persistent scratch.
 func TestIndexedAllocatorSteadyStateAllocs(t *testing.T) {
 	for _, dims := range [][]int{{32, 32}, {16, 16, 16}} {
 		g := topo.New(dims)
@@ -183,6 +184,26 @@ func TestIndexedAllocatorSteadyStateAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+	// Sparse: Gen-Alg on a ~3% busy 16x16x16, the state where its twin
+	// pre-pass skips most candidates, must keep that pass in persistent
+	// scratch too.
+	g := topo.New([]int{16, 16, 16})
+	for _, k := range []int{8, 32} {
+		t.Run(fmt.Sprintf("sparse/genalg/k%d", k), func(t *testing.T) {
+			a := alloc.NewGenAlg(g)
+			prefillSparse(t, a, g.Size())
+			n := testing.AllocsPerRun(30, func() {
+				ids, err := a.Allocate(alloc.Request{Size: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Release(ids)
+			})
+			if n > 1 {
+				t.Fatalf("genalg k %d Allocate+Release allocates %.1f objects/run at ~3%% busy, want <= 1", k, n)
+			}
+		})
 	}
 }
 
