@@ -9,13 +9,8 @@ package meshalloc
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"meshalloc/internal/alloc"
@@ -30,94 +25,10 @@ import (
 	"meshalloc/internal/trace"
 )
 
-// reportMetric forwards a headline metric to the bench framework and,
-// when the BENCH_JSON environment variable names a file, to the JSON
-// collector flushed by TestMain — the machine-readable counterpart of
-// the `go test -bench` table (see BENCH.md).
+// reportMetric forwards a headline metric to the bench framework.
 func reportMetric(b *testing.B, unit string, v float64) {
 	b.Helper()
 	b.ReportMetric(v, unit)
-	recordMetric(b.Name(), unit, v)
-}
-
-// benchEntry is one (benchmark, metric) observation in BENCH_JSON.
-type benchEntry struct {
-	Benchmark string  `json:"benchmark"`
-	Metric    string  `json:"metric"`
-	Value     float64 `json:"value"`
-}
-
-// benchHost describes the machine a BENCH_*.json artifact was produced
-// on, so single-core results (where parallel speedups are honestly ~1x)
-// are self-describing. See BENCH.md for the schema.
-type benchHost struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-}
-
-var benchJSON struct {
-	mu      sync.Mutex
-	entries []benchEntry
-}
-
-func recordMetric(name, unit string, v float64) {
-	benchJSON.mu.Lock()
-	defer benchJSON.mu.Unlock()
-	// Benches report once per b.N iteration; keep the latest value per
-	// (benchmark, metric) so reruns overwrite instead of duplicating.
-	for i := range benchJSON.entries {
-		if benchJSON.entries[i].Benchmark == name && benchJSON.entries[i].Metric == unit {
-			benchJSON.entries[i].Value = v
-			return
-		}
-	}
-	benchJSON.entries = append(benchJSON.entries, benchEntry{Benchmark: name, Metric: unit, Value: v})
-}
-
-// TestMain flushes collected bench metrics to the file named by
-// BENCH_JSON (e.g. BENCH_2.json) after the run:
-//
-//	BENCH_JSON=BENCH_2.json go test -run '^$' -bench 'Fig|Ablation|ExtContiguous|Cube3D' -benchtime 1x .
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		benchJSON.mu.Lock()
-		entries := benchJSON.entries
-		benchJSON.mu.Unlock()
-		if len(entries) > 0 {
-			sort.Slice(entries, func(i, j int) bool {
-				if entries[i].Benchmark != entries[j].Benchmark {
-					return entries[i].Benchmark < entries[j].Benchmark
-				}
-				return entries[i].Metric < entries[j].Metric
-			})
-			doc := struct {
-				Host    benchHost    `json:"host"`
-				Entries []benchEntry `json:"entries"`
-			}{
-				Host: benchHost{
-					GoVersion:  runtime.Version(),
-					GOOS:       runtime.GOOS,
-					GOARCH:     runtime.GOARCH,
-					GOMAXPROCS: runtime.GOMAXPROCS(0),
-					NumCPU:     runtime.NumCPU(),
-				},
-				Entries: entries,
-			}
-			out, err := json.MarshalIndent(doc, "", "  ")
-			if err == nil {
-				err = os.WriteFile(path, append(out, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench json:", err)
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
 }
 
 // benchOpt is the reduced experiment scale used by the figure benches.
@@ -399,14 +310,14 @@ func BenchmarkAblationCube3D(b *testing.B) {
 	}
 }
 
-// --- Engine / open-system benches (see BENCH.md: BENCH_4.json) ---
+// --- Engine benches (see BENCH.md, "streaming engine") ---
 
 // BenchmarkEngineVsBatch compares the batch Run wrapper against the
 // streaming engine on the same closed workload: "batch" retains every
 // record and node slice, "engine-discard" streams records through an
 // observer and keeps O(1) per-job state. The outputs agree exactly
 // (see sim's equivalence tests); the difference is wall time and
-// allocated bytes, reported per job for BENCH_4.json.
+// allocated bytes, reported per job.
 func BenchmarkEngineVsBatch(b *testing.B) {
 	const jobs = 5000
 	tr := benchTrace(jobs, 256)
@@ -450,70 +361,7 @@ func BenchmarkEngineVsBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkOpenSystemMillionJobs is the scale acceptance bench: one
-// million open-system jobs through a Discard engine. Tiny message
-// quotas keep the bench about event-loop and allocation machinery, not
-// network arithmetic; bytes_per_job and live_heap_mb document the
-// constant-memory claim in BENCH_4.json. The run also reports
-// events_per_sec (engine event-core counter over wall time) and
-// peak_live_heap_mb (HeapAlloc sampled every 50k finishes), the
-// BENCH_9.json headline numbers.
-func BenchmarkOpenSystemMillionJobs(b *testing.B) {
-	const jobs = 1_000_000
-	var m0, m1 runtime.MemStats
-	var events int64
-	peakHeap := uint64(0)
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < b.N; i++ {
-		cfg := sim.Config{
-			MeshW: 16, MeshH: 16,
-			Alloc: "hilbert/bestfit", Pattern: "nbody",
-			Seed:          1,
-			MsgsPerSecond: 1e-4,
-			KeepRecords:   sim.Discard,
-			KeepNodes:     sim.Discard,
-		}
-		e, err := sim.NewEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		count := 0
-		var ms runtime.MemStats
-		e.Observe(func(sim.JobRecord) {
-			count++
-			// A stop-the-world ReadMemStats every 50k jobs is ~20 samples
-			// across the run: enough to catch live-heap growth, too rare
-			// to perturb the timing measurably.
-			if count%50_000 == 0 {
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peakHeap {
-					peakHeap = ms.HeapAlloc
-				}
-			}
-		})
-		if err := e.RunSource(trace.Limit(trace.NewPoisson(1000, 256, 1), jobs), 0); err != nil {
-			b.Fatal(err)
-		}
-		if count != jobs {
-			b.Fatalf("finished %d jobs", count)
-		}
-		res := e.Result()
-		if res.Jobs != jobs || res.MeanResponse <= 0 {
-			b.Fatalf("degenerate result: %+v", res)
-		}
-		events += e.CoreStats().Events
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	reportMetric(b, "ns_per_job", float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs))
-	reportMetric(b, "bytes_per_job", float64(m1.TotalAlloc-m0.TotalAlloc)/float64(uint64(b.N)*jobs))
-	reportMetric(b, "live_heap_mb", float64(m1.HeapAlloc)/(1<<20))
-	reportMetric(b, "peak_live_heap_mb", float64(peakHeap)/(1<<20))
-	reportMetric(b, "events_per_sec", float64(events)/b.Elapsed().Seconds())
-}
-
-// --- Scheduler benches (see BENCH.md: BENCH_9.json) ---
+// --- Scheduler benches (see BENCH.md, "event-core overhaul") ---
 
 // BenchmarkSchedulerRound times the incremental scheduler state: the
 // EASY backfill policy — the one whose shadow-time scan reads the
@@ -549,7 +397,7 @@ func BenchmarkSchedulerRound(b *testing.B) {
 	reportMetric(b, "ns_per_round", float64(b.Elapsed().Nanoseconds())/float64(rounds))
 }
 
-// --- Parallel experiment fabric (see BENCH.md: BENCH_5.json) ---
+// --- Parallel experiment fabric (see BENCH.md) ---
 
 // benchSweepScaling runs one replicated experiment at several worker
 // counts and reports wall_s per count plus the speedup of the widest
@@ -686,8 +534,8 @@ func prefillAllocator(b *testing.B, a alloc.Allocator, total int) {
 // past-saturation Figure 7/8 band. The sparse one is what the alloc-3d
 // trace actually sees on 16x16x16: at a mean Gen-Alg Allocate there,
 // 3,979 of 4,096 nodes are free and 94% of requests ask for at most 32,
-// so it runs Gen-Alg at ~3% busy with 16-processor requests. The
-// ns_per_alloc metric feeds BENCH_JSON (see BENCH.md: BENCH_3.json).
+// so it runs Gen-Alg at ~3% busy with 16-processor requests. See
+// BENCH.md, "the occupancy index".
 func BenchmarkAllocateLarge(b *testing.B) {
 	machines := []struct {
 		name string
@@ -787,7 +635,7 @@ func prefillPacker(b *testing.B, p *binpack.Packer, total int) {
 
 // BenchmarkBitsetScan times first-fit and best-fit candidate enumeration
 // over the word-parallel bitset free map at mixed occupancy on 32x32 and
-// 16x16x16 machines (BENCH_7.json; see BENCH.md).
+// 16x16x16 machines (see BENCH.md, "word-parallel bitset occupancy").
 func BenchmarkBitsetScan(b *testing.B) {
 	machines := []struct {
 		name string
@@ -824,8 +672,8 @@ func BenchmarkBitsetScan(b *testing.B) {
 
 // BenchmarkIncrementalMC times the MC scorer's same-size steady state —
 // the workload where cached candidate scores survive between jobs, so
-// only candidates near the previous winner are rescored (BENCH_7.json;
-// see BENCH.md).
+// only candidates near the previous winner are rescored (see BENCH.md,
+// "word-parallel bitset occupancy").
 func BenchmarkIncrementalMC(b *testing.B) {
 	machines := []struct {
 		name string
@@ -857,9 +705,10 @@ func BenchmarkIncrementalMC(b *testing.B) {
 // BenchmarkFaultInjection runs the same workload fault-free and under
 // dense exponential node failures for a curve allocator, an MC form
 // and the contiguous submesh baseline, reporting goodput, wasted work
-// and response degradation — the PR 8 headline numbers (BENCH_8.json;
-// see BENCH.md). The fault-free rows double as the regression guard
-// that fault plumbing costs the clean path nothing measurable.
+// and response degradation — the headline numbers of BENCH.md's
+// "fault injection" section. The fault-free rows double as the
+// regression guard that fault plumbing costs the clean path nothing
+// measurable.
 func BenchmarkFaultInjection(b *testing.B) {
 	tr := benchTrace(250, 128)
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1", "submesh"} {

@@ -188,7 +188,7 @@ type Engine struct {
 	canBlock bool
 	blocked  bool
 
-	// setScratch backs the counted per-finish dispersal metrics.
+	// setScratch backs the per-finish dispersal metrics (SetStats).
 	setScratch topo.SetScratch
 	core       stats.EventCoreStats
 
@@ -1082,11 +1082,14 @@ func (e *Engine) finish(h int32, now float64) {
 		end = now
 	}
 	inv := 1 / e.cfg.TimeScale
-	// Counted forms: integer-exact per-axis histograms and an
-	// epoch-stamped flood fill, bit-identical to the materializing
-	// Components/AvgPairwiseDist walks (see topo/setmetrics.go).
-	nComps := e.grid.CountComponents(nodes, &e.setScratch)
-	avgPair := e.grid.AvgPairwiseDistCounted(nodes, &e.setScratch)
+	// One pass over the coordinate table, bit-identical to the
+	// materializing Components/AvgPairwiseDist walks: the same integer
+	// total over the same pair count (see topo/setmetrics.go).
+	nComps, pairDist := e.grid.SetStats(nodes, &e.setScratch)
+	avgPair := 0.0
+	if n := len(nodes); n > 1 {
+		avgPair = float64(pairDist) / float64(n*(n-1)/2)
+	}
 	rec := JobRecord{
 		ID:          job.ID,
 		Size:        job.Size,
