@@ -528,8 +528,8 @@ func prefillAllocator(b *testing.B, a alloc.Allocator, total int) {
 }
 
 // BenchmarkAllocateLarge times the MC-family and Gen-Alg scorers on
-// production-scale machines, with the retained reference (pre-index)
-// scorers alongside for the before/after comparison, in two regimes.
+// production-scale machines, with Gen-Alg's reference (pre-index)
+// scorer alongside for the before/after comparison, in two regimes.
 // The dense one (~80% busy, 64-processor requests) is the paper's
 // past-saturation Figure 7/8 band. The sparse one is what the alloc-3d
 // trace actually sees on 16x16x16: at a mean Gen-Alg Allocate there,
@@ -549,9 +549,7 @@ func BenchmarkAllocateLarge(b *testing.B) {
 		mk   func(*topo.Grid) alloc.Allocator
 	}{
 		{"mc", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC(g) }},
-		{"mc/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewMCNaive(g) }},
 		{"mc1x1", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC1x1(g) }},
-		{"mc1x1/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewMC1x1Naive(g) }},
 		{"genalg", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlg(g) }},
 		{"genalg/naive", func(g *topo.Grid) alloc.Allocator { return alloc.NewGenAlgNaive(g) }},
 	}
@@ -665,87 +663,6 @@ func BenchmarkBitsetScan(b *testing.B) {
 					p.Release(ids)
 				}
 				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-			})
-		}
-	}
-}
-
-// BenchmarkIncrementalMC times the MC scorer's same-size steady state —
-// the workload where cached candidate scores survive between jobs, so
-// only candidates near the previous winner are rescored (see BENCH.md,
-// "word-parallel bitset occupancy").
-func BenchmarkIncrementalMC(b *testing.B) {
-	machines := []struct {
-		name string
-		dims []int
-	}{
-		{"32x32", []int{32, 32}},
-		{"16x16x16", []int{16, 16, 16}},
-	}
-	for _, m := range machines {
-		for _, size := range []int{16, 64} {
-			b.Run(fmt.Sprintf("%s/size%d", m.name, size), func(b *testing.B) {
-				g := topo.New(m.dims)
-				a := alloc.NewMC(g)
-				prefillAllocator(b, a, g.Size())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ids, err := a.Allocate(alloc.Request{Size: size})
-					if err != nil {
-						b.Fatal(err)
-					}
-					a.Release(ids)
-				}
-				reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-			})
-		}
-	}
-}
-
-// BenchmarkFaultInjection runs the same workload fault-free and under
-// dense exponential node failures for a curve allocator, an MC form
-// and the contiguous submesh baseline, reporting goodput, wasted work
-// and response degradation — the headline numbers of BENCH.md's
-// "fault injection" section. The fault-free rows double as the
-// regression guard that fault plumbing costs the clean path nothing
-// measurable.
-func BenchmarkFaultInjection(b *testing.B) {
-	tr := benchTrace(250, 128)
-	for _, spec := range []string{"hilbert/bestfit", "mc1x1", "submesh"} {
-		for _, faulty := range []bool{false, true} {
-			name := spec + "/clean"
-			if faulty {
-				name = spec + "/dense"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := sim.Config{
-					MeshW: 16, MeshH: 16,
-					Alloc: spec, Pattern: "nbody",
-					Load: 0.4, TimeScale: 0.01, Seed: 1,
-				}
-				if faulty {
-					cfg.Faults = fault.Config{
-						MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 3e5},
-						MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 1.5e4},
-					}
-					cfg.Retry = fault.Retry{
-						Kind: fault.RetryBackoff, Base: 60, Cap: 3600, MaxAttempts: 4,
-					}
-				}
-				for i := 0; i < b.N; i++ {
-					res, err := sim.Run(cfg, tr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					reportMetric(b, "mean_resp_s", res.MeanResponse)
-					if faulty {
-						reportMetric(b, "goodput_pct", res.GoodputPct)
-						reportMetric(b, "wasted_pct", res.WastedPct)
-						reportMetric(b, "down_pct", res.DownPct)
-						reportMetric(b, "kills", float64(res.Killed))
-					}
-				}
-				reportMetric(b, "ns_per_job", float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Jobs)))
 			})
 		}
 	}

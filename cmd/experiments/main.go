@@ -53,6 +53,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if *jobs < 0 || *reps < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -jobs and -reps must be >= 0 (got %d and %d)\n", *jobs, *reps)
+		os.Exit(1)
+	}
 
 	opt := core.Options{Jobs: *jobs, TimeScale: *scale, Seed: *seed, Parallelism: *parallel, Replications: *reps, Scheduler: *schedName}
 	if *full {

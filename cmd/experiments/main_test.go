@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"meshalloc/internal/core"
@@ -47,5 +51,46 @@ func TestRunExperimentDispatch(t *testing.T) {
 	}
 	if _, err := runExperiment("ext-nope", core.Options{}); err == nil {
 		t.Fatal("unknown extension id must error")
+	}
+}
+
+// TestMain runs main instead of the tests when MESHALLOC_RUN_MAIN is set,
+// so a test can run the command in a child process and read its exit
+// status.
+func TestMain(m *testing.M) {
+	if os.Getenv("MESHALLOC_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit status and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MESHALLOC_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestRejectsNegativeSizes: a negative -jobs or -reps exits with status
+// 1 and a usage message, never a panic (status 2).
+func TestRejectsNegativeSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-jobs", "-5", "-fig", "7"},
+		{"-reps", "-2", "-fig", "7"},
+		{"-jobs", "-5", "-check"},
+	} {
+		code, stderr := runMain(t, args...)
+		if code != 1 || !strings.Contains(stderr, "must be >= 0") {
+			t.Errorf("experiments %v: exit %d, stderr %q; want exit 1 and a usage message", args, code, stderr)
+		}
 	}
 }

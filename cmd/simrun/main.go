@@ -96,6 +96,9 @@ func main() {
 	if *allocWk < 0 {
 		fatal(fmt.Errorf("-alloc-workers must be >= 0 (got %d)", *allocWk))
 	}
+	if *jobs < 1 {
+		fatal(fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs))
+	}
 
 	// Durability flags fail fast before any workload is built: a typo'd
 	// checkpoint cadence must not surface hours into a sweep.

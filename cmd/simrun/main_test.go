@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"meshalloc/internal/fault"
@@ -112,5 +115,51 @@ func TestCheckpointWriteFailures(t *testing.T) {
 	}
 	if _, err := os.Stat(occupied + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed rename left its staging file: stat err %v", err)
+	}
+}
+
+// TestMain runs main instead of the tests when MESHALLOC_RUN_MAIN is set,
+// so a test can run the command in a child process and read its exit
+// status.
+func TestMain(m *testing.M) {
+	if os.Getenv("MESHALLOC_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit status and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MESHALLOC_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestRejectsBadRunParameters: a job count below 1 or a rate that is not
+// positive exits with status 1 and a message naming it, never a panic
+// (status 2) or a run that reports negative times.
+func TestRejectsBadRunParameters(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jobs", "0"}, "-jobs must be >= 1"},
+		{[]string{"-jobs", "-5"}, "-jobs must be >= 1"},
+		{[]string{"-jobs", "20", "-timescale", "-1"}, "TimeScale must be positive"},
+		{[]string{"-jobs", "20", "-load", "-1"}, "Load must be positive"},
+	} {
+		code, stderr := runMain(t, tc.args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("simrun %v: exit %d, stderr %q; want exit 1 and %q", tc.args, code, stderr, tc.want)
+		}
 	}
 }

@@ -419,175 +419,21 @@ func (t *tracker) check(size int) error {
 // single processor. On n-D machines the shells are box surfaces instead
 // of rings; the scoring rule is unchanged.
 //
-// By default the candidate loop never touches the shells: an
-// incremental occupancy index (see internal/occupancy) answers "free
-// processors within shell k" from box counts, the per-shell weights are
-// summed arithmetically, and a monotone lower bound prunes candidates
-// that cannot undercut the incumbent. Only the single winning center
-// performs a real shell walk to materialize ids, so the selection is
-// bit-identical to the reference scorer by construction — the same
-// shells, the same truncation, the same first-strictly-better
-// tie-breaking — at a fraction of the work.
+// The candidate loop never touches the shells: an incremental occupancy
+// index (see internal/occupancy) answers "free processors within shell
+// k" from box counts, the per-shell weights are summed arithmetically,
+// and a monotone lower bound prunes candidates that cannot undercut the
+// incumbent. Only the single winning center performs a real shell walk
+// to materialize ids, so the selection is bit-identical to gathering
+// shells for every candidate — the same shells, the same truncation,
+// the same first-strictly-better tie-breaking — at a fraction of the
+// work.
 type MC struct {
 	tracker
 	oneByOne bool
-	// gatherBuf and bestBuf are persistent candidate scratch: gather fills
-	// gatherBuf, and when a candidate wins the two swap (reference
-	// scorer) or the single winning gather lands there (indexed scorer),
-	// so the steady state allocates only the returned slice.
+	// gatherBuf is persistent scratch for the winner's shell walk, so
+	// the steady state allocates only the returned slice.
 	gatherBuf []int
-	bestBuf   []int
-	// cache is the incremental score cache of the indexed scorer.
-	cache mcCache
-	// maskBuf feeds single-node fault deltas into cacheInvalidate
-	// without a per-event allocation.
-	maskBuf [1]int
-}
-
-// mcCache entry states: an entry is either the exact cost of centering
-// the current (ext, size) request on a node, or a lower bound on that
-// cost recorded when the incumbent prune aborted the scoring loop.
-const (
-	cacheInvalid uint8 = iota
-	cacheExact
-	cacheBound
-)
-
-// mcCache carries candidate scores across consecutive Allocate calls of
-// the indexed scorer. A cached entry records either the exact cost of
-// centering the current (ext, size) request on a node (cacheExact) or a
-// lower bound on it from a pruned scoring loop (cacheBound), together
-// with the clipped outer box of the shell the loop stopped at. Either
-// kind stays correct until some allocate/release changes a node inside
-// that box: the shell free counts the value was summed from can only
-// change when one of their nodes flips, and all of them lie within the
-// stopping box — a pruned bound in particular remains a lower bound under
-// any occupancy outside its box, because the processors still missing at
-// the stopping shell must sit at larger shells whatever happens out
-// there. take/Release therefore invalidate exactly the entries whose
-// stored box intersects the bounding box of the changed ids (a superset
-// of the truly affected centers — over-invalidation is safe,
-// under-invalidation never happens).
-//
-// During a scan, an exact entry substitutes for the scoring loop and a
-// bound entry at or above the incumbent proves the candidate cannot win
-// (its exact cost is at least the bound, and elections need strictly
-// less). Which entries hold which kind depends on the scan history —
-// pruning depends on the incumbent — but every stored value is
-// occupancy-faithful, which is why cached scans stay bit-identical to
-// the naive reference scorer.
-type mcCache struct {
-	live   bool
-	ext    topo.Point
-	size   int
-	state  []uint8
-	cost   []int        // exact cost (cacheExact) or lower bound (cacheBound)
-	lo, hi []topo.Point // clipped outer box of the cached stopping shell
-}
-
-// ensure arms the cache for one (ext, size) request shape, dropping every
-// entry when the shape changed since the previous Allocate.
-func (c *mcCache) ensure(n int, ext topo.Point, size int) {
-	if c.state == nil {
-		c.state = make([]uint8, n)
-		c.cost = make([]int, n)
-		c.lo = make([]topo.Point, n)
-		c.hi = make([]topo.Point, n)
-	}
-	if !c.live || c.ext != ext || c.size != size {
-		clear(c.state)
-		c.live, c.ext, c.size = true, ext, size
-	}
-}
-
-// store records a scored candidate — kind cacheExact with its exact cost,
-// or cacheBound with the prune's lower bound — and the clipped outer box
-// of the shell rad the scoring loop stopped at.
-func (c *mcCache) store(g *topo.Grid, kind uint8, center int, coord, ext topo.Point, rad, cost int) {
-	lo, hi, ok := g.GrownBounds(coord, ext, rad)
-	if !ok {
-		return
-	}
-	c.state[center] = kind
-	c.cost[center] = cost
-	c.lo[center], c.hi[center] = lo, hi
-}
-
-// cacheInvalidate drops every cached score whose stopping box intersects
-// the bounding box of the changed node ids.
-func (a *MC) cacheInvalidate(ids []int) {
-	c := &a.cache
-	if !c.live || len(ids) == 0 {
-		return
-	}
-	blo := a.g.Coord(ids[0])
-	bhi := blo
-	nd := a.g.ND()
-	for _, id := range ids[1:] {
-		p := a.g.Coord(id)
-		for ax := 0; ax < nd; ax++ {
-			if p[ax] < blo[ax] {
-				blo[ax] = p[ax]
-			}
-			if p[ax] > bhi[ax] {
-				bhi[ax] = p[ax]
-			}
-		}
-	}
-	for center, st := range c.state {
-		if st == cacheInvalid {
-			continue
-		}
-		hit := true
-		for ax := 0; ax < nd; ax++ {
-			// Stored boxes are half-open; the changed box is inclusive.
-			if bhi[ax] < c.lo[center][ax] || blo[ax] >= c.hi[center][ax] {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			c.state[center] = cacheInvalid
-		}
-	}
-}
-
-// take shadows tracker.take so every path that marks nodes busy — the
-// Allocate winner and the direct takes of in-package tests — also
-// invalidates the affected cached scores.
-func (a *MC) take(ids []int) {
-	a.tracker.take(ids)
-	a.cacheInvalidate(ids)
-}
-
-// Release implements Allocator.
-func (a *MC) Release(ids []int) {
-	a.tracker.Release(ids)
-	a.cacheInvalidate(ids)
-}
-
-// MarkDown shadows tracker.MarkDown so fault deltas invalidate cached
-// scores exactly like an allocation of the node would: a downed node
-// changes the shell free counts of every candidate whose stopping box
-// covers it.
-func (a *MC) MarkDown(id int) {
-	a.tracker.MarkDown(id)
-	a.maskBuf[0] = id
-	a.cacheInvalidate(a.maskBuf[:])
-}
-
-// MarkUp shadows tracker.MarkUp with the same cache invalidation on
-// the repair delta.
-func (a *MC) MarkUp(id int) {
-	a.tracker.MarkUp(id)
-	a.maskBuf[0] = id
-	a.cacheInvalidate(a.maskBuf[:])
-}
-
-// Reset implements Allocator.
-func (a *MC) Reset() {
-	a.tracker.Reset()
-	a.cache.live = false
 }
 
 // NewMC returns the shape-aware MC allocator.
@@ -605,17 +451,6 @@ func NewMC1x1(g *topo.Grid) *MC {
 	return a
 }
 
-// NewMCNaive returns the reference MC scorer: the pre-index
-// implementation that gathers shells for every candidate. It is
-// retained as the ground truth the indexed scorer is fuzzed against,
-// and as the baseline for the allocator benchmarks.
-func NewMCNaive(g *topo.Grid) *MC { return &MC{tracker: newTracker(g)} }
-
-// NewMC1x1Naive returns the reference MC1x1 scorer; see NewMCNaive.
-func NewMC1x1Naive(g *topo.Grid) *MC {
-	return &MC{tracker: newTracker(g), oneByOne: true}
-}
-
 // Name implements Allocator.
 func (a *MC) Name() string {
 	if a.oneByOne {
@@ -624,52 +459,32 @@ func (a *MC) Name() string {
 	return "mc"
 }
 
-// Allocate implements Allocator.
-func (a *MC) Allocate(req Request) ([]int, error) {
-	if err := a.check(req.Size); err != nil {
-		return nil, err
+// shell0 returns the extents of shell 0 for req: the request's shape,
+// or a single processor under MC1x1.
+func (a *MC) shell0(req Request) topo.Point {
+	if !a.oneByOne {
+		return req.ShapeExt(a.g.ND())
 	}
 	var ext topo.Point
 	for i := range ext {
 		ext[i] = 1
 	}
-	if !a.oneByOne {
-		ext = req.ShapeExt(a.g.ND())
+	return ext
+}
+
+// Allocate implements Allocator.
+func (a *MC) Allocate(req Request) ([]int, error) {
+	if err := a.check(req.Size); err != nil {
+		return nil, err
 	}
-	if a.boxes == nil {
-		return a.allocateNaive(ext, req.Size)
-	}
-	cache := &a.cache
-	cache.ensure(a.g.Size(), ext, req.Size)
+	ext := a.shell0(req)
 	bestCost, bestCenter := -1, -1
 	for center := 0; center < a.g.Size(); center++ {
 		if a.busy[center] {
 			continue
 		}
-		var cost int
-		if cache.state[center] == cacheExact {
-			// An exact entry is the cost the uncached loop would
-			// recompute; candidates it would have pruned simply lose the
-			// strict-< comparison below.
-			cost = cache.cost[center]
-		} else {
-			if cache.state[center] == cacheBound && bestCost >= 0 && cache.cost[center] >= bestCost {
-				// The cached lower bound already proves this candidate
-				// cannot strictly beat the incumbent.
-				continue
-			}
-			coord := a.g.Coord(center)
-			c, rad, ok := a.countCost(coord, ext, req.Size, bestCost)
-			if !ok {
-				if rad >= 0 {
-					cache.store(a.g, cacheBound, center, coord, ext, rad, c)
-				}
-				continue
-			}
-			cost = c
-			cache.store(a.g, cacheExact, center, coord, ext, rad, cost)
-		}
-		if bestCost == -1 || cost < bestCost {
+		cost, ok := a.countCost(a.g.Coord(center), ext, req.Size, bestCost)
+		if ok && (bestCost == -1 || cost < bestCost) {
 			bestCost, bestCenter = cost, center
 		}
 	}
@@ -685,31 +500,6 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 	return best, nil
 }
 
-// allocateNaive is the reference scoring loop: gather shells for every
-// free candidate and keep the first strictly-better one.
-func (a *MC) allocateNaive(ext topo.Point, size int) ([]int, error) {
-	bestCost := -1
-	for center := 0; center < a.g.Size(); center++ {
-		if a.busy[center] {
-			continue
-		}
-		cost, ok := a.gather(a.g.Coord(center), ext, size)
-		if !ok {
-			continue
-		}
-		if bestCost == -1 || cost < bestCost {
-			bestCost = cost
-			a.bestBuf, a.gatherBuf = a.gatherBuf, a.bestBuf
-		}
-	}
-	if bestCost == -1 {
-		return nil, ErrInsufficient
-	}
-	best := append([]int(nil), a.bestBuf...)
-	a.take(best)
-	return best, nil
-}
-
 // countCost computes the exact shell-weight cost of a candidate from
 // box counts alone: cost = sum over k of k * (freeBox(k) - freeBox(k-1))
 // with the outermost shell truncated to exactly size, where freeBox(k)
@@ -718,13 +508,8 @@ func (a *MC) allocateNaive(ext topo.Point, size int) ([]int, error) {
 // lower bound on the final cost — every processor still missing sits at
 // shell k+1 or beyond — so the loop aborts (ok == false) as soon as the
 // bound proves the candidate cannot be strictly better than the
-// incumbent cost. Pass incumbent < 0 to disable pruning. On success rad
-// is the stopping shell index, which bounds the box the cost depends on
-// (the score-cache invalidation region); on a prune, cost carries the
-// aborting lower bound and rad the shell it was computed at, so the
-// bound is cacheable with the same invalidation region. A rad of -1
-// marks the unreachable shells-exhausted return, which caches nothing.
-func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost, rad int, ok bool) {
+// incumbent cost. Pass incumbent < 0 to disable pruning.
+func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost int, ok bool) {
 	prev := 0
 	for k, maxK := 0, a.g.MaxShells(); k <= maxK; k++ {
 		lo, hi, onGrid := a.g.GrownBounds(c, ext, k)
@@ -734,24 +519,24 @@ func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost, rad int, o
 		}
 		cur := a.boxes.FreeIn(lo, hi)
 		if cur >= size {
-			return cost + k*(size-prev), k, true
+			return cost + k*(size-prev), true
 		}
 		cost += k * (cur - prev)
 		prev = cur
-		if bound := cost + (k+1)*(size-cur); incumbent >= 0 && bound >= incumbent {
-			return bound, k, false
+		if incumbent >= 0 && cost+(k+1)*(size-cur) >= incumbent {
+			return 0, false
 		}
 	}
 	// Unreachable when numFree >= size: the box grown maxK times covers
-	// the whole machine, mirroring the reference gather's termination.
-	return 0, -1, false
+	// the whole machine, mirroring the walked gather's termination.
+	return 0, false
 }
 
 // gather collects size free processors into a.gatherBuf in shells around
 // center and returns the summed shell-weight cost, or (0, false) if the
 // shells run out before size processors are found. The ShellEach walk
-// keeps the whole scoring loop free of intermediate buffers; the closure
-// stays on the stack because ShellEach does not retain it.
+// needs no intermediate buffer; the closure stays on the stack because
+// ShellEach does not retain it.
 func (a *MC) gather(center, ext topo.Point, size int) (int, bool) {
 	ids := a.gatherBuf[:0]
 	cost := 0
@@ -791,8 +576,8 @@ func (a *MC) gather(center, ext topo.Point, size int) (int, bool) {
 // reference scorer (wrapped distances do not separate per axis).
 type GenAlg struct {
 	tracker
-	// Persistent candidate scratch, as in MC: nearest fills nearBuf and
-	// the buffers swap when a candidate wins.
+	// Persistent candidate scratch: nearest fills nearBuf, and the
+	// reference scan swaps it with bestBuf when a candidate wins.
 	nearBuf []int
 	bestBuf []int
 	ringBuf []int
@@ -1132,24 +917,6 @@ func (a *GenAlg) totalPairwise(ids []int) int {
 	total := 0
 	for axis := 0; axis < nd; axis++ {
 		total += sortedAxisSum(a.axisBuf[axis])
-	}
-	return total
-}
-
-// totalPairwiseL1 computes the total pairwise hop distance of the node
-// set, in O(k log k) on a plain grid by handling the axes independently;
-// torus distances fall back to the quadratic computation.
-func totalPairwiseL1(g *topo.Grid, ids []int) int {
-	if g.Torus() {
-		return g.TotalPairwiseDist(ids)
-	}
-	total := 0
-	axis := make([]int, len(ids))
-	for i := 0; i < g.ND(); i++ {
-		for j, id := range ids {
-			axis[j] = g.Coord(id)[i]
-		}
-		total += sortedAxisSum(axis)
 	}
 	return total
 }

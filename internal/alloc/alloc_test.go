@@ -241,7 +241,7 @@ func TestGenAlgApproximationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := totalPairwiseL1(m.Grid(), ids)
+		got := m.TotalPairwiseDist(ids)
 		best := bruteBest(m, free, k)
 		return float64(got) <= (2-2/float64(k))*float64(best)+1e-9
 	}
@@ -257,7 +257,7 @@ func bruteBest(m *mesh.Mesh, free []int, k int) int {
 	var rec func(start int, chosen []int)
 	rec = func(start int, chosen []int) {
 		if len(chosen) == k {
-			d := totalPairwiseL1(m.Grid(), chosen)
+			d := m.TotalPairwiseDist(chosen)
 			if best == -1 || d < best {
 				best = d
 			}
@@ -330,22 +330,6 @@ func TestRingsCoverMesh(t *testing.T) {
 	}
 	if len(seen) != m.Size() {
 		t.Fatalf("rings cover %d nodes, want %d", len(seen), m.Size())
-	}
-}
-
-func TestTotalPairwiseL1MatchesMesh(t *testing.T) {
-	m := mesh.New(6, 6)
-	f := func(mask uint32) bool {
-		var ids []int
-		for i := 0; i < 32 && i < m.Size(); i++ {
-			if mask&(1<<uint(i)) != 0 {
-				ids = append(ids, i)
-			}
-		}
-		return totalPairwiseL1(m.Grid(), ids) == m.TotalPairwiseDist(ids)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,12 +7,54 @@ import (
 )
 
 // Equivalence tests pinning the indexed (count-don't-gather) MC and
-// Gen-Alg scorers to the retained naive reference scorers: same
-// winner, same cost, same ids, on random busy patterns over random 2-D
-// and 3-D grids. The indexed paths must be bit-identical — candidate
-// iteration order, first-strictly-better tie-breaking and gather order
-// included — so the comparison is exact id-slice equality, not
-// score equality alone.
+// Gen-Alg scorers to naive reference scorers: same winner, same cost,
+// same ids, on random busy patterns over random 2-D and 3-D grids. The
+// indexed paths must be bit-identical — candidate iteration order,
+// first-strictly-better tie-breaking and gather order included — so the
+// comparison is exact id-slice equality, not score equality alone.
+
+// mcNaive is the reference MC scorer: it walks the shells of every free
+// candidate and keeps the first strictly better one. It shares MC's
+// busy set, shell-0 rule and shell walk, and builds no occupancy index.
+type mcNaive struct {
+	*MC
+	bestBuf []int
+}
+
+// newMCNaive returns the reference MC scorer, or with oneByOne the
+// reference MC1x1 scorer.
+func newMCNaive(g *topo.Grid, oneByOne bool) *mcNaive {
+	return &mcNaive{MC: &MC{tracker: newTracker(g), oneByOne: oneByOne}}
+}
+
+// Allocate implements Allocator. gather fills gatherBuf, and the two
+// buffers swap when a candidate wins.
+func (a *mcNaive) Allocate(req Request) ([]int, error) {
+	if err := a.check(req.Size); err != nil {
+		return nil, err
+	}
+	ext := a.shell0(req)
+	bestCost := -1
+	for center := 0; center < a.g.Size(); center++ {
+		if a.busy[center] {
+			continue
+		}
+		cost, ok := a.gather(a.g.Coord(center), ext, req.Size)
+		if !ok {
+			continue
+		}
+		if bestCost == -1 || cost < bestCost {
+			bestCost = cost
+			a.bestBuf, a.gatherBuf = a.gatherBuf, a.bestBuf
+		}
+	}
+	if bestCost == -1 {
+		return nil, ErrInsufficient
+	}
+	best := append([]int(nil), a.bestBuf...)
+	a.take(best)
+	return best, nil
+}
 
 // xorshift is the deterministic pattern generator shared by the
 // equivalence tests and the fuzz harness.
@@ -65,8 +107,7 @@ func equivPair(g *topo.Grid, pattern uint64, density int,
 	}
 	switch a := indexed.(type) {
 	case *MC:
-		n := NewMCNaive(g)
-		n.oneByOne = a.oneByOne
+		n := newMCNaive(g, a.oneByOne)
 		naive = n
 		if len(busy) > 0 {
 			a.take(busy)
@@ -182,7 +223,7 @@ func TestCountCostMatchesGather(t *testing.T) {
 			if mc.busy[center] {
 				continue
 			}
-			counted, _, okC := mc.countCost(g.Coord(center), ext, size, -1)
+			counted, okC := mc.countCost(g.Coord(center), ext, size, -1)
 			walked, okW := mc.gather(g.Coord(center), ext, size)
 			if okC != okW || counted != walked {
 				t.Fatalf("dims %v center %d size %d: counted (%d, %v) != walked (%d, %v)",

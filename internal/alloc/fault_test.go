@@ -128,19 +128,18 @@ func TestSubmeshMaskMatchesBusy(t *testing.T) {
 	}
 }
 
-// TestMCMaskCacheConsistent interleaves mask churn with the same-size
-// allocate/release steady state that keeps incremental score-cache
-// entries alive: the cached scorer must stay bit-identical to the naive
-// reference scorer through every MarkDown/MarkUp invalidation.
-func TestMCMaskCacheConsistent(t *testing.T) {
+// TestMCMaskMatchesNaive interleaves mask churn with a same-size
+// allocate/release workload: the indexed scorer must stay bit-identical
+// to the reference scorer through every MarkDown/MarkUp, which reach the
+// box index through the shared busy-set bookkeeping.
+func TestMCMaskMatchesNaive(t *testing.T) {
 	for _, oneByOne := range []bool{false, true} {
 		x := xorshift(171)
 		for trial := 0; trial < 15; trial++ {
 			g := equivGrid(x.next())
-			cached := NewMC(g)
-			cached.oneByOne = oneByOne
-			plain := NewMCNaive(g)
-			plain.oneByOne = oneByOne
+			indexed := NewMC(g)
+			indexed.oneByOne = oneByOne
+			plain := newMCNaive(g, oneByOne)
 			size := 1 + x.intn(6)
 			var live [][]int
 			downSet := map[int]bool{}
@@ -149,19 +148,19 @@ func TestMCMaskCacheConsistent(t *testing.T) {
 				case 0: // toggle a node's availability
 					id := x.intn(g.Size())
 					if downSet[id] {
-						cached.MarkUp(id)
+						indexed.MarkUp(id)
 						plain.MarkUp(id)
 						delete(downSet, id)
-					} else if !cached.busy[id] {
-						cached.MarkDown(id)
+					} else if !indexed.busy[id] {
+						indexed.MarkDown(id)
 						plain.MarkDown(id)
 						downSet[id] = true
 					}
 				case 1, 2, 3:
-					if cached.NumFree() < size {
+					if indexed.NumFree() < size {
 						continue
 					}
-					got, err1 := cached.Allocate(Request{Size: size})
+					got, err1 := indexed.Allocate(Request{Size: size})
 					want, err2 := plain.Allocate(Request{Size: size})
 					if (err1 == nil) != (err2 == nil) {
 						t.Fatalf("trial %d step %d: error mismatch %v vs %v", trial, step, err1, err2)
@@ -177,14 +176,14 @@ func TestMCMaskCacheConsistent(t *testing.T) {
 				default:
 					if len(live) > 0 {
 						i := x.intn(len(live))
-						cached.Release(live[i])
+						indexed.Release(live[i])
 						plain.Release(live[i])
 						live = append(live[:i], live[i+1:]...)
 					}
 				}
-				if cached.NumFree() != plain.NumFree() {
+				if indexed.NumFree() != plain.NumFree() {
 					t.Fatalf("trial %d step %d: NumFree %d vs %d",
-						trial, step, cached.NumFree(), plain.NumFree())
+						trial, step, indexed.NumFree(), plain.NumFree())
 				}
 			}
 		}

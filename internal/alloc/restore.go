@@ -45,8 +45,8 @@ type Auditor interface {
 	AuditIndexes() error
 }
 
-// Occupy implements Occupier for the set-based allocators (Gen-Alg,
-// Random, and — via the cache-invalidating shadow — MC).
+// Occupy implements Occupier for the set-based allocators (MC, Gen-Alg
+// and Random).
 func (t *tracker) Occupy(ids []int) {
 	for _, id := range ids {
 		if id < 0 || id >= len(t.busy) || t.busy[id] {
@@ -97,18 +97,6 @@ func (t *tracker) AuditIndexes() error {
 		}
 	}
 	return nil
-}
-
-// Occupy shadows tracker.Occupy so restore-time occupation invalidates
-// cached MC scores exactly as an allocation would. (On a fresh restore
-// the cache is empty; the shadow keeps direct uses correct too.)
-func (a *MC) Occupy(ids []int) {
-	for _, id := range ids {
-		if id < 0 || id >= len(a.busy) || a.busy[id] {
-			panic(fmt.Sprintf("alloc: occupy of busy or invalid id %d", id))
-		}
-	}
-	a.take(ids)
 }
 
 // Occupy implements Occupier: the packer re-marks the exact ranks.

@@ -24,6 +24,9 @@ type CheckResult struct {
 // EXPERIMENTS.md. Each claim is judged on the *shape* of the results
 // (orderings and correlations), never absolute seconds.
 func Check(o Options) ([]CheckResult, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	var out []CheckResult
 

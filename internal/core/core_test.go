@@ -12,6 +12,26 @@ func quickOpt() Options {
 	return Options{Jobs: 150, TimeScale: 0.01, Seed: 1, Loads: []float64{1.0, 0.2}}
 }
 
+// TestEntryPointsRejectNegativeSizes: a negative trace length or
+// replication count is an error from every entry point, not a panic
+// deep inside a figure.
+func TestEntryPointsRejectNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"fig7", func(o Options) error { _, err := FigureByID("7", o); return err }},
+		{"ext-cube", func(o Options) error { _, err := ExtensionByID("ext-cube", o); return err }},
+		{"check", func(o Options) error { _, err := Check(o); return err }},
+	} {
+		for _, o := range []Options{{Jobs: -5}, {Replications: -2}} {
+			if err := tc.run(o); err == nil {
+				t.Errorf("%s accepted Jobs %d Replications %d", tc.name, o.Jobs, o.Replications)
+			}
+		}
+	}
+}
+
 func TestFig6RendersGaps(t *testing.T) {
 	fig := Fig6()
 	if fig.ID != "fig6" || len(fig.Tables) != 2 {

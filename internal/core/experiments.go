@@ -248,6 +248,9 @@ func Fig11(o Options) (*Figure, error) {
 // FigureByID returns the named figure ("1", "6", "7", "8", "9", "10",
 // "11" or "fig7" etc.).
 func FigureByID(id string, o Options) (*Figure, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	switch id {
 	case "1", "fig1":
 		return Fig1(o)

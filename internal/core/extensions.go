@@ -5,9 +5,10 @@ import (
 	"sort"
 
 	"meshalloc/internal/alloc"
-	"meshalloc/internal/cube"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/sim"
+	"meshalloc/internal/stats"
+	"meshalloc/internal/topo"
 )
 
 // Extension experiments beyond the paper's figures: the studies its
@@ -208,19 +209,42 @@ func ExtMixed(o Options) (*Figure, error) {
 // ExtCube runs the 3-D allocation-quality study: the paper's
 // one-dimensional-reduction idea on the 3-D mesh CPlant actually had,
 // using the multidimensional Hilbert indexing its Alber–Niedermeier
-// reference describes.
+// reference describes. A seeded allocate/release churn drives every
+// allocator through the same job sequence and reports the mean average
+// pairwise distance of its allocations; ext-cube3d runs the full
+// contention simulation on the same machine.
 func ExtCube(o Options) (*Figure, error) {
 	o = o.withDefaults()
-	m := cube.New3(8, 8, 8)
-	jobs := o.Jobs / 10
-	if jobs < 50 {
-		jobs = 50
-	}
-	results := cube.Study(m, jobs, 4, 48, o.Seed)
+	g := topo.New([]int{8, 8, 8})
+	jobs := max(o.Jobs/10, 50)
+	const minSize, maxSize = 4, 48
 	t := Table{Columns: []string{"Strategy", "mean avg pairwise distance", "allocations"}}
-	for _, r := range results {
+	for _, spec := range []string{"hilbert", "scurve", "mc1x1", "genalg"} {
+		a, err := alloc.Spec(g, spec, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		rng := stats.NewRNG(o.Seed) // identical sequence per strategy
+		var live [][]int
+		total, count := 0.0, 0
+		for j := 0; j < jobs; j++ {
+			// Churn: release a random live job half the time.
+			if len(live) > 0 && rng.Float64() < 0.5 {
+				k := rng.Intn(len(live))
+				a.Release(live[k])
+				live = append(live[:k], live[k+1:]...)
+			}
+			size := minSize + rng.Intn(maxSize-minSize+1)
+			ids, err := a.Allocate(alloc.Request{Size: size})
+			if err != nil {
+				continue // machine full; skip, same for every strategy
+			}
+			live = append(live, ids)
+			total += g.AvgPairwiseDist(ids)
+			count++
+		}
 		t.Rows = append(t.Rows, []string{
-			r.Name, fmt.Sprintf("%.3f", r.MeanAvgPairwise), fmt.Sprintf("%d", r.Allocations),
+			spec, fmt.Sprintf("%.3f", total/float64(count)), fmt.Sprintf("%d", count),
 		})
 	}
 	return &Figure{
@@ -228,7 +252,7 @@ func ExtCube(o Options) (*Figure, error) {
 		Title:  "3-D mesh allocation quality under churn (8x8x8, sizes 4-48)",
 		Tables: []Table{t},
 		Notes: []string{
-			"hilbert3 is the multidimensional Hilbert indexing (Skilling construction)",
+			"hilbert is the multidimensional Hilbert indexing (Skilling construction), scurve the 3-D snake",
 			"the 2-D conclusion carries over: curve choice dominates allocation compactness",
 		},
 	}, nil
@@ -316,6 +340,9 @@ func AllExtensionIDs() []string {
 
 // ExtensionByID returns the named extension experiment.
 func ExtensionByID(id string, o Options) (*Figure, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	switch id {
 	case "ext-contiguous":
 		return ExtContiguous(o)

@@ -106,6 +106,36 @@ func TestExtensionByID(t *testing.T) {
 	}
 }
 
+// TestExtCubeRanksCurves checks the 3-D churn study: four rows, and the
+// Hilbert curve and both shell-scoring allocators allocate more
+// compactly than the 3-D snake.
+func TestExtCubeRanksCurves(t *testing.T) {
+	fig, err := ExtCube(quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := fig.Tables[0].Rows
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
+	}
+	spread := map[string]float64{}
+	for _, row := range rows {
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", row[0], err)
+		}
+		if row[2] == "0" {
+			t.Fatalf("%s made no allocations", row[0])
+		}
+		spread[row[0]] = v
+	}
+	for _, spec := range []string{"hilbert", "mc1x1", "genalg"} {
+		if spread[spec] >= spread["scurve"] {
+			t.Errorf("%s (%.3f) should beat scurve (%.3f)", spec, spread[spec], spread["scurve"])
+		}
+	}
+}
+
 func TestExtCube3DStructure(t *testing.T) {
 	fig, err := ExtCube3D(quickOpt())
 	if err != nil {

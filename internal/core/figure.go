@@ -185,6 +185,18 @@ type Options struct {
 	Scheduler string
 }
 
+// check rejects a negative trace length or replication count; zero
+// selects the default.
+func (o Options) check() error {
+	if o.Jobs < 0 {
+		return fmt.Errorf("core: Jobs must be >= 0, got %d", o.Jobs)
+	}
+	if o.Replications < 0 {
+		return fmt.Errorf("core: Replications must be >= 0, got %d", o.Replications)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.Jobs == 0 {
 		o.Jobs = 1500

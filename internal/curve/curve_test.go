@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func isPermutation(t *testing.T, order []int, n int) {
@@ -188,11 +189,11 @@ func TestLocalityOfSquareCurves(t *testing.T) {
 // windowSpread returns the mean pairwise Manhattan distance of consecutive
 // rank windows of length k — the clustering property (Moon et al.) that
 // makes space-filling curves good page orderings.
-func windowSpread(order []int, w, h, k int) float64 {
-	m := mesh.New(w, h)
+func windowSpread(order, dims []int, k int) float64 {
+	g := topo.New(dims)
 	total, windows := 0.0, 0
 	for start := 0; start+k <= len(order); start += k {
-		total += m.AvgPairwiseDist(order[start : start+k])
+		total += g.AvgPairwiseDist(order[start : start+k])
 		windows++
 	}
 	return total / float64(windows)
@@ -202,13 +203,20 @@ func TestHilbertClustersBetterThanSCurve(t *testing.T) {
 	// A window of 16 consecutive ranks is a compact blob under Hilbert
 	// and H-indexing but a long line segment under the s-curve, so the
 	// fractal curves have smaller mean pairwise distance per window.
-	snake := windowSpread(SCurve{}.Order(32, 32), 32, 32, 16)
+	dims := []int{32, 32}
+	snake := windowSpread(SCurve{}.Order(32, 32), dims, 16)
 	for _, name := range []string{"hilbert", "hindex"} {
 		c, _ := ByName(name)
-		spread := windowSpread(c.Order(32, 32), 32, 32, 16)
+		spread := windowSpread(c.Order(32, 32), dims, 16)
 		if spread >= snake {
 			t.Errorf("%s window spread %.2f should beat s-curve %.2f", name, spread, snake)
 		}
+	}
+	// The same holds for the n-D Hilbert curve against the 3-D snake.
+	dims = []int{8, 8, 8}
+	h := windowSpread(Hilbert{}.OrderDims(dims), dims, 16)
+	if s := windowSpread(SCurve{}.OrderDims(dims), dims, 16); h >= s {
+		t.Errorf("3-D hilbert window spread %.2f should beat 3-D s-curve %.2f", h, s)
 	}
 }
 

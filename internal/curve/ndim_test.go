@@ -21,7 +21,7 @@ func isPermutationOfSize(t *testing.T, order []int, n int) {
 }
 
 func TestOrderDimsArePermutations(t *testing.T) {
-	dimsCases := [][]int{{4, 4, 4}, {3, 5, 2}, {8, 8, 8}, {2, 3, 4, 2}, {5, 7}}
+	dimsCases := [][]int{{4, 4, 4}, {3, 5, 2}, {3, 5, 4}, {8, 8, 8}, {2, 3, 4, 2}, {5, 7}}
 	for _, c := range []Curve{RowMajor{}, SCurve{}, Hilbert{}, ZOrder{}, Projected{Inner: Hilbert{}}, Projected{Inner: SCurve{}}} {
 		dc := c.(DimCurve)
 		for _, dims := range dimsCases {
@@ -51,22 +51,125 @@ func TestOrderDims2DMatchesOrder(t *testing.T) {
 	}
 }
 
-func TestSnakeNDIsHamiltonianPath(t *testing.T) {
-	g := topo.New([]int{3, 4, 5, 2})
-	order := SCurve{}.OrderDims([]int{3, 4, 5, 2})
+// isHamiltonianPath checks that order visits every node of dims once,
+// each step to a grid neighbour.
+func isHamiltonianPath(t *testing.T, name string, dims, order []int) {
+	t.Helper()
+	g := topo.New(dims)
+	isPermutationOfSize(t, order, g.Size())
 	for i := 1; i < len(order); i++ {
 		if g.Dist(order[i-1], order[i]) != 1 {
-			t.Fatalf("4-D snake breaks adjacency at rank %d", i)
+			t.Fatalf("%s %v breaks adjacency at rank %d", name, dims, i)
 		}
 	}
 }
 
+func TestSnakeNDIsHamiltonianPath(t *testing.T) {
+	for _, dims := range [][]int{{3, 4, 5, 2}, {2, 2, 2}, {4, 4, 4}, {3, 5, 2}, {4, 3, 6}} {
+		isHamiltonianPath(t, "snake", dims, SCurve{}.OrderDims(dims))
+	}
+}
+
 func TestHilbertNDCubeIsHamiltonianPath(t *testing.T) {
-	g := topo.New([]int{8, 8, 8})
-	order := Hilbert{}.OrderDims([]int{8, 8, 8})
-	for i := 1; i < len(order); i++ {
-		if g.Dist(order[i-1], order[i]) != 1 {
-			t.Fatalf("3-D hilbert breaks adjacency at rank %d", i)
+	for _, n := range []int{2, 4, 8, 16} {
+		dims := []int{n, n, n}
+		isHamiltonianPath(t, "hilbert", dims, Hilbert{}.OrderDims(dims))
+	}
+}
+
+// legacySnake3 and legacyHilbert3 are literal transcriptions of the
+// self-contained 3-D constructions that preceded the n-D curves. Ids
+// are dense in x-fastest order, as on topo.Grid.
+
+func legacySnake3(w, h, d int) []int {
+	order := make([]int, 0, w*h*d)
+	for z := 0; z < d; z++ {
+		for yi := 0; yi < h; yi++ {
+			y := yi
+			if z%2 == 1 {
+				y = h - 1 - yi
+			}
+			for xi := 0; xi < w; xi++ {
+				x := xi
+				if (yi+z*h)%2 == 1 {
+					x = w - 1 - xi
+				}
+				order = append(order, (z*h+y)*w+x)
+			}
+		}
+	}
+	return order
+}
+
+func legacyHilbert3(w, h, d int) []int {
+	point := func(n, idx int) [3]int {
+		const dims = 3
+		b := 0
+		for 1<<uint(b) < n {
+			b++
+		}
+		var x [dims]uint32
+		for lvl := 0; lvl < b; lvl++ {
+			for i := 0; i < dims; i++ {
+				if idx>>(uint(dims*lvl+(dims-1-i)))&1 == 1 {
+					x[i] |= 1 << uint(lvl)
+				}
+			}
+		}
+		t := x[dims-1] >> 1
+		for i := dims - 1; i > 0; i-- {
+			x[i] ^= x[i-1]
+		}
+		x[0] ^= t
+		for q := uint32(2); q != uint32(n); q <<= 1 {
+			p := q - 1
+			for i := dims - 1; i >= 0; i-- {
+				if x[i]&q != 0 {
+					x[0] ^= p
+				} else {
+					t := (x[0] ^ x[i]) & p
+					x[0] ^= t
+					x[i] ^= t
+				}
+			}
+		}
+		return [3]int{int(x[0]), int(x[1]), int(x[2])}
+	}
+	n := 2
+	for n < w || n < h || n < d {
+		n *= 2
+	}
+	order := make([]int, 0, w*h*d)
+	for idx := 0; idx < n*n*n; idx++ {
+		p := point(n, idx)
+		if p[0] < w && p[1] < h && p[2] < d {
+			order = append(order, (p[2]*h+p[1])*w+p[0])
+		}
+	}
+	return order
+}
+
+// TestOrderDims3DMatchesLegacy pins the n-D snake and Hilbert curves on
+// 3-D grids, truncated ones included, to the legacy constructions.
+func TestOrderDims3DMatchesLegacy(t *testing.T) {
+	for _, dims := range [][]int{{2, 2, 2}, {4, 4, 4}, {8, 8, 8}, {3, 5, 2}, {4, 3, 6}, {5, 7, 3}} {
+		w, h, d := dims[0], dims[1], dims[2]
+		for _, tc := range []struct {
+			name      string
+			got, want []int
+		}{
+			{"snake", SCurve{}.OrderDims(dims), legacySnake3(w, h, d)},
+			{"hilbert", Hilbert{}.OrderDims(dims), legacyHilbert3(w, h, d)},
+		} {
+			if len(tc.got) != len(tc.want) {
+				t.Fatalf("%s %v: length %d vs legacy %d", tc.name, dims, len(tc.got), len(tc.want))
+			}
+			for i := range tc.got {
+				if tc.got[i] != tc.want[i] {
+					t.Fatalf("%s %v diverges from legacy at rank %d: %d vs %d",
+						tc.name, dims, i, tc.got[i], tc.want[i])
+				}
+			}
 		}
 	}
 }

@@ -251,13 +251,6 @@ func (m *Mesh) AppendNodes(ids []int, s Submesh) []int {
 	return m.g.AppendNodes(ids, box(s))
 }
 
-// CenteredSubmesh returns the W x H submesh "centered" on c in the MC
-// sense: c is placed at the integer center cell (W/2, H/2 from the origin,
-// rounding down).
-func CenteredSubmesh(c Point, w, h int) Submesh {
-	return Submesh{Origin: Point{c.X - w/2, c.Y - h/2}, W: w, H: h}
-}
-
 // Shell returns the ids of the nodes on m in shell k around the W x H
 // submesh centered on c: shell 0 is the submesh itself, shell k>0 is the
 // border ring of the (W+2k) x (H+2k) submesh. This matches the growth rule

@@ -264,6 +264,12 @@ type Engine struct {
 // and the clock at zero.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if !(cfg.Load > 0) || math.IsInf(cfg.Load, 1) {
+		return nil, fmt.Errorf("sim: Load must be positive and finite, got %v", cfg.Load)
+	}
+	if !(cfg.TimeScale > 0) || math.IsInf(cfg.TimeScale, 1) {
+		return nil, fmt.Errorf("sim: TimeScale must be positive and finite, got %v", cfg.TimeScale)
+	}
 	dims := cfg.dims()
 	if err := topo.CheckDims(dims); err != nil {
 		return nil, fmt.Errorf("sim: machine %v: %w", dims, err)

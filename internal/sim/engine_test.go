@@ -213,6 +213,32 @@ func TestNewEngineRejectsShapes(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsRates: a Load or TimeScale that is not positive
+// and finite after defaults is an error from NewEngine, not a run that
+// reports negative or undefined times.
+func TestNewEngineRejectsRates(t *testing.T) {
+	for _, tc := range []struct {
+		load, scale float64
+		ok          bool
+	}{
+		{0, 0, true}, // both default to 1
+		{0.2, 0.02, true},
+		{-1, 0.02, false},
+		{math.NaN(), 0.02, false},
+		{math.Inf(1), 0.02, false},
+		{math.Inf(-1), 0.02, false},
+		{1, -1, false},
+		{1, math.NaN(), false},
+		{1, math.Inf(1), false},
+	} {
+		cfg := baseConfig()
+		cfg.Load, cfg.TimeScale = tc.load, tc.scale
+		if _, err := NewEngine(cfg); (err == nil) != tc.ok {
+			t.Errorf("Load %v TimeScale %v: err %v, want ok=%v", tc.load, tc.scale, err, tc.ok)
+		}
+	}
+}
+
 // TestEngineRunSourcePoisson drives the engine from an unbounded
 // Poisson source under a horizon, the canonical open-system run.
 func TestEngineRunSourcePoisson(t *testing.T) {

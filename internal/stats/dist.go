@@ -164,6 +164,3 @@ func (d *DiscreteDist) CV() float64 {
 	}
 	return math.Sqrt(v) / d.mean
 }
-
-// Values returns the support of the distribution.
-func (d *DiscreteDist) Values() []int { return append([]int(nil), d.values...) }

@@ -44,17 +44,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(cnt), cnt: cnt, seed: seed}
 }
 
-// NewRNGAt returns a generator seeded with seed and fast-forwarded to
-// stream position pos (the value of Pos on the generator being
-// restored).
-func NewRNGAt(seed int64, pos uint64) *RNG {
-	g := NewRNG(seed)
-	for g.cnt.n < pos {
-		g.cnt.Int63()
-	}
-	return g
-}
-
 // Seed returns the seed the generator was created with.
 func (g *RNG) Seed() int64 { return g.seed }
 

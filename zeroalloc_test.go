@@ -310,48 +310,6 @@ func TestBinpackIntervalScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIncrementalMCSteadyStateAllocs pins the cached MC scorer's steady
-// state — the same-size churn where score reuse actually pays — at one
-// allocation per Allocate/Release cycle: the cache arrays are persistent
-// after warm-up, and store/invalidate must not generate garbage.
-func TestIncrementalMCSteadyStateAllocs(t *testing.T) {
-	for _, dims := range [][]int{{32, 32}, {16, 16, 16}} {
-		t.Run(fmt.Sprint(dims), func(t *testing.T) {
-			g := topo.New(dims)
-			a := alloc.NewMC(g)
-			var live [][]int
-			for a.NumFree() > g.Size()/3 {
-				ids, err := a.Allocate(alloc.Request{Size: 1 + len(live)%29})
-				if err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, ids)
-			}
-			for i := 0; i < len(live); i += 4 {
-				a.Release(live[i])
-			}
-			// Warm the cache arrays and scratch at the steady-state size.
-			for i := 0; i < 3; i++ {
-				ids, err := a.Allocate(alloc.Request{Size: 48})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Release(ids)
-			}
-			n := testing.AllocsPerRun(30, func() {
-				ids, err := a.Allocate(alloc.Request{Size: 48})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Release(ids)
-			})
-			if n > 1 {
-				t.Fatalf("cached MC Allocate+Release allocates %.1f objects/run, want <= 1", n)
-			}
-		})
-	}
-}
-
 // TestGridWalkersZeroAlloc pins the dimension-generic route, shell and
 // ring walkers at zero allocations on 2-D and 3-D grids alike.
 func TestGridWalkersZeroAlloc(t *testing.T) {
