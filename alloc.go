@@ -4,14 +4,16 @@ import (
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/comm"
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
-// Mesh is a 2-D mesh machine description.
-type Mesh = mesh.Mesh
+// Mesh is a machine description: the grid the simulator runs on. NewMesh
+// builds the 2-D meshes of the paper; Dim(0) is the width and Dim(1) the
+// height.
+type Mesh = topo.Grid
 
 // NewMesh returns a width x height mesh.
-func NewMesh(width, height int) *Mesh { return mesh.New(width, height) }
+func NewMesh(width, height int) *Mesh { return topo.New([]int{width, height}) }
 
 // Allocator assigns processor sets to jobs; see the alloc package.
 type Allocator = alloc.Allocator
@@ -22,7 +24,7 @@ type AllocRequest = alloc.Request
 // NewAllocator builds the allocator named by spec ("mc", "mc1x1",
 // "genalg", "random", "<curve>", or "<curve>/<strategy>") over m.
 func NewAllocator(m *Mesh, spec string, seed int64) (Allocator, error) {
-	return alloc.Spec(m.Grid(), spec, seed)
+	return alloc.Spec(m, spec, seed)
 }
 
 func allocSpecs() []string { return alloc.Specs() }

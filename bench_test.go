@@ -18,7 +18,6 @@ import (
 	"meshalloc/internal/core"
 	"meshalloc/internal/curve"
 	"meshalloc/internal/fault"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/sim"
 	"meshalloc/internal/topo"
@@ -474,10 +473,10 @@ func BenchmarkAllocateParallel(b *testing.B) {
 // --- Micro-benchmarks of the substrates ---
 
 func BenchmarkAllocate(b *testing.B) {
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	for _, spec := range alloc.Specs() {
 		b.Run(spec, func(b *testing.B) {
-			a, err := alloc.Spec(m.Grid(), spec, 1)
+			a, err := alloc.Spec(m, spec, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -766,8 +765,8 @@ func BenchmarkFaultStream(b *testing.B) {
 }
 
 func BenchmarkNetworkSend(b *testing.B) {
-	m := mesh.New(16, 22)
-	n := netsim.New(m.Grid(), netsim.DefaultConfig())
+	m := topo.New([]int{16, 22})
+	n := netsim.New(m, netsim.DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Send(i%m.Size(), (i*7+13)%m.Size(), float64(i))

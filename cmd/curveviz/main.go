@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"meshalloc/internal/curve"
+	"meshalloc/internal/topo"
 )
 
 func main() {
@@ -28,11 +29,15 @@ func main() {
 		return
 	}
 
-	var w, h int
-	if _, err := fmt.Sscanf(*meshSpec, "%dx%d", &w, &h); err != nil || w <= 0 || h <= 0 {
-		fmt.Fprintf(os.Stderr, "curveviz: bad mesh spec %q\n", *meshSpec)
+	dims, err := topo.ParseDims(*meshSpec)
+	if err == nil && len(dims) != 2 {
+		err = fmt.Errorf("bad mesh spec %q: curves render on 2-D meshes, want WxH", *meshSpec)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "curveviz: %v\n", err)
 		os.Exit(1)
 	}
+	w, h := dims[0], dims[1]
 	c, err := curve.ByName(*name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "curveviz: %v\nvalid -curve values: %s (or proj2d-<curve>)\n",

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain runs main instead of the tests when MESHALLOC_RUN_MAIN is set,
+// so a test can run the command in a child process and observe its exit
+// status.
+func TestMain(m *testing.M) {
+	if os.Getenv("MESHALLOC_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit status, standard output and standard error.
+func runMain(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MESHALLOC_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+}
+
+// TestRejectsBadMeshSpecs: a -mesh value that is not a buildable 2-D
+// shape exits with status 1 and a usage message, and renders nothing.
+// Trailing junk, a third extent and an extent too large for a grid are
+// all rejected.
+func TestRejectsBadMeshSpecs(t *testing.T) {
+	for _, spec := range []string{"16x22junk", "4x4x4", "100000x100000"} {
+		code, stdout, stderr := runMain(t, "-mesh", spec)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "bad mesh spec") {
+			t.Errorf("curveviz -mesh %s: exit %d, stdout %q, stderr %q; want exit 1, no output and a usage message",
+				spec, code, stdout, stderr)
+		}
+	}
+	code, stdout, stderr := runMain(t, "-mesh", "4x3")
+	if code != 0 || !strings.HasPrefix(stdout, "hilbert on 4x3:") {
+		t.Errorf("curveviz -mesh 4x3: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}

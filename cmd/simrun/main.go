@@ -29,7 +29,6 @@ import (
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/curve"
 	"meshalloc/internal/fault"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/metrics"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/sched"
@@ -292,7 +291,12 @@ func main() {
 		if len(dims) != 2 {
 			fatal(fmt.Errorf("-dispersal supports 2-D meshes only (got %s)", *meshSpec))
 		}
-		m := meshForDims(dims[0], dims[1], *torus)
+		var m *topo.Grid
+		if *torus {
+			m = topo.NewTorus(dims)
+		} else {
+			m = topo.New(dims)
+		}
 		ms := make([]metrics.Dispersal, len(res.Records))
 		sizes := make([]int, len(res.Records))
 		for i, r := range res.Records {
@@ -635,13 +639,6 @@ func renderHeatmap(util []float64, w, h int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func meshForDims(w, h int, torus bool) *mesh.Mesh {
-	if torus {
-		return mesh.NewTorus(w, h)
-	}
-	return mesh.New(w, h)
 }
 
 // allocUsage lists the valid -alloc spec forms and the registry names

@@ -25,7 +25,6 @@ import (
 	"meshalloc/internal/binpack"
 	"meshalloc/internal/curve"
 	"meshalloc/internal/curveopt"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/occupancy"
 	"meshalloc/internal/stats"
 	"meshalloc/internal/topo"
@@ -169,7 +168,7 @@ func Spec(g *topo.Grid, spec string, seed int64) (Allocator, error) {
 		if g.ND() != 2 {
 			return nil, fmt.Errorf("alloc: submesh allocation requires a 2-D mesh, got %d-D", g.ND())
 		}
-		return NewSubmeshFirstFit(mesh.FromGrid(g)), nil
+		return NewSubmeshFirstFit(g), nil
 	case "buddy":
 		if g.ND() != 2 {
 			return nil, fmt.Errorf("alloc: buddy requires a 2-D mesh, got %d-D", g.ND())
@@ -178,7 +177,7 @@ func Spec(g *topo.Grid, spec string, seed int64) (Allocator, error) {
 			return nil, fmt.Errorf("alloc: buddy requires a square power-of-two mesh, got %dx%d",
 				g.Dim(0), g.Dim(1))
 		}
-		return NewBuddy(mesh.FromGrid(g)), nil
+		return NewBuddy(g), nil
 	}
 	parts := strings.Split(spec, "/")
 	var c curve.Curve

@@ -7,15 +7,14 @@ import (
 
 	"meshalloc/internal/binpack"
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/topo"
 )
 
-func allAllocators(t *testing.T, m *mesh.Mesh) []Allocator {
+func allAllocators(t *testing.T, m *topo.Grid) []Allocator {
 	t.Helper()
 	var as []Allocator
 	for _, spec := range append(Fig11Specs(), "random") {
-		a, err := Spec(m.Grid(), spec, 1)
+		a, err := Spec(m, spec, 1)
 		if err != nil {
 			t.Fatalf("Spec(%q): %v", spec, err)
 		}
@@ -25,9 +24,9 @@ func allAllocators(t *testing.T, m *mesh.Mesh) []Allocator {
 }
 
 func TestSpecNames(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	for _, spec := range append(Fig11Specs(), "random") {
-		a, err := Spec(m.Grid(), spec, 1)
+		a, err := Spec(m, spec, 1)
 		if err != nil {
 			t.Fatalf("Spec(%q): %v", spec, err)
 		}
@@ -35,10 +34,10 @@ func TestSpecNames(t *testing.T) {
 			t.Errorf("Spec(%q).Name() = %q", spec, a.Name())
 		}
 	}
-	if _, err := Spec(m.Grid(), "nope", 1); err == nil {
+	if _, err := Spec(m, "nope", 1); err == nil {
 		t.Error("unknown spec should fail")
 	}
-	if _, err := Spec(m.Grid(), "hilbert/nope", 1); err == nil {
+	if _, err := Spec(m, "hilbert/nope", 1); err == nil {
 		t.Error("unknown strategy should fail")
 	}
 }
@@ -71,7 +70,7 @@ func TestRequestShape(t *testing.T) {
 // count, all free beforehand, no duplicates, and full recovery on
 // release.
 func TestAllocateInvariants(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	for _, a := range allAllocators(t, m) {
 		busy := map[int]bool{}
 		var live [][]int
@@ -109,7 +108,7 @@ func TestAllocateInvariants(t *testing.T) {
 }
 
 func TestAllocateErrors(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	for _, a := range allAllocators(t, m) {
 		if _, err := a.Allocate(Request{Size: 17}); err != ErrInsufficient {
 			t.Errorf("%s: oversize error = %v", a.Name(), err)
@@ -121,7 +120,7 @@ func TestAllocateErrors(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	for _, a := range allAllocators(t, m) {
 		if _, err := a.Allocate(Request{Size: 10}); err != nil {
 			t.Fatal(err)
@@ -134,9 +133,9 @@ func TestReset(t *testing.T) {
 }
 
 func TestPagingFreeListOnEmptyMeshIsCurvePrefix(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	c := curve.Hilbert{}
-	a := NewPaging(m.Grid(), c, binpack.FreeList)
+	a := NewPaging(m, c, binpack.FreeList)
 	ids, err := a.Allocate(Request{Size: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +153,8 @@ func TestPagingFreeListOnEmptyMeshIsCurvePrefix(t *testing.T) {
 }
 
 func TestMCAllocatesRequestedShapeOnEmptyMesh(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewMC(m.Grid())
+	m := topo.New([]int{8, 8})
+	a := NewMC(m)
 	ids, err := a.Allocate(Request{Size: 6, ShapeW: 3, ShapeH: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +170,8 @@ func TestMCAllocatesRequestedShapeOnEmptyMesh(t *testing.T) {
 }
 
 func TestMC1x1CompactOnEmptyMesh(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewMC1x1(m.Grid())
+	m := topo.New([]int{8, 8})
+	a := NewMC1x1(m)
 	ids, err := a.Allocate(Request{Size: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +187,8 @@ func TestMC1x1CompactOnEmptyMesh(t *testing.T) {
 }
 
 func TestGenAlgPicksCompactSet(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewGenAlg(m.Grid())
+	m := topo.New([]int{8, 8})
+	a := NewGenAlg(m)
 	ids, err := a.Allocate(Request{Size: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +211,9 @@ func TestGenAlgPicksCompactSet(t *testing.T) {
 func TestGenAlgApproximationProperty(t *testing.T) {
 	// Gen-Alg is a (2 - 2/k)-approximation for total pairwise distance.
 	// Verify against brute force on a small mesh with random busy sets.
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	f := func(mask uint16, kRaw uint8) bool {
-		a := NewGenAlg(m.Grid())
+		a := NewGenAlg(m)
 		var busy []int
 		for i := 0; i < 16; i++ {
 			if mask&(1<<uint(i)) != 0 {
@@ -252,7 +251,7 @@ func TestGenAlgApproximationProperty(t *testing.T) {
 
 // bruteBest exhaustively finds the minimum total pairwise distance over
 // all k-subsets of the given free nodes.
-func bruteBest(m *mesh.Mesh, free []int, k int) int {
+func bruteBest(m *topo.Grid, free []int, k int) int {
 	best := -1
 	var rec func(start int, chosen []int)
 	rec = func(start int, chosen []int) {
@@ -271,32 +270,32 @@ func bruteBest(m *mesh.Mesh, free []int, k int) int {
 	return best
 }
 
-func bounds(m *mesh.Mesh, ids []int) (w, h int) {
-	minX, minY := m.Width(), m.Height()
+func bounds(m *topo.Grid, ids []int) (w, h int) {
+	minX, minY := m.Dim(0), m.Dim(1)
 	maxX, maxY := 0, 0
 	for _, id := range ids {
 		p := m.Coord(id)
-		if p.X < minX {
-			minX = p.X
+		if p[0] < minX {
+			minX = p[0]
 		}
-		if p.Y < minY {
-			minY = p.Y
+		if p[1] < minY {
+			minY = p[1]
 		}
-		if p.X > maxX {
-			maxX = p.X
+		if p[0] > maxX {
+			maxX = p[0]
 		}
-		if p.Y > maxY {
-			maxY = p.Y
+		if p[1] > maxY {
+			maxY = p[1]
 		}
 	}
 	return maxX - minX + 1, maxY - minY + 1
 }
 
 func TestRingEnumeration(t *testing.T) {
-	m := mesh.New(9, 9)
-	c := mesh.Point{X: 4, Y: 4}
+	m := topo.New([]int{9, 9})
+	c := topo.XY(4, 4)
 	for r := 0; r <= 8; r++ {
-		ids := m.Grid().Ring(topo.Point{c.X, c.Y}, r)
+		ids := m.Ring(c, r)
 		seen := map[int]bool{}
 		for _, id := range ids {
 			if m.Coord(id).Manhattan(c) != r {
@@ -311,17 +310,17 @@ func TestRingEnumeration(t *testing.T) {
 			t.Fatalf("interior ring %d has %d nodes, want %d", r, len(ids), 4*r)
 		}
 	}
-	if got := m.Grid().Ring(topo.Point{c.X, c.Y}, 0); len(got) != 1 || got[0] != m.ID(c) {
+	if got := m.Ring(c, 0); len(got) != 1 || got[0] != m.ID(c) {
 		t.Fatalf("ring 0 = %v", got)
 	}
 }
 
 func TestRingsCoverMesh(t *testing.T) {
-	m := mesh.New(5, 7)
-	c := mesh.Point{X: 0, Y: 6}
+	m := topo.New([]int{5, 7})
+	c := topo.XY(0, 6)
 	seen := map[int]bool{}
 	for r := 0; r <= 12; r++ {
-		for _, id := range m.Grid().Ring(topo.Point{c.X, c.Y}, r) {
+		for _, id := range m.Ring(c, r) {
 			if seen[id] {
 				t.Fatalf("node %d in two rings", id)
 			}
@@ -334,9 +333,9 @@ func TestRingsCoverMesh(t *testing.T) {
 }
 
 func TestRandomAllocatorIsDeterministicPerSeed(t *testing.T) {
-	m := mesh.New(8, 8)
-	a1 := NewRandom(m.Grid(), 42)
-	a2 := NewRandom(m.Grid(), 42)
+	m := topo.New([]int{8, 8})
+	a1 := NewRandom(m, 42)
+	a2 := NewRandom(m, 42)
 	ids1, _ := a1.Allocate(Request{Size: 10})
 	ids2, _ := a2.Allocate(Request{Size: 10})
 	sort.Ints(ids1)
@@ -352,11 +351,11 @@ func TestMCPrefersCompactOverFragmented(t *testing.T) {
 	// Occupy a column splitting the mesh, leaving a 3-wide and a 4-wide
 	// region. MC1x1 asked for 9 should stay within one region rather
 	// than straddling the wall when possible.
-	m := mesh.New(8, 8)
-	a := NewMC1x1(m.Grid())
+	m := topo.New([]int{8, 8})
+	a := NewMC1x1(m)
 	var wall []int
 	for y := 0; y < 8; y++ {
-		wall = append(wall, m.ID(mesh.Point{X: 3, Y: y}))
+		wall = append(wall, m.ID(topo.XY(3, y)))
 	}
 	a.take(wall)
 	ids, err := a.Allocate(Request{Size: 9})
@@ -365,7 +364,7 @@ func TestMCPrefersCompactOverFragmented(t *testing.T) {
 	}
 	left, right := 0, 0
 	for _, id := range ids {
-		if m.Coord(id).X < 3 {
+		if m.Coord(id)[0] < 3 {
 			left++
 		} else {
 			right++

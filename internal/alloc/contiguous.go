@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/occupancy"
+	"meshalloc/internal/topo"
 )
 
 // The paper's Section 2 recounts that initial processor-allocation
@@ -19,8 +19,7 @@ import (
 // SubmeshFirstFit is Zhu's first-fit submesh allocation: scan anchor
 // positions in row-major order and allocate the first fully-free
 // submesh of the request's shape (trying both orientations). It is
-// inherently two-dimensional and keeps a mesh view beside the generic
-// busy tracker.
+// inherently two-dimensional: axis 0 of its grid is x, axis 1 is y.
 //
 // The free-box search is word-parallel: each mesh row keeps a free
 // bitmask, a per-row RunMask marks every x where a horizontal run of the
@@ -30,7 +29,6 @@ import (
 // instruction.
 type SubmeshFirstFit struct {
 	tracker
-	m *mesh.Mesh
 	// rowBits holds one free bitmask per mesh row (bit x of row y set =
 	// node (x,y) free), ww words per row; rmBuf is the per-row run-mask
 	// scratch of findFree.
@@ -39,24 +37,34 @@ type SubmeshFirstFit struct {
 	rmBuf   []uint64
 }
 
-// NewSubmeshFirstFit returns a first-fit contiguous submesh allocator.
-func NewSubmeshFirstFit(m *mesh.Mesh) *SubmeshFirstFit {
+// NewSubmeshFirstFit returns a first-fit contiguous submesh allocator
+// over the 2-D grid g. It panics when g is not 2-D.
+func NewSubmeshFirstFit(g *topo.Grid) *SubmeshFirstFit {
+	need2D(g, "submesh first fit")
 	a := &SubmeshFirstFit{
-		tracker: newTracker(m.Grid()),
-		m:       m,
-		ww:      (m.Width() + 63) >> 6,
+		tracker: newTracker(g),
+		ww:      (g.Dim(0) + 63) >> 6,
 	}
-	a.rowBits = make([]uint64, m.Height()*a.ww)
-	a.rmBuf = make([]uint64, m.Height()*a.ww)
+	a.rowBits = make([]uint64, g.Dim(1)*a.ww)
+	a.rmBuf = make([]uint64, g.Dim(1)*a.ww)
 	a.fillRowBits()
 	return a
 }
 
+// need2D panics unless g is 2-D: the contiguous allocators' callers gate
+// on the grid's dimensionality (Spec returns an error instead).
+func need2D(g *topo.Grid, what string) {
+	if g.ND() != 2 {
+		panic(fmt.Sprintf("alloc: %s needs a 2-D grid, got %d-D", what, g.ND()))
+	}
+}
+
 // fillRowBits marks every node free in the row bitmasks, keeping pad bits
-// past Width() clear so runs can never extend across a row boundary.
+// past the grid's width clear so runs can never extend across a row
+// boundary.
 func (a *SubmeshFirstFit) fillRowBits() {
-	w := a.m.Width()
-	for y := 0; y < a.m.Height(); y++ {
+	w := a.g.Dim(0)
+	for y := 0; y < a.g.Dim(1); y++ {
 		row := a.rowBits[y*a.ww : (y+1)*a.ww]
 		for i := range row {
 			row[i] = ^uint64(0)
@@ -169,7 +177,7 @@ func (a *SubmeshFirstFit) candidateShapes(req Request) [][2]int {
 	seen := map[[2]int]bool{}
 	add := func(w, h int) {
 		s := [2]int{w, h}
-		if w >= 1 && h >= 1 && w <= a.m.Width() && h <= a.m.Height() && w*h >= req.Size && !seen[s] {
+		if w >= 1 && h >= 1 && w <= a.g.Dim(0) && h <= a.g.Dim(1) && w*h >= req.Size && !seen[s] {
 			seen[s] = true
 			shapes = append(shapes, s)
 		}
@@ -177,7 +185,7 @@ func (a *SubmeshFirstFit) candidateShapes(req Request) [][2]int {
 	w, h := req.Shape()
 	add(w, h)
 	add(h, w)
-	for hh := 1; hh <= a.m.Height(); hh++ {
+	for hh := 1; hh <= a.g.Dim(1); hh++ {
 		add((req.Size+hh-1)/hh, hh)
 	}
 	// Most-square first so allocations stay compact when possible.
@@ -201,15 +209,15 @@ func abs(v int) int {
 // findFree returns the first size processors of the first fully-free
 // w x h submesh in row-major anchor order, or nil.
 func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
-	if w > a.m.Width() || h > a.m.Height() {
+	if w > a.g.Dim(0) || h > a.g.Dim(1) {
 		return nil
 	}
 	// Per-row run masks: bit x of row y set iff cells (x..x+w-1, y) are
 	// all free. Pad bits are clear, so no run crosses the right edge.
-	for y := 0; y < a.m.Height(); y++ {
+	for y := 0; y < a.g.Dim(1); y++ {
 		occupancy.RunMask(a.rmBuf[y*a.ww:(y+1)*a.ww], a.rowBits[y*a.ww:(y+1)*a.ww], w)
 	}
-	for y := 0; y+h <= a.m.Height(); y++ {
+	for y := 0; y+h <= a.g.Dim(1); y++ {
 		for wi := 0; wi < a.ww; wi++ {
 			v := a.rmBuf[y*a.ww+wi]
 			for dy := 1; dy < h && v != 0; dy++ {
@@ -217,12 +225,16 @@ func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
 			}
 			if v != 0 {
 				x := wi<<6 + bits.TrailingZeros64(v)
-				ids := a.m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x, Y: y}, W: w, H: h})
-				return ids[:size]
+				return a.g.Nodes(rect(x, y, w, h))[:size]
 			}
 		}
 	}
 	return nil
+}
+
+// rect is the w x h box of a 2-D grid whose lowest corner is (x, y).
+func rect(x, y, w, h int) topo.Box {
+	return topo.Box{Origin: topo.XY(x, y), Ext: topo.Point{w, h, 1, 1}}
 }
 
 // Buddy is the two-dimensional buddy system of Li and Cheng: the mesh is
@@ -230,42 +242,36 @@ func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
 // power-of-two square block that covers its request, splitting larger
 // free blocks as needed and coalescing buddies on release. It requires
 // a square mesh whose side is a power of two.
+//
+// Blocks are keyed by the node id of their origin (lowest corner). Ids
+// are row-major, so the smallest (y, x) origin is the smallest id, and a
+// job's first processor is its block's origin.
 type Buddy struct {
-	m    *mesh.Mesh
+	g    *topo.Grid
 	side int
 	// free[level] holds the origins of free blocks of side side>>level,
 	// as a set for O(1) buddy lookups.
-	free    []map[mesh.Point]bool
-	alloced map[mesh.Point]int // origin -> level of live blocks
-	byFirst map[int]mesh.Point // first processor id -> block origin
+	free    []map[int]bool
+	alloced map[int]int // origin -> level of live blocks
 	numFree int
 }
 
-// NewBuddy returns a 2-D buddy allocator over m. It panics unless m is
-// a square power-of-two mesh, the structural requirement of the
+// NewBuddy returns a 2-D buddy allocator over g. It panics unless g is
+// a square power-of-two 2-D grid, the structural requirement of the
 // algorithm.
-func NewBuddy(m *mesh.Mesh) *Buddy {
-	n := m.Width()
-	if m.Height() != n || n&(n-1) != 0 {
+func NewBuddy(g *topo.Grid) *Buddy {
+	need2D(g, "buddy system")
+	n := g.Dim(0)
+	if g.Dim(1) != n || n&(n-1) != 0 {
 		panic(fmt.Sprintf("alloc: buddy system needs a square power-of-two mesh, got %dx%d",
-			m.Width(), m.Height()))
+			g.Dim(0), g.Dim(1)))
 	}
 	levels := 1
 	for s := n; s > 1; s /= 2 {
 		levels++
 	}
-	b := &Buddy{
-		m:       m,
-		side:    n,
-		free:    make([]map[mesh.Point]bool, levels),
-		alloced: map[mesh.Point]int{},
-		byFirst: map[int]mesh.Point{},
-		numFree: m.Size(),
-	}
-	for i := range b.free {
-		b.free[i] = map[mesh.Point]bool{}
-	}
-	b.free[0][mesh.Point{X: 0, Y: 0}] = true
+	b := &Buddy{g: g, side: n, free: make([]map[int]bool, levels)}
+	b.Reset()
 	return b
 }
 
@@ -287,6 +293,18 @@ func (b *Buddy) levelFor(size int) int {
 	return 0
 }
 
+// alignDown returns the origin of the side-s block containing node id.
+func (b *Buddy) alignDown(id, s int) int {
+	x, y := id%b.side, id/b.side
+	return (y&^(s-1))*b.side + x&^(s-1)
+}
+
+// quad returns the origins of the four side-s blocks that split the
+// side-2s block at origin, in row-major order.
+func (b *Buddy) quad(origin, s int) [4]int {
+	return [4]int{origin, origin + s, origin + s*b.side, origin + s*b.side + s}
+}
+
 // Allocate implements Allocator. Jobs receive the first size processors
 // of a square block; the rest of the block is wasted (internal
 // fragmentation), and requests can fail on external fragmentation.
@@ -303,32 +321,31 @@ func (b *Buddy) Allocate(req Request) ([]int, error) {
 		return nil, ErrInsufficient
 	}
 	side := b.blockSide(level)
-	ids := b.m.Nodes(mesh.Submesh{Origin: origin, W: side, H: side})[:req.Size]
+	ids := b.g.Nodes(rect(origin%b.side, origin/b.side, side, side))[:req.Size]
 	b.alloced[origin] = level
-	b.byFirst[b.m.ID(origin)] = origin
 	b.numFree -= side * side
 	return ids, nil
 }
 
 // acquire finds or splits a free block at the level, returning its
 // origin.
-func (b *Buddy) acquire(level int) (mesh.Point, bool) {
+func (b *Buddy) acquire(level int) (int, bool) {
 	if len(b.free[level]) > 0 {
-		origin := smallestPoint(b.free[level])
+		origin := smallestOrigin(b.free[level])
 		delete(b.free[level], origin)
 		return origin, true
 	}
 	if level == 0 {
-		return mesh.Point{}, false
+		return 0, false
 	}
 	parent, ok := b.acquire(level - 1)
 	if !ok {
-		return mesh.Point{}, false
+		return 0, false
 	}
 	// Split the parent: keep the NW child, free the other three.
-	s := b.blockSide(level)
-	for _, d := range []mesh.Point{{X: s, Y: 0}, {X: 0, Y: s}, {X: s, Y: s}} {
-		b.free[level][parent.Add(d)] = true
+	q := b.quad(parent, b.blockSide(level))
+	for _, child := range q[1:] {
+		b.free[level][child] = true
 	}
 	return parent, true
 }
@@ -338,13 +355,11 @@ func (b *Buddy) Release(ids []int) {
 	if len(ids) == 0 {
 		return
 	}
-	first := ids[0]
-	origin, ok := b.byFirst[first]
+	origin := ids[0]
+	level, ok := b.alloced[origin]
 	if !ok {
-		panic(fmt.Sprintf("alloc: buddy release of unknown block at id %d", first))
+		panic(fmt.Sprintf("alloc: buddy release of unknown block at id %d", origin))
 	}
-	level := b.alloced[origin]
-	delete(b.byFirst, first)
 	delete(b.alloced, origin)
 	side := b.blockSide(level)
 	b.numFree += side * side
@@ -353,16 +368,10 @@ func (b *Buddy) Release(ids []int) {
 
 // freeAndCoalesce returns a block to the free lists, merging buddies
 // upward while all four children of a parent are free.
-func (b *Buddy) freeAndCoalesce(origin mesh.Point, level int) {
+func (b *Buddy) freeAndCoalesce(origin, level int) {
 	for level > 0 {
 		s := b.blockSide(level)
-		parent := mesh.Point{X: origin.X &^ (2*s - 1), Y: origin.Y &^ (2*s - 1)}
-		siblings := []mesh.Point{
-			parent,
-			{X: parent.X + s, Y: parent.Y},
-			{X: parent.X, Y: parent.Y + s},
-			{X: parent.X + s, Y: parent.Y + s},
-		}
+		siblings := b.quad(b.alignDown(origin, 2*s), s)
 		allFree := true
 		for _, sib := range siblings {
 			if sib != origin && !b.free[level][sib] {
@@ -376,7 +385,7 @@ func (b *Buddy) freeAndCoalesce(origin mesh.Point, level int) {
 		for _, sib := range siblings {
 			delete(b.free[level], sib)
 		}
-		origin = parent
+		origin = siblings[0]
 		level--
 	}
 	b.free[level][origin] = true
@@ -392,55 +401,51 @@ func (b *Buddy) freeAndCoalesce(origin mesh.Point, level int) {
 // time. It panics on a block that is misaligned or not free — a corrupt
 // snapshot the restore path converts to a typed error.
 func (b *Buddy) Occupy(ids []int) {
-	if len(ids) == 0 || len(ids) > b.m.Size() {
+	if len(ids) == 0 || len(ids) > b.g.Size() {
 		panic(fmt.Sprintf("alloc: buddy occupy of %d ids", len(ids)))
 	}
-	if ids[0] < 0 || ids[0] >= b.m.Size() {
-		panic(fmt.Sprintf("alloc: buddy occupy of invalid id %d", ids[0]))
+	origin := ids[0]
+	if origin < 0 || origin >= b.g.Size() {
+		panic(fmt.Sprintf("alloc: buddy occupy of invalid id %d", origin))
 	}
 	level := b.levelFor(len(ids))
 	s := b.blockSide(level)
-	origin := b.m.Coord(ids[0])
-	if origin.X&(s-1) != 0 || origin.Y&(s-1) != 0 {
-		panic(fmt.Sprintf("alloc: buddy occupy of misaligned block at %v (side %d)", origin, s))
+	if b.alignDown(origin, s) != origin {
+		panic(fmt.Sprintf("alloc: buddy occupy of misaligned block at id %d (side %d)", origin, s))
 	}
 	if _, taken := b.alloced[origin]; taken {
-		panic(fmt.Sprintf("alloc: buddy occupy of allocated block at %v", origin))
+		panic(fmt.Sprintf("alloc: buddy occupy of allocated block at id %d", origin))
 	}
 	// Find the deepest free ancestor containing the block.
-	anc, ancLevel := mesh.Point{}, -1
+	anc, ancLevel := 0, -1
 	for l := level; l >= 0; l-- {
-		S := b.blockSide(l)
-		p := mesh.Point{X: origin.X &^ (S - 1), Y: origin.Y &^ (S - 1)}
-		if b.free[l][p] {
+		if p := b.alignDown(origin, b.blockSide(l)); b.free[l][p] {
 			anc, ancLevel = p, l
 			break
 		}
 	}
 	if ancLevel < 0 {
-		panic(fmt.Sprintf("alloc: buddy occupy with no free block covering %v", origin))
+		panic(fmt.Sprintf("alloc: buddy occupy with no free block covering id %d", origin))
 	}
 	delete(b.free[ancLevel], anc)
 	// Split down to the target level, keeping the child containing the
 	// origin and freeing its three siblings at each step.
 	for l := ancLevel; l < level; l++ {
 		S := b.blockSide(l + 1)
-		keep := mesh.Point{X: origin.X &^ (S - 1), Y: origin.Y &^ (S - 1)}
-		for _, d := range []mesh.Point{{X: 0, Y: 0}, {X: S, Y: 0}, {X: 0, Y: S}, {X: S, Y: S}} {
-			if child := anc.Add(d); child != keep {
+		keep := b.alignDown(origin, S)
+		for _, child := range b.quad(anc, S) {
+			if child != keep {
 				b.free[l+1][child] = true
 			}
 		}
 		anc = keep
 	}
 	b.alloced[origin] = level
-	b.byFirst[b.m.ID(origin)] = origin
 	b.numFree -= s * s
 }
 
 // AuditIndexes implements Auditor: free-block areas must sum to the
-// cached free count, allocated blocks must tile the remainder, and the
-// byFirst index must mirror the allocated set.
+// cached free count, and allocated blocks must tile the remainder.
 func (b *Buddy) AuditIndexes() error {
 	freeArea := 0
 	for l, set := range b.free {
@@ -451,18 +456,12 @@ func (b *Buddy) AuditIndexes() error {
 		return fmt.Errorf("alloc: buddy free blocks cover %d processors, cached numFree %d", freeArea, b.numFree)
 	}
 	allocArea := 0
-	for origin, l := range b.alloced {
+	for _, l := range b.alloced {
 		s := b.blockSide(l)
 		allocArea += s * s
-		if got, ok := b.byFirst[b.m.ID(origin)]; !ok || got != origin {
-			return fmt.Errorf("alloc: buddy block at %v missing from the byFirst index", origin)
-		}
 	}
-	if len(b.byFirst) != len(b.alloced) {
-		return fmt.Errorf("alloc: buddy byFirst holds %d blocks, alloced %d", len(b.byFirst), len(b.alloced))
-	}
-	if freeArea+allocArea != b.m.Size() {
-		return fmt.Errorf("alloc: buddy blocks cover %d of %d processors", freeArea+allocArea, b.m.Size())
+	if freeArea+allocArea != b.g.Size() {
+		return fmt.Errorf("alloc: buddy blocks cover %d of %d processors", freeArea+allocArea, b.g.Size())
 	}
 	return nil
 }
@@ -473,23 +472,20 @@ func (b *Buddy) NumFree() int { return b.numFree }
 // Reset implements Allocator.
 func (b *Buddy) Reset() {
 	for i := range b.free {
-		b.free[i] = map[mesh.Point]bool{}
+		b.free[i] = map[int]bool{}
 	}
-	b.free[0][mesh.Point{X: 0, Y: 0}] = true
-	b.alloced = map[mesh.Point]int{}
-	b.byFirst = map[int]mesh.Point{}
-	b.numFree = b.m.Size()
+	b.free[0][0] = true
+	b.alloced = map[int]int{}
+	b.numFree = b.g.Size()
 }
 
-// smallestPoint returns the lexicographically (y, x) smallest point of a
-// set, keeping buddy allocation deterministic.
-func smallestPoint(set map[mesh.Point]bool) mesh.Point {
-	var best mesh.Point
-	first := true
-	for p := range set {
-		if first || p.Y < best.Y || (p.Y == best.Y && p.X < best.X) {
-			best = p
-			first = false
+// smallestOrigin returns the smallest origin of a set — the (y, x)
+// smallest block — keeping buddy allocation deterministic.
+func smallestOrigin(set map[int]bool) int {
+	best := -1
+	for id := range set {
+		if best < 0 || id < best {
+			best = id
 		}
 	}
 	return best

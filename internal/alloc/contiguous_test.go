@@ -4,11 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func TestSubmeshAllocatesContiguous(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	a := NewSubmeshFirstFit(m)
 	for _, size := range []int{1, 4, 6, 9, 12} {
 		ids, err := a.Allocate(Request{Size: size})
@@ -25,7 +25,7 @@ func TestSubmeshAllocatesContiguous(t *testing.T) {
 func TestSubmeshExternalFragmentation(t *testing.T) {
 	// Occupy a checkerboard of 2x2 blocks so no 3x3 free submesh exists
 	// even though half the mesh is free.
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	a := NewSubmeshFirstFit(m)
 	var wall []int
 	for by := 0; by < 4; by++ {
@@ -33,7 +33,7 @@ func TestSubmeshExternalFragmentation(t *testing.T) {
 			if (bx+by)%2 == 0 {
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
-						wall = append(wall, m.ID(mesh.Point{X: bx*2 + dx, Y: by*2 + dy}))
+						wall = append(wall, m.ID(topo.XY(bx*2+dx, by*2+dy)))
 					}
 				}
 			}
@@ -60,7 +60,7 @@ func TestSubmeshExternalFragmentation(t *testing.T) {
 func TestSubmeshFallbackShapes(t *testing.T) {
 	// 20 processors on a 4x8 mesh: the near-square 5x4 does not fit a
 	// width-4 mesh, but 4x5 (rotation) does.
-	m := mesh.New(4, 8)
+	m := topo.New([]int{4, 8})
 	a := NewSubmeshFirstFit(m)
 	ids, err := a.Allocate(Request{Size: 20})
 	if err != nil {
@@ -77,7 +77,7 @@ func TestSubmeshFallbackShapes(t *testing.T) {
 }
 
 func TestSubmeshShapeCandidatesFitMesh(t *testing.T) {
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	a := NewSubmeshFirstFit(m)
 	f := func(sz uint16) bool {
 		size := int(sz)%352 + 1
@@ -99,25 +99,25 @@ func TestBuddyRequiresSquarePow2(t *testing.T) {
 			t.Fatal("16x22 buddy should panic")
 		}
 	}()
-	NewBuddy(mesh.New(16, 22))
+	NewBuddy(topo.New([]int{16, 22}))
 }
 
 func TestBuddySpecValidation(t *testing.T) {
-	if _, err := Spec(mesh.New(16, 22).Grid(), "buddy", 1); err == nil {
+	if _, err := Spec(topo.New([]int{16, 22}), "buddy", 1); err == nil {
 		t.Fatal("buddy spec on non-square mesh should fail")
 	}
-	a, err := Spec(mesh.New(16, 16).Grid(), "buddy", 1)
+	a, err := Spec(topo.New([]int{16, 16}), "buddy", 1)
 	if err != nil || a.Name() != "buddy" {
 		t.Fatalf("buddy spec: %v, %v", a, err)
 	}
-	s, err := Spec(mesh.New(16, 22).Grid(), "submesh", 1)
+	s, err := Spec(topo.New([]int{16, 22}), "submesh", 1)
 	if err != nil || s.Name() != "submesh" {
 		t.Fatalf("submesh spec: %v, %v", s, err)
 	}
 }
 
 func TestBuddyAllocatesSquareBlocks(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	b := NewBuddy(m)
 	// 5 processors round up to a 4x4 block: 16 processors held.
 	ids, err := b.Allocate(Request{Size: 5})
@@ -140,7 +140,7 @@ func TestBuddyAllocatesSquareBlocks(t *testing.T) {
 }
 
 func TestBuddySplitAndCoalesce(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	b := NewBuddy(m)
 	// Four 4x4 blocks fill the mesh.
 	var live [][]int
@@ -169,7 +169,7 @@ func TestBuddySplitAndCoalesce(t *testing.T) {
 }
 
 func TestBuddyExternalFragmentation(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	b := NewBuddy(m)
 	// Hold three 1-processor jobs: they burn 1x1 blocks out of one 2x2
 	// region but force splits down the tree. Then a 64-proc request
@@ -195,7 +195,7 @@ func TestBuddyExternalFragmentation(t *testing.T) {
 func TestBuddyWorkloadProperty(t *testing.T) {
 	// Random allocate/release sequences keep the accounting consistent
 	// and always coalesce back to a full mesh.
-	m := mesh.New(16, 16)
+	m := topo.New([]int{16, 16})
 	f := func(ops []uint8) bool {
 		b := NewBuddy(m)
 		var live [][]int
@@ -230,7 +230,7 @@ func TestBuddyWorkloadProperty(t *testing.T) {
 }
 
 func TestSubmeshReset(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	a := NewSubmeshFirstFit(m)
 	if _, err := a.Allocate(Request{Size: 10}); err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestSubmeshReset(t *testing.T) {
 }
 
 func TestBuddyReset(t *testing.T) {
-	b := NewBuddy(mesh.New(8, 8))
+	b := NewBuddy(topo.New([]int{8, 8}))
 	if _, err := b.Allocate(Request{Size: 10}); err != nil {
 		t.Fatal(err)
 	}

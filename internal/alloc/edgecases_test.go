@@ -3,7 +3,6 @@ package alloc
 import (
 	"testing"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/topo"
 )
 
@@ -167,13 +166,13 @@ func TestPagedClippedPagesFullMachine(t *testing.T) {
 // findFree must reproduce: the first fully-free w x h submesh in
 // row-major anchor order, read straight off the busy bitmap.
 func findFreeRef(a *SubmeshFirstFit, w, h, size int) []int {
-	if w > a.m.Width() || h > a.m.Height() {
+	if w > a.g.Dim(0) || h > a.g.Dim(1) {
 		return nil
 	}
-	for y := 0; y+h <= a.m.Height(); y++ {
+	for y := 0; y+h <= a.g.Dim(1); y++ {
 	anchors:
-		for x := 0; x+w <= a.m.Width(); x++ {
-			ids := a.m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x, Y: y}, W: w, H: h})
+		for x := 0; x+w <= a.g.Dim(0); x++ {
+			ids := a.g.Nodes(rect(x, y, w, h))
 			for _, id := range ids {
 				if a.busy[id] {
 					continue anchors
@@ -191,7 +190,7 @@ func findFreeRef(a *SubmeshFirstFit, w, h, size int) []int {
 // for each candidate shape: identical anchors, including "none".
 func TestSubmeshWordScanMatchesNaive(t *testing.T) {
 	for _, dims := range [][2]int{{5, 9}, {8, 8}, {16, 22}, {33, 7}, {70, 3}} {
-		a := NewSubmeshFirstFit(mesh.New(dims[0], dims[1]))
+		a := NewSubmeshFirstFit(topo.New([]int{dims[0], dims[1]}))
 		x := xorshift(uint64(dims[0]*100+dims[1]) | 1)
 		var live [][]int
 		for step := 0; step < 80; step++ {

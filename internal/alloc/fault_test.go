@@ -3,7 +3,6 @@ package alloc
 import (
 	"testing"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/topo"
 )
 
@@ -88,11 +87,11 @@ func TestMarkDownExcludesNodes(t *testing.T) {
 func TestSubmeshMaskMatchesBusy(t *testing.T) {
 	x := xorshift(97)
 	for trial := 0; trial < 20; trial++ {
-		m := mesh.New(3+x.intn(10), 3+x.intn(10))
+		m := topo.New([]int{3 + x.intn(10), 3 + x.intn(10)})
 		masked := NewSubmeshFirstFit(m)
 		busy := NewSubmeshFirstFit(m)
 		var down []int
-		for id := 0; id < m.Grid().Size(); id++ {
+		for id := 0; id < m.Size(); id++ {
 			if x.intn(8) == 0 {
 				down = append(down, id)
 			}
@@ -104,7 +103,7 @@ func TestSubmeshMaskMatchesBusy(t *testing.T) {
 			busy.take(down)
 		}
 		for step := 0; step < 30; step++ {
-			size := 1 + x.intn(m.Grid().Size()/2)
+			size := 1 + x.intn(m.Size()/2)
 			got, err1 := masked.Allocate(Request{Size: size})
 			want, err2 := busy.Allocate(Request{Size: size})
 			if (err1 == nil) != (err2 == nil) {
@@ -122,7 +121,7 @@ func TestSubmeshMaskMatchesBusy(t *testing.T) {
 		for _, id := range down {
 			masked.MarkUp(id)
 		}
-		if masked.NumFree() != m.Grid().Size() {
+		if masked.NumFree() != m.Size() {
 			t.Fatalf("submesh NumFree after repair = %d", masked.NumFree())
 		}
 	}

@@ -3,7 +3,7 @@ package alloc
 import (
 	"testing"
 
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 // FuzzSpec checks the allocator spec parser never panics on arbitrary
@@ -17,9 +17,9 @@ func FuzzSpec(f *testing.F) {
 	f.Add("hilbert/bestfit/page")
 	f.Add("///")
 	f.Add("")
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	f.Fuzz(func(t *testing.T, spec string) {
-		a, err := Spec(m.Grid(), spec, 1)
+		a, err := Spec(m, spec, 1)
 		if err != nil {
 			return
 		}

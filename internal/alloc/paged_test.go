@@ -5,15 +5,15 @@ import (
 
 	"meshalloc/internal/binpack"
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func TestPagedSpecRoundTrip(t *testing.T) {
-	m := mesh.New(16, 16)
+	m := topo.New([]int{16, 16})
 	for _, spec := range []string{
 		"hilbert/freelist/page1", "scurve/bestfit/page2", "hindex/firstfit/page0",
 	} {
-		a, err := Spec(m.Grid(), spec, 1)
+		a, err := Spec(m, spec, 1)
 		if err != nil {
 			t.Fatalf("Spec(%q): %v", spec, err)
 		}
@@ -26,15 +26,15 @@ func TestPagedSpecRoundTrip(t *testing.T) {
 		"hilbert/bestfit/page9", // 512-side page on a 16x16 mesh
 		"hilbert/bestfit/page1/extra",
 	} {
-		if _, err := Spec(m.Grid(), bad, 1); err == nil {
+		if _, err := Spec(m, bad, 1); err == nil {
 			t.Errorf("Spec(%q) should fail", bad)
 		}
 	}
 }
 
 func TestPagedAllocatesWholePages(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.FreeList, 1) // 2x2 pages
+	m := topo.New([]int{8, 8})
+	a := NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, 1) // 2x2 pages
 	// A 3-processor job holds one full 2x2 page: one processor wasted.
 	ids, err := a.Allocate(Request{Size: 3})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestPagedAllocatesWholePages(t *testing.T) {
 	page := -1
 	for _, id := range ids {
 		p := m.Coord(id)
-		pg := (p.Y/2)*4 + p.X/2
+		pg := (p[1]/2)*4 + p[0]/2
 		if page == -1 {
 			page = pg
 		} else if pg != page {
@@ -64,8 +64,8 @@ func TestPagedAllocatesWholePages(t *testing.T) {
 }
 
 func TestPagedFragmentationWastesProcessors(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.FreeList, 2) // 4x4 pages
+	m := topo.New([]int{8, 8})
+	a := NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, 2) // 4x4 pages
 	// Four 1-processor jobs each burn a 16-processor page; a fifth
 	// request the size of the remaining free count still succeeds, but
 	// a request exceeding it must fail with ErrInsufficient — the
@@ -95,8 +95,8 @@ func TestPagedFragmentationWastesProcessors(t *testing.T) {
 func TestPagedClippedEdgePages(t *testing.T) {
 	// A 5x5 mesh with 2x2 pages has clipped pages along the far edges;
 	// allocation bookkeeping must still balance.
-	m := mesh.New(5, 5)
-	a := NewPagedPaging(m.Grid(), curve.SCurve{}, binpack.BestFit, 1)
+	m := topo.New([]int{5, 5})
+	a := NewPagedPaging(m, curve.SCurve{}, binpack.BestFit, 1)
 	ids, err := a.Allocate(Request{Size: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +111,9 @@ func TestPagedClippedEdgePages(t *testing.T) {
 }
 
 func TestPagedZeroIsPlainPaging(t *testing.T) {
-	m := mesh.New(8, 8)
-	paged := NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.BestFit, 0)
-	plain := NewPaging(m.Grid(), curve.Hilbert{}, binpack.BestFit)
+	m := topo.New([]int{8, 8})
+	paged := NewPagedPaging(m, curve.Hilbert{}, binpack.BestFit, 0)
+	plain := NewPaging(m, curve.Hilbert{}, binpack.BestFit)
 	for _, size := range []int{1, 7, 16, 5} {
 		a, err1 := paged.Allocate(Request{Size: size})
 		b, err2 := plain.Allocate(Request{Size: size})
@@ -132,7 +132,7 @@ func TestPagedZeroIsPlainPaging(t *testing.T) {
 }
 
 func TestPagedPanicsOnBadConfig(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	for _, s := range []int{-1, 3} {
 		func() {
 			defer func() {
@@ -140,14 +140,14 @@ func TestPagedPanicsOnBadConfig(t *testing.T) {
 					t.Errorf("page size %d should panic", s)
 				}
 			}()
-			NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.FreeList, s)
+			NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, s)
 		}()
 	}
 }
 
 func TestPagedDoubleReleasePanics(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.FreeList, 1)
+	m := topo.New([]int{8, 8})
+	a := NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, 1)
 	ids, _ := a.Allocate(Request{Size: 4})
 	a.Release(ids)
 	defer func() {
@@ -159,8 +159,8 @@ func TestPagedDoubleReleasePanics(t *testing.T) {
 }
 
 func TestPagedReset(t *testing.T) {
-	m := mesh.New(8, 8)
-	a := NewPagedPaging(m.Grid(), curve.Hilbert{}, binpack.FreeList, 1)
+	m := topo.New([]int{8, 8})
+	a := NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, 1)
 	a.Allocate(Request{Size: 10})
 	a.Reset()
 	if a.NumFree() != 64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,13 @@ func TestFig6RendersGaps(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig6 output missing %q", want)
 		}
+	}
+	wantNotes := []string{
+		"hilbert: 3 gaps after truncation (paper's arrows): (6,21)->(3,21), (0,21)->(15,21), (12,21)->(9,21)",
+		"hindex: 3 gaps after truncation (paper's arrows): (15,14)->(15,17), (10,21)->(5,21), (6,21)->(9,21)",
+	}
+	if !reflect.DeepEqual(fig.Notes, wantNotes) {
+		t.Errorf("fig6 notes:\n got %q\nwant %q", fig.Notes, wantNotes)
 	}
 }
 

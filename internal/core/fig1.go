@@ -5,9 +5,9 @@ import (
 
 	"meshalloc/internal/comm"
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/stats"
+	"meshalloc/internal/topo"
 )
 
 // Fig1 reproduces Figure 1: the CPlant experiment of Leung et al. that
@@ -25,7 +25,7 @@ func Fig1(o Options) (*Figure, error) {
 		jobSize = 30
 		rounds  = 100
 	)
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	rng := stats.NewRNG(o.Seed)
 
 	// Sample allocations across the dispersal spectrum: the 30 nodes are
@@ -73,8 +73,8 @@ func Fig1(o Options) (*Figure, error) {
 
 // runIsolatedJob runs one job's communication to completion on an
 // otherwise idle machine and returns the elapsed simulated time.
-func runIsolatedJob(m *mesh.Mesh, nodes []int, pat comm.Pattern, rounds int, seed int64) float64 {
-	net := netsim.New(m.Grid(), netsim.DefaultConfig())
+func runIsolatedJob(m *topo.Grid, nodes []int, pat comm.Pattern, rounds int, seed int64) float64 {
+	net := netsim.New(m, netsim.DefaultConfig())
 	gen := pat.Generator(len(nodes), stats.NewRNG(seed))
 	quota := rounds * comm.RoundLen(pat, len(nodes))
 

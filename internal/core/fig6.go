@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 // Fig6 reproduces Figure 6: the top rows of the Hilbert and H-indexing
@@ -16,7 +16,7 @@ func Fig6() *Figure {
 		ID:    "fig6",
 		Title: "Truncated Hilbert and H-indexing orderings on the 16x22 mesh",
 	}
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	for _, name := range []string{"hilbert", "hindex"} {
 		c, err := curve.ByName(name)
 		if err != nil {
@@ -28,7 +28,8 @@ func Fig6() *Figure {
 		var gaps []string
 		for i := 1; i < len(order); i++ {
 			if m.Dist(order[i-1], order[i]) > 1 {
-				gaps = append(gaps, fmt.Sprintf("%v->%v", m.Coord(order[i-1]), m.Coord(order[i])))
+				a, b := m.Coord(order[i-1]), m.Coord(order[i])
+				gaps = append(gaps, fmt.Sprintf("(%d,%d)->(%d,%d)", a[0], a[1], b[0], b[1]))
 			}
 		}
 		t := Table{

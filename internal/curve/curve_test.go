@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/topo"
 )
 
@@ -60,7 +59,7 @@ func TestRowMajorOrder(t *testing.T) {
 
 func TestSCurveIsHamiltonianPath(t *testing.T) {
 	for _, sz := range meshSizes {
-		m := mesh.New(sz.w, sz.h)
+		m := topo.New([]int{sz.w, sz.h})
 		order := SCurve{}.Order(sz.w, sz.h)
 		for i := 1; i < len(order); i++ {
 			if m.Dist(order[i-1], order[i]) != 1 {
@@ -102,7 +101,7 @@ func TestSCurveLongDirection(t *testing.T) {
 
 func TestHilbertSquareIsHamiltonianPath(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		m := mesh.New(n, n)
+		m := topo.New([]int{n, n})
 		order := Hilbert{}.Order(n, n)
 		for i := 1; i < len(order); i++ {
 			if m.Dist(order[i-1], order[i]) != 1 {
@@ -121,7 +120,7 @@ func TestHilbertStartsAtOrigin(t *testing.T) {
 
 func TestHIndexingSquareIsHamiltonianCycle(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32, 64, 128} {
-		m := mesh.New(n, n)
+		m := topo.New([]int{n, n})
 		order := HIndexing{}.Order(n, n)
 		isPermutation(t, order, n*n)
 		for i := 1; i < len(order); i++ {
@@ -139,7 +138,7 @@ func TestHIndexingSquareIsHamiltonianCycle(t *testing.T) {
 
 func TestMooreIsHamiltonianCycle(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		m := mesh.New(n, n)
+		m := topo.New([]int{n, n})
 		order := Moore{}.Order(n, n)
 		isPermutation(t, order, n*n)
 		for i := 1; i < len(order); i++ {
@@ -276,10 +275,10 @@ func TestCurvePermutationProperty(t *testing.T) {
 func TestHilbertD2XYRoundTrip(t *testing.T) {
 	// d -> (x,y) must be injective and cover the grid.
 	n := 16
-	seen := map[mesh.Point]bool{}
+	seen := map[[2]int]bool{}
 	for d := 0; d < n*n; d++ {
 		x, y := hilbertD2XY(n, d)
-		p := mesh.Point{X: x, Y: y}
+		p := [2]int{x, y}
 		if seen[p] {
 			t.Fatalf("hilbertD2XY revisits %v", p)
 		}
@@ -287,6 +286,20 @@ func TestHilbertD2XYRoundTrip(t *testing.T) {
 			t.Fatalf("hilbertD2XY out of range: %v", p)
 		}
 		seen[p] = true
+	}
+}
+
+// TestHilbertD2XYMatchesSkilling pins the classic 2-D construction to
+// the n-D one: Hilbert.OrderDims delegates to Order in 2-D only because
+// hilbertD2XY is faster, so the two must visit the same cells.
+func TestHilbertD2XYMatchesSkilling(t *testing.T) {
+	for n := 2; n <= 256; n *= 2 {
+		for d := 0; d < n*n; d++ {
+			x, y := hilbertD2XY(n, d)
+			if p := HilbertPoint(n, 2, d); p != topo.XY(x, y) {
+				t.Fatalf("n=%d d=%d: hilbertD2XY = (%d,%d), HilbertPoint = %v", n, d, x, y, p)
+			}
+		}
 	}
 }
 
@@ -306,7 +319,7 @@ func TestFig6Truncation(t *testing.T) {
 	for _, name := range []string{"hilbert", "hindex"} {
 		c, _ := ByName(name)
 		order := c.Order(16, 22)
-		m := mesh.New(16, 22)
+		m := topo.New([]int{16, 22})
 		gaps := 0
 		for i := 1; i < len(order); i++ {
 			if m.Dist(order[i-1], order[i]) > 1 {

@@ -3,8 +3,6 @@ package curve
 import (
 	"fmt"
 	"sync"
-
-	"meshalloc/internal/mesh"
 )
 
 // HIndexing is the H-indexing of Niedermeier, Reinhardt and Sanders
@@ -34,53 +32,54 @@ type HIndexing struct{}
 // Name implements Curve.
 func (HIndexing) Name() string { return "hindex" }
 
-// Order implements Curve.
+// Order implements Curve: the cycle C(n), T(n) followed by its point
+// reflection, truncated to the w x h mesh.
 func (HIndexing) Order(w, h int) []int {
 	n := nextPow2(max(w, h))
-	return pointsToIDs(hCycle(n), w, h)
+	t := hTriangle(n)
+	ids := make([]int, 0, w*h)
+	for _, c := range t {
+		ids = appendIn(ids, c.x, c.y, w, h)
+	}
+	for _, c := range t {
+		ids = appendIn(ids, n-1-c.x, n-1-c.y, w, h)
+	}
+	return ids
 }
+
+// cell is a grid cell of the H-indexing construction.
+type cell struct{ x, y int }
 
 var (
 	hMu    sync.Mutex
-	hPaths = map[int][]mesh.Point{} // memoized canonical T(n)
+	hPaths = map[int][]cell{} // memoized canonical T(n)
 )
 
-// hCycle returns the Hamiltonian cycle C(n) over the n x n grid.
-func hCycle(n int) []mesh.Point {
-	t := hTriangle(n)
-	cyc := make([]mesh.Point, 0, n*n)
-	cyc = append(cyc, t...)
-	for _, p := range t {
-		cyc = append(cyc, mesh.Point{X: n - 1 - p.X, Y: n - 1 - p.Y})
-	}
-	return cyc
-}
-
 // hTriangle returns the canonical triangle path T(n) (memoized).
-func hTriangle(n int) []mesh.Point {
+func hTriangle(n int) []cell {
 	hMu.Lock()
 	defer hMu.Unlock()
 	return hTriangleLocked(n)
 }
 
-func hTriangleLocked(n int) []mesh.Point {
+func hTriangleLocked(n int) []cell {
 	if t, ok := hPaths[n]; ok {
 		return t
 	}
-	var t []mesh.Point
+	var t []cell
 	if n == 2 {
-		t = []mesh.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
+		t = []cell{{0, 0}, {1, 0}}
 	} else {
 		q := n / 2
 		sub := hTriangleLocked(q)
 		sq := hSquarePathLocked(q)
-		t = make([]mesh.Point, 0, n*n/2)
+		t = make([]cell, 0, n*n/2)
 		t = append(t, sub...)
-		for _, p := range sq {
-			t = append(t, mesh.Point{X: p.X + q, Y: p.Y})
+		for _, c := range sq {
+			t = append(t, cell{c.x + q, c.y})
 		}
-		for _, p := range sub {
-			t = append(t, mesh.Point{X: p.X + q, Y: p.Y + q})
+		for _, c := range sub {
+			t = append(t, cell{c.x + q, c.y + q})
 		}
 	}
 	hPaths[n] = t
@@ -89,21 +88,21 @@ func hTriangleLocked(n int) []mesh.Point {
 
 // hSquarePathLocked returns the Hamiltonian path over the q x q square
 // from (0, q-2) to (0, q-1): the cycle C(q) cut at that edge.
-func hSquarePathLocked(q int) []mesh.Point {
+func hSquarePathLocked(q int) []cell {
 	sub := hTriangleLocked(q)
-	cyc := make([]mesh.Point, 0, q*q)
+	cyc := make([]cell, 0, q*q)
 	cyc = append(cyc, sub...)
-	for _, p := range sub {
-		cyc = append(cyc, mesh.Point{X: q - 1 - p.X, Y: q - 1 - p.Y})
+	for _, c := range sub {
+		cyc = append(cyc, cell{q - 1 - c.x, q - 1 - c.y})
 	}
-	from := mesh.Point{X: 0, Y: q - 2}
-	to := mesh.Point{X: 0, Y: q - 1}
+	from := cell{0, q - 2}
+	to := cell{0, q - 1}
 	fi, ti := indexOf(cyc, from), indexOf(cyc, to)
 	if fi < 0 || ti < 0 {
 		panic(fmt.Sprintf("curve: H-indexing cycle of size %d missing cut cells", q))
 	}
 	m := len(cyc)
-	path := make([]mesh.Point, 0, m)
+	path := make([]cell, 0, m)
 	switch {
 	case (fi+1)%m == ti:
 		// to follows from: walk backwards from `from` around to `to`.
@@ -121,9 +120,9 @@ func hSquarePathLocked(q int) []mesh.Point {
 	return path
 }
 
-func indexOf(pts []mesh.Point, p mesh.Point) int {
-	for i, q := range pts {
-		if q == p {
+func indexOf(cells []cell, c cell) int {
+	for i, d := range cells {
+		if d == c {
 			return i
 		}
 	}

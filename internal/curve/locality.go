@@ -1,6 +1,6 @@
 package curve
 
-import "meshalloc/internal/mesh"
+import "meshalloc/internal/topo"
 
 // LocalityReport summarizes how well a curve ordering preserves mesh
 // locality, the property Leung et al. argue makes a page ordering good.
@@ -23,12 +23,12 @@ type LocalityReport struct {
 
 // Locality computes the locality metrics of an ordering of a w x h mesh.
 func Locality(order []int, w, h int) LocalityReport {
-	m := mesh.New(w, h)
+	g := topo.New([]int{w, h})
 	ranks := Ranks(order)
 	var rep LocalityReport
 	total := 0
 	for i := 1; i < len(order); i++ {
-		d := m.Dist(order[i-1], order[i])
+		d := g.Dist(order[i-1], order[i])
 		total += d
 		if d > rep.MaxStep {
 			rep.MaxStep = d
@@ -40,9 +40,9 @@ func Locality(order []int, w, h int) LocalityReport {
 	if len(order) > 1 {
 		rep.AvgStep = float64(total) / float64(len(order)-1)
 	}
-	for id := 0; id < m.Size(); id++ {
-		for dir := mesh.XPos; dir <= mesh.YNeg; dir++ {
-			nb, ok := m.Neighbor(id, dir)
+	for id := 0; id < g.Size(); id++ {
+		for dir := topo.Dir(0); int(dir) < g.NumDirs(); dir++ {
+			nb, ok := g.Neighbor(id, dir)
 			if !ok {
 				continue
 			}

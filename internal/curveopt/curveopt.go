@@ -16,8 +16,8 @@ package curveopt
 import (
 	"fmt"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/stats"
+	"meshalloc/internal/topo"
 )
 
 // Graph is an undirected machine topology over nodes 0..N-1.
@@ -53,11 +53,13 @@ func (g *Graph) AddEdge(u, v int) {
 // Neighbors returns u's adjacency list (shared slice; do not modify).
 func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
 
-// MeshGraph builds the machine graph of a w x h mesh.
-func MeshGraph(m *mesh.Mesh) *Graph {
+// MeshGraph builds the machine graph of a grid. Node by node it adds the
+// edge toward +x, then toward +y (and on up the axes); Optimize's
+// breadth-first start follows that adjacency order.
+func MeshGraph(m *topo.Grid) *Graph {
 	g := NewGraph(m.Size())
 	for id := 0; id < m.Size(); id++ {
-		for _, d := range []mesh.Direction{mesh.XPos, mesh.YPos} {
+		for d := topo.Dir(0); int(d) < m.NumDirs(); d += 2 {
 			if nb, ok := m.Neighbor(id, d); ok {
 				g.AddEdge(id, nb)
 			}
@@ -231,6 +233,6 @@ func (MeshCurve) Name() string { return "optcurve" }
 
 // Order implements curve.Curve.
 func (c MeshCurve) Order(w, h int) []int {
-	g := MeshGraph(mesh.New(w, h))
+	g := MeshGraph(topo.New([]int{w, h}))
 	return Optimize(g, Options{Iters: c.Iters, Seed: c.Seed})
 }

@@ -1,11 +1,12 @@
 package curveopt
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func TestGraphBasics(t *testing.T) {
@@ -33,16 +34,16 @@ func TestNewGraphPanics(t *testing.T) {
 }
 
 func TestMeshGraphDegrees(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	g := MeshGraph(m)
 	// Corner nodes degree 2, edges 3, interior 4.
 	wantDeg := func(id int) int {
 		p := m.Coord(id)
 		d := 4
-		if p.X == 0 || p.X == 3 {
+		if p[0] == 0 || p[0] == 3 {
 			d--
 		}
-		if p.Y == 0 || p.Y == 3 {
+		if p[1] == 0 || p[1] == 3 {
 			d--
 		}
 		return d
@@ -70,7 +71,7 @@ func TestCostOfKnownOrderings(t *testing.T) {
 }
 
 func TestOptimizeReturnsPermutation(t *testing.T) {
-	m := mesh.New(6, 7)
+	m := topo.New([]int{6, 7})
 	g := MeshGraph(m)
 	order := Optimize(g, Options{Iters: 2000, Seed: 1})
 	seen := make([]bool, g.N)
@@ -86,7 +87,7 @@ func TestOptimizeReturnsPermutation(t *testing.T) {
 }
 
 func TestOptimizeImprovesOnSeedOrder(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	g := MeshGraph(m)
 	seedCost := Cost(g, bfsOrder(g))
 	opt := Optimize(g, Options{Iters: 30000, Seed: 1})
@@ -104,7 +105,7 @@ func TestOptimizeImprovesOnSeedOrder(t *testing.T) {
 }
 
 func TestOptimizeDeterministic(t *testing.T) {
-	g := MeshGraph(mesh.New(5, 5))
+	g := MeshGraph(topo.New([]int{5, 5}))
 	a := Optimize(g, Options{Iters: 5000, Seed: 7})
 	b := Optimize(g, Options{Iters: 5000, Seed: 7})
 	for i := range a {
@@ -140,11 +141,15 @@ func TestMeshCurveInterface(t *testing.T) {
 	// Must be a valid ordering for the Paging machinery.
 	ranks := curve.Ranks(order) // panics if not a permutation
 	_ = ranks
+	want := []int{0, 1, 4, 5, 2, 6, 3, 7, 11, 10, 9, 8, 15, 14, 13, 12, 19, 18, 17, 16}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
 }
 
 func TestCostInvariantUnderRelabeling(t *testing.T) {
 	// Property: reversing an ordering preserves its cost.
-	g := MeshGraph(mesh.New(4, 4))
+	g := MeshGraph(topo.New([]int{4, 4}))
 	f := func(seed int64) bool {
 		order := Optimize(g, Options{Iters: 100, Seed: seed})
 		rev := make([]int, len(order))

@@ -1,6 +1,6 @@
 package metrics
 
-import "meshalloc/internal/mesh"
+import "meshalloc/internal/topo"
 
 // Fragmentation characterizes the free space of a machine state: how
 // much of it could serve a contiguous (submesh) request. It quantifies
@@ -18,10 +18,10 @@ type Fragmentation struct {
 	External float64
 }
 
-// MeasureFragmentation computes the fragmentation of a machine state
-// given the busy processor set.
-func MeasureFragmentation(m *mesh.Mesh, busy []bool) Fragmentation {
-	if len(busy) != m.Size() {
+// MeasureFragmentation computes the fragmentation of a 2-D machine
+// state given the busy processor set.
+func MeasureFragmentation(g *topo.Grid, busy []bool) Fragmentation {
+	if len(busy) != g.Size() {
 		panic("metrics: busy mask size mismatch")
 	}
 	var f Fragmentation
@@ -33,18 +33,18 @@ func MeasureFragmentation(m *mesh.Mesh, busy []bool) Fragmentation {
 	if f.FreeProcs == 0 {
 		return f
 	}
-	f.LargestRect, f.LargestRectW, f.LargestRectH = largestFreeRect(m, busy)
+	f.LargestRect, f.LargestRectW, f.LargestRectH = largestFreeRect(g, busy)
 	f.External = 1 - float64(f.LargestRect)/float64(f.FreeProcs)
 	return f
 }
 
 // largestFreeRect finds the maximal all-free axis-aligned rectangle via
 // the classic row-histogram / stack algorithm in O(W*H).
-func largestFreeRect(m *mesh.Mesh, busy []bool) (area, w, h int) {
-	width := m.Width()
+func largestFreeRect(g *topo.Grid, busy []bool) (area, w, h int) {
+	width := g.Dim(0)
 	heights := make([]int, width)
 	type stackEntry struct{ height, start int }
-	for y := 0; y < m.Height(); y++ {
+	for y := 0; y < g.Dim(1); y++ {
 		for x := 0; x < width; x++ {
 			if busy[y*width+x] {
 				heights[x] = 0
@@ -77,8 +77,8 @@ func largestFreeRect(m *mesh.Mesh, busy []bool) (area, w, h int) {
 }
 
 // BusyMask builds a busy mask from a list of busy processor ids.
-func BusyMask(m *mesh.Mesh, busyIDs []int) []bool {
-	mask := make([]bool, m.Size())
+func BusyMask(g *topo.Grid, busyIDs []int) []bool {
+	mask := make([]bool, g.Size())
 	for _, id := range busyIDs {
 		mask[id] = true
 	}

@@ -4,11 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 func TestFragmentationEmptyMesh(t *testing.T) {
-	m := mesh.New(6, 4)
+	m := topo.New([]int{6, 4})
 	f := MeasureFragmentation(m, make([]bool, 24))
 	if f.FreeProcs != 24 || f.LargestRect != 24 || f.External != 0 {
 		t.Fatalf("empty mesh fragmentation = %+v", f)
@@ -19,7 +19,7 @@ func TestFragmentationEmptyMesh(t *testing.T) {
 }
 
 func TestFragmentationFullMesh(t *testing.T) {
-	m := mesh.New(3, 3)
+	m := topo.New([]int{3, 3})
 	busy := make([]bool, 9)
 	for i := range busy {
 		busy[i] = true
@@ -32,10 +32,10 @@ func TestFragmentationFullMesh(t *testing.T) {
 
 func TestFragmentationWall(t *testing.T) {
 	// A busy middle column splits an 5x4 mesh into 2x4 and 2x4 halves.
-	m := mesh.New(5, 4)
+	m := topo.New([]int{5, 4})
 	var busyIDs []int
 	for y := 0; y < 4; y++ {
-		busyIDs = append(busyIDs, m.ID(mesh.Point{X: 2, Y: y}))
+		busyIDs = append(busyIDs, m.ID(topo.XY(2, y)))
 	}
 	f := MeasureFragmentation(m, BusyMask(m, busyIDs))
 	if f.FreeProcs != 16 {
@@ -50,12 +50,12 @@ func TestFragmentationWall(t *testing.T) {
 }
 
 func TestFragmentationCheckerboard(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	var busyIDs []int
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			if (x+y)%2 == 0 {
-				busyIDs = append(busyIDs, m.ID(mesh.Point{X: x, Y: y}))
+				busyIDs = append(busyIDs, m.ID(topo.XY(x, y)))
 			}
 		}
 	}
@@ -71,11 +71,11 @@ func TestFragmentationCheckerboard(t *testing.T) {
 func TestFragmentationLShape(t *testing.T) {
 	// Busy block in the top-right corner leaves an L; the largest free
 	// rectangle is the full-height left part.
-	m := mesh.New(6, 6)
+	m := topo.New([]int{6, 6})
 	var busyIDs []int
 	for y := 3; y < 6; y++ {
 		for x := 3; x < 6; x++ {
-			busyIDs = append(busyIDs, m.ID(mesh.Point{X: x, Y: y}))
+			busyIDs = append(busyIDs, m.ID(topo.XY(x, y)))
 		}
 	}
 	f := MeasureFragmentation(m, BusyMask(m, busyIDs))
@@ -87,7 +87,7 @@ func TestFragmentationLShape(t *testing.T) {
 func TestLargestRectProperty(t *testing.T) {
 	// Property: the reported rectangle never exceeds the free count and
 	// a brute-force scan over all rectangles agrees.
-	m := mesh.New(5, 5)
+	m := topo.New([]int{5, 5})
 	f := func(mask uint32) bool {
 		busy := make([]bool, 25)
 		for i := 0; i < 25; i++ {
@@ -102,17 +102,17 @@ func TestLargestRectProperty(t *testing.T) {
 	}
 }
 
-func bruteLargestRect(m *mesh.Mesh, busy []bool) int {
+func bruteLargestRect(m *topo.Grid, busy []bool) int {
 	best := 0
-	for y0 := 0; y0 < m.Height(); y0++ {
-		for x0 := 0; x0 < m.Width(); x0++ {
-			for y1 := y0; y1 < m.Height(); y1++ {
-				for x1 := x0; x1 < m.Width(); x1++ {
+	for y0 := 0; y0 < m.Dim(1); y0++ {
+		for x0 := 0; x0 < m.Dim(0); x0++ {
+			for y1 := y0; y1 < m.Dim(1); y1++ {
+				for x1 := x0; x1 < m.Dim(0); x1++ {
 					ok := true
 				scan:
 					for y := y0; y <= y1; y++ {
 						for x := x0; x <= x1; x++ {
-							if busy[y*m.Width()+x] {
+							if busy[y*m.Dim(0)+x] {
 								ok = false
 								break scan
 							}
@@ -136,5 +136,5 @@ func TestBusyMaskPanicsViaMeasure(t *testing.T) {
 			t.Fatal("size mismatch should panic")
 		}
 	}()
-	MeasureFragmentation(mesh.New(4, 4), make([]bool, 3))
+	MeasureFragmentation(topo.New([]int{4, 4}), make([]bool, 3))
 }

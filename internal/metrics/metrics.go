@@ -8,23 +8,26 @@ package metrics
 import (
 	"math"
 
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
 // Dispersal characterizes the geometric quality of one allocation.
 type Dispersal struct {
-	// AvgPairwise is the mean Manhattan distance over processor pairs,
-	// the metric of Mache and Lo used throughout the paper.
+	// AvgPairwise is the mean hop distance over processor pairs, the
+	// metric of Mache and Lo used throughout the paper.
 	AvgPairwise float64
-	// MaxPairwise is the allocation's diameter in hops.
+	// MaxPairwise is the allocation's diameter in hops. Like
+	// AvgPairwise it takes the short way around a torus.
 	MaxPairwise int
 	// AvgToCentroid is the mean Manhattan distance to the allocation's
-	// centroid, a cheaper compactness proxy.
+	// centroid, a cheaper compactness proxy. It uses unwrapped
+	// coordinates, also on a torus.
 	AvgToCentroid float64
-	// BoundingBoxFill is size / (bounding box area): 1.0 for perfect
-	// rectangles, small for scattered allocations.
+	// BoundingBoxFill is size / (bounding box volume): 1.0 for perfect
+	// rectangles, small for scattered allocations. The box spans
+	// unwrapped coordinates, also on a torus.
 	BoundingBoxFill float64
-	// Perimeter counts boundary edges: mesh-adjacent (processor,
+	// Perimeter counts boundary edges: grid-adjacent (processor,
 	// non-processor-or-edge) pairs. Compact shapes minimize it.
 	Perimeter int
 	// Components is the number of rectilinearly-connected components;
@@ -33,30 +36,29 @@ type Dispersal struct {
 	Contiguous bool
 }
 
-// Measure computes all dispersal metrics for the allocation ids on m.
+// Measure computes all dispersal metrics for the allocation ids on g.
 // An empty allocation yields the zero Dispersal.
-func Measure(m *mesh.Mesh, ids []int) Dispersal {
+func Measure(g *topo.Grid, ids []int) Dispersal {
 	if len(ids) == 0 {
 		return Dispersal{}
 	}
 	var d Dispersal
-	d.AvgPairwise = m.AvgPairwiseDist(ids)
-	d.MaxPairwise = maxPairwise(m, ids)
-	d.AvgToCentroid = avgToCentroid(m, ids)
-	d.BoundingBoxFill = boundingBoxFill(m, ids)
-	d.Perimeter = perimeter(m, ids)
-	comps := m.Components(ids)
+	d.AvgPairwise = g.AvgPairwiseDist(ids)
+	d.MaxPairwise = maxPairwise(g, ids)
+	d.AvgToCentroid = avgToCentroid(g, ids)
+	d.BoundingBoxFill = boundingBoxFill(g, ids)
+	d.Perimeter = perimeter(g, ids)
+	comps := g.Components(ids)
 	d.Components = len(comps)
 	d.Contiguous = len(comps) == 1
 	return d
 }
 
-func maxPairwise(m *mesh.Mesh, ids []int) int {
+func maxPairwise(g *topo.Grid, ids []int) int {
 	max := 0
 	for i := 0; i < len(ids); i++ {
-		pi := m.Coord(ids[i])
 		for j := i + 1; j < len(ids); j++ {
-			if d := pi.Manhattan(m.Coord(ids[j])); d > max {
+			if d := g.Dist(ids[i], ids[j]); d > max {
 				max = d
 			}
 		}
@@ -64,54 +66,55 @@ func maxPairwise(m *mesh.Mesh, ids []int) int {
 	return max
 }
 
-func avgToCentroid(m *mesh.Mesh, ids []int) float64 {
-	var cx, cy float64
+func avgToCentroid(g *topo.Grid, ids []int) float64 {
+	var c [topo.MaxDims]float64
 	for _, id := range ids {
-		p := m.Coord(id)
-		cx += float64(p.X)
-		cy += float64(p.Y)
+		p := g.Coord(id)
+		for i := 0; i < g.ND(); i++ {
+			c[i] += float64(p[i])
+		}
 	}
-	cx /= float64(len(ids))
-	cy /= float64(len(ids))
+	for i := range c {
+		c[i] /= float64(len(ids))
+	}
 	total := 0.0
 	for _, id := range ids {
-		p := m.Coord(id)
-		total += math.Abs(float64(p.X)-cx) + math.Abs(float64(p.Y)-cy)
+		p := g.Coord(id)
+		d := 0.0
+		for i := 0; i < g.ND(); i++ {
+			d += math.Abs(float64(p[i]) - c[i])
+		}
+		total += d
 	}
 	return total / float64(len(ids))
 }
 
-func boundingBoxFill(m *mesh.Mesh, ids []int) float64 {
-	minX, minY := m.Width(), m.Height()
-	maxX, maxY := 0, 0
-	for _, id := range ids {
-		p := m.Coord(id)
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y > maxY {
-			maxY = p.Y
+func boundingBoxFill(g *topo.Grid, ids []int) float64 {
+	lo := g.Coord(ids[0])
+	hi := lo
+	for _, id := range ids[1:] {
+		p := g.Coord(id)
+		for i := 0; i < g.ND(); i++ {
+			lo[i] = min(lo[i], p[i])
+			hi[i] = max(hi[i], p[i])
 		}
 	}
-	area := (maxX - minX + 1) * (maxY - minY + 1)
-	return float64(len(ids)) / float64(area)
+	vol := 1
+	for i := 0; i < g.ND(); i++ {
+		vol *= hi[i] - lo[i] + 1
+	}
+	return float64(len(ids)) / float64(vol)
 }
 
-func perimeter(m *mesh.Mesh, ids []int) int {
+func perimeter(g *topo.Grid, ids []int) int {
 	in := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		in[id] = true
 	}
 	edges := 0
 	for _, id := range ids {
-		for d := mesh.XPos; d <= mesh.YNeg; d++ {
-			nb, ok := m.Neighbor(id, d)
+		for d := topo.Dir(0); int(d) < g.NumDirs(); d++ {
+			nb, ok := g.Neighbor(id, d)
 			if !ok || !in[nb] {
 				edges++
 			}

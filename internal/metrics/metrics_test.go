@@ -5,15 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"meshalloc/internal/mesh"
+	"meshalloc/internal/topo"
 )
 
-func block(m *mesh.Mesh, x0, y0, w, h int) []int {
-	return m.Nodes(mesh.Submesh{Origin: mesh.Point{X: x0, Y: y0}, W: w, H: h})
+func block(m *topo.Grid, x0, y0, w, h int) []int {
+	return m.Nodes(topo.Box{Origin: topo.XY(x0, y0), Ext: topo.Point{w, h, 1, 1}})
 }
 
 func TestMeasureSquareBlock(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	d := Measure(m, block(m, 2, 2, 3, 3))
 	if d.AvgPairwise != 2.0 {
 		t.Errorf("AvgPairwise = %g, want 2 (3x3 block)", d.AvgPairwise)
@@ -37,11 +37,34 @@ func TestMeasureSquareBlock(t *testing.T) {
 	}
 }
 
+// TestMeasureTorusWraps: on a torus MaxPairwise takes the short way
+// around each axis, as AvgPairwise does.
+func TestMeasureTorusWraps(t *testing.T) {
+	m := topo.NewTorus([]int{16, 16})
+	d := Measure(m, []int{0, 15})
+	if d.AvgPairwise != 1 || d.MaxPairwise != 1 {
+		t.Errorf("wrap-adjacent pair: AvgPairwise %g, MaxPairwise %d, want 1 and 1",
+			d.AvgPairwise, d.MaxPairwise)
+	}
+	// A 2x2 block across both seams.
+	if d := Measure(m, []int{0, 15, 240, 255}); d.MaxPairwise != 2 {
+		t.Errorf("2x2 block across the seams: MaxPairwise %d, want 2", d.MaxPairwise)
+	}
+	// No two nodes of the 16x16 torus are more than 16 hops apart.
+	all := make([]int, m.Size())
+	for i := range all {
+		all[i] = i
+	}
+	if d := Measure(m, all); d.MaxPairwise != 16 {
+		t.Errorf("whole torus: MaxPairwise %d, want 16", d.MaxPairwise)
+	}
+}
+
 func TestMeasureScattered(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	corners := []int{
-		m.ID(mesh.Point{X: 0, Y: 0}), m.ID(mesh.Point{X: 7, Y: 0}),
-		m.ID(mesh.Point{X: 0, Y: 7}), m.ID(mesh.Point{X: 7, Y: 7}),
+		m.ID(topo.XY(0, 0)), m.ID(topo.XY(7, 0)),
+		m.ID(topo.XY(0, 7)), m.ID(topo.XY(7, 7)),
 	}
 	d := Measure(m, corners)
 	if d.Components != 4 || d.Contiguous {
@@ -61,7 +84,7 @@ func TestMeasureScattered(t *testing.T) {
 }
 
 func TestMeasureEmptyAndSingle(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	if d := Measure(m, nil); d != (Dispersal{}) {
 		t.Errorf("empty Measure = %+v", d)
 	}
@@ -72,11 +95,11 @@ func TestMeasureEmptyAndSingle(t *testing.T) {
 }
 
 func TestCompactBeatsScatteredOnEveryMetric(t *testing.T) {
-	m := mesh.New(16, 16)
+	m := topo.New([]int{16, 16})
 	compact := block(m, 0, 0, 4, 4)
 	scattered := []int{}
 	for i := 0; i < 16; i++ {
-		scattered = append(scattered, m.ID(mesh.Point{X: (i * 5) % 16, Y: (i * 7) % 16}))
+		scattered = append(scattered, m.ID(topo.XY((i*5)%16, (i*7)%16)))
 	}
 	dc := Measure(m, compact)
 	ds := Measure(m, scattered)
@@ -97,7 +120,7 @@ func TestCompactBeatsScatteredOnEveryMetric(t *testing.T) {
 func TestPerimeterProperty(t *testing.T) {
 	// Property: perimeter is between the ideal (4*sqrt(k) rounded
 	// shape) and the maximum 4k (isolated nodes).
-	m := mesh.New(10, 10)
+	m := topo.New([]int{10, 10})
 	f := func(mask uint64) bool {
 		var ids []int
 		for i := 0; i < 64; i++ {
@@ -117,7 +140,7 @@ func TestPerimeterProperty(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	a := Measure(m, block(m, 0, 0, 2, 2))
 	b := Measure(m, []int{0, 63})
 	// b uses nodes 0 and 63 which overlap a's nodes; fine for metrics.

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/topo"
 )
 
@@ -16,7 +15,7 @@ func testConfig() Config {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	for _, cfg := range []Config{
 		{MessageFlits: 0, FlitCycle: 0.01},
 		{MessageFlits: 4, FlitCycle: -1},
@@ -28,16 +27,16 @@ func TestNewRejectsBadConfig(t *testing.T) {
 					t.Errorf("New(%+v) should panic", cfg)
 				}
 			}()
-			New(m.Grid(), cfg)
+			New(m, cfg)
 		}()
 	}
 }
 
 func TestUncontendedLatency(t *testing.T) {
-	m := mesh.New(8, 8)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 8})
+	n := New(m, testConfig())
 	// 3 hops: 3*0.005 + 10*0.01 = 0.115.
-	r := n.Send(m.ID(mesh.Point{X: 0, Y: 0}), m.ID(mesh.Point{X: 3, Y: 0}), 0)
+	r := n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
 	if r.Hops != 3 {
 		t.Fatalf("hops = %d, want 3", r.Hops)
 	}
@@ -54,8 +53,8 @@ func TestUncontendedLatency(t *testing.T) {
 }
 
 func TestSelfMessageUsesLocalDelay(t *testing.T) {
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
 	r := n.Send(5, 5, 2.0)
 	if r.Hops != 0 || r.Arrival != 2.001 {
 		t.Fatalf("self message result = %+v", r)
@@ -63,8 +62,8 @@ func TestSelfMessageUsesLocalDelay(t *testing.T) {
 }
 
 func TestContentionSerializesSharedLink(t *testing.T) {
-	m := mesh.New(8, 1)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 1})
+	n := New(m, testConfig())
 	// Two messages crossing the same link 0->1 at the same time: the
 	// second queues for one service time (0.1).
 	r1 := n.Send(0, 2, 0)
@@ -81,8 +80,8 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 }
 
 func TestOppositeDirectionsDoNotContend(t *testing.T) {
-	m := mesh.New(8, 1)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 1})
+	n := New(m, testConfig())
 	r1 := n.Send(0, 3, 0)
 	r2 := n.Send(3, 0, 0) // full duplex: reverse links are distinct
 	if r1.Queued != 0 || r2.Queued != 0 {
@@ -91,10 +90,10 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 }
 
 func TestDisjointPathsDoNotContend(t *testing.T) {
-	m := mesh.New(8, 8)
-	n := New(m.Grid(), testConfig())
-	r1 := n.Send(m.ID(mesh.Point{X: 0, Y: 0}), m.ID(mesh.Point{X: 3, Y: 0}), 0)
-	r2 := n.Send(m.ID(mesh.Point{X: 0, Y: 4}), m.ID(mesh.Point{X: 3, Y: 4}), 0)
+	m := topo.New([]int{8, 8})
+	n := New(m, testConfig())
+	r1 := n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
+	r2 := n.Send(m.ID(topo.XY(0, 4)), m.ID(topo.XY(3, 4)), 0)
 	if r1.Queued != 0 || r2.Queued != 0 {
 		t.Fatal("disjoint rows should not contend")
 	}
@@ -104,18 +103,18 @@ func TestXYRoutingContention(t *testing.T) {
 	// Under x-y routing, a message (0,0)->(2,2) uses link (2,0)->(2,1);
 	// a message (2,0)->(2,2) uses the same link. They contend even
 	// though their sources differ.
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
-	n.Send(m.ID(mesh.Point{X: 0, Y: 0}), m.ID(mesh.Point{X: 2, Y: 2}), 0)
-	r2 := n.Send(m.ID(mesh.Point{X: 2, Y: 0}), m.ID(mesh.Point{X: 2, Y: 2}), 0)
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
+	n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
+	r2 := n.Send(m.ID(topo.XY(2, 0)), m.ID(topo.XY(2, 2)), 0)
 	if r2.Queued <= 0 {
 		t.Fatal("column-sharing messages should contend under x-y routing")
 	}
 }
 
 func TestSendPanicsOnTimeTravel(t *testing.T) {
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
 	n.Send(0, 1, 5)
 	defer func() {
 		if recover() == nil {
@@ -126,8 +125,8 @@ func TestSendPanicsOnTimeTravel(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	m := mesh.New(8, 8)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 8})
+	n := New(m, testConfig())
 	n.Send(0, 1, 0)
 	n.Send(0, 2, 0)
 	n.Send(3, 3, 1)
@@ -147,8 +146,8 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
 	n.Send(0, 5, 10)
 	n.Reset()
 	if n.Stats().Messages != 0 {
@@ -171,15 +170,15 @@ func TestEmptyStatsAverages(t *testing.T) {
 // simulation rests on: adding background traffic never speeds up a
 // message.
 func TestArrivalMonotoneInLoad(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.New([]int{8, 8})
 	f := func(srcRaw, dstRaw uint8, bg []uint16) bool {
 		src := int(srcRaw) % m.Size()
 		dst := int(dstRaw) % m.Size()
 
-		quiet := New(m.Grid(), testConfig())
+		quiet := New(m, testConfig())
 		probeQuiet := quiet.Send(src, dst, 1.0)
 
-		busy := New(m.Grid(), testConfig())
+		busy := New(m, testConfig())
 		for _, b := range bg {
 			s := int(b>>8) % m.Size()
 			d := int(b&0xff) % m.Size()
@@ -198,11 +197,11 @@ func TestArrivalMonotoneInLoad(t *testing.T) {
 // locality property allocation exploits: fewer hops means earlier
 // delivery.
 func TestCloserDestinationsArriveSooner(t *testing.T) {
-	m := mesh.New(16, 16)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{16, 16})
+	n := New(m, testConfig())
 	prev := -1.0
 	for d := 1; d < 16; d++ {
-		nn := New(m.Grid(), testConfig())
+		nn := New(m, testConfig())
 		r := nn.Send(0, d, 0) // along the bottom row: d hops
 		if r.Hops != d {
 			t.Fatalf("hops to column %d = %d", d, r.Hops)
@@ -218,8 +217,8 @@ func TestCloserDestinationsArriveSooner(t *testing.T) {
 // TestQueueingConservation checks that the aggregate queueing statistic
 // equals the sum of per-message queueing over an arbitrary workload.
 func TestQueueingConservation(t *testing.T) {
-	m := mesh.New(6, 6)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{6, 6})
+	n := New(m, testConfig())
 	total := 0.0
 	hops := int64(0)
 	for i := 0; i < 500; i++ {
@@ -244,8 +243,8 @@ func TestQueueingConservation(t *testing.T) {
 // TestLatencyDecomposition checks that per-message latency equals the
 // uncontended baseline plus the queueing delay.
 func TestLatencyDecomposition(t *testing.T) {
-	m := mesh.New(8, 8)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 8})
+	n := New(m, testConfig())
 	for i := 0; i < 200; i++ {
 		src := (i * 11) % m.Size()
 		dst := (i*17 + 3) % m.Size()
@@ -280,29 +279,29 @@ func TestRoutingByName(t *testing.T) {
 }
 
 func TestYXRoutingUsesColumnFirst(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	cfg := testConfig()
 	cfg.Routing = RouteYX
-	n := New(m.Grid(), cfg)
+	n := New(m, cfg)
 	// Under y-x routing, (0,0)->(2,2) and (0,2)->(2,2) share the row-2
 	// links, unlike under x-y routing.
-	n.Send(m.ID(mesh.Point{X: 0, Y: 0}), m.ID(mesh.Point{X: 2, Y: 2}), 0)
-	r2 := n.Send(m.ID(mesh.Point{X: 0, Y: 2}), m.ID(mesh.Point{X: 2, Y: 2}), 0)
+	n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
+	r2 := n.Send(m.ID(topo.XY(0, 2)), m.ID(topo.XY(2, 2)), 0)
 	if r2.Queued <= 0 {
 		t.Fatal("row-sharing messages should contend under y-x routing")
 	}
 }
 
 func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.New([]int{4, 4})
 	cfg := testConfig()
 	cfg.Routing = RouteAdaptive
-	n := New(m.Grid(), cfg)
-	src := m.ID(mesh.Point{X: 0, Y: 0})
-	dst := m.ID(mesh.Point{X: 2, Y: 2})
+	n := New(m, cfg)
+	src := m.ID(topo.XY(0, 0))
+	dst := m.ID(topo.XY(2, 2))
 	// Congest the x-y route's first link (0,0)->(1,0) with row traffic.
 	for i := 0; i < 5; i++ {
-		n.Send(src, m.ID(mesh.Point{X: 3, Y: 0}), 0)
+		n.Send(src, m.ID(topo.XY(3, 0)), 0)
 	}
 	r := n.Send(src, dst, 0)
 	// The adaptive router should take the y-first route and dodge the
@@ -312,9 +311,9 @@ func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
 	}
 
 	// A plain x-y network must queue in the same situation.
-	nxy := New(m.Grid(), testConfig())
+	nxy := New(m, testConfig())
 	for i := 0; i < 5; i++ {
-		nxy.Send(src, m.ID(mesh.Point{X: 3, Y: 0}), 0)
+		nxy.Send(src, m.ID(topo.XY(3, 0)), 0)
 	}
 	if r := nxy.Send(src, dst, 0); r.Queued <= 0 {
 		t.Fatal("x-y control should have queued")
@@ -322,8 +321,8 @@ func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
 }
 
 func TestLinkUtilization(t *testing.T) {
-	m := mesh.New(8, 1)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{8, 1})
+	n := New(m, testConfig())
 	if u := n.LinkUtilization(); len(u) != m.NumLinks() {
 		t.Fatalf("utilization length %d", len(u))
 	}
@@ -334,22 +333,23 @@ func TestLinkUtilization(t *testing.T) {
 		}
 	}
 	// One message 0->1 at t=1: link (0,+x) busy 0.1 over clock 1.
+	// Dir 0 is +x.
 	n.Send(0, 1, 1.0)
 	util := n.LinkUtilization()
-	li := m.LinkIndex(mesh.Link{From: 0, Dir: mesh.XPos})
+	li := m.LinkIndex(topo.Link{From: 0, Dir: topo.Dir(0)})
 	if math.Abs(util[li]-0.1) > 1e-12 {
 		t.Fatalf("link utilization %g, want 0.1", util[li])
 	}
 	// Unused links remain zero.
-	other := m.LinkIndex(mesh.Link{From: 3, Dir: mesh.XPos})
+	other := m.LinkIndex(topo.Link{From: 3, Dir: topo.Dir(0)})
 	if util[other] != 0 {
 		t.Fatal("unused link shows utilization")
 	}
 }
 
 func TestNodeUtilizationAggregates(t *testing.T) {
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
 	n.Send(0, 3, 1.0) // bottom row eastward
 	nu := n.NodeUtilization()
 	if len(nu) != 16 {
@@ -364,8 +364,8 @@ func TestNodeUtilizationAggregates(t *testing.T) {
 }
 
 func TestUtilizationResets(t *testing.T) {
-	m := mesh.New(4, 4)
-	n := New(m.Grid(), testConfig())
+	m := topo.New([]int{4, 4})
+	n := New(m, testConfig())
 	n.Send(0, 3, 1.0)
 	n.Reset()
 	for _, u := range n.LinkUtilization() {

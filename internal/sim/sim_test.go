@@ -315,8 +315,13 @@ func TestCustomNetworkConfigUsed(t *testing.T) {
 func TestContiguousAllocatorsEndToEnd(t *testing.T) {
 	// Contiguous allocators can refuse on fragmentation; the simulator
 	// must keep the job queued and drain the whole workload anyway.
+	// The digests pin the two allocators' placements bit for bit.
 	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: 80, MaxSize: 64, Seed: 9})
-	for _, spec := range []string{"submesh", "buddy"} {
+	for _, tc := range []struct{ spec, digest string }{
+		{"submesh", "0df756e2256b1d13"},
+		{"buddy", "4da476a273c74229"},
+	} {
+		spec := tc.spec
 		cfg := baseConfig()
 		cfg.Alloc = spec
 		cfg.TimeScale = 0.01
@@ -332,6 +337,9 @@ func TestContiguousAllocatorsEndToEnd(t *testing.T) {
 			if !r.Contiguous {
 				t.Fatalf("%s: job %d not contiguous", spec, r.ID)
 			}
+		}
+		if got := goldenDigest(res); got != tc.digest {
+			t.Errorf("%s: digest %s, want %s", spec, got, tc.digest)
 		}
 	}
 }

@@ -1,28 +1,23 @@
-package mesh
+package topo
+
+// Checks on 2-D grids, the shape of the paper's meshes: coordinates,
+// x-y and y-x routes, neighbours at the edges, shells, components and
+// torus wraparound.
 
 import (
 	"testing"
 	"testing/quick"
 )
 
-func TestIDCoordRoundTrip(t *testing.T) {
-	m := New(16, 22)
-	for id := 0; id < m.Size(); id++ {
-		if got := m.ID(m.Coord(id)); got != id {
-			t.Fatalf("ID(Coord(%d)) = %d", id, got)
-		}
-	}
-}
-
 func TestNewPanicsOnBadDims(t *testing.T) {
 	for _, dims := range [][2]int{{0, 5}, {5, 0}, {-1, 3}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) should panic", dims[0], dims[1])
+					t.Errorf("New(%v) should panic", dims)
 				}
 			}()
-			New(dims[0], dims[1])
+			New(dims[:])
 		}()
 	}
 }
@@ -32,10 +27,10 @@ func TestManhattan(t *testing.T) {
 		a, b Point
 		want int
 	}{
-		{Point{0, 0}, Point{0, 0}, 0},
-		{Point{0, 0}, Point{3, 4}, 7},
-		{Point{3, 4}, Point{0, 0}, 7},
-		{Point{5, 1}, Point{1, 5}, 8},
+		{XY(0, 0), XY(0, 0), 0},
+		{XY(0, 0), XY(3, 4), 7},
+		{XY(3, 4), XY(0, 0), 7},
+		{XY(5, 1), XY(1, 5), 8},
 	}
 	for _, tc := range tests {
 		if got := tc.a.Manhattan(tc.b); got != tc.want {
@@ -45,15 +40,15 @@ func TestManhattan(t *testing.T) {
 }
 
 func TestRouteIsXYOrdered(t *testing.T) {
-	m := New(8, 8)
-	links := m.Route(m.ID(Point{1, 1}), m.ID(Point{5, 3}))
+	g := New([]int{8, 8})
+	links := g.Route(g.ID(XY(1, 1)), g.ID(XY(5, 3)))
 	if len(links) != 6 {
 		t.Fatalf("route length %d, want 6", len(links))
 	}
 	// First all x hops, then all y hops.
 	sawY := false
 	for _, l := range links {
-		isY := l.Dir == YPos || l.Dir == YNeg
+		isY := l.Dir.Axis() == 1
 		if sawY && !isY {
 			t.Fatalf("x hop after y hop in %v", links)
 		}
@@ -64,12 +59,12 @@ func TestRouteIsXYOrdered(t *testing.T) {
 }
 
 func TestRouteEndsAtDestination(t *testing.T) {
-	m := New(7, 5)
+	g := New([]int{7, 5})
 	f := func(a, b uint8) bool {
-		src := int(a) % m.Size()
-		dst := int(b) % m.Size()
-		links := m.Route(src, dst)
-		if len(links) != m.Dist(src, dst) {
+		src := int(a) % g.Size()
+		dst := int(b) % g.Size()
+		links := g.Route(src, dst)
+		if len(links) != g.Dist(src, dst) {
 			return false
 		}
 		cur := src
@@ -77,7 +72,7 @@ func TestRouteEndsAtDestination(t *testing.T) {
 			if l.From != cur {
 				return false
 			}
-			next, ok := m.Neighbor(cur, l.Dir)
+			next, ok := g.Neighbor(cur, l.Dir)
 			if !ok {
 				return false
 			}
@@ -91,103 +86,94 @@ func TestRouteEndsAtDestination(t *testing.T) {
 }
 
 func TestRouteYXIsYOrdered(t *testing.T) {
-	m := New(8, 8)
-	links := m.RouteYX(m.ID(Point{1, 1}), m.ID(Point{5, 3}))
+	g := New([]int{8, 8})
+	links := g.AppendRouteRev(nil, g.ID(XY(1, 1)), g.ID(XY(5, 3)))
 	if len(links) != 6 {
 		t.Fatalf("route length %d, want 6", len(links))
 	}
 	// All y hops first, then x hops.
 	sawX := false
-	cur := m.ID(Point{1, 1})
+	cur := g.ID(XY(1, 1))
 	for _, l := range links {
 		if l.From != cur {
 			t.Fatalf("route not connected at %v", l)
 		}
-		isX := l.Dir == XPos || l.Dir == XNeg
+		isX := l.Dir.Axis() == 0
 		if sawX && !isX {
 			t.Fatalf("y hop after x hop in %v", links)
 		}
 		if isX {
 			sawX = true
 		}
-		next, ok := m.Neighbor(cur, l.Dir)
+		next, ok := g.Neighbor(cur, l.Dir)
 		if !ok {
 			t.Fatal("route leaves mesh")
 		}
 		cur = next
 	}
-	if cur != m.ID(Point{5, 3}) {
+	if cur != g.ID(XY(5, 3)) {
 		t.Fatal("route does not reach destination")
 	}
 }
 
 func TestRouteSelfIsEmpty(t *testing.T) {
-	m := New(4, 4)
-	if links := m.Route(5, 5); len(links) != 0 {
+	g := New([]int{4, 4})
+	if links := g.Route(5, 5); len(links) != 0 {
 		t.Fatalf("self route has %d links, want 0", len(links))
 	}
 }
 
-func TestLinkIndexRoundTrip(t *testing.T) {
-	m := New(6, 9)
-	for idx := 0; idx < m.NumLinks(); idx++ {
-		if got := m.LinkIndex(m.LinkAt(idx)); got != idx {
-			t.Fatalf("LinkIndex(LinkAt(%d)) = %d", idx, got)
-		}
-	}
-}
-
 func TestNeighborEdges(t *testing.T) {
-	m := New(3, 3)
+	g := New([]int{3, 3})
 	// Corner node 0 = (0,0) has only +x and +y neighbours.
-	if _, ok := m.Neighbor(0, XNeg); ok {
+	if _, ok := g.Neighbor(0, Dir(1)); ok {
 		t.Error("corner should have no -x neighbour")
 	}
-	if _, ok := m.Neighbor(0, YNeg); ok {
+	if _, ok := g.Neighbor(0, Dir(3)); ok {
 		t.Error("corner should have no -y neighbour")
 	}
-	if nb, ok := m.Neighbor(0, XPos); !ok || nb != 1 {
+	if nb, ok := g.Neighbor(0, Dir(0)); !ok || nb != 1 {
 		t.Errorf("+x neighbour of 0 = %d,%v, want 1,true", nb, ok)
 	}
-	if nb, ok := m.Neighbor(0, YPos); !ok || nb != 3 {
+	if nb, ok := g.Neighbor(0, Dir(2)); !ok || nb != 3 {
 		t.Errorf("+y neighbour of 0 = %d,%v, want 3,true", nb, ok)
 	}
 }
 
 func TestAvgPairwiseDist(t *testing.T) {
-	m := New(4, 4)
-	// 2x2 block at origin: pairs (01)(02)(03)... ids 0,1,4,5.
-	got := m.AvgPairwiseDist([]int{0, 1, 4, 5})
+	g := New([]int{4, 4})
+	// 2x2 block at origin: ids 0,1,4,5.
+	got := g.AvgPairwiseDist([]int{0, 1, 4, 5})
 	// Distances: 0-1:1 0-4:1 0-5:2 1-4:2 1-5:1 4-5:1 => total 8 / 6 pairs.
 	want := 8.0 / 6.0
 	if got != want {
 		t.Fatalf("AvgPairwiseDist = %g, want %g", got, want)
 	}
-	if m.AvgPairwiseDist([]int{3}) != 0 {
+	if g.AvgPairwiseDist([]int{3}) != 0 {
 		t.Fatal("singleton should have zero avg distance")
 	}
-	if m.TotalPairwiseDist([]int{0, 1, 4, 5}) != 8 {
+	if g.TotalPairwiseDist([]int{0, 1, 4, 5}) != 8 {
 		t.Fatal("TotalPairwiseDist mismatch")
 	}
 }
 
 func TestCenteredSubmeshAndShells(t *testing.T) {
-	m := New(9, 9)
-	c := Point{4, 4}
+	g := New([]int{9, 9})
+	c := XY(4, 4)
 	// Shell 0 of a 3x1 request is the 3x1 submesh centered on c.
-	s0 := m.Shell(c, 3, 1, 0)
+	s0 := g.Shell(c, XY(3, 1), 0)
 	if len(s0) != 3 {
 		t.Fatalf("shell 0 size %d, want 3", len(s0))
 	}
 	// Shell 1 is the ring around the 3x1: a 5x3 minus the 3x1 = 12 nodes.
-	s1 := m.Shell(c, 3, 1, 1)
+	s1 := g.Shell(c, XY(3, 1), 1)
 	if len(s1) != 12 {
 		t.Fatalf("shell 1 size %d, want 12", len(s1))
 	}
 	// Shells partition: no overlap between shells 0..3.
 	seen := map[int]bool{}
 	for k := 0; k <= 3; k++ {
-		for _, id := range m.Shell(c, 3, 1, k) {
+		for _, id := range g.Shell(c, XY(3, 1), k) {
 			if seen[id] {
 				t.Fatalf("node %d in two shells", id)
 			}
@@ -197,22 +183,22 @@ func TestCenteredSubmeshAndShells(t *testing.T) {
 }
 
 func TestShellsCoverMesh(t *testing.T) {
-	m := New(5, 7)
-	c := Point{0, 0} // worst-case corner center
+	g := New([]int{5, 7})
+	c := XY(0, 0) // worst-case corner center
 	seen := map[int]bool{}
-	for k := 0; k <= m.MaxShells(1, 1); k++ {
-		for _, id := range m.Shell(c, 1, 1, k) {
+	for k := 0; k <= g.MaxShells(); k++ {
+		for _, id := range g.Shell(c, XY(1, 1), k) {
 			seen[id] = true
 		}
 	}
-	if len(seen) != m.Size() {
-		t.Fatalf("shells cover %d nodes, want %d", len(seen), m.Size())
+	if len(seen) != g.Size() {
+		t.Fatalf("shells cover %d nodes, want %d", len(seen), g.Size())
 	}
 }
 
 func TestShellClippedAtEdge(t *testing.T) {
-	m := New(4, 4)
-	s1 := m.Shell(Point{0, 0}, 1, 1, 1)
+	g := New([]int{4, 4})
+	s1 := g.Shell(XY(0, 0), XY(1, 1), 1)
 	// Ring around (0,0) clipped to the mesh: (1,0),(0,1),(1,1).
 	if len(s1) != 3 {
 		t.Fatalf("clipped shell has %d nodes, want 3", len(s1))
@@ -220,7 +206,7 @@ func TestShellClippedAtEdge(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	m := New(4, 4)
+	g := New([]int{4, 4})
 	tests := []struct {
 		name string
 		ids  []int
@@ -236,7 +222,7 @@ func TestComponents(t *testing.T) {
 		{"split", []int{0, 1, 3, 7}, 2},
 	}
 	for _, tc := range tests {
-		comps := m.Components(tc.ids)
+		comps := g.Components(tc.ids)
 		if len(comps) != tc.want {
 			t.Errorf("%s: %d components, want %d", tc.name, len(comps), tc.want)
 		}
@@ -247,14 +233,14 @@ func TestComponents(t *testing.T) {
 		if total != len(tc.ids) {
 			t.Errorf("%s: components cover %d ids, want %d", tc.name, total, len(tc.ids))
 		}
-		if (len(comps) <= 1) != m.Contiguous(tc.ids) {
+		if (len(comps) <= 1) != g.Contiguous(tc.ids) {
 			t.Errorf("%s: Contiguous disagrees with Components", tc.name)
 		}
 	}
 }
 
 func TestComponentsPartitionProperty(t *testing.T) {
-	m := New(6, 6)
+	g := New([]int{6, 6})
 	f := func(mask uint64) bool {
 		var ids []int
 		for i := 0; i < 36; i++ {
@@ -262,7 +248,7 @@ func TestComponentsPartitionProperty(t *testing.T) {
 				ids = append(ids, i)
 			}
 		}
-		comps := m.Components(ids)
+		comps := g.Components(ids)
 		seen := map[int]bool{}
 		for _, c := range comps {
 			for _, id := range c {
@@ -280,45 +266,45 @@ func TestComponentsPartitionProperty(t *testing.T) {
 }
 
 func TestTorusDist(t *testing.T) {
-	m := NewTorus(8, 6)
-	if !m.Torus() {
+	g := NewTorus([]int{8, 6})
+	if !g.Torus() {
 		t.Fatal("Torus() false")
 	}
 	// (0,0) to (7,0): 1 hop the short way around.
-	if d := m.Dist(m.ID(Point{0, 0}), m.ID(Point{7, 0})); d != 1 {
+	if d := g.Dist(g.ID(XY(0, 0)), g.ID(XY(7, 0))); d != 1 {
 		t.Fatalf("wrap x distance = %d, want 1", d)
 	}
 	// (0,0) to (0,5): 1 hop around y.
-	if d := m.Dist(m.ID(Point{0, 0}), m.ID(Point{0, 5})); d != 1 {
+	if d := g.Dist(g.ID(XY(0, 0)), g.ID(XY(0, 5))); d != 1 {
 		t.Fatalf("wrap y distance = %d, want 1", d)
 	}
 	// (0,0) to (4,3): 4 + 3 either way.
-	if d := m.Dist(m.ID(Point{0, 0}), m.ID(Point{4, 3})); d != 7 {
+	if d := g.Dist(g.ID(XY(0, 0)), g.ID(XY(4, 3))); d != 7 {
 		t.Fatalf("half-way distance = %d, want 7", d)
 	}
 	// A plain mesh disagrees.
-	p := New(8, 6)
-	if d := p.Dist(p.ID(Point{0, 0}), p.ID(Point{7, 0})); d != 7 {
+	p := New([]int{8, 6})
+	if d := p.Dist(p.ID(XY(0, 0)), p.ID(XY(7, 0))); d != 7 {
 		t.Fatalf("plain mesh distance = %d, want 7", d)
 	}
 }
 
 func TestTorusNeighborWraps(t *testing.T) {
-	m := NewTorus(4, 4)
-	nb, ok := m.Neighbor(m.ID(Point{0, 0}), XNeg)
-	if !ok || nb != m.ID(Point{3, 0}) {
-		t.Fatalf("XNeg wrap = %d, %v", nb, ok)
+	g := NewTorus([]int{4, 4})
+	nb, ok := g.Neighbor(g.ID(XY(0, 0)), Dir(1)) // -x
+	if !ok || nb != g.ID(XY(3, 0)) {
+		t.Fatalf("-x wrap = %d, %v", nb, ok)
 	}
-	nb, ok = m.Neighbor(m.ID(Point{2, 3}), YPos)
-	if !ok || nb != m.ID(Point{2, 0}) {
-		t.Fatalf("YPos wrap = %d, %v", nb, ok)
+	nb, ok = g.Neighbor(g.ID(XY(2, 3)), Dir(2)) // +y
+	if !ok || nb != g.ID(XY(2, 0)) {
+		t.Fatalf("+y wrap = %d, %v", nb, ok)
 	}
 }
 
 func TestTorusRouteTakesShortWay(t *testing.T) {
-	m := NewTorus(8, 8)
-	src, dst := m.ID(Point{0, 0}), m.ID(Point{7, 7})
-	links := m.Route(src, dst)
+	g := NewTorus([]int{8, 8})
+	src, dst := g.ID(XY(0, 0)), g.ID(XY(7, 7))
+	links := g.Route(src, dst)
 	if len(links) != 2 {
 		t.Fatalf("torus route length %d, want 2 (one wrap per axis)", len(links))
 	}
@@ -328,7 +314,7 @@ func TestTorusRouteTakesShortWay(t *testing.T) {
 		if l.From != cur {
 			t.Fatalf("disconnected route %v", links)
 		}
-		next, ok := m.Neighbor(cur, l.Dir)
+		next, ok := g.Neighbor(cur, l.Dir)
 		if !ok {
 			t.Fatal("route left mesh")
 		}
@@ -340,26 +326,20 @@ func TestTorusRouteTakesShortWay(t *testing.T) {
 }
 
 func TestTorusRoutePropertyMatchesDist(t *testing.T) {
-	m := NewTorus(7, 5)
-	for src := 0; src < m.Size(); src += 3 {
-		for dst := 0; dst < m.Size(); dst += 2 {
-			if got := len(m.Route(src, dst)); got != m.Dist(src, dst) {
-				t.Fatalf("route %d->%d has %d links, dist %d", src, dst, got, m.Dist(src, dst))
+	g := NewTorus([]int{7, 5})
+	for src := 0; src < g.Size(); src += 3 {
+		for dst := 0; dst < g.Size(); dst += 2 {
+			if got := len(g.Route(src, dst)); got != g.Dist(src, dst) {
+				t.Fatalf("route %d->%d has %d links, dist %d", src, dst, got, g.Dist(src, dst))
 			}
 		}
 	}
 }
 
-func TestDirectionString(t *testing.T) {
-	if XPos.String() != "+x" || YNeg.String() != "-y" {
-		t.Fatal("Direction.String mismatch")
-	}
-}
-
 func TestSubmeshNodesClipped(t *testing.T) {
-	m := New(4, 4)
-	s := Submesh{Origin: Point{3, 3}, W: 2, H: 2}
-	nodes := m.Nodes(s)
+	g := New([]int{4, 4})
+	b := Box{Origin: XY(3, 3), Ext: Point{2, 2, 1, 1}}
+	nodes := g.Nodes(b)
 	if len(nodes) != 1 || nodes[0] != 15 {
 		t.Fatalf("clipped submesh nodes = %v, want [15]", nodes)
 	}

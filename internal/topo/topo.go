@@ -3,9 +3,8 @@
 // links, dimension-ordered routes, the box shells used by MC-style
 // allocators, Manhattan rings, and rectilinear connectivity.
 //
-// The 2-D mesh package is a thin facade over this one, and the 3-D cube
-// study and the native 3-D contention experiments instantiate it at three
-// dimensions. Every walker keeps the zero-allocation caller-buffer /
+// The paper's meshes are 2-D grids (axis 0 is x, axis 1 is y), and the
+// native 3-D experiments instantiate it at three dimensions. Every walker keeps the zero-allocation caller-buffer /
 // index-callback API shape established for the 2-D hot paths: Append*
 // variants extend a caller-owned slice, *Each variants call back per node,
 // and nothing on a steady-state path allocates.

@@ -269,7 +269,7 @@ func TestRing3D(t *testing.T) {
 }
 
 func TestLinkIndexRoundTrip(t *testing.T) {
-	for _, dims := range [][]int{{16, 22}, {8, 8, 8}} {
+	for _, dims := range [][]int{{16, 22}, {6, 9}, {8, 8, 8}} {
 		g := New(dims)
 		seen := make([]bool, g.NumLinks())
 		for id := 0; id < g.Size(); id++ {

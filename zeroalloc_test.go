@@ -5,9 +5,8 @@
 // per-message garbage. See DESIGN.md ("Zero-allocation hot paths").
 //
 // The topology layer is dimension-generic, so every guard runs on both
-// the paper's 2-D meshes (through the mesh facade, pinning the original
-// contract) and a 3-D grid (pinning the generalized route, shell, ring
-// and Send paths the ext-cube3d experiment rides on).
+// the paper's 2-D meshes and a 3-D grid (pinning the generalized route,
+// shell, ring and Send paths the ext-cube3d experiment rides on).
 package meshalloc
 
 import (
@@ -17,7 +16,6 @@ import (
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/binpack"
 	"meshalloc/internal/curve"
-	"meshalloc/internal/mesh"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/occupancy"
 	"meshalloc/internal/sim"
@@ -25,16 +23,16 @@ import (
 	"meshalloc/internal/trace"
 )
 
-// TestShellIterationZeroAlloc pins mesh shell walking (the inner loop of
+// TestShellIterationZeroAlloc pins 2-D shell walking (the inner loop of
 // MC's candidate scoring) at zero allocations when the caller reuses a
 // scratch buffer.
 func TestShellIterationZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	buf := make([]int, 0, m.Size())
-	center := mesh.Point{X: 8, Y: 11}
+	center := topo.XY(8, 11)
 	n := testing.AllocsPerRun(200, func() {
 		for k := 0; k <= 8; k++ {
-			buf = m.AppendShell(buf[:0], center, 4, 4, k)
+			buf = m.AppendShell(buf[:0], center, topo.XY(4, 4), k)
 		}
 	})
 	if n != 0 {
@@ -45,12 +43,12 @@ func TestShellIterationZeroAlloc(t *testing.T) {
 // TestShellEachZeroAlloc pins the index-callback variant at zero
 // allocations, including the closure itself.
 func TestShellEachZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
-	center := mesh.Point{X: 3, Y: 20}
+	m := topo.New([]int{16, 22})
+	center := topo.XY(3, 20)
 	sum := 0
 	n := testing.AllocsPerRun(200, func() {
 		for k := 0; k <= 8; k++ {
-			m.ShellEach(center, 4, 4, k, func(id int) bool {
+			m.ShellEach(center, topo.XY(4, 4), k, func(id int) bool {
 				sum += id
 				return true
 			})
@@ -65,11 +63,11 @@ func TestShellEachZeroAlloc(t *testing.T) {
 // TestRouteAppendZeroAlloc pins dimension-ordered route construction into
 // a reused buffer at zero allocations.
 func TestRouteAppendZeroAlloc(t *testing.T) {
-	m := mesh.New(16, 22)
-	buf := make([]mesh.Link, 0, m.Width()+m.Height())
+	m := topo.New([]int{16, 22})
+	buf := make([]topo.Link, 0, m.Dim(0)+m.Dim(1))
 	n := testing.AllocsPerRun(200, func() {
 		buf = m.AppendRoute(buf[:0], 0, m.Size()-1)
-		buf = m.AppendRouteYX(buf[:0], m.Size()-1, 3)
+		buf = m.AppendRouteRev(buf[:0], m.Size()-1, 3)
 	})
 	if n != 0 {
 		t.Fatalf("AppendRoute allocates %.1f objects/run, want 0", n)
@@ -116,10 +114,10 @@ func TestNetworkSendZeroAlloc(t *testing.T) {
 // recycled. Everything else (shell scoring, ring gathering, bin-pack
 // interval scans, free-list shuffles) must run in persistent scratch.
 func TestAllocatorSteadyStateAllocs(t *testing.T) {
-	m := mesh.New(16, 22)
+	m := topo.New([]int{16, 22})
 	for _, spec := range append(alloc.Specs(), "random") {
 		t.Run(spec, func(t *testing.T) {
-			a, err := alloc.Spec(m.Grid(), spec, 1)
+			a, err := alloc.Spec(m, spec, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
