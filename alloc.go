@@ -36,11 +36,12 @@ func Curves() []string { return curve.All() }
 func Patterns() []string { return comm.All() }
 
 // CurveOrder returns the node ids of a w x h mesh in the order of the
-// named curve.
+// named curve. It refuses a mesh the curve cannot order; see
+// curve.CheckDims.
 func CurveOrder(name string, w, h int) ([]int, error) {
 	c, err := curve.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return c.Order(w, h), nil
+	return curve.GridOrder(c, []int{w, h})
 }

@@ -445,31 +445,6 @@ func BenchmarkParallelSweepExtSteady(b *testing.B) {
 	})
 }
 
-// BenchmarkAllocateParallel times Gen-Alg's sharded candidate scan
-// against the sequential loop on a large machine at realistic
-// occupancy. The parallel scan answers are bit-identical (see alloc's
-// parallel tests); the question here is only the goroutine overhead
-// versus core count.
-func BenchmarkAllocateParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("32x32/genalg/workers%d", workers), func(b *testing.B) {
-			g := topo.New([]int{32, 32})
-			a := alloc.NewGenAlg(g)
-			a.SetParallelism(workers)
-			prefillAllocator(b, a, g.Size())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids, err := a.Allocate(alloc.Request{Size: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-				a.Release(ids)
-			}
-			reportMetric(b, "ns_per_alloc", float64(b.Elapsed().Nanoseconds())/float64(b.N))
-		})
-	}
-}
-
 // --- Micro-benchmarks of the substrates ---
 
 func BenchmarkAllocate(b *testing.B) {

@@ -44,7 +44,11 @@ func main() {
 			err, strings.Join(curve.All(), ", "))
 		os.Exit(1)
 	}
-	order := c.Order(w, h)
+	order, err := curve.GridOrder(c, dims)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "curveviz: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Printf("%s on %dx%d:\n\n%s\n", c.Name(), w, h, curve.Render(order, w, h))
 	rep := curve.Locality(order, w, h)
 	fmt.Printf("locality: max step %d, avg step %.3f, gaps %d, max adjacency stretch %d\n",

@@ -38,13 +38,23 @@ func runMain(t *testing.T, args ...string) (int, string, string) {
 // TestRejectsBadMeshSpecs: a -mesh value that is not a buildable 2-D
 // shape exits with status 1 and a usage message, and renders nothing.
 // Trailing junk, a third extent and an extent too large for a grid are
-// all rejected.
+// all rejected. So is 4097x1 for Hilbert and Z-order, which would walk
+// an 8192x8192 square (2^26 cells, above the curve package's 2^24).
 func TestRejectsBadMeshSpecs(t *testing.T) {
-	for _, spec := range []string{"16x22junk", "4x4x4", "100000x100000"} {
-		code, stdout, stderr := runMain(t, "-mesh", spec)
-		if code != 1 || stdout != "" || !strings.Contains(stderr, "bad mesh spec") {
-			t.Errorf("curveviz -mesh %s: exit %d, stdout %q, stderr %q; want exit 1, no output and a usage message",
-				spec, code, stdout, stderr)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mesh", "16x22junk"}, "bad mesh spec"},
+		{[]string{"-mesh", "4x4x4"}, "bad mesh spec"},
+		{[]string{"-mesh", "100000x100000"}, "bad mesh spec"},
+		{[]string{"-mesh", "4097x1", "-curve", "hilbert"}, "2^24"},
+		{[]string{"-mesh", "4097x1", "-curve", "zorder"}, "2^24"},
+	} {
+		code, stdout, stderr := runMain(t, tc.args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("curveviz %v: exit %d, stdout %d bytes, stderr %q; want exit 1, no output and %q",
+				tc.args, code, len(stdout), stderr, tc.want)
 		}
 	}
 	code, stdout, stderr := runMain(t, "-mesh", "4x3")

@@ -60,7 +60,6 @@ func main() {
 		stream    = flag.Bool("stream", false, "stream per-job records as NDJSON to stdout (summary goes to stderr); records are not retained")
 		arrival   = flag.String("arrival", "", "open-system arrival process: poisson:MEANSEC or bursty:MEANSEC,ONSEC,OFFSEC (empty = closed trace replay)")
 		duration  = flag.Float64("duration", 0, "open-system horizon in trace seconds (0 = run until the -jobs cap)")
-		allocWk   = flag.Int("alloc-workers", 0, "goroutines scoring genalg allocation candidates (other allocators ignore it); results are bit-identical at any value")
 		mtbf      = flag.String("mtbf", "", "per-node mean time between failures: MEANSEC, exp:MEANSEC or weibull:MEANSEC,SHAPE (trace seconds; empty = no failures)")
 		mttr      = flag.String("mttr", "", "per-node mean time to repair, same forms as -mtbf (empty with -mtbf = permanent failures)")
 		retrySpec = flag.String("retry", "", "retry policy for killed jobs: none, immediate[:MAXATTEMPTS] or backoff:BASESEC,CAPSEC[,MAXATTEMPTS] (empty = immediate, unlimited)")
@@ -92,9 +91,6 @@ func main() {
 	if _, err := sched.ByName(*scheduler); err != nil {
 		fatal(fmt.Errorf("%v (valid -sched values: fcfs, easy, sjf)", err))
 	}
-	if *allocWk < 0 {
-		fatal(fmt.Errorf("-alloc-workers must be >= 0 (got %d)", *allocWk))
-	}
 	if *jobs < 1 {
 		fatal(fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs))
 	}
@@ -115,16 +111,15 @@ func main() {
 	}
 
 	cfg := sim.Config{
-		Dims:         dims,
-		Torus:        *torus,
-		Alloc:        *allocSpec,
-		Pattern:      *pattern,
-		Load:         *load,
-		TimeScale:    *timeScale,
-		Seed:         *seed,
-		Scheduler:    *scheduler,
-		AllocWorkers: *allocWk,
-		AuditEvery:   *auditEv,
+		Dims:       dims,
+		Torus:      *torus,
+		Alloc:      *allocSpec,
+		Pattern:    *pattern,
+		Load:       *load,
+		TimeScale:  *timeScale,
+		Seed:       *seed,
+		Scheduler:  *scheduler,
+		AuditEvery: *auditEv,
 	}
 	if *issue == "sequential" {
 		cfg.Issue = sim.IssueSequential
@@ -218,12 +213,7 @@ func main() {
 		} else {
 			tr = trace.NewSDSC(trace.SDSCConfig{Jobs: *jobs, MaxSize: size, Seed: *seed})
 		}
-		tr = tr.FilterMaxSize(size)
-		if *stream {
-			res, eng, err = runStreaming(cfg, tr, ck)
-		} else {
-			res, eng, err = runBatch(cfg, tr, ck)
-		}
+		res, eng, err = runClosed(cfg, tr.FilterMaxSize(size), *stream, ck)
 	}
 	if err != nil {
 		fatal(err)
@@ -354,18 +344,25 @@ func runOpen(cfg sim.Config, spec string, maxSize int, seed int64, jobs int, hor
 	return e.Result(), e, nil
 }
 
-// runStreaming replays a closed-system trace but streams every record
-// as NDJSON instead of retaining it; summary statistics come from the
-// engine's streaming aggregates. Jobs are submitted up front exactly
-// as sim.Run does, so -stream changes the output format only — even
-// event-time ties resolve in the same order as the batch path.
-func runStreaming(cfg sim.Config, tr *trace.Trace, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
-	cfg.KeepRecords = sim.Discard
+// runClosed is sim.Run with the engine handle kept, so the profiling
+// report can read the event-core counters. Submission order, event
+// processing and the deadlock check match sim.Run exactly. With stream
+// set, every record goes out as NDJSON instead of being retained and
+// the summary comes from the engine's streaming aggregates; even
+// event-time ties resolve as without it, so -stream changes the output
+// format only.
+func runClosed(cfg sim.Config, tr *trace.Trace, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+	if stream {
+		cfg.KeepRecords = sim.Discard
+	}
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	flush := observeNDJSON(e)
+	flush := func() {}
+	if stream {
+		flush = observeNDJSON(e)
+	}
 	for _, j := range tr.Jobs {
 		if err := e.Submit(j); err != nil {
 			return nil, nil, err
@@ -377,27 +374,6 @@ func runStreaming(cfg sim.Config, tr *trace.Trace, ck ckptSpec) (*sim.Result, *s
 		return nil, nil, fmt.Errorf("deadlock with %d queued and %d running jobs", e.Pending(), e.RunningJobs())
 	}
 	flush()
-	return e.Result(), e, nil
-}
-
-// runBatch is sim.Run with the engine handle kept, so the profiling
-// report can read the event-core counters. Submission order, event
-// processing and the deadlock check match sim.Run exactly.
-func runBatch(cfg sim.Config, tr *trace.Trace, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
-	e, err := sim.NewEngine(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, j := range tr.Jobs {
-		if err := e.Submit(j); err != nil {
-			return nil, nil, err
-		}
-	}
-	armCheckpoint(e, nil, ck)
-	e.Drain()
-	if e.Deadlocked() {
-		return nil, nil, fmt.Errorf("deadlock with %d queued and %d running jobs", e.Pending(), e.RunningJobs())
-	}
 	return e.Result(), e, nil
 }
 

@@ -43,7 +43,7 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 	}{
 		{"closed", "", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
-			return runBatch(checkpointCfg(), tr, ck)
+			return runClosed(checkpointCfg(), tr, false, ck)
 		}},
 		{"open", arrival, func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			return runOpen(checkpointCfg(), arrival, maxSize, seed, jobs, 0, false, ck)

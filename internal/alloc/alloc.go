@@ -153,7 +153,8 @@ type FaultAware interface {
 // e.g. "hilbert/bestfit", "scurve/firstfit", "hindex",
 // "hilbert/freelist/page1". On machines with more than two dimensions
 // the curve must order n-D grids (hilbert, scurve, rowmajor, zorder, and
-// the proj2d-* projections); the 2-D-only curves are rejected.
+// the proj2d-* projections); the 2-D-only curves are rejected, and so is
+// a curve whose enclosing power-of-two cube exceeds curve.MaxCubeCells.
 func Spec(g *topo.Grid, spec string, seed int64) (Allocator, error) {
 	switch spec {
 	case "mc":
@@ -192,9 +193,6 @@ func Spec(g *topo.Grid, spec string, seed int64) (Allocator, error) {
 			return nil, fmt.Errorf("alloc: unknown allocator %q", spec)
 		}
 	}
-	if !curve.SupportsDims(c, g.ND()) {
-		return nil, fmt.Errorf("alloc: curve %s cannot order a %d-D machine", c.Name(), g.ND())
-	}
 	strat := binpack.FreeList
 	if len(parts) >= 2 {
 		var err error
@@ -204,22 +202,24 @@ func Spec(g *topo.Grid, spec string, seed int64) (Allocator, error) {
 		}
 	}
 	switch {
-	case len(parts) == 2:
-		return NewPaging(g, c, strat), nil
 	case len(parts) == 3:
 		var s int
 		if _, err := fmt.Sscanf(parts[2], "page%d", &s); err != nil || s < 0 {
 			return nil, fmt.Errorf("alloc: bad page suffix %q in %q", parts[2], spec)
 		}
-		side := 1 << uint(s)
-		for i := 0; i < g.ND(); i++ {
-			if side > g.Dim(i) {
-				return nil, fmt.Errorf("alloc: page side %d exceeds machine axis %d (extent %d)", side, i, g.Dim(i))
-			}
+		dims, err := pageGrid(g, s)
+		if err == nil {
+			err = curve.CheckDims(c, dims)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return NewPagedPaging(g, c, strat, s), nil
 	case len(parts) > 3:
 		return nil, fmt.Errorf("alloc: unknown allocator %q", spec)
+	}
+	if err := curve.CheckDims(c, g.Dims()); err != nil {
+		return nil, err
 	}
 	return NewPaging(g, c, strat), nil
 }
@@ -255,9 +255,9 @@ type Paging struct {
 }
 
 // NewPaging returns a Paging allocator over g using curve c and selection
-// strategy strat. It panics when the curve cannot order the grid's
-// dimensionality (use Spec for an error-returning path): curve choice is
-// static configuration.
+// strategy strat. It panics when the curve cannot order the grid (see
+// curve.CheckDims; use Spec for an error-returning path): curve choice
+// is static configuration.
 func NewPaging(g *topo.Grid, c curve.Curve, strat binpack.Strategy) *Paging {
 	order, err := curve.GridOrder(c, g.Dims())
 	if err != nil {
@@ -581,36 +581,17 @@ type GenAlg struct {
 	bestBuf []int
 	ringBuf []int
 	axisBuf [topo.MaxDims][]int
-	// scratch is the indexed-scoring workspace of the sequential
-	// candidate loop; parallel scoring workers own private copies (see
-	// parallel.go) so the loop can shard without sharing mutable state.
-	scratch genScratch
-	maxR    int
-	// twin is the indexed scan's twin pre-pass workspace (see twins.go).
-	twin twinScratch
-	// workers and parScratch belong to the opt-in parallel candidate
-	// scan; workers <= 1 (the default) keeps the sequential loop.
-	workers    int
-	parScratch []genScratch
-}
-
-// genScratch is one candidate-scoring workspace for the indexed Gen-Alg
-// loop: per-axis member marginals, and the previous candidate's ball
-// radius seeding the next radius search (neighboring centers rarely
-// differ by much). The radius hint only steers where ballCutoff starts
-// searching — the cutoff it returns is a pure function of the machine
-// state — so scoring through any scratch yields identical costs.
-type genScratch struct {
+	// marg and radius are the indexed scorer's workspace: per-axis
+	// member marginals, and the previous candidate's ball radius seeding
+	// the next radius search (neighboring centers rarely differ by
+	// much). The hint only steers where ballCutoff starts searching —
+	// the cutoff it returns is a pure function of the machine state — so
+	// any hint yields identical costs.
 	marg   [topo.MaxDims][]int
 	radius int
-}
-
-func newGenScratch(g *topo.Grid) genScratch {
-	var s genScratch
-	for i := 0; i < g.ND(); i++ {
-		s.marg[i] = make([]int, g.Dim(i))
-	}
-	return s
+	maxR   int
+	// twin is the indexed scan's twin pre-pass workspace (see twins.go).
+	twin twinScratch
 }
 
 // NewGenAlg returns a Gen-Alg allocator over g.
@@ -632,8 +613,9 @@ func NewGenAlg(g *topo.Grid) *GenAlg {
 func NewGenAlgNaive(g *topo.Grid) *GenAlg { return newGenAlg(g) }
 
 func newGenAlg(g *topo.Grid) *GenAlg {
-	a := &GenAlg{tracker: newTracker(g), scratch: newGenScratch(g)}
+	a := &GenAlg{tracker: newTracker(g)}
 	for i := 0; i < g.ND(); i++ {
+		a.marg[i] = make([]int, g.Dim(i))
 		a.maxR += g.Dim(i)
 	}
 	return a
@@ -650,20 +632,15 @@ func (a *GenAlg) Allocate(req Request) ([]int, error) {
 	if a.balls == nil {
 		return a.allocateNaive(req.Size)
 	}
-	skip := a.twinSkips(req.Size)
 	bestDist, bestCenter := -1, -1
-	if a.workers > 1 {
-		bestDist, bestCenter = a.scanParallel(req.Size, skip)
-	} else {
-		a.scratch.radius = 0
-		for center, s := range skip {
-			if s {
-				continue
-			}
-			d := a.countPairwise(&a.scratch, center, req.Size)
-			if bestDist == -1 || d < bestDist {
-				bestDist, bestCenter = d, center
-			}
+	a.radius = 0
+	for center, s := range a.twinSkips(req.Size) {
+		if s {
+			continue
+		}
+		d := a.countPairwise(center, req.Size)
+		if bestDist == -1 || d < bestDist {
+			bestDist, bestCenter = d, center
 		}
 	}
 	if bestCenter == -1 {
@@ -701,33 +678,32 @@ func (a *GenAlg) allocateNaive(size int) ([]int, error) {
 // countPairwise computes the exact total pairwise distance of the set
 // nearest(center, k) would gather, without gathering it: the ball
 // radius from the index, interior per-axis marginals from slice counts,
-// and only the boundary ring walked for the row-major tail. All mutable
-// state lives in s, so concurrent callers with distinct scratches score
-// disjoint candidates safely (the index and busy bitmap are only read).
-func (a *GenAlg) countPairwise(s *genScratch, center, k int) int {
+// and only the boundary ring walked for the row-major tail. It writes
+// only a.marg and a.radius; the index and busy bitmap are only read.
+func (a *GenAlg) countPairwise(center, k int) int {
 	c := a.g.Coord(center)
-	r, inner := a.ballCutoff(c, k, s.radius)
-	s.radius = r
+	r, inner := a.ballCutoff(c, k, a.radius)
+	a.radius = r
 	nd := a.g.ND()
 	for ax := 0; ax < nd; ax++ {
 		lo, hi := a.g.ClipInterval(ax, c[ax]-r, c[ax]+r)
-		m := s.marg[ax]
+		m := a.marg[ax]
 		for v := lo; v < hi; v++ {
 			m[v] = 0
 		}
 	}
 	if inner > 0 {
 		for ax := 0; ax < nd; ax++ {
-			a.balls.AddMarginal(ax, c, r-1, s.marg[ax])
+			a.balls.AddMarginal(ax, c, r-1, a.marg[ax])
 		}
 	}
 	if tail := k - inner; tail > 0 {
-		a.tailMarginals(s, c, r, tail)
+		a.tailMarginals(c, r, tail)
 	}
 	total := 0
 	for ax := 0; ax < nd; ax++ {
 		lo, hi := a.g.ClipInterval(ax, c[ax]-r, c[ax]+r)
-		m := s.marg[ax]
+		m := a.marg[ax]
 		seen, prefix := 0, 0
 		for v := lo; v < hi; v++ {
 			cnt := m[v]
@@ -749,7 +725,7 @@ func (a *GenAlg) countPairwise(s *genScratch, center, k int) int {
 // calls, nothing materialized): the tail is the only part of a
 // candidate the indexed scorer still walks, so it must cost a probe
 // per cell and no more.
-func (a *GenAlg) tailMarginals(s *genScratch, c topo.Point, r, tail int) {
+func (a *GenAlg) tailMarginals(c topo.Point, r, tail int) {
 	if a.g.ND() == 2 {
 		w, h := a.g.Dim(0), a.g.Dim(1)
 		for dy := -r; dy <= r; dy++ {
@@ -760,16 +736,16 @@ func (a *GenAlg) tailMarginals(s *genScratch, c topo.Point, r, tail int) {
 			dx := r - abs(dy)
 			row := y * w
 			if x := c[0] - dx; x >= 0 && x < w && !a.busy[row+x] {
-				s.marg[0][x]++
-				s.marg[1][y]++
+				a.marg[0][x]++
+				a.marg[1][y]++
 				if tail--; tail == 0 {
 					return
 				}
 			}
 			if dx > 0 {
 				if x := c[0] + dx; x >= 0 && x < w && !a.busy[row+x] {
-					s.marg[0][x]++
-					s.marg[1][y]++
+					a.marg[0][x]++
+					a.marg[1][y]++
 					if tail--; tail == 0 {
 						return
 					}
@@ -794,18 +770,18 @@ func (a *GenAlg) tailMarginals(s *genScratch, c topo.Point, r, tail int) {
 			dx := rem - abs(dy)
 			row := zbase + y*w
 			if x := c[0] - dx; x >= 0 && x < w && !a.busy[row+x] {
-				s.marg[0][x]++
-				s.marg[1][y]++
-				s.marg[2][z]++
+				a.marg[0][x]++
+				a.marg[1][y]++
+				a.marg[2][z]++
 				if tail--; tail == 0 {
 					return
 				}
 			}
 			if dx > 0 {
 				if x := c[0] + dx; x >= 0 && x < w && !a.busy[row+x] {
-					s.marg[0][x]++
-					s.marg[1][y]++
-					s.marg[2][z]++
+					a.marg[0][x]++
+					a.marg[1][y]++
+					a.marg[2][z]++
 					if tail--; tail == 0 {
 						return
 					}

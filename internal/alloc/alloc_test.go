@@ -42,6 +42,39 @@ func TestSpecNames(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsUnbuildableCurves: Spec returns an error, without
+// building an order, for a curve whose enclosing power-of-two cube holds
+// more than curve.MaxCubeCells cells (65536^4 overflows int, 8192^2 is
+// 2^26) and for a page size whose side 1<<s overflows int. A page grid
+// whose cube fits is accepted on a machine whose own cube does not.
+func TestSpecRejectsUnbuildableCurves(t *testing.T) {
+	for _, tc := range []struct {
+		dims []int
+		spec string
+	}{
+		{[]int{65535, 32, 1, 1}, "hilbert"},
+		{[]int{65535, 32, 1, 1}, "zorder/bestfit"},
+		{[]int{8192, 4}, "hilbert"},
+		{[]int{8, 8}, "hilbert/bestfit/page63"},
+		{[]int{8, 8}, "hilbert/bestfit/page64"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Spec(%v, %q) panicked: %v", tc.dims, tc.spec, r)
+				}
+			}()
+			if _, err := Spec(topo.New(tc.dims), tc.spec, 1); err == nil {
+				t.Errorf("Spec(%v, %q) accepted", tc.dims, tc.spec)
+			}
+		}()
+	}
+	// 8192x4 in 4x4 pages is a 2048x1 page grid: a 2^22-cell cube.
+	if _, err := Spec(topo.New([]int{8192, 4}), "hilbert/freelist/page2", 1); err != nil {
+		t.Errorf("paged hilbert on 8192x4: %v", err)
+	}
+}
+
 func TestRequestShape(t *testing.T) {
 	tests := []struct {
 		size, w, h int

@@ -248,13 +248,13 @@ func TestCountPairwiseMatchesGather(t *testing.T) {
 		if k > ga.NumFree() {
 			continue
 		}
-		ga.scratch.radius = x.intn(5) // any hint must give the same answer
+		ga.radius = x.intn(5) // any hint must give the same answer
 		for probe := 0; probe < 10; probe++ {
 			center := x.intn(g.Size())
 			if ga.busy[center] {
 				continue
 			}
-			counted := ga.countPairwise(&ga.scratch, center, k)
+			counted := ga.countPairwise(center, k)
 			ref.nearest(center, k)
 			walked := ref.totalPairwise(ref.nearBuf)
 			if counted != walked {

@@ -40,15 +40,12 @@ func NewPagedPaging(g *topo.Grid, c curve.Curve, strat binpack.Strategy, s int) 
 	if s < 0 {
 		panic(fmt.Sprintf("alloc: negative page size %d", s))
 	}
+	pageDims, err := pageGrid(g, s)
+	if err != nil {
+		panic(err.Error())
+	}
 	side := 1 << uint(s)
 	nd := g.ND()
-	pageDims := make([]int, nd)
-	for i := 0; i < nd; i++ {
-		if side > g.Dim(i) {
-			panic(fmt.Sprintf("alloc: page side %d exceeds machine axis %d (extent %d)", side, i, g.Dim(i)))
-		}
-		pageDims[i] = (g.Dim(i) + side - 1) / side
-	}
 
 	p := &PagedPaging{
 		g:     g,
@@ -84,6 +81,20 @@ func NewPagedPaging(g *topo.Grid, c curve.Curve, strat binpack.Strategy, s int) 
 	p.pageBusy = make([]bool, numPages)
 	p.numFree = g.Size()
 	return p
+}
+
+// pageGrid returns the extents of g's grid of 2^s-sided pages, or an
+// error when the page side exceeds a machine axis.
+func pageGrid(g *topo.Grid, s int) ([]int, error) {
+	dims := g.Dims()
+	for i, d := range dims {
+		// d >> s == 0 is 1<<s > d without shifting 1 out of the word.
+		if d>>uint(s) == 0 {
+			return nil, fmt.Errorf("alloc: page side 2^%d exceeds machine axis %d (extent %d)", s, i, d)
+		}
+		dims[i] = (d + 1<<uint(s) - 1) >> uint(s)
+	}
+	return dims, nil
 }
 
 // Name implements Allocator.

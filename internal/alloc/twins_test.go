@@ -8,9 +8,9 @@ import (
 )
 
 // Twin-skip tests: on lightly loaded machines, where most free centers
-// are twins, the indexed Gen-Alg — sequential and sharded — must still
-// return exactly the naive reference's ids, and the pre-pass must
-// actually collapse the candidate set.
+// are twins, the indexed Gen-Alg must still return exactly the naive
+// reference's ids, and the pre-pass must actually collapse the
+// candidate set.
 
 // twinGrids mixes long axes (many centers per clip class) with short
 // ones (5x9x16 and 3x17 have axes with no middle class at most sizes).
@@ -34,23 +34,20 @@ func sparseState(g *topo.Grid, seed uint64, busyPct int, as ...*GenAlg) {
 	}
 }
 
-// TestTwinSkipMatchesNaiveSparse compares indexed Gen-Alg at 1, 2 and 3
-// scoring workers against the naive reference on sparse machines. Each
-// grid is tried at 0, 3 and 10% busy; the three states share the
-// request sizes 1..80 between them (the naive reference costs O(n·k)
-// per request), and each also takes one large request, a 16th, 8th or
-// 4th of the free nodes. Every allocation is released before the next,
-// so a state is fixed.
+// TestTwinSkipMatchesNaiveSparse compares indexed Gen-Alg against the
+// naive reference on sparse machines. Each grid is tried at 0, 3 and
+// 10% busy; the three states share the request sizes 1..80 between
+// them (the naive reference costs O(n·k) per request), and each also
+// takes one large request, a 16th, 8th or 4th of the free nodes. Every
+// allocation is released before the next, so a state is fixed.
 func TestTwinSkipMatchesNaiveSparse(t *testing.T) {
 	for gi, dims := range twinGrids {
 		g := topo.New(dims)
 		for si, busyPct := range []int{0, 3, 10} {
 			t.Run(fmt.Sprintf("%v/busy%d", dims, busyPct), func(t *testing.T) {
 				naive := NewGenAlgNaive(g)
-				seq, par2, par3 := NewGenAlg(g), NewGenAlg(g), NewGenAlg(g)
-				par2.SetParallelism(2)
-				par3.SetParallelism(3)
-				sparseState(g, uint64(gi*31+busyPct), busyPct, naive, seq, par2, par3)
+				indexed := NewGenAlg(g)
+				sparseState(g, uint64(gi*31+busyPct), busyPct, naive, indexed)
 				free := naive.NumFree()
 				sizes := []int{free / (16 >> si)}
 				for k := 1 + si; k <= 80; k += 3 {
@@ -64,16 +61,14 @@ func TestTwinSkipMatchesNaiveSparse(t *testing.T) {
 					if err != nil {
 						t.Fatalf("k %d: naive: %v", k, err)
 					}
-					for _, a := range []*GenAlg{seq, par2, par3} {
-						got, err := a.Allocate(Request{Size: k})
-						if err != nil {
-							t.Fatalf("k %d workers %d: %v", k, a.workers, err)
-						}
-						if !sameIDs(got, want) {
-							t.Fatalf("k %d workers %d: ids %v, naive %v", k, a.workers, got, want)
-						}
-						a.Release(got)
+					got, err := indexed.Allocate(Request{Size: k})
+					if err != nil {
+						t.Fatalf("k %d: %v", k, err)
 					}
+					if !sameIDs(got, want) {
+						t.Fatalf("k %d: ids %v, naive %v", k, got, want)
+					}
+					indexed.Release(got)
 					naive.Release(want)
 				}
 			})

@@ -25,30 +25,63 @@ type DimCurve interface {
 	OrderDims(dims []int) []int
 }
 
-// SupportsDims reports whether curve c can order a grid of the given
-// dimensionality.
-func SupportsDims(c Curve, nd int) bool {
-	if nd == 2 {
-		return true
+// MaxCubeCells bounds the power-of-two cube a curve may walk. Hilbert,
+// Moore, H-indexing and Z-order visit every cell of the smallest
+// power-of-two cube enclosing the grid (the proj2d- forms, of the
+// flattened plane), so a long thin grid that topo.CheckDims accepts,
+// such as 65535x32, would cost 2^32 steps or more. 2^24 admits
+// 2048x1024, 4096x512 and 256x128x64.
+const MaxCubeCells = 1 << 24
+
+// CheckDims reports why curve c cannot order the dims grid: a shape
+// topo.CheckDims rejects, a dimensionality the curve has no
+// construction for (H-indexing, Moore and optcurve are 2-D only), or
+// an enclosing cube of more than MaxCubeCells cells.
+func CheckDims(c Curve, dims []int) error {
+	if err := topo.CheckDims(dims); err != nil {
+		return err
 	}
-	_, ok := c.(DimCurve)
-	return ok
+	if _, ok := c.(DimCurve); !ok && len(dims) != 2 {
+		return fmt.Errorf("curve: %s cannot order a %d-D grid", c.Name(), len(dims))
+	}
+	side, nd := cube(c, dims)
+	cells := 1
+	for i := 0; i < nd; i++ {
+		// side <= 2^21 and cells <= 2^24 here, so this cannot overflow.
+		if cells *= side; cells > MaxCubeCells {
+			return fmt.Errorf("curve: %s on %v walks a %d^%d-cell power-of-two cube, more than the bound of 2^24 cells",
+				c.Name(), dims, side, nd)
+		}
+	}
+	return nil
+}
+
+// cube returns the side and dimensionality of the power-of-two cube c
+// walks to order the dims grid, or nd 0 when it walks none (row-major,
+// the S-curve and optcurve order the grid's own cells).
+func cube(c Curve, dims []int) (side, nd int) {
+	switch c := c.(type) {
+	case Projected:
+		w, h := plane(dims)
+		return cube(c.Inner, []int{w, h})
+	case Hilbert, ZOrder, Moore, HIndexing:
+		return nextPow2(maxDim(dims)), len(dims)
+	}
+	return 0, 0
 }
 
 // GridOrder returns the nodes of the dims grid in curve order: the
 // classic 2-D ordering for two-dimensional grids (bit-identical to
-// c.Order) and the curve's n-D construction otherwise. Curves without an
-// n-D construction (H-indexing and the Moore cycle are defined on
-// squares) yield an error.
+// c.Order) and the curve's n-D construction otherwise. A grid that
+// CheckDims rejects yields its error.
 func GridOrder(c Curve, dims []int) ([]int, error) {
+	if err := CheckDims(c, dims); err != nil {
+		return nil, err
+	}
 	if len(dims) == 2 {
 		return c.Order(dims[0], dims[1]), nil
 	}
-	dc, ok := c.(DimCurve)
-	if !ok {
-		return nil, fmt.Errorf("curve: %s cannot order a %d-D grid", c.Name(), len(dims))
-	}
-	return dc.OrderDims(dims), nil
+	return c.(DimCurve).OrderDims(dims), nil
 }
 
 // strides returns the dense-id strides of a dims grid (axis 0 fastest)
@@ -329,11 +362,7 @@ func (p Projected) OrderDims(dims []int) []int {
 		return p.Order(dims[0], dims[1])
 	}
 	st, _ := strides(dims)
-	w := dims[0]
-	flatH := 1
-	for _, d := range dims[1:] {
-		flatH *= d
-	}
+	w, flatH := plane(dims)
 	flat := p.Inner.Order(w, flatH)
 	order := make([]int, len(flat))
 	for i, fid := range flat {
@@ -348,4 +377,14 @@ func (p Projected) OrderDims(dims []int) []int {
 		order[i] = id
 	}
 	return order
+}
+
+// plane returns the w x h plane a projected curve orders: axis 0 by
+// axes 1..n-1 unfolded into one.
+func plane(dims []int) (w, h int) {
+	h = 1
+	for _, d := range dims[1:] {
+		h *= d
+	}
+	return dims[0], h
 }

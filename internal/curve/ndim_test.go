@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"strings"
 	"testing"
 
 	"meshalloc/internal/topo"
@@ -277,4 +278,71 @@ func FuzzHilbertNDRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGridOrderRejectsOversizedCube: 65535x32x1x1 passes topo.CheckDims,
+// but Hilbert and Z-order would walk its enclosing 65536^4 cube, a cell
+// count that overflows int. GridOrder must refuse the grid with an error
+// naming the bound instead of returning an order.
+func TestGridOrderRejectsOversizedCube(t *testing.T) {
+	dims := []int{65535, 32, 1, 1}
+	for _, c := range []Curve{Hilbert{}, ZOrder{}} {
+		order, err := GridOrder(c, dims)
+		if err == nil || !strings.Contains(err.Error(), "2^24") {
+			t.Errorf("%s on %v: %d ids, err %v; want an error naming the 2^24 bound",
+				c.Name(), dims, len(order), err)
+		}
+	}
+}
+
+// TestCheckDimsCubeBound pins where the MaxCubeCells bound falls. A cube
+// of exactly 2^24 cells passes; one extent past a power of two doubles
+// the cube's side. Row-major and the S-curve walk no cube, and a
+// projection is bounded by its flattened plane.
+func TestCheckDimsCubeBound(t *testing.T) {
+	for _, tc := range []struct {
+		curve string
+		dims  []int
+		ok    bool
+	}{
+		{"hilbert", []int{4096, 512}, true},
+		{"hindex", []int{4096, 512}, true},
+		{"moore", []int{2048, 1024}, true},
+		{"zorder", []int{2048, 1024}, true},
+		{"hilbert", []int{256, 128, 64}, true},
+		{"zorder", []int{256, 128, 64}, true},
+		{"hilbert", []int{4097, 1}, false},   // 8192^2 = 2^26
+		{"hilbert", []int{257, 2, 2}, false}, // 512^3 = 2^27
+		{"hindex", []int{65535, 32}, false},
+		{"moore", []int{65535, 32}, false},
+		{"zorder", []int{65535, 32}, false},
+		{"hilbert", []int{65535, 32, 1}, false},
+		{"rowmajor", []int{65535, 32}, true},
+		{"scurve", []int{65535, 32}, true},
+		{"scurve", []int{65535, 32, 1}, true},
+		{"proj2d-hilbert", []int{64, 64, 64}, true},     // plane 64x4096
+		{"proj2d-hilbert", []int{128, 128, 128}, false}, // plane 128x16384
+		{"proj2d-hindex", []int{65535, 32, 1}, false},   // plane 65535x32
+		{"proj2d-scurve", []int{65535, 32, 1}, true},
+	} {
+		c, err := ByName(tc.curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = CheckDims(c, tc.dims)
+		if tc.ok && err != nil {
+			t.Errorf("%s on %v: %v", tc.curve, tc.dims, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "2^24")) {
+			t.Errorf("%s on %v: err %v, want an error naming the 2^24 bound", tc.curve, tc.dims, err)
+		}
+	}
+	// The other refusals: a shape topo rejects, and a 2-D-only curve on
+	// a 3-D grid.
+	if err := CheckDims(Hilbert{}, []int{0, 4}); err == nil {
+		t.Error("hilbert on [0 4]: accepted")
+	}
+	if err := CheckDims(HIndexing{}, []int{4, 4, 4}); err == nil {
+		t.Error("hindex on [4 4 4]: accepted")
+	}
 }

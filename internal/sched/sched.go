@@ -28,21 +28,10 @@ type Policy interface {
 	// Name identifies the policy, e.g. "fcfs".
 	Name() string
 	// Pick returns the index in pending (arrival order) of the next job
-	// to start given free processors, or -1 when none may start. The
-	// caller re-invokes Pick after each start.
+	// to start given free processors, or -1 when none may start. running
+	// is in ascending EstEnd order (ties in any fixed deterministic
+	// order). The caller re-invokes Pick after each start.
 	Pick(pending []Pending, now float64, freeProcs int, running []Running) int
-}
-
-// SortedPolicy is implemented by policies that can exploit a running
-// slice the caller already keeps sorted by ascending EstEnd (ties in
-// any fixed deterministic order). PickSorted must return exactly what
-// Pick returns on the same inputs — it just skips the per-call copy and
-// sort. The engine maintains its running set end-time-ordered and calls
-// PickSorted on every scheduling round, so the O(r²) sort in Pick stops
-// being a per-round cost.
-type SortedPolicy interface {
-	Policy
-	PickSorted(pending []Pending, now float64, freeProcs int, runningByEnd []Running) int
 }
 
 // ByName returns the policy registered under name ("fcfs", "easy" or
@@ -106,29 +95,6 @@ func (EASY) Pick(pending []Pending, now float64, freeProcs int, running []Runnin
 	return -1
 }
 
-// PickSorted implements SortedPolicy: identical decisions to Pick, with
-// the shadow-time scan running directly over the pre-sorted running
-// slice instead of copying and sorting it.
-func (EASY) PickSorted(pending []Pending, now float64, freeProcs int, runningByEnd []Running) int {
-	if len(pending) == 0 {
-		return -1
-	}
-	if pending[0].Size <= freeProcs {
-		return 0
-	}
-	shadow, extra := shadowTimeSorted(pending[0].Size, freeProcs, runningByEnd)
-	for i := 1; i < len(pending); i++ {
-		j := pending[i]
-		if j.Size > freeProcs {
-			continue
-		}
-		if now+j.EstRuntime <= shadow || j.Size <= extra {
-			return i
-		}
-	}
-	return -1
-}
-
 // SJF starts the shortest (by runtime estimate) fitting job, ignoring
 // arrival order. It minimizes mean wait at the cost of potential
 // starvation; included for scheduler/allocator interaction studies, not
@@ -154,17 +120,9 @@ func (SJF) Pick(pending []Pending, _ float64, freeProcs int, _ []Running) int {
 
 // shadowTime returns the earliest estimated time at which headSize
 // processors are free (the head's reservation) and the number of extra
-// processors free at that time beyond the head's need.
-func shadowTime(headSize, freeProcs int, running []Running) (shadow float64, extra int) {
-	// Scan running jobs in estimated-end order, accumulating releases.
-	ends := append([]Running(nil), running...)
-	sortByEnd(ends)
-	return shadowTimeSorted(headSize, freeProcs, ends)
-}
-
-// shadowTimeSorted is shadowTime over a slice already in ascending
-// EstEnd order: no copy, no sort.
-func shadowTimeSorted(headSize, freeProcs int, ends []Running) (shadow float64, extra int) {
+// processors free at that time beyond the head's need. ends is the
+// running set in ascending EstEnd order; releases accumulate along it.
+func shadowTime(headSize, freeProcs int, ends []Running) (shadow float64, extra int) {
 	free := freeProcs
 	for _, r := range ends {
 		free += r.Size
@@ -175,14 +133,4 @@ func shadowTimeSorted(headSize, freeProcs int, ends []Running) (shadow float64, 
 	// Without enough running work to ever free the processors, the
 	// reservation is unsatisfiable; disallow all backfilling.
 	return 0, -1
-}
-
-func sortByEnd(rs []Running) {
-	// Insertion sort: running sets are small and this avoids pulling in
-	// sort for a three-line comparator.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].EstEnd < rs[j-1].EstEnd; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

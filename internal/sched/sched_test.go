@@ -292,10 +292,11 @@ func TestEASYScansPastUnfitCandidates(t *testing.T) {
 
 func TestShadowTimeOrdering(t *testing.T) {
 	// Releases accumulate in end order: 2 at t=10, 3 at t=20, 5 at t=30.
+	// The caller keeps running in that order.
 	running := []Running{
-		{Size: 5, EstEnd: 30},
 		{Size: 2, EstEnd: 10},
 		{Size: 3, EstEnd: 20},
+		{Size: 5, EstEnd: 30},
 	}
 	shadow, extra := shadowTime(5, 0, running)
 	if shadow != 20 || extra != 0 {

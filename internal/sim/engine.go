@@ -152,13 +152,10 @@ type Engine struct {
 	allocator alloc.Allocator
 	pattern   comm.Pattern
 	policy    sched.Policy
-	// sorted is non-nil when the policy exploits the end-time-ordered
-	// running index (EASY).
-	sorted sched.SortedPolicy
-	isFCFS bool
-	isSJF  bool
-	net    *netsim.Network
-	rng    *stats.RNG
+	isFCFS    bool
+	isSJF     bool
+	net       *netsim.Network
+	rng       *stats.RNG
 
 	events eventHeap
 	seq    int64
@@ -284,11 +281,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.AllocWorkers > 1 {
-		if ga, ok := allocator.(*alloc.GenAlg); ok {
-			ga.SetParallelism(cfg.AllocWorkers)
-		}
-	}
 	pattern, err := comm.ByName(cfg.Pattern)
 	if err != nil {
 		return nil, err
@@ -304,14 +296,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	_, isFCFS := policy.(sched.FCFS)
 	_, isSJF := policy.(sched.SJF)
-	sorted, _ := policy.(sched.SortedPolicy)
 	e := &Engine{
 		cfg:        cfg,
 		grid:       m,
 		allocator:  allocator,
 		pattern:    pattern,
 		policy:     policy,
-		sorted:     sorted,
 		isFCFS:     isFCFS,
 		isSJF:      isSJF,
 		net:        netsim.New(m, cfg.Net),
@@ -986,19 +976,16 @@ func (e *Engine) trySchedule(now float64) {
 	e.core.SchedRounds++
 	for {
 		var pick int
-		switch {
-		case e.isFCFS:
+		if e.isFCFS {
 			// Strict FCFS only ever inspects the head.
 			pick = -1
 			if len(e.queue) > 0 && e.queue[0].Size <= e.allocator.NumFree() {
 				pick = 0
 			}
-		case e.sorted != nil:
+		} else {
 			// pendBuf mirrors the queue and runOrd is already (EstEnd,
-			// handle)-sorted, so the round costs one policy scan and
-			// nothing else.
-			pick = e.sorted.PickSorted(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-		default:
+			// handle)-sorted, as Pick requires, so the round costs one
+			// policy scan and nothing else.
 			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
 		}
 		if pick < 0 {
@@ -1150,9 +1137,6 @@ func (e *Engine) step(h int32, now float64) {
 	burst := int64(1)
 	if e.cfg.Issue == IssuePhased {
 		burst = math.MaxInt64 // until phase boundary
-	}
-	if e.cfg.MaxPhase > 0 && burst > int64(e.cfg.MaxPhase) {
-		burst = int64(e.cfg.MaxPhase)
 	}
 	maxArr := now
 	var issued int64

@@ -292,12 +292,11 @@ func TestFaultAllocatorGate(t *testing.T) {
 // share: exponential failures dense enough to kill jobs, quick
 // repairs, and a bounded retry policy so the run terminates even if a
 // long job keeps getting unlucky.
-func faultyCfg(alloc string, workers int) Config {
+func faultyCfg(alloc string) Config {
 	return Config{
 		MeshW: 8, MeshH: 8,
 		Alloc: alloc, Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1,
-		AllocWorkers: workers,
 		Faults: fault.Config{
 			MTBF: fault.Dist{Kind: fault.DistExponential, Mean: 300000},
 			MTTR: fault.Dist{Kind: fault.DistExponential, Mean: 10000},
@@ -307,31 +306,28 @@ func faultyCfg(alloc string, workers int) Config {
 }
 
 // TestFaultRunDeterministic: a fault-injected closed run is a pure
-// function of its config — same digest run to run and at any allocator
-// worker count — and it actually exercises the fault path.
+// function of its config — same digest run to run — and it actually
+// exercises the fault path.
 func TestFaultRunDeterministic(t *testing.T) {
 	for _, spec := range []string{"hilbert/bestfit", "mc1x1", "genalg"} {
 		t.Run(spec, func(t *testing.T) {
 			tr := faultTrace(150, 32)
-			base, err := Run(faultyCfg(spec, 0), tr)
+			base, err := Run(faultyCfg(spec), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if base.Killed == 0 {
 				t.Fatalf("workload too calm: no kills (makespan %v, down %v%%)", base.Makespan, base.DownPct)
 			}
-			want := goldenDigest(base)
-			for _, workers := range []int{1, 4} {
-				res, err := Run(faultyCfg(spec, workers), tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := goldenDigest(res); got != want {
-					t.Fatalf("workers=%d digest %s, want %s", workers, got, want)
-				}
-				if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
-					t.Fatalf("workers=%d fault counters diverge", workers)
-				}
+			res, err := Run(faultyCfg(spec), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goldenDigest(res), goldenDigest(base); got != want {
+				t.Fatalf("rerun digest %s, want %s", got, want)
+			}
+			if res.Killed != base.Killed || res.Retried != base.Retried || res.GivenUp != base.GivenUp {
+				t.Fatal("rerun fault counters diverge")
 			}
 		})
 	}
@@ -351,7 +347,7 @@ func TestFaultRunAcrossEngineVariants(t *testing.T) {
 	} {
 		for _, v := range engineVariants {
 			t.Run(tc.spec+"/"+v.name, func(t *testing.T) {
-				res, err := runWith(faultyCfg(tc.spec, 0), faultTrace(150, 32), v.hook)
+				res, err := runWith(faultyCfg(tc.spec), faultTrace(150, 32), v.hook)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -394,7 +390,7 @@ func TestFaultsDisabledMatchesGolden(t *testing.T) {
 // allocator change — Allocate, Release, MarkDown, MarkUp — is followed
 // at once by its delta, so the mirror must equal NumFree at every delta.
 func TestFaultDeltaMirror(t *testing.T) {
-	cfg := faultyCfg("hilbert/bestfit", 0)
+	cfg := faultyCfg("hilbert/bestfit")
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

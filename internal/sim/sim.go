@@ -107,9 +107,6 @@ type Config struct {
 	Issue IssueMode
 	// MsgsPerSecond converts traced runtime to message quota (paper: 1).
 	MsgsPerSecond float64
-	// MaxPhase caps messages issued per event to bound event sizes for
-	// enormous all-to-all phases; 0 means no cap.
-	MaxPhase int
 	// KeepRecords selects whether Result.Records accumulates every
 	// per-job record (Keep, default) or records only stream to
 	// observers (Discard). Discard bounds memory for million-job runs;
@@ -119,12 +116,6 @@ type Config struct {
 	// (Keep, default). Discard skips the per-job copy; dispersal
 	// metrics (AvgPairwise, Components) are computed either way.
 	KeepNodes KeepPolicy
-	// AllocWorkers shards Gen-Alg's indexed candidate-scoring loop over
-	// this many goroutines. The parallel scan is bit-identical to the
-	// sequential one — the lowest-id candidate wins ties either way — so
-	// this knob only trades goroutines for wall clock. 0 or 1 keeps the
-	// sequential loop; every other allocator ignores it.
-	AllocWorkers int
 	// Faults injects node failure/repair events (see fault.Config). The
 	// zero value disables injection, leaving every code path and output
 	// bit-identical to a fault-free engine. Fault times (MTBF/MTTR

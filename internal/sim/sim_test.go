@@ -273,26 +273,6 @@ func TestRecordsMetricsPopulated(t *testing.T) {
 	}
 }
 
-func TestMaxPhaseCapsBursts(t *testing.T) {
-	// With MaxPhase 1 every message is its own burst; results still
-	// complete and runtimes lengthen relative to unlimited phases.
-	tr := &trace.Trace{Jobs: []trace.Job{{ID: 0, Arrival: 0, Size: 12, Runtime: 100}}}
-	free, err := Run(baseConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig()
-	cfg.MaxPhase = 1
-	capped, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Records[0].RunTime < free.Records[0].RunTime {
-		t.Fatalf("capped bursts should not be faster: %g vs %g",
-			capped.Records[0].RunTime, free.Records[0].RunTime)
-	}
-}
-
 func TestCustomNetworkConfigUsed(t *testing.T) {
 	tr := &trace.Trace{Jobs: []trace.Job{{ID: 0, Arrival: 0, Size: 8, Runtime: 50}}}
 	slow := baseConfig()

@@ -19,20 +19,23 @@ import (
 
 // ErrConfigMismatch is returned (wrapped) by RestoreEngine when the
 // snapshot was taken under a semantically different Config than the one
-// the restore supplies. The fields that cannot change outcomes —
-// AllocWorkers and AuditEvery — are excluded from the comparison, so a
-// run may legally resume at a different worker count or audit cadence.
+// the restore supplies. AuditEvery, the one field that cannot change
+// outcomes, is excluded from the comparison, so a run may legally
+// resume at a different audit cadence.
 var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different configuration")
 
 // cfgFingerprint hashes the semantic configuration fields — the ones
 // that determine the event sequence and outputs. cfg must already have
-// defaults applied so "" and "fcfs" schedulers hash identically.
+// defaults applied so "" and "fcfs" schedulers hash identically. The
+// literal 0 holds the slot of the deleted MaxPhase field, whose zero
+// value meant no cap, so every uncapped configuration keeps its
+// fingerprint and its existing checkpoints still restore.
 func cfgFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|%d|%d|%d|%+v|%+v",
+	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|0|%d|%d|%+v|%+v",
 		cfg.dims(), cfg.Torus, cfg.Alloc, cfg.Pattern, cfg.Load, cfg.TimeScale,
 		cfg.Seed, cfg.Net, cfg.Scheduler, cfg.Issue, cfg.MsgsPerSecond,
-		cfg.MaxPhase, cfg.KeepRecords, cfg.KeepNodes, cfg.Faults, cfg.Retry)
+		cfg.KeepRecords, cfg.KeepNodes, cfg.Faults, cfg.Retry)
 	return h.Sum64()
 }
 
@@ -306,8 +309,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // the run exactly where the snapshot left it: the subsequent event
 // sequence, records and aggregates are bit-identical to the run that
 // never stopped. cfg must match the snapshotting run's semantic
-// configuration (ErrConfigMismatch otherwise); the outcome-neutral
-// fields AllocWorkers and AuditEvery may differ freely.
+// configuration (ErrConfigMismatch otherwise); AuditEvery, the one
+// outcome-neutral field, may differ freely.
 //
 // Corrupt input is rejected with a typed error, never a panic:
 // snap.ErrBadMagic, snap.ErrVersion or snap.ErrChecksum for a damaged

@@ -48,7 +48,7 @@ var resumeCases = []struct {
 	},
 	{
 		name: "faulty-mc1x1",
-		cfg:  faultyCfg("mc1x1", 0),
+		cfg:  faultyCfg("mc1x1"),
 		tr:   func() *trace.Trace { return faultTrace(150, 32) },
 	},
 }
@@ -233,8 +233,8 @@ func TestSnapshotResumeOpenSystem(t *testing.T) {
 }
 
 // TestRestoreConfigMismatch: restoring under a semantically different
-// config is refused with ErrConfigMismatch, while outcome-neutral
-// fields may differ freely.
+// config is refused with ErrConfigMismatch, while the outcome-neutral
+// AuditEvery may differ freely.
 func TestRestoreConfigMismatch(t *testing.T) {
 	tc := resumeCases[0]
 	tr := tc.tr()
@@ -251,10 +251,9 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatalf("alloc change: got %v, want ErrConfigMismatch", err)
 	}
 	ok := tc.cfg
-	ok.AllocWorkers = 4
 	ok.AuditEvery = 10
 	if _, err := RestoreEngine(bytes.NewReader(blob), ok); err != nil {
-		t.Fatalf("outcome-neutral changes rejected: %v", err)
+		t.Fatalf("AuditEvery change rejected: %v", err)
 	}
 }
 
@@ -291,7 +290,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 func FuzzRestoreEngine(f *testing.F) {
 	cfg := Config{MeshW: 8, MeshH: 8, Alloc: "mc1x1", Pattern: "nbody",
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
-	cfgF := faultyCfg("mc1x1", 0)
+	cfgF := faultyCfg("mc1x1")
 	tr := faultTrace(60, 32)
 	seed := func(c Config, n int) []byte {
 		e, err := NewEngine(c)

@@ -18,8 +18,8 @@ import (
 // TestTryScheduleHeadBlockedZeroAlloc pins a head-blocked scheduling
 // round at exactly zero allocations for every policy: FCFS and SJF
 // short-circuit on the watermark, and EASY — which must re-scan because
-// its backfill decisions depend on the clock — runs its full PickSorted
-// round over the persistent pendBuf and runOrd without copying either.
+// its backfill decisions depend on the clock — runs its full Pick round
+// over the persistent pendBuf and runOrd without copying either.
 func TestTryScheduleHeadBlockedZeroAlloc(t *testing.T) {
 	for _, policy := range []string{"fcfs", "sjf", "easy"} {
 		t.Run(policy, func(t *testing.T) {
