@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -79,6 +80,14 @@ func main() {
 	size := 1
 	for _, d := range dims {
 		size *= d
+	}
+
+	// sim.Config would read an explicit 0 as its default rate of 1.
+	if !(*load > 0) || math.IsInf(*load, 1) {
+		fatal(fmt.Errorf("-load: Load must be positive and finite (got %v)", *load))
+	}
+	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
+		fatal(fmt.Errorf("-timescale: TimeScale must be positive and finite (got %v)", *timeScale))
 	}
 
 	// Reject a typo'd -alloc or -sched up front with a usage error that

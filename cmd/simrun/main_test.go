@@ -156,6 +156,9 @@ func TestRejectsBadRunParameters(t *testing.T) {
 		{[]string{"-jobs", "-5"}, "-jobs must be >= 1"},
 		{[]string{"-jobs", "20", "-timescale", "-1"}, "TimeScale must be positive"},
 		{[]string{"-jobs", "20", "-load", "-1"}, "Load must be positive"},
+		// sim.Config would read these zeros as its defaults of 1.
+		{[]string{"-jobs", "20", "-timescale", "0"}, "-timescale: TimeScale must be positive"},
+		{[]string{"-jobs", "20", "-load", "0"}, "-load: Load must be positive"},
 	} {
 		code, stderr := runMain(t, tc.args...)
 		if code != 1 || !strings.Contains(stderr, tc.want) {

@@ -421,12 +421,13 @@ func (t *tracker) check(size int) error {
 // The candidate loop never touches the shells: an incremental occupancy
 // index (see internal/occupancy) answers "free processors within shell
 // k" from box counts, the per-shell weights are summed arithmetically,
-// and a monotone lower bound prunes candidates that cannot undercut the
-// incumbent. Only the single winning center performs a real shell walk
-// to materialize ids, so the selection is bit-identical to gathering
-// shells for every candidate — the same shells, the same truncation,
-// the same first-strictly-better tie-breaking — at a fraction of the
-// work.
+// a monotone lower bound prunes candidates that cannot undercut the
+// incumbent, and the scan stops once the incumbent reaches the cost
+// floor no center can beat. Only the single winning center performs a
+// real shell walk to materialize ids, so the selection is bit-identical
+// to gathering shells for every candidate — the same shells, the same
+// truncation, the same first-strictly-better tie-breaking — at a
+// fraction of the work.
 type MC struct {
 	tracker
 	oneByOne bool
@@ -477,6 +478,7 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 		return nil, err
 	}
 	ext := a.shell0(req)
+	floor := a.costFloor(ext, req.Size)
 	bestCost, bestCenter := -1, -1
 	for center := 0; center < a.g.Size(); center++ {
 		if a.busy[center] {
@@ -485,6 +487,9 @@ func (a *MC) Allocate(req Request) ([]int, error) {
 		cost, ok := a.countCost(a.g.Coord(center), ext, req.Size, bestCost)
 		if ok && (bestCost == -1 || cost < bestCost) {
 			bestCost, bestCenter = cost, center
+			if cost == floor {
+				break // no center scores below the floor, and ties never win
+			}
 		}
 	}
 	if bestCost == -1 {
@@ -529,6 +534,21 @@ func (a *MC) countCost(c, ext topo.Point, size, incumbent int) (cost int, ok boo
 	// Unreachable when numFree >= size: the box grown maxK times covers
 	// the whole machine, mirroring the walked gather's termination.
 	return 0, false
+}
+
+// costFloor returns the least cost any center can score: countCost's
+// sum equals Σ_k (size − min(freeBox(k), size)), and freeBox(k) never
+// exceeds vol, the unclipped volume Π_a (ext_a + 2k) of shell k's box.
+func (a *MC) costFloor(ext topo.Point, size int) int {
+	floor := 0
+	for k, vol := 0, 0; vol < size; k++ {
+		vol = 1
+		for i := 0; i < a.g.ND() && vol < size; i++ {
+			vol *= min(ext[i]+2*k, size)
+		}
+		floor += max(0, size-vol)
+	}
+	return floor
 }
 
 // gather collects size free processors into a.gatherBuf in shells around

@@ -233,6 +233,78 @@ func TestCountCostMatchesGather(t *testing.T) {
 	}
 }
 
+// TestCostFloorBoundsEveryCenter checks the floor MC's scan stops at
+// against every free center's counted cost, pruning disabled, on random
+// 2-D and 3-D states with masked nodes, for MC and MC1x1 and explicit
+// shapes: no center may score below it. MC's derived shape covers the
+// request, so its floor is 0.
+func TestCostFloorBoundsEveryCenter(t *testing.T) {
+	x := xorshift(13)
+	for trial := 0; trial < 80; trial++ {
+		g := equivGrid(x.next())
+		v := equivVariants[trial%2]
+		a, _, _ := equivPair(g, x.next(), x.intn(230), v.mk)
+		mc := a.(*MC)
+		for i := 0; i < 3; i++ {
+			if id := x.intn(g.Size()); !mc.busy[id] {
+				mc.MarkDown(id)
+			}
+		}
+		for probe := 0; probe < 4; probe++ {
+			size := 1 + x.intn(min(mc.NumFree()+1, 40))
+			if size > mc.NumFree() {
+				continue
+			}
+			req := Request{Size: size}
+			if x.intn(3) == 0 {
+				req.ShapeW, req.ShapeH = 1+x.intn(5), 1+x.intn(5)
+			}
+			ext := mc.shell0(req)
+			floor := mc.costFloor(ext, size)
+			if !mc.oneByOne && req.ShapeW == 0 && floor != 0 {
+				t.Fatalf("%s dims %v size %d: derived shape %v has floor %d, want 0",
+					v.name, g.Dims(), size, ext, floor)
+			}
+			for c := 0; c < g.Size(); c++ {
+				if mc.busy[c] {
+					continue
+				}
+				if cost, ok := mc.countCost(g.Coord(c), ext, size, -1); !ok || cost < floor {
+					t.Fatalf("%s dims %v req %+v center %d: cost (%d, %v) below floor %d",
+						v.name, g.Dims(), req, c, cost, ok, floor)
+				}
+			}
+		}
+	}
+}
+
+// TestCostFloorIsTight checks that the floor is the least cost, not
+// just a bound: on an empty grid with room around its middle for the
+// unclipped box of every shell up to the cutoff, some center scores
+// exactly the floor.
+func TestCostFloorIsTight(t *testing.T) {
+	for _, dims := range [][]int{{32, 32}, {16, 22}, {16, 16, 16}} {
+		g := topo.New(dims)
+		for _, v := range equivVariants[:2] {
+			mc := v.mk(g).(*MC)
+			for size := 1; size <= 64; size++ {
+				for _, req := range []Request{{Size: size}, {Size: size, ShapeW: 3, ShapeH: 2}} {
+					ext := mc.shell0(req)
+					least := -1
+					for c := 0; c < g.Size(); c++ {
+						if cost, _ := mc.countCost(g.Coord(c), ext, size, -1); least == -1 || cost < least {
+							least = cost
+						}
+					}
+					if floor := mc.costFloor(ext, size); least != floor {
+						t.Fatalf("%s dims %v req %+v: least cost %d, floor %d", v.name, dims, req, least, floor)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCountPairwiseMatchesGather compares Gen-Alg's counted pairwise
 // score with the gathered set's score, center by center.
 func TestCountPairwiseMatchesGather(t *testing.T) {

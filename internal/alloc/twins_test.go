@@ -18,7 +18,10 @@ var twinGrids = [][]int{{16, 16, 16}, {16, 22}, {32, 32}, {5, 9, 16}, {3, 17}}
 
 // sparseState marks about busyPct% of g's nodes busy and masks about
 // 1% more with MarkDown, identically on every allocator given.
-func sparseState(g *topo.Grid, seed uint64, busyPct int, as ...*GenAlg) {
+func sparseState(g *topo.Grid, seed uint64, busyPct int, as ...interface {
+	take(ids []int)
+	MarkDown(id int)
+}) {
 	x := xorshift(seed | 1)
 	for id := 0; id < g.Size(); id++ {
 		switch r := x.intn(1000); {
@@ -35,44 +38,70 @@ func sparseState(g *topo.Grid, seed uint64, busyPct int, as ...*GenAlg) {
 }
 
 // TestTwinSkipMatchesNaiveSparse compares indexed Gen-Alg against the
-// naive reference on sparse machines. Each grid is tried at 0, 3 and
-// 10% busy; the three states share the request sizes 1..80 between
-// them (the naive reference costs O(n·k) per request), and each also
-// takes one large request, a 16th, 8th or 4th of the free nodes. Every
-// allocation is released before the next, so a state is fixed.
+// naive reference on sparse machines (see matchSparse).
 func TestTwinSkipMatchesNaiveSparse(t *testing.T) {
 	for gi, dims := range twinGrids {
 		g := topo.New(dims)
 		for si, busyPct := range []int{0, 3, 10} {
 			t.Run(fmt.Sprintf("%v/busy%d", dims, busyPct), func(t *testing.T) {
-				naive := NewGenAlgNaive(g)
-				indexed := NewGenAlg(g)
+				naive, indexed := NewGenAlgNaive(g), NewGenAlg(g)
 				sparseState(g, uint64(gi*31+busyPct), busyPct, naive, indexed)
-				free := naive.NumFree()
-				sizes := []int{free / (16 >> si)}
-				for k := 1 + si; k <= 80; k += 3 {
-					sizes = append(sizes, k)
-				}
-				for _, k := range sizes {
-					if k < 1 || k > free {
-						continue
-					}
-					want, err := naive.Allocate(Request{Size: k})
-					if err != nil {
-						t.Fatalf("k %d: naive: %v", k, err)
-					}
-					got, err := indexed.Allocate(Request{Size: k})
-					if err != nil {
-						t.Fatalf("k %d: %v", k, err)
-					}
-					if !sameIDs(got, want) {
-						t.Fatalf("k %d: ids %v, naive %v", k, got, want)
-					}
-					indexed.Release(got)
-					naive.Release(want)
-				}
+				matchSparse(t, naive, indexed, si)
 			})
 		}
+	}
+}
+
+// TestMCFloorMatchesNaiveSparse compares MC and MC1x1 against the walked
+// reference on the same sparse machines. Most of these requests find a
+// center at the cost floor, where the scan stops early.
+func TestMCFloorMatchesNaiveSparse(t *testing.T) {
+	for gi, dims := range twinGrids {
+		g := topo.New(dims)
+		for _, oneByOne := range []bool{false, true} {
+			for si, busyPct := range []int{0, 3, 10} {
+				naive, indexed := newMCNaive(g, oneByOne), NewMC(g)
+				indexed.oneByOne = oneByOne
+				t.Run(fmt.Sprintf("%v/%s/busy%d", dims, indexed.Name(), busyPct), func(t *testing.T) {
+					sparseState(g, uint64(gi*31+busyPct), busyPct, naive, indexed)
+					matchSparse(t, naive, indexed, si)
+				})
+			}
+		}
+	}
+}
+
+// matchSparse requests the same sizes from naive and indexed and
+// requires identical ids. Sparse state si of 0, 1, 2 (0, 3 and 10%
+// busy) takes every third size from 1+si to 80, so the three states
+// share the sizes 1..80 between them (the naive references cost O(n·k)
+// per request), and one large request, a 16th, 8th or 4th of the free
+// nodes. Every allocation is released before the next, so the state is
+// fixed.
+func matchSparse(t *testing.T, naive, indexed Allocator, si int) {
+	t.Helper()
+	free := naive.NumFree()
+	sizes := []int{free / (16 >> si)}
+	for k := 1 + si; k <= 80; k += 3 {
+		sizes = append(sizes, k)
+	}
+	for _, k := range sizes {
+		if k < 1 || k > free {
+			continue
+		}
+		want, err := naive.Allocate(Request{Size: k})
+		if err != nil {
+			t.Fatalf("k %d: naive: %v", k, err)
+		}
+		got, err := indexed.Allocate(Request{Size: k})
+		if err != nil {
+			t.Fatalf("k %d: %v", k, err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("k %d: ids %v, naive %v", k, got, want)
+		}
+		indexed.Release(got)
+		naive.Release(want)
 	}
 }
 

@@ -55,16 +55,15 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 			}
 		}
 	}
-	results, err := runSweep(keys, o, func(k gridKey, rep int, seed int64) (*sim.Result, error) {
-		cfg := sim.Config{
+	results, err := runSweep(keys, o, func(k gridKey, rep int, seed int64) (float64, error) {
+		return meanResponse(sim.Config{
 			MeshW: w, MeshH: h,
 			Alloc:     k.allocSpec,
 			Pattern:   k.pattern,
 			Load:      k.load,
 			TimeScale: o.TimeScale,
 			Seed:      seed,
-		}
-		return sim.Run(cfg, traces[rep])
+		}, traces[rep])
 	})
 	if err != nil {
 		return nil, err
@@ -75,10 +74,7 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 		for _, a := range alloc.Specs() {
 			s := Series{Label: fmt.Sprintf("%s %s", p, a)}
 			for _, l := range loads {
-				var ys []float64
-				for _, r := range results[gridKey{allocSpec: a, pattern: p, load: l}] {
-					ys = append(ys, r.MeanResponse)
-				}
+				ys := results[gridKey{allocSpec: a, pattern: p, load: l}]
 				s.X = append(s.X, l)
 				s.Y = append(s.Y, stats.Mean(ys))
 				if o.Replications > 1 {
@@ -93,6 +89,17 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 			len(traces[0].Jobs), o.TimeScale, o.Seed, o.Replications),
 		"y values are mean response times in (re-inflated) seconds; the paper's axis unit is 10M sec")
 	return fig, nil
+}
+
+// meanResponse runs cfg over tr, keeping no records or node lists, and
+// returns the streaming mean response, bit-identical to the retained one.
+func meanResponse(cfg sim.Config, tr *trace.Trace) (float64, error) {
+	cfg.KeepRecords, cfg.KeepNodes = sim.Discard, sim.Discard
+	res, err := sim.Run(cfg, tr)
+	if err != nil {
+		return 0, err
+	}
+	return res.MeanResponse, nil
 }
 
 // Fig7 reproduces Figure 7: response time versus load on the 16x22 mesh
@@ -110,7 +117,7 @@ func Fig8(o Options) (*Figure, error) {
 // largeJobRecords runs the n-body pattern on the 16x16 mesh for every
 // allocator at load 1.0 and collects the records of the largest jobs
 // (128 processors) within a quota band around the paper's 39,900-44,000
-// messages, scaled by TimeScale.
+// messages, scaled by TimeScale, without the node lists nothing reads.
 func largeJobRecords(o Options) ([]sim.JobRecord, error) {
 	o = o.withDefaults()
 	tr := newTrace(o, 256)
@@ -122,6 +129,7 @@ func largeJobRecords(o Options) ([]sim.JobRecord, error) {
 			Load:      1.0,
 			TimeScale: o.TimeScale,
 			Seed:      o.Seed,
+			KeepNodes: sim.Discard,
 		}
 		return sim.Run(cfg, tr)
 	})
@@ -210,11 +218,13 @@ func Fig11(o Options) (*Figure, error) {
 	results, err := runGrid(specs, o.Parallelism, func(a string) (*sim.Result, error) {
 		cfg := sim.Config{
 			MeshW: 16, MeshH: 16,
-			Alloc:     a,
-			Pattern:   "alltoall",
-			Load:      1.0,
-			TimeScale: o.TimeScale,
-			Seed:      o.Seed,
+			Alloc:       a,
+			Pattern:     "alltoall",
+			Load:        1.0,
+			TimeScale:   o.TimeScale,
+			Seed:        o.Seed,
+			KeepRecords: sim.Discard,
+			KeepNodes:   sim.Discard,
 		}
 		return sim.Run(cfg, tr)
 	})
