@@ -348,14 +348,16 @@ func runOpen(cfg sim.Config, spec string, maxSize int, seed int64, jobs int, hor
 	}
 	// A horizon stop leaves in-flight jobs pending; let them finish so
 	// the summary covers every admitted job.
-	e.Drain()
+	if err := e.Complete(); err != nil {
+		return nil, nil, err
+	}
 	flush()
 	return e.Result(), e, nil
 }
 
 // runClosed is sim.Run with the engine handle kept, so the profiling
 // report can read the event-core counters. Submission order, event
-// processing and the deadlock check match sim.Run exactly. With stream
+// processing and the closing Complete match sim.Run exactly. With stream
 // set, every record goes out as NDJSON instead of being retained and
 // the summary comes from the engine's streaming aggregates; even
 // event-time ties resolve as without it, so -stream changes the output
@@ -378,9 +380,8 @@ func runClosed(cfg sim.Config, tr *trace.Trace, stream bool, ck ckptSpec) (*sim.
 		}
 	}
 	armCheckpoint(e, nil, ck)
-	e.Drain()
-	if e.Deadlocked() {
-		return nil, nil, fmt.Errorf("deadlock with %d queued and %d running jobs", e.Pending(), e.RunningJobs())
+	if err := e.Complete(); err != nil {
+		return nil, nil, err
 	}
 	flush()
 	return e.Result(), e, nil
@@ -568,13 +569,11 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 		if err := e.RunSource(lim, horizon); err != nil {
 			return nil, nil, err
 		}
-		e.Drain()
 	} else {
 		armCheckpoint(e, nil, ck)
-		e.Drain()
-		if e.Deadlocked() {
-			return nil, nil, fmt.Errorf("deadlock with %d queued and %d running jobs", e.Pending(), e.RunningJobs())
-		}
+	}
+	if err := e.Complete(); err != nil {
+		return nil, nil, err
 	}
 	flush()
 	return e.Result(), e, nil

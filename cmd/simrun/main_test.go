@@ -146,7 +146,8 @@ func runMain(t *testing.T, args ...string) (int, string) {
 
 // TestRejectsBadRunParameters: a job count below 1 or a rate that is not
 // positive exits with status 1 and a message naming it, never a panic
-// (status 2) or a run that reports negative times.
+// (status 2) or a run that reports negative times. So does a run that
+// deadlocks, whether or not -duration stopped its arrival stream.
 func TestRejectsBadRunParameters(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -159,6 +160,9 @@ func TestRejectsBadRunParameters(t *testing.T) {
 		// sim.Config would read these zeros as its defaults of 1.
 		{[]string{"-jobs", "20", "-timescale", "0"}, "-timescale: TimeScale must be positive"},
 		{[]string{"-jobs", "20", "-load", "0"}, "-load: Load must be positive"},
+		// Permanent failures strand the queue behind down nodes.
+		{[]string{"-mesh", "4x4", "-alloc", "hilbert", "-arrival", "poisson:900", "-jobs", "300",
+			"-duration", "100000", "-mtbf", "100000"}, "sim: deadlock with"},
 	} {
 		code, stderr := runMain(t, tc.args...)
 		if code != 1 || !strings.Contains(stderr, tc.want) {

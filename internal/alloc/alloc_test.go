@@ -180,7 +180,7 @@ func TestPagingFreeListOnEmptyMeshIsCurvePrefix(t *testing.T) {
 		}
 	}
 	// A Hilbert prefix of 16 on an empty mesh is a contiguous quadrant.
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Error("hilbert prefix should be contiguous")
 	}
 }
@@ -193,7 +193,7 @@ func TestMCAllocatesRequestedShapeOnEmptyMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On an empty mesh the best candidate is a full 3x2 submesh: cost 0.
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Errorf("MC shape allocation not contiguous: %v", ids)
 	}
 	xs, ys := bounds(m, ids)
@@ -211,7 +211,7 @@ func TestMC1x1CompactOnEmptyMesh(t *testing.T) {
 	}
 	// 1x1 shell 0 plus first shell (8 nodes) covers 5: all within
 	// distance 2 of the center, and contiguous on an empty mesh.
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Errorf("MC1x1 allocation not contiguous: %v", ids)
 	}
 	if d := m.AvgPairwiseDist(ids); d > 2.0 {
@@ -236,7 +236,7 @@ func TestGenAlgPicksCompactSet(t *testing.T) {
 	if limit := int((2 - 2.0/9.0) * 72); got > limit {
 		t.Errorf("Gen-Alg total pairwise distance = %d, want <= approximation bound %d", got, limit)
 	}
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Errorf("Gen-Alg allocation on an empty mesh should be contiguous: %v", ids)
 	}
 }
@@ -328,11 +328,11 @@ func TestRingEnumeration(t *testing.T) {
 	m := topo.New([]int{9, 9})
 	c := topo.XY(4, 4)
 	for r := 0; r <= 8; r++ {
-		ids := m.Ring(c, r)
+		ids := m.AppendRing(nil, c, r)
 		seen := map[int]bool{}
 		for _, id := range ids {
-			if m.Coord(id).Manhattan(c) != r {
-				t.Fatalf("ring %d contains node at distance %d", r, m.Coord(id).Manhattan(c))
+			if d := m.Dist(id, m.ID(c)); d != r {
+				t.Fatalf("ring %d contains node at distance %d", r, d)
 			}
 			if seen[id] {
 				t.Fatalf("ring %d repeats node %d", r, id)
@@ -343,7 +343,7 @@ func TestRingEnumeration(t *testing.T) {
 			t.Fatalf("interior ring %d has %d nodes, want %d", r, len(ids), 4*r)
 		}
 	}
-	if got := m.Ring(c, 0); len(got) != 1 || got[0] != m.ID(c) {
+	if got := m.AppendRing(nil, c, 0); len(got) != 1 || got[0] != m.ID(c) {
 		t.Fatalf("ring 0 = %v", got)
 	}
 }
@@ -353,7 +353,7 @@ func TestRingsCoverMesh(t *testing.T) {
 	c := topo.XY(0, 6)
 	seen := map[int]bool{}
 	for r := 0; r <= 12; r++ {
-		for _, id := range m.Ring(c, r) {
+		for _, id := range m.AppendRing(nil, c, r) {
 			if seen[id] {
 				t.Fatalf("node %d in two rings", id)
 			}

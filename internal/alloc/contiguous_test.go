@@ -15,7 +15,7 @@ func TestSubmeshAllocatesContiguous(t *testing.T) {
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		if !m.Contiguous(ids) {
+		if len(m.Components(ids)) != 1 {
 			t.Fatalf("size %d: allocation %v not contiguous", size, ids)
 		}
 		a.Release(ids)
@@ -52,7 +52,7 @@ func TestSubmeshExternalFragmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Fatal("2x2 not contiguous")
 	}
 }
@@ -66,7 +66,7 @@ func TestSubmeshFallbackShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 20 || !m.Contiguous(ids) {
+	if len(ids) != 20 || len(m.Components(ids)) != 1 {
 		t.Fatalf("fallback shape allocation: %d ids", len(ids))
 	}
 	// The whole mesh as one job.
@@ -130,7 +130,7 @@ func TestBuddyAllocatesSquareBlocks(t *testing.T) {
 	if b.NumFree() != 64-16 {
 		t.Fatalf("NumFree = %d, want 48", b.NumFree())
 	}
-	if !m.Contiguous(ids) {
+	if len(m.Components(ids)) != 1 {
 		t.Fatal("buddy allocation not contiguous")
 	}
 	b.Release(ids)

@@ -143,9 +143,6 @@ func New(order []int) *Packer {
 // NumFree returns the number of free processors.
 func (p *Packer) NumFree() int { return p.numFree }
 
-// Size returns the total number of processors.
-func (p *Packer) Size() int { return len(p.order) }
-
 // Reset marks every processor free.
 func (p *Packer) Reset() {
 	for i := range p.free {
@@ -154,11 +151,6 @@ func (p *Packer) Reset() {
 	p.bits.SetAll()
 	p.numFree = len(p.free)
 	p.nextStart = 0
-}
-
-// Intervals returns the current maximal free intervals in rank order.
-func (p *Packer) Intervals() []Interval {
-	return p.AppendIntervals(nil)
 }
 
 // AppendIntervals appends the current maximal free intervals to ivs in

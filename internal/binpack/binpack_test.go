@@ -100,7 +100,7 @@ func carve(t *testing.T, freeRuns, busyRuns []int) *Packer {
 
 func TestIntervals(t *testing.T) {
 	p := carve(t, []int{3, 5, 2}, []int{1, 4})
-	ivs := p.Intervals()
+	ivs := p.AppendIntervals(nil)
 	want := []Interval{{0, 3}, {4, 5}, {13, 2}}
 	if len(ivs) != len(want) {
 		t.Fatalf("intervals = %v, want %v", ivs, want)
@@ -189,8 +189,8 @@ func TestReleaseRestoresState(t *testing.T) {
 	if p.NumFree() != 10 {
 		t.Fatalf("NumFree after release = %d, want 10", p.NumFree())
 	}
-	if len(p.Intervals()) != 1 {
-		t.Fatalf("intervals after full release: %v", p.Intervals())
+	if len(p.AppendIntervals(nil)) != 1 {
+		t.Fatalf("intervals after full release: %v", p.AppendIntervals(nil))
 	}
 }
 
@@ -292,7 +292,7 @@ func TestAllocateReleaseProperty(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, iv := range p.Intervals() {
+		for _, iv := range p.AppendIntervals(nil) {
 			total += iv.Len
 		}
 		if total != p.NumFree() {

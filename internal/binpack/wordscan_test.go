@@ -55,7 +55,7 @@ func prefixRanksRef(p *Packer, size int) []int {
 // is agreement of every allocation.
 func checkScans(t *testing.T, p *Packer, step int) {
 	t.Helper()
-	if got, want := p.Intervals(), intervalsRef(p); !slices.Equal(got, want) {
+	if got, want := p.AppendIntervals(nil), intervalsRef(p); !slices.Equal(got, want) {
 		t.Fatalf("step %d: intervals %v, reference %v", step, got, want)
 	}
 	for _, size := range []int{1, p.NumFree() / 2, p.NumFree()} {

@@ -43,8 +43,8 @@ func Check(o Options) ([]CheckResult, error) {
 			keys = append(keys, key{spec: a, pattern: p})
 		}
 	}
-	results, err := runGrid(keys, o.Parallelism, func(k key) (float64, error) {
-		return meanResponse(sim.Config{
+	results, err := runGrid(keys, o.Parallelism, func(k key) (*sim.Result, error) {
+		return runAggregates(sim.Config{
 			MeshW: 16, MeshH: 16,
 			Alloc:     k.spec,
 			Pattern:   k.pattern,
@@ -56,7 +56,7 @@ func Check(o Options) ([]CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := func(pattern, spec string) float64 { return results[key{spec, pattern}] }
+	resp := func(pattern, spec string) float64 { return results[key{spec, pattern}].MeanResponse }
 	rank := func(pattern, spec string) int {
 		r := 1
 		for _, a := range alloc.Specs() {

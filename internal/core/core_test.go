@@ -318,9 +318,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Jobs != 1500 || o.TimeScale != 0.02 || len(o.Loads) != 5 || o.Parallelism < 1 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if FullOptions().Jobs != 6087 {
-		t.Fatal("FullOptions should replay the whole trace")
-	}
 }
 
 func TestRunGridPropagatesErrors(t *testing.T) {

@@ -56,7 +56,7 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 		}
 	}
 	results, err := runSweep(keys, o, func(k gridKey, rep int, seed int64) (float64, error) {
-		return meanResponse(sim.Config{
+		res, err := runAggregates(sim.Config{
 			MeshW: w, MeshH: h,
 			Alloc:     k.allocSpec,
 			Pattern:   k.pattern,
@@ -64,6 +64,10 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 			TimeScale: o.TimeScale,
 			Seed:      seed,
 		}, traces[rep])
+		if err != nil {
+			return 0, err
+		}
+		return res.MeanResponse, nil
 	})
 	if err != nil {
 		return nil, err
@@ -91,15 +95,13 @@ func responseFigure(id, title string, w, h int, o Options) (*Figure, error) {
 	return fig, nil
 }
 
-// meanResponse runs cfg over tr, keeping no records or node lists, and
-// returns the streaming mean response, bit-identical to the retained one.
-func meanResponse(cfg sim.Config, tr *trace.Trace) (float64, error) {
+// runAggregates runs cfg over tr keeping no records or node lists. The
+// figures and tables that print only the streaming aggregates (mean
+// response, queue length, utilization, contiguity, hops, goodput,
+// kills) read the same bits as with records kept.
+func runAggregates(cfg sim.Config, tr *trace.Trace) (*sim.Result, error) {
 	cfg.KeepRecords, cfg.KeepNodes = sim.Discard, sim.Discard
-	res, err := sim.Run(cfg, tr)
-	if err != nil {
-		return 0, err
-	}
-	return res.MeanResponse, nil
+	return sim.Run(cfg, tr)
 }
 
 // Fig7 reproduces Figure 7: response time versus load on the 16x22 mesh
@@ -216,17 +218,14 @@ func Fig11(o Options) (*Figure, error) {
 	tr := newTrace(o, 256)
 	specs := alloc.Fig11Specs()
 	results, err := runGrid(specs, o.Parallelism, func(a string) (*sim.Result, error) {
-		cfg := sim.Config{
+		return runAggregates(sim.Config{
 			MeshW: 16, MeshH: 16,
-			Alloc:       a,
-			Pattern:     "alltoall",
-			Load:        1.0,
-			TimeScale:   o.TimeScale,
-			Seed:        o.Seed,
-			KeepRecords: sim.Discard,
-			KeepNodes:   sim.Discard,
-		}
-		return sim.Run(cfg, tr)
+			Alloc:     a,
+			Pattern:   "alltoall",
+			Load:      1.0,
+			TimeScale: o.TimeScale,
+			Seed:      o.Seed,
+		}, tr)
 	})
 	if err != nil {
 		return nil, err

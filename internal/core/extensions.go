@@ -23,7 +23,7 @@ func ExtContiguous(o Options) (*Figure, error) {
 	tr := newTrace(o, 256)
 	specs := []string{"buddy", "submesh", "hilbert/bestfit", "mc1x1", "hilbert/freelist/page1"}
 	results, err := runGrid(specs, o.Parallelism, func(spec string) (*sim.Result, error) {
-		return sim.Run(sim.Config{
+		return runAggregates(sim.Config{
 			MeshW: 16, MeshH: 16,
 			Alloc:     spec,
 			Pattern:   "alltoall",
@@ -77,7 +77,7 @@ func ExtScheduler(o Options) (*Figure, error) {
 		}
 	}
 	results, err := runGrid(keys, o.Parallelism, func(k key) (*sim.Result, error) {
-		return sim.Run(sim.Config{
+		return runAggregates(sim.Config{
 			MeshW: 16, MeshH: 16,
 			Alloc:     k.spec,
 			Pattern:   "alltoall",
@@ -145,7 +145,7 @@ func ExtRouting(o Options) (*Figure, error) {
 			Net:       netsim.DefaultConfig(),
 		}
 		cfg.Net.Routing = k.route
-		return sim.Run(cfg, tr)
+		return runAggregates(cfg, tr)
 	})
 	if err != nil {
 		return nil, err
@@ -173,7 +173,7 @@ func ExtMixed(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	tr := newTrace(o, 256)
 	results, err := runGrid(alloc.Specs(), o.Parallelism, func(spec string) (*sim.Result, error) {
-		return sim.Run(sim.Config{
+		return runAggregates(sim.Config{
 			MeshW: 16, MeshH: 16,
 			Alloc:     spec,
 			Pattern:   "mixed",
@@ -283,7 +283,7 @@ func ExtCube3D(o Options) (*Figure, error) {
 	tr := newTrace(o, 8*8*8)
 	specs := append(append([]string(nil), cube3DNative...), cube3DProjected...)
 	results, err := runGrid(specs, o.Parallelism, func(spec string) (*sim.Result, error) {
-		return sim.Run(sim.Config{
+		return runAggregates(sim.Config{
 			Dims:      dims,
 			Alloc:     spec,
 			Pattern:   "nbody",

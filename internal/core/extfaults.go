@@ -77,7 +77,7 @@ func ExtFaults(o Options) (*Figure, error) {
 				Kind: fault.RetryBackoff, Base: 60, Cap: 3600, MaxAttempts: 4,
 			}
 		}
-		return sim.Run(cfg, tr)
+		return runAggregates(cfg, tr)
 	})
 	if err != nil {
 		return nil, err

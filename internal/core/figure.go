@@ -219,11 +219,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// FullOptions replays the full 6087-job trace, the paper's exact setup.
-func FullOptions() Options {
-	return Options{Jobs: 6087}
-}
-
 // runGrid executes fn over keys on the shared shard pool (see sweep.go)
 // and returns results keyed the same way; any error aborts the grid.
 // The single-replication special case of runSweep, kept for grids whose

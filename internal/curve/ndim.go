@@ -244,57 +244,6 @@ func HilbertPoint(n, nd, d int) topo.Point {
 	return out
 }
 
-// HilbertIndex is the inverse of HilbertPoint: it returns the distance
-// along the nd-dimensional Hilbert curve of the n^nd hypercube at which
-// the curve visits p. HilbertIndex(n, nd, HilbertPoint(n, nd, d)) == d
-// for every d in [0, n^nd) — the bijectivity the fuzz test pins.
-func HilbertIndex(n, nd int, p topo.Point) int {
-	var x [topo.MaxDims]uint32
-	for i := 0; i < nd; i++ {
-		x[i] = uint32(p[i])
-	}
-	// Inverse undo: reapply the excess work top-down.
-	for q := uint32(n) / 2; q > 1; q >>= 1 {
-		pmask := q - 1
-		for i := 0; i < nd; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= pmask
-			} else {
-				t := (x[0] ^ x[i]) & pmask
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-	// Gray encode.
-	for i := 1; i < nd; i++ {
-		x[i] ^= x[i-1]
-	}
-	t := uint32(0)
-	for q := uint32(n) / 2; q > 1; q >>= 1 {
-		if x[nd-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < nd; i++ {
-		x[i] ^= t
-	}
-	// Transpose back to the index.
-	b := 0
-	for 1<<uint(b) < n {
-		b++
-	}
-	d := 0
-	for lvl := 0; lvl < b; lvl++ {
-		for i := 0; i < nd; i++ {
-			if x[i]>>uint(lvl)&1 == 1 {
-				d |= 1 << uint(nd*lvl+(nd-1-i))
-			}
-		}
-	}
-	return d
-}
-
 // OrderDims implements DimCurve: the n-D Morton (Z-order) curve, ranks
 // interleaving the coordinate bits with axis 0 in the lowest position,
 // truncated from the enclosing power-of-two hypercube.

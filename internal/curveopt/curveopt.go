@@ -50,9 +50,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v] = append(g.adj[v], u)
 }
 
-// Neighbors returns u's adjacency list (shared slice; do not modify).
-func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
-
 // MeshGraph builds the machine graph of a grid. Node by node it adds the
 // edge toward +x, then toward +y (and on up the axes); Optimize's
 // breadth-first start follows that adjacency order.
@@ -66,30 +63,6 @@ func MeshGraph(m *topo.Grid) *Graph {
 		}
 	}
 	return g
-}
-
-// Cost returns the linear-arrangement cost of an ordering: the sum over
-// edges of |rank(u) - rank(v)|. Lower is better; a Hamiltonian-path-like
-// ordering of a path graph achieves the minimum.
-func Cost(g *Graph, order []int) int {
-	rank := make([]int, g.N)
-	for pos, id := range order {
-		rank[id] = pos
-	}
-	total := 0
-	for u := 0; u < g.N; u++ {
-		ru := rank[u]
-		for _, v := range g.adj[u] {
-			if u < v {
-				d := ru - rank[v]
-				if d < 0 {
-					d = -d
-				}
-				total += d
-			}
-		}
-	}
-	return total
 }
 
 // Options tunes the search.

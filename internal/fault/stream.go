@@ -202,22 +202,3 @@ func (s *Stream) SetState(st State) error {
 	s.scriptAt = st.ScriptAt
 	return nil
 }
-
-// Schedule materializes every event with T < horizon, mainly for tests
-// and schedule dumps. The stream is consumed.
-func (s *Stream) Schedule(horizon float64) []Event {
-	var out []Event
-	for {
-		ev, ok := s.Peek()
-		if !ok || ev.T >= horizon {
-			return out
-		}
-		s.Next()
-		out = append(out, ev)
-	}
-}
-
-// String summarizes the stream configuration.
-func (s *Stream) String() string {
-	return fmt.Sprintf("fault.Stream{mtbf=%v mttr=%v script=%d}", s.cfg.MTBF, s.cfg.MTTR, len(s.script))
-}

@@ -297,19 +297,6 @@ func (n *Network) SetState(s State) error {
 	return nil
 }
 
-// Config returns the network's timing configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Reset clears all link state and statistics.
-func (n *Network) Reset() {
-	for i := range n.freeAt {
-		n.freeAt[i] = 0
-		n.busyTime[i] = 0
-	}
-	n.stats = Stats{}
-	n.clock = 0
-}
-
 // LinkUtilization returns each directed link's busy fraction over the
 // elapsed simulated time (the latest Send time). Before any traffic it
 // returns all zeros. A heavily backlogged link can report slightly more
@@ -347,14 +334,4 @@ func (n *Network) NodeUtilization() []float64 {
 		}
 	}
 	return out
-}
-
-// UncontendedLatency returns the delivery latency of a message over the
-// given hop count on an idle network — the baseline the queueing delay
-// adds to.
-func (n *Network) UncontendedLatency(hops int) float64 {
-	if hops == 0 {
-		return n.cfg.LocalDelay
-	}
-	return float64(hops)*n.cfg.HopLatency + n.cfg.serviceTime()
 }

@@ -14,6 +14,15 @@ func testConfig() Config {
 	return Config{MessageFlits: 10, FlitCycle: 0.01, HopLatency: 0.005, LocalDelay: 0.001}
 }
 
+// uncontendedLatency is the delivery latency of a message over hops
+// links on an idle network: the baseline the queueing delay adds to.
+func uncontendedLatency(cfg Config, hops int) float64 {
+	if hops == 0 {
+		return cfg.LocalDelay
+	}
+	return float64(hops)*cfg.HopLatency + cfg.serviceTime()
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	m := topo.New([]int{4, 4})
 	for _, cfg := range []Config{
@@ -47,8 +56,8 @@ func TestUncontendedLatency(t *testing.T) {
 	if r.Queued != 0 {
 		t.Fatalf("queued = %g on idle network", r.Queued)
 	}
-	if got := n.UncontendedLatency(3); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("UncontendedLatency(3) = %g, want %g", got, want)
+	if got := uncontendedLatency(testConfig(), 3); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("uncontended latency over 3 hops = %g, want %g", got, want)
 	}
 }
 
@@ -145,17 +154,19 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestReset: link state and statistics live in the Network, not the
+// Grid, so a fresh network over a grid that already carried traffic
+// starts idle.
 func TestReset(t *testing.T) {
 	m := topo.New([]int{4, 4})
+	New(m, testConfig()).Send(0, 5, 10)
 	n := New(m, testConfig())
-	n.Send(0, 5, 10)
-	n.Reset()
 	if n.Stats().Messages != 0 {
-		t.Fatal("stats survive reset")
+		t.Fatal("stats shared through the grid")
 	}
-	r := n.Send(0, 5, 0) // clock must also reset
+	r := n.Send(0, 5, 0) // the clock starts at zero too
 	if r.Queued != 0 {
-		t.Fatal("link state survives reset")
+		t.Fatal("link state shared through the grid")
 	}
 }
 
@@ -253,7 +264,7 @@ func TestLatencyDecomposition(t *testing.T) {
 		}
 		t0 := float64(i) * 0.02
 		r := n.Send(src, dst, t0)
-		want := n.UncontendedLatency(r.Hops) + r.Queued
+		want := uncontendedLatency(testConfig(), r.Hops) + r.Queued
 		if math.Abs((r.Arrival-t0)-want) > 1e-9 {
 			t.Fatalf("message %d: latency %g != baseline+queued %g", i, r.Arrival-t0, want)
 		}
@@ -363,14 +374,15 @@ func TestNodeUtilizationAggregates(t *testing.T) {
 	}
 }
 
+// TestUtilizationResets: a fresh network over a grid that already
+// carried traffic reports zero utilization before its own first Send.
 func TestUtilizationResets(t *testing.T) {
 	m := topo.New([]int{4, 4})
+	New(m, testConfig()).Send(0, 3, 1.0)
 	n := New(m, testConfig())
-	n.Send(0, 3, 1.0)
-	n.Reset()
 	for _, u := range n.LinkUtilization() {
 		if u != 0 {
-			t.Fatal("utilization survives reset")
+			t.Fatal("utilization shared through the grid")
 		}
 	}
 }

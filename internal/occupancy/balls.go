@@ -140,46 +140,6 @@ func (b *Balls) add(p topo.Point, d int) {
 	}
 }
 
-// SliceFree returns the number of free processors in the cross-section
-// of the Manhattan ball of radius rad around c with the slice
-// axis = v: the cells x with x[axis] == v and the distance over the
-// remaining axes at most rad, clipped to the grid. A negative rad or an
-// off-grid slice counts zero.
-func (b *Balls) SliceFree(axis, v int, c topo.Point, rad int) int {
-	if rad < 0 || v < 0 || v >= b.dim[axis] {
-		return 0
-	}
-	f := &b.fams[axis]
-	if b.nd == 2 {
-		lo := max(c[f.p]-rad, 0)
-		hi := min(c[f.p]+rad+1, f.np)
-		if lo >= hi {
-			return 0
-		}
-		slice := f.pref[v*f.planeLen:]
-		return hi - lo - (slice[hi] - slice[lo])
-	}
-	return b.sliceFree3(f, v, c, rad)
-}
-
-// sliceFree3 counts the free cells of a rotated clipped diamond: real
-// cells from the static table minus busy cells from the slice's
-// summed-area prefix.
-func (b *Balls) sliceFree3(f *fam, v int, c topo.Point, rad int) int {
-	u0, v0 := c[f.p]+c[f.q], c[f.p]-c[f.q]+f.nq-1
-	ulo, uhi := max(u0-rad, 0), min(u0+rad+1, f.s)
-	vlo, vhi := max(v0-rad, 0), min(v0+rad+1, f.s)
-	if ulo >= uhi || vlo >= vhi {
-		return 0
-	}
-	w := f.s + 1
-	a, bb, cc, dd := uhi*w+vhi, ulo*w+vhi, uhi*w+vlo, ulo*w+vlo
-	cells := f.cells[a] - f.cells[bb] - f.cells[cc] + f.cells[dd]
-	slice := f.pref[v*f.planeLen:]
-	busy := slice[a] - slice[bb] - slice[cc] + slice[dd]
-	return cells - busy
-}
-
 // FreeInBall returns the number of free processors at Manhattan
 // distance at most r from c, clipped at machine edges. A negative r
 // counts zero.
@@ -247,8 +207,9 @@ func diamondFree(f *fam, slice []int, u0, v0, rad int) int {
 
 // AddMarginal accumulates the per-slice free counts of the ball of
 // radius rad around c into m, indexed by the slice coordinate along
-// axis: m[v] += SliceFree(axis, v, c, rad - |v - c[axis]|) for every
-// on-grid v the ball reaches. This is how Gen-Alg reconstructs a
+// axis: m[v] gains the free cells x with x[axis] == v whose distance
+// from c over the remaining axes is at most rad - |v - c[axis]|, for
+// every on-grid v the ball reaches. This is how Gen-Alg reconstructs a
 // candidate set's coordinate marginal in one fused pass.
 func (b *Balls) AddMarginal(axis int, c topo.Point, rad int, m []int) {
 	if rad < 0 {

@@ -8,7 +8,7 @@ import "math/bits"
 // bit per FREE slot so candidate enumeration can skip busy regions 64 nodes
 // per instruction with OnesCount64/TrailingZeros64 word scans.
 //
-// Pad bits past Len() in the last word are always zero. Every mutator
+// Pad bits past the length in the last word are always zero. Every mutator
 // preserves that invariant, so run scans can never extend past the end and
 // Count never over-counts.
 type Bitset struct {
@@ -23,9 +23,6 @@ func NewBitset(n int) *Bitset {
 	}
 	return &Bitset{words: make([]uint64, (n+63)>>6), n: n}
 }
-
-// Len reports the number of addressable bits.
-func (b *Bitset) Len() int { return b.n }
 
 // Words exposes the backing words read-only (callers must not mutate them;
 // the slice is shared, not copied). Bit i of the set lives at
@@ -64,11 +61,6 @@ func (b *Bitset) SetAll() {
 	if r := uint(b.n) & 63; r != 0 && len(b.words) > 0 {
 		b.words[len(b.words)-1] = (1 << r) - 1
 	}
-}
-
-// ClearAll clears every bit.
-func (b *Bitset) ClearAll() {
-	clear(b.words)
 }
 
 // Count returns the number of set bits.

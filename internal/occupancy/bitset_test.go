@@ -31,10 +31,10 @@ func randomBitset(r *bsRand, n int, density uint64) (*Bitset, []bool) {
 
 func padOK(t *testing.T, b *Bitset) {
 	t.Helper()
-	if r := uint(b.Len()) & 63; r != 0 {
+	if r := uint(b.n) & 63; r != 0 {
 		last := b.Words()[len(b.Words())-1]
 		if last&^((1<<r)-1) != 0 {
-			t.Fatalf("pad bits set in last word: %#x (n=%d)", last, b.Len())
+			t.Fatalf("pad bits set in last word: %#x (n=%d)", last, b.n)
 		}
 	}
 }
@@ -42,17 +42,19 @@ func padOK(t *testing.T, b *Bitset) {
 func TestBitsetBasics(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
 		b := NewBitset(n)
-		if b.Len() != n || b.Count() != 0 {
-			t.Fatalf("n=%d: fresh bitset Len=%d Count=%d", n, b.Len(), b.Count())
+		if b.Count() != 0 {
+			t.Fatalf("n=%d: fresh bitset Count=%d", n, b.Count())
 		}
 		b.SetAll()
 		padOK(t, b)
 		if b.Count() != n {
 			t.Fatalf("n=%d: SetAll Count=%d", n, b.Count())
 		}
-		b.ClearAll()
+		for i := 0; i < n; i++ {
+			b.Clear(i)
+		}
 		if b.Count() != 0 {
-			t.Fatalf("n=%d: ClearAll Count=%d", n, b.Count())
+			t.Fatalf("n=%d: Count=%d after clearing every bit", n, b.Count())
 		}
 		if n == 0 {
 			continue

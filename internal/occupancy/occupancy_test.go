@@ -38,7 +38,7 @@ func (m *busyModel) freeInBox(lo, hi topo.Point) int {
 func (m *busyModel) freeInBall(c topo.Point, r int) int {
 	n := 0
 	for id := 0; id < m.g.Size(); id++ {
-		if !m.busy[id] && m.g.Coord(id).Manhattan(c) <= r {
+		if !m.busy[id] && m.g.Dist(id, m.g.ID(c)) <= r {
 			n++
 		}
 	}
@@ -186,16 +186,18 @@ func TestBallsMatchesBruteForce(t *testing.T) {
 					dims, step, c, r, got, want)
 			}
 			axis := rng.Intn(g.ND())
-			v := rng.Intn(g.Dim(axis)+2) - 1
 			rad := rng.Intn(maxR+2) - 1
-			got := balls.SliceFree(axis, v, c, rad)
-			want := 0
-			if v >= 0 && v < g.Dim(axis) && rad >= 0 {
-				want = m.sliceFree(axis, v, c, rad)
-			}
-			if got != want {
-				t.Fatalf("dims %v step %d: SliceFree(%d, %d, %v, %d) = %d, want %d",
-					dims, step, axis, v, c, rad, got, want)
+			got := make([]int, g.Dim(axis))
+			balls.AddMarginal(axis, c, rad, got)
+			for v := range got {
+				want := 0
+				if rv := rad - abs(v-c[axis]); rv >= 0 {
+					want = m.sliceFree(axis, v, c, rv)
+				}
+				if got[v] != want {
+					t.Fatalf("dims %v step %d: AddMarginal(%d, %v, %d)[%d] = %d, want %d",
+						dims, step, axis, c, rad, v, got[v], want)
+				}
 			}
 		}
 	}
@@ -220,11 +222,11 @@ func TestResetClearsCounts(t *testing.T) {
 	}
 	boxes.Reset()
 	balls.Reset()
-	lo, hi, _ := g.GrownBounds(topo.XYZ(3, 2, 2), topo.XYZ(1, 1, 1), g.MaxShells())
+	lo, hi, _ := g.GrownBounds(topo.Point{3, 2, 2}, topo.Point{1, 1, 1}, g.MaxShells())
 	if got := boxes.FreeIn(lo, hi); got != g.Size() {
 		t.Errorf("boxes after Reset: FreeIn(all) = %d, want %d", got, g.Size())
 	}
-	if got := balls.FreeInBall(topo.XYZ(3, 2, 2), 100); got != g.Size() {
+	if got := balls.FreeInBall(topo.Point{3, 2, 2}, 100); got != g.Size() {
 		t.Errorf("balls after Reset: FreeInBall(all) = %d, want %d", got, g.Size())
 	}
 }

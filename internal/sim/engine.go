@@ -451,8 +451,9 @@ func (e *Engine) Submit(j trace.Job) error {
 	if e.cfg.Faults.StrictCapacity && j.Size > e.grid.Size()-e.flagged {
 		return &OversizeError{ID: j.ID, Size: j.Size, Capacity: e.grid.Size() - e.flagged, Strict: true}
 	}
-	// Mirror Trace.ScaleLoad followed by Trace.ScaleTime operation for
-	// operation so batch outputs stay bit-identical.
+	// Contract the arrival by Load and then by TimeScale, in that order,
+	// and the runtime by TimeScale: the golden digests pin this exact
+	// sequence of float operations.
 	j.Arrival *= e.cfg.Load
 	j.Arrival *= e.cfg.TimeScale
 	j.Runtime *= e.cfg.TimeScale
@@ -669,6 +670,21 @@ func (e *Engine) Deadlocked() bool {
 	return e.events.len() == 0 && !e.hasFault && (len(e.queue) > 0 || e.store.live > 0)
 }
 
+// Complete ends a run: it processes every remaining event, reports a
+// deadlock — jobs still queued or running with no event left to move
+// them — as an error, and closes with one pass of the invariant auditor.
+// The audit costs O(machine) against a whole run's work, and a
+// divergence caught here names the broken invariant instead of
+// surfacing as a silently wrong digest.
+func (e *Engine) Complete() error {
+	e.Drain()
+	if e.Deadlocked() {
+		return fmt.Errorf("sim: deadlock with %d queued and %d running jobs",
+			len(e.queue), e.store.live)
+	}
+	return e.Audit()
+}
+
 // RunSource pumps src into the engine lazily: each job is submitted
 // only when the clock reaches its arrival, so the event queue stays
 // bounded by the in-flight work rather than the stream length. With
@@ -679,8 +695,8 @@ func (e *Engine) Deadlocked() bool {
 // calls with growing horizons replay the identical event sequence a
 // single continuous run would, and the past-horizon job is held, not
 // lost: the next RunSource call submits it before pulling from its
-// source again. Call Drain to let a horizon-stopped run finish its
-// in-flight jobs.
+// source again. An exhausted source ends with Complete; call Complete
+// to let a horizon-stopped run finish its in-flight jobs.
 func (e *Engine) RunSource(src trace.Source, horizon float64) error {
 	for {
 		if !e.hasHeld {
@@ -705,14 +721,7 @@ func (e *Engine) RunSource(src trace.Source, horizon float64) error {
 		}
 		e.held, e.hasHeld = trace.Job{}, false
 	}
-	e.Drain()
-	if e.Deadlocked() {
-		return fmt.Errorf("sim: deadlock with %d queued and %d running jobs",
-			len(e.queue), e.store.live)
-	}
-	// The exhausted-source drain is the open-system run's natural end;
-	// close it with the same invariant pass batch Run applies.
-	return e.Audit()
+	return e.Complete()
 }
 
 // Result snapshots the run's aggregate outcome. With KeepRecords left

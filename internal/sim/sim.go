@@ -23,8 +23,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"meshalloc/internal/fault"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/trace"
@@ -263,7 +261,7 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 }
 
 // runTrace is Run on an already-built engine: submit every job up
-// front, drain, and audit.
+// front, then Complete.
 func (e *Engine) runTrace(tr *trace.Trace) (*Result, error) {
 	// Submit validates each job (oversized jobs error out here, before
 	// any event is processed — the whole run is rejected, as always).
@@ -272,16 +270,7 @@ func (e *Engine) runTrace(tr *trace.Trace) (*Result, error) {
 			return nil, err
 		}
 	}
-	e.Drain()
-	if e.Deadlocked() {
-		return nil, fmt.Errorf("sim: deadlock with %d queued and %d running jobs",
-			e.Pending(), e.RunningJobs())
-	}
-	// Every batch run ends with one pass of the invariant auditor: the
-	// cross-checks are O(machine) against a whole run's work, and a
-	// divergence caught here names the broken invariant instead of
-	// surfacing as a silently wrong digest.
-	if err := e.Audit(); err != nil {
+	if err := e.Complete(); err != nil {
 		return nil, err
 	}
 	return e.Result(), nil

@@ -93,31 +93,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// LinReg fits y = a + b*x by least squares and returns the intercept a and
-// slope b. It returns (0, 0) for fewer than two points or constant x. It
-// panics on length mismatch.
-func LinReg(xs, ys []float64) (a, b float64) {
-	if len(xs) != len(ys) {
-		panic("stats: LinReg needs equal-length series")
-	}
-	if len(xs) < 2 {
-		return 0, 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, 0
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b
-}
-
 // Bin is one histogram bucket: the half-open interval [Lo, Hi) and the
 // mean of the y values whose x fell in it.
 type Bin struct {

@@ -6,32 +6,6 @@ import (
 	"sort"
 )
 
-// Dist is a non-negative continuous distribution that can be sampled with
-// an external random source.
-type Dist interface {
-	// Sample draws one variate using g.
-	Sample(g *RNG) float64
-	// Mean returns the distribution's analytic mean.
-	Mean() float64
-	// CV returns the distribution's analytic coefficient of variation
-	// (standard deviation over mean).
-	CV() float64
-}
-
-// Exponential is an exponential distribution.
-type Exponential struct {
-	MeanVal float64
-}
-
-// Sample implements Dist.
-func (d Exponential) Sample(g *RNG) float64 { return g.ExpFloat64() * d.MeanVal }
-
-// Mean implements Dist.
-func (d Exponential) Mean() float64 { return d.MeanVal }
-
-// CV implements Dist. An exponential always has CV 1.
-func (d Exponential) CV() float64 { return 1 }
-
 // HyperExp2 is a two-phase hyperexponential distribution: with probability
 // P1 the variate is exponential with mean M1, otherwise exponential with
 // mean M2. Hyperexponentials model the CV > 1 interarrival and runtime
@@ -54,22 +28,12 @@ func NewHyperExp2(mean, cv float64) HyperExp2 {
 	return HyperExp2{P1: p1, M1: mean / (2 * p1), M2: mean / (2 * (1 - p1))}
 }
 
-// Sample implements Dist.
+// Sample draws one variate using g.
 func (d HyperExp2) Sample(g *RNG) float64 {
 	if g.Float64() < d.P1 {
 		return g.ExpFloat64() * d.M1
 	}
 	return g.ExpFloat64() * d.M2
-}
-
-// Mean implements Dist.
-func (d HyperExp2) Mean() float64 { return d.P1*d.M1 + (1-d.P1)*d.M2 }
-
-// CV implements Dist.
-func (d HyperExp2) CV() float64 {
-	m := d.Mean()
-	m2 := 2 * (d.P1*d.M1*d.M1 + (1-d.P1)*d.M2*d.M2)
-	return math.Sqrt(m2-m*m) / m
 }
 
 // Lognormal is a lognormal distribution parameterized by the mean and
@@ -85,27 +49,16 @@ func NewLognormal(mean, cv float64) Lognormal {
 	return Lognormal{Mu: math.Log(mean) - s2/2, Sigma: math.Sqrt(s2)}
 }
 
-// Sample implements Dist.
+// Sample draws one variate using g.
 func (d Lognormal) Sample(g *RNG) float64 {
 	return math.Exp(d.Mu + d.Sigma*g.NormFloat64())
-}
-
-// Mean implements Dist.
-func (d Lognormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// CV implements Dist.
-func (d Lognormal) CV() float64 {
-	return math.Sqrt(math.Exp(d.Sigma*d.Sigma) - 1)
 }
 
 // DiscreteDist is a finite distribution over integer values, used for job
 // sizes. Weights need not be normalized.
 type DiscreteDist struct {
-	values  []int
-	cum     []float64 // cumulative normalized weights
-	mean    float64
-	momtwo  float64 // second moment
-	weights []float64
+	values []int
+	cum    []float64 // cumulative normalized weights
 }
 
 // NewDiscreteDist builds a discrete distribution over values with the
@@ -126,18 +79,13 @@ func NewDiscreteDist(values []int, weights []float64) *DiscreteDist {
 		panic("stats: total weight must be positive")
 	}
 	d := &DiscreteDist{
-		values:  append([]int(nil), values...),
-		cum:     make([]float64, len(values)),
-		weights: append([]float64(nil), weights...),
+		values: append([]int(nil), values...),
+		cum:    make([]float64, len(values)),
 	}
 	acc := 0.0
 	for i, w := range weights {
-		p := w / total
-		acc += p
+		acc += w / total
 		d.cum[i] = acc
-		v := float64(values[i])
-		d.mean += p * v
-		d.momtwo += p * v * v
 	}
 	d.cum[len(d.cum)-1] = 1 // guard against rounding
 	return d
@@ -151,16 +99,4 @@ func (d *DiscreteDist) SampleInt(g *RNG) int {
 		i = len(d.values) - 1
 	}
 	return d.values[i]
-}
-
-// Mean returns the analytic mean.
-func (d *DiscreteDist) Mean() float64 { return d.mean }
-
-// CV returns the analytic coefficient of variation.
-func (d *DiscreteDist) CV() float64 {
-	v := d.momtwo - d.mean*d.mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v) / d.mean
 }

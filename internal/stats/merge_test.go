@@ -35,14 +35,14 @@ func TestWelfordMergeMatchesSingleStream(t *testing.T) {
 				part := addAll(xs[lo:hi])
 				merged.Merge(part)
 			}
-			if merged.N() != single.N() {
-				t.Fatalf("n=%d shards=%d: N %d != %d", n, shards, merged.N(), single.N())
+			if merged.n != single.n {
+				t.Fatalf("n=%d shards=%d: N %d != %d", n, shards, merged.n, single.n)
 			}
 			if !relClose(merged.Mean(), single.Mean(), 1e-12) {
 				t.Errorf("n=%d shards=%d: mean %g != %g", n, shards, merged.Mean(), single.Mean())
 			}
-			if !relClose(merged.Variance(), single.Variance(), 1e-9) {
-				t.Errorf("n=%d shards=%d: variance %g != %g", n, shards, merged.Variance(), single.Variance())
+			if !relClose(welfordVariance(merged), welfordVariance(single), 1e-9) {
+				t.Errorf("n=%d shards=%d: variance %g != %g", n, shards, welfordVariance(merged), welfordVariance(single))
 			}
 		}
 	}
@@ -67,9 +67,9 @@ func TestWelfordMergeAssociativity(t *testing.T) {
 	bc.Merge(c)
 	right := a
 	right.Merge(bc)
-	if !relClose(left.Mean(), right.Mean(), 1e-12) || !relClose(left.Variance(), right.Variance(), 1e-9) {
+	if !relClose(left.Mean(), right.Mean(), 1e-12) || !relClose(welfordVariance(left), welfordVariance(right), 1e-9) {
 		t.Errorf("grouping changed result: (%g, %g) vs (%g, %g)",
-			left.Mean(), left.Variance(), right.Mean(), right.Variance())
+			left.Mean(), welfordVariance(left), right.Mean(), welfordVariance(right))
 	}
 
 	again := a
@@ -196,14 +196,14 @@ func FuzzWelfordMerge(f *testing.F) {
 		single := addAll(xs)
 		merged := addAll(xs[:cut])
 		merged.Merge(addAll(xs[cut:]))
-		if merged.N() != single.N() {
-			t.Fatalf("N %d != %d", merged.N(), single.N())
+		if merged.n != single.n {
+			t.Fatalf("N %d != %d", merged.n, single.n)
 		}
 		if !relClose(merged.Mean(), single.Mean(), 1e-9) {
 			t.Errorf("mean %g != %g (n=%d cut=%d)", merged.Mean(), single.Mean(), n, cut)
 		}
-		if !relClose(merged.Variance(), single.Variance(), 1e-6) {
-			t.Errorf("variance %g != %g (n=%d cut=%d)", merged.Variance(), single.Variance(), n, cut)
+		if !relClose(welfordVariance(merged), welfordVariance(single), 1e-6) {
+			t.Errorf("variance %g != %g (n=%d cut=%d)", welfordVariance(merged), welfordVariance(single), n, cut)
 		}
 	})
 }

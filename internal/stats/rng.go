@@ -1,7 +1,7 @@
 // Package stats provides the deterministic random-variate generators used
 // to synthesize the SDSC Paragon workload and the descriptive statistics
 // used by the experiment harness (means, coefficients of variation,
-// Pearson correlation, linear regression, histogram binning).
+// Pearson correlation, histogram binning).
 package stats
 
 import (
@@ -33,19 +33,15 @@ func (c *countingSource) Seed(seed int64) {
 // RNG is a deterministic pseudo-random source. All simulator randomness
 // flows through RNG so that a (seed, config) pair fully determines a run.
 type RNG struct {
-	r    *rand.Rand
-	cnt  *countingSource
-	seed int64
+	r   *rand.Rand
+	cnt *countingSource
 }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
 	cnt := &countingSource{src: rand.NewSource(seed)}
-	return &RNG{r: rand.New(cnt), cnt: cnt, seed: seed}
+	return &RNG{r: rand.New(cnt), cnt: cnt}
 }
-
-// Seed returns the seed the generator was created with.
-func (g *RNG) Seed() int64 { return g.seed }
 
 // Pos returns the stream position: the number of raw 63-bit draws
 // consumed so far. (seed, Pos) fully determines the generator's future

@@ -15,24 +15,30 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestExponentialMoments(t *testing.T) {
-	d := Exponential{MeanVal: 50}
-	if d.Mean() != 50 || d.CV() != 1 {
-		t.Fatalf("exponential moments: %g, %g", d.Mean(), d.CV())
-	}
-	assertSampleMoments(t, d, 0.05)
+// hyperExp2Moments returns the analytic mean and coefficient of
+// variation of d.
+func hyperExp2Moments(d HyperExp2) (mean, cv float64) {
+	mean = d.P1*d.M1 + (1-d.P1)*d.M2
+	m2 := 2 * (d.P1*d.M1*d.M1 + (1-d.P1)*d.M2*d.M2)
+	return mean, math.Sqrt(m2-mean*mean) / mean
+}
+
+// lognormalMoments returns the analytic mean and coefficient of
+// variation of d.
+func lognormalMoments(d Lognormal) (mean, cv float64) {
+	return math.Exp(d.Mu + d.Sigma*d.Sigma/2), math.Sqrt(math.Exp(d.Sigma*d.Sigma) - 1)
 }
 
 func TestHyperExp2Fit(t *testing.T) {
 	for _, tc := range []struct{ mean, cv float64 }{
 		{1301, 3.7}, {100, 1.0}, {10, 2.0}, {1e6, 5.5},
 	} {
-		d := NewHyperExp2(tc.mean, tc.cv)
-		if math.Abs(d.Mean()-tc.mean)/tc.mean > 1e-9 {
-			t.Errorf("fit mean = %g, want %g", d.Mean(), tc.mean)
+		mean, cv := hyperExp2Moments(NewHyperExp2(tc.mean, tc.cv))
+		if math.Abs(mean-tc.mean)/tc.mean > 1e-9 {
+			t.Errorf("fit mean = %g, want %g", mean, tc.mean)
 		}
-		if math.Abs(d.CV()-tc.cv)/tc.cv > 1e-9 {
-			t.Errorf("fit cv = %g, want %g", d.CV(), tc.cv)
+		if math.Abs(cv-tc.cv)/tc.cv > 1e-9 {
+			t.Errorf("fit cv = %g, want %g", cv, tc.cv)
 		}
 	}
 }
@@ -47,55 +53,53 @@ func TestHyperExp2RejectsLowCV(t *testing.T) {
 }
 
 func TestHyperExp2Sampling(t *testing.T) {
-	assertSampleMoments(t, NewHyperExp2(1000, 3.0), 0.15)
+	d := NewHyperExp2(1000, 3.0)
+	mean, cv := hyperExp2Moments(d)
+	assertSampleMoments(t, d.Sample, mean, cv, 0.15)
 }
 
 func TestLognormalFit(t *testing.T) {
 	d := NewLognormal(10944, 1.13)
-	if math.Abs(d.Mean()-10944)/10944 > 1e-9 {
-		t.Errorf("lognormal mean = %g", d.Mean())
+	mean, cv := lognormalMoments(d)
+	if math.Abs(mean-10944)/10944 > 1e-9 {
+		t.Errorf("lognormal mean = %g", mean)
 	}
-	if math.Abs(d.CV()-1.13)/1.13 > 1e-9 {
-		t.Errorf("lognormal cv = %g", d.CV())
+	if math.Abs(cv-1.13)/1.13 > 1e-9 {
+		t.Errorf("lognormal cv = %g", cv)
 	}
-	assertSampleMoments(t, d, 0.1)
+	assertSampleMoments(t, d.Sample, mean, cv, 0.1)
 }
 
 // assertSampleMoments draws 200k samples and compares empirical moments
-// with the analytic ones within relative tolerance tol.
-func assertSampleMoments(t *testing.T, d Dist, tol float64) {
+// with the analytic mean and cv within relative tolerance tol.
+func assertSampleMoments(t *testing.T, sample func(*RNG) float64, mean, cv, tol float64) {
 	t.Helper()
 	g := NewRNG(99)
 	n := 200000
 	var sum, sum2 float64
 	for i := 0; i < n; i++ {
-		x := d.Sample(g)
+		x := sample(g)
 		if x < 0 {
 			t.Fatal("negative sample")
 		}
 		sum += x
 		sum2 += x * x
 	}
-	mean := sum / float64(n)
-	sd := math.Sqrt(sum2/float64(n) - mean*mean)
-	if math.Abs(mean-d.Mean())/d.Mean() > tol {
-		t.Errorf("sample mean %g vs analytic %g", mean, d.Mean())
+	m := sum / float64(n)
+	sd := math.Sqrt(sum2/float64(n) - m*m)
+	if math.Abs(m-mean)/mean > tol {
+		t.Errorf("sample mean %g vs analytic %g", m, mean)
 	}
-	if math.Abs(sd/mean-d.CV())/d.CV() > tol+0.05 {
-		t.Errorf("sample cv %g vs analytic %g", sd/mean, d.CV())
+	if math.Abs(sd/m-cv)/cv > tol+0.05 {
+		t.Errorf("sample cv %g vs analytic %g", sd/m, cv)
 	}
 }
 
 func TestDiscreteDistMoments(t *testing.T) {
 	d := NewDiscreteDist([]int{1, 2, 4}, []float64{1, 1, 2})
 	// mean = (1 + 2 + 8)/4 = 2.75; E[X^2] = (1 + 4 + 32)/4 = 9.25.
-	if math.Abs(d.Mean()-2.75) > 1e-12 {
-		t.Fatalf("mean = %g", d.Mean())
-	}
-	wantCV := math.Sqrt(9.25-2.75*2.75) / 2.75
-	if math.Abs(d.CV()-wantCV) > 1e-12 {
-		t.Fatalf("cv = %g, want %g", d.CV(), wantCV)
-	}
+	cv := math.Sqrt(9.25-2.75*2.75) / 2.75
+	assertSampleMoments(t, func(g *RNG) float64 { return float64(d.SampleInt(g)) }, 2.75, cv, 0.01)
 }
 
 func TestDiscreteDistSampling(t *testing.T) {
@@ -186,19 +190,6 @@ func TestPearsonPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Pearson([]float64{1}, []float64{1, 2})
-}
-
-func TestLinReg(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	a, b := LinReg(xs, ys)
-	if math.Abs(a-1) > 1e-12 || math.Abs(b-2) > 1e-12 {
-		t.Fatalf("LinReg = %g + %g x", a, b)
-	}
-	a, b = LinReg([]float64{2, 2}, []float64{1, 5})
-	if a != 0 || b != 0 {
-		t.Fatal("constant x should give zero fit")
-	}
 }
 
 func TestPearsonBounds(t *testing.T) {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Streaming (single-pass, O(1)-memory) aggregates for open-system
 // simulation: a Welford mean/variance accumulator and the P² quantile
@@ -27,40 +24,8 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations seen.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean, or 0 before any observation.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance, or 0 for fewer than
-// two observations, matching Variance on the retained series.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// WelfordState is the serializable state of a Welford accumulator.
-type WelfordState struct {
-	N    int
-	Mean float64
-	M2   float64
-}
-
-// State captures the accumulator for a snapshot.
-func (w *Welford) State() WelfordState {
-	return WelfordState{N: w.n, Mean: w.mean, M2: w.m2}
-}
-
-// SetState restores a state previously returned by State.
-func (w *Welford) SetState(s WelfordState) {
-	w.n, w.mean, w.m2 = s.N, s.Mean, s.M2
-}
 
 // P2Quantile estimates one quantile of a stream in O(1) memory with the
 // P² algorithm of Jain and Chlamtac (CACM 1985): five markers straddle
@@ -189,9 +154,6 @@ func (e *P2Quantile) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
 }
-
-// N returns the number of observations seen.
-func (e *P2Quantile) N() int { return e.n }
 
 // Value returns the current quantile estimate: exact for five or fewer
 // observations, the P² middle marker afterwards. It returns 0 before

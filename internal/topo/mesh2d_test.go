@@ -22,7 +22,9 @@ func TestNewPanicsOnBadDims(t *testing.T) {
 	}
 }
 
+// TestManhattan: on a mesh, Dist is the Manhattan distance.
 func TestManhattan(t *testing.T) {
+	g := New([]int{8, 8})
 	tests := []struct {
 		a, b Point
 		want int
@@ -33,8 +35,8 @@ func TestManhattan(t *testing.T) {
 		{XY(5, 1), XY(1, 5), 8},
 	}
 	for _, tc := range tests {
-		if got := tc.a.Manhattan(tc.b); got != tc.want {
-			t.Errorf("%v.Manhattan(%v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := g.Dist(g.ID(tc.a), g.ID(tc.b)); got != tc.want {
+			t.Errorf("Dist(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -161,19 +163,19 @@ func TestCenteredSubmeshAndShells(t *testing.T) {
 	g := New([]int{9, 9})
 	c := XY(4, 4)
 	// Shell 0 of a 3x1 request is the 3x1 submesh centered on c.
-	s0 := g.Shell(c, XY(3, 1), 0)
+	s0 := shellIDs(g, c, XY(3, 1), 0)
 	if len(s0) != 3 {
 		t.Fatalf("shell 0 size %d, want 3", len(s0))
 	}
 	// Shell 1 is the ring around the 3x1: a 5x3 minus the 3x1 = 12 nodes.
-	s1 := g.Shell(c, XY(3, 1), 1)
+	s1 := shellIDs(g, c, XY(3, 1), 1)
 	if len(s1) != 12 {
 		t.Fatalf("shell 1 size %d, want 12", len(s1))
 	}
 	// Shells partition: no overlap between shells 0..3.
 	seen := map[int]bool{}
 	for k := 0; k <= 3; k++ {
-		for _, id := range g.Shell(c, XY(3, 1), k) {
+		for _, id := range shellIDs(g, c, XY(3, 1), k) {
 			if seen[id] {
 				t.Fatalf("node %d in two shells", id)
 			}
@@ -187,7 +189,7 @@ func TestShellsCoverMesh(t *testing.T) {
 	c := XY(0, 0) // worst-case corner center
 	seen := map[int]bool{}
 	for k := 0; k <= g.MaxShells(); k++ {
-		for _, id := range g.Shell(c, XY(1, 1), k) {
+		for _, id := range shellIDs(g, c, XY(1, 1), k) {
 			seen[id] = true
 		}
 	}
@@ -198,7 +200,7 @@ func TestShellsCoverMesh(t *testing.T) {
 
 func TestShellClippedAtEdge(t *testing.T) {
 	g := New([]int{4, 4})
-	s1 := g.Shell(XY(0, 0), XY(1, 1), 1)
+	s1 := shellIDs(g, XY(0, 0), XY(1, 1), 1)
 	// Ring around (0,0) clipped to the mesh: (1,0),(0,1),(1,1).
 	if len(s1) != 3 {
 		t.Fatalf("clipped shell has %d nodes, want 3", len(s1))
@@ -232,9 +234,6 @@ func TestComponents(t *testing.T) {
 		}
 		if total != len(tc.ids) {
 			t.Errorf("%s: components cover %d ids, want %d", tc.name, total, len(tc.ids))
-		}
-		if (len(comps) <= 1) != g.Contiguous(tc.ids) {
-			t.Errorf("%s: Contiguous disagrees with Components", tc.name)
 		}
 	}
 }

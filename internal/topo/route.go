@@ -107,7 +107,3 @@ func (g *Grid) appendRouteDimOrdered(links []Link, src, dst int, asc bool) []Lin
 	}
 	return links
 }
-
-// RouteLen returns the number of links on the dimension-ordered route
-// from src to dst, which equals the (torus-aware) Manhattan distance.
-func (g *Grid) RouteLen(src, dst int) int { return g.Dist(src, dst) }

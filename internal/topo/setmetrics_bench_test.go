@@ -14,15 +14,15 @@ var setStatsSink int
 // in shell order, skipping every fifth node as if it were busy, until n
 // nodes are taken. Such a list is rarely a walk.
 func shellList(g *topo.Grid, c topo.Point, n int) []int {
-	var ids, shell []int
+	var ids []int
 	seen := 0
 	for k := 0; len(ids) < n; k++ {
-		shell = g.AppendShell(shell[:0], c, topo.Point{1, 1, 1, 1}, k)
-		for _, id := range shell {
+		g.ShellEach(c, topo.Point{1, 1, 1, 1}, k, func(id int) bool {
 			if seen++; seen%5 != 0 && len(ids) < n {
 				ids = append(ids, id)
 			}
-		}
+			return true
+		})
 	}
 	return ids
 }
@@ -45,7 +45,7 @@ func BenchmarkSetStats(b *testing.B) {
 		{"16x16/hilbert-14", g2, hilbert[37:51]},
 		{"16x16/hilbert-64", g2, hilbert[37:101]},
 		{"16x22/mc-shell-32", g22, shellList(g22, topo.XY(7, 10), 32)},
-		{"16x16x16/mc-shell-64", g3, shellList(g3, topo.XYZ(7, 8, 9), 64)},
+		{"16x16x16/mc-shell-64", g3, shellList(g3, topo.Point{7, 8, 9}, 64)},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {

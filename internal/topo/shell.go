@@ -16,16 +16,6 @@ type Box struct {
 	Ext    Point // per-axis extents
 }
 
-// Contains reports whether p lies in the box.
-func (b Box) Contains(p Point) bool {
-	for i := 0; i < MaxDims; i++ {
-		if p[i] < b.Origin[i] || p[i] >= b.Origin[i]+b.Ext[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Volume returns the number of nodes covered by the box.
 func (b Box) Volume() int {
 	v := 1
@@ -38,31 +28,6 @@ func (b Box) Volume() int {
 	return v
 }
 
-// CenteredBox returns the box with the given active-axis extents
-// "centered" on c in the MC sense: c is placed at the integer center
-// cell (ext/2 from the origin on each axis, rounding down). Axes beyond
-// the grid's dimensionality get origin 0 and extent 1.
-func (g *Grid) CenteredBox(c, ext Point) Box {
-	var b Box
-	for i := 0; i < g.nd; i++ {
-		b.Origin[i] = c[i] - ext[i]/2
-		b.Ext[i] = ext[i]
-	}
-	for i := g.nd; i < MaxDims; i++ {
-		b.Ext[i] = 1
-	}
-	return b
-}
-
-// grownBox returns the box centered on c whose active extents are
-// ext + 2k — the outer boundary of shell k.
-func (g *Grid) grownBox(c, ext Point, k int) Box {
-	for i := 0; i < g.nd; i++ {
-		ext[i] += 2 * k
-	}
-	return g.CenteredBox(c, ext)
-}
-
 // Nodes returns the ids of the box's nodes that lie on g, in row-major
 // order. Parts of the box hanging off the grid are skipped, which is how
 // MC evaluates candidate allocations near machine edges.
@@ -72,49 +37,32 @@ func (g *Grid) Nodes(b Box) []int {
 
 // AppendNodes appends the ids of the box's on-grid nodes to ids in
 // row-major order and returns the extended slice — the allocation-free
-// variant of Nodes.
+// variant of Nodes. The box is clipped to the grid per axis up front, so
+// the walk emits whole axis-0 runs of dense ids with no per-cell
+// containment test.
 func (g *Grid) AppendNodes(ids []int, b Box) []int {
-	return g.appendBoxSkip(ids, b, Box{})
-}
-
-// boxWalk is the shared engine of the box walkers: it visits outer's
-// on-grid nodes in row-major order, skipping nodes inside inner, with
-// the off-grid clipping hoisted out of the loop. The outer box is
-// intersected with the grid per axis up front, so the inner loop emits
-// whole axis-0 runs of precomputed dense ids (rows) with no per-cell
-// containment test — that is what keeps MC's candidate scoring, which
-// walks shells for every free center, at 2-D-hand-tuned speed.
-//
-// A zero inner box skips nothing. emit receives a half-open dense-id
-// range whose ids are consecutive (an axis-0 run) and reports whether to
-// continue.
-func (g *Grid) boxWalk(outer, inner Box, emit func(lo, hi int) bool) {
-	var lo, hi Point // outer clipped to the grid, per axis
+	var lo, hi Point
 	for i := 0; i < g.nd; i++ {
-		lo[i] = max(outer.Origin[i], 0)
-		hi[i] = min(outer.Origin[i]+outer.Ext[i], g.dim[i])
+		lo[i] = max(b.Origin[i], 0)
+		hi[i] = min(b.Origin[i]+b.Ext[i], g.dim[i])
 		if lo[i] >= hi[i] {
-			return
+			return ids
 		}
 	}
-	// Inner ranges; an empty inner box never matches.
-	var inLo, inHi Point
-	innerEmpty := false
-	for i := 0; i < g.nd; i++ {
-		inLo[i] = inner.Origin[i]
-		inHi[i] = inner.Origin[i] + inner.Ext[i]
-		if inner.Ext[i] <= 0 {
-			innerEmpty = true
+	g.rangeWalk(lo, hi, Point{}, Point{}, true, func(lo, hi int) bool {
+		for id := lo; id < hi; id++ {
+			ids = append(ids, id)
 		}
-	}
-	g.rangeWalk(lo, hi, inLo, inHi, innerEmpty, emit)
+		return true
+	})
+	return ids
 }
 
-// shellWalk is the box-free fast path behind AppendShell and ShellEach:
-// the outer and inner bounds of shell k around the ext box centered on c
-// are plain per-axis arithmetic (origin c - ext/2 shifted by k), so no
-// Box values are built or copied per candidate — MC scores thousands of
-// (center, shell) pairs per allocation and this walk is its inner loop.
+// shellWalk is the walk behind ShellEach: the outer and inner bounds of
+// shell k around the ext box centered on c are plain per-axis arithmetic
+// (origin c - ext/2 shifted by k), so no Box values are built or copied
+// per candidate — MC scores thousands of (center, shell) pairs per
+// allocation and this walk is its inner loop.
 func (g *Grid) shellWalk(c, ext Point, k int, emit func(lo, hi int) bool) {
 	var lo, hi, inLo, inHi Point
 	for i := 0; i < g.nd; i++ {
@@ -176,18 +124,6 @@ func (g *Grid) rangeWalk(lo, hi, inLo, inHi Point, innerEmpty bool, emit func(lo
 	}
 }
 
-// appendBoxSkip walks outer in row-major order, appending every on-grid
-// node not contained in inner. A zero inner box skips nothing.
-func (g *Grid) appendBoxSkip(ids []int, outer, inner Box) []int {
-	g.boxWalk(outer, inner, func(lo, hi int) bool {
-		for id := lo; id < hi; id++ {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	return ids
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a
@@ -202,37 +138,14 @@ func min(a, b int) int {
 	return b
 }
 
-// Shell returns the ids of the nodes on g in shell k around the box of
-// active extents ext centered on c: shell 0 is the box itself, shell
+// ShellEach calls fn with the id of every on-grid node of shell k around
+// the box of active extents ext centered on c, in row-major order,
+// stopping early when fn returns false. It reports whether the walk ran
+// to completion. Shell 0 is the box itself, placed with c at its integer
+// center cell (ext/2 from the origin on each axis, rounding down); shell
 // k>0 is the boundary of the box grown by k on every side. This matches
 // the growth rule of Mache et al.'s MC allocator, generalized to n
 // dimensions (a ring in 2-D, a box surface in 3-D).
-func (g *Grid) Shell(c, ext Point, k int) []int {
-	if k == 0 {
-		return g.Nodes(g.CenteredBox(c, ext))
-	}
-	outer := g.grownBox(c, ext, k)
-	return g.AppendShell(make([]int, 0, outer.Volume()), c, ext, k)
-}
-
-// AppendShell appends the ids of shell k around the box centered on c to
-// ids and returns the extended slice. It is the allocation-free variant
-// of Shell: MC-style shell scoring reuses one scratch slice per
-// allocator instead of allocating a fresh shell per candidate.
-func (g *Grid) AppendShell(ids []int, c, ext Point, k int) []int {
-	g.shellWalk(c, ext, k, func(lo, hi int) bool {
-		for id := lo; id < hi; id++ {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	return ids
-}
-
-// ShellEach calls fn with the id of every on-grid node of shell k in
-// row-major order, stopping early when fn returns false. It reports
-// whether the walk ran to completion. It is the index-callback variant
-// of Shell for callers that do not need the ids materialized at all.
 func (g *Grid) ShellEach(c, ext Point, k int, fn func(id int) bool) bool {
 	done := true
 	g.shellWalk(c, ext, k, func(lo, hi int) bool {
@@ -260,16 +173,10 @@ func (g *Grid) MaxShells() int {
 	return n
 }
 
-// Ring returns the ids of grid nodes at exactly Manhattan distance r
-// from c, in row-major order. Torus wraparound is ignored, as in the
-// original Gen-Alg gather: rings are clipped at machine edges.
-func (g *Grid) Ring(c Point, r int) []int {
-	return g.AppendRing(nil, c, r)
-}
-
 // AppendRing appends the ids of grid nodes at exactly Manhattan distance
-// r from c to ids, in row-major order — the allocation-free variant of
-// Ring. The 2-D case is flattened into the classic diamond loop (it is
+// r from c to ids, in row-major order. Torus wraparound is ignored, as
+// in the original Gen-Alg gather: rings are clipped at machine edges.
+// The 2-D case is flattened into the classic diamond loop (it is
 // Gen-Alg's innermost gather); higher dimensions recurse per axis.
 func (g *Grid) AppendRing(ids []int, c Point, r int) []int {
 	if g.nd == 2 {

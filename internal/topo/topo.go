@@ -30,23 +30,6 @@ const MaxDims = 4
 // MaxDims entries.
 type Point [MaxDims]int
 
-// Add returns the component-wise sum of p and q.
-func (p Point) Add(q Point) Point {
-	for i := range p {
-		p[i] += q[i]
-	}
-	return p
-}
-
-// Manhattan returns the L1 distance between p and q.
-func (p Point) Manhattan(q Point) int {
-	d := 0
-	for i := range p {
-		d += abs(p[i] - q[i])
-	}
-	return d
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
@@ -56,9 +39,6 @@ func abs(v int) int {
 
 // XY builds a 2-D point.
 func XY(x, y int) Point { return Point{x, y} }
-
-// XYZ builds a 3-D point.
-func XYZ(x, y, z int) Point { return Point{x, y, z} }
 
 // Dir identifies a directed link direction: axis Dir/2, toward increasing
 // coordinates when Dir is even and decreasing when odd. The 2-D encoding
@@ -368,10 +348,4 @@ func (g *Grid) Components(ids []int) [][]int {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Contiguous reports whether the node set forms a single rectilinear
-// component.
-func (g *Grid) Contiguous(ids []int) bool {
-	return len(ids) == 0 || len(g.Components(ids)) == 1
 }

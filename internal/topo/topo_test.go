@@ -95,7 +95,7 @@ func TestID3DMatchesCubeOrder(t *testing.T) {
 	for z := 0; z < 6; z++ {
 		for y := 0; y < 5; y++ {
 			for x := 0; x < 4; x++ {
-				if got, want := g.ID(XYZ(x, y, z)), (z*5+y)*4+x; got != want {
+				if got, want := g.ID(Point{x, y, z}), (z*5+y)*4+x; got != want {
 					t.Fatalf("ID(%d,%d,%d) = %d, want %d", x, y, z, got, want)
 				}
 			}
@@ -105,7 +105,7 @@ func TestID3DMatchesCubeOrder(t *testing.T) {
 
 func TestDistTorus(t *testing.T) {
 	g := NewTorus([]int{8, 8, 8})
-	a, b := g.ID(XYZ(0, 0, 0)), g.ID(XYZ(7, 7, 7))
+	a, b := g.ID(Point{0, 0, 0}), g.ID(Point{7, 7, 7})
 	if d := g.Dist(a, b); d != 3 {
 		t.Fatalf("torus corner distance = %d, want 3", d)
 	}
@@ -186,19 +186,10 @@ func TestShellMatches2DReference(t *testing.T) {
 		for _, wh := range [][2]int{{1, 1}, {4, 4}, {5, 3}} {
 			for k := 0; k <= 8; k++ {
 				ext := XY(wh[0], wh[1])
-				got := g.AppendShell(nil, c, ext, k)
+				got := shellIDs(g, c, ext, k)
 				want := ref.shell(c, wh[0], wh[1], k)
 				if !sliceEq(got, want) {
 					t.Fatalf("shell c=%v ext=%v k=%d: got %v want %v", c, ext, k, got, want)
-				}
-				// ShellEach must visit the same ids in the same order.
-				var each []int
-				g.ShellEach(c, ext, k, func(id int) bool {
-					each = append(each, id)
-					return true
-				})
-				if !sliceEq(each, want) {
-					t.Fatalf("ShellEach c=%v ext=%v k=%d: got %v want %v", c, ext, k, each, want)
 				}
 			}
 		}
@@ -207,19 +198,19 @@ func TestShellMatches2DReference(t *testing.T) {
 
 func TestShell3DSurface(t *testing.T) {
 	g := New([]int{8, 8, 8})
-	c := XYZ(4, 4, 4)
+	c := Point{4, 4, 4}
 	// Shell 0 of a 2x2x2 box is the box; shell 1 is the surface of the
 	// 4x4x4 box: 64 - 8 = 56 nodes.
-	if n := len(g.Shell(c, XYZ(2, 2, 2), 0)); n != 8 {
+	if n := len(shellIDs(g, c, Point{2, 2, 2}, 0)); n != 8 {
 		t.Fatalf("shell 0 has %d nodes, want 8", n)
 	}
-	if n := len(g.Shell(c, XYZ(2, 2, 2), 1)); n != 56 {
+	if n := len(shellIDs(g, c, Point{2, 2, 2}, 1)); n != 56 {
 		t.Fatalf("shell 1 has %d nodes, want 56", n)
 	}
 	// Shells partition the grid: every node appears in exactly one shell.
 	seen := make([]int, g.Size())
 	for k := 0; k <= g.MaxShells(); k++ {
-		for _, id := range g.Shell(c, XYZ(2, 2, 2), k) {
+		for _, id := range shellIDs(g, c, Point{2, 2, 2}, k) {
 			seen[id]++
 		}
 	}
@@ -246,12 +237,12 @@ func TestRingMatches2DReference(t *testing.T) {
 
 func TestRing3D(t *testing.T) {
 	g := New([]int{8, 8, 8})
-	c := XYZ(4, 4, 4)
+	c := Point{4, 4, 4}
 	total := 0
 	for r := 0; r <= 24; r++ {
-		ring := g.Ring(c, r)
+		ring := g.AppendRing(nil, c, r)
 		for _, id := range ring {
-			if d := g.Coord(id).Manhattan(c); d != r {
+			if d := g.Dist(id, g.ID(c)); d != r {
 				t.Fatalf("ring %d contains node at distance %d", r, d)
 			}
 		}
@@ -290,12 +281,12 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 
 func TestNeighborTorusWrap(t *testing.T) {
 	g := NewTorus([]int{4, 4, 4})
-	nb, ok := g.Neighbor(g.ID(XYZ(0, 0, 0)), Dir(5)) // -z
-	if !ok || nb != g.ID(XYZ(0, 0, 3)) {
+	nb, ok := g.Neighbor(g.ID(Point{0, 0, 0}), Dir(5)) // -z
+	if !ok || nb != g.ID(Point{0, 0, 3}) {
 		t.Fatalf("torus -z neighbor of origin = %d,%v", nb, ok)
 	}
 	p := New([]int{4, 4, 4})
-	if _, ok := p.Neighbor(p.ID(XYZ(0, 0, 0)), Dir(5)); ok {
+	if _, ok := p.Neighbor(p.ID(Point{0, 0, 0}), Dir(5)); ok {
 		t.Fatal("plain grid -z neighbor of origin should not exist")
 	}
 }
@@ -304,19 +295,16 @@ func TestComponents3D(t *testing.T) {
 	g := New([]int{4, 4, 4})
 	// Two separated 2x1x1 bars.
 	ids := []int{
-		g.ID(XYZ(0, 0, 0)), g.ID(XYZ(1, 0, 0)),
-		g.ID(XYZ(3, 3, 3)), g.ID(XYZ(3, 2, 3)),
+		g.ID(Point{0, 0, 0}), g.ID(Point{1, 0, 0}),
+		g.ID(Point{3, 3, 3}), g.ID(Point{3, 2, 3}),
 	}
 	comps := g.Components(ids)
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
-	if g.Contiguous(ids) {
-		t.Fatal("separated bars reported contiguous")
-	}
 	// A z-column is contiguous only through the z links.
-	col := []int{g.ID(XYZ(2, 2, 0)), g.ID(XYZ(2, 2, 1)), g.ID(XYZ(2, 2, 2))}
-	if !g.Contiguous(col) {
+	col := []int{g.ID(Point{2, 2, 0}), g.ID(Point{2, 2, 1}), g.ID(Point{2, 2, 2})}
+	if len(g.Components(col)) != 1 {
 		t.Fatal("z column not contiguous")
 	}
 }
@@ -334,17 +322,27 @@ func TestZeroAllocWalkers(t *testing.T) {
 	g := New([]int{8, 8, 8})
 	linkBuf := make([]Link, 0, 32)
 	idBuf := make([]int, 0, g.Size())
-	c := XYZ(4, 4, 4)
+	c := Point{4, 4, 4}
 	n := testing.AllocsPerRun(200, func() {
 		linkBuf = g.AppendRoute(linkBuf[:0], 0, g.Size()-1)
 		linkBuf = g.AppendRouteRev(linkBuf[:0], g.Size()-1, 7)
-		idBuf = g.AppendShell(idBuf[:0], c, XYZ(2, 2, 2), 2)
 		idBuf = g.AppendRing(idBuf[:0], c, 5)
-		g.ShellEach(c, XYZ(2, 2, 2), 3, func(int) bool { return true })
+		g.ShellEach(c, Point{2, 2, 2}, 3, func(int) bool { return true })
 	})
 	if n != 0 {
 		t.Fatalf("generic walkers allocate %.1f objects/run, want 0", n)
 	}
+}
+
+// shellIDs collects the ids ShellEach visits in shell k around the ext
+// box centered on c.
+func shellIDs(g *Grid, c, ext Point, k int) []int {
+	var ids []int
+	g.ShellEach(c, ext, k, func(id int) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
 }
 
 func sliceEq(a, b []int) bool {
@@ -376,13 +374,12 @@ func TestComponentsOrdering(t *testing.T) {
 
 // TestGrownBoundsMatchesShellWalkClipping pins the counting-side clip
 // arithmetic (GrownBounds/BoxVolume) to the walking side: the volume of
-// shell k's clipped outer box must equal the nodes AppendShell visits
+// shell k's clipped outer box must equal the nodes ShellEach visits
 // across shells 0..k, for centers and extents all over the grid,
 // including off-edge clipping.
 func TestGrownBoundsMatchesShellWalkClipping(t *testing.T) {
 	for _, dims := range [][]int{{7, 5}, {6, 4, 5}} {
 		g := New(dims)
-		var buf []int
 		for id := 0; id < g.Size(); id += 3 {
 			c := g.Coord(id)
 			var ext Point
@@ -394,7 +391,7 @@ func TestGrownBoundsMatchesShellWalkClipping(t *testing.T) {
 			}
 			walked := 0
 			for k := 0; k <= g.MaxShells(); k++ {
-				walked += len(g.AppendShell(buf[:0], c, ext, k))
+				g.ShellEach(c, ext, k, func(int) bool { walked++; return true })
 				lo, hi, ok := g.GrownBounds(c, ext, k)
 				if !ok {
 					t.Fatalf("dims %v c %v k %d: GrownBounds empty for on-grid center", dims, c, k)

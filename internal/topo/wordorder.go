@@ -6,11 +6,6 @@ package topo
 // neighbours, packed into 64-bit words. These helpers name that mapping so
 // allocators don't re-derive the arithmetic.
 
-// NumRows returns the number of axis-0 rows in the grid: Size()/Dim(0).
-// In 2-D this is the height; in higher dimensions every (axis-1, axis-2,
-// ...) combination contributes one row.
-func (g *Grid) NumRows() int { return g.size / g.dim[0] }
-
 // RowOf splits a dense id into its axis-0 row index and the offset within
 // that row: id == row*Dim(0) + offset with 0 <= offset < Dim(0). The row
 // index equals the id of the row's first node divided by Dim(0), so rows

@@ -46,36 +46,6 @@ func (t *Trace) Clone() *Trace {
 	return &Trace{Jobs: append([]Job(nil), t.Jobs...)}
 }
 
-// ScaleLoad multiplies every arrival time by factor, the paper's load
-// contraction: factor 0.2 packs the same jobs into one fifth of the time,
-// a 5x effective load increase. It panics on non-positive factors.
-func (t *Trace) ScaleLoad(factor float64) *Trace {
-	if factor <= 0 {
-		panic(fmt.Sprintf("trace: invalid load factor %g", factor))
-	}
-	out := t.Clone()
-	for i := range out.Jobs {
-		out.Jobs[i].Arrival *= factor
-	}
-	return out
-}
-
-// ScaleTime contracts the whole trace — arrivals and runtimes — by
-// factor, producing a statistically self-similar but shorter workload.
-// The simulator uses this to keep full-trace experiments tractable;
-// response times re-inflate by 1/factor.
-func (t *Trace) ScaleTime(factor float64) *Trace {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("trace: invalid time scale %g", factor))
-	}
-	out := t.Clone()
-	for i := range out.Jobs {
-		out.Jobs[i].Arrival *= factor
-		out.Jobs[i].Runtime *= factor
-	}
-	return out
-}
-
 // FilterMaxSize drops jobs larger than maxSize, renumbering IDs — the
 // paper removes the three 320-node jobs when moving from the 16x22 to the
 // 16x16 mesh.
@@ -146,11 +116,6 @@ type SDSCConfig struct {
 	MaxSize int
 	// Seed drives all sampling.
 	Seed int64
-}
-
-// DefaultSDSCConfig returns the published trace parameters.
-func DefaultSDSCConfig() SDSCConfig {
-	return SDSCConfig{Jobs: 6087, MaxSize: 352, Seed: 1}
 }
 
 // sdscSizeDist is the job-size distribution fitted numerically to the

@@ -10,7 +10,7 @@ import (
 func TestSDSCMatchesPublishedStatistics(t *testing.T) {
 	// The paper: 6087 jobs; mean interarrival 1301 s (CV 3.7); mean size
 	// 14.5 (CV 1.5), power-of-two biased; mean runtime 3.04 h (CV 1.13).
-	tr := NewSDSC(DefaultSDSCConfig())
+	tr := NewSDSC(SDSCConfig{Jobs: 6087, MaxSize: 352, Seed: 1})
 	s := tr.Summarize()
 	if s.Jobs != 6087 {
 		t.Fatalf("jobs = %d, want 6087", s.Jobs)
@@ -35,7 +35,7 @@ func TestSDSCMatchesPublishedStatistics(t *testing.T) {
 }
 
 func TestSDSCPowerOfTwoBias(t *testing.T) {
-	tr := NewSDSC(DefaultSDSCConfig())
+	tr := NewSDSC(SDSCConfig{Jobs: 6087, MaxSize: 352, Seed: 1})
 	pow2 := 0
 	for _, j := range tr.Jobs {
 		if j.Size&(j.Size-1) == 0 {
@@ -83,35 +83,6 @@ func TestSDSCBounds(t *testing.T) {
 			t.Fatal("arrivals not monotone")
 		}
 		prev = j.Arrival
-	}
-}
-
-func TestScaleLoad(t *testing.T) {
-	tr := &Trace{Jobs: []Job{{Arrival: 100, Size: 4, Runtime: 50}, {Arrival: 200, Size: 2, Runtime: 10}}}
-	out := tr.ScaleLoad(0.2)
-	if out.Jobs[0].Arrival != 20 || out.Jobs[1].Arrival != 40 {
-		t.Fatalf("scaled arrivals = %v", out.Jobs)
-	}
-	// Runtimes untouched; original untouched.
-	if out.Jobs[0].Runtime != 50 || tr.Jobs[0].Arrival != 100 {
-		t.Fatal("ScaleLoad mutated the wrong fields")
-	}
-}
-
-func TestScaleLoadPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ScaleLoad(0) should panic")
-		}
-	}()
-	(&Trace{}).ScaleLoad(0)
-}
-
-func TestScaleTime(t *testing.T) {
-	tr := &Trace{Jobs: []Job{{Arrival: 100, Size: 4, Runtime: 50}}}
-	out := tr.ScaleTime(0.1)
-	if out.Jobs[0].Arrival != 10 || out.Jobs[0].Runtime != 5 {
-		t.Fatalf("time-scaled job = %+v", out.Jobs[0])
 	}
 }
 
