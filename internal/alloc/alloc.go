@@ -123,8 +123,17 @@ type Allocator interface {
 	Release(ids []int)
 	// NumFree returns the current number of free processors.
 	NumFree() int
-	// Reset frees every processor.
-	Reset()
+	// Occupy re-marks an exact node set busy, as if Allocate had just
+	// returned it, with every internal index updated in lockstep: the
+	// snapshot-restore path, where the job→nodes assignment is
+	// authoritative. Callers must pass node sets Allocate previously
+	// returned (valid ids, currently free); Occupy may panic on anything
+	// else, so restore paths validate ids first.
+	Occupy(ids []int)
+	// AuditIndexes cross-checks the allocator's redundant internal
+	// indexes against its ground-truth busy state, feeding sim.Audit. It
+	// returns nil when every index agrees.
+	AuditIndexes() error
 }
 
 // FaultAware is implemented by allocators that can mask individual
@@ -133,9 +142,9 @@ type Allocator interface {
 // enumeration, occupancy indexes and word scans all treat it exactly
 // like an allocated processor — until MarkUp returns it. Callers must
 // release any job occupying the node before MarkDown, and must not
-// MarkDown a node twice; Reset clears all marks along with the busy
-// set. Allocators that do not implement FaultAware cannot run under
-// fault injection (the engine rejects the configuration up front).
+// MarkDown a node twice. Allocators that do not implement FaultAware
+// cannot run under fault injection (the engine rejects the
+// configuration up front).
 type FaultAware interface {
 	MarkDown(id int)
 	MarkUp(id int)
@@ -294,9 +303,6 @@ func (p *Paging) Release(ids []int) { p.packer.Release(ids) }
 // NumFree implements Allocator.
 func (p *Paging) NumFree() int { return p.packer.NumFree() }
 
-// Reset implements Allocator.
-func (p *Paging) Reset() { p.packer.Reset() }
-
 // MarkDown implements FaultAware: the node's rank is masked busy in
 // the packer's free map and word-scan bitset.
 func (p *Paging) MarkDown(id int) { p.packer.MarkDown(id) }
@@ -305,17 +311,18 @@ func (p *Paging) MarkDown(id int) { p.packer.MarkDown(id) }
 func (p *Paging) MarkUp(id int) { p.packer.MarkUp(id) }
 
 // tracker is the shared busy-set bookkeeping for the set-based allocators
-// (MC, Gen-Alg, Random). When an allocator carries an occupancy index
-// (boxes for MC shell counting, balls for Gen-Alg ball counting), every
-// take, release and reset keeps the index in lockstep with the busy
-// bitmap — the index is a counter over the same state, never a second
-// source of truth.
+// (MC, Gen-Alg, Random) and submesh first fit. When an allocator carries
+// an occupancy index (boxes for MC shell counting, balls for Gen-Alg
+// ball counting, rows for the submesh anchor search), every take and
+// release keeps the index in lockstep with the busy bitmap — the index
+// is a counter over the same state, never a second source of truth.
 type tracker struct {
 	g       *topo.Grid
 	busy    []bool
 	numFree int
 	boxes   *occupancy.Boxes
 	balls   *occupancy.Balls
+	rows    *rowMasks
 }
 
 func newTracker(g *topo.Grid) tracker {
@@ -323,19 +330,6 @@ func newTracker(g *topo.Grid) tracker {
 }
 
 func (t *tracker) NumFree() int { return t.numFree }
-
-func (t *tracker) Reset() {
-	for i := range t.busy {
-		t.busy[i] = false
-	}
-	t.numFree = len(t.busy)
-	if t.boxes != nil {
-		t.boxes.Reset()
-	}
-	if t.balls != nil {
-		t.balls.Reset()
-	}
-}
 
 func (t *tracker) Release(ids []int) {
 	for _, id := range ids {
@@ -348,6 +342,9 @@ func (t *tracker) Release(ids []int) {
 		}
 		if t.balls != nil {
 			t.balls.Release(id)
+		}
+		if t.rows != nil {
+			t.rows.release(id)
 		}
 	}
 	t.numFree += len(ids)
@@ -362,43 +359,23 @@ func (t *tracker) take(ids []int) {
 		if t.balls != nil {
 			t.balls.Take(id)
 		}
+		if t.rows != nil {
+			t.rows.take(id)
+		}
 	}
 	t.numFree -= len(ids)
 }
 
 // MarkDown implements FaultAware: the node joins the busy set (and
-// every occupancy index) as if allocated, so shell counts, ball counts
-// and free counts all see it as unavailable. It panics on a busy or
-// already-down node — the engine kills and releases occupying jobs
-// before masking.
-func (t *tracker) MarkDown(id int) {
-	if id < 0 || id >= len(t.busy) || t.busy[id] {
-		panic(fmt.Sprintf("alloc: mark down of busy or invalid id %d", id))
-	}
-	t.busy[id] = true
-	if t.boxes != nil {
-		t.boxes.Take(id)
-	}
-	if t.balls != nil {
-		t.balls.Take(id)
-	}
-	t.numFree--
-}
+// every occupancy index) as if a one-processor job occupied it, so
+// shell counts, ball counts, row runs and free counts all see it as
+// unavailable. It panics on a busy or already-down node — the engine
+// kills and releases occupying jobs before masking.
+func (t *tracker) MarkDown(id int) { t.Occupy([]int{id}) }
 
-// MarkUp implements FaultAware.
-func (t *tracker) MarkUp(id int) {
-	if id < 0 || id >= len(t.busy) || !t.busy[id] {
-		panic(fmt.Sprintf("alloc: mark up of id %d that is not down", id))
-	}
-	t.busy[id] = false
-	if t.boxes != nil {
-		t.boxes.Release(id)
-	}
-	if t.balls != nil {
-		t.balls.Release(id)
-	}
-	t.numFree++
-}
+// MarkUp implements FaultAware: the one-processor release of a downed
+// node.
+func (t *tracker) MarkUp(id int) { t.Release([]int{id}) }
 
 func (t *tracker) check(size int) error {
 	if size <= 0 {

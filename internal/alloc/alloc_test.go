@@ -152,19 +152,6 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := topo.New([]int{4, 4})
-	for _, a := range allAllocators(t, m) {
-		if _, err := a.Allocate(Request{Size: 10}); err != nil {
-			t.Fatal(err)
-		}
-		a.Reset()
-		if a.NumFree() != 16 {
-			t.Errorf("%s: NumFree after reset = %d", a.Name(), a.NumFree())
-		}
-	}
-}
-
 func TestPagingFreeListOnEmptyMeshIsCurvePrefix(t *testing.T) {
 	m := topo.New([]int{8, 8})
 	c := curve.Hilbert{}

@@ -21,34 +21,79 @@ import (
 // submesh of the request's shape (trying both orientations). It is
 // inherently two-dimensional: axis 0 of its grid is x, axis 1 is y.
 //
-// The free-box search is word-parallel: each mesh row keeps a free
-// bitmask, a per-row RunMask marks every x where a horizontal run of the
-// shape's width starts, and ANDing h consecutive rows' masks leaves
-// exactly the anchors of fully-free w x h submeshes — the first set bit
-// is the same anchor a cell-by-cell scan finds, 64 anchors per
-// instruction.
+// The free-box search is word-parallel: the tracker's row index keeps a
+// free bitmask per mesh row, a per-row RunMask marks every x where a
+// horizontal run of the shape's width starts, and ANDing h consecutive
+// rows' masks leaves exactly the anchors of fully-free w x h submeshes —
+// the first set bit is the same anchor a cell-by-cell scan finds, 64
+// anchors per instruction. Fault masking goes through the tracker too,
+// so a downed node breaks free runs exactly like an allocated one:
+// submesh allocation degrades hardest under failures — a single hole
+// vetoes every submesh covering it — which is exactly the comparison
+// the fault experiments are after.
 type SubmeshFirstFit struct {
 	tracker
-	// rowBits holds one free bitmask per mesh row (bit x of row y set =
-	// node (x,y) free), ww words per row; rmBuf is the per-row run-mask
-	// scratch of findFree.
-	ww      int
-	rowBits []uint64
-	rmBuf   []uint64
+	rmBuf []uint64 // per-row run-mask scratch of findFree
 }
 
 // NewSubmeshFirstFit returns a first-fit contiguous submesh allocator
 // over the 2-D grid g. It panics when g is not 2-D.
 func NewSubmeshFirstFit(g *topo.Grid) *SubmeshFirstFit {
 	need2D(g, "submesh first fit")
-	a := &SubmeshFirstFit{
-		tracker: newTracker(g),
-		ww:      (g.Dim(0) + 63) >> 6,
-	}
-	a.rowBits = make([]uint64, g.Dim(1)*a.ww)
-	a.rmBuf = make([]uint64, g.Dim(1)*a.ww)
-	a.fillRowBits()
+	a := &SubmeshFirstFit{tracker: newTracker(g)}
+	a.rows = newRowMasks(g)
+	a.rmBuf = make([]uint64, len(a.rows.bits))
 	return a
+}
+
+// rowMasks is the submesh allocator's occupancy index: one free bitmask
+// per row of a 2-D grid (bit x of row y set = node (x,y) free), ww words
+// per row. Pad bits past the grid's width stay clear, so runs can never
+// extend across a row boundary.
+type rowMasks struct {
+	g    *topo.Grid
+	ww   int
+	bits []uint64
+}
+
+// newRowMasks returns the row index of g with every node free.
+func newRowMasks(g *topo.Grid) *rowMasks {
+	r := &rowMasks{g: g, ww: (g.Dim(0) + 63) >> 6}
+	r.bits = make([]uint64, g.Dim(1)*r.ww)
+	for y := 0; y < g.Dim(1); y++ {
+		row := r.row(y)
+		for i := range row {
+			row[i] = ^uint64(0)
+		}
+		if rem := uint(g.Dim(0)) & 63; rem != 0 {
+			row[len(row)-1] = (1 << rem) - 1
+		}
+	}
+	return r
+}
+
+// row returns the free bitmask words of row y.
+func (r *rowMasks) row(y int) []uint64 { return r.bits[y*r.ww : (y+1)*r.ww] }
+
+// word returns the index of node id's word and its bit within it.
+func (r *rowMasks) word(id int) (int, uint64) {
+	y, x := r.g.RowOf(id)
+	return y*r.ww + x>>6, 1 << (uint(x) & 63)
+}
+
+func (r *rowMasks) take(id int) {
+	w, bit := r.word(id)
+	r.bits[w] &^= bit
+}
+
+func (r *rowMasks) release(id int) {
+	w, bit := r.word(id)
+	r.bits[w] |= bit
+}
+
+func (r *rowMasks) free(id int) bool {
+	w, bit := r.word(id)
+	return r.bits[w]&bit != 0
 }
 
 // need2D panics unless g is 2-D: the contiguous allocators' callers gate
@@ -57,95 +102,6 @@ func need2D(g *topo.Grid, what string) {
 	if g.ND() != 2 {
 		panic(fmt.Sprintf("alloc: %s needs a 2-D grid, got %d-D", what, g.ND()))
 	}
-}
-
-// fillRowBits marks every node free in the row bitmasks, keeping pad bits
-// past the grid's width clear so runs can never extend across a row
-// boundary.
-func (a *SubmeshFirstFit) fillRowBits() {
-	w := a.g.Dim(0)
-	for y := 0; y < a.g.Dim(1); y++ {
-		row := a.rowBits[y*a.ww : (y+1)*a.ww]
-		for i := range row {
-			row[i] = ^uint64(0)
-		}
-		if r := uint(w) & 63; r != 0 {
-			row[len(row)-1] = (1 << r) - 1
-		}
-	}
-}
-
-// take shadows tracker.take to keep the row bitmasks in lockstep. All
-// in-package callers (Allocate and the fragmentation tests) go through
-// this method, so the masks can never drift from the busy bitmap.
-func (a *SubmeshFirstFit) take(ids []int) {
-	a.tracker.take(ids)
-	for _, id := range ids {
-		row, x := a.g.RowOf(id)
-		a.rowBits[row*a.ww+x>>6] &^= 1 << (uint(x) & 63)
-	}
-}
-
-// Release implements Allocator.
-func (a *SubmeshFirstFit) Release(ids []int) {
-	a.tracker.Release(ids)
-	for _, id := range ids {
-		row, x := a.g.RowOf(id)
-		a.rowBits[row*a.ww+x>>6] |= 1 << (uint(x) & 63)
-	}
-}
-
-// Reset implements Allocator.
-func (a *SubmeshFirstFit) Reset() {
-	a.tracker.Reset()
-	a.fillRowBits()
-}
-
-// MarkDown shadows tracker.MarkDown to keep the row bitmasks in
-// lockstep: a downed node must break free runs in the word-parallel
-// anchor search exactly like an allocated one, or findFree would anchor
-// submeshes on dead processors. Submesh allocation is the allocator
-// that degrades hardest under failures — a single hole vetoes every
-// submesh covering it — which is exactly the comparison the fault
-// experiments are after.
-func (a *SubmeshFirstFit) MarkDown(id int) {
-	a.tracker.MarkDown(id)
-	row, x := a.g.RowOf(id)
-	a.rowBits[row*a.ww+x>>6] &^= 1 << (uint(x) & 63)
-}
-
-// MarkUp shadows tracker.MarkUp, restoring the node's run bit.
-func (a *SubmeshFirstFit) MarkUp(id int) {
-	a.tracker.MarkUp(id)
-	row, x := a.g.RowOf(id)
-	a.rowBits[row*a.ww+x>>6] |= 1 << (uint(x) & 63)
-}
-
-// Occupy shadows tracker.Occupy so restore-time occupation lands in the
-// take shadow that keeps the row bitmasks in lockstep.
-func (a *SubmeshFirstFit) Occupy(ids []int) {
-	for _, id := range ids {
-		if id < 0 || id >= len(a.busy) || a.busy[id] {
-			panic(fmt.Sprintf("alloc: occupy of busy or invalid id %d", id))
-		}
-	}
-	a.take(ids)
-}
-
-// AuditIndexes implements Auditor: the generic busy/free-count check
-// plus the row bitmasks the word-parallel anchor search depends on.
-func (a *SubmeshFirstFit) AuditIndexes() error {
-	if err := a.tracker.AuditIndexes(); err != nil {
-		return err
-	}
-	for id := range a.busy {
-		row, x := a.g.RowOf(id)
-		bit := a.rowBits[row*a.ww+x>>6]&(1<<(uint(x)&63)) != 0
-		if bit == a.busy[id] {
-			return fmt.Errorf("alloc: node %d busy=%v but row bitmask free=%v", id, a.busy[id], bit)
-		}
-	}
-	return nil
 }
 
 // Name implements Allocator.
@@ -214,14 +170,15 @@ func (a *SubmeshFirstFit) findFree(w, h, size int) []int {
 	}
 	// Per-row run masks: bit x of row y set iff cells (x..x+w-1, y) are
 	// all free. Pad bits are clear, so no run crosses the right edge.
+	ww := a.rows.ww
 	for y := 0; y < a.g.Dim(1); y++ {
-		occupancy.RunMask(a.rmBuf[y*a.ww:(y+1)*a.ww], a.rowBits[y*a.ww:(y+1)*a.ww], w)
+		occupancy.RunMask(a.rmBuf[y*ww:(y+1)*ww], a.rows.row(y), w)
 	}
 	for y := 0; y+h <= a.g.Dim(1); y++ {
-		for wi := 0; wi < a.ww; wi++ {
-			v := a.rmBuf[y*a.ww+wi]
+		for wi := 0; wi < ww; wi++ {
+			v := a.rmBuf[y*ww+wi]
 			for dy := 1; dy < h && v != 0; dy++ {
-				v &= a.rmBuf[(y+dy)*a.ww+wi]
+				v &= a.rmBuf[(y+dy)*ww+wi]
 			}
 			if v != 0 {
 				x := wi<<6 + bits.TrailingZeros64(v)
@@ -270,8 +227,12 @@ func NewBuddy(g *topo.Grid) *Buddy {
 	for s := n; s > 1; s /= 2 {
 		levels++
 	}
-	b := &Buddy{g: g, side: n, free: make([]map[int]bool, levels)}
-	b.Reset()
+	b := &Buddy{g: g, side: n, free: make([]map[int]bool, levels),
+		alloced: map[int]int{}, numFree: g.Size()}
+	for i := range b.free {
+		b.free[i] = map[int]bool{}
+	}
+	b.free[0][0] = true
 	return b
 }
 
@@ -391,7 +352,7 @@ func (b *Buddy) freeAndCoalesce(origin, level int) {
 	b.free[level][origin] = true
 }
 
-// Occupy implements Occupier by carving the job's block back out of
+// Occupy implements Allocator by carving the job's block back out of
 // the quadtree: the block level follows from the id count exactly as in
 // Allocate, and the deepest free ancestor containing the block's origin
 // is split downward, freeing the non-containing children. Eager
@@ -444,7 +405,7 @@ func (b *Buddy) Occupy(ids []int) {
 	b.numFree -= s * s
 }
 
-// AuditIndexes implements Auditor: free-block areas must sum to the
+// AuditIndexes implements Allocator: free-block areas must sum to the
 // cached free count, and allocated blocks must tile the remainder.
 func (b *Buddy) AuditIndexes() error {
 	freeArea := 0
@@ -468,16 +429,6 @@ func (b *Buddy) AuditIndexes() error {
 
 // NumFree implements Allocator: processors in free blocks.
 func (b *Buddy) NumFree() int { return b.numFree }
-
-// Reset implements Allocator.
-func (b *Buddy) Reset() {
-	for i := range b.free {
-		b.free[i] = map[int]bool{}
-	}
-	b.free[0][0] = true
-	b.alloced = map[int]int{}
-	b.numFree = b.g.Size()
-}
 
 // smallestOrigin returns the smallest origin of a set — the (y, x)
 // smallest block — keeping buddy allocation deterministic.

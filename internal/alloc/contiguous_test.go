@@ -70,7 +70,7 @@ func TestSubmeshFallbackShapes(t *testing.T) {
 		t.Fatalf("fallback shape allocation: %d ids", len(ids))
 	}
 	// The whole mesh as one job.
-	a.Reset()
+	a.Release(ids)
 	if _, err := a.Allocate(Request{Size: 32}); err != nil {
 		t.Fatalf("full-mesh submesh: %v", err)
 	}
@@ -226,31 +226,5 @@ func TestBuddyWorkloadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSubmeshReset(t *testing.T) {
-	m := topo.New([]int{8, 8})
-	a := NewSubmeshFirstFit(m)
-	if _, err := a.Allocate(Request{Size: 10}); err != nil {
-		t.Fatal(err)
-	}
-	a.Reset()
-	if a.NumFree() != 64 {
-		t.Fatalf("NumFree after reset = %d", a.NumFree())
-	}
-}
-
-func TestBuddyReset(t *testing.T) {
-	b := NewBuddy(topo.New([]int{8, 8}))
-	if _, err := b.Allocate(Request{Size: 10}); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if b.NumFree() != 64 {
-		t.Fatalf("NumFree after reset = %d", b.NumFree())
-	}
-	if ids, err := b.Allocate(Request{Size: 64}); err != nil || len(ids) != 64 {
-		t.Fatal("reset did not restore the root block")
 	}
 }

@@ -19,16 +19,13 @@ import (
 // Pages that hang off a non-multiple-of-2^s machine are clipped, so edge
 // pages may hold fewer processors than interior ones.
 type PagedPaging struct {
-	g        *topo.Grid
-	c        curve.Curve
-	strat    binpack.Strategy
-	s        int   // page size exponent
-	side     int   // page side length, 2^s
-	pageOf   []int // processor id -> page index
-	pages    [][]int
-	packer   *binpack.Packer // over page indices in curve order
-	pageBusy []bool
-	numFree  int // free processors, counting whole free pages
+	c       curve.Curve
+	strat   binpack.Strategy
+	s       int   // page size exponent
+	pageOf  []int // processor id -> page index
+	pages   [][]int
+	packer  *binpack.Packer // over page indices in curve order
+	numFree int             // free processors, counting whole free pages
 }
 
 // NewPagedPaging returns a Paging allocator with page size s (side 2^s
@@ -47,13 +44,7 @@ func NewPagedPaging(g *topo.Grid, c curve.Curve, strat binpack.Strategy, s int) 
 	side := 1 << uint(s)
 	nd := g.ND()
 
-	p := &PagedPaging{
-		g:     g,
-		c:     c,
-		strat: strat,
-		s:     s,
-		side:  side,
-	}
+	p := &PagedPaging{c: c, strat: strat, s: s}
 	// Page grid ordering: run the curve over the page grid.
 	pageOrder, err := curve.GridOrder(c, pageDims)
 	if err != nil {
@@ -78,7 +69,6 @@ func NewPagedPaging(g *topo.Grid, c curve.Curve, strat binpack.Strategy, s int) 
 		p.pages[page] = append(p.pages[page], id)
 	}
 	p.packer = binpack.New(pageOrder)
-	p.pageBusy = make([]bool, numPages)
 	p.numFree = g.Size()
 	return p
 }
@@ -130,7 +120,6 @@ func (p *PagedPaging) Allocate(req Request) ([]int, error) {
 	}
 	ids := make([]int, 0, req.Size)
 	for _, pg := range pageIDs {
-		p.pageBusy[pg] = true
 		for _, id := range p.pages[pg] {
 			if len(ids) < req.Size {
 				ids = append(ids, id)
@@ -142,7 +131,8 @@ func (p *PagedPaging) Allocate(req Request) ([]int, error) {
 }
 
 // Release implements Allocator. The released ids identify their pages;
-// whole pages (including wasted processors) return to the free pool.
+// whole pages (including wasted processors) return to the free pool. The
+// page packer panics on a page that is already free (a double release).
 func (p *PagedPaging) Release(ids []int) {
 	seen := map[int]bool{}
 	for _, id := range ids {
@@ -153,21 +143,18 @@ func (p *PagedPaging) Release(ids []int) {
 		if seen[pg] {
 			continue
 		}
-		if !p.pageBusy[pg] {
-			panic(fmt.Sprintf("alloc: release of free page %d (id %d)", pg, id))
-		}
 		seen[pg] = true
-		p.pageBusy[pg] = false
 		p.packer.Release([]int{pg})
 		p.numFree += len(p.pages[pg])
 	}
 }
 
-// Occupy implements Occupier. The ids identify their pages exactly as
+// Occupy implements Allocator. The ids identify their pages exactly as
 // in Release — every page an allocation held contributes at least one
 // id, because Allocate gathers pages only while the request is not yet
 // covered — and whole pages (including the wasted remainder) are
-// re-marked busy. It panics on an invalid id or an already-busy page.
+// re-marked busy. It panics on an invalid id, and the page packer panics
+// on an already-busy page.
 func (p *PagedPaging) Occupy(ids []int) {
 	seen := map[int]bool{}
 	for _, id := range ids {
@@ -178,11 +165,7 @@ func (p *PagedPaging) Occupy(ids []int) {
 		if seen[pg] {
 			continue
 		}
-		if p.pageBusy[pg] {
-			panic(fmt.Sprintf("alloc: occupy of busy page %d (id %d)", pg, id))
-		}
 		seen[pg] = true
-		p.pageBusy[pg] = true
 		p.packer.Occupy([]int{pg})
 		p.numFree -= len(p.pages[pg])
 	}
@@ -201,17 +184,16 @@ func (p *PagedPaging) SetAuxState(words []uint64) error {
 	return p.packer.SetNextStart(int(int64(words[0])))
 }
 
-// AuditIndexes implements Auditor: the page packer's internal indexes,
-// the pageBusy mirror, and the processor-granular free count must all
-// agree.
+// AuditIndexes implements Allocator: the page packer's internal indexes
+// and the processor-granular free count must agree.
 func (p *PagedPaging) AuditIndexes() error {
 	if err := p.packer.Audit(); err != nil {
 		return err
 	}
 	free := 0
-	for pg, busy := range p.pageBusy {
-		if !busy {
-			free += len(p.pages[pg])
+	for pg, ids := range p.pages {
+		if p.packer.Free(pg) {
+			free += len(ids)
 		}
 	}
 	if free != p.numFree {
@@ -223,12 +205,3 @@ func (p *PagedPaging) AuditIndexes() error {
 // NumFree implements Allocator: processors in free pages. Wasted
 // processors inside partially-used pages are not free.
 func (p *PagedPaging) NumFree() int { return p.numFree }
-
-// Reset implements Allocator.
-func (p *PagedPaging) Reset() {
-	p.packer.Reset()
-	for i := range p.pageBusy {
-		p.pageBusy[i] = false
-	}
-	p.numFree = p.g.Size()
-}

@@ -157,13 +157,3 @@ func TestPagedDoubleReleasePanics(t *testing.T) {
 	}()
 	a.Release(ids)
 }
-
-func TestPagedReset(t *testing.T) {
-	m := topo.New([]int{8, 8})
-	a := NewPagedPaging(m, curve.Hilbert{}, binpack.FreeList, 1)
-	a.Allocate(Request{Size: 10})
-	a.Reset()
-	if a.NumFree() != 64 {
-		t.Fatalf("NumFree after reset = %d", a.NumFree())
-	}
-}

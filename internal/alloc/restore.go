@@ -8,26 +8,11 @@ import (
 
 // Snapshot/restore support. A snapshot serializes only authoritative
 // state — the job→nodes assignment and a handful of allocator cursors —
-// and rebuilds every derived index on restore. The interfaces here are
-// the contract between the engine's restore path and the allocators:
-//
-//   - Occupier re-marks a job's exact node set busy, as if Allocate had
-//     returned it, with all internal indexes updated in lockstep.
-//   - AuxState carries the small non-derivable extras some allocators
-//     keep (a NextFit cursor, an RNG position) as raw words.
-//   - Auditor cross-checks an allocator's redundant internal indexes,
-//     feeding sim.Audit.
-//
-// Every Allocator in this package implements Occupier; AuxState and
-// Auditor are optional and probed with type assertions.
-
-// Occupier is implemented by allocators that can re-occupy an exact
-// node set during snapshot restore. Callers must pass node sets that
-// Allocate previously returned (valid ids, currently free); Occupy may
-// panic on anything else, so restore paths validate ids first.
-type Occupier interface {
-	Occupy(ids []int)
-}
+// and rebuilds every derived index on restore: Allocator.Occupy
+// re-marks each job's exact node set busy, and AuxState, which
+// allocators implement optionally and callers probe with a type
+// assertion, carries the small non-derivable extras some allocators
+// keep (a NextFit cursor, an RNG position) as raw words.
 
 // AuxState is implemented by allocators with internal state that is
 // neither derivable from the busy set nor static configuration. The
@@ -38,15 +23,8 @@ type AuxState interface {
 	SetAuxState([]uint64) error
 }
 
-// Auditor is implemented by allocators that keep redundant internal
-// indexes and can cross-check them against their ground-truth busy
-// state. AuditIndexes returns nil when every index agrees.
-type Auditor interface {
-	AuditIndexes() error
-}
-
-// Occupy implements Occupier for the set-based allocators (MC, Gen-Alg
-// and Random).
+// Occupy implements Allocator for the tracker-based allocators (MC,
+// Gen-Alg, Random and submesh first fit).
 func (t *tracker) Occupy(ids []int) {
 	for _, id := range ids {
 		if id < 0 || id >= len(t.busy) || t.busy[id] {
@@ -67,9 +45,10 @@ func wholeMachine(g *topo.Grid) (lo, hi topo.Point) {
 	return lo, hi
 }
 
-// AuditIndexes cross-checks the busy bitmap, the cached free count,
-// and — when present — the box/ball occupancy indexes, by comparing
-// each index's whole-machine free count against a direct recount.
+// AuditIndexes implements Allocator: it cross-checks the busy bitmap,
+// the cached free count, and — when present — the box/ball occupancy
+// indexes, by comparing each index's whole-machine free count against a
+// direct recount, and the submesh row masks, node by node.
 func (t *tracker) AuditIndexes() error {
 	n := 0
 	for _, b := range t.busy {
@@ -96,10 +75,17 @@ func (t *tracker) AuditIndexes() error {
 			return fmt.Errorf("alloc: ball index counts %d free nodes, busy bitmap %d", got, n)
 		}
 	}
+	if t.rows != nil {
+		for id, busy := range t.busy {
+			if free := t.rows.free(id); free == busy {
+				return fmt.Errorf("alloc: node %d busy=%v but row bitmask free=%v", id, busy, free)
+			}
+		}
+	}
 	return nil
 }
 
-// Occupy implements Occupier: the packer re-marks the exact ranks.
+// Occupy implements Allocator: the packer re-marks the exact ranks.
 func (p *Paging) Occupy(ids []int) { p.packer.Occupy(ids) }
 
 // AuxState implements AuxState: the only non-derivable packer state is
@@ -117,7 +103,7 @@ func (p *Paging) SetAuxState(words []uint64) error {
 	return p.packer.SetNextStart(int(int64(words[0])))
 }
 
-// AuditIndexes implements Auditor via the packer's free-map/bitset/
+// AuditIndexes implements Allocator via the packer's free-map/bitset/
 // count cross-check.
 func (p *Paging) AuditIndexes() error { return p.packer.Audit() }
 

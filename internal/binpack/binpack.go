@@ -105,7 +105,7 @@ type Packer struct {
 	// bits mirrors free in rank space (bit set = free) so interval and
 	// prefix enumeration can scan 64 ranks per instruction. free stays the
 	// ground truth for double-release detection; bits is kept in lockstep
-	// by Allocate/Release/Reset.
+	// by Allocate, Release and Occupy, the only mutators.
 	bits *occupancy.Bitset
 	// nextStart remembers where NextFit resumes scanning.
 	nextStart int
@@ -143,15 +143,9 @@ func New(order []int) *Packer {
 // NumFree returns the number of free processors.
 func (p *Packer) NumFree() int { return p.numFree }
 
-// Reset marks every processor free.
-func (p *Packer) Reset() {
-	for i := range p.free {
-		p.free[i] = true
-	}
-	p.bits.SetAll()
-	p.numFree = len(p.free)
-	p.nextStart = 0
-}
+// Free reports whether the processor with node id is free. It panics on
+// an out-of-range id.
+func (p *Packer) Free(id int) bool { return p.free[p.rankOf[id]] }
 
 // AppendIntervals appends the current maximal free intervals to ivs in
 // rank order, reusing ivs' capacity. It is the candidate-enumeration hot
@@ -287,33 +281,11 @@ func (p *Packer) Audit() error {
 // as if a one-processor job occupied it. It panics if the node is
 // currently allocated or already down — the simulator must kill and
 // release the occupying job before masking the node.
-func (p *Packer) MarkDown(id int) {
-	if id < 0 || id >= len(p.rankOf) {
-		panic(fmt.Sprintf("binpack: mark down of invalid id %d", id))
-	}
-	r := p.rankOf[id]
-	if !p.free[r] {
-		panic(fmt.Sprintf("binpack: mark down of busy or already-down id %d", id))
-	}
-	p.free[r] = false
-	p.bits.Clear(r)
-	p.numFree--
-}
+func (p *Packer) MarkDown(id int) { p.Occupy([]int{id}) }
 
-// MarkUp returns a downed node to service. It panics if the node is
-// not currently masked out.
-func (p *Packer) MarkUp(id int) {
-	if id < 0 || id >= len(p.rankOf) {
-		panic(fmt.Sprintf("binpack: mark up of invalid id %d", id))
-	}
-	r := p.rankOf[id]
-	if p.free[r] {
-		panic(fmt.Sprintf("binpack: mark up of id %d that is not down", id))
-	}
-	p.free[r] = true
-	p.bits.Set(r)
-	p.numFree++
-}
+// MarkUp returns a downed node to service: the one-processor release.
+// It panics if the node is not currently masked out.
+func (p *Packer) MarkUp(id int) { p.Release([]int{id}) }
 
 // prefixRanks returns the first size free ranks (sorted free list) in the
 // persistent rank workspace; the result is only valid until the next

@@ -205,16 +205,6 @@ func TestDoubleReleasePanics(t *testing.T) {
 	}()
 	p.Release(ids)
 }
-
-func TestReset(t *testing.T) {
-	p := New(identityOrder(8))
-	p.Allocate(5, FreeList)
-	p.Reset()
-	if p.NumFree() != 8 {
-		t.Fatalf("NumFree after reset = %d", p.NumFree())
-	}
-}
-
 func TestWorstFitPicksLargestBin(t *testing.T) {
 	p := carve(t, []int{5, 3, 7}, []int{1, 1})
 	ids, err := p.Allocate(3, WorstFit)

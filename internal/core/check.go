@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"meshalloc/internal/alloc"
@@ -147,7 +148,7 @@ func Check(o Options) ([]CheckResult, error) {
 		r9 := stats.Pearson(pair, y)
 		r10 := stats.Pearson(msg, y)
 		add(fig10Claim, r10 > 0.5, fmt.Sprintf("r = %.3f over %d jobs", r10, len(recs)))
-		add(fig9Claim, absf(r9) < absf(r10)-0.2, fmt.Sprintf("r = %.3f vs %.3f", r9, r10))
+		add(fig9Claim, math.Abs(r9) < math.Abs(r10)-0.2, fmt.Sprintf("r = %.3f vs %.3f", r9, r10))
 	} else {
 		detail := fmt.Sprintf("too few large jobs: only %d in the band; increase Options.Jobs", len(recs))
 		add(fig10Claim, false, detail)
@@ -174,13 +175,6 @@ func Check(o Options) ([]CheckResult, error) {
 			pct["hilbert/bestfit"], pct["hilbert"], pct["scurve/bestfit"], pct["scurve"]))
 
 	return out, nil
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // RenderChecks formats a scorecard.

@@ -264,10 +264,3 @@ func (ZOrder) Name() string { return "zorder" }
 
 // Order implements Curve.
 func (z ZOrder) Order(w, h int) []int { return z.OrderDims([]int{w, h}) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -112,13 +112,6 @@ func (b *Balls) Take(id int) { b.add(b.g.Coord(id), 1) }
 // Release marks one processor free.
 func (b *Balls) Release(id int) { b.add(b.g.Coord(id), -1) }
 
-// Reset marks every processor free.
-func (b *Balls) Reset() {
-	for a := 0; a < b.nd; a++ {
-		clear(b.fams[a].pref)
-	}
-}
-
 func (b *Balls) add(p topo.Point, d int) {
 	for a := 0; a < b.nd; a++ {
 		f := &b.fams[a]

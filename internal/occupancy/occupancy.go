@@ -69,12 +69,6 @@ func (b *Boxes) Take(id int) { b.add(b.g.Coord(id), 1) }
 // Release marks one processor free.
 func (b *Boxes) Release(id int) { b.add(b.g.Coord(id), -1) }
 
-// Reset marks every processor free.
-func (b *Boxes) Reset() {
-	clear(b.rows)
-	clear(b.planes)
-}
-
 // add applies a +-1 point update at p.
 func (b *Boxes) add(p topo.Point, d int) {
 	if b.nd <= 2 {

@@ -211,22 +211,3 @@ func TestBallsUnsupportedDimensions(t *testing.T) {
 		t.Error("4-D grid should not build a ball index")
 	}
 }
-
-func TestResetClearsCounts(t *testing.T) {
-	g := topo.New([]int{6, 5, 4})
-	boxes := NewBoxes(g)
-	balls := NewBalls(g)
-	for id := 0; id < g.Size(); id += 3 {
-		boxes.Take(id)
-		balls.Take(id)
-	}
-	boxes.Reset()
-	balls.Reset()
-	lo, hi, _ := g.GrownBounds(topo.Point{3, 2, 2}, topo.Point{1, 1, 1}, g.MaxShells())
-	if got := boxes.FreeIn(lo, hi); got != g.Size() {
-		t.Errorf("boxes after Reset: FreeIn(all) = %d, want %d", got, g.Size())
-	}
-	if got := balls.FreeInBall(topo.Point{3, 2, 2}, 100); got != g.Size() {
-		t.Errorf("balls after Reset: FreeInBall(all) = %d, want %d", got, g.Size())
-	}
-}

@@ -4,16 +4,11 @@
 // studying allocator/scheduler interaction.
 package sched
 
-import "fmt"
+import (
+	"fmt"
 
-// Pending describes one queued job.
-type Pending struct {
-	// Size is the processor request.
-	Size int
-	// EstRuntime is the job's runtime estimate in simulated seconds
-	// (the traced runtime; "perfect" estimates).
-	EstRuntime float64
-}
+	"meshalloc/internal/trace"
+)
 
 // Running describes one running job, for backfilling's shadow-time
 // computation.
@@ -27,11 +22,13 @@ type Running struct {
 type Policy interface {
 	// Name identifies the policy, e.g. "fcfs".
 	Name() string
-	// Pick returns the index in pending (arrival order) of the next job
-	// to start given free processors, or -1 when none may start. running
-	// is in ascending EstEnd order (ties in any fixed deterministic
-	// order). The caller re-invokes Pick after each start.
-	Pick(pending []Pending, now float64, freeProcs int, running []Running) int
+	// Pick returns the index in queue (arrival order) of the next job
+	// to start given free processors, or -1 when none may start. Each
+	// job's Runtime is its runtime estimate (the traced runtime:
+	// "perfect" estimates). running is in ascending EstEnd order (ties
+	// in any fixed deterministic order). The caller re-invokes Pick
+	// after each start.
+	Pick(queue []trace.Job, now float64, freeProcs int, running []Running) int
 }
 
 // ByName returns the policy registered under name ("fcfs", "easy" or
@@ -57,8 +54,8 @@ type FCFS struct{}
 func (FCFS) Name() string { return "fcfs" }
 
 // Pick implements Policy.
-func (FCFS) Pick(pending []Pending, _ float64, freeProcs int, _ []Running) int {
-	if len(pending) > 0 && pending[0].Size <= freeProcs {
+func (FCFS) Pick(queue []trace.Job, _ float64, freeProcs int, _ []Running) int {
+	if len(queue) > 0 && queue[0].Size <= freeProcs {
 		return 0
 	}
 	return -1
@@ -73,22 +70,22 @@ type EASY struct{}
 func (EASY) Name() string { return "easy" }
 
 // Pick implements Policy.
-func (EASY) Pick(pending []Pending, now float64, freeProcs int, running []Running) int {
-	if len(pending) == 0 {
+func (EASY) Pick(queue []trace.Job, now float64, freeProcs int, running []Running) int {
+	if len(queue) == 0 {
 		return -1
 	}
-	if pending[0].Size <= freeProcs {
+	if queue[0].Size <= freeProcs {
 		return 0
 	}
-	shadow, extra := shadowTime(pending[0].Size, freeProcs, running)
-	for i := 1; i < len(pending); i++ {
-		j := pending[i]
+	shadow, extra := shadowTime(queue[0].Size, freeProcs, running)
+	for i := 1; i < len(queue); i++ {
+		j := &queue[i]
 		if j.Size > freeProcs {
 			continue
 		}
 		// A backfilled job must either finish before the head's
 		// reservation or leave the reservation's processors untouched.
-		if now+j.EstRuntime <= shadow || j.Size <= extra {
+		if now+j.Runtime <= shadow || j.Size <= extra {
 			return i
 		}
 	}
@@ -105,13 +102,14 @@ type SJF struct{}
 func (SJF) Name() string { return "sjf" }
 
 // Pick implements Policy.
-func (SJF) Pick(pending []Pending, _ float64, freeProcs int, _ []Running) int {
+func (SJF) Pick(queue []trace.Job, _ float64, freeProcs int, _ []Running) int {
 	best := -1
-	for i, j := range pending {
+	for i := range queue {
+		j := &queue[i]
 		if j.Size > freeProcs {
 			continue
 		}
-		if best == -1 || j.EstRuntime < pending[best].EstRuntime {
+		if best == -1 || j.Runtime < queue[best].Runtime {
 			best = i
 		}
 	}

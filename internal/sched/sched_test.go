@@ -1,6 +1,10 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"meshalloc/internal/trace"
+)
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"fcfs", "easy", "sjf"} {
@@ -16,11 +20,11 @@ func TestByName(t *testing.T) {
 
 func TestSJFPicksShortestFitting(t *testing.T) {
 	p := SJF{}
-	pending := []Pending{
-		{Size: 8, EstRuntime: 100},
-		{Size: 20, EstRuntime: 1}, // shortest but does not fit
-		{Size: 4, EstRuntime: 10},
-		{Size: 2, EstRuntime: 50},
+	pending := []trace.Job{
+		{Size: 8, Runtime: 100},
+		{Size: 20, Runtime: 1}, // shortest but does not fit
+		{Size: 4, Runtime: 10},
+		{Size: 2, Runtime: 50},
 	}
 	if got := p.Pick(pending, 0, 10, nil); got != 2 {
 		t.Fatalf("Pick = %d, want 2 (shortest fitting)", got)
@@ -32,7 +36,7 @@ func TestSJFPicksShortestFitting(t *testing.T) {
 
 func TestFCFSHeadFits(t *testing.T) {
 	p := FCFS{}
-	pending := []Pending{{Size: 8}, {Size: 2}}
+	pending := []trace.Job{{Size: 8}, {Size: 2}}
 	if got := p.Pick(pending, 0, 10, nil); got != 0 {
 		t.Fatalf("Pick = %d, want 0", got)
 	}
@@ -42,7 +46,7 @@ func TestFCFSHeadBlocks(t *testing.T) {
 	p := FCFS{}
 	// Head needs 8, only 4 free: strict FCFS starts nothing even though
 	// the second job fits.
-	pending := []Pending{{Size: 8}, {Size: 2}}
+	pending := []trace.Job{{Size: 8}, {Size: 2}}
 	if got := p.Pick(pending, 0, 4, nil); got != -1 {
 		t.Fatalf("Pick = %d, want -1", got)
 	}
@@ -56,7 +60,7 @@ func TestFCFSEmptyQueue(t *testing.T) {
 
 func TestEASYHeadFirst(t *testing.T) {
 	p := EASY{}
-	pending := []Pending{{Size: 4}, {Size: 2}}
+	pending := []trace.Job{{Size: 4}, {Size: 2}}
 	if got := p.Pick(pending, 0, 4, nil); got != 0 {
 		t.Fatalf("Pick = %d, want 0 (head fits)", got)
 	}
@@ -67,9 +71,9 @@ func TestEASYBackfillsShortJob(t *testing.T) {
 	// Head needs 8; 4 free; a running 4-proc job ends at t=100, so the
 	// head's reservation is t=100. A 2-proc job estimated to finish by
 	// then may backfill.
-	pending := []Pending{
-		{Size: 8, EstRuntime: 50},
-		{Size: 2, EstRuntime: 40},
+	pending := []trace.Job{
+		{Size: 8, Runtime: 50},
+		{Size: 2, Runtime: 40},
 	}
 	running := []Running{{Size: 4, EstEnd: 100}}
 	if got := p.Pick(pending, 10, 4, running); got != 1 {
@@ -81,9 +85,9 @@ func TestEASYRefusesDelayingBackfill(t *testing.T) {
 	p := EASY{}
 	// Same as above but the candidate would finish after the
 	// reservation and would eat reserved processors.
-	pending := []Pending{
-		{Size: 8, EstRuntime: 50},
-		{Size: 4, EstRuntime: 200},
+	pending := []trace.Job{
+		{Size: 8, Runtime: 50},
+		{Size: 4, Runtime: 200},
 	}
 	running := []Running{{Size: 4, EstEnd: 100}}
 	if got := p.Pick(pending, 10, 4, running); got != -1 {
@@ -96,9 +100,9 @@ func TestEASYAllowsExtraProcessorBackfill(t *testing.T) {
 	// Reservation at t=100 frees 12 procs for an 8-proc head: 4 extra.
 	// A long 3-proc job cannot delay the head because it fits in the
 	// extra processors.
-	pending := []Pending{
-		{Size: 8, EstRuntime: 50},
-		{Size: 3, EstRuntime: 1e9},
+	pending := []trace.Job{
+		{Size: 8, Runtime: 50},
+		{Size: 3, Runtime: 1e9},
 	}
 	running := []Running{{Size: 12, EstEnd: 100}}
 	if got := p.Pick(pending, 10, 3, running); got != 1 {
@@ -110,7 +114,7 @@ func TestEASYUnsatisfiableReservation(t *testing.T) {
 	p := EASY{}
 	// Nothing running and the head can never fit: no backfilling
 	// decisions can be justified.
-	pending := []Pending{{Size: 100}, {Size: 2, EstRuntime: 1}}
+	pending := []trace.Job{{Size: 100}, {Size: 2, Runtime: 1}}
 	if got := p.Pick(pending, 0, 4, nil); got != -1 {
 		t.Fatalf("Pick = %d, want -1", got)
 	}
@@ -123,41 +127,41 @@ func TestSJFTieBreaking(t *testing.T) {
 	p := SJF{}
 	cases := []struct {
 		name    string
-		pending []Pending
+		pending []trace.Job
 		free    int
 		want    int
 	}{
 		{
 			name: "equal estimates pick earliest",
-			pending: []Pending{
-				{Size: 4, EstRuntime: 10},
-				{Size: 4, EstRuntime: 10},
-				{Size: 4, EstRuntime: 10},
+			pending: []trace.Job{
+				{Size: 4, Runtime: 10},
+				{Size: 4, Runtime: 10},
+				{Size: 4, Runtime: 10},
 			},
 			free: 8, want: 0,
 		},
 		{
 			name: "tie among later jobs when the first does not fit",
-			pending: []Pending{
-				{Size: 9, EstRuntime: 10},
-				{Size: 4, EstRuntime: 10},
-				{Size: 4, EstRuntime: 10},
+			pending: []trace.Job{
+				{Size: 9, Runtime: 10},
+				{Size: 4, Runtime: 10},
+				{Size: 4, Runtime: 10},
 			},
 			free: 8, want: 1,
 		},
 		{
 			name: "strictly shorter job beats an earlier equal-size one",
-			pending: []Pending{
-				{Size: 4, EstRuntime: 10},
-				{Size: 4, EstRuntime: 9.999},
+			pending: []trace.Job{
+				{Size: 4, Runtime: 10},
+				{Size: 4, Runtime: 9.999},
 			},
 			free: 8, want: 1,
 		},
 		{
 			name: "zero-estimate jobs tie like any other value",
-			pending: []Pending{
-				{Size: 4, EstRuntime: 0},
-				{Size: 4, EstRuntime: 0},
+			pending: []trace.Job{
+				{Size: 4, Runtime: 0},
+				{Size: 4, Runtime: 0},
 			},
 			free: 8, want: 0,
 		},
@@ -179,7 +183,7 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 	p := EASY{}
 	cases := []struct {
 		name    string
-		pending []Pending
+		pending []trace.Job
 		running []Running
 		now     float64
 		free    int
@@ -187,11 +191,11 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 	}{
 		{
 			// Reservation at t=100; now=10. A candidate with
-			// EstRuntime=90 ends exactly at the shadow: <= admits it.
+			// Runtime=90 ends exactly at the shadow: <= admits it.
 			name: "exact-fit backfill at the shadow boundary",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 4, EstRuntime: 90},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 4, Runtime: 90},
 			},
 			running: []Running{{Size: 4, EstEnd: 100}},
 			now:     10, free: 4, want: 1,
@@ -199,9 +203,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 		{
 			// One tick past the shadow (and bigger than extra): refused.
 			name: "just past the shadow is refused",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 4, EstRuntime: 90.001},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 4, Runtime: 90.001},
 			},
 			running: []Running{{Size: 4, EstEnd: 100}},
 			now:     10, free: 4, want: -1,
@@ -210,9 +214,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 			// A zero-estimate job finishes "immediately": always
 			// before the reservation, so it backfills whenever it fits.
 			name: "zero-estimate job backfills",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 4, EstRuntime: 0},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 4, Runtime: 0},
 			},
 			running: []Running{{Size: 4, EstEnd: 100}},
 			now:     10, free: 4, want: 1,
@@ -222,9 +226,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 			// head: extra = 3. An arbitrarily long candidate of exactly
 			// 3 procs slots into the extra capacity.
 			name: "candidate exactly equal to the extra processors",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 3, EstRuntime: 1e12},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 3, Runtime: 1e12},
 			},
 			running: []Running{{Size: 6, EstEnd: 100}},
 			now:     10, free: 5, want: 1,
@@ -234,9 +238,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 			// candidate fits the 5 free now, yet would eat into the
 			// head's reservation, so it is refused.
 			name: "candidate one over the extra is refused",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 4, EstRuntime: 1e12},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 4, Runtime: 1e12},
 			},
 			running: []Running{{Size: 6, EstEnd: 100}},
 			now:     10, free: 5, want: -1,
@@ -246,9 +250,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 			// start now (head does not fit by definition of the branch)
 			// unless it finishes by the shadow.
 			name: "candidate equal to the head size within shadow",
-			pending: []Pending{
-				{Size: 8, EstRuntime: 50},
-				{Size: 8, EstRuntime: 90},
+			pending: []trace.Job{
+				{Size: 8, Runtime: 50},
+				{Size: 8, Runtime: 90},
 			},
 			running: []Running{{Size: 8, EstEnd: 100}},
 			now:     10, free: 0, want: -1, // does not fit in 0 free
@@ -256,9 +260,9 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 		{
 			// Head itself fits: backfilling logic never engages.
 			name: "head starts before any backfill consideration",
-			pending: []Pending{
-				{Size: 4, EstRuntime: 50},
-				{Size: 2, EstRuntime: 1},
+			pending: []trace.Job{
+				{Size: 4, Runtime: 50},
+				{Size: 2, Runtime: 1},
 			},
 			running: []Running{{Size: 4, EstEnd: 100}},
 			now:     10, free: 4, want: 0,
@@ -278,11 +282,11 @@ func TestEASYShadowTimeEdges(t *testing.T) {
 // later legitimate one.
 func TestEASYScansPastUnfitCandidates(t *testing.T) {
 	p := EASY{}
-	pending := []Pending{
-		{Size: 8, EstRuntime: 50},  // blocked head
-		{Size: 6, EstRuntime: 1e9}, // too big for free procs
-		{Size: 4, EstRuntime: 1e9}, // fits but would delay the head
-		{Size: 2, EstRuntime: 10},  // legitimate backfill
+	pending := []trace.Job{
+		{Size: 8, Runtime: 50},  // blocked head
+		{Size: 6, Runtime: 1e9}, // too big for free procs
+		{Size: 4, Runtime: 1e9}, // fits but would delay the head
+		{Size: 2, Runtime: 10},  // legitimate backfill
 	}
 	running := []Running{{Size: 4, EstEnd: 100}}
 	if got := p.Pick(pending, 10, 4, running); got != 3 {

@@ -29,7 +29,7 @@ func violatef(invariant, format string, args ...any) error {
 
 // Audit cross-checks every redundant structure the engine maintains —
 // the allocator's occupancy indexes against its free count, the job
-// store against the owner map and the running-set mirrors, the event
+// store against the owner map and the running-set mirror, the event
 // queue's time and sequence discipline, the fault masks against the
 // availability flags, and job conservation across queue, machine and
 // retry bookkeeping. It returns nil when every invariant holds, or all
@@ -98,10 +98,8 @@ func (e *Engine) Audit() error {
 			"%d processors unaccounted for (machine %d, busy %d, masked %d, free %d)",
 			slack, e.grid.Size(), e.busyProcs, e.maskedN, e.allocator.NumFree()))
 	}
-	if aud, ok := e.allocator.(alloc.Auditor); ok {
-		if err := aud.AuditIndexes(); err != nil {
-			errs = append(errs, &Violation{Invariant: "alloc-indexes", Detail: err.Error()})
-		}
+	if err := e.allocator.AuditIndexes(); err != nil {
+		errs = append(errs, &Violation{Invariant: "alloc-indexes", Detail: err.Error()})
 	}
 
 	// Event queue: every queued event is in the clock's future, carries
@@ -156,21 +154,10 @@ func (e *Engine) Audit() error {
 			len(e.slots), arrivals, len(e.slotFree)))
 	}
 
-	// Scheduler mirrors: under every policy but strict FCFS, pendBuf
-	// shadows the queue entry for entry and runOrd holds exactly the
-	// live set in ascending (EstEnd, handle) order — what rebuilding both
-	// from queue and store would produce.
+	// Running-set mirror: under every policy but strict FCFS, runOrd
+	// holds exactly the live set in ascending (EstEnd, handle) order —
+	// what rebuilding it from the store would produce.
 	if !e.isFCFS {
-		if len(e.pendBuf) != len(e.queue) {
-			errs = append(errs, violatef("pend-mirror", "pendBuf holds %d entries, queue %d", len(e.pendBuf), len(e.queue)))
-		} else {
-			for i := range e.queue {
-				if e.pendBuf[i].Size != e.queue[i].Size || e.pendBuf[i].EstRuntime != e.queue[i].Runtime {
-					errs = append(errs, violatef("pend-mirror", "pendBuf[%d]=%+v disagrees with queue job %+v", i, e.pendBuf[i], e.queue[i]))
-					break
-				}
-			}
-		}
 		if len(e.runOrd) != live || len(e.runOrdH) != len(e.runOrd) {
 			errs = append(errs, violatef("run-mirror", "runOrd holds %d entries for %d live jobs", len(e.runOrd), live))
 		} else {
@@ -306,14 +293,14 @@ func (s *seqSet) add(seq int64) bool {
 }
 
 // exactSize reports whether the free-count audit holds a to an exact
-// balance: Paging, the MC family, Gen-Alg and Random consume exactly the
-// requested processor count and leave no internal fragmentation. Buddy
-// rounds requests up to whole blocks and paged forms strand the tail of
-// a partially-used page, so for the other allocators only a negative
-// free-count slack is a violation.
+// balance: Paging, the MC family, Gen-Alg, Random and submesh first fit
+// consume exactly the requested processor count and leave no internal
+// fragmentation. Buddy rounds requests up to whole blocks and paged
+// forms strand the tail of a partially-used page, so for the other
+// allocators only a negative free-count slack is a violation.
 func exactSize(a alloc.Allocator) bool {
 	switch a.(type) {
-	case *alloc.Paging, *alloc.MC, *alloc.GenAlg, *alloc.Random:
+	case *alloc.Paging, *alloc.MC, *alloc.GenAlg, *alloc.Random, *alloc.SubmeshFirstFit:
 		return true
 	}
 	return false
@@ -322,21 +309,16 @@ func exactSize(a alloc.Allocator) bool {
 // rebuildDerived reconstructs every derived index from the engine's
 // authoritative state: the allocator's occupancy structures from the
 // live jobs' node sets, the fault masks from the availability flags and
-// ownership, and the scheduler's incremental mirrors from queue and
-// store. It is idempotent — the restore path calls it once normally and
-// once more as a last-resort repair when the post-restore audit fails —
-// and returns an error (never panics) on state no allocator can hold.
+// ownership, and the running-set mirror from the store. It runs once,
+// on the engine RestoreEngine has just built, so every derived
+// structure starts empty, and it returns an error (never panics) on
+// state no allocator can hold.
 func (e *Engine) rebuildDerived() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: derived-state rebuild failed: %v", r)
 		}
 	}()
-	occ, ok := e.allocator.(alloc.Occupier)
-	if !ok {
-		return fmt.Errorf("sim: allocator %s cannot re-occupy nodes on restore", e.allocator.Name())
-	}
-	e.allocator.Reset()
 	s := &e.store
 
 	// Validate the node sets as a whole before touching the allocator:
@@ -366,7 +348,7 @@ func (e *Engine) rebuildDerived() (err error) {
 	// the free set a pure function of the allocated set).
 	for h := range s.inUse {
 		if s.inUse[h] && !s.dead[h] {
-			occ.Occupy(s.nodes[h])
+			e.allocator.Occupy(s.nodes[h])
 		}
 	}
 
@@ -374,11 +356,6 @@ func (e *Engine) rebuildDerived() (err error) {
 	// mask for every flagged-and-unoccupied node. Flags themselves are
 	// authoritative (restored from the snapshot).
 	if e.faults != nil {
-		for n := range e.owner {
-			e.owner[n] = -1
-			e.masked[n] = false
-		}
-		e.maskedN, e.flagged = 0, 0
 		for h := range s.inUse {
 			if !s.inUse[h] || s.dead[h] {
 				continue
@@ -399,13 +376,8 @@ func (e *Engine) rebuildDerived() (err error) {
 		}
 	}
 
-	// Scheduler mirrors.
+	// Running-set mirror.
 	if !e.isFCFS {
-		e.pendBuf = e.pendBuf[:0]
-		for _, j := range e.queue {
-			e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
-		}
-		e.runOrd, e.runOrdH = e.runOrd[:0], e.runOrdH[:0]
 		var hs []int32
 		for h := range s.inUse {
 			if s.inUse[h] && !s.dead[h] {
@@ -423,12 +395,6 @@ func (e *Engine) rebuildDerived() (err error) {
 			e.runOrd = append(e.runOrd, sched.Running{Size: s.job[h].Size, EstEnd: s.estEnd[h]})
 			e.runOrdH = append(e.runOrdH, h)
 		}
-	}
-	// The watermark is only ever an optimization; a cleared watermark is
-	// always safe, and restore re-applies the snapshot's value after the
-	// rebuild when it was armed.
-	if !e.canBlock {
-		e.blocked = false
 	}
 	return nil
 }

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"meshalloc/internal/alloc"
+	"meshalloc/internal/trace"
 )
 
 // TestSeqSetMatchesMap checks the audit's open-addressing seq set
@@ -34,5 +38,44 @@ func TestSeqSetMatchesMap(t *testing.T) {
 			}
 			ref[s] = true
 		}
+	}
+}
+
+// TestAuditCatchesStolenNode takes one free processor behind the
+// engine's back on every allocator that hands out exactly the requested
+// processor count, and requires Audit to report the unaccounted node as
+// a free-count violation.
+func TestAuditCatchesStolenNode(t *testing.T) {
+	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: 60, MaxSize: 32, Seed: 2}).FilterMaxSize(32)
+	for _, spec := range []string{"mc", "mc1x1", "genalg", "random", "hilbert/bestfit", "submesh"} {
+		t.Run(spec, func(t *testing.T) {
+			e, err := NewEngine(Config{MeshW: 8, MeshH: 8, Alloc: spec, Pattern: "nbody",
+				Load: 0.4, TimeScale: 0.01, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range tr.Jobs {
+				if err := e.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				e.Step()
+			}
+			if e.RunningJobs() == 0 || e.NumFree() == 0 {
+				t.Fatalf("%d jobs running with %d free: nothing to steal mid-run", e.RunningJobs(), e.NumFree())
+			}
+			if err := e.Audit(); err != nil {
+				t.Fatalf("healthy engine failed audit: %v", err)
+			}
+			if _, err := e.allocator.Allocate(alloc.Request{Size: 1}); err != nil {
+				t.Fatal(err)
+			}
+			err = e.Audit()
+			var v *Violation
+			if !errors.As(err, &v) || v.Invariant != "free-count" {
+				t.Fatalf("audit after stealing a node = %v, want a free-count violation", err)
+			}
+		})
 	}
 }

@@ -168,18 +168,16 @@ type Engine struct {
 	slots    []trace.Job
 	slotFree []int32
 
-	// Scheduler-round state. Strict FCFS only ever inspects the queue
-	// head; every other policy reads pendBuf, which mirrors queue entry
-	// for entry, and runOrd/runOrdH, which hold the running set ordered
-	// by (EstEnd, handle). Both are maintained at the events that change
-	// them instead of rebuilt every round. blocked is the head-blocked
-	// watermark: set when an FCFS/SJF round ends without a dispatch,
-	// letting the next round short-circuit in O(1), and invalidated only
-	// on release and fault transitions (plus arrivals that can change the
-	// decision: any arrival under SJF, an arrival into an empty queue
-	// under FCFS). EASY never blocks — its backfill decisions depend on
-	// the clock.
-	pendBuf  []sched.Pending
+	// Scheduler-round state. Every policy reads queue itself; every
+	// policy but strict FCFS, which only ever inspects the queue head,
+	// also reads runOrd/runOrdH, the running set ordered by (EstEnd,
+	// handle), maintained at the events that change it instead of
+	// rebuilt every round. blocked is the head-blocked watermark: set
+	// when an FCFS/SJF round ends without a dispatch, letting the next
+	// round short-circuit in O(1), and invalidated only on release and
+	// fault transitions (plus arrivals that can change the decision: any
+	// arrival under SJF, an arrival into an empty queue under FCFS).
+	// EASY never blocks — its backfill decisions depend on the clock.
 	runOrd   []sched.Running
 	runOrdH  []int32
 	canBlock bool
@@ -328,7 +326,7 @@ func (e *Engine) initFaults() error {
 	}
 	fa, ok := e.allocator.(alloc.FaultAware)
 	if !ok {
-		return fmt.Errorf("sim: allocator %s cannot mask failed nodes; fault injection needs a FaultAware allocator (mc, mc1x1, genalg, random, or a curve/strategy form)",
+		return fmt.Errorf("sim: allocator %s cannot mask failed nodes; fault injection needs a FaultAware allocator (mc, mc1x1, genalg, random, submesh, or a curve/strategy form)",
 			e.allocator.Name())
 	}
 	if err := e.cfg.Retry.Validate(); err != nil {
@@ -500,24 +498,6 @@ func (e *Engine) afterEvent() {
 	}
 }
 
-// enqueue appends an arrived job to the pending queue, keeping the
-// incremental policy snapshot in lockstep.
-func (e *Engine) enqueue(j trace.Job) {
-	e.queue = append(e.queue, j)
-	if !e.isFCFS {
-		e.pendBuf = append(e.pendBuf, sched.Pending{Size: j.Size, EstRuntime: j.Runtime})
-	}
-}
-
-// dequeueAt removes the queue entry a non-FCFS policy picked, keeping
-// the incremental snapshot in lockstep.
-func (e *Engine) dequeueAt(i int) {
-	e.queue = append(e.queue[:i], e.queue[i+1:]...)
-	if !e.isFCFS {
-		e.pendBuf = append(e.pendBuf[:i], e.pendBuf[i+1:]...)
-	}
-}
-
 // runInsert places handle h in the end-time-ordered running index at
 // its (EstEnd, handle) position.
 func (e *Engine) runInsert(h int32, end float64, size int) {
@@ -581,7 +561,7 @@ func (e *Engine) Step() bool {
 	case kindArrival:
 		e.core.Arrivals++
 		wasEmpty := len(e.queue) == 0
-		e.enqueue(e.takeArrival(ev.h))
+		e.queue = append(e.queue, e.takeArrival(ev.h))
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
 			// before scheduling once, so simultaneous arrivals share one
@@ -600,7 +580,7 @@ func (e *Engine) Step() bool {
 				next := e.events.pop()
 				e.core.Events++
 				e.core.Arrivals++
-				e.enqueue(e.takeArrival(next.h))
+				e.queue = append(e.queue, e.takeArrival(next.h))
 			}
 		}
 		// A new arrival re-arms a blocked FCFS round only when it
@@ -984,19 +964,10 @@ func (e *Engine) trySchedule(now float64) {
 	}
 	e.core.SchedRounds++
 	for {
-		var pick int
-		if e.isFCFS {
-			// Strict FCFS only ever inspects the head.
-			pick = -1
-			if len(e.queue) > 0 && e.queue[0].Size <= e.allocator.NumFree() {
-				pick = 0
-			}
-		} else {
-			// pendBuf mirrors the queue and runOrd is already (EstEnd,
-			// handle)-sorted, as Pick requires, so the round costs one
-			// policy scan and nothing else.
-			pick = e.policy.Pick(e.pendBuf, now, e.allocator.NumFree(), e.runOrd)
-		}
+		// runOrd is already (EstEnd, handle)-sorted, as Pick requires
+		// (and empty under FCFS, which never reads it), so the round
+		// costs one policy scan of the queue and nothing else.
+		pick := e.policy.Pick(e.queue, now, e.allocator.NumFree(), e.runOrd)
 		if pick < 0 {
 			e.block()
 			return
@@ -1015,7 +986,7 @@ func (e *Engine) trySchedule(now float64) {
 			panic(fmt.Sprintf("sim: allocator %s refused %d procs with %d free: %v",
 				e.allocator.Name(), job.Size, e.allocator.NumFree(), err))
 		}
-		e.dequeueAt(pick)
+		e.queue = append(e.queue[:pick], e.queue[pick+1:]...)
 		e.startJob(job, nodes, now)
 	}
 }

@@ -100,9 +100,8 @@ func TestBatchRunGoldenDigests(t *testing.T) {
 
 // engineVariants are the ways every golden run must reproduce its
 // digest: the default engine; the invariant auditor after every event,
-// whose pend-mirror, run-mirror and run-order checks compare the
-// incremental scheduler state with what a rebuild from queue and store
-// would produce; the head-blocked watermark switched off, so no
+// whose run-mirror and run-order checks compare the incremental
+// scheduler state with what a rebuild from the store would produce; the head-blocked watermark switched off, so no
 // scheduler round is ever skipped; and both at once, so the auditor
 // also sees the state after every round the watermark would have
 // skipped.

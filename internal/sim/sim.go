@@ -121,8 +121,8 @@ type Config struct {
 	// seconds and contracted by TimeScale like job runtimes. When
 	// Faults.Seed is zero, Seed derives the failure clocks. The
 	// configured allocator must implement alloc.FaultAware; NewEngine
-	// rejects contiguous baselines (submesh, buddy, paged forms) that
-	// cannot mask individual nodes.
+	// rejects buddy and the paged forms, whose ledgers track blocks and
+	// pages rather than nodes and so cannot mask one node.
 	Faults fault.Config
 	// Retry is the policy for jobs killed by a node failure (see
 	// fault.Retry). The zero value resubmits killed jobs immediately

@@ -316,9 +316,10 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // snap.ErrBadMagic, snap.ErrVersion or snap.ErrChecksum for a damaged
 // container, snap.ErrCorrupt (wrapped) for a container whose payload
 // decodes to impossible state. After the payload is installed, every
-// derived index is rebuilt and the invariant auditor runs; if it finds a
-// violation the rebuild is retried from scratch once before the restore
-// is abandoned with the audit error.
+// derived index is rebuilt once and the invariant auditor runs once; a
+// violation fails the restore with the audit's error, wrapped in
+// snap.ErrCorrupt. Rebuilding again could not help: it would re-derive
+// the same state from the same decoded facts.
 func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	r, err := snap.NewReader(in)
 	if err != nil {
@@ -569,27 +570,22 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Allocator aux words. They are applied after rebuildDerived — the
-	// rebuild begins with allocator.Reset, which clears exactly the
-	// cursors these words restore.
+	// Allocator aux words (cursors no busy set determines; re-occupying
+	// the live jobs' nodes below leaves them alone).
 	nw := r.Count(64)
 	var auxWords []uint64
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		auxWords = append(auxWords, r.U64())
 	}
-	applyAux := func() error {
-		if len(auxWords) == 0 {
-			return nil
-		}
+	if len(auxWords) > 0 && r.Err() == nil {
 		ax, ok := e.allocator.(alloc.AuxState)
 		if !ok {
-			return fmt.Errorf("sim: allocator %s holds no aux state but the snapshot carries %d words: %w",
+			return nil, fmt.Errorf("sim: allocator %s holds no aux state but the snapshot carries %d words: %w",
 				e.allocator.Name(), len(auxWords), snap.ErrCorrupt)
 		}
 		if err := ax.SetAuxState(auxWords); err != nil {
-			return fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
+			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
-		return nil
 	}
 
 	// Retained records.
@@ -621,28 +617,15 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim: %d bytes of trailing payload: %w", r.Remaining(), snap.ErrCorrupt)
 	}
 
-	// Rebuild every derived index from the authoritative state, audit,
-	// and — should the audit fail — rebuild once more from scratch
-	// before giving up. rebuildDerived converts allocator panics on
-	// impossible (but checksum-valid) state into errors.
+	// Rebuild every derived index from the authoritative state, then
+	// audit. rebuildDerived converts allocator panics on impossible (but
+	// checksum-valid) state into errors.
 	if err := e.rebuildDerived(); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, snap.ErrCorrupt)
 	}
-	if err := applyAux(); err != nil {
-		return nil, err
-	}
 	e.blocked = blocked && e.canBlock
 	if err := e.Audit(); err != nil {
-		if rerr := e.rebuildDerived(); rerr != nil {
-			return nil, fmt.Errorf("%v: %w", rerr, snap.ErrCorrupt)
-		}
-		if rerr := applyAux(); rerr != nil {
-			return nil, rerr
-		}
-		e.blocked = blocked && e.canBlock
-		if err := e.Audit(); err != nil {
-			return nil, fmt.Errorf("sim: restored state failed the invariant audit: %v: %w", err, snap.ErrCorrupt)
-		}
+		return nil, fmt.Errorf("sim: restored state failed the invariant audit: %v: %w", err, snap.ErrCorrupt)
 	}
 	return e, nil
 }

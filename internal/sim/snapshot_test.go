@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshalloc/internal/alloc"
 	"meshalloc/internal/snap"
 	"meshalloc/internal/trace"
 )
@@ -463,4 +464,60 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		e.slots = append(e.slots, trace.Job{})
 		return true
 	})
+}
+
+// TestResumeEveryAllocatorFamily cuts a run of every allocator family
+// at half its events — contiguous, buddy, paged, the MC family, Gen-Alg,
+// Random and every Paging strategy — plus submesh under the SJF and
+// EASY schedulers and submesh and Gen-Alg under fault injection, then
+// restores the snapshot, completes the run and requires the digest of
+// the run that never stopped. Each case re-occupies its allocator
+// through the restore path and rebuilds the scheduler state that the
+// policy reads.
+func TestResumeEveryAllocatorFamily(t *testing.T) {
+	type resumeFamily struct {
+		name string
+		cfg  Config
+		tr   *trace.Trace
+	}
+	sdsc := trace.NewSDSC(trace.SDSCConfig{Jobs: 120, MaxSize: 64, Seed: 4}).FilterMaxSize(64)
+	var cases []resumeFamily
+	specs := append(alloc.Fig11Specs(),
+		"random", "submesh", "buddy", "zorder/bestfit", "moore",
+		"hilbert/worstfit", "hilbert/nextfit", "hilbert/freelist/page1")
+	for _, spec := range specs {
+		cfg := Config{MeshW: 8, MeshH: 8, Alloc: spec, Pattern: "nbody",
+			Load: 0.4, TimeScale: 0.01, Seed: 1}
+		cases = append(cases, resumeFamily{spec, cfg, sdsc})
+	}
+	for _, policy := range []string{"sjf", "easy"} {
+		cfg := Config{MeshW: 8, MeshH: 8, Alloc: "submesh", Pattern: "nbody",
+			Load: 0.4, TimeScale: 0.01, Seed: 1, Scheduler: policy}
+		cases = append(cases, resumeFamily{"submesh/" + policy, cfg, sdsc})
+	}
+	for _, spec := range []string{"submesh", "genalg"} {
+		cases = append(cases, resumeFamily{"faulty-" + spec, faultyCfg(spec), faultTrace(120, 32)})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg, tc.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cfg.Faults.Enabled() && res.Killed == 0 {
+				t.Fatal("fault injection killed no job")
+			}
+			blob := snapshotAt(t, tc.cfg, tc.tr, countEvents(t, tc.cfg, tc.tr)/2)
+			e, err := RestoreEngine(bytes.NewReader(blob), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Complete(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goldenDigest(e.Result()), goldenDigest(res); got != want {
+				t.Fatalf("resumed digest %s, want %s", got, want)
+			}
+		})
+	}
 }

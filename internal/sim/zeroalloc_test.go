@@ -1,11 +1,10 @@
 package sim
 
 // White-box allocation guards for the scheduler round itself, so the
-// incremental structures of the event-core overhaul (persistent
-// pendBuf, end-time-ordered running index, head-blocked watermark)
-// cannot silently reintroduce per-event allocation. The repo-root
-// zeroalloc_test.go pins the whole engine per job; these pin the
-// trySchedule round in isolation.
+// incremental structures of the event-core overhaul (end-time-ordered
+// running index, head-blocked watermark) cannot silently reintroduce
+// per-event allocation. The repo-root zeroalloc_test.go pins the whole
+// engine per job; these pin the trySchedule round in isolation.
 
 import (
 	"bytes"
@@ -19,7 +18,8 @@ import (
 // round at exactly zero allocations for every policy: FCFS and SJF
 // short-circuit on the watermark, and EASY — which must re-scan because
 // its backfill decisions depend on the clock — runs its full Pick round
-// over the persistent pendBuf and runOrd without copying either.
+// over the engine's queue and the persistent runOrd without copying
+// either.
 func TestTryScheduleHeadBlockedZeroAlloc(t *testing.T) {
 	for _, policy := range []string{"fcfs", "sjf", "easy"} {
 		t.Run(policy, func(t *testing.T) {

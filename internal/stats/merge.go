@@ -11,7 +11,7 @@ package stats
 // reductions are deterministic functions of the shard list, so a merged
 // result is bit-stable for a fixed shard count; across *different*
 // shard counts the quantile merge is approximate by construction (the
-// mean and variance merges agree to rounding error).
+// mean merge agrees to rounding error).
 
 // Merge folds the observations summarized by o into w, as if every one
 // of them had been Added to w directly (up to float rounding): the
@@ -26,10 +26,7 @@ func (w *Welford) Merge(o Welford) {
 		return
 	}
 	n := w.n + o.n
-	delta := o.mean - w.mean
-	wn, on := float64(w.n), float64(o.n)
-	w.mean += delta * on / float64(n)
-	w.m2 += o.m2 + delta*delta*wn*on/float64(n)
+	w.mean += (o.mean - w.mean) * float64(o.n) / float64(n)
 	w.n = n
 }
 

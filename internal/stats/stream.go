@@ -3,25 +3,21 @@ package stats
 import "sort"
 
 // Streaming (single-pass, O(1)-memory) aggregates for open-system
-// simulation: a Welford mean/variance accumulator and the P² quantile
+// simulation: a Welford running-mean accumulator and the P² quantile
 // estimator, so million-job engine runs need not retain per-job records
 // to report their summary statistics.
 
-// Welford accumulates mean and variance online with Welford's update,
-// numerically stable over arbitrarily long streams. The zero value is
-// ready to use.
+// Welford accumulates a mean online with Welford's update, numerically
+// stable over arbitrarily long streams. The zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // Mean returns the running mean, or 0 before any observation.

@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-// welfordVariance is w's running population variance, or 0 for fewer
-// than two observations, matching Variance on the retained series.
-func welfordVariance(w Welford) float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
 func TestWelfordMatchesExact(t *testing.T) {
 	rng := NewRNG(7)
 	xs := make([]float64, 0, 10000)
@@ -30,19 +21,16 @@ func TestWelfordMatchesExact(t *testing.T) {
 	if rel := math.Abs(w.Mean()-Mean(xs)) / math.Abs(Mean(xs)); rel > 1e-12 {
 		t.Fatalf("Welford mean %g vs exact %g (rel %g)", w.Mean(), Mean(xs), rel)
 	}
-	if rel := math.Abs(welfordVariance(w)-Variance(xs)) / Variance(xs); rel > 1e-9 {
-		t.Fatalf("Welford variance %g vs exact %g (rel %g)", welfordVariance(w), Variance(xs), rel)
-	}
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || welfordVariance(w) != 0 || w.n != 0 {
+	if w.Mean() != 0 || w.n != 0 {
 		t.Fatal("zero value not zero")
 	}
 	w.Add(42)
-	if w.Mean() != 42 || welfordVariance(w) != 0 {
-		t.Fatalf("single observation: mean %g var %g", w.Mean(), welfordVariance(w))
+	if w.Mean() != 42 {
+		t.Fatalf("single observation: mean %g", w.Mean())
 	}
 }
 

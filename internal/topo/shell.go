@@ -124,20 +124,6 @@ func (g *Grid) rangeWalk(lo, hi, inLo, inHi Point, innerEmpty bool, emit func(lo
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ShellEach calls fn with the id of every on-grid node of shell k around
 // the box of active extents ext centered on c, in row-major order,
 // stopping early when fn returns false. It reports whether the walk ran
