@@ -177,7 +177,7 @@ func (p *PagedPaging) AuxState() []uint64 {
 }
 
 // SetAuxState implements AuxState.
-func (p *PagedPaging) SetAuxState(words []uint64) error {
+func (p *PagedPaging) SetAuxState(words []uint64, _ int) error {
 	if len(words) != 1 {
 		return fmt.Errorf("alloc: paged aux state wants 1 word, got %d", len(words))
 	}

@@ -17,10 +17,12 @@ import (
 // AuxState is implemented by allocators with internal state that is
 // neither derivable from the busy set nor static configuration. The
 // words are opaque to callers; SetAuxState errors on a word count or
-// value that the allocator rejects.
+// value that the allocator rejects. allocs bounds the successful
+// Allocate calls the saved allocator had made, so words that count
+// work can be checked against it.
 type AuxState interface {
 	AuxState() []uint64
-	SetAuxState([]uint64) error
+	SetAuxState(words []uint64, allocs int) error
 }
 
 // Occupy implements Allocator for the tracker-based allocators (MC,
@@ -96,7 +98,7 @@ func (p *Paging) AuxState() []uint64 {
 }
 
 // SetAuxState implements AuxState.
-func (p *Paging) SetAuxState(words []uint64) error {
+func (p *Paging) SetAuxState(words []uint64, _ int) error {
 	if len(words) != 1 {
 		return fmt.Errorf("alloc: paging aux state wants 1 word, got %d", len(words))
 	}
@@ -114,10 +116,18 @@ func (a *Random) AuxState() []uint64 {
 }
 
 // SetAuxState implements AuxState by fast-forwarding a fresh generator
-// to the recorded position.
-func (a *Random) SetAuxState(words []uint64) error {
+// to the recorded position. SkipTo takes one draw per step, so the
+// position is checked first. Allocate draws only when it succeeds: one
+// shuffle of at most N free nodes, N-1 int31n calls, each one draw
+// redrawn with probability under N/2^32. 64 × allocs × N draws is
+// therefore never reached by a real run.
+func (a *Random) SetAuxState(words []uint64, allocs int) error {
 	if len(words) != 1 {
 		return fmt.Errorf("alloc: random aux state wants 1 word, got %d", len(words))
+	}
+	if bound := 64 * float64(allocs) * float64(len(a.busy)); float64(words[0]) > bound {
+		return fmt.Errorf("alloc: random RNG position %d beyond the %.0f draws %d allocations can take",
+			words[0], bound, allocs)
 	}
 	return a.rng.SkipTo(words[0])
 }

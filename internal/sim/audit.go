@@ -102,12 +102,16 @@ func (e *Engine) Audit() error {
 		errs = append(errs, &Violation{Invariant: "alloc-indexes", Detail: err.Error()})
 	}
 
-	// Event queue: every queued event is in the clock's future, carries
-	// a sequence number below the engine's counter, no two events share
+	// Event queue: the heap is a heap and the FIFO holds only arrivals
+	// in strictly ascending (t, seq) order — what lets head and pop read
+	// two parts as one queue, and a live step at the head be the heap's
+	// root; every queued event is in the clock's future, carries a
+	// sequence number below the engine's counter, no two events share
 	// one, and job events reference in-use handles. Arrival slab: every
 	// arrival event parks its job in its own in-range slot, off the free
 	// list, and every slot is either parked or free.
-	seqs := newSeqSet(len(e.events))
+	hp, fifo := e.events.heap, e.events.fifo[e.events.fh:]
+	seqs := newSeqSet(len(hp) + len(fifo))
 	const slotFree, slotUsed = 1, 2
 	slot := make([]uint8, len(e.slots))
 	for _, h := range e.slotFree {
@@ -121,7 +125,26 @@ func (e *Engine) Audit() error {
 		}
 	}
 	arrivals := 0
-	for _, ev := range e.events {
+	for i := 0; i < len(hp)+len(fifo); i++ {
+		var ev *event
+		if i < len(hp) {
+			ev = &hp[i]
+			if i > 0 && before(ev, &hp[(i-1)/2]) {
+				p := &hp[(i-1)/2]
+				errs = append(errs, violatef("event-order", "heap event seq %d at t=%v is before its parent seq %d at t=%v",
+					ev.seq, ev.t, p.seq, p.t))
+			}
+		} else {
+			k := i - len(hp)
+			ev = &fifo[k]
+			if ev.kind != kindArrival {
+				errs = append(errs, violatef("event-order", "FIFO holds kind-%d event seq %d", ev.kind, ev.seq))
+			}
+			if k > 0 && !before(&fifo[k-1], ev) {
+				errs = append(errs, violatef("event-order", "FIFO event seq %d at t=%v is not after seq %d at t=%v",
+					ev.seq, ev.t, fifo[k-1].seq, fifo[k-1].t))
+			}
+		}
 		if ev.t < e.now {
 			errs = append(errs, violatef("event-time", "event seq %d at t=%v behind clock %v", ev.seq, ev.t, e.now))
 		}

@@ -32,103 +32,10 @@ type Observer func(JobRecord)
 // or mutated past the call.
 type DeltaObserver func(now float64, ids []int, allocated bool)
 
-// event is one entry of the event queue: 24 bytes and pointer-free.
-// Running jobs are referenced by jobStore handle and queued arrivals by
-// their slot in the engine's arrival slab, so a heap sift moves well
-// under half a cache line per level and the queue — however deep a run
-// makes it — contributes nothing to GC scan work.
-type event struct {
-	t    float64
-	seq  int64 // FIFO tie-break for determinism
-	h    int32 // jobStore handle (kindStep/kindFinish) or arrival slot
-	kind int32 // kindArrival, kindStep or kindFinish
-}
-
-const (
-	kindArrival = iota
-	kindStep
-	kindFinish
-)
-
 func sortedCopy(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)
 	return out
-}
-
-// eventHeap is the engine's event queue: a hand-rolled binary min-heap
-// popping events in strictly ascending (t, seq) order — the FIFO tie
-// rule every golden digest depends on. container/heap would box every
-// pushed and popped event into an interface — one garbage allocation per
-// simulated event, right on the hottest loop of the simulator — so the
-// sift operations are written out against the concrete slice instead.
-type eventHeap []event
-
-func (h eventHeap) len() int { return len(h) }
-
-// head returns the earliest event's time and kind without removing it;
-// ok is false on an empty queue.
-func (h eventHeap) head() (t float64, kind int32, ok bool) {
-	if len(h) == 0 {
-		return 0, 0, false
-	}
-	return h[0].t, h[0].kind, true
-}
-
-// before reports whether a pops before b. Keys are unique — every
-// queued event has its own seq — so the order is total.
-func before(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// push and pop move a hole along the sift path and write the moving
-// event once at its final slot. With unique keys this leaves exactly
-// the array the swap-per-level formulation does, so the queue-internal
-// order snapshots record is unchanged.
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&e, &s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && before(&s[r], &s[c]) {
-			c = r
-		}
-		if !before(&s[c], &last) {
-			break
-		}
-		s[i] = s[c]
-		i = c
-	}
-	if n > 0 {
-		s[i] = last
-	}
-	return top
 }
 
 // Engine is the resumable discrete-event core of the simulator. Where
@@ -157,7 +64,9 @@ type Engine struct {
 	net       *netsim.Network
 	rng       *stats.RNG
 
-	events eventHeap
+	// events holds every queued arrival, step and finish event: sorted
+	// arrivals in its FIFO, the rest in its heap (see eventQueue).
+	events eventQueue
 	seq    int64
 	now    float64
 	queue  []trace.Job // FCFS arrival order, already scaled
@@ -250,9 +159,12 @@ type Engine struct {
 
 	// fp caches cfgFingerprint(cfg) once a snapshot needs it (0 until
 	// then). snapLen is the previous Snapshot's payload length, the size
-	// hint for the next one. Neither is part of the snapshot.
+	// hint for the next one. heapBuf is Snapshot's reused copy of the
+	// event heap, popped to write the heap's events in (t, seq) order.
+	// None of them is part of the snapshot.
 	fp      uint64
 	snapLen int
+	heapBuf eventHeap
 }
 
 // NewEngine validates cfg and builds an idle engine with an empty queue
@@ -530,8 +442,8 @@ func (e *Engine) runRemove(h int32) {
 // at the instant its node dies is killed, not completed — the
 // conservative reading, and the ordering contract DESIGN.md documents.
 func (e *Engine) Step() bool {
+	ev, ok := e.events.head()
 	if e.hasFault {
-		ht, _, ok := e.events.head()
 		if !ok {
 			// No job events left. Keep the machine evolving only while
 			// queued work could still be unblocked by a repair;
@@ -543,20 +455,29 @@ func (e *Engine) Step() bool {
 			e.processFault()
 			return true
 		}
-		if e.nextFault.T <= ht {
+		if e.nextFault.T <= ev.t {
 			e.processFault()
 			return true
 		}
 	}
-	if e.events.len() == 0 {
+	if !ok {
 		return false
 	}
-	ev := e.events.pop()
 	e.core.Events++
 	e.account(ev.t)
 	if ev.t > e.now {
 		e.now = ev.t
 	}
+	if ev.kind == kindStep && !e.store.dead[ev.h] {
+		// A live step is the heap's root (arrivals alone use the FIFO),
+		// and its follow-up event takes its place there: one sift
+		// instead of a pop and a push.
+		e.core.Steps++
+		e.events.replaceTop(e.step(ev.h, ev.t))
+		e.afterEvent()
+		return true
+	}
+	e.events.pop()
 	switch ev.kind {
 	case kindArrival:
 		e.core.Arrivals++
@@ -573,11 +494,11 @@ func (e *Engine) Step() bool {
 			// identically. Policies that inspect the whole queue (SJF)
 			// keep per-arrival scheduling.
 			for {
-				ht, hk, ok := e.events.head()
-				if !ok || ht != ev.t || hk != kindArrival {
+				next, ok := e.events.head()
+				if !ok || next.t != ev.t || next.kind != kindArrival {
 					break
 				}
-				next := e.events.pop()
+				e.events.pop()
 				e.core.Events++
 				e.core.Arrivals++
 				e.queue = append(e.queue, e.takeArrival(next.h))
@@ -591,14 +512,10 @@ func (e *Engine) Step() bool {
 		}
 		e.trySchedule(ev.t)
 	case kindStep:
+		// Stale event of a killed job (live steps are handled above):
+		// the pop was its last reference, so the handle recycles here.
 		e.core.Steps++
-		if e.store.dead[ev.h] {
-			// Stale event of a killed job: the pop was its last
-			// reference, so the handle recycles here.
-			e.store.release(ev.h)
-			break
-		}
-		e.step(ev.h, ev.t)
+		e.store.release(ev.h)
 	case kindFinish:
 		e.core.Finishes++
 		if e.store.dead[ev.h] {
@@ -618,12 +535,12 @@ func (e *Engine) Step() bool {
 // current at t for the next submission.
 func (e *Engine) RunUntil(t float64) {
 	for {
-		ht, _, ok := e.events.head()
-		if e.hasFault && e.nextFault.T <= t && (!ok || e.nextFault.T <= ht) {
+		ev, ok := e.events.head()
+		if e.hasFault && e.nextFault.T <= t && (!ok || e.nextFault.T <= ev.t) {
 			e.processFault()
 			continue
 		}
-		if ok && ht <= t {
+		if ok && ev.t <= t {
 			e.Step()
 			continue
 		}
@@ -906,16 +823,17 @@ func (e *Engine) killJob(h int32, now float64) {
 	e.trySchedule(now)
 }
 
-func (e *Engine) push(ev event) {
+// stamp gives ev the next sequence number, its FIFO tie-break.
+func (e *Engine) stamp(ev event) event {
 	ev.seq = e.seq
 	e.seq++
-	e.events.push(ev)
+	return ev
 }
 
 // pushArrival queues the arrival of job j at time t, its job parked in
 // the arrival slab.
 func (e *Engine) pushArrival(t float64, j trace.Job) {
-	e.push(event{t: t, kind: kindArrival, h: e.park(j)})
+	e.events.pushArrival(e.stamp(event{t: t, kind: kindArrival, h: e.park(j)}))
 }
 
 // park stores j in a free arrival slot and returns the slot.
@@ -1021,7 +939,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 	for _, fn := range e.deltaObs {
 		fn(now, nodes, true)
 	}
-	e.push(event{t: now, kind: kindStep, h: h})
+	e.events.push(e.stamp(event{t: now, kind: kindStep, h: h}))
 }
 
 // finish runs as its own event at the time the job's last message
@@ -1111,8 +1029,9 @@ func (e *Engine) finish(h int32, now float64) {
 }
 
 // step issues the next burst of messages for the job at handle h at
-// time now and schedules the follow-up event.
-func (e *Engine) step(h int32, now float64) {
+// time now and returns the job's follow-up event, already sequenced:
+// its finish once the quota is sent, else its next step.
+func (e *Engine) step(h int32, now float64) event {
 	s := &e.store
 	burst := int64(1)
 	if e.cfg.Issue == IssuePhased {
@@ -1151,9 +1070,8 @@ func (e *Engine) step(h int32, now float64) {
 		s.lastArr[h] = maxArr
 	}
 	if sent >= quota {
-		e.push(event{t: maxArr, kind: kindFinish, h: h})
-		return
+		return e.stamp(event{t: maxArr, kind: kindFinish, h: h})
 	}
 	// Barrier: the next subphase starts when this burst has arrived.
-	e.push(event{t: maxArr, kind: kindStep, h: h})
+	return e.stamp(event{t: maxArr, kind: kindStep, h: h})
 }

@@ -312,8 +312,8 @@ func TestEngineRunSourceResumesPastHorizon(t *testing.T) {
 }
 
 // TestEngineRunSourceBoundedHeap pins the lazy-feeding property: the
-// event heap never holds more than the in-flight work even though the
-// source yields thousands of jobs.
+// event queue, heap and FIFO together, never holds more than the
+// in-flight work even though the source yields thousands of jobs.
 func TestEngineRunSourceBoundedHeap(t *testing.T) {
 	cfg := baseConfig()
 	cfg.KeepRecords, cfg.KeepNodes = Discard, Discard
@@ -341,9 +341,9 @@ func TestEngineRunSourceBoundedHeap(t *testing.T) {
 		t.Fatalf("finished %d jobs, want 3000", e.Result().Jobs)
 	}
 	// At mean interarrival 500 s the machine drains between arrivals;
-	// the heap should stay tiny, never O(stream length).
+	// the queue should stay tiny, never O(stream length).
 	if maxHeap > 64 {
-		t.Fatalf("event heap reached %d entries on a lazily-fed run", maxHeap)
+		t.Fatalf("event queue reached %d entries on a lazily-fed run", maxHeap)
 	}
 }
 

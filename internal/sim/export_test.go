@@ -23,20 +23,33 @@ func runWith(cfg Config, tr *trace.Trace, hook func(*Engine)) (*Result, error) {
 	return e.runTrace(tr)
 }
 
+// queued returns pointers to every queued event, the heap's first and
+// then the FIFO's, so the corruption hooks below reach both parts.
+func (e *Engine) queued() []*event {
+	var out []*event
+	for i := range e.events.heap {
+		out = append(out, &e.events.heap[i])
+	}
+	for i := e.events.fh; i < len(e.events.fifo); i++ {
+		out = append(out, &e.events.fifo[i])
+	}
+	return out
+}
+
 // aliasArrivalSlot points the second queued arrival event at the first
 // one's slab slot, leaving the second slot parked but unreferenced. It
 // reports false when fewer than two arrivals are queued.
 func (e *Engine) aliasArrivalSlot() bool {
-	first := -1
-	for i, ev := range e.events {
+	var first *event
+	for _, ev := range e.queued() {
 		if ev.kind != kindArrival {
 			continue
 		}
-		if first < 0 {
-			first = i
+		if first == nil {
+			first = ev
 			continue
 		}
-		e.events[i].h = e.events[first].h
+		ev.h = first.h
 		return true
 	}
 	return false
@@ -45,10 +58,34 @@ func (e *Engine) aliasArrivalSlot() bool {
 // shareEventSeq gives the first two queued events seq. It reports
 // false when fewer than two events are queued.
 func (e *Engine) shareEventSeq(seq int64) bool {
-	if len(e.events) < 2 {
+	evs := e.queued()
+	if len(evs) < 2 {
 		return false
 	}
-	e.events[0].seq, e.events[1].seq = seq, seq
+	evs[0].seq, evs[1].seq = seq, seq
+	return true
+}
+
+// swapFIFOPair swaps the FIFO's first two events, so it is no longer
+// ascending. It reports false when the FIFO holds fewer than two.
+func (e *Engine) swapFIFOPair() bool {
+	q := &e.events
+	if len(q.fifo)-q.fh < 2 {
+		return false
+	}
+	q.fifo[q.fh], q.fifo[q.fh+1] = q.fifo[q.fh+1], q.fifo[q.fh]
+	return true
+}
+
+// invertHeapRoot swaps the heap's root with its first child, so the
+// child is before its parent. It reports false when the heap holds
+// fewer than two events.
+func (e *Engine) invertHeapRoot() bool {
+	h := e.events.heap
+	if len(h) < 2 {
+		return false
+	}
+	h[0], h[1] = h[1], h[0]
 	return true
 }
 
@@ -78,10 +115,11 @@ func (e *Engine) repeatRunHandle() bool {
 // backdateEvent moves the last queued event to before the clock. It
 // reports false on an empty queue.
 func (e *Engine) backdateEvent() bool {
-	if len(e.events) == 0 {
+	evs := e.queued()
+	if len(evs) == 0 {
 		return false
 	}
-	e.events[len(e.events)-1].t = e.now - 1
+	evs[len(evs)-1].t = e.now - 1
 	return true
 }
 
@@ -92,9 +130,9 @@ func (e *Engine) freeEventHandle() bool {
 	if len(e.store.free) == 0 {
 		return false
 	}
-	for i, ev := range e.events {
+	for _, ev := range e.queued() {
 		if ev.kind == kindStep || ev.kind == kindFinish {
-			e.events[i].h = e.store.free[0]
+			ev.h = e.store.free[0]
 			return true
 		}
 	}

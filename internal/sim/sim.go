@@ -248,7 +248,7 @@ type Result struct {
 // itself. Jobs larger than the mesh are rejected with an error.
 //
 // Run is a thin closed-system wrapper over Engine: every job is
-// submitted up front, the event heap drains to completion, and the
+// submitted up front, the event queue drains to completion, and the
 // resulting records and aggregates are bit-identical to the historical
 // monolithic implementation (pinned by the golden digests in
 // golden_equiv_test.go).

@@ -9,22 +9,23 @@ import (
 )
 
 // snapshotPins are FNV-64a hashes of the Snapshot bytes each golden and
-// resume configuration writes halfway through its run. They were
-// recorded while events still carried their arrival job inline, before
-// queued arrivals moved into the engine's slot slab. Byte-equal
-// snapshots mean a checkpoint written by that earlier layout restores
-// unchanged, and the resume suite already proves restored runs are
-// bit-identical.
+// resume configuration writes halfway through its run. Queued events
+// are written in (t, seq) order, so the bytes do not depend on the
+// event queue's layout. The pins were re-recorded when that order
+// replaced the heap array's: each blob kept its earlier length, and
+// sorting the event records of the earlier blobs by (t, seq) gave
+// exactly these bytes. TestRestoreAcceptsEventsInAnyOrder proves that
+// checkpoints written in the earlier order still resume.
 var snapshotPins = map[string]string{
-	"golden/fig7-16x22-alltoall-hilbert": "e8061f65089d970a",
-	"golden/fig8-16x16-nbody-mc1x1":      "95b621a1c78cf72e",
-	"golden/cube3d-8x8x8-nbody-hilbert":  "3f609fe0aec32dba",
-	"golden/easy-16x16-alltoall-hilbert": "ac7f533b6e5b5c3b",
-	"golden/seq-16x22-random-scurve":     "c47ebea5093c50b5",
-	"resume/hilbert-alltoall":            "15a69188047c5e27",
-	"resume/random-pattern-random-alloc": "763b44bbea9167d2",
-	"resume/easy-nextfit":                "9b49609c9f10da24",
-	"resume/faulty-mc1x1":                "4dba35ac38f0ed42",
+	"golden/fig7-16x22-alltoall-hilbert": "07ef508e8c4c0934",
+	"golden/fig8-16x16-nbody-mc1x1":      "014ef6414b6d57e6",
+	"golden/cube3d-8x8x8-nbody-hilbert":  "e119a729623c4657",
+	"golden/easy-16x16-alltoall-hilbert": "3b3704c1bcfff82e",
+	"golden/seq-16x22-random-scurve":     "35838b5e016f3895",
+	"resume/hilbert-alltoall":            "321b6cb9b80fc07e",
+	"resume/random-pattern-random-alloc": "992bf910033bfb5c",
+	"resume/easy-nextfit":                "adf0fafa90702b9f",
+	"resume/faulty-mc1x1":                "a023633eb485994a",
 }
 
 // TestSnapshotFormatPinned cuts every golden and resume configuration

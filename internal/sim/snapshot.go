@@ -72,6 +72,23 @@ func (e *Engine) readJob(r *snap.Reader) (trace.Job, error) {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
+// writeEvent writes ev as (t, seq, kind, handle, job). An arrival
+// writes handle 0 and its job from the arrival slab; the others write
+// their store handle and a zero job. Slot numbers are never written:
+// restore parks arrivals in fresh slots.
+func (e *Engine) writeEvent(w *snap.Writer, ev event) {
+	w.F64(ev.t)
+	w.I64(ev.seq)
+	w.Int(int(ev.kind))
+	if ev.kind == kindArrival {
+		w.Int(0)
+		writeJob(w, e.slots[ev.h])
+	} else {
+		w.Int(int(ev.h))
+		writeJob(w, trace.Job{})
+	}
+}
+
 // Snapshot serializes the engine's authoritative state — clock, streaming
 // aggregates, the job store, the event queue, the pending queue, RNG
 // stream positions, fault and network state, and (under the Keep policy)
@@ -181,27 +198,24 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	}
 
 	// The pending FCFS queue and the event queue. Events are written in
-	// heap-array order; each carries its assigned seq, so any order
-	// restores an equivalent queue.
+	// (t, seq) order, the order they pop, so the bytes do not depend on
+	// how the queue lays them out: the FIFO is read as it stands and
+	// merged with the heap, whose events come off a copy popped in
+	// heapBuf. Each carries its assigned seq, so the reader may take
+	// them in any order.
 	w.Int(len(e.queue))
 	for _, j := range e.queue {
 		writeJob(w, j)
 	}
-	// Every event is written as (t, seq, kind, handle, job). An arrival
-	// writes handle 0 and its job from the arrival slab; the others
-	// write their store handle and a zero job. Slot numbers are never
-	// written: restore parks arrivals in fresh slots.
-	w.Int(len(e.events))
-	for _, ev := range e.events {
-		w.F64(ev.t)
-		w.I64(ev.seq)
-		w.Int(int(ev.kind))
-		if ev.kind == kindArrival {
-			w.Int(0)
-			writeJob(w, e.slots[ev.h])
+	w.Int(e.events.len())
+	e.heapBuf = append(e.heapBuf[:0], e.events.heap...)
+	hp, fifo := e.heapBuf, e.events.fifo[e.events.fh:]
+	for len(hp) > 0 || len(fifo) > 0 {
+		if len(fifo) > 0 && (len(hp) == 0 || before(&fifo[0], &hp[0])) {
+			e.writeEvent(w, fifo[0])
+			fifo = fifo[1:]
 		} else {
-			w.Int(int(ev.h))
-			writeJob(w, trace.Job{})
+			e.writeEvent(w, hp.pop())
 		}
 	}
 	w.Bool(e.hasHeld)
@@ -381,9 +395,9 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	if r.Err() == nil {
 		e.respMedian.SetState(ps)
 	}
-	if err := e.rng.SkipTo(r.U64()); err != nil && r.Err() == nil {
-		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
-	}
+	// The RNG skips to its position once the message count it is
+	// bounded by has been read (nothing draws from it before then).
+	rngPos := r.U64()
 
 	// Job store.
 	s := &e.store
@@ -456,7 +470,10 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.free = append(s.free, int32(fh))
 	}
 
-	// Pending queue and event queue.
+	// Pending queue and event queue. Events may come in any order —
+	// builds before (t, seq) order wrote the heap array as it stood —
+	// so each is queued as it is read: an arrival that sorts after the
+	// FIFO's tail joins the FIFO, and every other event the heap.
 	nq := r.Count(1 << 31)
 	for i := 0; i < nq && r.Err() == nil; i++ {
 		j, err := e.readJob(r)
@@ -497,8 +514,10 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		ev := event{t: t, seq: seq, h: int32(h), kind: int32(kind)}
 		if kind == kindArrival {
 			ev.h = e.park(arr)
+			e.events.pushArrival(ev)
+		} else {
+			e.events.push(ev)
 		}
-		e.events.push(ev)
 	}
 	e.hasHeld = r.Bool()
 	if e.hasHeld && r.Err() == nil {
@@ -568,6 +587,24 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		if err := e.net.SetState(ns); err != nil {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
+		// SkipTo takes one draw per step, so the position is checked
+		// before it runs. Every engine draw comes from an Intn call: at
+		// most one per job start (the mixed pattern's pick; a start
+		// needs a submission or a retry) and two per generated message
+		// (the random pattern; each generated message is sent, or is the
+		// one a live job holds back for its next phase). That is at most
+		// 3 × (submitted + retried) + 2 × messages calls, and on machines
+		// of at most 2^21 nodes an Intn draw is rejected and redrawn with
+		// probability under 2^-10, so 64 × (submitted + retried + 2 ×
+		// messages) draws, over 21 per call, is never reached.
+		bound := 64 * (float64(e.submitted) + float64(e.retried) + 2*float64(ns.Stats.Messages))
+		if float64(rngPos) > bound {
+			return nil, fmt.Errorf("sim: RNG position %d beyond the %.0f draws %d submissions, %d retries and %d messages can take: %w",
+				rngPos, bound, e.submitted, e.retried, ns.Stats.Messages, snap.ErrCorrupt)
+		}
+		if err := e.rng.SkipTo(rngPos); err != nil {
+			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
+		}
 	}
 
 	// Allocator aux words (cursors no busy set determines; re-occupying
@@ -583,7 +620,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: allocator %s holds no aux state but the snapshot carries %d words: %w",
 				e.allocator.Name(), len(auxWords), snap.ErrCorrupt)
 		}
-		if err := ax.SetAuxState(auxWords); err != nil {
+		if err := ax.SetAuxState(auxWords, e.submitted+e.retried); err != nil {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
 	}

@@ -2,10 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/snap"
@@ -312,6 +316,10 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
+	// The random allocator and pattern put positions on the allocator's
+	// aux path and the engine RNG.
+	cfgR := Config{MeshW: 8, MeshH: 8, Alloc: "random", Pattern: "random",
+		Load: 0.4, TimeScale: 0.01, Seed: 1}
 	valid := seed(cfg, 100)
 	validF := seed(cfgF, 200)
 	f.Add(valid)
@@ -323,8 +331,9 @@ func FuzzRestoreEngine(f *testing.F) {
 		dam[pos] ^= 0x08
 		f.Add(dam)
 	}
+	f.Add(seed(cfgR, 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []Config{cfg, cfgF} {
+		for _, c := range []Config{cfg, cfgF, cfgR} {
 			e, err := RestoreEngine(bytes.NewReader(data), c)
 			if err != nil {
 				if e != nil {
@@ -459,6 +468,8 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	check("store-free", fcfs, "store-free",
 		[]string{"on the free list twice", "neither in use nor on the free list"}, (*Engine).duplicateFreeHandle)
 	check("run-mirror", easy, "run-mirror", []string{"runOrd repeats a handle"}, (*Engine).repeatRunHandle)
+	check("event-order/fifo", fcfs, "event-order", []string{"FIFO event seq", "is not after"}, (*Engine).swapFIFOPair)
+	check("event-order/heap", fcfs, "event-order", []string{"is before its parent"}, (*Engine).invertHeapRoot)
 	check("arrival-slots", fcfs, "arrival-slots", nil, (*Engine).aliasArrivalSlot)
 	check("arrival-slots/count", fcfs, "arrival-slots", nil, func(e *Engine) bool {
 		e.slots = append(e.slots, trace.Job{})
@@ -517,6 +528,163 @@ func TestResumeEveryAllocatorFamily(t *testing.T) {
 			}
 			if got, want := goldenDigest(e.Result()), goldenDigest(res); got != want {
 				t.Fatalf("resumed digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// eventRecordLen is the byte length of one serialized event: t, seq,
+// kind and handle, then a job of four 8-byte fields.
+const eventRecordLen = 8 * 8
+
+// eventSection locates the serialized event queue in blob, a snapshot
+// of e: it returns the offset of the first event record, found as the
+// event count followed by the head event's t and seq.
+func eventSection(t *testing.T, e *Engine, blob []byte) int {
+	t.Helper()
+	h, ok := e.events.head()
+	if !ok {
+		t.Fatal("no queued events")
+	}
+	key := binary.LittleEndian.AppendUint64(nil, uint64(e.events.len()))
+	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(h.t))
+	key = binary.LittleEndian.AppendUint64(key, uint64(h.seq))
+	off := bytes.Index(blob, key)
+	if off < 0 || bytes.Contains(blob[off+1:], key) {
+		t.Fatal("event section not found exactly once")
+	}
+	return off + 8
+}
+
+// reframe recomputes blob's container CRC after its payload was edited.
+func reframe(blob []byte) {
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
+}
+
+// TestRestoreAcceptsEventsInAnyOrder reverses the event records of a
+// mid-run snapshot of every resume case, re-frames the blob with a
+// valid CRC, and requires the restored run to finish with the
+// uninterrupted digest. Earlier builds wrote events in heap-array
+// order; this is the standing proof that their checkpoints still
+// resume, since the reader must rebuild the queue from events in any
+// order.
+func TestRestoreAcceptsEventsInAnyOrder(t *testing.T) {
+	for _, tc := range resumeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr()
+			res, err := Run(tc.cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range tr.Jobs {
+				if err := e.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := countEvents(t, tc.cfg, tr) / 2; n > 0; n-- {
+				e.Step()
+			}
+			var buf bytes.Buffer
+			if err := e.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			blob := buf.Bytes()
+			off, n := eventSection(t, e, blob), e.events.len()
+			if n < 2 {
+				t.Fatalf("%d queued events: nothing to reorder", n)
+			}
+			recs := make([]byte, n*eventRecordLen)
+			copy(recs, blob[off:])
+			for i := 0; i < n; i++ {
+				copy(blob[off+i*eventRecordLen:], recs[(n-1-i)*eventRecordLen:(n-i)*eventRecordLen])
+			}
+			reframe(blob)
+			e2, err := RestoreEngine(bytes.NewReader(blob), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e2.Complete(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goldenDigest(e2.Result()), goldenDigest(res); got != want {
+				t.Fatalf("resumed digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestRestoreBoundsRNGPositions raises a checksum-valid snapshot's
+// engine RNG position, then the random allocator's, by 2^40 draws.
+// Skipping that far would take hours; the restore must instead reject
+// the position against the bound its counters give, as corrupt, at
+// once.
+func TestRestoreBoundsRNGPositions(t *testing.T) {
+	tc := resumeCases[1]
+	if tc.cfg.Alloc != "random" || tc.cfg.Pattern != "random" {
+		t.Fatalf("resume case 1 is %s/%s, want random/random", tc.cfg.Alloc, tc.cfg.Pattern)
+	}
+	e, err := NewEngine(tc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range tc.tr().Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		e.Step()
+	}
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+
+	// The engine RNG position follows the container header, the
+	// fingerprint, 17 counters, the watermark flag, 7 core counters and
+	// the P² state (two words, 5 × 4 markers, the boot count and boot
+	// values).
+	rngOff := 16 + 8 + 17*8 + 1 + 7*8 + 2*8 + 5*4*8 + 8 + 8*len(e.respMedian.State().Boot)
+	if got := binary.LittleEndian.Uint64(blob[rngOff:]); got != e.rng.Pos() || got == 0 {
+		t.Fatalf("word at the RNG offset is %d, engine RNG at %d", got, e.rng.Pos())
+	}
+	// Random's aux word is the one aux word, just before the records.
+	aux := e.allocator.(alloc.AuxState).AuxState()[0]
+	key := binary.LittleEndian.AppendUint64(nil, 1)
+	key = binary.LittleEndian.AppendUint64(key, aux)
+	key = binary.LittleEndian.AppendUint64(key, uint64(len(e.records)))
+	auxOff := bytes.Index(blob, key)
+	if auxOff < 0 || bytes.Contains(blob[auxOff+1:], key) || aux == 0 {
+		t.Fatal("random allocator's aux word not found exactly once")
+	}
+	auxOff += 8
+
+	for _, c := range []struct {
+		name string
+		off  int
+	}{{"engine", rngOff}, {"random-allocator", auxOff}} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := bytes.Clone(blob)
+			pos := binary.LittleEndian.Uint64(bad[c.off:])
+			binary.LittleEndian.PutUint64(bad[c.off:], pos+1<<40)
+			reframe(bad)
+			done := make(chan error, 1)
+			go func() {
+				_, err := RestoreEngine(bytes.NewReader(bad), tc.cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, snap.ErrCorrupt) {
+					t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("restore still running after 1 s")
 			}
 		})
 	}

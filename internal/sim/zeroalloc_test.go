@@ -157,7 +157,7 @@ func TestCheckpointAllocsIndependentOfQueueDepth(t *testing.T) {
 		return snapAllocs, auditAllocs
 	}
 	snap0, audit0 := measure()
-	events0, bytes0 := len(e.events), buf.Len()
+	events0, bytes0 := e.events.len(), buf.Len()
 	for i := 0; i < 20000; i++ {
 		j := trace.Job{ID: 1_000_000 + i, Size: 1 + i%128, Arrival: 1e12 + float64(i), Runtime: 100}
 		if err := e.Submit(j); err != nil {
@@ -166,7 +166,7 @@ func TestCheckpointAllocsIndependentOfQueueDepth(t *testing.T) {
 	}
 	snap1, audit1 := measure()
 	t.Logf("%d events (%d B): Snapshot %.0f allocs, Audit %.0f; %d events (%d B): Snapshot %.0f, Audit %.0f",
-		events0, bytes0, snap0, audit0, len(e.events), buf.Len(), snap1, audit1)
+		events0, bytes0, snap0, audit0, e.events.len(), buf.Len(), snap1, audit1)
 	if snap1 != snap0 || audit1 != audit0 {
 		t.Fatalf("20,000 more queued events changed allocations: Snapshot %.0f -> %.0f, Audit %.0f -> %.0f",
 			snap0, snap1, audit0, audit1)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -160,6 +161,24 @@ func RestoreSource(src Source, st SourceState) error {
 	case *Synthetic:
 		if st.Kind != "synthetic" {
 			return fmt.Errorf("trace: source state kind %q does not match *Synthetic", st.Kind)
+		}
+		if st.Next < 0 || !(st.Now >= 0) || math.IsInf(st.Now, 1) {
+			return fmt.Errorf("trace: synthetic source state has job count %d and clock %v", st.Next, st.Now)
+		}
+		// SkipTo takes one draw per step, so the position is checked
+		// first. Each job takes three variates (gap, size, runtime) and
+		// each OFF period two more (the ON period after it, and its own
+		// length); a bursty source also drew its first ON period. The
+		// clock has passed every OFF period, each exponential with mean
+		// meanOff, so fewer than 64 × (1 + Now/meanOff) of them fit
+		// except with vanishing probability. A variate takes one draw
+		// and rarely a few, so 64 draws per variate is never reached.
+		variates := 1 + 3*float64(st.Next)
+		if s.meanOn > 0 {
+			variates += 2 * 64 * (1 + st.Now/s.meanOff)
+		}
+		if bound := 64 * variates; float64(st.RNGPos) > bound {
+			return fmt.Errorf("trace: RNG position %d beyond the %.0f draws %d jobs can take", st.RNGPos, bound, st.Next)
 		}
 		if err := s.rng.SkipTo(st.RNGPos); err != nil {
 			return err

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestTraceSourceReplaysInOrder(t *testing.T) {
@@ -140,4 +141,66 @@ func meanStd(xs []float64) (mean, std float64) {
 		std += (x - mean) * (x - mean)
 	}
 	return mean, math.Sqrt(std / float64(len(xs)))
+}
+
+// TestRestoreSourceBoundsRNGPosition restores synthetic sources, plain
+// and bursty (one with ON periods far shorter than the gaps, so most
+// draws go to OFF periods), from their own captured states, then from
+// states whose RNG position was raised by 2^40 draws. A genuine state
+// must resume the stream; a raised one must be rejected at once rather
+// than skipped to for hours. A negative job count or a non-finite
+// clock is rejected too.
+func TestRestoreSourceBoundsRNGPosition(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() *Synthetic
+	}{
+		{"poisson", func() *Synthetic { return NewPoisson(500, 64, 1) }},
+		{"bursty", func() *Synthetic { return NewBursty(200, 3600, 7200, 64, 1) }},
+		{"bursty-short-on", func() *Synthetic { return NewBursty(1000, 1, 5, 64, 2) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := c.mk()
+			for i := 0; i < 2000; i++ {
+				src.Next()
+			}
+			st, err := CaptureSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := c.mk()
+			if err := RestoreSource(fresh, st); err != nil {
+				t.Fatalf("genuine state rejected: %v", err)
+			}
+			for i := 0; i < 10; i++ {
+				a, _ := src.Next()
+				b, _ := fresh.Next()
+				if a != b {
+					t.Fatalf("restored job %d is %+v, want %+v", i, b, a)
+				}
+			}
+
+			bad := st
+			bad.RNGPos += 1 << 40
+			done := make(chan error, 1)
+			go func() { done <- RestoreSource(c.mk(), bad) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("RNG position 2^40 draws past the state accepted")
+				}
+			case <-time.After(time.Second):
+				t.Fatal("restore still running after 1 s")
+			}
+			for _, bad := range []SourceState{
+				{Kind: "synthetic", Next: -1},
+				{Kind: "synthetic", Now: math.NaN()},
+				{Kind: "synthetic", Now: math.Inf(1)},
+			} {
+				if err := RestoreSource(c.mk(), bad); err == nil {
+					t.Fatalf("state %+v accepted", bad)
+				}
+			}
+		})
+	}
 }
