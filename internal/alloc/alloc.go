@@ -679,10 +679,13 @@ func (a *GenAlg) allocateNaive(size int) ([]int, error) {
 // only a.marg and a.radius; the index and busy bitmap are only read.
 func (a *GenAlg) countPairwise(center, k int) int {
 	c := a.g.Coord(center)
-	r, inner := a.ballCutoff(c, k, a.radius)
-	a.radius = r
 	nd := a.g.ND()
-	for ax := 0; ax < nd; ax++ {
+	last := nd - 1
+	// The cutoff search leaves the interior ball's last-axis marginal in
+	// a.marg[last]; the other axes are cleared and counted here.
+	r, inner := a.ballCutoff(c, k, a.radius, a.marg[last])
+	a.radius = r
+	for ax := 0; ax < last; ax++ {
 		lo, hi := a.g.ClipInterval(ax, c[ax]-r, c[ax]+r)
 		m := a.marg[ax]
 		for v := lo; v < hi; v++ {
@@ -690,7 +693,7 @@ func (a *GenAlg) countPairwise(center, k int) int {
 		}
 	}
 	if inner > 0 {
-		for ax := 0; ax < nd; ax++ {
+		for ax := 0; ax < last; ax++ {
 			a.balls.AddMarginal(ax, c, r-1, a.marg[ax])
 		}
 	}
@@ -791,17 +794,19 @@ func (a *GenAlg) tailMarginals(c topo.Point, r, tail int) {
 // ballCutoff returns the smallest radius r whose clipped Manhattan
 // ball around c holds at least k free processors — the cutoff
 // nearest() stops at — together with the free count of the interior
-// ball of radius r-1. It gallops outward or inward from the hint and
-// binary-searches the bracket; with the previous candidate's radius as
-// the hint the common case settles in a single fused two-ball count.
-func (a *GenAlg) ballCutoff(c topo.Point, k, hint int) (r, inner int) {
+// ball of radius r-1, whose per-slice counts along the last axis it
+// writes into m (see FreeInBall2). It gallops outward or inward from
+// the hint and binary-searches the bracket; with the previous
+// candidate's radius as the hint the common case settles in a single
+// fused two-ball count.
+func (a *GenAlg) ballCutoff(c topo.Point, k, hint int, m []int) (r, inner int) {
 	if hint < 0 {
 		hint = 0
 	}
 	if hint > a.maxR {
 		hint = a.maxR
 	}
-	cur, prev := a.balls.FreeInBall2(c, hint)
+	cur, prev := a.balls.FreeInBall2(c, hint, m)
 	var lo, hi int
 	if cur >= k {
 		if hint == 0 || prev < k {
@@ -838,7 +843,7 @@ func (a *GenAlg) ballCutoff(c topo.Point, k, hint int) (r, inner int) {
 			lo = mid + 1
 		}
 	}
-	_, prev = a.balls.FreeInBall2(c, lo)
+	_, prev = a.balls.FreeInBall2(c, lo, m)
 	return lo, prev
 }
 

@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"fmt"
-
-	"meshalloc/internal/topo"
-)
+import "fmt"
 
 // Snapshot/restore support. A snapshot serializes only authoritative
 // state — the job→nodes assignment and a handful of allocator cursors —
@@ -36,21 +32,10 @@ func (t *tracker) Occupy(ids []int) {
 	t.take(ids)
 }
 
-// wholeMachine returns the half-open box covering the entire grid.
-func wholeMachine(g *topo.Grid) (lo, hi topo.Point) {
-	for i := 0; i < topo.MaxDims; i++ {
-		hi[i] = 1
-	}
-	for i := 0; i < g.ND(); i++ {
-		hi[i] = g.Dim(i)
-	}
-	return lo, hi
-}
-
 // AuditIndexes implements Allocator: it cross-checks the busy bitmap,
-// the cached free count, and — when present — the box/ball occupancy
-// indexes, by comparing each index's whole-machine free count against a
-// direct recount, and the submesh row masks, node by node.
+// the cached free count, and — when present — every entry of the
+// box/ball occupancy indexes against the bitmap (see Boxes.Audit and
+// Balls.Audit), and the submesh row masks, node by node.
 func (t *tracker) AuditIndexes() error {
 	n := 0
 	for _, b := range t.busy {
@@ -62,19 +47,13 @@ func (t *tracker) AuditIndexes() error {
 		return fmt.Errorf("alloc: counted %d free nodes, cached numFree %d", n, t.numFree)
 	}
 	if t.boxes != nil {
-		lo, hi := wholeMachine(t.g)
-		if got := t.boxes.FreeIn(lo, hi); got != n {
-			return fmt.Errorf("alloc: box index counts %d free nodes, busy bitmap %d", got, n)
+		if err := t.boxes.Audit(t.busy); err != nil {
+			return err
 		}
 	}
 	if t.balls != nil {
-		maxR := 0
-		for i := 0; i < t.g.ND(); i++ {
-			maxR += t.g.Dim(i)
-		}
-		var c topo.Point
-		if got := t.balls.FreeInBall(c, maxR); got != n {
-			return fmt.Errorf("alloc: ball index counts %d free nodes, busy bitmap %d", got, n)
+		if err := t.balls.Audit(t.busy); err != nil {
+			return err
 		}
 	}
 	if t.rows != nil {

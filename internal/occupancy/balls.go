@@ -1,6 +1,10 @@
 package occupancy
 
-import "meshalloc/internal/topo"
+import (
+	"fmt"
+
+	"meshalloc/internal/topo"
+)
 
 // Balls counts free processors in clipped Manhattan balls — the
 // geometry of Gen-Alg's nearest-free gather. Torus wraparound is
@@ -137,16 +141,22 @@ func (b *Balls) add(p topo.Point, d int) {
 // distance at most r from c, clipped at machine edges. A negative r
 // counts zero.
 func (b *Balls) FreeInBall(c topo.Point, r int) int {
-	cur, _ := b.FreeInBall2(c, r)
+	cur, _ := b.FreeInBall2(c, r, nil)
 	return cur
 }
 
 // FreeInBall2 returns the free counts of the balls of radius r and
-// r-1 around c in one pass over the slices — the pair every
-// ball-radius cutoff test needs. The per-dimensionality loops are
-// fused: Gen-Alg calls this for every candidate center, so the
-// per-slice work must be a handful of reads, not a method call.
-func (b *Balls) FreeInBall2(c topo.Point, r int) (cur, prev int) {
+// r-1 around c in one pass over the slices along the last axis — the
+// pair every ball-radius cutoff test needs. The radius-(r-1) count is
+// summed slice by slice, and those per-slice counts are exactly what
+// AddMarginal(ND()-1, c, r-1, m) adds; a non-nil m receives them, m[v]
+// set (not added to) for every slice v the radius-r ball reaches, 0
+// where the smaller ball misses it. A caller that scores the ball's
+// members therefore gets the last axis's marginal with its cutoff
+// count. The per-dimensionality loops are fused: Gen-Alg calls this for
+// every candidate center, so the per-slice work must be a handful of
+// reads, not a method call.
+func (b *Balls) FreeInBall2(c topo.Point, r int, m []int) (cur, prev int) {
 	if r < 0 {
 		return 0, 0
 	}
@@ -155,17 +165,17 @@ func (b *Balls) FreeInBall2(c topo.Point, r int) (cur, prev int) {
 		cx, cy := c[0], c[1]
 		for v, ve := max(cy-r, 0), min(cy+r, b.dim[1]-1); v <= ve; v++ {
 			rad := r - abs(v-cy)
-			lo, hi := max(cx-rad, 0), min(cx+rad+1, f.np)
-			if lo >= hi {
-				continue
-			}
 			row := f.pref[v*f.planeLen:]
-			cur += hi - lo - (row[hi] - row[lo])
-			if rad > 0 {
-				lo1, hi1 := max(cx-rad+1, 0), min(cx+rad, f.np)
-				if lo1 < hi1 {
-					prev += hi1 - lo1 - (row[hi1] - row[lo1])
-				}
+			if lo, hi := max(cx-rad, 0), min(cx+rad+1, f.np); lo < hi {
+				cur += hi - lo - (row[hi] - row[lo])
+			}
+			p := 0
+			if lo, hi := max(cx-rad+1, 0), min(cx+rad, f.np); lo < hi {
+				p = hi - lo - (row[hi] - row[lo])
+			}
+			prev += p
+			if m != nil {
+				m[v] = p
 			}
 		}
 		return cur, prev
@@ -177,8 +187,13 @@ func (b *Balls) FreeInBall2(c topo.Point, r int) (cur, prev int) {
 		rad := r - abs(z-cz)
 		slice := f.pref[z*f.planeLen:]
 		cur += diamondFree(f, slice, u0, v0, rad)
+		p := 0
 		if rad > 0 {
-			prev += diamondFree(f, slice, u0, v0, rad-1)
+			p = diamondFree(f, slice, u0, v0, rad-1)
+		}
+		prev += p
+		if m != nil {
+			m[z] = p
 		}
 	}
 	return cur, prev
@@ -228,6 +243,42 @@ func (b *Balls) AddMarginal(axis int, c topo.Point, rad int, m []int) {
 		rv := rad - abs(v-ca)
 		m[v] += diamondFree(f, f.pref[v*f.planeLen:], u0, v0, rv)
 	}
+}
+
+// Audit checks every entry of every family against busy, the bitmap
+// the index mirrors (indexed by node id), as Boxes.Audit does: 2-D
+// slices are prefix rows, 3-D slices are summed-area tables over rotated
+// coordinates whose second difference at a parity hole or clipped
+// rotated point must be 0. Every family is checked, not only the one
+// FreeInBall2 reads, because AddMarginal reads the others.
+func (b *Balls) Audit(busy []bool) error {
+	stride := [3]int{1, b.dim[0], b.dim[0] * b.dim[1]}
+	for a := 0; a < b.nd; a++ {
+		f := &b.fams[a]
+		for v := 0; v < b.dim[a]; v++ {
+			tab, first := f.pref[v*f.planeLen:(v+1)*f.planeLen], v*stride[a]
+			if b.nd == 2 {
+				if i, ok := rowDrift(tab, busy, first, stride[f.p]); !ok {
+					return fmt.Errorf("occupancy: ball family %d slice %d entry %d disagrees with the busy bitmap", a, v, i)
+				}
+				continue
+			}
+			sp, sq := stride[f.p], stride[f.q]
+			if u, w, ok := satDrift(tab, f.s, f.s, func(u, w int) bool {
+				// (u, w) = (p+q, p-q+nq-1) is a cell only when p and q come
+				// out whole and on the slice.
+				twoP := u + w - (f.nq - 1)
+				p, q := twoP/2, u-twoP/2
+				if twoP < 0 || twoP%2 != 0 || p >= f.np || q < 0 || q >= f.nq {
+					return false
+				}
+				return busy[first+p*sp+q*sq]
+			}); !ok {
+				return fmt.Errorf("occupancy: ball family %d slice %d entry (%d, %d) disagrees with the busy bitmap", a, v, u, w)
+			}
+		}
+	}
+	return nil
 }
 
 func abs(v int) int {

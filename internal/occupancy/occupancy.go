@@ -25,7 +25,11 @@
 // to the walked ones bit for bit.
 package occupancy
 
-import "meshalloc/internal/topo"
+import (
+	"fmt"
+
+	"meshalloc/internal/topo"
+)
 
 // Boxes is an incremental free-count index over axis-aligned boxes of
 // one machine. The zero value is not usable; construct with NewBoxes.
@@ -126,4 +130,80 @@ func (b *Boxes) corners(lo, hi topo.Point) (a, c, d, e int) {
 // box [lo, hi): the clipped volume minus the busy count.
 func (b *Boxes) FreeIn(lo, hi topo.Point) int {
 	return topo.BoxVolume(lo, hi) - b.BusyIn(lo, hi)
+}
+
+// Audit checks every entry of the index against busy, the bitmap it
+// mirrors (indexed by node id): each row prefix starts at 0 and steps by
+// the busy bit of the cell it adds, and each summed-area plane is 0
+// along its low edges with every second difference equal to its cell's
+// busy bit. That pins each entry to its exact prefix count, so one
+// drifted interior entry fails even when every whole-machine count
+// still agrees.
+func (b *Boxes) Audit(busy []bool) error {
+	if b.nd <= 2 {
+		for y := 0; y < b.n[1]; y++ {
+			if x, ok := rowDrift(b.rows[y*b.prow:(y+1)*b.prow], busy, y*b.n[0], 1); !ok {
+				return fmt.Errorf("occupancy: box row %d entry %d disagrees with the busy bitmap", y, x)
+			}
+		}
+		return nil
+	}
+	area := b.n[0] * b.n[1]
+	for pl := 0; pl*b.pplane < len(b.planes); pl++ {
+		cells := busy[pl*area:]
+		if y, x, ok := satDrift(b.planes[pl*b.pplane:(pl+1)*b.pplane], b.n[1], b.n[0], func(y, x int) bool {
+			return cells[y*b.n[0]+x]
+		}); !ok {
+			return fmt.Errorf("occupancy: box plane %d entry (%d, %d) disagrees with the busy bitmap", pl, x, y)
+		}
+	}
+	return nil
+}
+
+// rowDrift returns the first entry of the prefix row that is not the
+// busy count of the cells before it, or ok when every entry is: row[0]
+// is 0, and row[i+1]-row[i] is the busy bit of cell i, which is
+// busy[first+i*stride].
+func rowDrift(row []int, busy []bool, first, stride int) (i int, ok bool) {
+	if row[0] != 0 {
+		return 0, false
+	}
+	for i := 1; i < len(row); i++ {
+		if row[i]-row[i-1] != bit(busy[first+(i-1)*stride]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// satDrift returns the first entry of the summed-area table tab (rows+1
+// rows of cols+1 entries) that is not the busy count of the cells below
+// and left of it, or ok when every entry is: the low edges hold 0, and
+// each second difference is bit(busy(r, c)) for the cell it adds.
+func satDrift(tab []int, rows, cols int, busy func(r, c int) bool) (r, c int, ok bool) {
+	w := cols + 1
+	for c := 0; c < w; c++ {
+		if tab[c] != 0 {
+			return 0, c, false
+		}
+	}
+	for r := 0; r < rows; r++ {
+		below, row := tab[r*w:(r+1)*w], tab[(r+1)*w:(r+2)*w]
+		if row[0] != 0 {
+			return r + 1, 0, false
+		}
+		for c := 0; c < cols; c++ {
+			if row[c+1]-below[c+1]-row[c]+below[c] != bit(busy(r, c)) {
+				return r + 1, c + 1, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package occupancy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -185,6 +186,15 @@ func TestBallsMatchesBruteForce(t *testing.T) {
 				t.Fatalf("dims %v step %d: FreeInBall(%v, %d) = %d, want %d",
 					dims, step, c, r, got, want)
 			}
+			// The fused marginal, at the random radius, at r = 0, and around
+			// a corner, whose balls every edge near it clips.
+			var corner topo.Point
+			for i := 0; i < g.ND(); i++ {
+				corner[i] = rng.Intn(2) * (g.Dim(i) - 1)
+			}
+			checkFusedMarginal(t, m, balls, c, r)
+			checkFusedMarginal(t, m, balls, c, 0)
+			checkFusedMarginal(t, m, balls, corner, 1+rng.Intn(maxR))
 			axis := rng.Intn(g.ND())
 			rad := rng.Intn(maxR+2) - 1
 			got := make([]int, g.Dim(axis))
@@ -198,6 +208,84 @@ func TestBallsMatchesBruteForce(t *testing.T) {
 					t.Fatalf("dims %v step %d: AddMarginal(%d, %v, %d)[%d] = %d, want %d",
 						dims, step, axis, c, rad, v, got[v], want)
 				}
+			}
+		}
+	}
+}
+
+// checkFusedMarginal checks the per-slice counts FreeInBall2 writes
+// along the last axis: for every slice the radius-r ball reaches, the
+// count AddMarginal adds for radius r-1 and the brute-force count, 0
+// where the smaller ball misses the slice; slices beyond the ball stay
+// untouched, and the slice counts sum to the radius-(r-1) count.
+func checkFusedMarginal(t *testing.T, m *busyModel, balls *Balls, c topo.Point, r int) {
+	t.Helper()
+	last := m.g.ND() - 1
+	n := m.g.Dim(last)
+	fused, added := make([]int, n), make([]int, n)
+	for v := range fused {
+		fused[v] = -7
+	}
+	cur, prev := balls.FreeInBall2(c, r, fused)
+	balls.AddMarginal(last, c, r-1, added)
+	if want := m.freeInBall(c, r); cur != want {
+		t.Fatalf("dims %v: FreeInBall2(%v, %d) = %d, want %d", m.g.Dims(), c, r, cur, want)
+	}
+	sum := 0
+	for v := range fused {
+		d := abs(v - c[last])
+		if d > r {
+			if fused[v] != -7 {
+				t.Fatalf("dims %v: FreeInBall2(%v, %d) wrote slice %d beyond the ball", m.g.Dims(), c, r, v)
+			}
+			continue
+		}
+		want := 0
+		if d <= r-1 {
+			want = m.sliceFree(last, v, c, r-1-d)
+		}
+		if fused[v] != want || added[v] != want {
+			t.Fatalf("dims %v: FreeInBall2(%v, %d) slice %d = %d, AddMarginal %d, want %d",
+				m.g.Dims(), c, r, v, fused[v], added[v], want)
+		}
+		sum += fused[v]
+	}
+	if sum != prev {
+		t.Fatalf("dims %v: FreeInBall2(%v, %d) slices sum to %d, radius-%d count %d", m.g.Dims(), c, r, sum, r-1, prev)
+	}
+}
+
+// TestAuditCatchesEveryDriftedEntry drifts each entry of every table of
+// both indexes in turn, on random states, and requires Audit to report
+// it and to pass once the entry is restored.
+func TestAuditCatchesEveryDriftedEntry(t *testing.T) {
+	for _, dims := range [][]int{{7}, {6, 9}, {5, 4, 6}, {3, 4, 2, 3}} {
+		g := topo.New(dims)
+		m := newModel(g)
+		boxes, balls := NewBoxes(g), NewBalls(g)
+		rng := rand.New(rand.NewSource(4))
+		for step := 0; step < g.Size()/3; step++ {
+			toggleRandom(rng, m, boxes, balls)
+		}
+		tables := map[string][]int{"box rows": boxes.rows, "box planes": boxes.planes}
+		audits := map[string]func([]bool) error{"box rows": boxes.Audit, "box planes": boxes.Audit}
+		if balls != nil {
+			for a := 0; a < g.ND(); a++ {
+				name := fmt.Sprintf("ball family %d", a)
+				tables[name], audits[name] = balls.fams[a].pref, balls.Audit
+			}
+		}
+		for name, tab := range tables {
+			audit := audits[name]
+			if err := audit(m.busy); err != nil {
+				t.Fatalf("dims %v: %s: audit of a consistent state: %v", dims, name, err)
+			}
+			for i := range tab {
+				tab[i]++
+				if audit(m.busy) == nil {
+					t.Fatalf("dims %v: %s entry %d drifted and the audit passed", dims, name, i)
+				}
+				tab[i]--
 			}
 		}
 	}
