@@ -736,23 +736,23 @@ func BenchmarkFaultStream(b *testing.B) {
 	}
 }
 
-func BenchmarkNetworkSend(b *testing.B) {
-	m := topo.New([]int{16, 22})
-	n := netsim.New(m, netsim.DefaultConfig())
+// benchmarkSend times one burst Send of sendBurst messages per
+// iteration on g, a new instant each time, and reports ns per message.
+func benchmarkSend(b *testing.B, g *topo.Grid) {
+	n := netsim.New(g, netsim.DefaultConfig())
+	nodes, msgs := sendTraffic(g)
+	var sums netsim.Sums
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(i%m.Size(), (i*7+13)%m.Size(), float64(i))
+		off := i * sendBurst % (len(msgs) - sendBurst)
+		n.Send(msgs[off:off+sendBurst], nodes, float64(i), &sums)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sendBurst), "ns/msg")
 }
 
-func BenchmarkNetworkSend3D(b *testing.B) {
-	g := topo.New([]int{8, 8, 8})
-	n := netsim.New(g, netsim.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(i%g.Size(), (i*7+13)%g.Size(), float64(i))
-	}
-}
+func BenchmarkNetworkSend(b *testing.B) { benchmarkSend(b, topo.New([]int{16, 22})) }
+
+func BenchmarkNetworkSend3D(b *testing.B) { benchmarkSend(b, topo.New([]int{8, 8, 8})) }
 
 func BenchmarkCurveOrder(b *testing.B) {
 	for _, name := range curve.All() {

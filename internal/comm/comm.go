@@ -7,6 +7,8 @@
 // Messages are expressed in job-local ranks 0..p-1; the simulator maps
 // ranks to the processors the allocator assigned. Patterns repeat forever;
 // the job's message quota decides when to stop drawing from them.
+// Generators hand their messages out a burst at a time, one subphase
+// per call, so a job's step is one call here and one into the network.
 package comm
 
 import (
@@ -20,12 +22,118 @@ type Msg struct {
 	Src, Dst int
 }
 
-// Generator is an infinite stream of messages grouped into phases. A
-// phase models one communication subphase in which all member messages
-// are logically concurrent (e.g. one ring shift).
-type Generator interface {
-	// Next returns the next message and whether it begins a new phase.
-	Next() (Msg, bool)
+// Generator is one job's message stream: rounds of phases, repeated
+// forever. A phase models one communication subphase whose messages are
+// logically concurrent (e.g. one ring shift). Deterministic patterns
+// walk a schedule shared by every job of the same size; the random
+// pattern draws each message from the engine RNG. Patterns build
+// generators and RestoreGen rebuilds one from a snapshot; the zero
+// Generator is not usable.
+type Generator struct {
+	// A schedule generator walks phases, one round of phases of
+	// messages, never written and possibly shared; name and p identify
+	// its origin so a snapshot can rebuild it from the pattern registry
+	// instead of serializing it. phase and idx are the cursor: the next
+	// message to hand out.
+	name       string
+	p          int
+	phases     [][]Msg
+	phase, idx int
+	// A random generator (phases == nil) draws from rng and counts the
+	// messages drawn.
+	rng   *stats.RNG
+	count int
+	// held is the first message of the next phase once a burst has
+	// found its phase's end with budget left: finding the boundary
+	// takes drawing that message, so it is held for the next burst, and
+	// holding says it has not been handed out yet. A schedule's cursor
+	// stays on its held message. held keeps its last value once handed
+	// out, and across Reset (see Held).
+	held    Msg
+	holding bool
+}
+
+// Burst returns the next burst of at most budget messages, budget >= 1:
+// the held message if there is one, then the rest of its phase. When
+// the phase ends with budget left, the next phase's first message is
+// drawn ahead and held, so a burst never crosses a phase boundary. A
+// burst that starts mid-phase (budget 1 every time, or a restored
+// cursor) runs to the phase's end at most.
+//
+// A schedule's burst is a subslice of its shared schedule; the random
+// pattern draws into *buf, growing it as needed, so a caller that keeps
+// the buffer allocates nothing in steady state. Either way the result
+// is read-only and valid until the next call.
+func (g *Generator) Burst(budget int, buf *[]Msg) []Msg {
+	if g.phases == nil {
+		return g.randomBurst(budget, buf)
+	}
+	ph := g.phases[g.phase]
+	start, end := g.idx, len(ph)
+	if end-start > budget {
+		end = start + budget
+	}
+	g.holding = false
+	if end < len(ph) {
+		g.idx = end
+		return ph[start:end]
+	}
+	g.phase, g.idx = g.phase+1, 0
+	if g.phase == len(g.phases) {
+		g.phase = 0
+	}
+	if end-start < budget {
+		g.held, g.holding = g.phases[g.phase][0], true
+	}
+	return ph[start:end]
+}
+
+// randomBurst is Burst for the random pattern, whose phases are runs of
+// p messages counted from the job's first.
+func (g *Generator) randomBurst(budget int, buf *[]Msg) []Msg {
+	out := (*buf)[:0]
+	if g.holding {
+		out = append(out, g.held)
+		g.holding = false
+	} else {
+		out = append(out, g.draw())
+	}
+	for len(out) < budget {
+		if g.count%g.p == 0 {
+			g.held, g.holding = g.draw(), true
+			break
+		}
+		out = append(out, g.draw())
+	}
+	*buf = out
+	return out
+}
+
+// draw returns a message between a uniformly random ordered pair of
+// distinct ranks.
+func (g *Generator) draw() Msg {
+	src := g.rng.Intn(g.p)
+	dst := g.rng.Intn(g.p - 1)
+	if dst >= src {
+		dst++
+	}
+	g.count++
+	return Msg{Src: src, Dst: dst}
+}
+
+// Held returns the held message and whether it is still to be handed
+// out. Once handed out the message stays, as does the last one a
+// generator held when Reset re-arms it, so a snapshot that writes the
+// pair writes what the simulator's job records always wrote.
+func (g *Generator) Held() (Msg, bool) { return g.held, g.holding }
+
+// Reset re-arms g in place with a new job's stream from pat, as
+// pat.Generator(p, rng) would build it, keeping only the last held
+// message (see Held).
+func (g *Generator) Reset(pat Pattern, p int, rng *stats.RNG) {
+	held := g.held
+	*g = pat.Generator(p, rng)
+	g.held = held
 }
 
 // Pattern builds generators for jobs of a given size.
@@ -98,47 +206,27 @@ func (c *cachedPattern) Generator(p int, rng *stats.RNG) Generator {
 	phases, ok := c.bySize[p]
 	if !ok {
 		gen := c.pat.Generator(p, rng)
-		it, isPhase := gen.(*phaseIter)
-		if !isPhase {
+		if gen.phases == nil {
 			// An allowlisted pattern grew a non-schedule generator;
 			// degrade to pass-through rather than guessing.
 			return gen
 		}
-		phases = it.phases
+		phases = gen.phases
 		c.bySize[p] = phases
 	}
-	return &phaseIter{name: c.pat.Name(), p: p, phases: phases}
+	return schedule(c.pat.Name(), p, phases)
 }
 
-// phaseIter drives a fixed per-round message schedule: rounds of phases of
-// messages, repeated forever. name and p identify the schedule's origin
-// so a snapshot can rebuild the (immutable, potentially shared) phase
-// table from the pattern registry instead of serializing it.
-type phaseIter struct {
-	name   string
-	p      int
-	phases [][]Msg
-	phase  int
-	idx    int
-}
-
-// Next implements Generator.
-func (it *phaseIter) Next() (Msg, bool) {
-	ph := it.phases[it.phase]
-	m := ph[it.idx]
-	newPhase := it.idx == 0
-	it.idx++
-	if it.idx == len(ph) {
-		it.idx = 0
-		it.phase = (it.phase + 1) % len(it.phases)
-	}
-	return m, newPhase
+// schedule returns a generator walking phases, a fixed per-round
+// message schedule, from its start.
+func schedule(name string, p int, phases [][]Msg) Generator {
+	return Generator{name: name, p: p, phases: phases}
 }
 
 // singleRank returns the degenerate schedule for one-processor jobs,
 // which only talk to themselves.
-func singleRank() *phaseIter {
-	return &phaseIter{name: "single", p: 1, phases: [][]Msg{{{Src: 0, Dst: 0}}}}
+func singleRank() Generator {
+	return schedule("single", 1, [][]Msg{{{Src: 0, Dst: 0}}})
 }
 
 // AllToAll is the all-to-all pattern: each processor sends one message to
@@ -163,7 +251,7 @@ func (AllToAll) Generator(p int, _ *stats.RNG) Generator {
 			}
 		}
 	}
-	return &phaseIter{name: "alltoall", p: p, phases: [][]Msg{msgs}}
+	return schedule("alltoall", p, [][]Msg{msgs})
 }
 
 // NBody is the paper's n-body force-computation pattern. The processors
@@ -195,7 +283,7 @@ func (NBody) Generator(p int, _ *stats.RNG) Generator {
 		chordal[i] = Msg{Src: i, Dst: (i + p/2) % p}
 	}
 	phases = append(phases, chordal)
-	return &phaseIter{name: "nbody", p: p, phases: phases}
+	return schedule("nbody", p, phases)
 }
 
 // Ring is the plain ring-shift pattern from the CPlant test suite: each
@@ -215,7 +303,7 @@ func (Ring) Generator(p int, _ *stats.RNG) Generator {
 	for i := 0; i < p; i++ {
 		msgs[i] = Msg{Src: i, Dst: (i + 1) % p}
 	}
-	return &phaseIter{name: "ring", p: p, phases: [][]Msg{msgs}}
+	return schedule("ring", p, [][]Msg{msgs})
 }
 
 // PingPong is the all-pairs ping-pong pattern from the CPlant test suite:
@@ -238,7 +326,7 @@ func (PingPong) Generator(p int, _ *stats.RNG) Generator {
 			phases = append(phases, []Msg{{Src: i, Dst: j}, {Src: j, Dst: i}})
 		}
 	}
-	return &phaseIter{name: "pingpong", p: p, phases: phases}
+	return schedule("pingpong", p, phases)
 }
 
 // Random sends each message between a uniformly random ordered pair of
@@ -255,25 +343,7 @@ func (Random) Generator(p int, rng *stats.RNG) Generator {
 	if p == 1 {
 		return singleRank()
 	}
-	return &randomIter{p: p, rng: rng}
-}
-
-type randomIter struct {
-	p     int
-	rng   *stats.RNG
-	count int
-}
-
-// Next implements Generator.
-func (it *randomIter) Next() (Msg, bool) {
-	src := it.rng.Intn(it.p)
-	dst := it.rng.Intn(it.p - 1)
-	if dst >= src {
-		dst++
-	}
-	newPhase := it.count%it.p == 0
-	it.count++
-	return Msg{Src: src, Dst: dst}, newPhase
+	return Generator{p: p, rng: rng}
 }
 
 // TestSuite is the communication test of Leung et al. behind the paper's
@@ -314,7 +384,7 @@ func (TestSuite) Generator(p int, rng *stats.RNG) Generator {
 		ringPhase[i] = Msg{Src: i, Dst: (i + 1) % p}
 	}
 	phases = append(phases, ringPhase)
-	return &phaseIter{name: "testsuite", p: p, phases: phases}
+	return schedule("testsuite", p, phases)
 }
 
 // Mixed draws a pattern per job: all-to-all, n-body, random or ring with
@@ -350,46 +420,58 @@ type GenState struct {
 }
 
 // StateOf captures a Generator built by this package for a snapshot.
-// It errors on generator types it does not know how to rebuild.
-func StateOf(g Generator) (GenState, error) {
-	switch it := g.(type) {
-	case *phaseIter:
-		return GenState{Kind: "phase", Pattern: it.name, P: it.p, Phase: it.phase, Idx: it.idx}, nil
-	case *randomIter:
-		return GenState{Kind: "random", P: it.p, Count: it.count}, nil
+// A schedule's cursor is reported past its held message, the position
+// GenState has always recorded, so snapshot bytes do not depend on how
+// the cursor is kept. It errors on the zero Generator.
+func StateOf(g *Generator) (GenState, error) {
+	switch {
+	case g.phases != nil:
+		phase, idx := g.phase, g.idx
+		if g.holding {
+			if idx++; idx == len(g.phases[phase]) {
+				phase, idx = (phase+1)%len(g.phases), 0
+			}
+		}
+		return GenState{Kind: "phase", Pattern: g.name, P: g.p, Phase: phase, Idx: idx}, nil
+	case g.rng != nil:
+		return GenState{Kind: "random", P: g.p, Count: g.count}, nil
 	default:
-		return GenState{}, fmt.Errorf("comm: cannot snapshot generator type %T", g)
+		return GenState{}, fmt.Errorf("comm: cannot snapshot an unbuilt generator")
 	}
 }
 
-// RestoreGen rebuilds a Generator from a snapshot state. hint, if
-// non-nil, is tried first when its Name matches the recorded pattern —
-// passing the engine's Cached-wrapped pattern here shares the memoized
-// schedule tables. rng is attached to random generators (deterministic
-// rebuilds never draw from it). Out-of-range cursors are rejected, so
-// a corrupt state cannot build a generator that panics later.
-func RestoreGen(st GenState, hint Pattern, rng *stats.RNG) (Generator, error) {
+// RestoreGen rebuilds a Generator from a snapshot state and its held
+// message. hint, if non-nil, is tried first when its Name matches the
+// recorded pattern — passing the engine's Cached-wrapped pattern here
+// shares the memoized schedule tables. rng is attached to random
+// generators (deterministic rebuilds never draw from it). Out-of-range
+// cursors are rejected, and so is a held message with a rank outside
+// [0, P) or, on a schedule, one that is not the message just before the
+// cursor, so a corrupt state cannot build a generator that panics or
+// sends what the schedule never would.
+func RestoreGen(st GenState, held Msg, holding bool, hint Pattern, rng *stats.RNG) (Generator, error) {
 	if st.P <= 0 {
-		return nil, fmt.Errorf("comm: generator state has job size %d", st.P)
+		return Generator{}, fmt.Errorf("comm: generator state has job size %d", st.P)
 	}
+	if holding && (held.Src < 0 || held.Src >= st.P || held.Dst < 0 || held.Dst >= st.P) {
+		return Generator{}, fmt.Errorf("comm: held message %v outside a %d-rank job", held, st.P)
+	}
+	var g Generator
 	switch st.Kind {
 	case "random":
-		g := Random{}.Generator(st.P, rng)
-		if it, ok := g.(*randomIter); ok {
-			if st.Count < 0 {
-				return nil, fmt.Errorf("comm: random generator count %d", st.Count)
-			}
-			it.count = st.Count
+		if st.Count < 0 {
+			return Generator{}, fmt.Errorf("comm: random generator count %d", st.Count)
 		}
-		return g, nil
+		// A one-rank job's random pattern is the one-rank schedule.
+		g = Random{}.Generator(st.P, rng)
+		g.count = st.Count
 	case "phase":
 		// Only deterministic patterns build phase schedules; rebuilding
 		// via Random or Mixed would draw from rng, perturbing the
 		// restored stream, so a state naming one is corrupt.
 		if st.Pattern == "random" || st.Pattern == "mixed" {
-			return nil, fmt.Errorf("comm: pattern %q cannot back a phase schedule", st.Pattern)
+			return Generator{}, fmt.Errorf("comm: pattern %q cannot back a phase schedule", st.Pattern)
 		}
-		var g Generator
 		if st.Pattern == "single" {
 			g = singleRank()
 		} else {
@@ -398,26 +480,40 @@ func RestoreGen(st GenState, hint Pattern, rng *stats.RNG) (Generator, error) {
 				var err error
 				pat, err = ByName(st.Pattern)
 				if err != nil {
-					return nil, err
+					return Generator{}, err
 				}
 			}
 			g = pat.Generator(st.P, rng)
 		}
-		it, ok := g.(*phaseIter)
-		if !ok {
-			return nil, fmt.Errorf("comm: pattern %q rebuilt a non-schedule generator %T", st.Pattern, g)
+		if g.phases == nil {
+			return Generator{}, fmt.Errorf("comm: pattern %q rebuilt a non-schedule generator", st.Pattern)
 		}
-		if st.Phase < 0 || st.Phase >= len(it.phases) {
-			return nil, fmt.Errorf("comm: phase cursor %d outside the %d-phase %q schedule", st.Phase, len(it.phases), st.Pattern)
+		if st.Phase < 0 || st.Phase >= len(g.phases) {
+			return Generator{}, fmt.Errorf("comm: phase cursor %d outside the %d-phase %q schedule", st.Phase, len(g.phases), st.Pattern)
 		}
-		if st.Idx < 0 || st.Idx >= len(it.phases[st.Phase]) {
-			return nil, fmt.Errorf("comm: message cursor %d outside phase %d of %q", st.Idx, st.Phase, st.Pattern)
+		if st.Idx < 0 || st.Idx >= len(g.phases[st.Phase]) {
+			return Generator{}, fmt.Errorf("comm: message cursor %d outside phase %d of %q", st.Idx, st.Phase, st.Pattern)
 		}
-		it.phase, it.idx = st.Phase, st.Idx
-		return it, nil
+		g.phase, g.idx = st.Phase, st.Idx
 	default:
-		return nil, fmt.Errorf("comm: unknown generator kind %q", st.Kind)
+		return Generator{}, fmt.Errorf("comm: unknown generator kind %q", st.Kind)
 	}
+	// A schedule's held message is the one just before the recorded
+	// cursor, where its cursor stays.
+	if holding && g.phases != nil {
+		if g.idx--; g.idx < 0 {
+			if g.phase--; g.phase < 0 {
+				g.phase = len(g.phases) - 1
+			}
+			g.idx = len(g.phases[g.phase]) - 1
+		}
+		if m := g.phases[g.phase][g.idx]; m != held {
+			return Generator{}, fmt.Errorf("comm: held message %v is not %v, the %q schedule's message before phase %d message %d",
+				held, m, st.Pattern, st.Phase, st.Idx)
+		}
+	}
+	g.held, g.holding = held, holding
+	return g, nil
 }
 
 // RoundLen returns the number of messages in one full round of pattern

@@ -52,8 +52,20 @@ func Fig1(o Options) (*Figure, error) {
 
 	s := Series{Label: "running time vs avg pairwise hops (30-proc test-suite job)"}
 	var xs, ys []float64
+	quota := rounds * comm.RoundLen(comm.TestSuite{}, jobSize)
+	var buf []comm.Msg
 	for _, nodes := range allocations {
-		dur := runIsolatedJob(m, nodes, comm.TestSuite{}, rounds, o.Seed)
+		// The job runs alone on an idle machine: each phase is one
+		// concurrent burst, and the next starts when it has arrived.
+		net := netsim.New(m, netsim.DefaultConfig())
+		gen := comm.TestSuite{}.Generator(jobSize, nil)
+		var sums netsim.Sums
+		dur := 0.0
+		for sent := 0; sent < quota; {
+			msgs := gen.Burst(quota-sent, &buf)
+			dur = net.Send(msgs, nodes, dur, &sums)
+			sent += len(msgs)
+		}
 		x := m.AvgPairwiseDist(nodes)
 		s.X = append(s.X, x)
 		s.Y = append(s.Y, dur)
@@ -69,39 +81,4 @@ func Fig1(o Options) (*Figure, error) {
 		fmt.Sprintf("allocations: %d; Pearson r = %.3f (paper shows a clear positive trend)",
 			len(allocations), stats.Pearson(xs, ys)))
 	return fig, nil
-}
-
-// runIsolatedJob runs one job's communication to completion on an
-// otherwise idle machine and returns the elapsed simulated time.
-func runIsolatedJob(m *topo.Grid, nodes []int, pat comm.Pattern, rounds int, seed int64) float64 {
-	net := netsim.New(m, netsim.DefaultConfig())
-	gen := pat.Generator(len(nodes), stats.NewRNG(seed))
-	quota := rounds * comm.RoundLen(pat, len(nodes))
-
-	now := 0.0
-	var pending *comm.Msg
-	for sent := 0; sent < quota; {
-		// Issue one phase as a concurrent burst, barrier to the next.
-		maxArr := now
-		for sent < quota {
-			var msg comm.Msg
-			if pending != nil {
-				msg, pending = *pending, nil
-			} else {
-				var newPhase bool
-				msg, newPhase = gen.Next()
-				if newPhase && maxArr > now {
-					pending = &msg
-					break
-				}
-			}
-			r := net.Send(nodes[msg.Src], nodes[msg.Dst], now)
-			if r.Arrival > maxArr {
-				maxArr = r.Arrival
-			}
-			sent++
-		}
-		now = maxArr
-	}
-	return now
 }

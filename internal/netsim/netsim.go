@@ -23,6 +23,7 @@ package netsim
 import (
 	"fmt"
 
+	"meshalloc/internal/comm"
 	"meshalloc/internal/topo"
 )
 
@@ -141,14 +142,24 @@ func (s Stats) AvgLatency() float64 {
 type Network struct {
 	m        *topo.Grid
 	cfg      Config
+	service  float64   // how long a message occupies one link
 	freeAt   []float64 // per directed link: earliest time it is idle
 	busyTime []float64 // per directed link: accumulated service time
 	stats    Stats
 	clock    float64 // latest Send time, for the monotonicity check
-	// segs and alt are persistent route scratch: the runs of link
-	// indices the message takes, and under adaptive routing the
-	// alternative order's runs.
-	segs, alt [topo.MaxSegs]topo.Seg
+	// The route walker's view of the grid: its coordinate table, axis
+	// count, link directions per node, whether axes wrap, and each axis.
+	coords  [][topo.MaxDims]uint16
+	nd, nd2 int
+	torus   bool
+	axes    [topo.MaxDims]axis
+}
+
+// axis is one grid axis as the route walker sees it.
+type axis struct {
+	ext  int // extent
+	node int // node-id stride
+	link int // link-index step of one hop in the positive direction
 }
 
 // New returns a network over the grid g with the given configuration. It
@@ -158,106 +169,170 @@ func New(g *topo.Grid, cfg Config) *Network {
 	if cfg.MessageFlits <= 0 || cfg.FlitCycle < 0 || cfg.HopLatency < 0 || cfg.LocalDelay < 0 {
 		panic(fmt.Sprintf("netsim: invalid config %+v", cfg))
 	}
-	return &Network{
+	n := &Network{
 		m:        g,
 		cfg:      cfg,
+		service:  cfg.serviceTime(),
 		freeAt:   make([]float64, g.NumLinks()),
 		busyTime: make([]float64, g.NumLinks()),
+		coords:   g.Coords(),
+		nd:       g.ND(),
+		nd2:      g.NumDirs(),
+		torus:    g.Torus(),
 	}
+	for a, stride := 0, 1; a < n.nd; a++ {
+		n.axes[a] = axis{ext: g.Dim(a), node: stride, link: stride * n.nd2}
+		stride *= g.Dim(a)
+	}
+	return n
 }
 
-// Result describes one delivered message.
-type Result struct {
-	// Arrival is the absolute time the last flit reaches the destination.
-	Arrival float64
-	// Hops is the route length in links (0 for self-addressed messages).
-	Hops int
-	// Queued is the total time spent waiting for busy links.
+// Sums are a sender's running totals over the messages it sends.
+type Sums struct {
+	// Hops is the number of links traversed.
+	Hops int64
+	// Queued is the time spent waiting for busy links.
 	Queued float64
 }
 
-// Send injects a message from node src to node dst at time t and returns
-// its delivery result. Send must be called with nondecreasing t; it
-// panics otherwise, since out-of-order sends would corrupt link state
-// silently.
+// Send injects msgs, a burst of messages between the ranks of one job
+// whose processors are nodes, all at time t, in order: message m goes
+// from nodes[m.Src] to nodes[m.Dst]. It adds each message's hops and
+// queueing to sums, message by message, so the running float sums take
+// the same roundings as one call per message would. It returns the
+// latest arrival of the burst's last flits, or t for an empty burst.
+// Send must be called with nondecreasing t; it panics otherwise, since
+// out-of-order sends would corrupt link state silently.
 //
-// The route is never materialized: the grid's walker hands back straight
-// runs of dense link indices, and Send updates link state along them.
-func (n *Network) Send(src, dst int, t float64) Result {
+// Routes are never materialized: one dimension-ordered walker updates
+// link state along them as it goes.
+func (n *Network) Send(msgs []comm.Msg, nodes []int, t float64, sums *Sums) float64 {
 	if t < n.clock {
 		panic(fmt.Sprintf("netsim: Send at %g before clock %g", t, n.clock))
 	}
 	n.clock = t
 
-	if src == dst {
-		n.stats.Messages++
-		n.stats.TotalDistSec += n.cfg.LocalDelay
-		return Result{Arrival: t + n.cfg.LocalDelay}
+	service, local := n.service, n.cfg.LocalDelay
+	st := n.stats
+	hops, queued := sums.Hops, sums.Queued
+	last := t
+	for _, m := range msgs {
+		src, dst := nodes[m.Src], nodes[m.Dst]
+		st.Messages++
+		if src == dst {
+			st.TotalDistSec += local
+			if a := t + local; a > last {
+				last = a
+			}
+			continue
+		}
+		asc := n.cfg.Routing != RouteYX
+		if n.cfg.Routing == RouteAdaptive {
+			// Take y-x only when it would wait strictly less.
+			_, xy, _ := n.walk(src, dst, true, t, false)
+			_, yx, _ := n.walk(src, dst, false, t, false)
+			asc = !(yx < xy)
+		}
+		cur, q, h := n.walk(src, dst, asc, t, true)
+		// After the header arrives, the remaining flits stream in over
+		// one link service time.
+		arrival := cur + service
+		st.TotalHops += int64(h)
+		st.TotalDistSec += arrival - t
+		st.TotalQueueSec += q
+		hops += int64(h)
+		queued += q
+		if arrival > last {
+			last = arrival
+		}
 	}
+	n.stats = st
+	sums.Hops, sums.Queued = hops, queued
+	return last
+}
 
-	service, hop := n.cfg.serviceTime(), n.cfg.HopLatency
+// walk follows the dimension-ordered route from src to dst (src != dst),
+// resolving axes in ascending order (x-y) when asc, else descending
+// (y-x). On a torus each axis takes the shorter way around (positive on
+// ties). Each axis's direction, link step and wrap point are resolved
+// once, so the per-hop loops test nothing but link state.
+//
+// With send set, the message occupies each link in turn from time t:
+// it queues while the link is busy, holds it for one service time, and
+// its header reaches the next router one hop latency after starting on
+// the link, the body pipelining behind. walk then returns the time the
+// header reaches dst, the time spent queueing, and the hop count.
+// Without send, nothing changes and the second result is the wait the
+// route would see if its header could teleport, the sum of positive
+// (freeAt - t) over its links: the heuristic adaptive routing compares.
+func (n *Network) walk(src, dst int, asc bool, t float64, send bool) (cur, wait float64, hops int) {
+	cs, cd := &n.coords[src], &n.coords[dst]
 	freeAt, busyTime := n.freeAt, n.busyTime
-	cur := t
-	queued := 0.0
-	hops := 0
-	for _, s := range n.pickRoute(src, dst, t) {
-		for k, li := 0, s.First; k < s.N; k, li = k+1, li+s.Stride {
-			depart := cur
-			if f := freeAt[li]; f > depart {
-				queued += f - depart
-				depart = f
+	service, hop := n.service, n.cfg.HopLatency
+	cur = t
+	id := src
+	for k := 0; k < n.nd; k++ {
+		a := k
+		if !asc {
+			a = n.nd - 1 - k
+		}
+		from, to := int(cs[a]), int(cd[a])
+		if from == to {
+			continue
+		}
+		// run hops go from link li at step; on a torus axis that wraps,
+		// rest more follow once the index jumps back by ext steps.
+		ax := n.axes[a]
+		li, run, rest, step := id*n.nd2+2*a, to-from, 0, ax.link
+		id += run * ax.node
+		if n.torus {
+			if run < 0 {
+				run += ax.ext
 			}
-			freeAt[li] = depart + service
-			busyTime[li] += service
-			// The header reaches the next router one hop latency after it
-			// starts on this link; the body pipelines behind.
-			cur = depart + hop
-		}
-		hops += s.N
-	}
-	// After the header arrives, the remaining flits stream in over one
-	// link service time.
-	arrival := cur + service
-
-	n.stats.Messages++
-	n.stats.TotalHops += int64(hops)
-	n.stats.TotalDistSec += arrival - t
-	n.stats.TotalQueueSec += queued
-	return Result{Arrival: arrival, Hops: hops, Queued: queued}
-}
-
-// pickRoute returns the runs of links a message injected at time t will
-// take. The returned slice aliases the network's route scratch and is
-// only valid until the next Send.
-func (n *Network) pickRoute(src, dst int, t float64) []topo.Seg {
-	switch n.cfg.Routing {
-	case RouteYX:
-		return n.segs[:n.m.RouteSegs(&n.segs, src, dst, false)]
-	case RouteAdaptive:
-		route := n.segs[:n.m.RouteSegs(&n.segs, src, dst, true)]
-		alt := n.alt[:n.m.RouteSegs(&n.alt, src, dst, false)]
-		if n.routeWait(alt, t) < n.routeWait(route, t) {
-			return alt
-		}
-		return route
-	default:
-		return n.segs[:n.m.RouteSegs(&n.segs, src, dst, true)]
-	}
-}
-
-// routeWait estimates the queueing a message would see on a route if its
-// header could teleport: the sum of positive (freeAt - t) over links. It
-// is a heuristic for adaptive route selection, not an exact simulation.
-func (n *Network) routeWait(route []topo.Seg, t float64) float64 {
-	wait := 0.0
-	for _, s := range route {
-		for k, li := 0, s.First; k < s.N; k, li = k+1, li+s.Stride {
-			if f := n.freeAt[li]; f > t {
-				wait += f - t
+			if run > ax.ext-run {
+				run, step, li = ax.ext-run, -step, li+1
+				if run > from+1 {
+					run, rest = from+1, run-from-1
+				}
+			} else if run > ax.ext-from {
+				run, rest = ax.ext-from, run-ax.ext+from
 			}
+		} else {
+			// Going down a mesh axis: the odd direction, the negated
+			// step and the absolute run, without a branch to mispredict.
+			neg := run >> 63
+			run, step, li = run^neg-neg, step^neg-neg, li-neg
+		}
+		hops += run + rest
+		for {
+			if send {
+				for ; run > 0; run-- {
+					depart := cur
+					if f := freeAt[li]; f > depart {
+						wait += f - depart
+						depart = f
+					}
+					freeAt[li] = depart + service
+					busyTime[li] += service
+					cur = depart + hop
+					li += step
+				}
+			} else {
+				for ; run > 0; run-- {
+					if f := freeAt[li]; f > t {
+						wait += f - t
+					}
+					li += step
+				}
+			}
+			if rest == 0 {
+				break
+			}
+			li -= ax.ext * step
+			run, rest = rest, 0
 		}
 	}
-	return wait
+	return cur, wait, hops
 }
 
 // Stats returns the accumulated network statistics.

@@ -7,11 +7,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"meshalloc/internal/comm"
 	"meshalloc/internal/topo"
 )
 
 func testConfig() Config {
 	return Config{MessageFlits: 10, FlitCycle: 0.01, HopLatency: 0.005, LocalDelay: 0.001}
+}
+
+// result describes one delivered message.
+type result struct {
+	Arrival float64 // when its last flit reaches the destination
+	Hops    int     // route length in links (0 for self-addressed)
+	Queued  float64 // time spent waiting for busy links
+}
+
+// send1 sends one message from node src to node dst at time t, as a
+// burst of one, and returns what Send reports for it.
+func send1(n *Network, src, dst int, t float64) result {
+	var sums Sums
+	arr := n.Send([]comm.Msg{{Src: 0, Dst: 1}}, []int{src, dst}, t, &sums)
+	return result{Arrival: arr, Hops: int(sums.Hops), Queued: sums.Queued}
 }
 
 // uncontendedLatency is the delivery latency of a message over hops
@@ -45,7 +61,7 @@ func TestUncontendedLatency(t *testing.T) {
 	m := topo.New([]int{8, 8})
 	n := New(m, testConfig())
 	// 3 hops: 3*0.005 + 10*0.01 = 0.115.
-	r := n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
+	r := send1(n, m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
 	if r.Hops != 3 {
 		t.Fatalf("hops = %d, want 3", r.Hops)
 	}
@@ -64,7 +80,7 @@ func TestUncontendedLatency(t *testing.T) {
 func TestSelfMessageUsesLocalDelay(t *testing.T) {
 	m := topo.New([]int{4, 4})
 	n := New(m, testConfig())
-	r := n.Send(5, 5, 2.0)
+	r := send1(n, 5, 5, 2.0)
 	if r.Hops != 0 || r.Arrival != 2.001 {
 		t.Fatalf("self message result = %+v", r)
 	}
@@ -75,8 +91,8 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 	n := New(m, testConfig())
 	// Two messages crossing the same link 0->1 at the same time: the
 	// second queues for one service time (0.1).
-	r1 := n.Send(0, 2, 0)
-	r2 := n.Send(0, 2, 0)
+	r1 := send1(n, 0, 2, 0)
+	r2 := send1(n, 0, 2, 0)
 	if r1.Queued != 0 {
 		t.Fatalf("first message queued %g", r1.Queued)
 	}
@@ -91,8 +107,8 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 func TestOppositeDirectionsDoNotContend(t *testing.T) {
 	m := topo.New([]int{8, 1})
 	n := New(m, testConfig())
-	r1 := n.Send(0, 3, 0)
-	r2 := n.Send(3, 0, 0) // full duplex: reverse links are distinct
+	r1 := send1(n, 0, 3, 0)
+	r2 := send1(n, 3, 0, 0) // full duplex: reverse links are distinct
 	if r1.Queued != 0 || r2.Queued != 0 {
 		t.Fatalf("duplex messages queued %g and %g", r1.Queued, r2.Queued)
 	}
@@ -101,8 +117,8 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 func TestDisjointPathsDoNotContend(t *testing.T) {
 	m := topo.New([]int{8, 8})
 	n := New(m, testConfig())
-	r1 := n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
-	r2 := n.Send(m.ID(topo.XY(0, 4)), m.ID(topo.XY(3, 4)), 0)
+	r1 := send1(n, m.ID(topo.XY(0, 0)), m.ID(topo.XY(3, 0)), 0)
+	r2 := send1(n, m.ID(topo.XY(0, 4)), m.ID(topo.XY(3, 4)), 0)
 	if r1.Queued != 0 || r2.Queued != 0 {
 		t.Fatal("disjoint rows should not contend")
 	}
@@ -114,8 +130,8 @@ func TestXYRoutingContention(t *testing.T) {
 	// though their sources differ.
 	m := topo.New([]int{4, 4})
 	n := New(m, testConfig())
-	n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
-	r2 := n.Send(m.ID(topo.XY(2, 0)), m.ID(topo.XY(2, 2)), 0)
+	send1(n, m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
+	r2 := send1(n, m.ID(topo.XY(2, 0)), m.ID(topo.XY(2, 2)), 0)
 	if r2.Queued <= 0 {
 		t.Fatal("column-sharing messages should contend under x-y routing")
 	}
@@ -124,21 +140,21 @@ func TestXYRoutingContention(t *testing.T) {
 func TestSendPanicsOnTimeTravel(t *testing.T) {
 	m := topo.New([]int{4, 4})
 	n := New(m, testConfig())
-	n.Send(0, 1, 5)
+	send1(n, 0, 1, 5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order Send should panic")
 		}
 	}()
-	n.Send(0, 1, 4)
+	send1(n, 0, 1, 4)
 }
 
 func TestStatsAccumulate(t *testing.T) {
 	m := topo.New([]int{8, 8})
 	n := New(m, testConfig())
-	n.Send(0, 1, 0)
-	n.Send(0, 2, 0)
-	n.Send(3, 3, 1)
+	send1(n, 0, 1, 0)
+	send1(n, 0, 2, 0)
+	send1(n, 3, 3, 1)
 	s := n.Stats()
 	if s.Messages != 3 {
 		t.Fatalf("messages = %d", s.Messages)
@@ -159,12 +175,12 @@ func TestStatsAccumulate(t *testing.T) {
 // starts idle.
 func TestReset(t *testing.T) {
 	m := topo.New([]int{4, 4})
-	New(m, testConfig()).Send(0, 5, 10)
+	send1(New(m, testConfig()), 0, 5, 10)
 	n := New(m, testConfig())
 	if n.Stats().Messages != 0 {
 		t.Fatal("stats shared through the grid")
 	}
-	r := n.Send(0, 5, 0) // the clock starts at zero too
+	r := send1(n, 0, 5, 0) // the clock starts at zero too
 	if r.Queued != 0 {
 		t.Fatal("link state shared through the grid")
 	}
@@ -187,15 +203,15 @@ func TestArrivalMonotoneInLoad(t *testing.T) {
 		dst := int(dstRaw) % m.Size()
 
 		quiet := New(m, testConfig())
-		probeQuiet := quiet.Send(src, dst, 1.0)
+		probeQuiet := send1(quiet, src, dst, 1.0)
 
 		busy := New(m, testConfig())
 		for _, b := range bg {
 			s := int(b>>8) % m.Size()
 			d := int(b&0xff) % m.Size()
-			busy.Send(s, d, 0.5)
+			send1(busy, s, d, 0.5)
 		}
-		probeBusy := busy.Send(src, dst, 1.0)
+		probeBusy := send1(busy, src, dst, 1.0)
 
 		return probeBusy.Arrival >= probeQuiet.Arrival-1e-12
 	}
@@ -213,7 +229,7 @@ func TestCloserDestinationsArriveSooner(t *testing.T) {
 	prev := -1.0
 	for d := 1; d < 16; d++ {
 		nn := New(m, testConfig())
-		r := nn.Send(0, d, 0) // along the bottom row: d hops
+		r := send1(nn, 0, d, 0) // along the bottom row: d hops
 		if r.Hops != d {
 			t.Fatalf("hops to column %d = %d", d, r.Hops)
 		}
@@ -235,7 +251,7 @@ func TestQueueingConservation(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		src := (i * 7) % m.Size()
 		dst := (i*13 + 5) % m.Size()
-		r := n.Send(src, dst, float64(i)*0.01)
+		r := send1(n, src, dst, float64(i)*0.01)
 		total += r.Queued
 		hops += int64(r.Hops)
 	}
@@ -263,7 +279,7 @@ func TestLatencyDecomposition(t *testing.T) {
 			continue
 		}
 		t0 := float64(i) * 0.02
-		r := n.Send(src, dst, t0)
+		r := send1(n, src, dst, t0)
 		want := uncontendedLatency(testConfig(), r.Hops) + r.Queued
 		if math.Abs((r.Arrival-t0)-want) > 1e-9 {
 			t.Fatalf("message %d: latency %g != baseline+queued %g", i, r.Arrival-t0, want)
@@ -296,8 +312,8 @@ func TestYXRoutingUsesColumnFirst(t *testing.T) {
 	n := New(m, cfg)
 	// Under y-x routing, (0,0)->(2,2) and (0,2)->(2,2) share the row-2
 	// links, unlike under x-y routing.
-	n.Send(m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
-	r2 := n.Send(m.ID(topo.XY(0, 2)), m.ID(topo.XY(2, 2)), 0)
+	send1(n, m.ID(topo.XY(0, 0)), m.ID(topo.XY(2, 2)), 0)
+	r2 := send1(n, m.ID(topo.XY(0, 2)), m.ID(topo.XY(2, 2)), 0)
 	if r2.Queued <= 0 {
 		t.Fatal("row-sharing messages should contend under y-x routing")
 	}
@@ -312,9 +328,9 @@ func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
 	dst := m.ID(topo.XY(2, 2))
 	// Congest the x-y route's first link (0,0)->(1,0) with row traffic.
 	for i := 0; i < 5; i++ {
-		n.Send(src, m.ID(topo.XY(3, 0)), 0)
+		send1(n, src, m.ID(topo.XY(3, 0)), 0)
 	}
-	r := n.Send(src, dst, 0)
+	r := send1(n, src, dst, 0)
 	// The adaptive router should take the y-first route and dodge the
 	// queue entirely.
 	if r.Queued != 0 {
@@ -324,9 +340,9 @@ func TestAdaptiveRoutingAvoidsCongestion(t *testing.T) {
 	// A plain x-y network must queue in the same situation.
 	nxy := New(m, testConfig())
 	for i := 0; i < 5; i++ {
-		nxy.Send(src, m.ID(topo.XY(3, 0)), 0)
+		send1(nxy, src, m.ID(topo.XY(3, 0)), 0)
 	}
-	if r := nxy.Send(src, dst, 0); r.Queued <= 0 {
+	if r := send1(nxy, src, dst, 0); r.Queued <= 0 {
 		t.Fatal("x-y control should have queued")
 	}
 }
@@ -345,7 +361,7 @@ func TestLinkUtilization(t *testing.T) {
 	}
 	// One message 0->1 at t=1: link (0,+x) busy 0.1 over clock 1.
 	// Dir 0 is +x.
-	n.Send(0, 1, 1.0)
+	send1(n, 0, 1, 1.0)
 	util := n.LinkUtilization()
 	li := m.LinkIndex(topo.Link{From: 0, Dir: topo.Dir(0)})
 	if math.Abs(util[li]-0.1) > 1e-12 {
@@ -361,7 +377,7 @@ func TestLinkUtilization(t *testing.T) {
 func TestNodeUtilizationAggregates(t *testing.T) {
 	m := topo.New([]int{4, 4})
 	n := New(m, testConfig())
-	n.Send(0, 3, 1.0) // bottom row eastward
+	send1(n, 0, 3, 1.0) // bottom row eastward
 	nu := n.NodeUtilization()
 	if len(nu) != 16 {
 		t.Fatalf("node utilization length %d", len(nu))
@@ -378,7 +394,7 @@ func TestNodeUtilizationAggregates(t *testing.T) {
 // carried traffic reports zero utilization before its own first Send.
 func TestUtilizationResets(t *testing.T) {
 	m := topo.New([]int{4, 4})
-	New(m, testConfig()).Send(0, 3, 1.0)
+	send1(New(m, testConfig()), 0, 3, 1.0)
 	n := New(m, testConfig())
 	for _, u := range n.LinkUtilization() {
 		if u != 0 {
@@ -400,10 +416,10 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 }
 
-// refNetwork is the route-building Send the route-free walk replaced,
-// kept as the oracle: every message's route is materialized as
-// []topo.Link through AppendRoute/AppendRouteRev and link state is
-// indexed with LinkIndex, one link at a time.
+// refNetwork is the oracle Send is checked against: one message at a
+// time, over a route built hop by hop with Grid.Neighbor, so it shares
+// no code with the walker under test; link state is indexed with
+// LinkIndex, one link at a time.
 type refNetwork struct {
 	m                *topo.Grid
 	cfg              Config
@@ -417,12 +433,40 @@ func newRefNetwork(g *topo.Grid, cfg Config) *refNetwork {
 	return &refNetwork{m: g, cfg: cfg, freeAt: make([]float64, g.NumLinks()), busyTime: make([]float64, g.NumLinks())}
 }
 
-func (n *refNetwork) Send(src, dst int, t float64) Result {
+// refRoute appends the dimension-ordered route from src to dst to links:
+// axes ascending when asc, else descending, each walked hop by hop with
+// Neighbor toward dst's coordinate, the shorter way around on a torus
+// (positive on ties).
+func refRoute(g *topo.Grid, links []topo.Link, src, dst int, asc bool) []topo.Link {
+	want := g.Coord(dst)
+	cur := src
+	for k := 0; k < g.ND(); k++ {
+		a := k
+		if !asc {
+			a = g.ND() - 1 - k
+		}
+		for c := g.Coord(cur)[a]; c != want[a]; c = g.Coord(cur)[a] {
+			dir := topo.Dir(2 * a)
+			if ext := g.Dim(a); g.Torus() {
+				if fwd := (want[a] - c + ext) % ext; fwd > ext-fwd {
+					dir++
+				}
+			} else if want[a] < c {
+				dir++
+			}
+			links = append(links, topo.Link{From: cur, Dir: dir})
+			cur, _ = g.Neighbor(cur, dir)
+		}
+	}
+	return links
+}
+
+func (n *refNetwork) Send(src, dst int, t float64) result {
 	n.clock = t
 	if src == dst {
 		n.stats.Messages++
 		n.stats.TotalDistSec += n.cfg.LocalDelay
-		return Result{Arrival: t + n.cfg.LocalDelay}
+		return result{Arrival: t + n.cfg.LocalDelay}
 	}
 	service := n.cfg.serviceTime()
 	route := n.pickRoute(src, dst, t)
@@ -444,21 +488,16 @@ func (n *refNetwork) Send(src, dst int, t float64) Result {
 	n.stats.TotalHops += int64(len(route))
 	n.stats.TotalDistSec += arrival - t
 	n.stats.TotalQueueSec += queued
-	return Result{Arrival: arrival, Hops: len(route), Queued: queued}
+	return result{Arrival: arrival, Hops: len(route), Queued: queued}
 }
 
 func (n *refNetwork) pickRoute(src, dst int, t float64) []topo.Link {
-	switch n.cfg.Routing {
-	case RouteYX:
-		n.routeBuf = n.m.AppendRouteRev(n.routeBuf[:0], src, dst)
-	case RouteAdaptive:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
-		n.altBuf = n.m.AppendRouteRev(n.altBuf[:0], src, dst)
+	n.routeBuf = refRoute(n.m, n.routeBuf[:0], src, dst, n.cfg.Routing != RouteYX)
+	if n.cfg.Routing == RouteAdaptive {
+		n.altBuf = refRoute(n.m, n.altBuf[:0], src, dst, false)
 		if n.routeWait(n.altBuf, t) < n.routeWait(n.routeBuf, t) {
 			return n.altBuf
 		}
-	default:
-		n.routeBuf = n.m.AppendRoute(n.routeBuf[:0], src, dst)
 	}
 	return n.routeBuf
 }
@@ -471,6 +510,24 @@ func (n *refNetwork) routeWait(route []topo.Link, t float64) float64 {
 		}
 	}
 	return wait
+}
+
+// sendRef sends msgs one at a time through the reference, as a caller of
+// the per-message network did, and returns the burst's latest arrival
+// (t if it is empty) with the sums added in message order. Like Send, it
+// moves the clock to t even for an empty burst.
+func (n *refNetwork) sendRef(msgs []comm.Msg, nodes []int, t float64, sums *Sums) float64 {
+	n.clock = t
+	last := t
+	for _, m := range msgs {
+		r := n.Send(nodes[m.Src], nodes[m.Dst], t)
+		sums.Hops += int64(r.Hops)
+		sums.Queued += r.Queued
+		if r.Arrival > last {
+			last = r.Arrival
+		}
+	}
+	return last
 }
 
 // sameBits reports whether two float slices are bit-for-bit equal.
@@ -486,14 +543,15 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// matchesRef reports where n's last Result r and its state (what State
-// returns) first differ from the reference's, or "" when they are
-// bit-equal.
-func matchesRef(n *Network, ref *refNetwork, r, want Result) string {
+// matchesRef reports where n's last burst (its latest arrival and the
+// caller's sums) and its state (what State returns) first differ from
+// the reference's, or "" when they are bit-equal.
+func matchesRef(n *Network, ref *refNetwork, last, wantLast float64, sums, wantSums Sums) string {
 	switch {
-	case r.Hops != want.Hops || math.Float64bits(r.Arrival) != math.Float64bits(want.Arrival) ||
-		math.Float64bits(r.Queued) != math.Float64bits(want.Queued):
-		return fmt.Sprintf("result %+v, reference %+v", r, want)
+	case math.Float64bits(last) != math.Float64bits(wantLast):
+		return fmt.Sprintf("latest arrival %v, reference %v", last, wantLast)
+	case sums.Hops != wantSums.Hops || math.Float64bits(sums.Queued) != math.Float64bits(wantSums.Queued):
+		return fmt.Sprintf("sums %+v, reference %+v", sums, wantSums)
 	case n.stats != ref.stats || math.Float64bits(n.clock) != math.Float64bits(ref.clock):
 		return fmt.Sprintf("stats %+v clock %v, reference %+v clock %v", n.stats, n.clock, ref.stats, ref.clock)
 	case !sameBits(n.freeAt, ref.freeAt):
@@ -525,12 +583,13 @@ func oracleGrid(i int) *topo.Grid {
 	return topo.New(oracleGrids[i].dims)
 }
 
-// TestSendMatchesReference drives Send and the route-building reference
-// with the same 12,000 random sends at nondecreasing times — bursts at
-// one instant build queues, gaps drain them, and a few messages are
-// self-addressed — on every oracle grid under every routing, and
-// requires the Result and the full network state to be bit-equal after
-// every send.
+// TestSendMatchesReference drives Send and the hop-by-hop reference with
+// the same 3,000 bursts, each a run of 1 to 16 messages between the
+// ranks of a random job at nondecreasing times: bursts at one instant
+// build queues, gaps drain them, and about one message in 50 is
+// self-addressed. On every oracle grid under every routing, each burst's
+// latest arrival, the caller's running sums and the full network state
+// must be bit-equal to the reference's.
 func TestSendMatchesReference(t *testing.T) {
 	for gi := range oracleGrids {
 		for _, routing := range []Routing{RouteXY, RouteYX, RouteAdaptive} {
@@ -540,18 +599,25 @@ func TestSendMatchesReference(t *testing.T) {
 				cfg.Routing = routing
 				n, ref := New(g, cfg), newRefNetwork(g, cfg)
 				rng := rand.New(rand.NewSource(int64(gi)*3 + int64(routing) + 1))
+				nodes := rng.Perm(g.Size())[:1+rng.Intn(g.Size())]
+				var sums, wantSums Sums
+				var msgs []comm.Msg
 				now := 0.0
-				for i := 0; i < 12000; i++ {
+				for i := 0; i < 3000; i++ {
 					if rng.Intn(4) == 0 {
 						now += rng.Float64() * 0.3
 					}
-					src, dst := rng.Intn(g.Size()), rng.Intn(g.Size())
-					if rng.Intn(50) == 0 {
-						dst = src
+					msgs = msgs[:0]
+					for k := 1 + rng.Intn(16); k > 0; k-- {
+						m := comm.Msg{Src: rng.Intn(len(nodes)), Dst: rng.Intn(len(nodes))}
+						if rng.Intn(50) == 0 {
+							m.Dst = m.Src
+						}
+						msgs = append(msgs, m)
 					}
-					r, want := n.Send(src, dst, now), ref.Send(src, dst, now)
-					if msg := matchesRef(n, ref, r, want); msg != "" {
-						t.Fatalf("send %d (%d->%d at %v): %s", i, src, dst, now, msg)
+					last, wantLast := n.Send(msgs, nodes, now, &sums), ref.sendRef(msgs, nodes, now, &wantSums)
+					if msg := matchesRef(n, ref, last, wantLast, sums, wantSums); msg != "" {
+						t.Fatalf("burst %d (%v at %v): %s", i, msgs, now, msg)
 					}
 				}
 				st := n.State()
@@ -564,28 +630,40 @@ func TestSendMatchesReference(t *testing.T) {
 }
 
 // FuzzSendMatchesReference is the oracle under fuzzer-chosen traffic:
-// the first two bytes pick the grid and routing, then every three bytes
-// are one send (source, destination, time step).
+// the first three bytes pick the grid, the routing and the job size (a
+// prefix of a fixed shuffle of the grid's nodes), then each record is a
+// burst: a length byte, that many (source rank, destination rank) byte
+// pairs, and a time step.
 func FuzzSendMatchesReference(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 200, 0, 1, 200, 0, 5, 9, 3})
-	f.Add([]byte{3, 2, 0, 35, 0, 35, 0, 0, 17, 18, 1, 7, 30, 2})
-	f.Add([]byte{4, 1, 0, 59, 0, 59, 0, 0, 12, 40, 0, 40, 12, 9})
+	f.Add([]byte{0, 0, 40, 2, 1, 200, 0, 1, 1, 1, 5, 9, 3})
+	f.Add([]byte{3, 2, 255, 3, 35, 0, 35, 0, 0, 17, 0, 1, 18, 7, 2})
+	f.Add([]byte{4, 1, 90, 1, 59, 0, 0, 2, 12, 40, 40, 12, 9, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 3 {
 			return
 		}
 		g := oracleGrid(int(data[0]) % len(oracleGrids))
 		cfg := testConfig()
 		cfg.Routing = Routing(int(data[1]) % 3)
 		n, ref := New(g, cfg), newRefNetwork(g, cfg)
+		nodes := rand.New(rand.NewSource(int64(data[2]))).Perm(g.Size())[:1+int(data[2])%g.Size()]
+		var sums, wantSums Sums
+		var msgs []comm.Msg
 		now := 0.0
-		for i := 2; i+2 < len(data); i += 3 {
-			src := int(data[i]) * g.Size() / 256
-			dst := int(data[i+1]) * g.Size() / 256
-			now += float64(data[i+2]%8) * 0.02
-			r, want := n.Send(src, dst, now), ref.Send(src, dst, now)
-			if msg := matchesRef(n, ref, r, want); msg != "" {
-				t.Fatalf("send %d->%d at %v: %s", src, dst, now, msg)
+		for i := 3; i < len(data); {
+			k := int(data[i]) % 17
+			i++
+			msgs = msgs[:0]
+			for ; k > 0 && i+1 < len(data); k, i = k-1, i+2 {
+				msgs = append(msgs, comm.Msg{Src: int(data[i]) % len(nodes), Dst: int(data[i+1]) % len(nodes)})
+			}
+			if i < len(data) {
+				now += float64(data[i]%8) * 0.02
+				i++
+			}
+			last, wantLast := n.Send(msgs, nodes, now, &sums), ref.sendRef(msgs, nodes, now, &wantSums)
+			if msg := matchesRef(n, ref, last, wantLast, sums, wantSums); msg != "" {
+				t.Fatalf("burst %v at %v: %s", msgs, now, msg)
 			}
 		}
 	})

@@ -92,8 +92,10 @@ type Engine struct {
 	canBlock bool
 	blocked  bool
 
-	// setScratch backs the per-finish dispersal metrics (SetStats).
+	// setScratch backs the per-finish dispersal metrics (SetStats), and
+	// msgBuf the random pattern's bursts.
 	setScratch topo.SetScratch
+	msgBuf     []comm.Msg
 	core       stats.EventCoreStats
 
 	observers []Observer
@@ -918,7 +920,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 	s := &e.store
 	s.job[h] = job
 	s.nodes[h] = nodes
-	s.gen[h] = e.pattern.Generator(job.Size, e.rng)
+	s.gen[h].Reset(e.pattern, job.Size, e.rng)
 	s.quota[h] = e.quotaOf(job)
 	s.sent[h] = 0
 	s.hops[h] = 0
@@ -926,7 +928,6 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 	s.lastArr[h] = now
 	s.queued[h] = 0
 	s.estEnd[h] = now + job.Runtime
-	s.havePend[h] = false
 	e.busyProcs += job.Size
 	if e.owner != nil {
 		for _, id := range nodes {
@@ -1033,43 +1034,19 @@ func (e *Engine) finish(h int32, now float64) {
 // its finish once the quota is sent, else its next step.
 func (e *Engine) step(h int32, now float64) event {
 	s := &e.store
-	burst := int64(1)
+	budget := 1
 	if e.cfg.Issue == IssuePhased {
-		burst = math.MaxInt64 // until phase boundary
+		budget = int(s.quota[h] - s.sent[h]) // until phase boundary
 	}
-	maxArr := now
-	var issued int64
-	nodes := s.nodes[h]
-	gen := s.gen[h]
-	sent, quota := s.sent[h], s.quota[h]
-	hops, queued := s.hops[h], s.queued[h]
-	for issued < burst && sent < quota {
-		var msg comm.Msg
-		if s.havePend[h] {
-			msg, s.havePend[h] = s.pending[h], false
-		} else {
-			var newPhase bool
-			msg, newPhase = gen.Next()
-			if newPhase && issued > 0 {
-				// The phase ended; save the message for the next burst.
-				s.pending[h], s.havePend[h] = msg, true
-				break
-			}
-		}
-		r := e.net.Send(nodes[msg.Src], nodes[msg.Dst], now)
-		sent++
-		hops += int64(r.Hops)
-		queued += r.Queued
-		if r.Arrival > maxArr {
-			maxArr = r.Arrival
-		}
-		issued++
-	}
-	s.sent[h], s.hops[h], s.queued[h] = sent, hops, queued
+	msgs := s.gen[h].Burst(budget, &e.msgBuf)
+	sums := netsim.Sums{Hops: s.hops[h], Queued: s.queued[h]}
+	maxArr := e.net.Send(msgs, s.nodes[h], now, &sums)
+	s.sent[h] += int64(len(msgs))
+	s.hops[h], s.queued[h] = sums.Hops, sums.Queued
 	if maxArr > s.lastArr[h] {
 		s.lastArr[h] = maxArr
 	}
-	if sent >= quota {
+	if s.sent[h] >= s.quota[h] {
 		return e.stamp(event{t: maxArr, kind: kindFinish, h: h})
 	}
 	// Barrier: the next subphase starts when this burst has arrived.

@@ -34,7 +34,8 @@ func goldenDigest(res *Result) string {
 // goldenCases are the paper-figure configurations whose batch outputs
 // are pinned bit-for-bit across the engine refactor: the 2-D Figure 7/8
 // machines, the native 3-D ext-cube3d machine, the EASY scheduler path,
-// and the sequential-issue ablation with a randomized pattern.
+// the sequential-issue ablation with a randomized pattern, and a 2-D and
+// a 3-D torus, whose routes wrap.
 var goldenCases = []struct {
 	name   string
 	cfg    Config
@@ -76,6 +77,20 @@ var goldenCases = []struct {
 			Load: 0.6, TimeScale: 0.01, Seed: 1, Issue: IssueSequential},
 		jobs: 200, max: 352,
 		digest: "172a9d1ff350573c",
+	},
+	{
+		name: "torus-8x8-random-hilbert",
+		cfg: Config{MeshW: 8, MeshH: 8, Torus: true, Alloc: "hilbert/bestfit", Pattern: "random",
+			Load: 0.6, TimeScale: 0.01, Seed: 1},
+		jobs: 400, max: 64,
+		digest: "3e9fd94e3b854695",
+	},
+	{
+		name: "torus-4x4x4-nbody-mc1x1",
+		cfg: Config{Dims: []int{4, 4, 4}, Torus: true, Alloc: "mc1x1", Pattern: "nbody",
+			Load: 0.6, TimeScale: 0.01, Seed: 1},
+		jobs: 400, max: 64,
+		digest: "a7ae22f51a9610e2",
 	},
 }
 

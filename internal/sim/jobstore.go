@@ -11,27 +11,27 @@ import (
 // Discard run — carries no pointers at all and costs the garbage
 // collector nothing to scan; the pointered columns (nodes, gen) are
 // bounded by the number of concurrently running jobs, not by queue
-// depth. Handles are recycled LIFO through free, exactly as the old
-// *runningJob pool recycled structs: a handle stays in use after a kill
-// (dead=true) until the job's one stale queue event pops and releases
-// it, so a recycled handle can never collide with a live queue entry.
+// depth. A handle's generator is re-armed in place for each job it
+// carries (comm.Generator.Reset). Handles are recycled LIFO through
+// free, exactly as the old *runningJob pool recycled structs: a handle
+// stays in use after a kill (dead=true) until the job's one stale queue
+// event pops and releases it, so a recycled handle can never collide
+// with a live queue entry.
 type jobStore struct {
-	job      []trace.Job
-	nodes    [][]int
-	gen      []comm.Generator
-	quota    []int64
-	sent     []int64
-	hops     []int64
-	start    []float64
-	lastArr  []float64 // latest delivery so far
-	queued   []float64
-	estEnd   []float64  // nominal end for backfilling estimates
-	pending  []comm.Msg // first message of the next phase (phased mode)
-	havePend []bool
-	dead     []bool // killed by a node failure; awaiting its stale event
-	inUse    []bool
-	free     []int32
-	live     int // in-use and not dead: the running-job count
+	job     []trace.Job
+	nodes   [][]int
+	gen     []comm.Generator
+	quota   []int64
+	sent    []int64
+	hops    []int64
+	start   []float64
+	lastArr []float64 // latest delivery so far
+	queued  []float64
+	estEnd  []float64 // nominal end for backfilling estimates
+	dead    []bool    // killed by a node failure; awaiting its stale event
+	inUse   []bool
+	free    []int32
+	live    int // in-use and not dead: the running-job count
 }
 
 // alloc returns a zeroed handle, growing the columns when the pool is
@@ -47,7 +47,7 @@ func (s *jobStore) alloc() int32 {
 	h := int32(len(s.job))
 	s.job = append(s.job, trace.Job{})
 	s.nodes = append(s.nodes, nil)
-	s.gen = append(s.gen, nil)
+	s.gen = append(s.gen, comm.Generator{})
 	s.quota = append(s.quota, 0)
 	s.sent = append(s.sent, 0)
 	s.hops = append(s.hops, 0)
@@ -55,8 +55,6 @@ func (s *jobStore) alloc() int32 {
 	s.lastArr = append(s.lastArr, 0)
 	s.queued = append(s.queued, 0)
 	s.estEnd = append(s.estEnd, 0)
-	s.pending = append(s.pending, comm.Msg{})
-	s.havePend = append(s.havePend, false)
 	s.dead = append(s.dead, false)
 	s.inUse = append(s.inUse, true)
 	s.live++
@@ -69,7 +67,6 @@ func (s *jobStore) alloc() int32 {
 func (s *jobStore) markDead(h int32) {
 	s.dead[h] = true
 	s.live--
-	s.gen[h] = nil
 	s.nodes[h] = nil
 }
 
@@ -81,7 +78,6 @@ func (s *jobStore) release(h int32) {
 	}
 	s.dead[h] = false
 	s.inUse[h] = false
-	s.gen[h] = nil
 	s.nodes[h] = nil
 	s.free = append(s.free, h)
 }

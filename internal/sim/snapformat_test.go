@@ -22,6 +22,8 @@ var snapshotPins = map[string]string{
 	"golden/cube3d-8x8x8-nbody-hilbert":  "e119a729623c4657",
 	"golden/easy-16x16-alltoall-hilbert": "3b3704c1bcfff82e",
 	"golden/seq-16x22-random-scurve":     "35838b5e016f3895",
+	"golden/torus-8x8-random-hilbert":    "61874478222f86f8",
+	"golden/torus-4x4x4-nbody-mc1x1":     "4fc92c0b24fd1a97",
 	"resume/hilbert-alltoall":            "321b6cb9b80fc07e",
 	"resume/random-pattern-random-alloc": "992bf910033bfb5c",
 	"resume/easy-nextfit":                "adf0fafa90702b9f",

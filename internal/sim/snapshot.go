@@ -171,7 +171,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		for _, id := range s.nodes[h] {
 			w.Int(id)
 		}
-		gs, err := comm.StateOf(s.gen[h])
+		gs, err := comm.StateOf(&s.gen[h])
 		if err != nil {
 			return err
 		}
@@ -188,9 +188,10 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		w.F64(s.lastArr[h])
 		w.F64(s.queued[h])
 		w.F64(s.estEnd[h])
-		w.Int(s.pending[h].Src)
-		w.Int(s.pending[h].Dst)
-		w.Bool(s.havePend[h])
+		held, holding := s.gen[h].Held()
+		w.Int(held.Src)
+		w.Int(held.Dst)
+		w.Bool(holding)
 	}
 	w.Int(len(s.free))
 	for _, h := range s.free {
@@ -406,7 +407,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		inUse, dead := r.Bool(), r.Bool()
 		s.job = append(s.job, trace.Job{})
 		s.nodes = append(s.nodes, nil)
-		s.gen = append(s.gen, nil)
+		s.gen = append(s.gen, comm.Generator{})
 		s.quota = append(s.quota, 0)
 		s.sent = append(s.sent, 0)
 		s.hops = append(s.hops, 0)
@@ -414,8 +415,6 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.lastArr = append(s.lastArr, 0)
 		s.queued = append(s.queued, 0)
 		s.estEnd = append(s.estEnd, 0)
-		s.pending = append(s.pending, comm.Msg{})
-		s.havePend = append(s.havePend, false)
 		s.dead = append(s.dead, dead)
 		s.inUse = append(s.inUse, inUse)
 		if !inUse || dead {
@@ -441,13 +440,6 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			Kind: r.String(), Pattern: r.String(),
 			P: r.Int(), Phase: r.Int(), Idx: r.Int(), Count: r.Int(),
 		}
-		if r.Err() == nil {
-			gen, err := comm.RestoreGen(gs, e.pattern, e.rng)
-			if err != nil {
-				return nil, fmt.Errorf("sim: handle %d: %v: %w", h, err, snap.ErrCorrupt)
-			}
-			s.gen[h] = gen
-		}
 		s.quota[h] = r.I64()
 		s.sent[h] = r.I64()
 		s.hops[h] = r.I64()
@@ -455,8 +447,19 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.lastArr[h] = r.F64()
 		s.queued[h] = r.F64()
 		s.estEnd[h] = r.F64()
-		s.pending[h] = comm.Msg{Src: r.Int(), Dst: r.Int()}
-		s.havePend[h] = r.Bool()
+		held := comm.Msg{Src: r.Int(), Dst: r.Int()}
+		holding := r.Bool()
+		if r.Err() == nil {
+			gen, err := comm.RestoreGen(gs, held, holding, e.pattern, e.rng)
+			if err != nil {
+				return nil, fmt.Errorf("sim: handle %d: %v: %w", h, err, snap.ErrCorrupt)
+			}
+			if gs.P != j.Size {
+				return nil, fmt.Errorf("sim: handle %d has a %d-rank generator for a %d-processor job: %w",
+					h, gs.P, j.Size, snap.ErrCorrupt)
+			}
+			s.gen[h] = gen
+		}
 		if r.Err() == nil && !(finite(s.start[h]) && finite(s.lastArr[h]) && finite(s.estEnd[h])) {
 			return nil, fmt.Errorf("sim: handle %d has non-finite times: %w", h, snap.ErrCorrupt)
 		}
@@ -588,15 +591,23 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
 		// SkipTo takes one draw per step, so the position is checked
-		// before it runs. Every engine draw comes from an Intn call: at
-		// most one per job start (the mixed pattern's pick; a start
-		// needs a submission or a retry) and two per generated message
-		// (the random pattern; each generated message is sent, or is the
-		// one a live job holds back for its next phase). That is at most
-		// 3 × (submitted + retried) + 2 × messages calls, and on machines
-		// of at most 2^21 nodes an Intn draw is rejected and redrawn with
-		// probability under 2^-10, so 64 × (submitted + retried + 2 ×
-		// messages) draws, over 21 per call, is never reached.
+		// before it runs. Only the random and mixed patterns draw from
+		// the engine RNG, so under any other the position is 0. Every
+		// engine draw comes from an Intn call: at most one per job start
+		// (the mixed pattern's pick; a start needs a submission or a
+		// retry) and two per generated message (the random pattern; each
+		// generated message is sent, or is the one a live job holds back
+		// for its next phase). That is at most 3 × (submitted + retried)
+		// + 2 × messages calls, and on machines of at most 2^21 nodes an
+		// Intn draw is rejected and redrawn with probability under
+		// 2^-10, so 64 × (submitted + retried + 2 × messages) draws,
+		// over 21 per call, is never reached. The counts come from the
+		// same file, so a forged message count still buys a forged
+		// position that long to skip to under those two patterns.
+		if name := e.pattern.Name(); rngPos != 0 && name != "random" && name != "mixed" {
+			return nil, fmt.Errorf("sim: RNG position %d under the %s pattern, which never draws: %w",
+				rngPos, name, snap.ErrCorrupt)
+		}
 		bound := 64 * (float64(e.submitted) + float64(e.retried) + 2*float64(ns.Stats.Messages))
 		if float64(rngPos) > bound {
 			return nil, fmt.Errorf("sim: RNG position %d beyond the %.0f draws %d submissions, %d retries and %d messages can take: %w",

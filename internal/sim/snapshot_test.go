@@ -332,6 +332,12 @@ func FuzzRestoreEngine(f *testing.F) {
 		f.Add(dam)
 	}
 	f.Add(seed(cfgR, 100))
+	// A live job's held-back message raised to rank 2^20.
+	e, blob := stepAndSnapshot(f, cfg, tr, 100)
+	off, _ := heldOffset(f, e, blob)
+	binary.LittleEndian.PutUint64(blob[off:], 1<<20)
+	reframe(blob)
+	f.Add(blob)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range []Config{cfg, cfgF, cfgR} {
 			e, err := RestoreEngine(bytes.NewReader(data), c)
@@ -688,4 +694,131 @@ func TestRestoreBoundsRNGPositions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heldOffset finds a live job of at least three processors that holds a
+// phase's first message back in e, whose snapshot is blob, and returns
+// the offset of the held message's source rank in blob (its destination
+// rank follows) with the job's size. The record's estimated end, the
+// held ranks and the flag that follows them are found exactly once.
+func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
+	t.Helper()
+	s := &e.store
+	for h := range s.job {
+		held, holding := s.gen[h].Held()
+		if !s.inUse[h] || s.dead[h] || !holding || s.job[h].Size < 3 {
+			continue
+		}
+		key := binary.LittleEndian.AppendUint64(nil, math.Float64bits(s.estEnd[h]))
+		key = binary.LittleEndian.AppendUint64(key, uint64(held.Src))
+		key = binary.LittleEndian.AppendUint64(key, uint64(held.Dst))
+		key = append(key, 1)
+		if off = bytes.Index(blob, key); off < 0 || bytes.Contains(blob[off+1:], key) {
+			t.Fatalf("handle %d's held message not found exactly once", h)
+		}
+		return off + 8, s.job[h].Size
+	}
+	t.Fatal("no live job holds a message back")
+	return 0, 0
+}
+
+// stepAndSnapshot submits tr to a new engine, steps n events and returns
+// the engine with its snapshot.
+func stepAndSnapshot(t testing.TB, cfg Config, tr *trace.Trace, n int) (*Engine, []byte) {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range tr.Jobs {
+		if err := e.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return e, buf.Bytes()
+}
+
+// restoreWithin restores blob under cfg and fails the test unless the
+// restore ends within a second and with snap.ErrCorrupt.
+func restoreWithin(t *testing.T, blob []byte, cfg Config) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RestoreEngine(bytes.NewReader(blob), cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("restore still running after 1 s")
+	}
+}
+
+// TestRestoreRejectsBadHeldMessage edits the message a live 16x16
+// n-body job holds back for its next phase in a checksum-valid snapshot:
+// to rank 2^20, which would index past the job's node list on its next
+// step, and to an in-range message the schedule would not have held.
+// Both must be refused as corrupt.
+func TestRestoreRejectsBadHeldMessage(t *testing.T) {
+	tc := goldenCases[1]
+	if tc.cfg.Pattern != "nbody" || tc.cfg.MeshW != 16 || tc.cfg.MeshH != 16 {
+		t.Fatalf("golden case 1 is %s on %dx%d, want nbody on 16x16", tc.cfg.Pattern, tc.cfg.MeshW, tc.cfg.MeshH)
+	}
+	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).FilterMaxSize(tc.max)
+	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
+	if _, err := RestoreEngine(bytes.NewReader(blob), tc.cfg); err != nil {
+		t.Fatalf("pristine blob rejected: %v", err)
+	}
+	off, _ := heldOffset(t, e, blob)
+	for _, c := range []struct {
+		name string
+		off  int
+		rank uint64
+	}{{"rank-2^20", off, 1 << 20}, {"not-the-schedule's", off + 8, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := bytes.Clone(blob)
+			binary.LittleEndian.PutUint64(bad[c.off:], c.rank)
+			reframe(bad)
+			restoreWithin(t, bad, tc.cfg)
+		})
+	}
+}
+
+// TestRestoreRejectsRNGPositionWithoutDraws raises a checksum-valid
+// n-body snapshot's network message count and its engine RNG position
+// by 2^40 together, so the position passes the bound the count gives.
+// n-body never draws from the engine RNG, so any position but 0 is
+// corrupt, and the restore must say so at once instead of skipping
+// 2^40 draws.
+func TestRestoreRejectsRNGPositionWithoutDraws(t *testing.T) {
+	tc := goldenCases[1]
+	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).FilterMaxSize(tc.max)
+	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
+	rngOff := 16 + 8 + 17*8 + 1 + 7*8 + 2*8 + 5*4*8 + 8 + 8*len(e.respMedian.State().Boot)
+	if got := binary.LittleEndian.Uint64(blob[rngOff:]); got != 0 || e.rng.Pos() != 0 {
+		t.Fatalf("word at the RNG offset is %d, engine RNG at %d, want 0", got, e.rng.Pos())
+	}
+	ns := e.net.Stats()
+	key := binary.LittleEndian.AppendUint64(nil, uint64(ns.Messages))
+	key = binary.LittleEndian.AppendUint64(key, uint64(ns.TotalHops))
+	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(ns.TotalDistSec))
+	msgOff := bytes.Index(blob, key)
+	if msgOff < 0 || bytes.Contains(blob[msgOff+1:], key) || ns.Messages == 0 {
+		t.Fatal("network message count not found exactly once")
+	}
+	bad := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(bad[rngOff:], 1<<40)
+	binary.LittleEndian.PutUint64(bad[msgOff:], uint64(ns.Messages)+1<<40)
+	reframe(bad)
+	restoreWithin(t, bad, tc.cfg)
 }

@@ -33,14 +33,15 @@ func (c *countingSource) Seed(seed int64) {
 // RNG is a deterministic pseudo-random source. All simulator randomness
 // flows through RNG so that a (seed, config) pair fully determines a run.
 type RNG struct {
-	r   *rand.Rand
-	cnt *countingSource
+	cnt countingSource
+	r   *rand.Rand // over cnt
 }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	cnt := &countingSource{src: rand.NewSource(seed)}
-	return &RNG{r: rand.New(cnt), cnt: cnt}
+	g := &RNG{cnt: countingSource{src: rand.NewSource(seed)}}
+	g.r = rand.New(&g.cnt)
+	return g
 }
 
 // Pos returns the stream position: the number of raw 63-bit draws
@@ -65,7 +66,39 @@ func (g *RNG) SkipTo(pos uint64) error {
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform variate in [0,n). It panics if n <= 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+//
+// It is math/rand's Rand.Intn, drawing from the source directly rather
+// than through Rand and the counting wrapper: the random message
+// pattern calls it twice per message. The values and the number of
+// draws are Rand.Intn's exactly (TestIntnMatchesMathRand). Only an n
+// past 31 bits, which no simulated machine reaches, still goes
+// through Rand.
+func (g *RNG) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n > 1<<31-1 {
+		return int(g.r.Int63n(int64(n)))
+	}
+	// Rand.Int31n: mask a power of two, else reject the top partial
+	// block and reduce.
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(g.int31() & (m - 1))
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := g.int31()
+	for v > limit {
+		v = g.int31()
+	}
+	return int(v % m)
+}
+
+// int31 is Rand.Int31: the top 31 bits of one counted draw.
+func (g *RNG) int31() int32 {
+	g.cnt.n++
+	return int32(g.cnt.src.Int63() >> 32)
+}
 
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -244,5 +245,73 @@ func TestBinXYConstantX(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("constant-x binning lost points: %v", bins)
+	}
+}
+
+// refCounter counts the raw draws math/rand's own Rand takes, the
+// reference for RNG.Pos.
+type refCounter struct {
+	src rand.Source
+	n   uint64
+}
+
+func (c *refCounter) Int63() int64 { c.n++; return c.src.Int63() }
+func (c *refCounter) Seed(s int64) { c.src.Seed(s) }
+
+// TestIntnMatchesMathRand requires RNG.Intn, which draws from the
+// source directly, to return rand.Rand.Intn's values and take its number
+// of draws, interleaved with the methods that still go through Rand.
+func TestIntnMatchesMathRand(t *testing.T) {
+	ns := []int{1, 2, 3, 5, 7, 10, 100, 1000, 1<<31 - 1, 1<<31 + 1, 1<<40 + 3, 1 << 50}
+	for k := 1; k <= 30; k++ {
+		ns = append(ns, 1<<k)
+	}
+	// Just above a power of two, about half of each 2^31 block is
+	// rejected, so these force redraws.
+	for _, k := range []int{20, 29, 30} {
+		ns = append(ns, 1<<k+1, 3<<(k-1)+1)
+	}
+	for _, seed := range []int64{1, 7, 42, -3} {
+		got := NewRNG(seed)
+		ref := &refCounter{src: rand.NewSource(seed)}
+		want := rand.New(ref)
+		for round := 0; round < 40; round++ {
+			for _, n := range ns {
+				if a, b := got.Intn(n), want.Intn(n); a != b {
+					t.Fatalf("seed %d round %d: Intn(%d) = %d, math/rand gives %d", seed, round, n, a, b)
+				}
+				if got.Pos() != ref.n {
+					t.Fatalf("seed %d round %d: after Intn(%d) Pos = %d, math/rand took %d draws", seed, round, n, got.Pos(), ref.n)
+				}
+			}
+			switch round % 3 {
+			case 0:
+				if a, b := got.Float64(), want.Float64(); a != b {
+					t.Fatalf("seed %d round %d: Float64 %v, want %v", seed, round, a, b)
+				}
+			case 1:
+				a, b := got.Perm(9+round), want.Perm(9+round)
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("seed %d round %d: Perm %v, want %v", seed, round, a, b)
+					}
+				}
+			case 2:
+				a, b := make([]int, 20+round), make([]int, 20+round)
+				for i := range a {
+					a[i], b[i] = i, i
+				}
+				got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+				want.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("seed %d round %d: Shuffle %v, want %v", seed, round, a, b)
+					}
+				}
+			}
+			if got.Pos() != ref.n {
+				t.Fatalf("seed %d round %d: Pos = %d, math/rand took %d draws", seed, round, got.Pos(), ref.n)
+			}
+		}
 	}
 }

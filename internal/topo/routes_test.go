@@ -1,16 +1,12 @@
 package topo
 
-// Dimension-ordered routing, generalized from the 2-D x-y algorithm of
-// Paragon-/CPlant-style mesh routers: resolve one axis completely before
-// moving to the next. Ascending axis order (axis 0 first) is the n-D
-// generalization of x-y routing; descending order generalizes y-x, the
-// alternative deterministic routing used for routing-sensitivity
-// studies. On a torus each axis takes the shorter way around (positive
-// on ties).
-//
-// RouteSegs is the one route walker. It describes a route as straight
-// runs of dense link indices, which is all the network simulator needs
-// per message; the []Link forms below expand the same runs.
+// Dimension-ordered routes as the topo tests see them. Routing itself
+// lives in the network model (netsim's walker); these are the reference
+// forms the package's route tests pin: ascending axis order (axis 0
+// first) is the n-D generalization of x-y routing, descending order
+// generalizes y-x, and on a torus each axis takes the shorter way around
+// (positive on ties). RouteSegs describes a route as straight runs of
+// dense link indices; the []Link forms expand the same runs.
 
 // Seg is one straight run of a route: N consecutive links along one
 // axis, the k-th of which has dense link index First + k*Stride (see
@@ -106,4 +102,11 @@ func (g *Grid) appendRouteDimOrdered(links []Link, src, dst int, asc bool) []Lin
 		}
 	}
 	return links
+}
+
+// LinkAt returns the link with the given dense index, the inverse of
+// LinkIndex.
+func (g *Grid) LinkAt(idx int) Link {
+	n := g.NumDirs()
+	return Link{From: idx / n, Dir: Dir(idx % n)}
 }

@@ -1,7 +1,8 @@
 // Package topo is the dimension-generic topology core of the simulator:
 // n-dimensional grid machines (meshes and tori), dense node ids, directed
-// links, dimension-ordered routes, the box shells used by MC-style
-// allocators, Manhattan rings, and rectilinear connectivity.
+// links, the box shells used by MC-style allocators, Manhattan rings, and
+// rectilinear connectivity. Routes are walked by the network model
+// (netsim), over the coordinate table and link indices defined here.
 //
 // The paper's meshes are 2-D grids (axis 0 is x, axis 1 is y), and the
 // native 3-D experiments instantiate it at three dimensions. Every walker keeps the zero-allocation caller-buffer /
@@ -22,7 +23,7 @@ import (
 
 // MaxDims is the compile-time cap on grid dimensionality. Keeping it a
 // small constant lets Point be a value type, which is what keeps the
-// route/shell/ring hot paths allocation-free.
+// shell/ring hot paths allocation-free.
 const MaxDims = 4
 
 // Point is a node coordinate. Axes at or above the grid's dimensionality
@@ -158,8 +159,9 @@ func New(dims []int) *Grid {
 	return g
 }
 
-// NewTorus returns a grid whose axes all wrap around. Distances and
-// dimension-ordered routes take the shorter way around each axis.
+// NewTorus returns a grid whose axes all wrap around. Distances, like the
+// network's dimension-ordered routes, take the shorter way around each
+// axis.
 func NewTorus(dims []int) *Grid {
 	g := New(dims)
 	g.torus = true
@@ -215,7 +217,7 @@ func (g *Grid) ID(p Point) int {
 // Coord maps a dense id back to its coordinate. It panics on
 // out-of-range ids. It is one read of the coordinate table New builds —
 // no division — and small enough to inline: it sits under every
-// distance computation, shell walk and route.
+// distance computation and shell walk.
 func (g *Grid) Coord(id int) Point {
 	if uint(id) >= uint(len(g.coords)) {
 		panic("topo: Coord of id outside the grid")
@@ -223,6 +225,12 @@ func (g *Grid) Coord(id int) Point {
 	c := &g.coords[id]
 	return Point{int(c[0]), int(c[1]), int(c[2]), int(c[3])}
 }
+
+// Coords returns the coordinate table Coord reads: row id holds node
+// id's coordinates, zero on axes at or above ND. It is shared and must
+// not be modified; a caller that reads a few axes of many nodes, such as
+// the network's route walker, reads them here without copying a Point.
+func (g *Grid) Coords() [][MaxDims]uint16 { return g.coords }
 
 // axisDist returns the hop distance along one axis, wrapping on a torus.
 func (g *Grid) axisDist(a, b, extent int) int {
@@ -277,15 +285,9 @@ func (g *Grid) NumDirs() int { return 2 * g.nd }
 func (g *Grid) NumLinks() int { return g.size * g.NumDirs() }
 
 // LinkIndex returns a dense index for l suitable for flat link-state
-// arrays; the inverse of LinkAt.
+// arrays: the link's source id times NumDirs, plus its direction.
 func (g *Grid) LinkIndex(l Link) int {
 	return l.From*g.NumDirs() + int(l.Dir)
-}
-
-// LinkAt returns the link with the given dense index.
-func (g *Grid) LinkAt(idx int) Link {
-	n := g.NumDirs()
-	return Link{From: idx / n, Dir: Dir(idx % n)}
 }
 
 // Neighbor returns the node adjacent to id in direction d and true, or

@@ -5,8 +5,8 @@
 // per-message garbage. See DESIGN.md ("Zero-allocation hot paths").
 //
 // The topology layer is dimension-generic, so every guard runs on both
-// the paper's 2-D meshes and a 3-D grid (pinning the generalized route,
-// shell, ring and Send paths the ext-cube3d experiment rides on).
+// the paper's 2-D meshes and a 3-D grid (pinning the generalized shell,
+// ring and Send paths the ext-cube3d experiment rides on).
 package meshalloc
 
 import (
@@ -15,6 +15,7 @@ import (
 
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/binpack"
+	"meshalloc/internal/comm"
 	"meshalloc/internal/curve"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/occupancy"
@@ -43,36 +44,42 @@ func TestShellEachZeroAlloc(t *testing.T) {
 	_ = sum
 }
 
-// TestRouteAppendZeroAlloc pins dimension-ordered route construction into
-// a reused buffer at zero allocations.
-func TestRouteAppendZeroAlloc(t *testing.T) {
-	m := topo.New([]int{16, 22})
-	buf := make([]topo.Link, 0, m.Dim(0)+m.Dim(1))
-	n := testing.AllocsPerRun(200, func() {
-		buf = m.AppendRoute(buf[:0], 0, m.Size()-1)
-		buf = m.AppendRouteRev(buf[:0], m.Size()-1, 3)
-	})
-	if n != 0 {
-		t.Fatalf("AppendRoute allocates %.1f objects/run, want 0", n)
+// sendTraffic returns a job spread over all of g (rank k on node
+// (k*5+3) mod size) and one message per rank, to the rank 7k+13 mod
+// size: the input of the burst Send guards and benchmarks, which send
+// it 32 messages at a time.
+func sendTraffic(g *topo.Grid) (nodes []int, msgs []comm.Msg) {
+	size := g.Size()
+	nodes = make([]int, size)
+	msgs = make([]comm.Msg, size)
+	for k := range nodes {
+		nodes[k] = (k*5 + 3) % size
+		msgs[k] = comm.Msg{Src: k, Dst: (k*7 + 13) % size}
 	}
+	return nodes, msgs
 }
 
-// sendAllocs returns the allocations per steady-state Send on g.
+// sendBurst is the burst length of the Send guards and benchmarks.
+const sendBurst = 32
+
+// sendAllocs returns the allocations per steady-state burst Send on g.
 func sendAllocs(g *topo.Grid, r netsim.Routing) float64 {
 	cfg := netsim.DefaultConfig()
 	cfg.Routing = r
 	net := netsim.New(g, cfg)
+	nodes, msgs := sendTraffic(g)
+	var sums netsim.Sums
 	clock := 0.0
-	src := 0
+	i := 0
 	return testing.AllocsPerRun(500, func() {
-		net.Send(src%g.Size(), (src*7+13)%g.Size(), clock)
-		src++
-		clock++
+		off := i * sendBurst % (len(msgs) - sendBurst)
+		clock = net.Send(msgs[off:off+sendBurst], nodes, clock, &sums)
+		i++
 	})
 }
 
-// TestNetworkSendZeroAlloc pins steady-state netsim.Send — the
-// per-message path of every simulation — at zero allocations, for each
+// TestNetworkSendZeroAlloc pins steady-state netsim.Send — one call per
+// subphase of every simulated job — at zero allocations, for each
 // routing mode, on the paper's 16x22 mesh and on the torus of the same
 // shape, whose routes wrap.
 func TestNetworkSendZeroAlloc(t *testing.T) {
@@ -291,8 +298,8 @@ func TestBinpackIntervalScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGridWalkersZeroAlloc pins the dimension-generic route, shell and
-// ring walkers at zero allocations on 2-D and 3-D grids alike.
+// TestGridWalkersZeroAlloc pins the dimension-generic shell and ring
+// walkers at zero allocations on 2-D and 3-D grids alike.
 func TestGridWalkersZeroAlloc(t *testing.T) {
 	for _, dims := range [][]int{{16, 22}, {8, 8, 8}} {
 		t.Run(fmt.Sprint(dims), func(t *testing.T) {
@@ -302,11 +309,8 @@ func TestGridWalkersZeroAlloc(t *testing.T) {
 				c[i] = d / 2
 				ext[i] = 2
 			}
-			linkBuf := make([]topo.Link, 0, 64)
 			idBuf := make([]int, 0, g.Size())
 			n := testing.AllocsPerRun(200, func() {
-				linkBuf = g.AppendRoute(linkBuf[:0], 0, g.Size()-1)
-				linkBuf = g.AppendRouteRev(linkBuf[:0], g.Size()-1, 3)
 				idBuf = g.AppendRing(idBuf[:0], c, 4)
 				g.ShellEach(c, ext, 2, func(int) bool { return true })
 			})
