@@ -397,51 +397,54 @@ type ckptSpec struct {
 // armCheckpoint hooks the engine's periodic checkpoint callback to
 // write ck.path atomically every ck.every events. src is the live
 // open-system source whose position rides along in the file (nil for
-// closed-system runs, whose arrivals are already engine events). A
-// checkpoint that cannot be written aborts the run: continuing would
-// silently drop the durability the user asked for.
+// closed-system runs, whose arrivals are already engine events). Every
+// checkpoint of the run is encoded in one buffer. A checkpoint that
+// cannot be written aborts the run: continuing would silently drop the
+// durability the user asked for.
 func armCheckpoint(e *sim.Engine, src trace.Source, ck ckptSpec) {
 	if ck.path == "" {
 		return
 	}
+	var buf []byte
 	e.SetCheckpoint(ck.every, func() {
-		if err := writeCheckpoint(ck.path, e, src); err != nil {
+		var err error
+		if buf, err = writeCheckpoint(ck.path, buf[:0], e, src); err != nil {
 			fatal(fmt.Errorf("-checkpoint: %v", err))
 		}
 	})
 }
 
 // writeCheckpoint serializes the engine (and, for open systems, the
-// arrival source position) into a snap container at path. The file is
+// arrival source position) into a snap container at path, and returns
+// buf extended by the container, for the next checkpoint to reuse. The
+// engine's own container is appended in place inside the outer one, so
+// the checkpoint is encoded once and written in one call. The file is
 // staged as path.tmp, synced, and renamed into place, and the directory
 // is synced after the rename, so neither a kill nor a power loss
 // mid-write can replace the previous good checkpoint with a partial
 // one. On any failure the temp file is removed.
-func writeCheckpoint(path string, e *sim.Engine, src trace.Source) error {
-	var blob bytes.Buffer
-	if err := e.Snapshot(&blob); err != nil {
-		return err
+func writeCheckpoint(path string, buf []byte, e *sim.Engine, src trace.Source) ([]byte, error) {
+	w := snap.NewWriter(buf)
+	if err := w.BytesFrom(e); err != nil {
+		return buf, err
 	}
-	w := snap.NewWriter()
-	// The blob and its length prefix, plus room for the source state.
-	w.Grow(8 + blob.Len() + 256)
-	w.Bytes(blob.Bytes())
 	if src != nil {
 		st, err := trace.CaptureSource(src)
 		if err != nil {
-			return err
+			return buf, err
 		}
 		w.Bool(true)
-		writeSourceState(w, st)
+		trace.WriteSourceState(w, st)
 	} else {
 		w.Bool(false)
 	}
+	buf = w.Finish()
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	err = w.Flush(f)
+	_, err = f.Write(buf)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -452,9 +455,9 @@ func writeCheckpoint(path string, e *sim.Engine, src trace.Source) error {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		return errors.Join(err, os.Remove(tmp))
+		return buf, errors.Join(err, os.Remove(tmp))
 	}
-	return syncDir(filepath.Dir(path))
+	return buf, syncDir(filepath.Dir(path))
 }
 
 // syncDir flushes a directory's entries to stable storage, making a
@@ -469,42 +472,6 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-func writeSourceState(w *snap.Writer, st trace.SourceState) {
-	w.String(st.Kind)
-	w.U64(st.RNGPos)
-	w.F64(st.OnLeft)
-	w.F64(st.Now)
-	w.Int(st.Next)
-	w.Int(st.Index)
-	w.Int(st.Left)
-	w.Bool(st.Inner != nil)
-	if st.Inner != nil {
-		writeSourceState(w, *st.Inner)
-	}
-}
-
-func readSourceState(r *snap.Reader, depth int) (trace.SourceState, error) {
-	var st trace.SourceState
-	if depth > 8 {
-		return st, fmt.Errorf("source state nests deeper than any source this binary builds")
-	}
-	st.Kind = r.String()
-	st.RNGPos = r.U64()
-	st.OnLeft = r.F64()
-	st.Now = r.F64()
-	st.Next = r.Int()
-	st.Index = r.Int()
-	st.Left = r.Int()
-	if r.Bool() {
-		inner, err := readSourceState(r, depth+1)
-		if err != nil {
-			return st, err
-		}
-		st.Inner = &inner
-	}
-	return st, r.Err()
 }
 
 // runResume restores a checkpoint written by -checkpoint and finishes
@@ -526,7 +493,7 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 	hasSrc := r.Bool()
 	var st trace.SourceState
 	if hasSrc {
-		if st, err = readSourceState(r, 0); err != nil {
+		if st, err = trace.ReadSourceState(r); err != nil {
 			return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
 		}
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,6 +81,47 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 	}
 }
 
+// TestCheckpointFilesArePinned pins the SHA-256 of the checkpoint file
+// a closed and an open run leave behind. Each run takes several
+// checkpoints, so the file is the last of them. The pins cover the
+// whole file: the outer container, the engine container inside it and,
+// for the open run, the arrival source's state.
+func TestCheckpointFilesArePinned(t *testing.T) {
+	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
+	cases := []struct {
+		name string
+		run  func(ck ckptSpec) (*sim.Result, *sim.Engine, error)
+		want string
+	}{
+		{"closed", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
+			return runClosed(checkpointCfg(), tr, false, ck)
+		}, "72fba283e6ca792cb79ed58bc5506d21000d462877c25f5d1708842e20b2a927"},
+		{"open", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+			return runOpen(checkpointCfg(), arrival, maxSize, seed, jobs, 0, false, ck)
+		}, "a0ef231500c0229db70049d45d421e5c73f27214ca27e5769aa41722d3c0ad79"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.snap")
+			_, e, err := tc.run(ckptSpec{path: path, every: 400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := e.CoreStats().Events; n < 3*400 {
+				t.Fatalf("run took %d events, too few for several checkpoints", n)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+				t.Errorf("checkpoint file (%d B) hashes to %s, pinned %s", len(data), got, tc.want)
+			}
+		})
+	}
+}
+
 // TestCheckpointWriteFailures: a checkpoint that cannot be staged or
 // renamed into place returns an error and leaves no staging file.
 func TestCheckpointWriteFailures(t *testing.T) {
@@ -97,7 +140,7 @@ func TestCheckpointWriteFailures(t *testing.T) {
 	dir := t.TempDir()
 
 	missing := filepath.Join(dir, "missing", "ck.snap")
-	if err := writeCheckpoint(missing, e, nil); err == nil {
+	if _, err := writeCheckpoint(missing, nil, e, nil); err == nil {
 		t.Fatal("checkpoint into a missing directory succeeded")
 	}
 
@@ -110,7 +153,7 @@ func TestCheckpointWriteFailures(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(occupied, "keep"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(occupied, e, nil); err == nil {
+	if _, err := writeCheckpoint(occupied, nil, e, nil); err == nil {
 		t.Fatal("checkpoint over a non-empty directory succeeded")
 	}
 	if _, err := os.Stat(occupied + ".tmp"); !errors.Is(err, os.ErrNotExist) {

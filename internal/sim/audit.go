@@ -263,10 +263,10 @@ func (e *Engine) Audit() error {
 	// finished job, or a kill victim (whose successor instance, if the
 	// policy granted one, is counted under retried). A job RunSource
 	// holds past the horizon is not yet submitted.
-	if in, out := e.submitted+e.retried, arrivals+len(e.queue)+live+e.finished+e.killed; in != out {
+	if in, out := e.submitted+e.retried, arrivals+e.Pending()+live+e.finished+e.killed; in != out {
 		errs = append(errs, violatef("job-conservation",
 			"%d submitted + %d retried != %d arrival events + %d queued + %d running + %d finished + %d killed",
-			e.submitted, e.retried, arrivals, len(e.queue), live, e.finished, e.killed))
+			e.submitted, e.retried, arrivals, e.Pending(), live, e.finished, e.killed))
 	}
 	if e.killed != e.retried+e.givenUp {
 		errs = append(errs, violatef("kill-split",

@@ -69,8 +69,11 @@ type Engine struct {
 	events eventQueue
 	seq    int64
 	now    float64
-	queue  []trace.Job // FCFS arrival order, already scaled
-	store  jobStore    // in-flight job state, SoA, handle-indexed
+	// queue holds the pending jobs from index qh on, in FCFS arrival
+	// order and already scaled (see pendingJobs, enqueue and dequeue).
+	queue []trace.Job
+	qh    int
+	store jobStore // in-flight job state, SoA, handle-indexed
 	// slots is the arrival slab: the (already scaled) job of every
 	// queued arrival event, at the event's h. Freed slots recycle LIFO
 	// through slotFree.
@@ -301,7 +304,7 @@ func (e *Engine) NumFree() int { return e.allocator.NumFree() }
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of jobs queued but not yet started.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) - e.qh }
 
 // RunningJobs returns the number of jobs currently holding processors.
 func (e *Engine) RunningJobs() int { return e.store.live }
@@ -451,7 +454,7 @@ func (e *Engine) Step() bool {
 			// queued work could still be unblocked by a repair;
 			// otherwise the run is over and the infinite failure
 			// stream must not keep it alive.
-			if len(e.queue) == 0 {
+			if e.Pending() == 0 {
 				return false
 			}
 			e.processFault()
@@ -483,8 +486,8 @@ func (e *Engine) Step() bool {
 	switch ev.kind {
 	case kindArrival:
 		e.core.Arrivals++
-		wasEmpty := len(e.queue) == 0
-		e.queue = append(e.queue, e.takeArrival(ev.h))
+		wasEmpty := e.Pending() == 0
+		e.enqueue(e.takeArrival(ev.h))
 		if e.isFCFS {
 			// Drain every same-timestamp arrival at the head of the queue
 			// before scheduling once, so simultaneous arrivals share one
@@ -503,7 +506,7 @@ func (e *Engine) Step() bool {
 				e.events.pop()
 				e.core.Events++
 				e.core.Arrivals++
-				e.queue = append(e.queue, e.takeArrival(next.h))
+				e.enqueue(e.takeArrival(next.h))
 			}
 		}
 		// A new arrival re-arms a blocked FCFS round only when it
@@ -566,7 +569,7 @@ func (e *Engine) Drain() {
 // fault events count as events: a queued job stuck behind failed nodes
 // is only deadlocked once the repair stream has nothing more to offer.
 func (e *Engine) Deadlocked() bool {
-	return e.events.len() == 0 && !e.hasFault && (len(e.queue) > 0 || e.store.live > 0)
+	return e.events.len() == 0 && !e.hasFault && (e.Pending() > 0 || e.store.live > 0)
 }
 
 // Complete ends a run: it processes every remaining event, reports a
@@ -579,7 +582,7 @@ func (e *Engine) Complete() error {
 	e.Drain()
 	if e.Deadlocked() {
 		return fmt.Errorf("sim: deadlock with %d queued and %d running jobs",
-			len(e.queue), e.store.live)
+			e.Pending(), e.store.live)
 	}
 	return e.Audit()
 }
@@ -672,7 +675,7 @@ func (e *Engine) Result() *Result {
 func (e *Engine) account(now float64) {
 	if now > e.lastAccount {
 		e.busyArea += float64(e.busyProcs) * (now - e.lastAccount)
-		e.queueArea += float64(len(e.queue)) * (now - e.lastAccount)
+		e.queueArea += float64(e.Pending()) * (now - e.lastAccount)
 		e.downArea += float64(e.maskedN) * (now - e.lastAccount)
 		e.lastAccount = now
 	}
@@ -887,12 +890,13 @@ func (e *Engine) trySchedule(now float64) {
 		// runOrd is already (EstEnd, handle)-sorted, as Pick requires
 		// (and empty under FCFS, which never reads it), so the round
 		// costs one policy scan of the queue and nothing else.
-		pick := e.policy.Pick(e.queue, now, e.allocator.NumFree(), e.runOrd)
+		q := e.pendingJobs()
+		pick := e.policy.Pick(q, now, e.allocator.NumFree(), e.runOrd)
 		if pick < 0 {
 			e.block()
 			return
 		}
-		job := e.queue[pick]
+		job := q[pick]
 		nodes, err := e.allocator.Allocate(alloc.Request{Size: job.Size})
 		if err == alloc.ErrInsufficient {
 			// Contiguous allocators (submesh, buddy) can refuse on
@@ -906,9 +910,39 @@ func (e *Engine) trySchedule(now float64) {
 			panic(fmt.Sprintf("sim: allocator %s refused %d procs with %d free: %v",
 				e.allocator.Name(), job.Size, e.allocator.NumFree(), err))
 		}
-		e.queue = append(e.queue[:pick], e.queue[pick+1:]...)
+		e.dequeue(pick)
 		e.startJob(job, nodes, now)
 	}
+}
+
+// pendingJobs returns the pending jobs in FCFS arrival order.
+func (e *Engine) pendingJobs() []trace.Job { return e.queue[e.qh:] }
+
+// enqueue appends j to the pending queue. A full array with started
+// jobs ahead of the head is compacted in place instead of grown, so the
+// array grows only when every slot holds a pending job, as it did when
+// each start shifted the queue.
+func (e *Engine) enqueue(j trace.Job) {
+	if len(e.queue) == cap(e.queue) && e.qh > 0 {
+		e.queue = e.queue[:copy(e.queue, e.queue[e.qh:])]
+		e.qh = 0
+	}
+	e.queue = append(e.queue, j)
+}
+
+// dequeue removes the pending job at index pick of pendingJobs. The head,
+// the only job FCFS starts, leaves by advancing qh, so starting it
+// moves no other job; the queue resets to empty when its last job
+// leaves. A job behind the head, as EASY backfills, is shifted out.
+func (e *Engine) dequeue(pick int) {
+	if pick == 0 {
+		if e.qh++; e.qh == len(e.queue) {
+			e.queue, e.qh = e.queue[:0], 0
+		}
+		return
+	}
+	i := e.qh + pick
+	e.queue = append(e.queue[:i], e.queue[i+1:]...)
 }
 
 // startJob registers an allocated job: claim a store handle, draw its

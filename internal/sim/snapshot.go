@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -49,12 +50,22 @@ func (e *Engine) fingerprint() uint64 {
 	return e.fp
 }
 
-func writeJob(w *snap.Writer, j trace.Job) {
-	w.Int(j.ID)
-	w.Int(j.Size)
-	w.F64(j.Arrival)
-	w.F64(j.Runtime)
+// le is the byte order of every snapshot field.
+var le = binary.LittleEndian
+
+// jobLen is the encoded size of a trace.Job: ID, Size, Arrival and
+// Runtime, one word each.
+const jobLen = 32
+
+// putJob fills p with j's encoding.
+func putJob(p *[jobLen]byte, j trace.Job) {
+	le.PutUint64(p[0:], uint64(j.ID))
+	le.PutUint64(p[8:], uint64(j.Size))
+	le.PutUint64(p[16:], math.Float64bits(j.Arrival))
+	le.PutUint64(p[24:], math.Float64bits(j.Runtime))
 }
+
+func writeJob(w *snap.Writer, j trace.Job) { putJob((*[jobLen]byte)(w.Extend(jobLen)), j) }
 
 func (e *Engine) readJob(r *snap.Reader) (trace.Job, error) {
 	j := trace.Job{ID: r.Int(), Size: r.Int(), Arrival: r.F64(), Runtime: r.F64()}
@@ -72,22 +83,35 @@ func (e *Engine) readJob(r *snap.Reader) (trace.Job, error) {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
+// eventLen is the encoded size of a queued event: t, seq, kind and
+// handle, then a job.
+const eventLen = 32 + jobLen
+
 // writeEvent writes ev as (t, seq, kind, handle, job). An arrival
 // writes handle 0 and its job from the arrival slab; the others write
 // their store handle and a zero job. Slot numbers are never written:
 // restore parks arrivals in fresh slots.
 func (e *Engine) writeEvent(w *snap.Writer, ev event) {
-	w.F64(ev.t)
-	w.I64(ev.seq)
-	w.Int(int(ev.kind))
+	var h int32
+	var j trace.Job
 	if ev.kind == kindArrival {
-		w.Int(0)
-		writeJob(w, e.slots[ev.h])
+		j = e.slots[ev.h]
 	} else {
-		w.Int(int(ev.h))
-		writeJob(w, trace.Job{})
+		h = ev.h
 	}
+	p := (*[eventLen]byte)(w.Extend(eventLen))
+	le.PutUint64(p[0:], math.Float64bits(ev.t))
+	le.PutUint64(p[8:], uint64(ev.seq))
+	le.PutUint64(p[16:], uint64(ev.kind))
+	le.PutUint64(p[24:], uint64(h))
+	putJob((*[jobLen]byte)(p[32:]), j)
 }
+
+// genTailLen is the encoded size of the fixed fields that close a live
+// job-store row: the generator's four cursor words, quota, sent, hops,
+// the four times (start, lastArr, queued, estEnd), the held message's
+// two ranks and the holding flag.
+const genTailLen = 13*8 + 1
 
 // Snapshot serializes the engine's authoritative state — clock, streaming
 // aggregates, the job store, the event queue, the pending queue, RNG
@@ -99,15 +123,38 @@ func (e *Engine) writeEvent(w *snap.Writer, ev event) {
 // from a checkpoint hook (SetCheckpoint), between Step calls, or after
 // RunUntil/RunSource returns.
 //
+// Snapshot encodes with AppendBinary into the spare capacity out offers
+// through an AvailableBuffer method, as bytes.Buffer and bufio.Writer
+// do, and hands the container to out in one Write. Only when that room
+// is smaller than the previous container does it allocate, sized at the
+// previous payload plus an eighth, so a caller that reuses its buffer
+// pays no allocation or copy for the payload, and the engine keeps no
+// buffer between checkpoints.
+//
 // A run resumed from a snapshot replays the exact event sequence the
 // uninterrupted run would have: every record, digest and aggregate is
 // bit-identical.
 func (e *Engine) Snapshot(out io.Writer) error {
-	// Size the payload from the previous snapshot plus an eighth, so a
-	// steady run encodes into one allocation. The buffer itself is not
-	// kept: between checkpoints it would only add to the live heap.
-	w := snap.NewWriter()
-	w.Grow(e.snapLen + e.snapLen/8)
+	var b []byte
+	if ab, ok := out.(interface{ AvailableBuffer() []byte }); ok {
+		b = ab.AvailableBuffer()
+	}
+	if cap(b) < snap.Framing+e.snapLen {
+		b = make([]byte, 0, snap.Framing+e.snapLen+e.snapLen/8)
+	}
+	b, err := e.AppendBinary(b)
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(b)
+	return err
+}
+
+// AppendBinary appends the container Snapshot writes to b and returns
+// the extended slice, implementing encoding.BinaryAppender. Bytes of b
+// are left as they are.
+func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
+	w := snap.NewWriter(b)
 	w.U64(e.fingerprint())
 
 	// Clock, sequence and streaming aggregates.
@@ -166,32 +213,41 @@ func (e *Engine) Snapshot(out io.Writer) error {
 		if !s.inUse[h] || s.dead[h] {
 			continue
 		}
-		writeJob(w, s.job[h])
-		w.Int(len(s.nodes[h]))
-		for _, id := range s.nodes[h] {
-			w.Int(id)
-		}
 		gs, err := comm.StateOf(&s.gen[h])
 		if err != nil {
-			return err
+			return b, err
+		}
+		// A live row takes two windows: one for the job, its node count
+		// and its nodes, and, after the generator's two names, one for
+		// the row's fixed tail.
+		nodes := s.nodes[h]
+		p := w.Extend(jobLen + 8 + 8*len(nodes))
+		putJob((*[jobLen]byte)(p), s.job[h])
+		le.PutUint64(p[jobLen:], uint64(len(nodes)))
+		for i, id := range nodes {
+			le.PutUint64(p[jobLen+8+8*i:], uint64(id))
 		}
 		w.String(gs.Kind)
 		w.String(gs.Pattern)
-		w.Int(gs.P)
-		w.Int(gs.Phase)
-		w.Int(gs.Idx)
-		w.Int(gs.Count)
-		w.I64(s.quota[h])
-		w.I64(s.sent[h])
-		w.I64(s.hops[h])
-		w.F64(s.start[h])
-		w.F64(s.lastArr[h])
-		w.F64(s.queued[h])
-		w.F64(s.estEnd[h])
 		held, holding := s.gen[h].Held()
-		w.Int(held.Src)
-		w.Int(held.Dst)
-		w.Bool(holding)
+		t := (*[genTailLen]byte)(w.Extend(genTailLen))
+		le.PutUint64(t[0:], uint64(gs.P))
+		le.PutUint64(t[8:], uint64(gs.Phase))
+		le.PutUint64(t[16:], uint64(gs.Idx))
+		le.PutUint64(t[24:], uint64(gs.Count))
+		le.PutUint64(t[32:], uint64(s.quota[h]))
+		le.PutUint64(t[40:], uint64(s.sent[h]))
+		le.PutUint64(t[48:], uint64(s.hops[h]))
+		le.PutUint64(t[56:], math.Float64bits(s.start[h]))
+		le.PutUint64(t[64:], math.Float64bits(s.lastArr[h]))
+		le.PutUint64(t[72:], math.Float64bits(s.queued[h]))
+		le.PutUint64(t[80:], math.Float64bits(s.estEnd[h]))
+		le.PutUint64(t[88:], uint64(held.Src))
+		le.PutUint64(t[96:], uint64(held.Dst))
+		t[104] = 0
+		if holding {
+			t[104] = 1
+		}
 	}
 	w.Int(len(s.free))
 	for _, h := range s.free {
@@ -204,8 +260,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	// merged with the heap, whose events come off a copy popped in
 	// heapBuf. Each carries its assigned seq, so the reader may take
 	// them in any order.
-	w.Int(len(e.queue))
-	for _, j := range e.queue {
+	w.Int(e.Pending())
+	for _, j := range e.pendingJobs() {
 		writeJob(w, j)
 	}
 	w.Int(e.events.len())
@@ -317,7 +373,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	}
 
 	e.snapLen = w.Len()
-	return w.Flush(out)
+	return w.Finish(), nil
 }
 
 // RestoreEngine reads a Snapshot blob and returns an engine that resumes
@@ -483,7 +539,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.queue = append(e.queue, j)
+		e.enqueue(j)
 	}
 	ne := r.Count(1 << 31)
 	for i := 0; i < ne && r.Err() == nil; i++ {

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -355,6 +357,115 @@ func FuzzRestoreEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+var errWriteFailed = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
+
+// TestSnapshotIntoEveryWriter takes a mid-run snapshot of every resume
+// case into each kind of destination the in-place path treats
+// differently: a buffer with no room, one with room, one holding a
+// prefix, a bufio.Writer smaller than the payload, a plain io.Writer,
+// and AppendBinary behind a prefix. Each destination is written twice,
+// without and then with the previous payload's size hint. Every write
+// must give the same container bytes after any prefix, which must be
+// left as it was, and a failing writer's error must come back.
+func TestSnapshotIntoEveryWriter(t *testing.T) {
+	const prefix = "prefix"
+	for _, rc := range resumeCases {
+		tr := rc.tr()
+		half := countEvents(t, rc.cfg, tr) / 2
+		mid := func() *Engine {
+			e, err := NewEngine(rc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range tr.Jobs {
+				if err := e.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < half; i++ {
+				e.Step()
+			}
+			return e
+		}
+		want, err := mid().AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreEngine(bytes.NewReader(want), rc.cfg); err != nil {
+			t.Fatalf("%s: AppendBinary's container does not restore: %v", rc.name, err)
+		}
+		for _, tc := range []struct {
+			name  string
+			write func(e *Engine) (out []byte, err error)
+			pre   string // what out must start with
+		}{
+			{"empty bytes.Buffer", func(e *Engine) ([]byte, error) {
+				var buf bytes.Buffer
+				err := e.Snapshot(&buf)
+				return buf.Bytes(), err
+			}, ""},
+			{"bytes.Buffer with room", func(e *Engine) ([]byte, error) {
+				var buf bytes.Buffer
+				buf.Grow(2 * len(want))
+				room := buf.AvailableBuffer()[:1]
+				if err := e.Snapshot(&buf); err != nil {
+					return nil, err
+				}
+				if &buf.Bytes()[0] != &room[0] {
+					return nil, errors.New("snapshot did not encode into the buffer's room")
+				}
+				return buf.Bytes(), nil
+			}, ""},
+			{"bytes.Buffer with a prefix", func(e *Engine) ([]byte, error) {
+				buf := bytes.NewBufferString(prefix)
+				err := e.Snapshot(buf)
+				return buf.Bytes(), err
+			}, prefix},
+			{"small bufio.Writer", func(e *Engine) ([]byte, error) {
+				var out bytes.Buffer
+				bw := bufio.NewWriterSize(&out, len(want)/4)
+				bw.WriteString(prefix)
+				if err := e.Snapshot(bw); err != nil {
+					return nil, err
+				}
+				err := bw.Flush()
+				return out.Bytes(), err
+			}, prefix},
+			{"plain io.Writer", func(e *Engine) ([]byte, error) {
+				var out bytes.Buffer
+				err := e.Snapshot(struct{ io.Writer }{&out})
+				return out.Bytes(), err
+			}, ""},
+			{"AppendBinary behind a prefix", func(e *Engine) ([]byte, error) {
+				return e.AppendBinary([]byte(prefix))
+			}, prefix},
+		} {
+			e := mid()
+			for pass := 0; pass < 2; pass++ {
+				got, err := tc.write(e)
+				if err != nil {
+					t.Fatalf("%s, %s, pass %d: %v", rc.name, tc.name, pass, err)
+				}
+				if !bytes.HasPrefix(got, []byte(tc.pre)) || !bytes.Equal(got[len(tc.pre):], want) {
+					t.Fatalf("%s, %s, pass %d: wrote %d bytes, want %q and the %d-byte container",
+						rc.name, tc.name, pass, len(got), tc.pre, len(want))
+				}
+			}
+		}
+		e := mid()
+		for _, out := range []io.Writer{failWriter{}, bufio.NewWriterSize(failWriter{}, 64)} {
+			if err := e.Snapshot(out); !errors.Is(err, errWriteFailed) {
+				t.Fatalf("%s: Snapshot into %T returned %v, want the writer's error", rc.name, out, err)
+			}
+		}
+	}
 }
 
 // TestRestoreContainerErrorsAreTyped pins the error taxonomy the CLI

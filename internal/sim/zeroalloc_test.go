@@ -8,6 +8,7 @@ package sim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"meshalloc/internal/fault"
@@ -106,10 +107,12 @@ func TestTryScheduleDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCheckpointAllocsIndependentOfQueueDepth pins the checkpoint path
-// of a faulty EASY run: Snapshot into a pre-grown buffer and Audit each
-// make a fixed number of allocations, and queueing 20,000 more
-// far-future arrivals leaves both counts unchanged — neither call may
-// allocate per queued event.
+// of a faulty EASY run: Snapshot into a buffer that already has room
+// and Audit each make a fixed number of allocations, and queueing
+// 20,000 more far-future arrivals leaves both counts unchanged — neither
+// call may allocate per queued event. Snapshot must also encode in
+// place: at both depths it allocates under 64 KB per call, though the
+// deeper payload is over 1 MB.
 func TestCheckpointAllocsIndependentOfQueueDepth(t *testing.T) {
 	cfg := Config{
 		MeshW: 16, MeshH: 16,
@@ -139,36 +142,56 @@ func TestCheckpointAllocsIndependentOfQueueDepth(t *testing.T) {
 		t.Fatalf("setup: %d running jobs", e.RunningJobs())
 	}
 
-	// AllocsPerRun's warm-up call grows buf and sets the engine's
+	// Each measurement's warm-up call grows buf and sets the engine's
 	// payload-size hint, so the counted calls are steady state.
 	var buf bytes.Buffer
-	measure := func() (snapAllocs, auditAllocs float64) {
-		snapAllocs = testing.AllocsPerRun(20, func() {
-			buf.Reset()
-			if err := e.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-		})
-		auditAllocs = testing.AllocsPerRun(20, func() {
-			if err := e.Audit(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return snapAllocs, auditAllocs
+	snapshot := func() {
+		buf.Reset()
+		if err := e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap0, audit0 := measure()
-	events0, bytes0 := e.events.len(), buf.Len()
+	audit := func() {
+		if err := e.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func() (snapAllocs, snapBytes, auditAllocs float64) {
+		return testing.AllocsPerRun(20, snapshot), bytesPerRun(20, snapshot), testing.AllocsPerRun(20, audit)
+	}
+	snap0, bytes0, audit0 := measure()
+	events0, len0 := e.events.len(), buf.Len()
 	for i := 0; i < 20000; i++ {
 		j := trace.Job{ID: 1_000_000 + i, Size: 1 + i%128, Arrival: 1e12 + float64(i), Runtime: 100}
 		if err := e.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap1, audit1 := measure()
-	t.Logf("%d events (%d B): Snapshot %.0f allocs, Audit %.0f; %d events (%d B): Snapshot %.0f, Audit %.0f",
-		events0, bytes0, snap0, audit0, e.events.len(), buf.Len(), snap1, audit1)
+	snap1, bytes1, audit1 := measure()
+	t.Logf("%d events (%d B): Snapshot %.0f allocs of %.0f B, Audit %.0f; %d events (%d B): Snapshot %.0f of %.0f B, Audit %.0f",
+		events0, len0, snap0, bytes0, audit0, e.events.len(), buf.Len(), snap1, bytes1, audit1)
 	if snap1 != snap0 || audit1 != audit0 {
 		t.Fatalf("20,000 more queued events changed allocations: Snapshot %.0f -> %.0f, Audit %.0f -> %.0f",
 			snap0, snap1, audit0, audit1)
 	}
+	const maxSnapBytes = 64 << 10
+	if bytes0 >= maxSnapBytes || bytes1 >= maxSnapBytes {
+		t.Fatalf("Snapshot into a buffer with room allocated %.0f B and %.0f B per call (%d B and %d B payloads), want under %d B",
+			bytes0, bytes1, len0, buf.Len(), maxSnapBytes)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after one warm-up call, with one P running
+// as AllocsPerRun has.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }

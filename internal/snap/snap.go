@@ -17,6 +17,7 @@
 package snap
 
 import (
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,21 +48,34 @@ var (
 	ErrCorrupt  = errors.New("snap: corrupt or truncated snapshot")
 )
 
-// Writer accumulates a payload of typed primitives and emits the
-// framed, checksummed container with Flush. Every primitive is appended
-// to one byte slice; with Grow reserving room up front, a payload whose
-// size is known in advance costs one allocation.
+// headLen is the container framing ahead of the payload: magic,
+// version and payload length.
+const headLen = 4 + 4 + 8
+
+// Framing is a container's size beyond its payload: the header and the
+// CRC.
+const Framing = headLen + 4
+
+// Writer appends one container to a byte slice. NewWriter reserves the
+// header at the slice's end, the primitives and Extend append the
+// payload after it, and Finish patches the payload length into the
+// header and appends the CRC. Bytes ahead of the container are never
+// touched, so a caller can frame a container behind a prefix of its
+// own, in a buffer it reuses across containers: a buffer with room for
+// the container encodes without allocating.
 type Writer struct {
-	buf []byte
+	buf   []byte
+	start int // offset of the container's header in buf
 }
 
-// NewWriter returns an empty Writer.
-func NewWriter() *Writer { return &Writer{} }
-
-// Grow makes room for at least n more payload bytes, so the next n
-// bytes of writes append without reallocating. It panics if n is
-// negative.
-func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+// NewWriter starts a container at the end of b.
+func NewWriter(b []byte) *Writer {
+	start := len(b)
+	b = append(b, Magic...)
+	b = binary.LittleEndian.AppendUint32(b, Version)
+	b = binary.LittleEndian.AppendUint64(b, 0) // the length, patched by Finish
+	return &Writer{buf: b, start: start}
+}
 
 // U64 appends an unsigned 64-bit value.
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
@@ -84,40 +98,47 @@ func (w *Writer) Bool(v bool) {
 	w.buf = append(w.buf, b)
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.U64(uint64(len(p)))
-	w.buf = append(w.buf, p...)
-}
-
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
-// Len returns the current payload size in bytes.
-func (w *Writer) Len() int { return len(w.buf) }
+// BytesFrom appends what a appends as a length-prefixed byte slice,
+// which Reader.Bytes reads back. a appends in place, behind a length
+// that is patched once a returns, so the encoding is never copied. On
+// error the payload is left as it was.
+func (w *Writer) BytesFrom(a encoding.BinaryAppender) error {
+	at := len(w.buf)
+	b, err := a.AppendBinary(binary.LittleEndian.AppendUint64(w.buf, 0))
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	w.buf = b
+	return nil
+}
 
-// Flush writes the framed container (magic, version, length, payload,
-// CRC32) to out. The Writer keeps its payload, so Flush may be retried
-// on a transient write error.
-func (w *Writer) Flush(out io.Writer) error {
-	head := make([]byte, 0, 16)
-	head = append(head, Magic...)
-	head = binary.LittleEndian.AppendUint32(head, Version)
-	head = binary.LittleEndian.AppendUint64(head, uint64(len(w.buf)))
-	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, head), crc32.IEEETable, w.buf)
-	if _, err := out.Write(head); err != nil {
-		return err
-	}
-	if _, err := out.Write(w.buf); err != nil {
-		return err
-	}
-	// io.Writer must not retain what it is given, so head's storage
-	// carries the CRC.
-	_, err := out.Write(binary.LittleEndian.AppendUint32(head[:0], crc))
-	return err
+// Extend appends n bytes to the payload and returns them for the
+// caller to fill, in the primitives' encoding, with a record whose
+// layout is fixed: one bounds-checked window in place of one append
+// per field. The bytes are not cleared, so the caller writes every
+// one.
+func (w *Writer) Extend(n int) []byte {
+	l := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:l+n]
+	return w.buf[l : l+n : l+n]
+}
+
+// Len returns the current payload size in bytes.
+func (w *Writer) Len() int { return len(w.buf) - w.start - headLen }
+
+// Finish patches the payload length into the header, appends the CRC
+// and returns the buffer, which ends with the whole container.
+func (w *Writer) Finish() []byte {
+	c := w.buf[w.start:]
+	binary.LittleEndian.PutUint64(c[8:headLen], uint64(len(c)-headLen))
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(c))
 }
 
 // Reader decodes a container produced by Writer. All reads are
@@ -143,8 +164,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 func newReaderBytes(raw []byte) (*Reader, error) {
-	const headLen = 4 + 4 + 8
-	if len(raw) < headLen+4 {
+	if len(raw) < Framing {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the container framing", ErrCorrupt, len(raw))
 	}
 	if string(raw[:4]) != Magic {
@@ -155,8 +175,8 @@ func newReaderBytes(raw []byte) (*Reader, error) {
 		return nil, fmt.Errorf("%w: snapshot version %d, this build reads version %d", ErrVersion, ver, Version)
 	}
 	plen := binary.LittleEndian.Uint64(raw[8:16])
-	if plen > maxPayload || int(plen) != len(raw)-headLen-4 {
-		return nil, fmt.Errorf("%w: declared payload %d bytes, container holds %d", ErrCorrupt, plen, len(raw)-headLen-4)
+	if plen > maxPayload || int(plen) != len(raw)-Framing {
+		return nil, fmt.Errorf("%w: declared payload %d bytes, container holds %d", ErrCorrupt, plen, len(raw)-Framing)
 	}
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	got := crc32.ChecksumIEEE(raw[:len(raw)-4])

@@ -5,28 +5,25 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"math"
 	"testing"
 )
 
 // TestRoundTrip writes every primitive and reads it back.
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.U64(42)
 	w.I64(-7)
 	w.Int(123456)
 	w.F64(3.14159)
 	w.Bool(true)
 	w.Bool(false)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
+	if err := w.BytesFrom(rawBytes{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	w.String("hello")
 
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(w.Finish()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +59,10 @@ func TestRoundTrip(t *testing.T) {
 // container returns a small valid snapshot for corruption tests.
 func container(t *testing.T) []byte {
 	t.Helper()
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.U64(1)
 	w.String("payload")
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return w.Finish()
 }
 
 func TestBadMagic(t *testing.T) {
@@ -112,13 +105,9 @@ func TestTruncated(t *testing.T) {
 // TestStickyReads verifies reading past the payload end is a typed
 // error, not a panic, and subsequent reads stay failed.
 func TestStickyReads(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.U64(7)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(w.Finish()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +126,9 @@ func TestStickyReads(t *testing.T) {
 // TestHugeLengthPrefix: a byte-slice length pointing past the payload
 // must fail, not allocate or slice out of range.
 func TestHugeLengthPrefix(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.U64(1 << 60) // bogus length with no bytes behind it
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(w.Finish()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +144,14 @@ func TestHugeLengthPrefix(t *testing.T) {
 // a container is accepted, at every primitive decoder. Nothing here may
 // panic; every rejection must carry one of the typed sentinels.
 func FuzzReader(f *testing.F) {
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.U64(42)
 	w.String("seed")
 	w.Bool(true)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	seed := w.Finish()
+	f.Add(seed)
 	f.Add([]byte{})
-	f.Add(buf.Bytes()[:5])
+	f.Add(seed[:5])
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r, err := NewReader(bytes.NewReader(raw))
 		if err != nil {
@@ -192,14 +174,10 @@ func FuzzReader(f *testing.F) {
 }
 
 func TestCountBounds(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(nil)
 	w.Int(10)
 	w.Int(-3)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(w.Finish()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +226,9 @@ func (w *refWriter) String(s string) {
 	w.buf.WriteString(s)
 }
 
-func (w *refWriter) Flush(out io.Writer) error {
+// container returns the framed container: header, payload and CRC,
+// the CRC from a hash.Hash32.
+func (w *refWriter) container() []byte {
 	head := make([]byte, 0, 16)
 	head = append(head, Magic...)
 	head = binary.LittleEndian.AppendUint32(head, Version)
@@ -256,17 +236,15 @@ func (w *refWriter) Flush(out io.Writer) error {
 	crc := crc32.NewIEEE()
 	crc.Write(head)
 	crc.Write(w.buf.Bytes())
-	if _, err := out.Write(head); err != nil {
-		return err
-	}
-	if _, err := out.Write(w.buf.Bytes()); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := out.Write(tail[:])
-	return err
+	out := append(head, w.buf.Bytes()...)
+	return binary.LittleEndian.AppendUint32(out, crc.Sum32())
 }
+
+// rawBytes appends itself, so Writer.BytesFrom writes the field
+// refWriter.Bytes does.
+type rawBytes []byte
+
+func (p rawBytes) AppendBinary(b []byte) ([]byte, error) { return append(b, p...), nil }
 
 // primWriter is the encoder surface shared by Writer and refWriter.
 type primWriter interface {
@@ -275,12 +253,14 @@ type primWriter interface {
 	Int(int)
 	F64(float64)
 	Bool(bool)
-	Bytes([]byte)
 	String(string)
-	Flush(io.Writer) error
 }
 
-// Primitive kinds a fuzz program writes, one per encoder method.
+// Primitive kinds a fuzz program writes, one per encoder method. Two
+// take a different route on each side: Writer writes opBytes through
+// BytesFrom and refWriter through Bytes, and opWords is a run of words
+// that Writer writes through one Extend window and refWriter one U64
+// at a time.
 const (
 	opU64 = iota
 	opI64
@@ -289,21 +269,25 @@ const (
 	opBool
 	opBytes
 	opString
+	opWords
 	numOps
 )
 
 // fuzzValue is one primitive a fuzz program wrote: its kind, its bits
-// (U64, I64, Int, F64 and Bool) or its bytes (Bytes and String).
+// (U64, I64, Int, F64 and Bool), its bytes (Bytes and String) or its
+// words.
 type fuzzValue struct {
-	op   int
-	bits uint64
-	data []byte
+	op    int
+	bits  uint64
+	data  []byte
+	words []uint64
 }
 
 // decodeProgram turns fuzz bytes into a sequence of primitives: an
 // opcode byte, then eight little-endian bytes for a word, one byte for
-// a Bool, or a length byte (mod 64) and that many bytes for Bytes and
-// String. Missing trailing bytes read as zero.
+// a Bool, a length byte (mod 64) and that many bytes for Bytes and
+// String, or a count byte (mod 8) and that many words. Missing trailing
+// bytes read as zero.
 func decodeProgram(prog []byte) []fuzzValue {
 	take := func(n int) []byte {
 		p := make([]byte, n)
@@ -318,6 +302,11 @@ func decodeProgram(prog []byte) []fuzzValue {
 			v.bits = uint64(take(1)[0] & 1)
 		case opBytes, opString:
 			v.data = take(int(take(1)[0] % 64))
+		case opWords:
+			v.words = make([]uint64, take(1)[0]%8)
+			for i := range v.words {
+				v.words[i] = binary.LittleEndian.Uint64(take(8))
+			}
 		default:
 			v.bits = binary.LittleEndian.Uint64(take(8))
 		}
@@ -326,9 +315,8 @@ func decodeProgram(prog []byte) []fuzzValue {
 	return vals
 }
 
-// writeProgram encodes vals with w and returns the flushed container.
-func writeProgram(t *testing.T, w primWriter, vals []fuzzValue) []byte {
-	t.Helper()
+// writeProgram encodes vals with w.
+func writeProgram(w primWriter, vals []fuzzValue) {
 	for _, v := range vals {
 		switch v.op {
 		case opU64:
@@ -341,39 +329,91 @@ func writeProgram(t *testing.T, w primWriter, vals []fuzzValue) []byte {
 			w.F64(math.Float64frombits(v.bits))
 		case opBool:
 			w.Bool(v.bits == 1)
-		case opBytes:
-			w.Bytes(v.data)
 		case opString:
 			w.String(string(v.data))
+		case opBytes:
+			switch w := w.(type) {
+			case *Writer:
+				if err := w.BytesFrom(rawBytes(v.data)); err != nil {
+					panic(err)
+				}
+			case *refWriter:
+				w.Bytes(v.data)
+			}
+		case opWords:
+			switch w := w.(type) {
+			case *Writer:
+				p := w.Extend(8 * len(v.words))
+				for i, x := range v.words {
+					binary.LittleEndian.PutUint64(p[8*i:], x)
+				}
+			case *refWriter:
+				for _, x := range v.words {
+					w.U64(x)
+				}
+			}
 		}
 	}
-	var out bytes.Buffer
-	if err := w.Flush(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }
 
-// FuzzWriterMatchesReference drives Writer — bare and after a Grow of
-// a fuzzed size — and refWriter with the same random primitive
-// sequence. All three must flush byte-identical containers, and Reader
-// must read every value back.
+// programAppender appends a program's container, as an engine's
+// AppendBinary appends its snapshot.
+type programAppender []fuzzValue
+
+func (p programAppender) AppendBinary(b []byte) ([]byte, error) {
+	w := NewWriter(b)
+	writeProgram(w, p)
+	return w.Finish(), nil
+}
+
+// FuzzWriterMatchesReference drives Writer and refWriter with the same
+// random primitive sequence, record windows included. Writer must give
+// the reference's container bytes when it starts from nothing, when it
+// appends behind a prefix into a buffer with fuzzed spare room (leaving
+// the prefix as it was, and allocating nothing when the room suffices),
+// and when BytesFrom nests the container in another. Reader must read
+// every value back.
 func FuzzWriterMatchesReference(f *testing.F) {
-	f.Add(uint16(0), []byte{})
-	f.Add(uint16(8), []byte{opU64, 1, 2, 3, 4, 5, 6, 7, 8, opBool, 1})
-	f.Add(uint16(3), []byte{opI64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, opInt, 9,
+	f.Add(uint8(0), uint16(0), []byte{})
+	f.Add(uint8(5), uint16(8), []byte{opU64, 1, 2, 3, 4, 5, 6, 7, 8, opBool, 1})
+	f.Add(uint8(0), uint16(3), []byte{opI64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, opInt, 9,
 		opF64, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, opBytes, 3, 'a', 'b', 'c', opString, 70, 'x'})
-	f.Add(uint16(1000), bytes.Repeat([]byte{opString, 5, 'h', 'e', 'l', 'l', 'o', opBool, 0}, 40))
-	f.Fuzz(func(t *testing.T, grow uint16, prog []byte) {
+	f.Add(uint8(17), uint16(1000), bytes.Repeat([]byte{opString, 5, 'h', 'e', 'l', 'l', 'o', opBool, 0}, 40))
+	f.Add(uint8(3), uint16(200), []byte{opWords, 3, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, opWords, 0, opBool, 1, opWords, 7})
+	f.Fuzz(func(t *testing.T, prefixLen uint8, room uint16, prog []byte) {
 		vals := decodeProgram(prog)
-		want := writeProgram(t, &refWriter{}, vals)
-		if got := writeProgram(t, NewWriter(), vals); !bytes.Equal(got, want) {
+		ref := &refWriter{}
+		writeProgram(ref, vals)
+		want := ref.container()
+
+		w := NewWriter(nil)
+		writeProgram(w, vals)
+		if got := w.Finish(); !bytes.Equal(got, want) {
 			t.Fatalf("Writer container differs from the reference:\n got %x\nwant %x", got, want)
 		}
-		grown := NewWriter()
-		grown.Grow(int(grow))
-		if got := writeProgram(t, grown, vals); !bytes.Equal(got, want) {
-			t.Fatalf("Writer after Grow(%d) differs from the reference:\n got %x\nwant %x", grow, got, want)
+
+		prefix := bytes.Repeat([]byte{0xa5}, int(prefixLen))
+		buf := append(make([]byte, 0, len(prefix)+int(room)), prefix...)
+		w = NewWriter(buf)
+		writeProgram(w, vals)
+		got := w.Finish()
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("Writer behind a %d-byte prefix with %d bytes of room wrote\n%x\nwant the prefix, then\n%x",
+				prefixLen, room, got, want)
+		}
+		if int(room) >= len(want) && cap(buf) > 0 && &got[0] != &buf[:1][0] {
+			t.Fatalf("Writer reallocated a buffer with %d bytes of room for a %d-byte container", room, len(want))
+		}
+
+		outer := NewWriter(nil)
+		if err := outer.BytesFrom(programAppender(vals)); err != nil {
+			t.Fatal(err)
+		}
+		nested := &refWriter{}
+		nested.Bytes(want)
+		if got, want := outer.Finish(), nested.container(); !bytes.Equal(got, want) {
+			t.Fatalf("BytesFrom container differs from the reference:\n got %x\nwant %x", got, want)
 		}
 
 		r, err := NewReader(bytes.NewReader(want))
@@ -381,7 +421,7 @@ func FuzzWriterMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i, v := range vals {
-			var ok bool
+			ok := true
 			switch v.op {
 			case opU64:
 				ok = r.U64() == v.bits
@@ -397,6 +437,10 @@ func FuzzWriterMatchesReference(f *testing.F) {
 				ok = bytes.Equal(r.Bytes(), v.data)
 			case opString:
 				ok = r.String() == string(v.data)
+			case opWords:
+				for _, x := range v.words {
+					ok = ok && r.U64() == x
+				}
 			}
 			if !ok {
 				t.Fatalf("value %d (op %d) did not read back: err %v", i, v.op, r.Err())
@@ -406,4 +450,28 @@ func FuzzWriterMatchesReference(f *testing.F) {
 			t.Fatalf("after reading every value: err %v, %d bytes left", r.Err(), r.Remaining())
 		}
 	})
+}
+
+// failingAppender appends some bytes, then fails.
+type failingAppender struct{}
+
+func (failingAppender) AppendBinary(b []byte) ([]byte, error) {
+	return append(b, "partial"...), errors.New("appender failed")
+}
+
+// TestBytesFromLeavesPayloadOnError: an appender's error is returned,
+// and the container goes on as if BytesFrom had not been called.
+func TestBytesFromLeavesPayloadOnError(t *testing.T) {
+	w := NewWriter(nil)
+	w.U64(7)
+	if err := w.BytesFrom(failingAppender{}); err == nil || err.Error() != "appender failed" {
+		t.Fatalf("BytesFrom error = %v, want the appender's", err)
+	}
+	w.Bool(true)
+	ref := &refWriter{}
+	ref.U64(7)
+	ref.Bool(true)
+	if got, want := w.Finish(), ref.container(); !bytes.Equal(got, want) {
+		t.Fatalf("container after a failed BytesFrom:\n got %x\nwant %x", got, want)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 )
 
@@ -206,6 +207,55 @@ func RestoreSource(src Source, st SourceState) error {
 	default:
 		return fmt.Errorf("trace: cannot restore source type %T", src)
 	}
+}
+
+// maxSourceNesting bounds how many states a decoded SourceState may
+// nest inside the top one. The sources this package builds nest one
+// (a limit around a synthetic stream or a trace replay), so a deeper
+// chain is corrupt.
+const maxSourceNesting = 8
+
+// WriteSourceState appends st to w, followed by the states it wraps.
+func WriteSourceState(w *snap.Writer, st SourceState) {
+	w.String(st.Kind)
+	w.U64(st.RNGPos)
+	w.F64(st.OnLeft)
+	w.F64(st.Now)
+	w.Int(st.Next)
+	w.Int(st.Index)
+	w.Int(st.Left)
+	w.Bool(st.Inner != nil)
+	if st.Inner != nil {
+		WriteSourceState(w, *st.Inner)
+	}
+}
+
+// ReadSourceState reads a state WriteSourceState wrote. A read past
+// the payload, or a chain nested more than 8 states deep, fails with
+// snap.ErrCorrupt. The state is not checked against any source:
+// RestoreSource does that.
+func ReadSourceState(r *snap.Reader) (SourceState, error) { return readSourceState(r, 0) }
+
+func readSourceState(r *snap.Reader, depth int) (SourceState, error) {
+	var st SourceState
+	if depth > maxSourceNesting {
+		return st, fmt.Errorf("trace: source state nests deeper than %d: %w", maxSourceNesting, snap.ErrCorrupt)
+	}
+	st.Kind = r.String()
+	st.RNGPos = r.U64()
+	st.OnLeft = r.F64()
+	st.Now = r.F64()
+	st.Next = r.Int()
+	st.Index = r.Int()
+	st.Left = r.Int()
+	if r.Bool() {
+		inner, err := readSourceState(r, depth+1)
+		if err != nil {
+			return st, err
+		}
+		st.Inner = &inner
+	}
+	return st, r.Err()
 }
 
 // limited caps a Source at n jobs.

@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"meshalloc/internal/snap"
 )
 
 func TestTraceSourceReplaysInOrder(t *testing.T) {
@@ -202,5 +207,89 @@ func TestRestoreSourceBoundsRNGPosition(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSourceStateRoundTrip encodes the state of every source kind this
+// package builds, each behind a limit as simrun wraps them, and reads it
+// back: the state must come back equal, the container must hold nothing
+// else, and the decoded state must resume the stream where it stopped.
+func TestSourceStateRoundTrip(t *testing.T) {
+	tr := NewSDSC(SDSCConfig{Jobs: 50, MaxSize: 64, Seed: 3})
+	for _, c := range []struct {
+		name string
+		mk   func() Source
+	}{
+		{"poisson", func() Source { return Limit(NewPoisson(500, 64, 1), 1000) }},
+		{"bursty", func() Source { return Limit(NewBursty(200, 3600, 7200, 64, 1), 1000) }},
+		{"trace", func() Source { return Limit(tr.Source(), 40) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := c.mk()
+			for i := 0; i < 20; i++ {
+				src.Next()
+			}
+			st, err := CaptureSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := snap.NewWriter(nil)
+			WriteSourceState(w, st)
+			r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadSourceState(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, st) || r.Remaining() != 0 {
+				t.Fatalf("read back %+v with %d bytes left, want %+v", got, r.Remaining(), st)
+			}
+			fresh := c.mk()
+			if err := RestoreSource(fresh, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				a, _ := src.Next()
+				b, _ := fresh.Next()
+				if a != b {
+					t.Fatalf("restored job %d is %+v, want %+v", i, b, a)
+				}
+			}
+		})
+	}
+}
+
+// TestReadSourceStateBoundsNesting: a chain of states nested 8 deep
+// inside the top one reads back, and one nested 9 deep fails with
+// snap.ErrCorrupt instead of recursing on.
+func TestReadSourceStateBoundsNesting(t *testing.T) {
+	chain := func(nested int) SourceState {
+		st := SourceState{Kind: "synthetic", RNGPos: 7}
+		for i := 0; i < nested; i++ {
+			inner := st
+			st = SourceState{Kind: "limit", Left: i, Inner: &inner}
+		}
+		return st
+	}
+	for _, c := range []struct {
+		nested int
+		ok     bool
+	}{{0, true}, {1, true}, {8, true}, {9, false}, {100, false}} {
+		st := chain(c.nested)
+		w := snap.NewWriter(nil)
+		WriteSourceState(w, st)
+		r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSourceState(r)
+		switch {
+		case c.ok && (err != nil || !reflect.DeepEqual(got, st)):
+			t.Fatalf("%d nested states: read back %+v, err %v", c.nested, got, err)
+		case !c.ok && !errors.Is(err, snap.ErrCorrupt):
+			t.Fatalf("%d nested states: err %v, want snap.ErrCorrupt", c.nested, err)
+		}
 	}
 }

@@ -18,8 +18,9 @@
 //   - a flit-level-approximating wormhole network model of the mesh;
 //   - a synthetic SDSC-Paragon workload generator and trace I/O;
 //   - FCFS (and, as an extension, EASY backfilling) scheduling;
-//   - versioned, checksummed engine snapshots (Engine.Snapshot /
-//     RestoreEngine) for crash-safe resume, plus a runtime invariant
+//   - versioned, checksummed engine snapshots (Engine.Snapshot and
+//     RestoreEngine; Engine.AppendBinary encodes into a buffer the
+//     caller reuses) for crash-safe resume, plus a runtime invariant
 //     auditor (Engine.Audit, Config.AuditEvery);
 //   - an experiment harness regenerating every figure in the paper.
 //
