@@ -85,7 +85,9 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 // a closed and an open run leave behind. Each run takes several
 // checkpoints, so the file is the last of them. The pins cover the
 // whole file: the outer container, the engine container inside it and,
-// for the open run, the arrival source's state.
+// for the open run, the arrival source's state. They were re-recorded
+// when container version 2 replaced each RNG's draw count with its
+// state.
 func TestCheckpointFilesArePinned(t *testing.T) {
 	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
 	cases := []struct {
@@ -96,10 +98,10 @@ func TestCheckpointFilesArePinned(t *testing.T) {
 		{"closed", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
 			return runClosed(checkpointCfg(), tr, false, ck)
-		}, "72fba283e6ca792cb79ed58bc5506d21000d462877c25f5d1708842e20b2a927"},
+		}, "690756f0d2e7e14d5ca39933fa81aa0dd4fe7f058f930be33a5417637643de9d"},
 		{"open", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			return runOpen(checkpointCfg(), arrival, maxSize, seed, jobs, 0, false, ck)
-		}, "a0ef231500c0229db70049d45d421e5c73f27214ca27e5769aa41722d3c0ad79"},
+		}, "11e52318cf0d5f6c4187bb9511fc79cc9fb17d8bf9e73b9c961fb4afb129f753"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -171,13 +171,14 @@ func (p *PagedPaging) Occupy(ids []int) {
 	}
 }
 
-// AuxState implements AuxState: the page packer's NextFit resume rank.
-func (p *PagedPaging) AuxState() []uint64 {
-	return []uint64{uint64(p.packer.NextStart())}
+// AppendAuxState implements AuxState: the page packer's NextFit resume
+// rank.
+func (p *PagedPaging) AppendAuxState(dst []uint64) []uint64 {
+	return append(dst, uint64(p.packer.NextStart()))
 }
 
 // SetAuxState implements AuxState.
-func (p *PagedPaging) SetAuxState(words []uint64, _ int) error {
+func (p *PagedPaging) SetAuxState(words []uint64) error {
 	if len(words) != 1 {
 		return fmt.Errorf("alloc: paged aux state wants 1 word, got %d", len(words))
 	}

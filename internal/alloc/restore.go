@@ -1,6 +1,10 @@
 package alloc
 
-import "fmt"
+import (
+	"fmt"
+
+	"meshalloc/internal/stats"
+)
 
 // Snapshot/restore support. A snapshot serializes only authoritative
 // state — the job→nodes assignment and a handful of allocator cursors —
@@ -8,17 +12,20 @@ import "fmt"
 // re-marks each job's exact node set busy, and AuxState, which
 // allocators implement optionally and callers probe with a type
 // assertion, carries the small non-derivable extras some allocators
-// keep (a NextFit cursor, an RNG position) as raw words.
+// keep (a NextFit cursor, an RNG's state) as raw words.
+
+// MaxAuxWords bounds the words any allocator's AppendAuxState appends:
+// Random's RNG state is the longest.
+const MaxAuxWords = stats.StateWords
 
 // AuxState is implemented by allocators with internal state that is
 // neither derivable from the busy set nor static configuration. The
-// words are opaque to callers; SetAuxState errors on a word count or
-// value that the allocator rejects. allocs bounds the successful
-// Allocate calls the saved allocator had made, so words that count
-// work can be checked against it.
+// words are opaque to callers: AppendAuxState appends them to dst, and
+// SetAuxState errors on a word count or value that the allocator
+// rejects.
 type AuxState interface {
-	AuxState() []uint64
-	SetAuxState(words []uint64, allocs int) error
+	AppendAuxState(dst []uint64) []uint64
+	SetAuxState(words []uint64) error
 }
 
 // Occupy implements Allocator for the tracker-based allocators (MC,
@@ -69,15 +76,15 @@ func (t *tracker) AuditIndexes() error {
 // Occupy implements Allocator: the packer re-marks the exact ranks.
 func (p *Paging) Occupy(ids []int) { p.packer.Occupy(ids) }
 
-// AuxState implements AuxState: the only non-derivable packer state is
-// the NextFit resume rank (meaningful only under the NextFit strategy,
-// but harmless to carry for all of them).
-func (p *Paging) AuxState() []uint64 {
-	return []uint64{uint64(p.packer.NextStart())}
+// AppendAuxState implements AuxState: the only non-derivable packer
+// state is the NextFit resume rank (meaningful only under the NextFit
+// strategy, but harmless to carry for all of them).
+func (p *Paging) AppendAuxState(dst []uint64) []uint64 {
+	return append(dst, uint64(p.packer.NextStart()))
 }
 
 // SetAuxState implements AuxState.
-func (p *Paging) SetAuxState(words []uint64, _ int) error {
+func (p *Paging) SetAuxState(words []uint64) error {
 	if len(words) != 1 {
 		return fmt.Errorf("alloc: paging aux state wants 1 word, got %d", len(words))
 	}
@@ -88,25 +95,9 @@ func (p *Paging) SetAuxState(words []uint64, _ int) error {
 // count cross-check.
 func (p *Paging) AuditIndexes() error { return p.packer.Audit() }
 
-// AuxState implements AuxState: Random's draw sequence must resume
-// where it left off, so the snapshot carries the RNG stream position.
-func (a *Random) AuxState() []uint64 {
-	return []uint64{a.rng.Pos()}
-}
+// AppendAuxState implements AuxState: Random's draw sequence must
+// resume where it left off, so the snapshot carries its RNG's state.
+func (a *Random) AppendAuxState(dst []uint64) []uint64 { return a.rng.AppendState(dst) }
 
-// SetAuxState implements AuxState by fast-forwarding a fresh generator
-// to the recorded position. SkipTo takes one draw per step, so the
-// position is checked first. Allocate draws only when it succeeds: one
-// shuffle of at most N free nodes, N-1 int31n calls, each one draw
-// redrawn with probability under N/2^32. 64 × allocs × N draws is
-// therefore never reached by a real run.
-func (a *Random) SetAuxState(words []uint64, allocs int) error {
-	if len(words) != 1 {
-		return fmt.Errorf("alloc: random aux state wants 1 word, got %d", len(words))
-	}
-	if bound := 64 * float64(allocs) * float64(len(a.busy)); float64(words[0]) > bound {
-		return fmt.Errorf("alloc: random RNG position %d beyond the %.0f draws %d allocations can take",
-			words[0], bound, allocs)
-	}
-	return a.rng.SkipTo(words[0])
-}
+// SetAuxState implements AuxState.
+func (a *Random) SetAuxState(words []uint64) error { return a.rng.SetState(words) }

@@ -47,8 +47,7 @@ type Generator struct {
 	// found its phase's end with budget left: finding the boundary
 	// takes drawing that message, so it is held for the next burst, and
 	// holding says it has not been handed out yet. A schedule's cursor
-	// stays on its held message. held keeps its last value once handed
-	// out, and across Reset (see Held).
+	// stays on its held message.
 	held    Msg
 	holding bool
 }
@@ -121,20 +120,10 @@ func (g *Generator) draw() Msg {
 	return Msg{Src: src, Dst: dst}
 }
 
-// Held returns the held message and whether it is still to be handed
-// out. Once handed out the message stays, as does the last one a
-// generator held when Reset re-arms it, so a snapshot that writes the
-// pair writes what the simulator's job records always wrote.
+// Held returns the message drawn ahead for the next burst and whether
+// it is still to be handed out; the message means nothing once it is
+// not.
 func (g *Generator) Held() (Msg, bool) { return g.held, g.holding }
-
-// Reset re-arms g in place with a new job's stream from pat, as
-// pat.Generator(p, rng) would build it, keeping only the last held
-// message (see Held).
-func (g *Generator) Reset(pat Pattern, p int, rng *stats.RNG) {
-	held := g.held
-	*g = pat.Generator(p, rng)
-	g.held = held
-}
 
 // Pattern builds generators for jobs of a given size.
 type Pattern interface {
@@ -408,7 +397,7 @@ func (Mixed) Generator(p int, rng *stats.RNG) Generator {
 // serialized: a phase-driven generator records which pattern built it
 // ("single" for the one-rank degenerate schedule) and its cursor, a
 // random generator records its message count (its variates come from
-// the engine RNG, whose position the engine snapshot captures
+// the engine RNG, whose state the engine snapshot captures
 // separately).
 type GenState struct {
 	Kind    string // "phase" or "random"
@@ -420,19 +409,12 @@ type GenState struct {
 }
 
 // StateOf captures a Generator built by this package for a snapshot.
-// A schedule's cursor is reported past its held message, the position
-// GenState has always recorded, so snapshot bytes do not depend on how
-// the cursor is kept. It errors on the zero Generator.
+// A schedule's cursor is where the generator keeps it, on its held
+// message if it holds one. It errors on the zero Generator.
 func StateOf(g *Generator) (GenState, error) {
 	switch {
 	case g.phases != nil:
-		phase, idx := g.phase, g.idx
-		if g.holding {
-			if idx++; idx == len(g.phases[phase]) {
-				phase, idx = (phase+1)%len(g.phases), 0
-			}
-		}
-		return GenState{Kind: "phase", Pattern: g.name, P: g.p, Phase: phase, Idx: idx}, nil
+		return GenState{Kind: "phase", Pattern: g.name, P: g.p, Phase: g.phase, Idx: g.idx}, nil
 	case g.rng != nil:
 		return GenState{Kind: "random", P: g.p, Count: g.count}, nil
 	default:
@@ -441,14 +423,14 @@ func StateOf(g *Generator) (GenState, error) {
 }
 
 // RestoreGen rebuilds a Generator from a snapshot state and its held
-// message. hint, if non-nil, is tried first when its Name matches the
-// recorded pattern — passing the engine's Cached-wrapped pattern here
-// shares the memoized schedule tables. rng is attached to random
-// generators (deterministic rebuilds never draw from it). Out-of-range
-// cursors are rejected, and so is a held message with a rank outside
-// [0, P) or, on a schedule, one that is not the message just before the
-// cursor, so a corrupt state cannot build a generator that panics or
-// sends what the schedule never would.
+// message, if holding. hint, if non-nil, is tried first when its Name
+// matches the recorded pattern — passing the engine's Cached-wrapped
+// pattern here shares the memoized schedule tables. rng is attached to
+// random generators (deterministic rebuilds never draw from it).
+// Out-of-range cursors are rejected, and so is a held message with a
+// rank outside [0, P) or, on a schedule, one that is not the message at
+// the cursor, so a corrupt state cannot build a generator that panics
+// or sends what the schedule never would.
 func RestoreGen(st GenState, held Msg, holding bool, hint Pattern, rng *stats.RNG) (Generator, error) {
 	if st.P <= 0 {
 		return Generator{}, fmt.Errorf("comm: generator state has job size %d", st.P)
@@ -495,22 +477,12 @@ func RestoreGen(st GenState, held Msg, holding bool, hint Pattern, rng *stats.RN
 			return Generator{}, fmt.Errorf("comm: message cursor %d outside phase %d of %q", st.Idx, st.Phase, st.Pattern)
 		}
 		g.phase, g.idx = st.Phase, st.Idx
-	default:
-		return Generator{}, fmt.Errorf("comm: unknown generator kind %q", st.Kind)
-	}
-	// A schedule's held message is the one just before the recorded
-	// cursor, where its cursor stays.
-	if holding && g.phases != nil {
-		if g.idx--; g.idx < 0 {
-			if g.phase--; g.phase < 0 {
-				g.phase = len(g.phases) - 1
-			}
-			g.idx = len(g.phases[g.phase]) - 1
-		}
-		if m := g.phases[g.phase][g.idx]; m != held {
-			return Generator{}, fmt.Errorf("comm: held message %v is not %v, the %q schedule's message before phase %d message %d",
+		if m := g.phases[g.phase][g.idx]; holding && m != held {
+			return Generator{}, fmt.Errorf("comm: held message %v is not %v, the %q schedule's phase %d message %d",
 				held, m, st.Pattern, st.Phase, st.Idx)
 		}
+	default:
+		return Generator{}, fmt.Errorf("comm: unknown generator kind %q", st.Kind)
 	}
 	g.held, g.holding = held, holding
 	return g, nil

@@ -2,8 +2,10 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 )
 
@@ -154,51 +156,45 @@ func (s *Stream) Next() (Event, bool) {
 	return ev, true
 }
 
-// ClockState is the serializable state of one node's failure clock.
-type ClockState struct {
-	T    float64
-	Node int
-	Down bool
-	RNG  uint64 // splitmix64 counter state
+// AppendState appends the stream's state to w: the scripted-schedule
+// cursor, then the clock heap verbatim (heap-array order, so restoring
+// keeps the heap property without re-heapifying), each clock's time,
+// node, next transition and splitmix64 state. The script itself is a
+// pure function of the Config and is rebuilt by NewStream.
+func (s *Stream) AppendState(w *snap.Writer) {
+	w.Int(s.scriptAt)
+	w.Int(len(s.clocks))
+	for i := range s.clocks {
+		c := &s.clocks[i]
+		w.F64(c.t)
+		w.Int(c.node)
+		w.Bool(c.down)
+		w.U64(c.rng.State())
+	}
 }
 
-// State is the serializable state of a Stream: the clock heap verbatim
-// (heap-array order, so restoring preserves the heap property without
-// re-heapifying) plus the scripted-schedule cursor. The script itself
-// is a pure function of the Config and is rebuilt by NewStream.
-type State struct {
-	Clocks   []ClockState
-	ScriptAt int
-}
-
-// State captures the stream for a snapshot.
-func (s *Stream) State() State {
-	st := State{ScriptAt: s.scriptAt}
-	st.Clocks = make([]ClockState, len(s.clocks))
-	for i, c := range s.clocks {
-		st.Clocks[i] = ClockState{T: c.t, Node: c.node, Down: c.down, RNG: c.rng.State()}
+// ReadState reads a state AppendState wrote from a stream built with the
+// same Config. It rejects a cursor past the script, more clocks than
+// the stream minted, and a clock with a non-finite time or a node
+// outside the machine.
+func (s *Stream) ReadState(r *snap.Reader) error {
+	at := r.Int()
+	if r.Err() == nil && (at < 0 || at > len(s.script)) {
+		return fmt.Errorf("fault: script cursor %d outside [0, %d]", at, len(s.script))
 	}
-	return st
-}
-
-// SetState restores a state previously captured from a Stream built
-// with the same Config. It errors on out-of-range values rather than
-// installing inconsistent state.
-func (s *Stream) SetState(st State) error {
-	if st.ScriptAt < 0 || st.ScriptAt > len(s.script) {
-		return fmt.Errorf("fault: script cursor %d outside [0, %d]", st.ScriptAt, len(s.script))
-	}
-	// Clocks only ever shrink (permanent failures drop them), so a
-	// snapshot can never hold more clocks than the stream minted.
-	if len(st.Clocks) > cap(s.clocks) {
-		return fmt.Errorf("fault: %d clocks exceed the stream's %d", len(st.Clocks), cap(s.clocks))
-	}
+	// NewStream minted one clock per node, or none, and clocks only
+	// ever leave the heap (permanent failures drop them), so its
+	// capacity bounds both the clock count and the node ids.
+	n := cap(s.clocks)
 	s.clocks = s.clocks[:0]
-	for _, c := range st.Clocks {
-		var rng stats.Splitmix64
-		rng.SetState(c.RNG)
-		s.clocks = append(s.clocks, clock{t: c.T, node: c.Node, down: c.Down, rng: rng})
+	for k := r.Count(n); k > 0 && r.Err() == nil; k-- {
+		c := clock{t: r.F64(), node: r.Int(), down: r.Bool()}
+		c.rng.SetState(r.U64())
+		if r.Err() == nil && (math.IsNaN(c.t) || math.IsInf(c.t, 0) || c.node < 0 || c.node >= n) {
+			return fmt.Errorf("fault: clock of node %d at %v invalid", c.node, c.t)
+		}
+		s.clocks = append(s.clocks, c)
 	}
-	s.scriptAt = st.ScriptAt
-	return nil
+	s.scriptAt = at
+	return r.Err()
 }

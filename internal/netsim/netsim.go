@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"meshalloc/internal/comm"
+	"meshalloc/internal/snap"
 	"meshalloc/internal/topo"
 )
 
@@ -338,38 +339,37 @@ func (n *Network) walk(src, dst int, asc bool, t float64, send bool) (cur, wait 
 // Stats returns the accumulated network statistics.
 func (n *Network) Stats() Stats { return n.stats }
 
-// State is the serializable dynamic state of a Network: per-link idle
-// times and busy accumulators, the aggregate statistics, and the send
+// AppendState appends the network's dynamic state to w: each link's
+// idle time and busy accumulator, the aggregate statistics, and the send
 // clock (which must restore so the monotonicity check keeps holding).
-type State struct {
-	FreeAt   []float64
-	BusyTime []float64
-	Stats    Stats
-	Clock    float64
+func (n *Network) AppendState(w *snap.Writer) {
+	for _, a := range [][]float64{n.freeAt, n.busyTime} {
+		w.Int(len(a))
+		for _, v := range a {
+			w.F64(v)
+		}
+	}
+	w.I64(n.stats.Messages)
+	w.I64(n.stats.TotalHops)
+	w.F64(n.stats.TotalDistSec)
+	w.F64(n.stats.TotalQueueSec)
+	w.F64(n.clock)
 }
 
-// State captures the network for a snapshot.
-func (n *Network) State() State {
-	return State{
-		FreeAt:   append([]float64(nil), n.freeAt...),
-		BusyTime: append([]float64(nil), n.busyTime...),
-		Stats:    n.stats,
-		Clock:    n.clock,
+// ReadState reads a state AppendState wrote from a network over the
+// same grid. It rejects a link count that differs from the network's.
+func (n *Network) ReadState(r *snap.Reader) error {
+	for _, a := range [][]float64{n.freeAt, n.busyTime} {
+		if k := r.Count(1 << 31); r.Err() == nil && k != len(a) {
+			return fmt.Errorf("netsim: state has %d links, network has %d", k, len(a))
+		}
+		for i := range a {
+			a[i] = r.F64()
+		}
 	}
-}
-
-// SetState restores a state previously captured from a network over the
-// same grid. It errors on a link-count mismatch.
-func (n *Network) SetState(s State) error {
-	if len(s.FreeAt) != len(n.freeAt) || len(s.BusyTime) != len(n.busyTime) {
-		return fmt.Errorf("netsim: state has %d/%d links, network has %d",
-			len(s.FreeAt), len(s.BusyTime), len(n.freeAt))
-	}
-	copy(n.freeAt, s.FreeAt)
-	copy(n.busyTime, s.BusyTime)
-	n.stats = s.Stats
-	n.clock = s.Clock
-	return nil
+	n.stats = Stats{Messages: r.I64(), TotalHops: r.I64(), TotalDistSec: r.F64(), TotalQueueSec: r.F64()}
+	n.clock = r.F64()
+	return r.Err()
 }
 
 // LinkUtilization returns each directed link's busy fraction over the

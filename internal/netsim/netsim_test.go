@@ -620,9 +620,8 @@ func TestSendMatchesReference(t *testing.T) {
 						t.Fatalf("burst %d (%v at %v): %s", i, msgs, now, msg)
 					}
 				}
-				st := n.State()
-				if !sameBits(st.FreeAt, ref.freeAt) || !sameBits(st.BusyTime, ref.busyTime) || st.Stats != ref.stats {
-					t.Fatal("State() differs from the reference")
+				if !sameBits(n.freeAt, ref.freeAt) || !sameBits(n.busyTime, ref.busyTime) || n.stats != ref.stats {
+					t.Fatal("link state differs from the reference")
 				}
 			})
 		}

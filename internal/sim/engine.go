@@ -164,12 +164,16 @@ type Engine struct {
 
 	// fp caches cfgFingerprint(cfg) once a snapshot needs it (0 until
 	// then). snapLen is the previous Snapshot's payload length, the size
-	// hint for the next one. heapBuf is Snapshot's reused copy of the
-	// event heap, popped to write the heap's events in (t, seq) order.
-	// None of them is part of the snapshot.
+	// hint for the next one. Snapshot reuses the rest: heapBuf is its
+	// copy of the event heap, popped to write the heap's events in (t,
+	// seq) order, killIDs the sorted IDs of killCount, and words an RNG's
+	// state or the allocator's aux words. None of them is part of the
+	// snapshot.
 	fp      uint64
 	snapLen int
 	heapBuf eventHeap
+	killIDs []int
+	words   []uint64
 }
 
 // NewEngine validates cfg and builds an idle engine with an empty queue
@@ -954,7 +958,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 	s := &e.store
 	s.job[h] = job
 	s.nodes[h] = nodes
-	s.gen[h].Reset(e.pattern, job.Size, e.rng)
+	s.gen[h] = e.pattern.Generator(job.Size, e.rng)
 	s.quota[h] = e.quotaOf(job)
 	s.sent[h] = 0
 	s.hops[h] = 0

@@ -11,8 +11,8 @@ import (
 // Discard run — carries no pointers at all and costs the garbage
 // collector nothing to scan; the pointered columns (nodes, gen) are
 // bounded by the number of concurrently running jobs, not by queue
-// depth. A handle's generator is re-armed in place for each job it
-// carries (comm.Generator.Reset). Handles are recycled LIFO through
+// depth. A handle's generator is rebuilt in place for each job it
+// carries. Handles are recycled LIFO through
 // free, exactly as the old *runningJob pool recycled structs: a handle
 // stays in use after a kill (dead=true) until the job's one stale queue
 // event pops and releases it, so a recycled handle can never collide

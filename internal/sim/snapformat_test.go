@@ -11,23 +11,22 @@ import (
 // snapshotPins are FNV-64a hashes of the Snapshot bytes each golden and
 // resume configuration writes halfway through its run. Queued events
 // are written in (t, seq) order, so the bytes do not depend on the
-// event queue's layout. The pins were re-recorded when that order
-// replaced the heap array's: each blob kept its earlier length, and
-// sorting the event records of the earlier blobs by (t, seq) gave
-// exactly these bytes. TestRestoreAcceptsEventsInAnyOrder proves that
-// checkpoints written in the earlier order still resume.
+// event queue's layout. The pins were re-recorded with container
+// version 2, which writes each RNG's state where version 1 wrote its
+// draw count, a generator's held ranks only while it holds a message,
+// and a schedule's cursor where the generator keeps it.
 var snapshotPins = map[string]string{
-	"golden/fig7-16x22-alltoall-hilbert": "07ef508e8c4c0934",
-	"golden/fig8-16x16-nbody-mc1x1":      "014ef6414b6d57e6",
-	"golden/cube3d-8x8x8-nbody-hilbert":  "e119a729623c4657",
-	"golden/easy-16x16-alltoall-hilbert": "3b3704c1bcfff82e",
-	"golden/seq-16x22-random-scurve":     "35838b5e016f3895",
-	"golden/torus-8x8-random-hilbert":    "61874478222f86f8",
-	"golden/torus-4x4x4-nbody-mc1x1":     "4fc92c0b24fd1a97",
-	"resume/hilbert-alltoall":            "321b6cb9b80fc07e",
-	"resume/random-pattern-random-alloc": "992bf910033bfb5c",
-	"resume/easy-nextfit":                "adf0fafa90702b9f",
-	"resume/faulty-mc1x1":                "a023633eb485994a",
+	"golden/fig7-16x22-alltoall-hilbert": "6e25fe6b69ced71e",
+	"golden/fig8-16x16-nbody-mc1x1":      "f6157be77e73d842",
+	"golden/cube3d-8x8x8-nbody-hilbert":  "4b2346c47bc1170a",
+	"golden/easy-16x16-alltoall-hilbert": "6f181c3418c132be",
+	"golden/seq-16x22-random-scurve":     "a0ac67d70124b074",
+	"golden/torus-8x8-random-hilbert":    "baa6bde556eff23b",
+	"golden/torus-4x4x4-nbody-mc1x1":     "6729fd8cce51cd94",
+	"resume/hilbert-alltoall":            "dd94ea5b2f12a8ee",
+	"resume/random-pattern-random-alloc": "a0c32f9819c32f43",
+	"resume/easy-nextfit":                "e618ab49132ce4cc",
+	"resume/faulty-mc1x1":                "46117d022cee0168",
 }
 
 // TestSnapshotFormatPinned cuts every golden and resume configuration

@@ -7,12 +7,11 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/comm"
 	"meshalloc/internal/fault"
-	"meshalloc/internal/netsim"
 	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 	"meshalloc/internal/trace"
@@ -27,13 +26,10 @@ var ErrConfigMismatch = errors.New("sim: snapshot was taken under a different co
 
 // cfgFingerprint hashes the semantic configuration fields — the ones
 // that determine the event sequence and outputs. cfg must already have
-// defaults applied so "" and "fcfs" schedulers hash identically. The
-// literal 0 holds the slot of the deleted MaxPhase field, whose zero
-// value meant no cap, so every uncapped configuration keeps its
-// fingerprint and its existing checkpoints still restore.
+// defaults applied so "" and "fcfs" schedulers hash identically.
 func cfgFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|0|%d|%d|%+v|%+v",
+	fmt.Fprintf(h, "%v|%v|%s|%s|%v|%v|%d|%+v|%s|%d|%v|%d|%d|%+v|%+v",
 		cfg.dims(), cfg.Torus, cfg.Alloc, cfg.Pattern, cfg.Load, cfg.TimeScale,
 		cfg.Seed, cfg.Net, cfg.Scheduler, cfg.Issue, cfg.MsgsPerSecond,
 		cfg.KeepRecords, cfg.KeepNodes, cfg.Faults, cfg.Retry)
@@ -109,13 +105,13 @@ func (e *Engine) writeEvent(w *snap.Writer, ev event) {
 
 // genTailLen is the encoded size of the fixed fields that close a live
 // job-store row: the generator's four cursor words, quota, sent, hops,
-// the four times (start, lastArr, queued, estEnd), the held message's
-// two ranks and the holding flag.
-const genTailLen = 13*8 + 1
+// the four times (start, lastArr, queued, estEnd) and the holding flag.
+// A generator that holds a message writes its two ranks after them.
+const genTailLen = 11*8 + 1
 
 // Snapshot serializes the engine's authoritative state — clock, streaming
 // aggregates, the job store, the event queue, the pending queue, RNG
-// stream positions, fault and network state, and (under the Keep policy)
+// states, fault and network state, and (under the Keep policy)
 // the retained records — as one versioned, checksummed binary blob.
 // Derived indexes (allocator occupancy structures, fault masks, the
 // scheduler's incremental mirrors) are not serialized; RestoreEngine
@@ -129,7 +125,8 @@ const genTailLen = 13*8 + 1
 // is smaller than the previous container does it allocate, sized at the
 // previous payload plus an eighth, so a caller that reuses its buffer
 // pays no allocation or copy for the payload, and the engine keeps no
-// buffer between checkpoints.
+// payload buffer between checkpoints. Every other part is encoded
+// straight from its owner's arrays, so such a call allocates nothing.
 //
 // A run resumed from a snapshot replays the exact event sequence the
 // uninterrupted run would have: every record, digest and aggregate is
@@ -186,21 +183,10 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	w.I64(e.core.SchedRounds)
 	w.I64(e.core.SchedSkips)
 
-	// The P² median estimator and the engine RNG position.
-	ps := e.respMedian.State()
-	w.F64(ps.P)
-	w.Int(ps.N)
-	for i := 0; i < 5; i++ {
-		w.F64(ps.Q[i])
-		w.F64(ps.Pos[i])
-		w.F64(ps.Des[i])
-		w.F64(ps.Inc[i])
-	}
-	w.Int(len(ps.Boot))
-	for _, v := range ps.Boot {
-		w.F64(v)
-	}
-	w.U64(e.rng.Pos())
+	// The P² median estimator and the engine RNG's state.
+	e.respMedian.AppendState(w)
+	e.words = e.rng.AppendState(e.words[:0])
+	w.Words(e.words)
 
 	// Job store: per-handle flags, live rows in full, and the pool free
 	// list verbatim — recycle order decides future handle assignment,
@@ -219,7 +205,7 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 		}
 		// A live row takes two windows: one for the job, its node count
 		// and its nodes, and, after the generator's two names, one for
-		// the row's fixed tail.
+		// the row's fixed tail, which the held message's ranks follow.
 		nodes := s.nodes[h]
 		p := w.Extend(jobLen + 8 + 8*len(nodes))
 		putJob((*[jobLen]byte)(p), s.job[h])
@@ -242,11 +228,11 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 		le.PutUint64(t[64:], math.Float64bits(s.lastArr[h]))
 		le.PutUint64(t[72:], math.Float64bits(s.queued[h]))
 		le.PutUint64(t[80:], math.Float64bits(s.estEnd[h]))
-		le.PutUint64(t[88:], uint64(held.Src))
-		le.PutUint64(t[96:], uint64(held.Dst))
-		t[104] = 0
+		t[88] = 0
 		if holding {
-			t[104] = 1
+			t[88] = 1
+			w.Int(held.Src)
+			w.Int(held.Dst)
 		}
 	}
 	w.Int(len(s.free))
@@ -280,20 +266,22 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 		writeJob(w, e.held)
 	}
 
-	// Fault-injection state: availability flags, retry bookkeeping, the
-	// pending stream head, and the per-node failure-clock positions.
-	// Presence is decided by the config (covered by the fingerprint),
-	// so writer and reader always agree on whether this block exists.
+	// Fault-injection state: availability flags, retry bookkeeping in
+	// job-ID order, the pending stream head, and the per-node failure
+	// clocks. Presence is decided by the config (covered by the
+	// fingerprint), so writer and reader always agree on whether this
+	// block exists.
 	if e.faults != nil {
 		for n := range e.down {
 			w.Bool(e.down[n])
 			w.Bool(e.drained[n])
 		}
-		ids := make([]int, 0, len(e.killCount))
+		ids := e.killIDs[:0]
 		for id := range e.killCount {
 			ids = append(ids, id)
 		}
-		sort.Ints(ids)
+		slices.Sort(ids)
+		e.killIDs = ids
 		w.Int(len(ids))
 		for _, id := range ids {
 			w.Int(id)
@@ -305,43 +293,18 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 			w.Int(e.nextFault.Node)
 			w.Int(int(e.nextFault.Kind))
 		}
-		fs := e.faults.State()
-		w.Int(fs.ScriptAt)
-		w.Int(len(fs.Clocks))
-		for _, c := range fs.Clocks {
-			w.F64(c.T)
-			w.Int(c.Node)
-			w.Bool(c.Down)
-			w.U64(c.RNG)
-		}
+		e.faults.AppendState(w)
 	}
 
 	// Network link state and aggregate stats.
-	ns := e.net.State()
-	w.Int(len(ns.FreeAt))
-	for _, v := range ns.FreeAt {
-		w.F64(v)
-	}
-	w.Int(len(ns.BusyTime))
-	for _, v := range ns.BusyTime {
-		w.F64(v)
-	}
-	w.I64(ns.Stats.Messages)
-	w.I64(ns.Stats.TotalHops)
-	w.F64(ns.Stats.TotalDistSec)
-	w.F64(ns.Stats.TotalQueueSec)
-	w.F64(ns.Clock)
+	e.net.AppendState(w)
 
-	// Allocator aux words (NextFit cursor, allocator RNG position, ...).
+	// Allocator aux words (NextFit cursor, allocator RNG state, ...).
+	e.words = e.words[:0]
 	if ax, ok := e.allocator.(alloc.AuxState); ok {
-		words := ax.AuxState()
-		w.Int(len(words))
-		for _, v := range words {
-			w.U64(v)
-		}
-	} else {
-		w.Int(0)
+		e.words = ax.AppendAuxState(e.words)
 	}
+	w.Words(e.words)
 
 	// Retained records under the Keep policy.
 	if e.cfg.KeepRecords == Keep {
@@ -436,25 +399,14 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	e.core.SchedRounds = r.I64()
 	e.core.SchedSkips = r.I64()
 
-	var ps stats.P2State
-	ps.P = r.F64()
-	ps.N = r.Int()
-	for i := 0; i < 5; i++ {
-		ps.Q[i] = r.F64()
-		ps.Pos[i] = r.F64()
-		ps.Des[i] = r.F64()
-		ps.Inc[i] = r.F64()
+	if err := e.respMedian.ReadState(r); err != nil {
+		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
-	nboot := r.Count(8)
-	for i := 0; i < nboot && r.Err() == nil; i++ {
-		ps.Boot = append(ps.Boot, r.F64())
+	if words := r.Words(nil, stats.StateWords); r.Err() == nil {
+		if err := e.rng.SetState(words); err != nil {
+			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
+		}
 	}
-	if r.Err() == nil {
-		e.respMedian.SetState(ps)
-	}
-	// The RNG skips to its position once the message count it is
-	// bounded by has been read (nothing draws from it before then).
-	rngPos := r.U64()
 
 	// Job store.
 	s := &e.store
@@ -503,8 +455,11 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.lastArr[h] = r.F64()
 		s.queued[h] = r.F64()
 		s.estEnd[h] = r.F64()
-		held := comm.Msg{Src: r.Int(), Dst: r.Int()}
+		var held comm.Msg
 		holding := r.Bool()
+		if holding {
+			held = comm.Msg{Src: r.Int(), Dst: r.Int()}
+		}
 		if r.Err() == nil {
 			gen, err := comm.RestoreGen(gs, held, holding, e.pattern, e.rng)
 			if err != nil {
@@ -610,84 +565,25 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("sim: pending fault event %+v invalid: %w", e.nextFault, snap.ErrCorrupt)
 			}
 		}
-		var fs fault.State
-		fs.ScriptAt = r.Int()
-		nc := r.Count(e.grid.Size())
-		for i := 0; i < nc && r.Err() == nil; i++ {
-			c := fault.ClockState{T: r.F64(), Node: r.Int(), Down: r.Bool(), RNG: r.U64()}
-			if r.Err() == nil && (!finite(c.T) || c.Node < 0 || c.Node >= e.grid.Size()) {
-				return nil, fmt.Errorf("sim: fault clock %+v invalid: %w", c, snap.ErrCorrupt)
-			}
-			fs.Clocks = append(fs.Clocks, c)
-		}
-		if r.Err() == nil {
-			if err := e.faults.SetState(fs); err != nil {
-				return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
-			}
+		if err := e.faults.ReadState(r); err != nil {
+			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
 	}
 
 	// Network state.
-	var ns netsim.State
-	nl := r.Count(1 << 31)
-	for i := 0; i < nl && r.Err() == nil; i++ {
-		ns.FreeAt = append(ns.FreeAt, r.F64())
-	}
-	nb := r.Count(1 << 31)
-	for i := 0; i < nb && r.Err() == nil; i++ {
-		ns.BusyTime = append(ns.BusyTime, r.F64())
-	}
-	ns.Stats.Messages = r.I64()
-	ns.Stats.TotalHops = r.I64()
-	ns.Stats.TotalDistSec = r.F64()
-	ns.Stats.TotalQueueSec = r.F64()
-	ns.Clock = r.F64()
-	if r.Err() == nil {
-		if err := e.net.SetState(ns); err != nil {
-			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
-		}
-		// SkipTo takes one draw per step, so the position is checked
-		// before it runs. Only the random and mixed patterns draw from
-		// the engine RNG, so under any other the position is 0. Every
-		// engine draw comes from an Intn call: at most one per job start
-		// (the mixed pattern's pick; a start needs a submission or a
-		// retry) and two per generated message (the random pattern; each
-		// generated message is sent, or is the one a live job holds back
-		// for its next phase). That is at most 3 × (submitted + retried)
-		// + 2 × messages calls, and on machines of at most 2^21 nodes an
-		// Intn draw is rejected and redrawn with probability under
-		// 2^-10, so 64 × (submitted + retried + 2 × messages) draws,
-		// over 21 per call, is never reached. The counts come from the
-		// same file, so a forged message count still buys a forged
-		// position that long to skip to under those two patterns.
-		if name := e.pattern.Name(); rngPos != 0 && name != "random" && name != "mixed" {
-			return nil, fmt.Errorf("sim: RNG position %d under the %s pattern, which never draws: %w",
-				rngPos, name, snap.ErrCorrupt)
-		}
-		bound := 64 * (float64(e.submitted) + float64(e.retried) + 2*float64(ns.Stats.Messages))
-		if float64(rngPos) > bound {
-			return nil, fmt.Errorf("sim: RNG position %d beyond the %.0f draws %d submissions, %d retries and %d messages can take: %w",
-				rngPos, bound, e.submitted, e.retried, ns.Stats.Messages, snap.ErrCorrupt)
-		}
-		if err := e.rng.SkipTo(rngPos); err != nil {
-			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
-		}
+	if err := e.net.ReadState(r); err != nil {
+		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
 
 	// Allocator aux words (cursors no busy set determines; re-occupying
 	// the live jobs' nodes below leaves them alone).
-	nw := r.Count(64)
-	var auxWords []uint64
-	for i := 0; i < nw && r.Err() == nil; i++ {
-		auxWords = append(auxWords, r.U64())
-	}
-	if len(auxWords) > 0 && r.Err() == nil {
+	if aux := r.Words(nil, alloc.MaxAuxWords); len(aux) > 0 && r.Err() == nil {
 		ax, ok := e.allocator.(alloc.AuxState)
 		if !ok {
 			return nil, fmt.Errorf("sim: allocator %s holds no aux state but the snapshot carries %d words: %w",
-				e.allocator.Name(), len(auxWords), snap.ErrCorrupt)
+				e.allocator.Name(), len(aux), snap.ErrCorrupt)
 		}
-		if err := ax.SetAuxState(auxWords, e.submitted+e.retried); err != nil {
+		if err := ax.SetAuxState(aux); err != nil {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
 	}

@@ -15,13 +15,14 @@ import (
 
 	"meshalloc/internal/alloc"
 	"meshalloc/internal/snap"
+	"meshalloc/internal/stats"
 	"meshalloc/internal/trace"
 )
 
 // resumeCases are the configurations the crash-resume equivalence suite
 // runs: each exercises a different slice of snapshot state — the
 // schedule-driven patterns, the engine RNG (random pattern), allocator
-// aux state (NextFit cursor, the random allocator's RNG position), the
+// aux state (NextFit cursor, the random allocator's RNG state), the
 // EASY scheduler's running index, and active fault injection with
 // retry/backoff bookkeeping and per-node failure clocks.
 var resumeCases = []struct {
@@ -318,8 +319,8 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	// The random allocator and pattern put positions on the allocator's
-	// aux path and the engine RNG.
+	// The random allocator and pattern put RNG states on the allocator's
+	// aux path and the engine's.
 	cfgR := Config{MeshW: 8, MeshH: 8, Alloc: "random", Pattern: "random",
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
 	valid := seed(cfg, 100)
@@ -485,6 +486,14 @@ func TestRestoreContainerErrorsAreTyped(t *testing.T) {
 	bad[4] = 0xEE
 	if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
+	}
+	// A version-1 container, which stored RNG draw counts, is refused
+	// even with a valid checksum.
+	bad = append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(bad[4:], 1)
+	reframe(bad)
+	if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
+		t.Fatalf("version 1: got %v, want ErrVersion", err)
 	}
 	bad = append([]byte(nil), blob...)
 	bad[20] ^= 0x01
@@ -681,10 +690,8 @@ func reframe(blob []byte) {
 // TestRestoreAcceptsEventsInAnyOrder reverses the event records of a
 // mid-run snapshot of every resume case, re-frames the blob with a
 // valid CRC, and requires the restored run to finish with the
-// uninterrupted digest. Earlier builds wrote events in heap-array
-// order; this is the standing proof that their checkpoints still
-// resume, since the reader must rebuild the queue from events in any
-// order.
+// uninterrupted digest: the reader rebuilds the queue from events in
+// any order, so the queue's layout is never part of the format.
 func TestRestoreAcceptsEventsInAnyOrder(t *testing.T) {
 	for _, tc := range resumeCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -734,74 +741,84 @@ func TestRestoreAcceptsEventsInAnyOrder(t *testing.T) {
 	}
 }
 
-// TestRestoreBoundsRNGPositions raises a checksum-valid snapshot's
-// engine RNG position, then the random allocator's, by 2^40 draws.
-// Skipping that far would take hours; the restore must instead reject
-// the position against the bound its counters give, as corrupt, at
-// once.
-func TestRestoreBoundsRNGPositions(t *testing.T) {
+// wordsKey is words as snap.Writer.Words encodes them: a count, then
+// the words.
+func wordsKey(words []uint64) []byte {
+	key := binary.LittleEndian.AppendUint64(nil, uint64(len(words)))
+	for _, v := range words {
+		key = binary.LittleEndian.AppendUint64(key, v)
+	}
+	return key
+}
+
+// findOnce returns the offset of key in blob, failing the test unless
+// key occurs there exactly once.
+func findOnce(t testing.TB, blob, key []byte, what string) int {
+	t.Helper()
+	off := bytes.Index(blob, key)
+	if off < 0 || bytes.Contains(blob[off+1:], key) {
+		t.Fatalf("%s not found exactly once", what)
+	}
+	return off
+}
+
+// TestRestoreTakesRNGStateAtOnce forges a checksum-valid snapshot of
+// resume case 1 (random allocator, random pattern) at 400 events: its
+// network message count is raised by 2^40, the raise that lets a file
+// of RNG draw counts make restore replay draws for hours, and then the
+// engine's RNG state, or the random allocator's, is overwritten.
+// Another seed's ring must restore within a second, and a ring index of
+// 608 or a ring word with bit 63 set must fail with snap.ErrCorrupt
+// within a second.
+func TestRestoreTakesRNGStateAtOnce(t *testing.T) {
 	tc := resumeCases[1]
 	if tc.cfg.Alloc != "random" || tc.cfg.Pattern != "random" {
 		t.Fatalf("resume case 1 is %s/%s, want random/random", tc.cfg.Alloc, tc.cfg.Pattern)
 	}
-	e, err := NewEngine(tc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range tc.tr().Jobs {
-		if err := e.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 400; i++ {
-		e.Step()
-	}
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	e, blob := stepAndSnapshot(t, tc.cfg, tc.tr(), 400)
+	ns := e.net.Stats()
+	key := binary.LittleEndian.AppendUint64(nil, uint64(ns.Messages))
+	key = binary.LittleEndian.AppendUint64(key, uint64(ns.TotalHops))
+	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(ns.TotalDistSec))
+	msgOff := findOnce(t, blob, key, "network message count")
+	binary.LittleEndian.PutUint64(blob[msgOff:], uint64(ns.Messages)+1<<40)
 
-	// The engine RNG position follows the container header, the
-	// fingerprint, 17 counters, the watermark flag, 7 core counters and
-	// the P² state (two words, 5 × 4 markers, the boot count and boot
-	// values).
-	rngOff := 16 + 8 + 17*8 + 1 + 7*8 + 2*8 + 5*4*8 + 8 + 8*len(e.respMedian.State().Boot)
-	if got := binary.LittleEndian.Uint64(blob[rngOff:]); got != e.rng.Pos() || got == 0 {
-		t.Fatalf("word at the RNG offset is %d, engine RNG at %d", got, e.rng.Pos())
+	other := stats.NewRNG(12345)
+	for i := 0; i < 1000; i++ {
+		other.Int63()
 	}
-	// Random's aux word is the one aux word, just before the records.
-	aux := e.allocator.(alloc.AuxState).AuxState()[0]
-	key := binary.LittleEndian.AppendUint64(nil, 1)
-	key = binary.LittleEndian.AppendUint64(key, aux)
-	key = binary.LittleEndian.AppendUint64(key, uint64(len(e.records)))
-	auxOff := bytes.Index(blob, key)
-	if auxOff < 0 || bytes.Contains(blob[auxOff+1:], key) || aux == 0 {
-		t.Fatal("random allocator's aux word not found exactly once")
-	}
-	auxOff += 8
-
+	ring := wordsKey(other.AppendState(nil))[8:]
 	for _, c := range []struct {
-		name string
-		off  int
-	}{{"engine", rngOff}, {"random-allocator", auxOff}} {
+		name  string
+		state []uint64
+	}{
+		{"engine", e.rng.AppendState(nil)},
+		{"random-allocator", e.allocator.(alloc.AuxState).AppendAuxState(nil)},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			bad := bytes.Clone(blob)
-			pos := binary.LittleEndian.Uint64(bad[c.off:])
-			binary.LittleEndian.PutUint64(bad[c.off:], pos+1<<40)
-			reframe(bad)
-			done := make(chan error, 1)
-			go func() {
-				_, err := RestoreEngine(bytes.NewReader(bad), tc.cfg)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if !errors.Is(err, snap.ErrCorrupt) {
-					t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
-				}
-			case <-time.After(time.Second):
-				t.Fatal("restore still running after 1 s")
+			if len(c.state) != stats.StateWords {
+				t.Fatalf("state of %d words, want a drawn ring's %d", len(c.state), stats.StateWords)
+			}
+			// off is the state's ring index; its 607 words follow.
+			off := findOnce(t, blob, wordsKey(c.state), c.name+"'s RNG state") + 8
+			for _, f := range []struct {
+				name string
+				edit func(state []byte)
+				ok   bool
+			}{
+				{"another-ring", func(b []byte) { copy(b, ring) }, true},
+				{"index-608", func(b []byte) { binary.LittleEndian.PutUint64(b, 608) }, false},
+				{"bit-63", func(b []byte) { b[8+8*300+7] |= 0x80 }, false},
+			} {
+				t.Run(f.name, func(t *testing.T) {
+					bad := bytes.Clone(blob)
+					f.edit(bad[off:])
+					reframe(bad)
+					err := restoreWithin(t, bad, tc.cfg)
+					if f.ok && err != nil || !f.ok && !errors.Is(err, snap.ErrCorrupt) {
+						t.Fatalf("restore returned %v, want ok=%v or else snap.ErrCorrupt", err, f.ok)
+					}
+				})
 			}
 		})
 	}
@@ -811,7 +828,8 @@ func TestRestoreBoundsRNGPositions(t *testing.T) {
 // phase's first message back in e, whose snapshot is blob, and returns
 // the offset of the held message's source rank in blob (its destination
 // rank follows) with the job's size. The record's estimated end, the
-// held ranks and the flag that follows them are found exactly once.
+// holding flag and the held ranks that follow it are found exactly
+// once.
 func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
 	t.Helper()
 	s := &e.store
@@ -821,13 +839,10 @@ func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
 			continue
 		}
 		key := binary.LittleEndian.AppendUint64(nil, math.Float64bits(s.estEnd[h]))
+		key = append(key, 1)
 		key = binary.LittleEndian.AppendUint64(key, uint64(held.Src))
 		key = binary.LittleEndian.AppendUint64(key, uint64(held.Dst))
-		key = append(key, 1)
-		if off = bytes.Index(blob, key); off < 0 || bytes.Contains(blob[off+1:], key) {
-			t.Fatalf("handle %d's held message not found exactly once", h)
-		}
-		return off + 8, s.job[h].Size
+		return findOnce(t, blob, key, fmt.Sprintf("handle %d's held message", h)) + 9, s.job[h].Size
 	}
 	t.Fatal("no live job holds a message back")
 	return 0, 0
@@ -856,9 +871,9 @@ func stepAndSnapshot(t testing.TB, cfg Config, tr *trace.Trace, n int) (*Engine,
 	return e, buf.Bytes()
 }
 
-// restoreWithin restores blob under cfg and fails the test unless the
-// restore ends within a second and with snap.ErrCorrupt.
-func restoreWithin(t *testing.T, blob []byte, cfg Config) {
+// restoreWithin restores blob under cfg and returns the restore's
+// error, failing the test unless the restore ends within a second.
+func restoreWithin(t *testing.T, blob []byte, cfg Config) error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -867,11 +882,10 @@ func restoreWithin(t *testing.T, blob []byte, cfg Config) {
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, snap.ErrCorrupt) {
-			t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
-		}
+		return err
 	case <-time.After(time.Second):
 		t.Fatal("restore still running after 1 s")
+		return nil
 	}
 }
 
@@ -900,36 +914,9 @@ func TestRestoreRejectsBadHeldMessage(t *testing.T) {
 			bad := bytes.Clone(blob)
 			binary.LittleEndian.PutUint64(bad[c.off:], c.rank)
 			reframe(bad)
-			restoreWithin(t, bad, tc.cfg)
+			if err := restoreWithin(t, bad, tc.cfg); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
+			}
 		})
 	}
-}
-
-// TestRestoreRejectsRNGPositionWithoutDraws raises a checksum-valid
-// n-body snapshot's network message count and its engine RNG position
-// by 2^40 together, so the position passes the bound the count gives.
-// n-body never draws from the engine RNG, so any position but 0 is
-// corrupt, and the restore must say so at once instead of skipping
-// 2^40 draws.
-func TestRestoreRejectsRNGPositionWithoutDraws(t *testing.T) {
-	tc := goldenCases[1]
-	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).FilterMaxSize(tc.max)
-	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
-	rngOff := 16 + 8 + 17*8 + 1 + 7*8 + 2*8 + 5*4*8 + 8 + 8*len(e.respMedian.State().Boot)
-	if got := binary.LittleEndian.Uint64(blob[rngOff:]); got != 0 || e.rng.Pos() != 0 {
-		t.Fatalf("word at the RNG offset is %d, engine RNG at %d, want 0", got, e.rng.Pos())
-	}
-	ns := e.net.Stats()
-	key := binary.LittleEndian.AppendUint64(nil, uint64(ns.Messages))
-	key = binary.LittleEndian.AppendUint64(key, uint64(ns.TotalHops))
-	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(ns.TotalDistSec))
-	msgOff := bytes.Index(blob, key)
-	if msgOff < 0 || bytes.Contains(blob[msgOff+1:], key) || ns.Messages == 0 {
-		t.Fatal("network message count not found exactly once")
-	}
-	bad := bytes.Clone(blob)
-	binary.LittleEndian.PutUint64(bad[rngOff:], 1<<40)
-	binary.LittleEndian.PutUint64(bad[msgOff:], uint64(ns.Messages)+1<<40)
-	reframe(bad)
-	restoreWithin(t, bad, tc.cfg)
 }

@@ -33,7 +33,9 @@ const Magic = "MSNP"
 // Version is the current container layout version. Bump it whenever
 // the payload layout written by the engine changes incompatibly; old
 // snapshots are then rejected with ErrVersion rather than misread.
-const Version uint32 = 1
+// Version 2 stores each RNG's state where version 1 stored its draw
+// count.
+const Version uint32 = 2
 
 // maxPayload bounds the declared payload length so a corrupt header
 // cannot trigger a huge allocation before the checksum is verified.
@@ -102,6 +104,16 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
+}
+
+// Words appends a count-prefixed list of 64-bit words, which
+// Reader.Words reads back.
+func (w *Writer) Words(v []uint64) {
+	w.Int(len(v))
+	p := w.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], x)
+	}
 }
 
 // BytesFrom appends what a appends as a length-prefixed byte slice,
@@ -258,6 +270,16 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Words reads a list Writer.Words wrote, of at most max words, appends
+// it to dst and returns the extended slice.
+func (r *Reader) Words(dst []uint64, max int) []uint64 {
+	n := r.Count(max)
+	for i := 0; i < n && r.err == nil; i++ {
+		dst = append(dst, r.U64())
+	}
+	return dst
+}
 
 // Count reads a non-negative element count bounded by max, for sizing
 // slice allocations before their contents are decoded. A corrupt count

@@ -9,56 +9,115 @@ import (
 	"math/rand"
 )
 
-// countingSource wraps a rand.Source and counts Int63 draws. It
-// deliberately does NOT implement rand.Source64: math/rand's Rand
-// routes every method through Source.Int63 when the source lacks
-// Source64 (only Rand.Uint64 differs, and RNG never exposes it), so
-// interposing the counter leaves every variate bit-identical while the
-// draw count becomes an exact stream position for checkpoint/restore.
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
+// The generator behind rand.NewSource is additive lagged Fibonacci,
+// x[n] = x[n-607] + x[n-273] mod 2^64, and Int63 keeps the low 63 bits.
+// Carries only move upward, so the outputs obey the same recurrence
+// mod 2^63: any 607 consecutive outputs determine every later one.
+const (
+	ringLen = 607
+	ringTap = ringLen - 273 // x[n+607] = x[n] + x[n+ringTap]
+	mask63  = 1<<63 - 1
+)
 
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
-}
+// StateWords is the length of a drawn RNG's state: the ring's index and
+// its 607 words.
+const StateWords = 1 + ringLen
 
 // RNG is a deterministic pseudo-random source. All simulator randomness
 // flows through RNG so that a (seed, config) pair fully determines a run.
+//
+// It continues rand.NewSource(seed)'s stream exactly, holding the
+// generator's state itself: ring holds the next 607 outputs, the next
+// one at index i, and drawing an output overwrites it with the output
+// 607 draws later. The ring is primed from rand.NewSource(seed) at the
+// first draw, so a generator that never draws costs no seeding, and its
+// state is its seed alone. The state is the whole of the generator, so
+// a snapshot stores it and a restore copies it back in O(1). The zero
+// RNG is not usable; build one with NewRNG.
 type RNG struct {
-	cnt countingSource
-	r   *rand.Rand // over cnt
+	// r runs math/rand's variates over the RNG itself. It is the only
+	// pointer and comes first, so the garbage collector scans one word
+	// of the RNG, not the ring.
+	r      *rand.Rand
+	seed   int64
+	primed bool
+	i      int // ringLen before the first draw and after each lap
+	ring   [ringLen]uint64
 }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	g := &RNG{cnt: countingSource{src: rand.NewSource(seed)}}
-	g.r = rand.New(&g.cnt)
+	g := &RNG{seed: seed, i: ringLen}
+	g.r = rand.New(g)
 	return g
 }
 
-// Pos returns the stream position: the number of raw 63-bit draws
-// consumed so far. (seed, Pos) fully determines the generator's future
-// output, so snapshots store the pair instead of math/rand's opaque
-// internal state.
-func (g *RNG) Pos() uint64 { return g.cnt.n }
+// Seed implements rand.Source: the generator restarts seed's stream.
+func (g *RNG) Seed(seed int64) { g.seed, g.primed, g.i = seed, false, ringLen }
 
-// SkipTo advances the generator to stream position pos. It errors if
-// the generator is already past pos — a restore-time sanity check.
-func (g *RNG) SkipTo(pos uint64) error {
-	if g.cnt.n > pos {
-		return fmt.Errorf("stats: RNG at position %d cannot rewind to %d", g.cnt.n, pos)
+// Int63 implements rand.Source: the next output of the stream.
+func (g *RNG) Int63() int64 {
+	i := g.i
+	if uint(i) >= ringLen {
+		g.lap()
+		i = 0
 	}
-	for g.cnt.n < pos {
-		g.cnt.Int63()
+	x := g.ring[i]
+	j := i + ringTap
+	if j >= ringLen {
+		j -= ringLen
 	}
+	g.ring[i] = (x + g.ring[j]) & mask63
+	g.i = i + 1
+	return int64(x)
+}
+
+// lap starts the ring's next lap, priming it with the stream's first
+// 607 outputs if nothing has been drawn yet.
+func (g *RNG) lap() {
+	if !g.primed {
+		src := rand.NewSource(g.seed)
+		for k := range g.ring {
+			g.ring[k] = uint64(src.Int63())
+		}
+		g.primed = true
+	}
+	g.i = 0
+}
+
+// AppendState appends g's state to dst and returns the extended slice:
+// the seed alone while g has never drawn, else the ring's index and its
+// 607 words (StateWords in all).
+func (g *RNG) AppendState(dst []uint64) []uint64 {
+	if !g.primed {
+		return append(dst, uint64(g.seed))
+	}
+	dst = append(dst, uint64(g.i))
+	return append(dst, g.ring[:]...)
+}
+
+// SetState makes g continue the stream whose state AppendState appended,
+// whatever g was seeded with. It rejects a state of any other length, a
+// ring index past 607 and a word with bit 63 set, leaving g as it was.
+func (g *RNG) SetState(words []uint64) error {
+	switch len(words) {
+	case 1:
+		g.Seed(int64(words[0]))
+		return nil
+	case StateWords:
+	default:
+		return fmt.Errorf("stats: RNG state of %d words, want 1 or %d", len(words), StateWords)
+	}
+	if words[0] > ringLen {
+		return fmt.Errorf("stats: RNG ring index %d past %d", words[0], ringLen)
+	}
+	for k, v := range words[1:] {
+		if v > mask63 {
+			return fmt.Errorf("stats: RNG ring word %d has bit 63 set", k)
+		}
+	}
+	g.primed, g.i = true, int(words[0])
+	copy(g.ring[:], words[1:])
 	return nil
 }
 
@@ -67,12 +126,11 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform variate in [0,n). It panics if n <= 0.
 //
-// It is math/rand's Rand.Intn, drawing from the source directly rather
-// than through Rand and the counting wrapper: the random message
-// pattern calls it twice per message. The values and the number of
-// draws are Rand.Intn's exactly (TestIntnMatchesMathRand). Only an n
-// past 31 bits, which no simulated machine reaches, still goes
-// through Rand.
+// It is math/rand's Rand.Intn, drawing from the ring directly rather
+// than through Rand: the random message pattern calls it twice per
+// message. The values and the number of draws are Rand.Intn's exactly
+// (TestIntnMatchesMathRand). Only an n past 31 bits, which no simulated
+// machine reaches, still goes through Rand.
 func (g *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("invalid argument to Intn")
@@ -94,11 +152,8 @@ func (g *RNG) Intn(n int) int {
 	return int(v % m)
 }
 
-// int31 is Rand.Int31: the top 31 bits of one counted draw.
-func (g *RNG) int31() int32 {
-	g.cnt.n++
-	return int32(g.cnt.src.Int63() >> 32)
-}
+// int31 is Rand.Int31: the top 31 bits of one draw.
+func (g *RNG) int31() int32 { return int32(g.Int63() >> 32) }
 
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -248,20 +250,69 @@ func TestBinXYConstantX(t *testing.T) {
 	}
 }
 
-// refCounter counts the raw draws math/rand's own Rand takes, the
-// reference for RNG.Pos.
-type refCounter struct {
-	src rand.Source
-	n   uint64
+// rngSeeds are the oracle tests' seeds: zero, negative, and past 2^31,
+// where math/rand reduces the seed modulo 2^31-1.
+var rngSeeds = []int64{0, 1, -3, 1 << 40, -1 << 62}
+
+// variates is the method set RNG shares with rand.Rand.
+type variates interface {
+	Int63() int64
+	Intn(n int) int
+	Float64() float64
+	ExpFloat64() float64
+	NormFloat64() float64
+	Perm(n int) []int
+	Shuffle(n int, swap func(i, j int))
 }
 
-func (c *refCounter) Int63() int64 { c.n++; return c.src.Int63() }
-func (c *refCounter) Seed(s int64) { c.src.Seed(s) }
+// intnBounds mixes powers of two, bounds whose 2^31 block rejects about
+// half its draws, and bounds past 31 bits.
+var intnBounds = []int{1, 2, 3, 7, 100, 1 << 20, 1<<20 + 1, 3<<29 + 1, 1<<31 - 1, 1<<31 + 1, 1<<40 + 3}
 
-// TestIntnMatchesMathRand requires RNG.Intn, which draws from the
-// source directly, to return rand.Rand.Intn's values and take its number
-// of draws, interleaved with the methods that still go through Rand.
+// callBoth makes call k of a fixed mix of every variates method on a
+// and on b, with the same argument, and returns both results.
+func callBoth(a, b variates, k int) (any, any) {
+	call := func(g variates) any {
+		switch k % 7 {
+		case 0:
+			return g.Int63()
+		case 1:
+			return g.Intn(intnBounds[k/7%len(intnBounds)])
+		case 2:
+			return g.Float64()
+		case 3:
+			return g.ExpFloat64()
+		case 4:
+			return g.NormFloat64()
+		case 5:
+			return g.Perm(k % 23)
+		default:
+			s := make([]int, k%29)
+			for i := range s {
+				s[i] = i
+			}
+			g.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+			return s
+		}
+	}
+	return call(a), call(b)
+}
+
+// TestIntnMatchesMathRand is the ring's oracle, with math/rand as the
+// reference. From every seed, 5M raw draws must equal rand.NewSource's.
+// Then Intn, which draws from the ring directly, must return
+// rand.Rand.Intn's values over many bounds, interleaved with every other
+// method; a raw draw in the mix checks that both streams stayed at the
+// same position.
 func TestIntnMatchesMathRand(t *testing.T) {
+	for _, seed := range rngSeeds {
+		got, want := NewRNG(seed), rand.NewSource(seed)
+		for n := 0; n < 5_000_000; n++ {
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: %d, math/rand gives %d", seed, n, a, b)
+			}
+		}
+	}
 	ns := []int{1, 2, 3, 5, 7, 10, 100, 1000, 1<<31 - 1, 1<<31 + 1, 1<<40 + 3, 1 << 50}
 	for k := 1; k <= 30; k++ {
 		ns = append(ns, 1<<k)
@@ -271,47 +322,93 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	for _, k := range []int{20, 29, 30} {
 		ns = append(ns, 1<<k+1, 3<<(k-1)+1)
 	}
-	for _, seed := range []int64{1, 7, 42, -3} {
-		got := NewRNG(seed)
-		ref := &refCounter{src: rand.NewSource(seed)}
-		want := rand.New(ref)
+	for _, seed := range rngSeeds {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
 		for round := 0; round < 40; round++ {
 			for _, n := range ns {
 				if a, b := got.Intn(n), want.Intn(n); a != b {
 					t.Fatalf("seed %d round %d: Intn(%d) = %d, math/rand gives %d", seed, round, n, a, b)
 				}
-				if got.Pos() != ref.n {
-					t.Fatalf("seed %d round %d: after Intn(%d) Pos = %d, math/rand took %d draws", seed, round, n, got.Pos(), ref.n)
-				}
 			}
-			switch round % 3 {
-			case 0:
-				if a, b := got.Float64(), want.Float64(); a != b {
-					t.Fatalf("seed %d round %d: Float64 %v, want %v", seed, round, a, b)
+			for k := round * 70; k < (round+1)*70; k++ {
+				if a, b := callBoth(got, want, k); !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d round %d call %d: %v, math/rand gives %v", seed, round, k, a, b)
 				}
-			case 1:
-				a, b := got.Perm(9+round), want.Perm(9+round)
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("seed %d round %d: Perm %v, want %v", seed, round, a, b)
-					}
-				}
-			case 2:
-				a, b := make([]int, 20+round), make([]int, 20+round)
-				for i := range a {
-					a[i], b[i] = i, i
-				}
-				got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-				want.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("seed %d round %d: Shuffle %v, want %v", seed, round, a, b)
-					}
-				}
-			}
-			if got.Pos() != ref.n {
-				t.Fatalf("seed %d round %d: Pos = %d, math/rand took %d draws", seed, round, got.Pos(), ref.n)
 			}
 		}
+	}
+}
+
+// TestRNGStateRoundTrip takes an RNG's state after k draws, around the
+// ring's laps and far past them, and sets it on a generator of another
+// seed. The second generator must report the same state and then agree
+// with the first on 10^4 calls of every method.
+func TestRNGStateRoundTrip(t *testing.T) {
+	for _, k := range []int{0, 1, 606, 607, 608, 100003} {
+		a, b := NewRNG(11), NewRNG(-5)
+		for i := 0; i < k; i++ {
+			a.Int63()
+		}
+		words := a.AppendState(nil)
+		want := StateWords
+		if k == 0 {
+			want = 1 // the seed
+		}
+		if len(words) != want {
+			t.Fatalf("%d draws: state of %d words, want %d", k, len(words), want)
+		}
+		if err := b.SetState(words); err != nil {
+			t.Fatalf("%d draws: %v", k, err)
+		}
+		if got := b.AppendState(nil); !slices.Equal(got, words) {
+			t.Fatalf("%d draws: state reads back differently", k)
+		}
+		for c := 0; c < 10_000; c++ {
+			if x, y := callBoth(a, b, c); !reflect.DeepEqual(x, y) {
+				t.Fatalf("%d draws, call %d: %v after SetState, want %v", k, c, y, x)
+			}
+		}
+	}
+}
+
+// TestRNGSetStateRejects: a state of the wrong length, a ring index
+// past 607 or a ring word with bit 63 set is rejected, and the
+// generator carries on as if SetState had not been called.
+func TestRNGSetStateRejects(t *testing.T) {
+	src := NewRNG(3)
+	src.Int63()
+	good := src.AppendState(nil)
+	for _, c := range []struct {
+		name string
+		edit func([]uint64) []uint64
+	}{
+		{"empty", func(w []uint64) []uint64 { return w[:0] }},
+		{"short", func(w []uint64) []uint64 { return w[:StateWords-1] }},
+		{"long", func(w []uint64) []uint64 { return append(w, 0) }},
+		{"index-608", func(w []uint64) []uint64 { w[0] = 608; return w }},
+		{"bit-63", func(w []uint64) []uint64 { w[300] |= 1 << 63; return w }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, ref := NewRNG(9), NewRNG(9)
+			g.Int63()
+			ref.Int63()
+			if err := g.SetState(c.edit(slices.Clone(good))); err == nil {
+				t.Fatal("state accepted")
+			}
+			for i := 0; i < 1000; i++ {
+				if a, b := g.Int63(), ref.Int63(); a != b {
+					t.Fatalf("draw %d after the rejected state: %d, want %d", i, a, b)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIntn times RNG.Intn at a bound below 256, as the random
+// message pattern calls it twice per message.
+func BenchmarkIntn(b *testing.B) {
+	g := NewRNG(1)
+	for b.Loop() {
+		g.Intn(255)
 	}
 }

@@ -1,6 +1,11 @@
 package stats
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+
+	"meshalloc/internal/snap"
+)
 
 // Streaming (single-pass, O(1)-memory) aggregates for open-system
 // simulation: a Welford running-mean accumulator and the P² quantile
@@ -51,31 +56,41 @@ func NewP2Quantile(p float64) *P2Quantile {
 	}
 }
 
-// P2State is the serializable state of a P2Quantile estimator: the
-// five marker heights/positions/targets plus the bootstrap buffer that
-// holds the first five observations exactly.
-type P2State struct {
-	P    float64
-	N    int
-	Q    [5]float64
-	Pos  [5]float64
-	Des  [5]float64
-	Inc  [5]float64
-	Boot []float64
-}
-
-// State captures the estimator for a snapshot.
-func (e *P2Quantile) State() P2State {
-	return P2State{
-		P: e.p, N: e.n, Q: e.q, Pos: e.pos, Des: e.des, Inc: e.inc,
-		Boot: append([]float64(nil), e.boot...),
+// AppendState appends the estimator's state to w: the quantile, the
+// observation count, the five markers' heights, positions, desired
+// positions and increments, and the bootstrap buffer that holds the
+// first five observations exactly.
+func (e *P2Quantile) AppendState(w *snap.Writer) {
+	w.F64(e.p)
+	w.Int(e.n)
+	for i := 0; i < 5; i++ {
+		w.F64(e.q[i])
+		w.F64(e.pos[i])
+		w.F64(e.des[i])
+		w.F64(e.inc[i])
+	}
+	w.Int(len(e.boot))
+	for _, v := range e.boot {
+		w.F64(v)
 	}
 }
 
-// SetState restores a state previously returned by State.
-func (e *P2Quantile) SetState(s P2State) {
-	e.p, e.n, e.q, e.pos, e.des, e.inc = s.P, s.N, s.Q, s.Pos, s.Des, s.Inc
-	e.boot = append(e.boot[:0], s.Boot...)
+// ReadState reads a state AppendState wrote. It rejects a bootstrap
+// buffer that does not hold the first min(count, 5) observations.
+func (e *P2Quantile) ReadState(r *snap.Reader) error {
+	e.p, e.n = r.F64(), r.Int()
+	for i := 0; i < 5; i++ {
+		e.q[i], e.pos[i], e.des[i], e.inc[i] = r.F64(), r.F64(), r.F64(), r.F64()
+	}
+	nb := r.Count(5)
+	e.boot = e.boot[:0]
+	for i := 0; i < nb; i++ {
+		e.boot = append(e.boot, r.F64())
+	}
+	if r.Err() == nil && (e.n < 0 || nb != min(e.n, 5)) {
+		return fmt.Errorf("stats: P² state of %d observations keeps %d exactly", e.n, nb)
+	}
+	return r.Err()
 }
 
 // Add folds one observation into the estimator.

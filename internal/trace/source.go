@@ -116,14 +116,13 @@ func (s *Synthetic) Next() (Job, bool) {
 	return j, true
 }
 
-// SourceState is the serializable position of a Source built by this
-// package. Synthetic sources restore by fast-forwarding a fresh
-// generator's RNG to the recorded draw position (the stream itself is a
-// pure function of the construction parameters); trace replays and
-// limits restore their cursors. Inner nests for wrapped sources.
+// SourceState is the serializable state of a Source built by this
+// package: a synthetic source's RNG state (stats.RNG's state words) and
+// its clock, ON-period remainder and job count; a trace replay's or a
+// limit's cursor. Inner nests for wrapped sources.
 type SourceState struct {
 	Kind   string // "synthetic", "trace", or "limit"
-	RNGPos uint64
+	RNG    []uint64
 	OnLeft float64
 	Now    float64
 	Next   int
@@ -132,13 +131,13 @@ type SourceState struct {
 	Inner  *SourceState
 }
 
-// CaptureSource snapshots the position of a Source built by this
-// package. It errors on source types it does not know how to restore.
+// CaptureSource snapshots the state of a Source built by this package.
+// It errors on source types it does not know how to restore.
 func CaptureSource(src Source) (SourceState, error) {
 	switch s := src.(type) {
 	case *Synthetic:
 		return SourceState{
-			Kind: "synthetic", RNGPos: s.rng.Pos(),
+			Kind: "synthetic", RNG: s.rng.AppendState(nil),
 			OnLeft: s.onLeft, Now: s.now, Next: s.next,
 		}, nil
 	case *traceSource:
@@ -154,9 +153,10 @@ func CaptureSource(src Source) (SourceState, error) {
 	}
 }
 
-// RestoreSource fast-forwards a freshly constructed source (built with
-// the same parameters as the one captured) to the recorded position.
-// It errors on a kind/type mismatch or an out-of-range cursor.
+// RestoreSource sets a freshly constructed source (built with the same
+// parameters as the one captured) to the recorded state. It errors on a
+// kind/type mismatch, an RNG state stats.RNG rejects or an out-of-range
+// cursor, count or clock.
 func RestoreSource(src Source, st SourceState) error {
 	switch s := src.(type) {
 	case *Synthetic:
@@ -166,22 +166,7 @@ func RestoreSource(src Source, st SourceState) error {
 		if st.Next < 0 || !(st.Now >= 0) || math.IsInf(st.Now, 1) {
 			return fmt.Errorf("trace: synthetic source state has job count %d and clock %v", st.Next, st.Now)
 		}
-		// SkipTo takes one draw per step, so the position is checked
-		// first. Each job takes three variates (gap, size, runtime) and
-		// each OFF period two more (the ON period after it, and its own
-		// length); a bursty source also drew its first ON period. The
-		// clock has passed every OFF period, each exponential with mean
-		// meanOff, so fewer than 64 × (1 + Now/meanOff) of them fit
-		// except with vanishing probability. A variate takes one draw
-		// and rarely a few, so 64 draws per variate is never reached.
-		variates := 1 + 3*float64(st.Next)
-		if s.meanOn > 0 {
-			variates += 2 * 64 * (1 + st.Now/s.meanOff)
-		}
-		if bound := 64 * variates; float64(st.RNGPos) > bound {
-			return fmt.Errorf("trace: RNG position %d beyond the %.0f draws %d jobs can take", st.RNGPos, bound, st.Next)
-		}
-		if err := s.rng.SkipTo(st.RNGPos); err != nil {
+		if err := s.rng.SetState(st.RNG); err != nil {
 			return err
 		}
 		s.onLeft, s.now, s.next = st.OnLeft, st.Now, st.Next
@@ -218,7 +203,7 @@ const maxSourceNesting = 8
 // WriteSourceState appends st to w, followed by the states it wraps.
 func WriteSourceState(w *snap.Writer, st SourceState) {
 	w.String(st.Kind)
-	w.U64(st.RNGPos)
+	w.Words(st.RNG)
 	w.F64(st.OnLeft)
 	w.F64(st.Now)
 	w.Int(st.Next)
@@ -242,7 +227,7 @@ func readSourceState(r *snap.Reader, depth int) (SourceState, error) {
 		return st, fmt.Errorf("trace: source state nests deeper than %d: %w", maxSourceNesting, snap.ErrCorrupt)
 	}
 	st.Kind = r.String()
-	st.RNGPos = r.U64()
+	st.RNG = r.Words(nil, stats.StateWords)
 	st.OnLeft = r.F64()
 	st.Now = r.F64()
 	st.Next = r.Int()

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
-	"time"
 
 	"meshalloc/internal/snap"
 )
@@ -148,14 +148,14 @@ func meanStd(xs []float64) (mean, std float64) {
 	return mean, math.Sqrt(std / float64(len(xs)))
 }
 
-// TestRestoreSourceBoundsRNGPosition restores synthetic sources, plain
+// TestRestoreSourceRejectsBadState restores synthetic sources, plain
 // and bursty (one with ON periods far shorter than the gaps, so most
-// draws go to OFF periods), from their own captured states, then from
-// states whose RNG position was raised by 2^40 draws. A genuine state
-// must resume the stream; a raised one must be rejected at once rather
-// than skipped to for hours. A negative job count or a non-finite
-// clock is rejected too.
-func TestRestoreSourceBoundsRNGPosition(t *testing.T) {
+// draws go to OFF periods), from their own captured states, and then
+// from damaged copies. A genuine state must resume the stream. An RNG
+// state stats.RNG rejects (a ring index past 607, a word with bit 63
+// set, no words at all), a negative job count or a non-finite clock
+// must be rejected.
+func TestRestoreSourceRejectsBadState(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mk   func() *Synthetic
@@ -184,23 +184,19 @@ func TestRestoreSourceBoundsRNGPosition(t *testing.T) {
 					t.Fatalf("restored job %d is %+v, want %+v", i, b, a)
 				}
 			}
-
-			bad := st
-			bad.RNGPos += 1 << 40
-			done := make(chan error, 1)
-			go func() { done <- RestoreSource(c.mk(), bad) }()
-			select {
-			case err := <-done:
-				if err == nil {
-					t.Fatal("RNG position 2^40 draws past the state accepted")
-				}
-			case <-time.After(time.Second):
-				t.Fatal("restore still running after 1 s")
+			edit := func(f func(*SourceState)) SourceState {
+				bad := st
+				bad.RNG = slices.Clone(st.RNG)
+				f(&bad)
+				return bad
 			}
 			for _, bad := range []SourceState{
-				{Kind: "synthetic", Next: -1},
-				{Kind: "synthetic", Now: math.NaN()},
-				{Kind: "synthetic", Now: math.Inf(1)},
+				edit(func(s *SourceState) { s.RNG[0] = 608 }),
+				edit(func(s *SourceState) { s.RNG[1] |= 1 << 63 }),
+				edit(func(s *SourceState) { s.RNG = nil }),
+				edit(func(s *SourceState) { s.Next = -1 }),
+				edit(func(s *SourceState) { s.Now = math.NaN() }),
+				edit(func(s *SourceState) { s.Now = math.Inf(1) }),
 			} {
 				if err := RestoreSource(c.mk(), bad); err == nil {
 					t.Fatalf("state %+v accepted", bad)
@@ -266,7 +262,7 @@ func TestSourceStateRoundTrip(t *testing.T) {
 // snap.ErrCorrupt instead of recursing on.
 func TestReadSourceStateBoundsNesting(t *testing.T) {
 	chain := func(nested int) SourceState {
-		st := SourceState{Kind: "synthetic", RNGPos: 7}
+		st := SourceState{Kind: "synthetic", RNG: []uint64{7}}
 		for i := 0; i < nested; i++ {
 			inner := st
 			st = SourceState{Kind: "limit", Left: i, Inner: &inner}

@@ -176,16 +176,17 @@ var (
 // Engine.Audit (matched via errors.As). See sim.Violation.
 type InvariantViolation = sim.Violation
 
-// SourceState is the serializable position of a Source built by this
-// package; capture alongside Engine.Snapshot to checkpoint an
-// open-system run. See trace.SourceState.
+// SourceState is the serializable state of a Source built by this
+// package, a synthetic source's RNG state included; capture alongside
+// Engine.Snapshot to checkpoint an open-system run. See
+// trace.SourceState.
 type SourceState = trace.SourceState
 
-// CaptureSource snapshots a source's position. See trace.CaptureSource.
+// CaptureSource snapshots a source's state. See trace.CaptureSource.
 func CaptureSource(src Source) (SourceState, error) { return trace.CaptureSource(src) }
 
-// RestoreSource fast-forwards a freshly built source to a captured
-// position. See trace.RestoreSource.
+// RestoreSource sets a freshly built source to a captured state. See
+// trace.RestoreSource.
 func RestoreSource(src Source, st SourceState) error { return trace.RestoreSource(src, st) }
 
 // SWFSkip is a line-numbered diagnostic from the lenient SWF reader.
