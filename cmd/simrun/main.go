@@ -160,10 +160,17 @@ func main() {
 	cfg.Net = netsim.DefaultConfig()
 	cfg.Net.Routing = route
 
-	// Streaming and open-system runs discard records; the per-record
-	// reports need the retained slice.
-	if (*stream || *arrival != "") && (*verbose || *disperse) {
-		fatal(fmt.Errorf("-v and -dispersal need retained records; drop -stream/-arrival"))
+	// Streaming and open-system runs discard records, so an open run
+	// holds constant memory however many jobs pass through; the
+	// per-record reports need the retained slice. Node lists stay on
+	// (the per-record copies are transient), so -stream emits the same
+	// NDJSON schema in open and closed mode. A resumed run makes the
+	// same choice as the run it resumes, so the fingerprints match.
+	if *stream || *arrival != "" {
+		if *verbose || *disperse {
+			fatal(fmt.Errorf("-v and -dispersal need retained records; drop -stream/-arrival"))
+		}
+		cfg.KeepRecords = sim.Discard
 	}
 
 	// Profile files are created (and the CPU profile started) before the
@@ -321,10 +328,7 @@ func main() {
 }
 
 // runOpen simulates an open-system workload: arrivals from the spec'd
-// process, streamed through the engine with record retention off so
-// the run holds constant memory no matter how many jobs pass through.
-// Node lists stay on (the per-record copies are transient), so -stream
-// emits the same NDJSON schema in open and closed mode. The stream
+// process, pulled into the engine as the clock reaches them. The stream
 // ends at the horizon (trace seconds) or the jobs cap, whichever comes
 // first.
 func runOpen(cfg sim.Config, spec string, maxSize int, seed int64, jobs int, horizon float64, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
@@ -332,54 +336,49 @@ func runOpen(cfg sim.Config, spec string, maxSize int, seed int64, jobs int, hor
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.KeepRecords = sim.Discard
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	flush := func() {}
-	if stream {
-		flush = observeNDJSON(e)
-	}
-	lim := trace.Limit(src, jobs)
-	armCheckpoint(e, lim, ck)
-	if err := e.RunSource(lim, horizon); err != nil {
-		return nil, nil, err
-	}
-	// A horizon stop leaves in-flight jobs pending; let them finish so
-	// the summary covers every admitted job.
-	if err := e.Complete(); err != nil {
-		return nil, nil, err
-	}
-	flush()
-	return e.Result(), e, nil
+	return run(e, trace.Limit(src, jobs), horizon, stream, ck)
 }
 
 // runClosed is sim.Run with the engine handle kept, so the profiling
 // report can read the event-core counters. Submission order, event
 // processing and the closing Complete match sim.Run exactly. With stream
-// set, every record goes out as NDJSON instead of being retained and
-// the summary comes from the engine's streaming aggregates; even
-// event-time ties resolve as without it, so -stream changes the output
-// format only.
+// set, every record goes out as NDJSON and the summary comes from the
+// engine's streaming aggregates; even event-time ties resolve as
+// without it, so -stream changes the output format only.
 func runClosed(cfg sim.Config, tr *trace.Trace, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
-	if stream {
-		cfg.KeepRecords = sim.Discard
-	}
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	flush := func() {}
-	if stream {
-		flush = observeNDJSON(e)
 	}
 	for _, j := range tr.Jobs {
 		if err := e.Submit(j); err != nil {
 			return nil, nil, err
 		}
 	}
-	armCheckpoint(e, nil, ck)
+	return run(e, nil, 0, stream, ck)
+}
+
+// run finishes a run on e, built or restored, for every mode: it
+// streams records as NDJSON if asked, arms checkpoints, pumps src, the
+// open-system source (nil for a closed run, whose arrivals are already
+// engine events), up to the horizon, and completes the run. A horizon
+// stop leaves in-flight jobs pending, and Complete lets them finish so
+// the summary covers every admitted job.
+func run(e *sim.Engine, src trace.Source, horizon float64, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
+	flush := func() {}
+	if stream {
+		flush = observeNDJSON(e)
+	}
+	armCheckpoint(e, src, ck)
+	if src != nil {
+		if err := e.RunSource(src, horizon); err != nil {
+			return nil, nil, err
+		}
+	}
 	if err := e.Complete(); err != nil {
 		return nil, nil, err
 	}
@@ -415,7 +414,7 @@ func armCheckpoint(e *sim.Engine, src trace.Source, ck ckptSpec) {
 }
 
 // writeCheckpoint serializes the engine (and, for open systems, the
-// arrival source position) into a snap container at path, and returns
+// arrival source's state) into a snap container at path, and returns
 // buf extended by the container, for the next checkpoint to reuse. The
 // engine's own container is appended in place inside the outer one, so
 // the checkpoint is encoded once and written in one call. The file is
@@ -428,15 +427,11 @@ func writeCheckpoint(path string, buf []byte, e *sim.Engine, src trace.Source) (
 	if err := w.BytesFrom(e); err != nil {
 		return buf, err
 	}
+	w.Bool(src != nil)
 	if src != nil {
-		st, err := trace.CaptureSource(src)
-		if err != nil {
-			return buf, err
-		}
-		w.Bool(true)
-		trace.WriteSourceState(w, st)
-	} else {
-		w.Bool(false)
+		// simrun's sources are Limit around ParseArrival's, which all
+		// encode themselves.
+		src.(snap.Codec).AppendState(w)
 	}
 	buf = w.Finish()
 	tmp := path + ".tmp"
@@ -477,8 +472,10 @@ func syncDir(dir string) error {
 // runResume restores a checkpoint written by -checkpoint and finishes
 // the run. Closed-system checkpoints carry every pending arrival as
 // engine events, so the trace is not re-read; open-system checkpoints
-// additionally record the arrival-source position, and the caller must
-// pass the original -arrival spec (and -jobs/-duration) to rebuild it.
+// also hold the arrival source's state, which is read into the source
+// the -arrival spec and -jobs build. That fails unless the spec names
+// the process and parameters the checkpointed run used, as the engine's
+// restore fails under another configuration.
 func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64, jobs int, horizon float64, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -491,17 +488,8 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 	}
 	blob := r.Bytes()
 	hasSrc := r.Bool()
-	var st trace.SourceState
-	if hasSrc {
-		if st, err = trace.ReadSourceState(r); err != nil {
-			return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
-		}
-	}
 	if r.Err() != nil {
 		return nil, nil, fmt.Errorf("-resume %s: %v", path, r.Err())
-	}
-	if n := r.Remaining(); n != 0 {
-		return nil, nil, fmt.Errorf("-resume %s: %d trailing bytes after checkpoint payload", path, n)
 	}
 	if hasSrc && arrivalSpec == "" {
 		return nil, nil, fmt.Errorf("-resume %s: checkpoint holds an open-system source; pass the original -arrival spec", path)
@@ -509,41 +497,25 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 	if !hasSrc && arrivalSpec != "" {
 		return nil, nil, fmt.Errorf("-resume %s: checkpoint is a closed-system run; drop -arrival", path)
 	}
-
-	// Mirror the KeepRecords choice the original run modes make, so the
-	// restore config fingerprint matches the checkpointed engine's.
-	if stream || arrivalSpec != "" {
-		cfg.KeepRecords = sim.Discard
+	var src trace.Source
+	if hasSrc {
+		arr, err := trace.ParseArrival(arrivalSpec, maxSize, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		src = trace.Limit(arr, jobs)
+		if err := src.(snap.Codec).ReadState(r); err != nil {
+			return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
+		}
+	}
+	if n := r.Remaining(); n != 0 {
+		return nil, nil, fmt.Errorf("-resume %s: %d trailing bytes after checkpoint payload", path, n)
 	}
 	e, err := sim.RestoreEngine(bytes.NewReader(blob), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
 	}
-	flush := func() {}
-	if stream {
-		flush = observeNDJSON(e)
-	}
-	if hasSrc {
-		src, err := trace.ParseArrival(arrivalSpec, maxSize, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		lim := trace.Limit(src, jobs)
-		if err := trace.RestoreSource(lim, st); err != nil {
-			return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
-		}
-		armCheckpoint(e, lim, ck)
-		if err := e.RunSource(lim, horizon); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		armCheckpoint(e, nil, ck)
-	}
-	if err := e.Complete(); err != nil {
-		return nil, nil, err
-	}
-	flush()
-	return e.Result(), e, nil
+	return run(e, src, horizon, stream, ck)
 }
 
 // observeNDJSON attaches an observer encoding each record as one JSON

@@ -86,8 +86,9 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 // checkpoints, so the file is the last of them. The pins cover the
 // whole file: the outer container, the engine container inside it and,
 // for the open run, the arrival source's state. They were re-recorded
-// when container version 2 replaced each RNG's draw count with its
-// state.
+// for container version 3, in which each part, the arrival source
+// included, writes itself through its codec and the source's state
+// carries its parameters.
 func TestCheckpointFilesArePinned(t *testing.T) {
 	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
 	cases := []struct {
@@ -98,10 +99,13 @@ func TestCheckpointFilesArePinned(t *testing.T) {
 		{"closed", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
 			return runClosed(checkpointCfg(), tr, false, ck)
-		}, "690756f0d2e7e14d5ca39933fa81aa0dd4fe7f058f930be33a5417637643de9d"},
+		}, "a2a8d88f71bb7985735a664b893e48e027eda648285cec9588ac61f29dbea4eb"},
 		{"open", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
-			return runOpen(checkpointCfg(), arrival, maxSize, seed, jobs, 0, false, ck)
-		}, "11e52318cf0d5f6c4187bb9511fc79cc9fb17d8bf9e73b9c961fb4afb129f753"},
+			// main discards records under -arrival.
+			cfg := checkpointCfg()
+			cfg.KeepRecords = sim.Discard
+			return runOpen(cfg, arrival, maxSize, seed, jobs, 0, false, ck)
+		}, "ba478a154bca00b933ae535ca6f7fd761608343b569536a09cc45135ecb146d4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -304,7 +304,7 @@ func (p *Paging) Release(ids []int) { p.packer.Release(ids) }
 func (p *Paging) NumFree() int { return p.packer.NumFree() }
 
 // MarkDown implements FaultAware: the node's rank is masked busy in
-// the packer's free map and word-scan bitset.
+// the packer's free set.
 func (p *Paging) MarkDown(id int) { p.packer.MarkDown(id) }
 
 // MarkUp implements FaultAware.

@@ -5,6 +5,7 @@ import (
 
 	"meshalloc/internal/binpack"
 	"meshalloc/internal/curve"
+	"meshalloc/internal/snap"
 	"meshalloc/internal/topo"
 )
 
@@ -171,19 +172,11 @@ func (p *PagedPaging) Occupy(ids []int) {
 	}
 }
 
-// AppendAuxState implements AuxState: the page packer's NextFit resume
-// rank.
-func (p *PagedPaging) AppendAuxState(dst []uint64) []uint64 {
-	return append(dst, uint64(p.packer.NextStart()))
-}
+// AppendState implements snap.Codec: the page packer's NextFit cursor.
+func (p *PagedPaging) AppendState(w *snap.Writer) { p.packer.AppendState(w) }
 
-// SetAuxState implements AuxState.
-func (p *PagedPaging) SetAuxState(words []uint64) error {
-	if len(words) != 1 {
-		return fmt.Errorf("alloc: paged aux state wants 1 word, got %d", len(words))
-	}
-	return p.packer.SetNextStart(int(int64(words[0])))
-}
+// ReadState implements snap.Codec.
+func (p *PagedPaging) ReadState(r *snap.Reader) error { return p.packer.ReadState(r) }
 
 // AuditIndexes implements Allocator: the page packer's internal indexes
 // and the processor-granular free count must agree.

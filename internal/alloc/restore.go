@@ -3,30 +3,16 @@ package alloc
 import (
 	"fmt"
 
-	"meshalloc/internal/stats"
+	"meshalloc/internal/snap"
 )
 
 // Snapshot/restore support. A snapshot serializes only authoritative
 // state — the job→nodes assignment and a handful of allocator cursors —
 // and rebuilds every derived index on restore: Allocator.Occupy
-// re-marks each job's exact node set busy, and AuxState, which
-// allocators implement optionally and callers probe with a type
-// assertion, carries the small non-derivable extras some allocators
-// keep (a NextFit cursor, an RNG's state) as raw words.
-
-// MaxAuxWords bounds the words any allocator's AppendAuxState appends:
-// Random's RNG state is the longest.
-const MaxAuxWords = stats.StateWords
-
-// AuxState is implemented by allocators with internal state that is
-// neither derivable from the busy set nor static configuration. The
-// words are opaque to callers: AppendAuxState appends them to dst, and
-// SetAuxState errors on a word count or value that the allocator
-// rejects.
-type AuxState interface {
-	AppendAuxState(dst []uint64) []uint64
-	SetAuxState(words []uint64) error
-}
+// re-marks each job's exact node set busy. The allocators that keep
+// state no busy set determines (Paging's NextFit cursor, Random's RNG)
+// implement snap.Codec, which callers probe with a type assertion;
+// the allocator's name fixes whether it is one.
 
 // Occupy implements Allocator for the tracker-based allocators (MC,
 // Gen-Alg, Random and submesh first fit).
@@ -76,28 +62,19 @@ func (t *tracker) AuditIndexes() error {
 // Occupy implements Allocator: the packer re-marks the exact ranks.
 func (p *Paging) Occupy(ids []int) { p.packer.Occupy(ids) }
 
-// AppendAuxState implements AuxState: the only non-derivable packer
-// state is the NextFit resume rank (meaningful only under the NextFit
-// strategy, but harmless to carry for all of them).
-func (p *Paging) AppendAuxState(dst []uint64) []uint64 {
-	return append(dst, uint64(p.packer.NextStart()))
-}
+// AppendState implements snap.Codec: the packer's NextFit cursor.
+func (p *Paging) AppendState(w *snap.Writer) { p.packer.AppendState(w) }
 
-// SetAuxState implements AuxState.
-func (p *Paging) SetAuxState(words []uint64) error {
-	if len(words) != 1 {
-		return fmt.Errorf("alloc: paging aux state wants 1 word, got %d", len(words))
-	}
-	return p.packer.SetNextStart(int(int64(words[0])))
-}
+// ReadState implements snap.Codec.
+func (p *Paging) ReadState(r *snap.Reader) error { return p.packer.ReadState(r) }
 
-// AuditIndexes implements Allocator via the packer's free-map/bitset/
-// count cross-check.
+// AuditIndexes implements Allocator via the packer's free-set/count
+// cross-check.
 func (p *Paging) AuditIndexes() error { return p.packer.Audit() }
 
-// AppendAuxState implements AuxState: Random's draw sequence must
+// AppendState implements snap.Codec: Random's draw sequence must
 // resume where it left off, so the snapshot carries its RNG's state.
-func (a *Random) AppendAuxState(dst []uint64) []uint64 { return a.rng.AppendState(dst) }
+func (a *Random) AppendState(w *snap.Writer) { a.rng.AppendState(w) }
 
-// SetAuxState implements AuxState.
-func (a *Random) SetAuxState(words []uint64) error { return a.rng.SetState(words) }
+// ReadState implements snap.Codec.
+func (a *Random) ReadState(r *snap.Reader) error { return a.rng.ReadState(r) }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"meshalloc/internal/occupancy"
+	"meshalloc/internal/snap"
 )
 
 // Strategy selects which free-rank interval serves a request.
@@ -100,12 +101,10 @@ type Interval struct {
 type Packer struct {
 	order   []int // node id at each rank
 	rankOf  []int // rank of each node id
-	free    []bool
 	numFree int
-	// bits mirrors free in rank space (bit set = free) so interval and
-	// prefix enumeration can scan 64 ranks per instruction. free stays the
-	// ground truth for double-release detection; bits is kept in lockstep
-	// by Allocate, Release and Occupy, the only mutators.
+	// bits is the free set in rank space (bit set = free), so interval
+	// and prefix enumeration scan 64 ranks per instruction. Allocate,
+	// Release and Occupy are its only mutators.
 	bits *occupancy.Bitset
 	// nextStart remembers where NextFit resumes scanning.
 	nextStart int
@@ -122,7 +121,6 @@ func New(order []int) *Packer {
 	p := &Packer{
 		order:   append([]int(nil), order...),
 		rankOf:  make([]int, len(order)),
-		free:    make([]bool, len(order)),
 		numFree: len(order),
 		bits:    occupancy.NewBitset(len(order)),
 	}
@@ -135,7 +133,6 @@ func New(order []int) *Packer {
 			panic(fmt.Sprintf("binpack: order is not a permutation (id %d)", id))
 		}
 		p.rankOf[id] = rank
-		p.free[rank] = true
 	}
 	return p
 }
@@ -145,7 +142,7 @@ func (p *Packer) NumFree() int { return p.numFree }
 
 // Free reports whether the processor with node id is free. It panics on
 // an out-of-range id.
-func (p *Packer) Free(id int) bool { return p.free[p.rankOf[id]] }
+func (p *Packer) Free(id int) bool { return p.bits.Get(p.rankOf[id]) }
 
 // AppendIntervals appends the current maximal free intervals to ivs in
 // rank order, reusing ivs' capacity. It is the candidate-enumeration hot
@@ -195,7 +192,6 @@ func (p *Packer) Allocate(size int, s Strategy) ([]int, error) {
 	}
 	ids := make([]int, len(ranks))
 	for i, r := range ranks {
-		p.free[r] = false
 		p.bits.Clear(r)
 		ids[i] = p.order[r]
 	}
@@ -212,10 +208,9 @@ func (p *Packer) Release(ids []int) {
 			panic(fmt.Sprintf("binpack: release of invalid id %d", id))
 		}
 		r := p.rankOf[id]
-		if p.free[r] {
+		if p.bits.Get(r) {
 			panic(fmt.Sprintf("binpack: double release of id %d", id))
 		}
-		p.free[r] = true
 		p.bits.Set(r)
 	}
 	p.numFree += len(ids)
@@ -233,44 +228,38 @@ func (p *Packer) Occupy(ids []int) {
 			panic(fmt.Sprintf("binpack: occupy of invalid id %d", id))
 		}
 		r := p.rankOf[id]
-		if !p.free[r] {
+		if !p.bits.Get(r) {
 			panic(fmt.Sprintf("binpack: occupy of busy id %d", id))
 		}
-		p.free[r] = false
 		p.bits.Clear(r)
 	}
 	p.numFree -= len(ids)
 }
 
-// NextStart returns the NextFit resume rank, the packer's only state
-// beyond the free set; SetNextStart restores it on snapshot restore.
-func (p *Packer) NextStart() int { return p.nextStart }
+// AppendState implements snap.Codec: the NextFit resume rank, the
+// packer's only state beyond the free set, which a restore rebuilds
+// with Occupy. It is written under every strategy.
+func (p *Packer) AppendState(w *snap.Writer) { w.Int(p.nextStart) }
 
-// SetNextStart restores the NextFit resume rank. It errors on an
-// out-of-range value. (nextStart may legitimately equal Size after an
-// allocation ending at the last rank; pickNextFit then wraps.)
-func (p *Packer) SetNextStart(r int) error {
-	if r < 0 || r > len(p.order) {
-		return fmt.Errorf("binpack: next-fit resume rank %d outside [0, %d]", r, len(p.order))
+// ReadState implements snap.Codec. It rejects a resume rank outside
+// [0, Size]: nextStart equals Size after an allocation ending at the
+// last rank, and pickNextFit then wraps.
+func (p *Packer) ReadState(r *snap.Reader) error {
+	switch at := r.Int(); {
+	case r.Err() != nil:
+		return r.Err()
+	case at < 0 || at > len(p.order):
+		return fmt.Errorf("binpack: next-fit resume rank %d outside [0, %d]", at, len(p.order))
+	default:
+		p.nextStart = at
+		return nil
 	}
-	p.nextStart = r
-	return nil
 }
 
-// Audit cross-checks the packer's redundant indexes — the boolean free
-// array, the bitset mirror, and the cached free count — and returns an
-// error describing the first divergence, or nil.
+// Audit checks the cached free count against the free set and returns
+// an error if they differ, or nil.
 func (p *Packer) Audit() error {
-	n := 0
-	for r, f := range p.free {
-		if f {
-			n++
-		}
-		if p.bits.Get(r) != f {
-			return fmt.Errorf("binpack: rank %d free=%v but bitset=%v", r, f, p.bits.Get(r))
-		}
-	}
-	if n != p.numFree {
+	if n := p.bits.Count(); n != p.numFree {
 		return fmt.Errorf("binpack: counted %d free ranks, cached numFree %d", n, p.numFree)
 	}
 	return nil

@@ -1,8 +1,12 @@
 package binpack
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"meshalloc/internal/snap"
 )
 
 // identityOrder returns the trivial curve 0..n-1.
@@ -296,5 +300,51 @@ func TestAllocateReleaseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackerStateRoundTrip moves a Next Fit packer's cursor through its
+// codec into a packer that re-occupies the same ranks, as a restore
+// does: both must then make the same allocations. A cursor outside
+// [0, Size] must be rejected and leave the cursor as it was.
+func TestPackerStateRoundTrip(t *testing.T) {
+	a, b := New(identityOrder(40)), New(identityOrder(40))
+	var held []int
+	for _, size := range []int{5, 3, 7} {
+		ids, err := a.Allocate(size, NextFit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, ids...)
+	}
+	a.Release(held[:5])
+	b.Occupy(held[5:])
+	encode := func(p *Packer, at int) *snap.Reader {
+		w := snap.NewWriter(nil)
+		if p != nil {
+			p.AppendState(w)
+		} else {
+			w.Int(at)
+		}
+		r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if err := b.ReadState(encode(a, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{-1, 41} {
+		if err := b.ReadState(encode(nil, at)); err == nil {
+			t.Fatalf("resume rank %d accepted", at)
+		}
+	}
+	for i, size := range []int{4, 9, 2, 6} {
+		x, errA := a.Allocate(size, NextFit)
+		y, errB := b.Allocate(size, NextFit)
+		if errA != nil || errB != nil || !slices.Equal(x, y) {
+			t.Fatalf("allocation %d: %v %v and %v %v after the round trip", i, x, errA, y, errB)
+		}
 	}
 }

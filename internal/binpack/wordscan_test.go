@@ -19,17 +19,38 @@ func (r *bpRand) next() uint64 {
 
 var allStrategies = []Strategy{FreeList, FirstFit, BestFit, SumOfSquares, WorstFit, NextFit}
 
+// shadow is the reference free set in rank space, kept apart from the
+// packer's bitset: it is built only from the ids Allocate returns and
+// Release takes.
+type shadow []bool
+
+// newShadow returns the shadow of p with every processor free.
+func newShadow(p *Packer) shadow {
+	free := make(shadow, len(p.order))
+	for r := range free {
+		free[r] = true
+	}
+	return free
+}
+
+// set marks the ranks of ids free or busy.
+func (f shadow) set(p *Packer, ids []int, free bool) {
+	for _, id := range ids {
+		f[p.rankOf[id]] = free
+	}
+}
+
 // intervalsRef is the naive reference interval scan: a rank-by-rank walk
-// of the boolean free array the word-parallel scan must reproduce.
-func intervalsRef(p *Packer) []Interval {
+// of the shadow free set the word-parallel scan must reproduce.
+func intervalsRef(free shadow) []Interval {
 	var ivs []Interval
-	for i := 0; i < len(p.free); {
-		if !p.free[i] {
+	for i := 0; i < len(free); {
+		if !free[i] {
 			i++
 			continue
 		}
 		start := i
-		for i < len(p.free) && p.free[i] {
+		for i < len(free) && free[i] {
 			i++
 		}
 		ivs = append(ivs, Interval{Start: start, Len: i - start})
@@ -39,10 +60,10 @@ func intervalsRef(p *Packer) []Interval {
 
 // prefixRanksRef is the naive reference for prefixRanks: the first size
 // free ranks found by testing every rank in order.
-func prefixRanksRef(p *Packer, size int) []int {
+func prefixRanksRef(free shadow, size int) []int {
 	var ranks []int
-	for r := 0; r < len(p.free) && len(ranks) < size; r++ {
-		if p.free[r] {
+	for r := 0; r < len(free) && len(ranks) < size; r++ {
+		if free[r] {
 			ranks = append(ranks, r)
 		}
 	}
@@ -50,16 +71,16 @@ func prefixRanksRef(p *Packer, size int) []int {
 }
 
 // checkScans compares the word-parallel interval and prefix scans with
-// their rank-by-rank references on the packer's current state. Every
-// strategy decision is a function of these two scans, so agreement here
-// is agreement of every allocation.
-func checkScans(t *testing.T, p *Packer, step int) {
+// their rank-by-rank references on the shadow of the packer's current
+// state. Every strategy decision is a function of these two scans, so
+// agreement here is agreement of every allocation.
+func checkScans(t *testing.T, p *Packer, free shadow, step int) {
 	t.Helper()
-	if got, want := p.AppendIntervals(nil), intervalsRef(p); !slices.Equal(got, want) {
+	if got, want := p.AppendIntervals(nil), intervalsRef(free); !slices.Equal(got, want) {
 		t.Fatalf("step %d: intervals %v, reference %v", step, got, want)
 	}
 	for _, size := range []int{1, p.NumFree() / 2, p.NumFree()} {
-		if got, want := p.prefixRanks(size), prefixRanksRef(p, size); !slices.Equal(got, want) {
+		if got, want := p.prefixRanks(size), prefixRanksRef(free, size); !slices.Equal(got, want) {
 			t.Fatalf("step %d: prefixRanks(%d) %v, reference %v", step, size, got, want)
 		}
 	}
@@ -71,6 +92,7 @@ func checkScans(t *testing.T, p *Packer, step int) {
 func churnScans(t *testing.T, p *Packer, s Strategy, seed uint64, steps int) {
 	t.Helper()
 	r := bpRand(seed)
+	free := newShadow(p)
 	var live [][]int
 	for step := 0; step < steps; step++ {
 		if r.next()%3 != 0 && p.NumFree() > 0 {
@@ -79,14 +101,16 @@ func churnScans(t *testing.T, p *Packer, s Strategy, seed uint64, steps int) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+			free.set(p, ids, false)
 			live = append(live, ids)
 		} else if len(live) > 0 {
 			i := int(r.next() % uint64(len(live)))
 			p.Release(live[i])
+			free.set(p, live[i], true)
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		checkScans(t, p, step)
+		checkScans(t, p, free, step)
 	}
 }
 
@@ -101,11 +125,13 @@ func TestWordScanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestWordScanBitsMirrorsFree checks the bitset invariant directly after a
-// churn: bit r set iff free[r], and pad bits clear.
+// TestWordScanBitsMirrorsFree checks the bitset directly through a
+// churn: bit r is set iff the shadow has rank r free, and the count of
+// set bits, pad bits included, is NumFree.
 func TestWordScanBitsMirrorsFree(t *testing.T) {
 	p := New(identityOrder(130))
 	r := bpRand(5)
+	free := newShadow(p)
 	var live [][]int
 	for step := 0; step < 400; step++ {
 		if r.next()%3 != 0 && p.NumFree() > 0 {
@@ -114,14 +140,16 @@ func TestWordScanBitsMirrorsFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			free.set(p, ids, false)
 			live = append(live, ids)
 		} else if len(live) > 0 {
 			p.Release(live[len(live)-1])
+			free.set(p, live[len(live)-1], true)
 			live = live[:len(live)-1]
 		}
-		for rank, free := range p.free {
-			if p.bits.Get(rank) != free {
-				t.Fatalf("step %d: bit %d = %v, free = %v", step, rank, p.bits.Get(rank), free)
+		for rank, f := range free {
+			if p.bits.Get(rank) != f {
+				t.Fatalf("step %d: bit %d = %v, free = %v", step, rank, p.bits.Get(rank), f)
 			}
 		}
 		if p.bits.Count() != p.NumFree() {

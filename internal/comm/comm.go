@@ -14,6 +14,7 @@ package comm
 import (
 	"fmt"
 
+	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 )
 
@@ -27,20 +28,22 @@ type Msg struct {
 // logically concurrent (e.g. one ring shift). Deterministic patterns
 // walk a schedule shared by every job of the same size; the random
 // pattern draws each message from the engine RNG. Patterns build
-// generators and RestoreGen rebuilds one from a snapshot; the zero
+// generators, and ReadState sets one to a snapshot's state; the zero
 // Generator is not usable.
 type Generator struct {
+	// name is the pattern that built the generator ("single" for the
+	// one-rank schedule), so a snapshot can rebuild a schedule from the
+	// pattern registry instead of serializing it, and p is the job size.
 	// A schedule generator walks phases, one round of phases of
-	// messages, never written and possibly shared; name and p identify
-	// its origin so a snapshot can rebuild it from the pattern registry
-	// instead of serializing it. phase and idx are the cursor: the next
-	// message to hand out.
+	// messages, never written and possibly shared. phase and idx are the
+	// cursor: the next message to hand out.
 	name       string
 	p          int
 	phases     [][]Msg
 	phase, idx int
 	// A random generator (phases == nil) draws from rng and counts the
-	// messages drawn.
+	// messages drawn. A Mixed job's schedule keeps rng too, so that
+	// ReadState can make it the random generator a snapshot names.
 	rng   *stats.RNG
 	count int
 	// held is the first message of the next phase once a burst has
@@ -332,7 +335,7 @@ func (Random) Generator(p int, rng *stats.RNG) Generator {
 	if p == 1 {
 		return singleRank()
 	}
-	return Generator{p: p, rng: rng}
+	return Generator{name: "random", p: p, rng: rng}
 }
 
 // TestSuite is the communication test of Leung et al. behind the paper's
@@ -390,102 +393,108 @@ func (Mixed) Name() string { return "mixed" }
 func (Mixed) Generator(p int, rng *stats.RNG) Generator {
 	checkSize(p)
 	pool := []Pattern{AllToAll{}, NBody{}, Random{}, Ring{}}
-	return pool[rng.Intn(len(pool))].Generator(p, rng)
+	g := pool[rng.Intn(len(pool))].Generator(p, rng)
+	g.rng = rng
+	return g
 }
 
-// GenState is the serializable state of a Generator. Schedules are not
-// serialized: a phase-driven generator records which pattern built it
-// ("single" for the one-rank degenerate schedule) and its cursor, a
-// random generator records its message count (its variates come from
-// the engine RNG, whose state the engine snapshot captures
-// separately).
-type GenState struct {
-	Kind    string // "phase" or "random"
-	Pattern string // phase: the originating pattern name
-	P       int    // job size the generator was built for
-	Phase   int    // phase cursor (phase kind)
-	Idx     int    // intra-phase cursor (phase kind)
-	Count   int    // messages emitted (random kind)
+// AppendState implements snap.Codec: the name of the pattern that
+// built g, then a schedule's cursor or a random generator's message
+// count, then the holding flag and, while g holds a message, its two
+// ranks. Neither the schedule nor the job size is written: ReadState
+// rebuilds the one from the name and is given the other.
+func (g *Generator) AppendState(w *snap.Writer) {
+	w.String(g.name)
+	if g.phases == nil {
+		w.Int(g.count)
+	} else {
+		w.Int(g.phase)
+		w.Int(g.idx)
+	}
+	w.Bool(g.holding)
+	if g.holding {
+		w.Int(g.held.Src)
+		w.Int(g.held.Dst)
+	}
 }
 
-// StateOf captures a Generator built by this package for a snapshot.
-// A schedule's cursor is where the generator keeps it, on its held
-// message if it holds one. It errors on the zero Generator.
-func StateOf(g *Generator) (GenState, error) {
+// ReadState implements snap.Codec for g, a generator the run's pattern
+// built for a job of the size the state was written for. A state that
+// names g's pattern keeps g's schedule, which a Cached pattern shares.
+// One that names another pattern can only be a Mixed job's, since
+// Mixed drew g's pattern afresh, and g is rebuilt from the pattern
+// registry; only a generator that keeps rng, a Mixed job's or the
+// random pattern's, can be. It rejects a name that builds no such
+// generator for the job, a cursor outside the schedule, a negative
+// message count, and a held message with a rank outside the job or, on
+// a schedule, one that is not the message at the cursor, so a corrupt
+// state cannot make a generator that panics or sends what its pattern
+// never would. On error g is left as it was.
+func (g *Generator) ReadState(r *snap.Reader) error {
+	name := r.String()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	b := *g
+	if name != g.name {
+		if g.rng == nil {
+			return fmt.Errorf("comm: a %q generator cannot take a %q generator's state", g.name, name)
+		}
+		var err error
+		if b, err = rebuild(name, g.p, g.rng); err != nil {
+			return err
+		}
+	}
+	if b.phases == nil {
+		b.count = r.Int()
+	} else {
+		b.phase, b.idx = r.Int(), r.Int()
+	}
+	b.holding = r.Bool()
+	if b.holding {
+		b.held = Msg{Src: r.Int(), Dst: r.Int()}
+	}
 	switch {
-	case g.phases != nil:
-		return GenState{Kind: "phase", Pattern: g.name, P: g.p, Phase: g.phase, Idx: g.idx}, nil
-	case g.rng != nil:
-		return GenState{Kind: "random", P: g.p, Count: g.count}, nil
-	default:
-		return GenState{}, fmt.Errorf("comm: cannot snapshot an unbuilt generator")
+	case r.Err() != nil:
+		return r.Err()
+	case b.phases == nil && b.count < 0:
+		return fmt.Errorf("comm: random generator count %d", b.count)
+	case b.phases != nil && (b.phase < 0 || b.phase >= len(b.phases)):
+		return fmt.Errorf("comm: phase cursor %d outside the %d-phase %q schedule", b.phase, len(b.phases), name)
+	case b.phases != nil && (b.idx < 0 || b.idx >= len(b.phases[b.phase])):
+		return fmt.Errorf("comm: message cursor %d outside phase %d of %q", b.idx, b.phase, name)
+	case !b.holding:
+	case b.held.Src < 0 || b.held.Src >= b.p || b.held.Dst < 0 || b.held.Dst >= b.p:
+		return fmt.Errorf("comm: held message %v outside a %d-rank job", b.held, b.p)
+	case b.phases != nil && b.held != b.phases[b.phase][b.idx]:
+		return fmt.Errorf("comm: held message %v is not %v, the %q schedule's phase %d message %d",
+			b.held, b.phases[b.phase][b.idx], name, b.phase, b.idx)
 	}
+	*g = b
+	return nil
 }
 
-// RestoreGen rebuilds a Generator from a snapshot state and its held
-// message, if holding. hint, if non-nil, is tried first when its Name
-// matches the recorded pattern — passing the engine's Cached-wrapped
-// pattern here shares the memoized schedule tables. rng is attached to
-// random generators (deterministic rebuilds never draw from it).
-// Out-of-range cursors are rejected, and so is a held message with a
-// rank outside [0, P) or, on a schedule, one that is not the message at
-// the cursor, so a corrupt state cannot build a generator that panics
-// or sends what the schedule never would.
-func RestoreGen(st GenState, held Msg, holding bool, hint Pattern, rng *stats.RNG) (Generator, error) {
-	if st.P <= 0 {
-		return Generator{}, fmt.Errorf("comm: generator state has job size %d", st.P)
+// rebuild returns the generator the pattern registered under name
+// builds for a p-rank job, drawing from rng. The name must build a
+// generator of that name: not "single" for more than one rank, nor any
+// other for one, and not "mixed", which draws to pick a pattern and so
+// names no generator.
+func rebuild(name string, p int, rng *stats.RNG) (Generator, error) {
+	if name == "mixed" {
+		return Generator{}, fmt.Errorf("comm: no generator is named %q", name)
 	}
-	if holding && (held.Src < 0 || held.Src >= st.P || held.Dst < 0 || held.Dst >= st.P) {
-		return Generator{}, fmt.Errorf("comm: held message %v outside a %d-rank job", held, st.P)
+	b := singleRank()
+	if name != "single" {
+		pat, err := ByName(name)
+		if err != nil {
+			return Generator{}, err
+		}
+		b = pat.Generator(p, rng)
 	}
-	var g Generator
-	switch st.Kind {
-	case "random":
-		if st.Count < 0 {
-			return Generator{}, fmt.Errorf("comm: random generator count %d", st.Count)
-		}
-		// A one-rank job's random pattern is the one-rank schedule.
-		g = Random{}.Generator(st.P, rng)
-		g.count = st.Count
-	case "phase":
-		// Only deterministic patterns build phase schedules; rebuilding
-		// via Random or Mixed would draw from rng, perturbing the
-		// restored stream, so a state naming one is corrupt.
-		if st.Pattern == "random" || st.Pattern == "mixed" {
-			return Generator{}, fmt.Errorf("comm: pattern %q cannot back a phase schedule", st.Pattern)
-		}
-		if st.Pattern == "single" {
-			g = singleRank()
-		} else {
-			pat := hint
-			if pat == nil || pat.Name() != st.Pattern {
-				var err error
-				pat, err = ByName(st.Pattern)
-				if err != nil {
-					return Generator{}, err
-				}
-			}
-			g = pat.Generator(st.P, rng)
-		}
-		if g.phases == nil {
-			return Generator{}, fmt.Errorf("comm: pattern %q rebuilt a non-schedule generator", st.Pattern)
-		}
-		if st.Phase < 0 || st.Phase >= len(g.phases) {
-			return Generator{}, fmt.Errorf("comm: phase cursor %d outside the %d-phase %q schedule", st.Phase, len(g.phases), st.Pattern)
-		}
-		if st.Idx < 0 || st.Idx >= len(g.phases[st.Phase]) {
-			return Generator{}, fmt.Errorf("comm: message cursor %d outside phase %d of %q", st.Idx, st.Phase, st.Pattern)
-		}
-		g.phase, g.idx = st.Phase, st.Idx
-		if m := g.phases[g.phase][g.idx]; holding && m != held {
-			return Generator{}, fmt.Errorf("comm: held message %v is not %v, the %q schedule's phase %d message %d",
-				held, m, st.Pattern, st.Phase, st.Idx)
-		}
-	default:
-		return Generator{}, fmt.Errorf("comm: unknown generator kind %q", st.Kind)
+	if b.name != name || b.p != p {
+		return Generator{}, fmt.Errorf("comm: pattern %q builds no %q generator for a %d-rank job", name, name, p)
 	}
-	g.held, g.holding = held, holding
-	return g, nil
+	return b, nil
 }
 
 // RoundLen returns the number of messages in one full round of pattern

@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 )
 
@@ -335,26 +338,74 @@ func (r *refGen) burst(budget int) []Msg {
 	return out
 }
 
-// state is the generator's state, its cursor on the pending message if
-// there is one.
-func (r *refGen) state() GenState {
+// state is the generator's state as AppendState writes it, its cursor
+// on the pending message if there is one.
+func (r *refGen) state() []byte {
+	w := snap.NewWriter(nil)
+	w.String(r.name)
 	if r.phases != nil {
 		at := [2]int{r.phase, r.idx}
 		if r.havePend {
 			at = r.pendAt
 		}
-		return GenState{Kind: "phase", Pattern: r.name, P: r.p, Phase: at[0], Idx: at[1]}
+		w.Int(at[0])
+		w.Int(at[1])
+	} else {
+		w.Int(r.count)
 	}
-	return GenState{Kind: "random", P: r.p, Count: r.count}
+	w.Bool(r.havePend)
+	if r.havePend {
+		w.Int(r.pending.Src)
+		w.Int(r.pending.Dst)
+	}
+	return payload(w)
+}
+
+// payload finishes w and returns the payload of its container.
+func payload(w *snap.Writer) []byte {
+	n := w.Len()
+	b := w.Finish()
+	return b[len(b)-4-n : len(b)-4]
+}
+
+// frame returns a reader over a container holding state.
+func frame(state []byte) *snap.Reader {
+	w := snap.NewWriter(nil)
+	copy(w.Extend(len(state)), state)
+	r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// codecState returns the bytes c's AppendState writes.
+func codecState(c snap.Codec) []byte {
+	w := snap.NewWriter(nil)
+	c.AppendState(w)
+	return payload(w)
+}
+
+// readState reads state into c and requires it to be read whole.
+func readState(c snap.Codec, state []byte) error {
+	r := frame(state)
+	if err := c.ReadState(r); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%d bytes of state left unread", r.Remaining())
+	}
+	return nil
 }
 
 // FuzzBurstMatchesNext drives Burst and the per-message oracle with the
 // same fuzzer-chosen budgets, on every pattern (plain or schedule-cached)
 // at a fuzzer-chosen job size and seed. After every burst the messages,
-// the next RNG draw, StateOf and the held message must agree. Budget 1,
-// what sequential issue asks for, is common; one point mid-stream takes
-// the generator through StateOf and RestoreGen and carries on from the
-// rebuilt one.
+// the next RNG draw, the encoded state and the held message must agree.
+// Budget 1, what sequential issue asks for, is common; one point
+// mid-stream takes the generator through its codec as a restoring
+// engine does — into a generator the pattern builds afresh, the RNG's
+// state read back after it — and carries on from the restored one.
 func FuzzBurstMatchesNext(f *testing.F) {
 	f.Add(uint8(1), uint8(7), int64(1), uint8(3), []byte{0, 0, 9, 200, 1, 1, 40, 7})
 	f.Add(uint8(2), uint8(5), int64(2), uint8(2), []byte{255, 4, 4, 0, 3, 17})
@@ -393,55 +444,146 @@ func FuzzBurstMatchesNext(f *testing.F) {
 			if a, b := rngA.Int63(), rngB.Int63(); a != b {
 				t.Fatalf("burst %d: next RNG draw %d, oracle's %d", i, a, b)
 			}
-			st, err := StateOf(&g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != ref.state() {
-				t.Fatalf("burst %d: state %+v, oracle %+v", i, st, ref.state())
+			st := codecState(&g)
+			if !bytes.Equal(st, ref.state()) {
+				t.Fatalf("burst %d: state %x, oracle %x", i, st, ref.state())
 			}
 			held, holding := g.Held()
 			if holding != ref.havePend || holding && held != ref.pending {
 				t.Fatalf("burst %d: held %v %v, oracle %v %v", i, held, holding, ref.pending, ref.havePend)
 			}
 			if i == int(cut) {
-				if g, err = RestoreGen(st, held, holding, pat, rngA); err != nil {
-					t.Fatalf("burst %d: RestoreGen(%+v, %v, %v): %v", i, st, held, holding, err)
+				rng := codecState(rngA)
+				g = pat.Generator(p, rngA)
+				if err := readState(&g, st); err != nil {
+					t.Fatalf("burst %d: reading state %x: %v", i, st, err)
+				}
+				if err := readState(rngA, rng); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	})
 }
 
-// TestRestoreGenRejectsBadHeld: a held message with a rank outside the
-// job, or one that is not the message at a schedule's cursor, is
-// refused instead of rebuilt into a generator that panics or sends
-// messages its pattern never would. A message that is not held is not
-// read, so it is not checked.
-func TestRestoreGenRejectsBadHeld(t *testing.T) {
-	nbody := GenState{Kind: "phase", Pattern: "nbody", P: 4, Phase: 1, Idx: 0}
-	random := GenState{Kind: "random", P: 4, Count: 5}
+// TestGeneratorStateRoundTrip takes every pattern's generator, at one
+// rank and at five, through its codec mid-stream, into a generator the
+// same pattern builds: the next 300 messages must be the same.
+func TestGeneratorStateRoundTrip(t *testing.T) {
+	for _, name := range All() {
+		for _, p := range []int{1, 5} {
+			t.Run(fmt.Sprintf("%s/%d", name, p), func(t *testing.T) {
+				pat, _ := ByName(name)
+				rngA, rngB := stats.NewRNG(3), stats.NewRNG(3)
+				a := pat.Generator(p, rngA)
+				b := pat.Generator(p, rngB)
+				var buf []Msg
+				for i := 0; i < 7; i++ {
+					a.Burst(3, &buf)
+					b.Burst(3, &buf)
+				}
+				// Build the receiver from another RNG, so that a Mixed
+				// pattern's draw does not move rngB, and point it at rngB
+				// through the state it reads.
+				c := pat.Generator(p, stats.NewRNG(99))
+				c.rng = rngB
+				if err := readState(&c, codecState(&b)); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := drain(&c, 300), drain(&a, 300); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("restored generator sent %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestGeneratorReadStateRejectsBadHeld: a held message with a rank
+// outside the job, or one that is not the message at a schedule's
+// cursor, is refused instead of read into a generator that panics or
+// sends messages its pattern never would. A generator that holds no
+// message writes no ranks, so a leftover message is never read.
+func TestGeneratorReadStateRejectsBadHeld(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		st      GenState
+		pat     Pattern
+		p       int
+		cursor  []int
 		held    Msg
 		holding bool
 		ok      bool
 	}{
-		{"schedule/held", nbody, Msg{Src: 0, Dst: 1}, true, true},
-		{"schedule/not-at-cursor", nbody, Msg{Src: 1, Dst: 2}, true, false},
-		{"schedule/before-cursor", nbody, Msg{Src: 3, Dst: 0}, true, false},
-		{"schedule/rank-too-big", nbody, Msg{Src: 0, Dst: 1 << 20}, true, false},
-		{"schedule/negative-rank", nbody, Msg{Src: -1, Dst: 1}, true, false},
-		{"schedule/leftover", nbody, Msg{Src: 1 << 20, Dst: 7}, false, true},
-		{"random/held", random, Msg{Src: 3, Dst: 0}, true, true},
-		{"random/rank-too-big", random, Msg{Src: 4, Dst: 0}, true, false},
-		{"random/leftover", random, Msg{Src: 9, Dst: 9}, false, true},
+		{"schedule/held", NBody{}, 4, []int{1, 0}, Msg{Src: 0, Dst: 1}, true, true},
+		{"schedule/not-at-cursor", NBody{}, 4, []int{1, 0}, Msg{Src: 1, Dst: 2}, true, false},
+		{"schedule/before-cursor", NBody{}, 4, []int{1, 0}, Msg{Src: 3, Dst: 0}, true, false},
+		{"schedule/rank-too-big", NBody{}, 4, []int{1, 0}, Msg{Src: 0, Dst: 1 << 20}, true, false},
+		{"schedule/negative-rank", NBody{}, 4, []int{1, 0}, Msg{Src: -1, Dst: 1}, true, false},
+		{"schedule/leftover", NBody{}, 4, []int{1, 0}, Msg{Src: 1 << 20, Dst: 7}, false, true},
+		{"random/held", Random{}, 4, []int{5}, Msg{Src: 3, Dst: 0}, true, true},
+		{"random/rank-too-big", Random{}, 4, []int{5}, Msg{Src: 4, Dst: 0}, true, false},
+		{"random/leftover", Random{}, 4, []int{5}, Msg{Src: 9, Dst: 9}, false, true},
+		{"single/held", Random{}, 1, []int{0, 0}, Msg{}, true, true},
+		{"single/rank-too-big", Random{}, 1, []int{0, 0}, Msg{Src: 1}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RestoreGen(tc.st, tc.held, tc.holding, nil, stats.NewRNG(1))
-			if (err == nil) != tc.ok {
-				t.Fatalf("RestoreGen(%+v, %v, %v) = %v, want ok=%v", tc.st, tc.held, tc.holding, err, tc.ok)
+			g := tc.pat.Generator(tc.p, stats.NewRNG(1))
+			w := snap.NewWriter(nil)
+			w.String(g.name)
+			for _, c := range tc.cursor {
+				w.Int(c)
+			}
+			w.Bool(tc.holding)
+			if tc.holding {
+				w.Int(tc.held.Src)
+				w.Int(tc.held.Dst)
+			}
+			if err := readState(&g, payload(w)); (err == nil) != tc.ok {
+				t.Fatalf("reading %v held=%v: %v, want ok=%v", tc.held, tc.holding, err, tc.ok)
+			}
+		})
+	}
+}
+
+// TestGeneratorReadStateRejects: a state naming a pattern that cannot
+// have built the job's generator, a cursor outside the schedule, a
+// negative message count or a truncated state is refused, and the
+// generator is left as it was.
+func TestGeneratorReadStateRejects(t *testing.T) {
+	state := func(name string, words ...int) []byte {
+		w := snap.NewWriter(nil)
+		w.String(name)
+		for _, v := range words {
+			w.Int(v)
+		}
+		w.Bool(false)
+		return payload(w)
+	}
+	for _, tc := range []struct {
+		name  string
+		pat   Pattern
+		p     int
+		state []byte
+	}{
+		{"unknown-pattern", Mixed{}, 4, state("spiral", 0, 0)},
+		{"mixed", Mixed{}, 4, state("mixed", 0, 0)},
+		{"single-for-4-ranks", Mixed{}, 4, state("single", 0, 0)},
+		{"random-for-1-rank", Mixed{}, 1, state("random", 0)},
+		{"random-into-a-schedule", NBody{}, 4, state("random", 0)},
+		{"nbody-for-1-rank", Mixed{}, 1, state("nbody", 0, 0)},
+		{"phase-past-end", NBody{}, 4, state("nbody", 3, 0)},
+		{"negative-phase", NBody{}, 4, state("nbody", -1, 0)},
+		{"index-past-phase", NBody{}, 4, state("nbody", 0, 4)},
+		{"negative-count", Random{}, 4, state("random", -1)},
+		{"truncated", NBody{}, 4, state("nbody", 0)[:20]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.pat.Generator(tc.p, stats.NewRNG(1))
+			before := codecState(&g)
+			if err := readState(&g, tc.state); err == nil {
+				t.Fatal("state accepted")
+			}
+			if after := codecState(&g); !bytes.Equal(after, before) {
+				t.Fatalf("rejected state changed the generator from %x to %x", before, after)
 			}
 		})
 	}

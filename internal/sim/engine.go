@@ -11,6 +11,7 @@ import (
 	"meshalloc/internal/fault"
 	"meshalloc/internal/netsim"
 	"meshalloc/internal/sched"
+	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
 	"meshalloc/internal/topo"
 	"meshalloc/internal/trace"
@@ -145,8 +146,6 @@ type Engine struct {
 	// every hot-path touch is gated on faults != nil so the fault-free
 	// event loop is unchanged instruction for instruction.
 	faults     *fault.Stream
-	nextFault  fault.Event // pending head of the stream, time already scaled
-	hasFault   bool
 	faultable  alloc.FaultAware
 	down       []bool      // hard-failed nodes
 	drained    []bool      // administratively drained nodes
@@ -166,14 +165,15 @@ type Engine struct {
 	// then). snapLen is the previous Snapshot's payload length, the size
 	// hint for the next one. Snapshot reuses the rest: heapBuf is its
 	// copy of the event heap, popped to write the heap's events in (t,
-	// seq) order, killIDs the sorted IDs of killCount, and words an RNG's
-	// state or the allocator's aux words. None of them is part of the
-	// snapshot.
+	// seq) order, killIDs the sorted IDs of killCount, and enc the
+	// writer itself: the allocator's codec takes it through an
+	// interface, so a writer made per call would escape to the heap.
+	// None of them is part of the snapshot.
 	fp      uint64
 	snapLen int
 	heapBuf eventHeap
 	killIDs []int
-	words   []uint64
+	enc     snap.Writer
 }
 
 // NewEngine validates cfg and builds an idle engine with an empty queue
@@ -268,22 +268,17 @@ func (e *Engine) initFaults() error {
 		e.owner[i] = -1
 	}
 	e.killCount = map[int]int{}
-	e.advanceFault()
 	return nil
 }
 
-// advanceFault pulls the next stream event into the pending slot,
-// contracting its time by TimeScale exactly as job runtimes are (node
-// lifetimes are machine wall clock, so Load — an arrival-rate knob —
-// does not apply).
-func (e *Engine) advanceFault() {
-	ev, ok := e.faults.Next()
-	if !ok {
-		e.hasFault = false
-		return
-	}
-	ev.T *= e.cfg.TimeScale
-	e.nextFault, e.hasFault = ev, true
+// faultTime returns the time of the fault stream's next event, or
+// ok=false once the stream is exhausted. The time is contracted by
+// TimeScale exactly as job runtimes are (node lifetimes are machine
+// wall clock, so Load — an arrival-rate knob — does not apply).
+// Callers gate it on faults != nil.
+func (e *Engine) faultTime() (float64, bool) {
+	ev, ok := e.faults.Peek()
+	return ev.T * e.cfg.TimeScale, ok
 }
 
 // Observe registers fn to be called with every finished job's record,
@@ -452,19 +447,15 @@ func (e *Engine) runRemove(h int32) {
 // conservative reading, and the ordering contract DESIGN.md documents.
 func (e *Engine) Step() bool {
 	ev, ok := e.events.head()
-	if e.hasFault {
-		if !ok {
-			// No job events left. Keep the machine evolving only while
-			// queued work could still be unblocked by a repair;
+	if e.faults != nil {
+		if ft, has := e.faultTime(); has && (!ok || ft <= ev.t) {
+			// With no job events left, keep the machine evolving only
+			// while queued work could still be unblocked by a repair;
 			// otherwise the run is over and the infinite failure
 			// stream must not keep it alive.
-			if e.Pending() == 0 {
+			if !ok && e.Pending() == 0 {
 				return false
 			}
-			e.processFault()
-			return true
-		}
-		if e.nextFault.T <= ev.t {
 			e.processFault()
 			return true
 		}
@@ -545,9 +536,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(t float64) {
 	for {
 		ev, ok := e.events.head()
-		if e.hasFault && e.nextFault.T <= t && (!ok || e.nextFault.T <= ev.t) {
-			e.processFault()
-			continue
+		if e.faults != nil {
+			if ft, has := e.faultTime(); has && ft <= t && (!ok || ft <= ev.t) {
+				e.processFault()
+				continue
+			}
 		}
 		if ok && ev.t <= t {
 			e.Step()
@@ -573,7 +566,12 @@ func (e *Engine) Drain() {
 // fault events count as events: a queued job stuck behind failed nodes
 // is only deadlocked once the repair stream has nothing more to offer.
 func (e *Engine) Deadlocked() bool {
-	return e.events.len() == 0 && !e.hasFault && (e.Pending() > 0 || e.store.live > 0)
+	if e.faults != nil {
+		if _, has := e.faultTime(); has {
+			return false
+		}
+	}
+	return e.events.len() == 0 && (e.Pending() > 0 || e.store.live > 0)
 }
 
 // Complete ends a run: it processes every remaining event, reports a
@@ -685,16 +683,16 @@ func (e *Engine) account(now float64) {
 	}
 }
 
-// processFault applies the pending fault event and pulls the next one
-// from the stream. Availability flags (down, drained) and the
-// allocator mask are kept separate: a node is masked in the allocator
-// exactly when it is flagged unavailable and not occupied by a running
-// job — an occupied node hit by NodeDown is masked right after its
-// job's release, and a drained node's job runs to completion with the
-// mask applied at finish.
+// processFault takes the fault stream's next event and applies it.
+// Availability flags (down, drained) and the allocator mask are kept
+// separate: a node is masked in the allocator exactly when it is
+// flagged unavailable and not occupied by a running job — an occupied
+// node hit by NodeDown is masked right after its job's release, and a
+// drained node's job runs to completion with the mask applied at
+// finish.
 func (e *Engine) processFault() {
-	ev := e.nextFault
-	e.advanceFault()
+	ev, _ := e.faults.Next()
+	ev.T *= e.cfg.TimeScale
 	e.core.FaultEvents++
 	e.account(ev.T)
 	if ev.T > e.now {

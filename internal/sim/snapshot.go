@@ -9,11 +9,8 @@ import (
 	"math"
 	"slices"
 
-	"meshalloc/internal/alloc"
 	"meshalloc/internal/comm"
-	"meshalloc/internal/fault"
 	"meshalloc/internal/snap"
-	"meshalloc/internal/stats"
 	"meshalloc/internal/trace"
 )
 
@@ -103,11 +100,10 @@ func (e *Engine) writeEvent(w *snap.Writer, ev event) {
 	putJob((*[jobLen]byte)(p[32:]), j)
 }
 
-// genTailLen is the encoded size of the fixed fields that close a live
-// job-store row: the generator's four cursor words, quota, sent, hops,
-// the four times (start, lastArr, queued, estEnd) and the holding flag.
-// A generator that holds a message writes its two ranks after them.
-const genTailLen = 11*8 + 1
+// rowTailLen is the encoded size of the fixed fields that close a live
+// job-store row, after its generator: quota, sent, hops and the four
+// times (start, lastArr, queued, estEnd).
+const rowTailLen = 7 * 8
 
 // Snapshot serializes the engine's authoritative state — clock, streaming
 // aggregates, the job store, the event queue, the pending queue, RNG
@@ -151,7 +147,8 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // the extended slice, implementing encoding.BinaryAppender. Bytes of b
 // are left as they are.
 func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
-	w := snap.NewWriter(b)
+	w := &e.enc
+	w.Reset(b)
 	w.U64(e.fingerprint())
 
 	// Clock, sequence and streaming aggregates.
@@ -183,10 +180,8 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	w.I64(e.core.SchedRounds)
 	w.I64(e.core.SchedSkips)
 
-	// The P² median estimator and the engine RNG's state.
+	// The P² median estimator.
 	e.respMedian.AppendState(w)
-	e.words = e.rng.AppendState(e.words[:0])
-	w.Words(e.words)
 
 	// Job store: per-handle flags, live rows in full, and the pool free
 	// list verbatim — recycle order decides future handle assignment,
@@ -199,13 +194,9 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 		if !s.inUse[h] || s.dead[h] {
 			continue
 		}
-		gs, err := comm.StateOf(&s.gen[h])
-		if err != nil {
-			return b, err
-		}
 		// A live row takes two windows: one for the job, its node count
-		// and its nodes, and, after the generator's two names, one for
-		// the row's fixed tail, which the held message's ranks follow.
+		// and its nodes, and, after the generator, one for the row's
+		// fixed tail.
 		nodes := s.nodes[h]
 		p := w.Extend(jobLen + 8 + 8*len(nodes))
 		putJob((*[jobLen]byte)(p), s.job[h])
@@ -213,32 +204,24 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 		for i, id := range nodes {
 			le.PutUint64(p[jobLen+8+8*i:], uint64(id))
 		}
-		w.String(gs.Kind)
-		w.String(gs.Pattern)
-		held, holding := s.gen[h].Held()
-		t := (*[genTailLen]byte)(w.Extend(genTailLen))
-		le.PutUint64(t[0:], uint64(gs.P))
-		le.PutUint64(t[8:], uint64(gs.Phase))
-		le.PutUint64(t[16:], uint64(gs.Idx))
-		le.PutUint64(t[24:], uint64(gs.Count))
-		le.PutUint64(t[32:], uint64(s.quota[h]))
-		le.PutUint64(t[40:], uint64(s.sent[h]))
-		le.PutUint64(t[48:], uint64(s.hops[h]))
-		le.PutUint64(t[56:], math.Float64bits(s.start[h]))
-		le.PutUint64(t[64:], math.Float64bits(s.lastArr[h]))
-		le.PutUint64(t[72:], math.Float64bits(s.queued[h]))
-		le.PutUint64(t[80:], math.Float64bits(s.estEnd[h]))
-		t[88] = 0
-		if holding {
-			t[88] = 1
-			w.Int(held.Src)
-			w.Int(held.Dst)
-		}
+		s.gen[h].AppendState(w)
+		t := (*[rowTailLen]byte)(w.Extend(rowTailLen))
+		le.PutUint64(t[0:], uint64(s.quota[h]))
+		le.PutUint64(t[8:], uint64(s.sent[h]))
+		le.PutUint64(t[16:], uint64(s.hops[h]))
+		le.PutUint64(t[24:], math.Float64bits(s.start[h]))
+		le.PutUint64(t[32:], math.Float64bits(s.lastArr[h]))
+		le.PutUint64(t[40:], math.Float64bits(s.queued[h]))
+		le.PutUint64(t[48:], math.Float64bits(s.estEnd[h]))
 	}
 	w.Int(len(s.free))
 	for _, h := range s.free {
 		w.Int(int(h))
 	}
+
+	// The engine RNG's state, after the rows: restoring a row builds its
+	// generator with the run's pattern, and Mixed draws to build one.
+	e.rng.AppendState(w)
 
 	// The pending FCFS queue and the event queue. Events are written in
 	// (t, seq) order, the order they pop, so the bytes do not depend on
@@ -267,8 +250,8 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	}
 
 	// Fault-injection state: availability flags, retry bookkeeping in
-	// job-ID order, the pending stream head, and the per-node failure
-	// clocks. Presence is decided by the config (covered by the
+	// job-ID order, and the fault stream, whose next event the engine
+	// reads from it. Presence is decided by the config (covered by the
 	// fingerprint), so writer and reader always agree on whether this
 	// block exists.
 	if e.faults != nil {
@@ -287,24 +270,18 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 			w.Int(id)
 			w.Int(e.killCount[id])
 		}
-		w.Bool(e.hasFault)
-		if e.hasFault {
-			w.F64(e.nextFault.T)
-			w.Int(e.nextFault.Node)
-			w.Int(int(e.nextFault.Kind))
-		}
 		e.faults.AppendState(w)
 	}
 
 	// Network link state and aggregate stats.
 	e.net.AppendState(w)
 
-	// Allocator aux words (NextFit cursor, allocator RNG state, ...).
-	e.words = e.words[:0]
-	if ax, ok := e.allocator.(alloc.AuxState); ok {
-		e.words = ax.AppendAuxState(e.words)
+	// Allocator state no busy set determines (a NextFit cursor, an RNG).
+	// The allocator's type, which the fingerprint fixes, decides whether
+	// it has any.
+	if c, ok := e.allocator.(snap.Codec); ok {
+		c.AppendState(w)
 	}
-	w.Words(e.words)
 
 	// Retained records under the Keep policy.
 	if e.cfg.KeepRecords == Keep {
@@ -336,7 +313,9 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	}
 
 	e.snapLen = w.Len()
-	return w.Finish(), nil
+	b = w.Finish()
+	*w = snap.Writer{} // hold no reference to the caller's buffer
+	return b, nil
 }
 
 // RestoreEngine reads a Snapshot blob and returns an engine that resumes
@@ -402,11 +381,6 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	if err := e.respMedian.ReadState(r); err != nil {
 		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
-	if words := r.Words(nil, stats.StateWords); r.Err() == nil {
-		if err := e.rng.SetState(words); err != nil {
-			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
-		}
-	}
 
 	// Job store.
 	s := &e.store
@@ -444,9 +418,9 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			ids = append(ids, r.Int())
 		}
 		s.nodes[h] = ids
-		gs := comm.GenState{
-			Kind: r.String(), Pattern: r.String(),
-			P: r.Int(), Phase: r.Int(), Idx: r.Int(), Count: r.Int(),
+		s.gen[h] = e.pattern.Generator(j.Size, e.rng)
+		if err := s.gen[h].ReadState(r); err != nil {
+			return nil, fmt.Errorf("sim: handle %d: %v: %w", h, err, snap.ErrCorrupt)
 		}
 		s.quota[h] = r.I64()
 		s.sent[h] = r.I64()
@@ -455,22 +429,6 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		s.lastArr[h] = r.F64()
 		s.queued[h] = r.F64()
 		s.estEnd[h] = r.F64()
-		var held comm.Msg
-		holding := r.Bool()
-		if holding {
-			held = comm.Msg{Src: r.Int(), Dst: r.Int()}
-		}
-		if r.Err() == nil {
-			gen, err := comm.RestoreGen(gs, held, holding, e.pattern, e.rng)
-			if err != nil {
-				return nil, fmt.Errorf("sim: handle %d: %v: %w", h, err, snap.ErrCorrupt)
-			}
-			if gs.P != j.Size {
-				return nil, fmt.Errorf("sim: handle %d has a %d-rank generator for a %d-processor job: %w",
-					h, gs.P, j.Size, snap.ErrCorrupt)
-			}
-			s.gen[h] = gen
-		}
 		if r.Err() == nil && !(finite(s.start[h]) && finite(s.lastArr[h]) && finite(s.estEnd[h])) {
 			return nil, fmt.Errorf("sim: handle %d has non-finite times: %w", h, snap.ErrCorrupt)
 		}
@@ -482,6 +440,9 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: free-list handle %d outside [0,%d): %w", fh, nh, snap.ErrCorrupt)
 		}
 		s.free = append(s.free, int32(fh))
+	}
+	if err := e.rng.ReadState(r); err != nil {
+		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
 
 	// Pending queue and event queue. Events may come in any order —
@@ -556,15 +517,6 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 			}
 			e.killCount[id] = kills
 		}
-		e.hasFault = r.Bool()
-		if e.hasFault && r.Err() == nil {
-			e.nextFault = fault.Event{T: r.F64(), Node: r.Int(), Kind: fault.Kind(r.Int())}
-			if r.Err() == nil && (!finite(e.nextFault.T) ||
-				e.nextFault.Node < 0 || e.nextFault.Node >= e.grid.Size() ||
-				e.nextFault.Kind > fault.NodeUndrain) {
-				return nil, fmt.Errorf("sim: pending fault event %+v invalid: %w", e.nextFault, snap.ErrCorrupt)
-			}
-		}
 		if err := e.faults.ReadState(r); err != nil {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
@@ -575,15 +527,10 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
 
-	// Allocator aux words (cursors no busy set determines; re-occupying
-	// the live jobs' nodes below leaves them alone).
-	if aux := r.Words(nil, alloc.MaxAuxWords); len(aux) > 0 && r.Err() == nil {
-		ax, ok := e.allocator.(alloc.AuxState)
-		if !ok {
-			return nil, fmt.Errorf("sim: allocator %s holds no aux state but the snapshot carries %d words: %w",
-				e.allocator.Name(), len(aux), snap.ErrCorrupt)
-		}
-		if err := ax.SetAuxState(aux); err != nil {
+	// Allocator state (re-occupying the live jobs' nodes below leaves
+	// it alone).
+	if c, ok := e.allocator.(snap.Codec); ok {
+		if err := c.ReadState(r); err != nil {
 			return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // resumeCases are the configurations the crash-resume equivalence suite
 // runs: each exercises a different slice of snapshot state — the
 // schedule-driven patterns, the engine RNG (random pattern), allocator
-// aux state (NextFit cursor, the random allocator's RNG state), the
+// state (NextFit cursor, the random allocator's RNG state), the
 // EASY scheduler's running index, and active fault injection with
 // retry/backoff bookkeeping and per-node failure clocks.
 var resumeCases = []struct {
@@ -187,19 +187,18 @@ func TestSnapshotResumeOpenSystem(t *testing.T) {
 	}
 	collect(e)
 	src := mkSource()
-	var blob bytes.Buffer
-	var srcState trace.SourceState
+	var blob, srcBlob bytes.Buffer
 	ckpts := 0
 	e.SetCheckpoint(512, func() {
-		st, err := trace.CaptureSource(src)
-		if err != nil {
+		srcBlob.Reset()
+		if err := trace.SnapshotSource(&srcBlob, src); err != nil {
 			t.Fatal(err)
 		}
 		blob.Reset()
 		if err := e.Snapshot(&blob); err != nil {
 			t.Fatal(err)
 		}
-		srcState, ckpts = st, ckpts+1
+		ckpts++
 	})
 	if err := e.RunSource(src, 0); err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestSnapshotResumeOpenSystem(t *testing.T) {
 	}
 	recs := collect(e2)
 	src2 := mkSource()
-	if err := trace.RestoreSource(src2, srcState); err != nil {
+	if err := trace.RestoreSource(bytes.NewReader(srcBlob.Bytes()), src2); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.RunSource(src2, 0); err != nil {
@@ -319,8 +318,8 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	// The random allocator and pattern put RNG states on the allocator's
-	// aux path and the engine's.
+	// The random allocator and pattern put RNG states in the allocator's
+	// codec and the engine's.
 	cfgR := Config{MeshW: 8, MeshH: 8, Alloc: "random", Pattern: "random",
 		Load: 0.4, TimeScale: 0.01, Seed: 1}
 	valid := seed(cfg, 100)
@@ -487,13 +486,16 @@ func TestRestoreContainerErrorsAreTyped(t *testing.T) {
 	if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
-	// A version-1 container, which stored RNG draw counts, is refused
+	// A version-1 container, which stored RNG draw counts, and a
+	// version-2 one, whose parts were framed by the engine, are refused
 	// even with a valid checksum.
-	bad = append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint32(bad[4:], 1)
-	reframe(bad)
-	if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
-		t.Fatalf("version 1: got %v, want ErrVersion", err)
+	for _, v := range []uint32{1, 2} {
+		bad = append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[4:], v)
+		reframe(bad)
+		if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 	bad = append([]byte(nil), blob...)
 	bad[20] ^= 0x01
@@ -741,14 +743,13 @@ func TestRestoreAcceptsEventsInAnyOrder(t *testing.T) {
 	}
 }
 
-// wordsKey is words as snap.Writer.Words encodes them: a count, then
-// the words.
-func wordsKey(words []uint64) []byte {
-	key := binary.LittleEndian.AppendUint64(nil, uint64(len(words)))
-	for _, v := range words {
-		key = binary.LittleEndian.AppendUint64(key, v)
-	}
-	return key
+// stateKey is the bytes c's AppendState writes.
+func stateKey(c snap.Codec) []byte {
+	w := snap.NewWriter(nil)
+	c.AppendState(w)
+	n := w.Len()
+	b := w.Finish()
+	return b[len(b)-4-n : len(b)-4]
 }
 
 // findOnce returns the offset of key in blob, failing the test unless
@@ -787,20 +788,23 @@ func TestRestoreTakesRNGStateAtOnce(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		other.Int63()
 	}
-	ring := wordsKey(other.AppendState(nil))[8:]
+	// A drawn RNG's state is a count of 608 words, the ring index and
+	// the ring's 607 words.
+	const drawnLen = 8 * (2 + 607)
+	ring := stateKey(other)[8:]
 	for _, c := range []struct {
 		name  string
-		state []uint64
+		state []byte
 	}{
-		{"engine", e.rng.AppendState(nil)},
-		{"random-allocator", e.allocator.(alloc.AuxState).AppendAuxState(nil)},
+		{"engine", stateKey(e.rng)},
+		{"random-allocator", stateKey(e.allocator.(snap.Codec))},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if len(c.state) != stats.StateWords {
-				t.Fatalf("state of %d words, want a drawn ring's %d", len(c.state), stats.StateWords)
+			if len(c.state) != drawnLen {
+				t.Fatalf("state of %d bytes, want a drawn ring's %d", len(c.state), drawnLen)
 			}
 			// off is the state's ring index; its 607 words follow.
-			off := findOnce(t, blob, wordsKey(c.state), c.name+"'s RNG state") + 8
+			off := findOnce(t, blob, c.state, c.name+"'s RNG state") + 8
 			for _, f := range []struct {
 				name string
 				edit func(state []byte)
@@ -827,9 +831,9 @@ func TestRestoreTakesRNGStateAtOnce(t *testing.T) {
 // heldOffset finds a live job of at least three processors that holds a
 // phase's first message back in e, whose snapshot is blob, and returns
 // the offset of the held message's source rank in blob (its destination
-// rank follows) with the job's size. The record's estimated end, the
-// holding flag and the held ranks that follow it are found exactly
-// once.
+// rank follows) with the job's size. The generator's holding flag, the
+// held ranks and the row's quota, sent and hop counts that follow them
+// are found exactly once.
 func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
 	t.Helper()
 	s := &e.store
@@ -838,11 +842,11 @@ func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
 		if !s.inUse[h] || s.dead[h] || !holding || s.job[h].Size < 3 {
 			continue
 		}
-		key := binary.LittleEndian.AppendUint64(nil, math.Float64bits(s.estEnd[h]))
-		key = append(key, 1)
-		key = binary.LittleEndian.AppendUint64(key, uint64(held.Src))
-		key = binary.LittleEndian.AppendUint64(key, uint64(held.Dst))
-		return findOnce(t, blob, key, fmt.Sprintf("handle %d's held message", h)) + 9, s.job[h].Size
+		key := []byte{1}
+		for _, v := range []int64{int64(held.Src), int64(held.Dst), s.quota[h], s.sent[h], s.hops[h]} {
+			key = binary.LittleEndian.AppendUint64(key, uint64(v))
+		}
+		return findOnce(t, blob, key, fmt.Sprintf("handle %d's held message", h)) + 1, s.job[h].Size
 	}
 	t.Fatal("no live job holds a message back")
 	return 0, 0

@@ -34,8 +34,21 @@ const Magic = "MSNP"
 // the payload layout written by the engine changes incompatibly; old
 // snapshots are then rejected with ErrVersion rather than misread.
 // Version 2 stores each RNG's state where version 1 stored its draw
-// count.
-const Version uint32 = 2
+// count. Version 3 has each part write itself through its Codec: a
+// generator drops its job size, the allocator its word count, and the
+// engine its copy of the fault stream's next event.
+const Version uint32 = 3
+
+// Codec is implemented by every stateful part a snapshot carries.
+// AppendState appends the part's state to w, and ReadState reads a
+// state AppendState wrote into a part built with the same
+// configuration, rejecting one that part could not have reached. A
+// part writes the same fields whatever its state, or says in them
+// which follow, so it reads back without a length prefix.
+type Codec interface {
+	AppendState(w *Writer)
+	ReadState(r *Reader) error
+}
 
 // maxPayload bounds the declared payload length so a corrupt header
 // cannot trigger a huge allocation before the checksum is verified.
@@ -72,11 +85,19 @@ type Writer struct {
 
 // NewWriter starts a container at the end of b.
 func NewWriter(b []byte) *Writer {
-	start := len(b)
+	w := new(Writer)
+	w.Reset(b)
+	return w
+}
+
+// Reset starts a container at the end of b, as NewWriter does, in w.
+// A caller that passes its Writer through an interface, which makes a
+// new one escape to the heap, can keep one and reset it instead.
+func (w *Writer) Reset(b []byte) {
+	w.start = len(b)
 	b = append(b, Magic...)
 	b = binary.LittleEndian.AppendUint32(b, Version)
-	b = binary.LittleEndian.AppendUint64(b, 0) // the length, patched by Finish
-	return &Writer{buf: b, start: start}
+	w.buf = binary.LittleEndian.AppendUint64(b, 0) // the length, patched by Finish
 }
 
 // U64 appends an unsigned 64-bit value.
@@ -104,16 +125,6 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
-}
-
-// Words appends a count-prefixed list of 64-bit words, which
-// Reader.Words reads back.
-func (w *Writer) Words(v []uint64) {
-	w.Int(len(v))
-	p := w.Extend(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(p[8*i:], x)
-	}
 }
 
 // BytesFrom appends what a appends as a length-prefixed byte slice,
@@ -270,16 +281,6 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Words reads a list Writer.Words wrote, of at most max words, appends
-// it to dst and returns the extended slice.
-func (r *Reader) Words(dst []uint64, max int) []uint64 {
-	n := r.Count(max)
-	for i := 0; i < n && r.err == nil; i++ {
-		dst = append(dst, r.U64())
-	}
-	return dst
-}
 
 // Count reads a non-negative element count bounded by max, for sizing
 // slice allocations before their contents are decoded. A corrupt count

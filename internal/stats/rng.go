@@ -5,8 +5,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+
+	"meshalloc/internal/snap"
 )
 
 // The generator behind rand.NewSource is additive lagged Fibonacci,
@@ -19,9 +22,9 @@ const (
 	mask63  = 1<<63 - 1
 )
 
-// StateWords is the length of a drawn RNG's state: the ring's index and
+// stateWords is the length of a drawn RNG's state: the ring's index and
 // its 607 words.
-const StateWords = 1 + ringLen
+const stateWords = 1 + ringLen
 
 // RNG is a deterministic pseudo-random source. All simulator randomness
 // flows through RNG so that a (seed, config) pair fully determines a run.
@@ -85,39 +88,57 @@ func (g *RNG) lap() {
 	g.i = 0
 }
 
-// AppendState appends g's state to dst and returns the extended slice:
-// the seed alone while g has never drawn, else the ring's index and its
-// 607 words (StateWords in all).
-func (g *RNG) AppendState(dst []uint64) []uint64 {
+// AppendState implements snap.Codec: g's state as a count of words,
+// then the words — the seed alone while g has never drawn, else the
+// ring's index and its 607 words (stateWords in all).
+func (g *RNG) AppendState(w *snap.Writer) {
 	if !g.primed {
-		return append(dst, uint64(g.seed))
+		w.Int(1)
+		w.I64(g.seed)
+		return
 	}
-	dst = append(dst, uint64(g.i))
-	return append(dst, g.ring[:]...)
+	p := w.Extend(8 * (1 + stateWords))
+	binary.LittleEndian.PutUint64(p, stateWords)
+	binary.LittleEndian.PutUint64(p[8:], uint64(g.i))
+	for k, v := range g.ring {
+		binary.LittleEndian.PutUint64(p[16+8*k:], v)
+	}
 }
 
-// SetState makes g continue the stream whose state AppendState appended,
-// whatever g was seeded with. It rejects a state of any other length, a
-// ring index past 607 and a word with bit 63 set, leaving g as it was.
-func (g *RNG) SetState(words []uint64) error {
-	switch len(words) {
-	case 1:
-		g.Seed(int64(words[0]))
-		return nil
-	case StateWords:
-	default:
-		return fmt.Errorf("stats: RNG state of %d words, want 1 or %d", len(words), StateWords)
+// ReadState implements snap.Codec: g continues the stream whose state
+// AppendState wrote, whatever g was seeded with. It rejects a state of
+// any other count of words, a ring index past 607 and a word with bit
+// 63 set, leaving g as it was.
+func (g *RNG) ReadState(r *snap.Reader) error {
+	switch n := r.Int(); {
+	case r.Err() != nil:
+		return r.Err()
+	case n == 1:
+		seed := r.I64()
+		if r.Err() == nil {
+			g.Seed(seed)
+		}
+		return r.Err()
+	case n != stateWords:
+		return fmt.Errorf("stats: RNG state of %d words, want 1 or %d", n, stateWords)
 	}
-	if words[0] > ringLen {
-		return fmt.Errorf("stats: RNG ring index %d past %d", words[0], ringLen)
+	i := r.U64()
+	var ring [ringLen]uint64
+	for k := range ring {
+		ring[k] = r.U64()
 	}
-	for k, v := range words[1:] {
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if i > ringLen {
+		return fmt.Errorf("stats: RNG ring index %d past %d", i, ringLen)
+	}
+	for k, v := range ring {
 		if v > mask63 {
 			return fmt.Errorf("stats: RNG ring word %d has bit 63 set", k)
 		}
 	}
-	g.primed, g.i = true, int(words[0])
-	copy(g.ring[:], words[1:])
+	g.primed, g.i, g.ring = true, int(i), ring
 	return nil
 }
 

@@ -1,12 +1,16 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
+
+	"meshalloc/internal/snap"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -339,60 +343,90 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	}
 }
 
+// rngState returns the bytes g's AppendState writes.
+func rngState(g *RNG) []byte {
+	w := snap.NewWriter(nil)
+	g.AppendState(w)
+	n := w.Len()
+	b := w.Finish()
+	return b[len(b)-4-n : len(b)-4]
+}
+
+// readRNG reads state, framed in a container, into g and requires it
+// to be read whole.
+func readRNG(g *RNG, state []byte) error {
+	w := snap.NewWriter(nil)
+	copy(w.Extend(len(state)), state)
+	r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+	if err != nil {
+		return err
+	}
+	if err := g.ReadState(r); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%d bytes of state left unread", r.Remaining())
+	}
+	return nil
+}
+
 // TestRNGStateRoundTrip takes an RNG's state after k draws, around the
-// ring's laps and far past them, and sets it on a generator of another
-// seed. The second generator must report the same state and then agree
-// with the first on 10^4 calls of every method.
+// ring's laps and far past them, and reads it into a generator of
+// another seed. The second generator must write the same state and
+// then agree with the first on 10^4 calls of every method.
 func TestRNGStateRoundTrip(t *testing.T) {
 	for _, k := range []int{0, 1, 606, 607, 608, 100003} {
 		a, b := NewRNG(11), NewRNG(-5)
 		for i := 0; i < k; i++ {
 			a.Int63()
 		}
-		words := a.AppendState(nil)
-		want := StateWords
+		state := rngState(a)
+		want := 8 * (1 + stateWords) // the count, the index and the ring
 		if k == 0 {
-			want = 1 // the seed
+			want = 16 // the count and the seed
 		}
-		if len(words) != want {
-			t.Fatalf("%d draws: state of %d words, want %d", k, len(words), want)
+		if len(state) != want {
+			t.Fatalf("%d draws: state of %d bytes, want %d", k, len(state), want)
 		}
-		if err := b.SetState(words); err != nil {
+		if err := readRNG(b, state); err != nil {
 			t.Fatalf("%d draws: %v", k, err)
 		}
-		if got := b.AppendState(nil); !slices.Equal(got, words) {
+		if got := rngState(b); !bytes.Equal(got, state) {
 			t.Fatalf("%d draws: state reads back differently", k)
 		}
 		for c := 0; c < 10_000; c++ {
 			if x, y := callBoth(a, b, c); !reflect.DeepEqual(x, y) {
-				t.Fatalf("%d draws, call %d: %v after SetState, want %v", k, c, y, x)
+				t.Fatalf("%d draws, call %d: %v after ReadState, want %v", k, c, y, x)
 			}
 		}
 	}
 }
 
-// TestRNGSetStateRejects: a state of the wrong length, a ring index
-// past 607 or a ring word with bit 63 set is rejected, and the
-// generator carries on as if SetState had not been called.
+// TestRNGSetStateRejects: a state of another count of words, a state
+// cut short, a ring index past 607 or a ring word with bit 63 set is
+// rejected by ReadState, and the generator carries on as if it had not
+// been called.
 func TestRNGSetStateRejects(t *testing.T) {
 	src := NewRNG(3)
 	src.Int63()
-	good := src.AppendState(nil)
+	good := rngState(src)
+	count := func(b []byte, n uint64) []byte { binary.LittleEndian.PutUint64(b, n); return b }
 	for _, c := range []struct {
 		name string
-		edit func([]uint64) []uint64
+		edit func([]byte) []byte
 	}{
-		{"empty", func(w []uint64) []uint64 { return w[:0] }},
-		{"short", func(w []uint64) []uint64 { return w[:StateWords-1] }},
-		{"long", func(w []uint64) []uint64 { return append(w, 0) }},
-		{"index-608", func(w []uint64) []uint64 { w[0] = 608; return w }},
-		{"bit-63", func(w []uint64) []uint64 { w[300] |= 1 << 63; return w }},
+		{"empty", func(b []byte) []byte { return count(b[:8], 0) }},
+		{"short", func(b []byte) []byte { return count(b[:len(b)-8], stateWords-1) }},
+		{"long", func(b []byte) []byte { return count(append(b, make([]byte, 8)...), stateWords+1) }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-8] }},
+		{"index-608", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[8:], 608); return b }},
+		{"bit-63", func(b []byte) []byte { b[16+8*300+7] |= 0x80; return b }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g, ref := NewRNG(9), NewRNG(9)
 			g.Int63()
 			ref.Int63()
-			if err := g.SetState(c.edit(slices.Clone(good))); err == nil {
+			if err := readRNG(g, c.edit(bytes.Clone(good))); err == nil {
 				t.Fatal("state accepted")
 			}
 			for i := 0; i < 1000; i++ {

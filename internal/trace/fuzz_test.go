@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,57 @@ func FuzzParseArrival(f *testing.F) {
 				t.Fatalf("%q: job %d is %+v after arrival %v", spec, i, j, prev)
 			}
 			prev = j.Arrival
+		}
+	})
+}
+
+// FuzzRestoreSource reads arbitrary state payloads, framed in a valid
+// container, into every kind of source simrun and the facade restore:
+// a limited Poisson, bursty and trace-replay source, and a bare Poisson
+// one. Seeds are each kind's genuine state, truncated and bit-flipped.
+// Corrupt input must return an error, never panic or hang, and a state
+// that is accepted must leave a source whose Next hands out valid jobs
+// in arrival order.
+func FuzzRestoreSource(f *testing.F) {
+	tr := NewSDSC(SDSCConfig{Jobs: 30, MaxSize: 64, Seed: 3})
+	mks := []func() Source{
+		func() Source { return Limit(NewPoisson(500, 64, 1), 1000) },
+		func() Source { return Limit(NewBursty(200, 3600, 7200, 64, 1), 1000) },
+		func() Source { return Limit(tr.Source(), 40) },
+		func() Source { return NewPoisson(500, 64, 1) },
+	}
+	for _, mk := range mks {
+		src := mk()
+		for i := 0; i < 10; i++ {
+			src.Next()
+		}
+		st := payloadOf(snapshotSource(f, src))
+		f.Add(st)
+		f.Add(st[:len(st)/2])
+		f.Add(st[:len(st)-1])
+		for _, pos := range []int{0, 8, 20, 40, len(st) / 2, len(st) - 9} {
+			flip := bytes.Clone(st)
+			flip[pos] ^= 0x40
+			f.Add(flip)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, mk := range mks {
+			src := mk()
+			if err := RestoreSource(bytes.NewReader(framed(payload)), src); err != nil {
+				continue
+			}
+			prev := math.Inf(-1)
+			for i := 0; i < 50; i++ {
+				j, ok := src.Next()
+				if !ok {
+					break
+				}
+				if j.Size < 1 || j.Size > 64 || j.Arrival < prev {
+					t.Fatalf("job %d after restore: %+v (previous arrival %v)", i, j, prev)
+				}
+				prev = j.Arrival
+			}
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -95,10 +97,17 @@ func NewBursty(meanInterarrival, meanOn, meanOff float64, maxSize int, seed int6
 	return s
 }
 
-// Next implements Source. Synthetic streams never exhaust; bound them
-// with Limit or the engine's horizon.
+// Next implements Source. Synthetic streams never exhaust, short of an
+// infinite gap; bound them with Limit or the engine's horizon.
 func (s *Synthetic) Next() (Job, bool) {
 	gap := s.rng.ExpFloat64() * s.meanInter
+	if math.IsInf(gap, 1) {
+		// math/rand's exponential variate is +Inf when its tail branch
+		// draws an output of 0, which in practice only a forged RNG
+		// state does. The next job would never arrive, and no ON
+		// period would ever fit its gap.
+		return Job{}, false
+	}
 	if s.meanOn > 0 {
 		// Consume ON time until the gap fits, skipping OFF periods.
 		for gap > s.onLeft {
@@ -116,131 +125,129 @@ func (s *Synthetic) Next() (Job, bool) {
 	return j, true
 }
 
-// SourceState is the serializable state of a Source built by this
-// package: a synthetic source's RNG state (stats.RNG's state words) and
-// its clock, ON-period remainder and job count; a trace replay's or a
-// limit's cursor. Inner nests for wrapped sources.
-type SourceState struct {
-	Kind   string // "synthetic", "trace", or "limit"
-	RNG    []uint64
-	OnLeft float64
-	Now    float64
-	Next   int
-	Index  int
-	Left   int
-	Inner  *SourceState
+// ErrSourceMismatch is returned (wrapped) by a source's ReadState when
+// the state was written by another kind of source, or by a synthetic
+// source built with other parameters.
+var ErrSourceMismatch = errors.New("trace: source state is from another source")
+
+// readKind reads the kind that opens a source's state and fails with
+// ErrSourceMismatch unless it is want.
+func readKind(r *snap.Reader, want string) error {
+	kind := r.String()
+	if r.Err() == nil && kind != want {
+		return fmt.Errorf("%w: a %q state read into a %q source", ErrSourceMismatch, kind, want)
+	}
+	return r.Err()
 }
 
-// CaptureSource snapshots the state of a Source built by this package.
-// It errors on source types it does not know how to restore.
-func CaptureSource(src Source) (SourceState, error) {
-	switch s := src.(type) {
-	case *Synthetic:
-		return SourceState{
-			Kind: "synthetic", RNG: s.rng.AppendState(nil),
-			OnLeft: s.onLeft, Now: s.now, Next: s.next,
-		}, nil
-	case *traceSource:
-		return SourceState{Kind: "trace", Index: s.i}, nil
-	case *limited:
-		inner, err := CaptureSource(s.src)
-		if err != nil {
-			return SourceState{}, err
-		}
-		return SourceState{Kind: "limit", Left: s.left, Inner: &inner}, nil
+// AppendState implements snap.Codec: the source's parameters (mean
+// interarrival, ON and OFF means, size cap), its RNG's state, its
+// ON-period remainder, clock and job count.
+func (s *Synthetic) AppendState(w *snap.Writer) {
+	w.String("synthetic")
+	w.F64(s.meanInter)
+	w.F64(s.meanOn)
+	w.F64(s.meanOff)
+	w.Int(s.maxSize)
+	s.rng.AppendState(w)
+	w.F64(s.onLeft)
+	w.F64(s.now)
+	w.Int(s.next)
+}
+
+// ReadState implements snap.Codec. It fails with ErrSourceMismatch on a
+// state written by another kind of source or by a synthetic source
+// built with other parameters, and rejects an RNG state stats.RNG
+// rejects, a negative or non-finite ON remainder or clock and a
+// negative job count, leaving s as it was.
+func (s *Synthetic) ReadState(r *snap.Reader) error {
+	if err := readKind(r, "synthetic"); err != nil {
+		return err
+	}
+	inter, on, off, maxSize := r.F64(), r.F64(), r.F64(), r.Int()
+	if r.Err() == nil && (inter != s.meanInter || on != s.meanOn || off != s.meanOff || maxSize != s.maxSize) {
+		return fmt.Errorf("%w: state of a source with interarrival %g, on %g, off %g and sizes up to %d, read into one with %g, %g, %g and %d",
+			ErrSourceMismatch, inter, on, off, maxSize, s.meanInter, s.meanOn, s.meanOff, s.maxSize)
+	}
+	rng := stats.NewRNG(0)
+	if err := rng.ReadState(r); err != nil {
+		return err
+	}
+	onLeft, now, next := r.F64(), r.F64(), r.Int()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if next < 0 || !(now >= 0 && onLeft >= 0) || math.IsInf(now, 1) || math.IsInf(onLeft, 1) {
+		return fmt.Errorf("trace: synthetic source state has job count %d, clock %v and ON remainder %v", next, now, onLeft)
+	}
+	s.rng, s.onLeft, s.now, s.next = rng, onLeft, now, next
+	return nil
+}
+
+// AppendState implements snap.Codec: the replay cursor.
+func (s *traceSource) AppendState(w *snap.Writer) {
+	w.String("trace")
+	w.Int(s.i)
+}
+
+// ReadState implements snap.Codec. It rejects a cursor past the trace.
+func (s *traceSource) ReadState(r *snap.Reader) error {
+	if err := readKind(r, "trace"); err != nil {
+		return err
+	}
+	switch i := r.Int(); {
+	case r.Err() != nil:
+		return r.Err()
+	case i < 0 || i > len(s.jobs):
+		return fmt.Errorf("trace: replay cursor %d outside the %d-job trace", i, len(s.jobs))
 	default:
-		return SourceState{}, fmt.Errorf("trace: cannot snapshot source type %T", src)
+		s.i = i
+		return nil
 	}
 }
 
-// RestoreSource sets a freshly constructed source (built with the same
-// parameters as the one captured) to the recorded state. It errors on a
-// kind/type mismatch, an RNG state stats.RNG rejects or an out-of-range
-// cursor, count or clock.
-func RestoreSource(src Source, st SourceState) error {
-	switch s := src.(type) {
-	case *Synthetic:
-		if st.Kind != "synthetic" {
-			return fmt.Errorf("trace: source state kind %q does not match *Synthetic", st.Kind)
+// SnapshotSource writes src's position to out as one checksummed
+// container, which RestoreSource reads back. It fails on a source that
+// cannot encode itself, one not a snap.Codec, or a Limit around one.
+func SnapshotSource(out io.Writer, src Source) error {
+	for s := src; ; {
+		if _, ok := s.(snap.Codec); !ok {
+			return fmt.Errorf("trace: cannot snapshot source type %T", s)
 		}
-		if st.Next < 0 || !(st.Now >= 0) || math.IsInf(st.Now, 1) {
-			return fmt.Errorf("trace: synthetic source state has job count %d and clock %v", st.Next, st.Now)
+		l, ok := s.(*limited)
+		if !ok {
+			break
 		}
-		if err := s.rng.SetState(st.RNG); err != nil {
-			return err
-		}
-		s.onLeft, s.now, s.next = st.OnLeft, st.Now, st.Next
-		return nil
-	case *traceSource:
-		if st.Kind != "trace" {
-			return fmt.Errorf("trace: source state kind %q does not match trace replay", st.Kind)
-		}
-		if st.Index < 0 || st.Index > len(s.jobs) {
-			return fmt.Errorf("trace: replay cursor %d outside the %d-job trace", st.Index, len(s.jobs))
-		}
-		s.i = st.Index
-		return nil
-	case *limited:
-		if st.Kind != "limit" || st.Inner == nil {
-			return fmt.Errorf("trace: source state kind %q does not match a limited source", st.Kind)
-		}
-		if st.Left < 0 {
-			return fmt.Errorf("trace: limit remainder %d is negative", st.Left)
-		}
-		s.left = st.Left
-		return RestoreSource(s.src, *st.Inner)
-	default:
+		s = l.src
+	}
+	w := snap.NewWriter(nil)
+	src.(snap.Codec).AppendState(w)
+	_, err := out.Write(w.Finish())
+	return err
+}
+
+// RestoreSource sets src, a source built as the one SnapshotSource
+// wrote was, to the position in the container in holds. It fails with
+// the snap package's typed errors on a damaged container, with
+// ErrSourceMismatch on the state of another kind of source or of one
+// built with other parameters, and on a state src could not have
+// reached or trailing bytes.
+func RestoreSource(in io.Reader, src Source) error {
+	r, err := snap.NewReader(in)
+	if err != nil {
+		return err
+	}
+	c, ok := src.(snap.Codec)
+	if !ok {
 		return fmt.Errorf("trace: cannot restore source type %T", src)
 	}
-}
-
-// maxSourceNesting bounds how many states a decoded SourceState may
-// nest inside the top one. The sources this package builds nest one
-// (a limit around a synthetic stream or a trace replay), so a deeper
-// chain is corrupt.
-const maxSourceNesting = 8
-
-// WriteSourceState appends st to w, followed by the states it wraps.
-func WriteSourceState(w *snap.Writer, st SourceState) {
-	w.String(st.Kind)
-	w.Words(st.RNG)
-	w.F64(st.OnLeft)
-	w.F64(st.Now)
-	w.Int(st.Next)
-	w.Int(st.Index)
-	w.Int(st.Left)
-	w.Bool(st.Inner != nil)
-	if st.Inner != nil {
-		WriteSourceState(w, *st.Inner)
+	if err := c.ReadState(r); err != nil {
+		return err
 	}
-}
-
-// ReadSourceState reads a state WriteSourceState wrote. A read past
-// the payload, or a chain nested more than 8 states deep, fails with
-// snap.ErrCorrupt. The state is not checked against any source:
-// RestoreSource does that.
-func ReadSourceState(r *snap.Reader) (SourceState, error) { return readSourceState(r, 0) }
-
-func readSourceState(r *snap.Reader, depth int) (SourceState, error) {
-	var st SourceState
-	if depth > maxSourceNesting {
-		return st, fmt.Errorf("trace: source state nests deeper than %d: %w", maxSourceNesting, snap.ErrCorrupt)
+	if n := r.Remaining(); n != 0 {
+		return fmt.Errorf("trace: %d bytes of trailing source state: %w", n, snap.ErrCorrupt)
 	}
-	st.Kind = r.String()
-	st.RNG = r.Words(nil, stats.StateWords)
-	st.OnLeft = r.F64()
-	st.Now = r.F64()
-	st.Next = r.Int()
-	st.Index = r.Int()
-	st.Left = r.Int()
-	if r.Bool() {
-		inner, err := readSourceState(r, depth+1)
-		if err != nil {
-			return st, err
-		}
-		st.Inner = &inner
-	}
-	return st, r.Err()
+	return nil
 }
 
 // limited caps a Source at n jobs.
@@ -263,6 +270,37 @@ func (l *limited) Next() (Job, bool) {
 		l.left--
 	}
 	return j, ok
+}
+
+// AppendState implements snap.Codec: the remainder, then the state of
+// the source l wraps, if that source encodes itself.
+func (l *limited) AppendState(w *snap.Writer) {
+	w.String("limit")
+	w.Int(l.left)
+	if c, ok := l.src.(snap.Codec); ok {
+		c.AppendState(w)
+	}
+}
+
+// ReadState implements snap.Codec: it reads the remainder, rejecting a
+// negative one, and then the wrapped source's state into that source.
+func (l *limited) ReadState(r *snap.Reader) error {
+	if err := readKind(r, "limit"); err != nil {
+		return err
+	}
+	left := r.Int()
+	if r.Err() == nil && left < 0 {
+		return fmt.Errorf("trace: limit remainder %d is negative", left)
+	}
+	c, ok := l.src.(snap.Codec)
+	if !ok {
+		return fmt.Errorf("trace: cannot restore source type %T", l.src)
+	}
+	if err := c.ReadState(r); err != nil {
+		return err
+	}
+	l.left = left
+	return nil
 }
 
 // maxArrivalSec caps every ParseArrival parameter. It is far above any

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"meshalloc/internal/snap"
 )
@@ -148,14 +150,40 @@ func meanStd(xs []float64) (mean, std float64) {
 	return mean, math.Sqrt(std / float64(len(xs)))
 }
 
+// snapshotSource returns the container SnapshotSource writes for src.
+func snapshotSource(t testing.TB, src Source) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SnapshotSource(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// framed returns a container holding payload.
+func framed(payload []byte) []byte {
+	w := snap.NewWriter(nil)
+	copy(w.Extend(len(payload)), payload)
+	return w.Finish()
+}
+
+// payloadOf returns the payload of a container: what the source's
+// AppendState wrote.
+func payloadOf(container []byte) []byte { return container[snap.Framing-4 : len(container)-4] }
+
 // TestRestoreSourceRejectsBadState restores synthetic sources, plain
 // and bursty (one with ON periods far shorter than the gaps, so most
-// draws go to OFF periods), from their own captured states, and then
-// from damaged copies. A genuine state must resume the stream. An RNG
-// state stats.RNG rejects (a ring index past 607, a word with bit 63
-// set, no words at all), a negative job count or a non-finite clock
-// must be rejected.
+// draws go to OFF periods), from their own states, and then from
+// damaged copies. A genuine state must resume the stream. An RNG state
+// stats.RNG rejects (a ring index past 607, a word with bit 63 set, no
+// words at all), a negative job count, a non-finite clock or a negative
+// or infinite ON remainder must be rejected, and a rejected state must
+// leave the source as it was.
 func TestRestoreSourceRejectsBadState(t *testing.T) {
+	le := binary.LittleEndian
+	// The synthetic state is its kind, three float parameters and the
+	// size cap, the RNG's state, then the ON remainder, clock and count.
+	const rngAt = 8 + len("synthetic") + 4*8
 	for _, c := range []struct {
 		name string
 		mk   func() *Synthetic
@@ -169,12 +197,9 @@ func TestRestoreSourceRejectsBadState(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				src.Next()
 			}
-			st, err := CaptureSource(src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := payloadOf(snapshotSource(t, src))
 			fresh := c.mk()
-			if err := RestoreSource(fresh, st); err != nil {
+			if err := RestoreSource(bytes.NewReader(framed(st)), fresh); err != nil {
 				t.Fatalf("genuine state rejected: %v", err)
 			}
 			for i := 0; i < 10; i++ {
@@ -184,33 +209,82 @@ func TestRestoreSourceRejectsBadState(t *testing.T) {
 					t.Fatalf("restored job %d is %+v, want %+v", i, b, a)
 				}
 			}
-			edit := func(f func(*SourceState)) SourceState {
-				bad := st
-				bad.RNG = slices.Clone(st.RNG)
-				f(&bad)
-				return bad
+			n := len(st)
+			putF := func(off int, v float64) func([]byte) []byte {
+				return func(b []byte) []byte { le.PutUint64(b[off:], math.Float64bits(v)); return b }
 			}
-			for _, bad := range []SourceState{
-				edit(func(s *SourceState) { s.RNG[0] = 608 }),
-				edit(func(s *SourceState) { s.RNG[1] |= 1 << 63 }),
-				edit(func(s *SourceState) { s.RNG = nil }),
-				edit(func(s *SourceState) { s.Next = -1 }),
-				edit(func(s *SourceState) { s.Now = math.NaN() }),
-				edit(func(s *SourceState) { s.Now = math.Inf(1) }),
+			for _, bad := range []struct {
+				name string
+				edit func([]byte) []byte
+			}{
+				{"index-608", func(b []byte) []byte { le.PutUint64(b[rngAt+8:], 608); return b }},
+				{"bit-63", func(b []byte) []byte { b[rngAt+16+7] |= 0x80; return b }},
+				{"no-rng-words", func(b []byte) []byte {
+					return slices.Concat(b[:rngAt], make([]byte, 8), b[rngAt+8*(2+607):])
+				}},
+				{"negative-count", func(b []byte) []byte { le.PutUint64(b[n-8:], math.MaxUint64); return b }},
+				{"clock-nan", putF(n-16, math.NaN())},
+				{"clock-inf", putF(n-16, math.Inf(1))},
+				{"on-negative", putF(n-24, -1)},
+				{"on-inf", putF(n-24, math.Inf(1))},
 			} {
-				if err := RestoreSource(c.mk(), bad); err == nil {
-					t.Fatalf("state %+v accepted", bad)
+				fresh := c.mk()
+				before := payloadOf(snapshotSource(t, fresh))
+				if err := RestoreSource(bytes.NewReader(framed(bad.edit(bytes.Clone(st)))), fresh); err == nil {
+					t.Fatalf("%s: state accepted", bad.name)
+				}
+				if after := payloadOf(snapshotSource(t, fresh)); !bytes.Equal(after, before) {
+					t.Fatalf("%s: the rejected state changed the source", bad.name)
 				}
 			}
 		})
 	}
 }
 
-// TestSourceStateRoundTrip encodes the state of every source kind this
+// TestRestoreSourceRejectsOtherParameters: a source's state restores
+// only into a source of the same kind built with the same parameters.
+// A Poisson stream's state read into a Poisson source of another mean,
+// a bursty source, one of another size cap, or a trace replay fails
+// with ErrSourceMismatch, and so do the other kinds' states read into
+// it. Reading any of them into the source that wrote it works.
+func TestRestoreSourceRejectsOtherParameters(t *testing.T) {
+	tr := NewSDSC(SDSCConfig{Jobs: 50, MaxSize: 64, Seed: 3})
+	mks := []struct {
+		name string
+		mk   func() Source
+	}{
+		{"poisson:900", func() Source { return Limit(NewPoisson(900, 256, 1), 3000) }},
+		{"poisson:300", func() Source { return Limit(NewPoisson(300, 256, 1), 3000) }},
+		{"poisson:900-cap-64", func() Source { return Limit(NewPoisson(900, 64, 1), 3000) }},
+		{"bursty:900,100,100000", func() Source { return Limit(NewBursty(900, 100, 100000, 256, 1), 3000) }},
+		{"bursty:900,100,50000", func() Source { return Limit(NewBursty(900, 100, 50000, 256, 1), 3000) }},
+		{"bursty:900,200,100000", func() Source { return Limit(NewBursty(900, 200, 100000, 256, 1), 3000) }},
+		{"trace", func() Source { return Limit(tr.Source(), 40) }},
+		{"bare-poisson:900", func() Source { return NewPoisson(900, 256, 1) }},
+	}
+	for _, from := range mks {
+		src := from.mk()
+		for i := 0; i < 20; i++ {
+			src.Next()
+		}
+		blob := snapshotSource(t, src)
+		for _, into := range mks {
+			err := RestoreSource(bytes.NewReader(blob), into.mk())
+			if from.name == into.name && err != nil {
+				t.Errorf("%s state into its own kind of source: %v", from.name, err)
+			}
+			if from.name != into.name && !errors.Is(err, ErrSourceMismatch) {
+				t.Errorf("%s state into a %s source: %v, want ErrSourceMismatch", from.name, into.name, err)
+			}
+		}
+	}
+}
+
+// TestSourceCodecRoundTrip encodes the state of every source kind this
 // package builds, each behind a limit as simrun wraps them, and reads it
-// back: the state must come back equal, the container must hold nothing
-// else, and the decoded state must resume the stream where it stopped.
-func TestSourceStateRoundTrip(t *testing.T) {
+// back: the state must read back whole and encode to the same bytes,
+// and the restored source must resume the stream where it stopped.
+func TestSourceCodecRoundTrip(t *testing.T) {
 	tr := NewSDSC(SDSCConfig{Jobs: 50, MaxSize: 64, Seed: 3})
 	for _, c := range []struct {
 		name string
@@ -225,26 +299,13 @@ func TestSourceStateRoundTrip(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				src.Next()
 			}
-			st, err := CaptureSource(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := snap.NewWriter(nil)
-			WriteSourceState(w, st)
-			r, err := snap.NewReader(bytes.NewReader(w.Finish()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadSourceState(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, st) || r.Remaining() != 0 {
-				t.Fatalf("read back %+v with %d bytes left, want %+v", got, r.Remaining(), st)
-			}
+			blob := snapshotSource(t, src)
 			fresh := c.mk()
-			if err := RestoreSource(fresh, got); err != nil {
+			if err := RestoreSource(bytes.NewReader(blob), fresh); err != nil {
 				t.Fatal(err)
+			}
+			if got := snapshotSource(t, fresh); !bytes.Equal(got, blob) {
+				t.Fatalf("restored source encodes to %x, want %x", got, blob)
 			}
 			for i := 0; i < 10; i++ {
 				a, _ := src.Next()
@@ -257,35 +318,64 @@ func TestSourceStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadSourceStateBoundsNesting: a chain of states nested 8 deep
-// inside the top one reads back, and one nested 9 deep fails with
-// snap.ErrCorrupt instead of recursing on.
-func TestReadSourceStateBoundsNesting(t *testing.T) {
-	chain := func(nested int) SourceState {
-		st := SourceState{Kind: "synthetic", RNG: []uint64{7}}
-		for i := 0; i < nested; i++ {
-			inner := st
-			st = SourceState{Kind: "limit", Left: i, Inner: &inner}
-		}
-		return st
+// TestSyntheticEndsOnInfiniteGap restores a bursty source whose RNG's
+// next two outputs make math/rand's exponential variate +Inf: an output
+// in the variate's tail with the low byte of its top 32 bits clear,
+// then 0. Next must end the stream within a second instead of looking
+// forever for an ON period that fits the gap.
+func TestSyntheticEndsOnInfiniteGap(t *testing.T) {
+	le := binary.LittleEndian
+	st := payloadOf(snapshotSource(t, Limit(NewBursty(200, 3600, 7200, 64, 1), 1000)))
+	// The limit's kind and remainder, the synthetic kind and its four
+	// parameters, then the RNG's word count, ring index and ring.
+	rngAt := 8 + len("limit") + 8 + 8 + len("synthetic") + 4*8
+	le.PutUint64(st[rngAt+8:], 0)
+	le.PutUint64(st[rngAt+16:], 0xe3000000<<31)
+	le.PutUint64(st[rngAt+24:], 0)
+	src := Limit(NewBursty(200, 3600, 7200, 64, 1), 1000)
+	if err := RestoreSource(bytes.NewReader(framed(st)), src); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		nested int
-		ok     bool
-	}{{0, true}, {1, true}, {8, true}, {9, false}, {100, false}} {
-		st := chain(c.nested)
-		w := snap.NewWriter(nil)
-		WriteSourceState(w, st)
-		r, err := snap.NewReader(bytes.NewReader(w.Finish()))
-		if err != nil {
-			t.Fatal(err)
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := src.Next()
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Next handed out a job after an infinite gap")
 		}
-		got, err := ReadSourceState(r)
-		switch {
-		case c.ok && (err != nil || !reflect.DeepEqual(got, st)):
-			t.Fatalf("%d nested states: read back %+v, err %v", c.nested, got, err)
-		case !c.ok && !errors.Is(err, snap.ErrCorrupt):
-			t.Fatalf("%d nested states: err %v, want snap.ErrCorrupt", c.nested, err)
+	case <-time.After(time.Second):
+		t.Fatal("Next still running after 1 s")
+	}
+}
+
+// opaqueSource is a Source this package did not build.
+type opaqueSource struct{}
+
+func (opaqueSource) Next() (Job, bool) { return Job{}, false }
+
+// TestSnapshotSourceRejectsForeignSources: a source that cannot encode
+// itself, alone or behind a limit, is refused by both halves of the
+// pair, and a negative limit remainder or trailing bytes are refused
+// on restore.
+func TestSnapshotSourceRejectsForeignSources(t *testing.T) {
+	for _, src := range []Source{opaqueSource{}, Limit(opaqueSource{}, 3)} {
+		if err := SnapshotSource(io.Discard, src); err == nil {
+			t.Errorf("snapshot of %T accepted", src)
+		}
+		blob := snapshotSource(t, Limit(NewPoisson(500, 64, 1), 3))
+		if err := RestoreSource(bytes.NewReader(blob), src); err == nil {
+			t.Errorf("restore into %T accepted", src)
+		}
+	}
+	st := payloadOf(snapshotSource(t, Limit(NewPoisson(500, 64, 1), 3)))
+	neg := bytes.Clone(st)
+	binary.LittleEndian.PutUint64(neg[8+len("limit"):], math.MaxUint64)
+	for name, bad := range map[string][]byte{"negative-remainder": neg, "trailing": append(bytes.Clone(st), 0)} {
+		if err := RestoreSource(bytes.NewReader(framed(bad)), Limit(NewPoisson(500, 64, 1), 3)); err == nil {
+			t.Errorf("%s: state accepted", name)
 		}
 	}
 }

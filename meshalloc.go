@@ -176,18 +176,22 @@ var (
 // Engine.Audit (matched via errors.As). See sim.Violation.
 type InvariantViolation = sim.Violation
 
-// SourceState is the serializable state of a Source built by this
-// package, a synthetic source's RNG state included; capture alongside
+// SnapshotSource writes the position of a source built by this package
+// to out as one checksummed container; write it alongside
 // Engine.Snapshot to checkpoint an open-system run. See
-// trace.SourceState.
-type SourceState = trace.SourceState
+// trace.SnapshotSource.
+func SnapshotSource(out io.Writer, src Source) error { return trace.SnapshotSource(out, src) }
 
-// CaptureSource snapshots a source's state. See trace.CaptureSource.
-func CaptureSource(src Source) (SourceState, error) { return trace.CaptureSource(src) }
+// RestoreSource sets src, built with the parameters of the source
+// SnapshotSource wrote, to the position in the container in holds; a
+// source of another kind or other parameters fails with
+// ErrSourceMismatch. See trace.RestoreSource.
+func RestoreSource(in io.Reader, src Source) error { return trace.RestoreSource(in, src) }
 
-// RestoreSource sets a freshly built source to a captured state. See
-// trace.RestoreSource.
-func RestoreSource(src Source, st SourceState) error { return trace.RestoreSource(src, st) }
+// ErrSourceMismatch is matched (via errors.Is) by RestoreSource when the
+// state was written by another kind of source or one built with other
+// parameters.
+var ErrSourceMismatch = trace.ErrSourceMismatch
 
 // SWFSkip is a line-numbered diagnostic from the lenient SWF reader.
 type SWFSkip = trace.SWFSkip
