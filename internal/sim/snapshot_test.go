@@ -23,8 +23,10 @@ import (
 // runs: each exercises a different slice of snapshot state — the
 // schedule-driven patterns, the engine RNG (random pattern), allocator
 // state (NextFit cursor, the random allocator's RNG state), the
-// EASY scheduler's running index, and active fault injection with
-// retry/backoff bookkeeping and per-node failure clocks.
+// EASY scheduler's running index, active fault injection with
+// retry/backoff bookkeeping and per-node failure clocks, and the mixed
+// pattern, whose restore rebuilds each generator from the name its
+// state carries.
 var resumeCases = []struct {
 	name string
 	cfg  Config
@@ -58,6 +60,14 @@ var resumeCases = []struct {
 		name: "faulty-mc1x1",
 		cfg:  faultyCfg("mc1x1"),
 		tr:   func() *trace.Trace { return faultTrace(150, 32) },
+	},
+	{
+		name: "mixed-pattern",
+		cfg: Config{MeshW: 16, MeshH: 16, Alloc: "hilbert/bestfit", Pattern: "mixed",
+			Load: 0.4, TimeScale: 0.01, Seed: 7},
+		tr: func() *trace.Trace {
+			return trace.NewSDSC(trace.SDSCConfig{Jobs: 120, MaxSize: 256, Seed: 4}).FilterMaxSize(256)
+		},
 	},
 }
 
@@ -236,6 +246,38 @@ func TestSnapshotResumeOpenSystem(t *testing.T) {
 	}
 	if got, want := goldenDigest(e2.Result()), goldenDigest(ref.Result()); got != want {
 		t.Fatalf("resumed aggregate digest %s, want %s", got, want)
+	}
+}
+
+// TestMixedResumeCaseHoldsEveryGenerator: the mixed resume case is cut
+// where its rows hold a generator of every name a mixed job's state can
+// carry, the four patterns it draws from and "single" for a one-rank
+// job, so its resumes and its snapshot pin rebuild each kind.
+func TestMixedResumeCaseHoldsEveryGenerator(t *testing.T) {
+	tc := resumeCases[len(resumeCases)-1]
+	if tc.cfg.Pattern != "mixed" {
+		t.Fatalf("the last resume case runs %q, want mixed", tc.cfg.Pattern)
+	}
+	tr := tc.tr()
+	e, _ := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
+	live := map[string]int{}
+	s := &e.store
+	for h := range s.gen {
+		if !s.inUse[h] || s.dead[h] {
+			continue
+		}
+		w := snap.NewWriter(nil)
+		s.gen[h].AppendState(w)
+		r, err := snap.NewReader(bytes.NewReader(w.Finish()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[r.String()]++
+	}
+	for _, name := range []string{"alltoall", "nbody", "random", "ring", "single"} {
+		if live[name] == 0 {
+			t.Errorf("no live %q generator halfway: %v", name, live)
+		}
 	}
 }
 
