@@ -6,13 +6,16 @@
 //
 // Messages are expressed in job-local ranks 0..p-1; the simulator maps
 // ranks to the processors the allocator assigned. Patterns repeat forever;
-// the job's message quota decides when to stop drawing from them.
+// the job's message quota decides when to stop drawing from them. Each
+// deterministic pattern is one entry in a table of round builders, and a
+// run's Pattern memoizes the rounds its jobs walk.
 // Generators hand their messages out a burst at a time, one subphase
 // per call, so a job's step is one call here and one into the network.
 package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"meshalloc/internal/snap"
 	"meshalloc/internal/stats"
@@ -27,22 +30,24 @@ type Msg struct {
 // forever. A phase models one communication subphase whose messages are
 // logically concurrent (e.g. one ring shift). Deterministic patterns
 // walk a schedule shared by every job of the same size; the random
-// pattern draws each message from the engine RNG. Patterns build
+// pattern draws each message from the engine RNG. A Pattern builds
 // generators, and ReadState sets one to a snapshot's state; the zero
 // Generator is not usable.
 type Generator struct {
-	// name is the pattern that built the generator ("single" for the
-	// one-rank schedule), so a snapshot can rebuild a schedule from the
-	// pattern registry instead of serializing it, and p is the job size.
-	// A schedule generator walks phases, one round of phases of
-	// messages, never written and possibly shared. phase and idx are the
-	// cursor: the next message to hand out.
+	// name is the pattern that built the generator ("single" for a
+	// random or mixed one-rank job), so a snapshot can rebuild a
+	// schedule from the round table instead of serializing it, and p is
+	// the job size. A schedule generator walks phases, one round of
+	// phases of messages, never written and possibly shared. phase and
+	// idx are the cursor: the next message to hand out. pat is the
+	// pattern that built the generator, whose memo a rebuild reads.
 	name       string
 	p          int
 	phases     [][]Msg
 	phase, idx int
+	pat        *Pattern
 	// A random generator (phases == nil) draws from rng and counts the
-	// messages drawn. A Mixed job's schedule keeps rng too, so that
+	// messages drawn. A mixed job's schedule keeps rng too, so that
 	// ReadState can make it the random generator a snapshot names.
 	rng   *stats.RNG
 	count int
@@ -128,274 +133,187 @@ func (g *Generator) draw() Msg {
 // not.
 func (g *Generator) Held() (Msg, bool) { return g.held, g.holding }
 
-// Pattern builds generators for jobs of a given size.
-type Pattern interface {
-	// Name identifies the pattern, e.g. "nbody".
-	Name() string
-	// Generator returns the message stream for a job with p processors.
-	// Randomized patterns draw from rng; deterministic patterns ignore
-	// it. p must be positive.
-	Generator(p int, rng *stats.RNG) Generator
+// rounds maps each deterministic pattern's name to the function that
+// builds one round of its phases for a job of p >= 2 ranks.
+var rounds = map[string]func(p int) [][]Msg{
+	"alltoall": allToAll,
+	"nbody":    nBody,
+	"ring":     ring,
+	"pingpong": pingPong,
+	// The communication test of Leung et al. behind the paper's
+	// Figure 1: an all-to-all broadcast, all-pairs ping-pong and a ring
+	// shift, repeated (in the CPlant experiments, one hundred times).
+	"testsuite": func(p int) [][]Msg { return slices.Concat(allToAll(p), pingPong(p), ring(p)) },
 }
 
-// ByName returns the pattern registered under name. Recognized names:
-// "alltoall", "nbody", "random", "ring", "pingpong", "testsuite".
-func ByName(name string) (Pattern, error) {
-	switch name {
-	case "alltoall":
-		return AllToAll{}, nil
-	case "nbody":
-		return NBody{}, nil
-	case "random":
-		return Random{}, nil
-	case "ring":
-		return Ring{}, nil
-	case "pingpong":
-		return PingPong{}, nil
-	case "testsuite":
-		return TestSuite{}, nil
-	case "mixed":
-		return Mixed{}, nil
-	default:
+// mixed is the patterns a mixed job draws from, in draw order.
+var mixed = []string{"alltoall", "nbody", "random", "ring"}
+
+// selfRound is every pattern's round for a one-rank job, which only
+// talks to itself.
+var selfRound = [][]Msg{{{Src: 0, Dst: 0}}}
+
+// Pattern builds the generators of one run's jobs. A deterministic
+// pattern's generators walk a schedule memoized per pattern and job
+// size, so every job of a size, a mixed job included, shares one
+// read-only round. The memo is not safe for concurrent use: each run
+// builds its own Pattern with ByName.
+type Pattern struct {
+	name string
+	memo map[schedKey][][]Msg
+}
+
+type schedKey struct {
+	name string
+	p    int
+}
+
+// ByName returns a new pattern of the given name, one of All's.
+func ByName(name string) (*Pattern, error) {
+	if !slices.Contains(All(), name) {
 		return nil, fmt.Errorf("comm: unknown pattern %q", name)
 	}
+	return &Pattern{name: name, memo: map[schedKey][][]Msg{}}, nil
 }
 
-// All returns every registered pattern name.
+// All returns every pattern name.
 func All() []string {
 	return []string{"alltoall", "nbody", "random", "ring", "pingpong", "testsuite", "mixed"}
 }
 
-// Cached wraps a deterministic pattern with a per-size schedule memo:
-// every job of p processors shares one immutable phase table instead of
-// rebuilding it (for all-to-all, p*(p-1) messages of garbage per job).
-// Only patterns on an explicit allowlist are wrapped — a pattern must be
-// known to produce the same schedule for every job of a size — so any
-// other pattern, including future additions to ByName, passes through
-// unwrapped and merely misses the optimization rather than replaying one
-// job's random stream. Generators remain independently iterable; only
-// the read-only schedule is shared. The wrapper is not safe for
-// concurrent Generator calls, matching the Pattern contract.
-func Cached(pat Pattern) Pattern {
-	switch pat.(type) {
-	case AllToAll, NBody, Ring, PingPong, TestSuite:
-		return &cachedPattern{pat: pat, bySize: map[int][][]Msg{}}
+// Name returns the pattern's name, e.g. "nbody".
+func (pat *Pattern) Name() string { return pat.name }
+
+// Generator returns the message stream for a job of p >= 1 ranks. The
+// random pattern sends each message between a uniformly random ordered
+// pair of distinct ranks drawn from rng, in phases of p messages. The
+// mixed pattern first draws the job's pattern from rng: all-to-all,
+// n-body, random or ring with equal probability. The paper gives every
+// job the same pattern and notes that this is "not realistic"; mixed is
+// the realistic workload its Discussion suggests evaluating. The other
+// patterns draw nothing, and rng may be nil for them. A one-rank job's
+// generator is named after its deterministic pattern, and "single"
+// under the random and mixed patterns.
+func (pat *Pattern) Generator(p int, rng *stats.RNG) Generator {
+	if p <= 0 {
+		panic(fmt.Sprintf("comm: invalid job size %d", p))
 	}
-	return pat
-}
-
-type cachedPattern struct {
-	pat    Pattern
-	bySize map[int][][]Msg
-}
-
-// Name implements Pattern.
-func (c *cachedPattern) Name() string { return c.pat.Name() }
-
-// Generator implements Pattern.
-func (c *cachedPattern) Generator(p int, rng *stats.RNG) Generator {
-	checkSize(p)
-	phases, ok := c.bySize[p]
-	if !ok {
-		gen := c.pat.Generator(p, rng)
-		if gen.phases == nil {
-			// An allowlisted pattern grew a non-schedule generator;
-			// degrade to pass-through rather than guessing.
-			return gen
-		}
-		phases = gen.phases
-		c.bySize[p] = phases
+	name := pat.name
+	switch name {
+	case "mixed":
+		name = mixed[rng.Intn(len(mixed))]
+	case "random":
+	default:
+		return Generator{name: name, p: p, phases: pat.schedule(name, p), pat: pat}
 	}
-	return schedule(c.pat.Name(), p, phases)
-}
-
-// schedule returns a generator walking phases, a fixed per-round
-// message schedule, from its start.
-func schedule(name string, p int, phases [][]Msg) Generator {
-	return Generator{name: name, p: p, phases: phases}
-}
-
-// singleRank returns the degenerate schedule for one-processor jobs,
-// which only talk to themselves.
-func singleRank() Generator {
-	return schedule("single", 1, [][]Msg{{{Src: 0, Dst: 0}}})
-}
-
-// AllToAll is the all-to-all pattern: each processor sends one message to
-// every other processor of the job. One round is a single phase of
-// p*(p-1) logically concurrent messages.
-type AllToAll struct{}
-
-// Name implements Pattern.
-func (AllToAll) Name() string { return "alltoall" }
-
-// Generator implements Pattern.
-func (AllToAll) Generator(p int, _ *stats.RNG) Generator {
-	checkSize(p)
 	if p == 1 {
-		return singleRank()
+		name = "single"
 	}
+	g, _ := pat.build(name, p, rng)
+	return g
+}
+
+// build returns the generator named name for a p-rank job that keeps
+// rng: the random pattern's, drawing from rng, a schedule of the
+// table's, or "single", the self-message round of a one-rank job. No
+// other name builds one: not "mixed", which names no generator, nor a
+// table pattern for one rank, nor "single" for more.
+func (pat *Pattern) build(name string, p int, rng *stats.RNG) (Generator, error) {
+	g := Generator{name: name, p: p, pat: pat, rng: rng}
+	switch {
+	case p == 1 && name == "single", p > 1 && rounds[name] != nil:
+		g.phases = pat.schedule(name, p)
+	case p > 1 && name == "random":
+	default:
+		return Generator{}, fmt.Errorf("comm: pattern %q builds no generator for a %d-rank job", name, p)
+	}
+	return g, nil
+}
+
+// schedule returns the round of the table's pattern name for p ranks,
+// built once per pattern and size.
+func (pat *Pattern) schedule(name string, p int) [][]Msg {
+	if p == 1 {
+		return selfRound
+	}
+	k := schedKey{name, p}
+	s, ok := pat.memo[k]
+	if !ok {
+		s = rounds[name](p)
+		pat.memo[k] = s
+	}
+	return s
+}
+
+// RoundLen returns the number of messages in one round of the pattern
+// for a p-rank job, used to size message quotas: the length of a
+// deterministic pattern's schedule, and p, one phase, for the random
+// and mixed patterns.
+func (pat *Pattern) RoundLen(p int) int {
+	if pat.name == "random" || pat.name == "mixed" {
+		return p
+	}
+	n := 0
+	for _, ph := range pat.schedule(pat.name, p) {
+		n += len(ph)
+	}
+	return n
+}
+
+// allToAll is one round of all-to-all: each rank sends one message to
+// every other rank, in a single phase of p(p-1) logically concurrent
+// messages.
+func allToAll(p int) [][]Msg {
 	msgs := make([]Msg, 0, p*(p-1))
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
+	for i := range p {
+		for j := range p {
 			if i != j {
 				msgs = append(msgs, Msg{Src: i, Dst: j})
 			}
 		}
 	}
-	return schedule("alltoall", p, [][]Msg{msgs})
+	return [][]Msg{msgs}
 }
 
-// NBody is the paper's n-body force-computation pattern. The processors
-// form a virtual ring; one round consists of floor(p/2) ring subphases in
-// which every processor sends to its successor, followed by one chordal
-// subphase in which every processor sends halfway across the ring to
-// return accumulated forces to the owning processor.
-type NBody struct{}
-
-// Name implements Pattern.
-func (NBody) Name() string { return "nbody" }
-
-// Generator implements Pattern.
-func (NBody) Generator(p int, _ *stats.RNG) Generator {
-	checkSize(p)
-	if p == 1 {
-		return singleRank()
-	}
-	var phases [][]Msg
-	ringPhase := make([]Msg, p)
-	for i := 0; i < p; i++ {
-		ringPhase[i] = Msg{Src: i, Dst: (i + 1) % p}
-	}
-	for s := 0; s < p/2; s++ {
-		phases = append(phases, ringPhase)
+// nBody is one round of the paper's n-body force computation. The
+// ranks form a virtual ring: floor(p/2) ring subphases in which every
+// rank sends to its successor, then one chordal subphase in which every
+// rank sends halfway across the ring to return accumulated forces to
+// the owning rank.
+func nBody(p int) [][]Msg {
+	phases := make([][]Msg, p/2, p/2+1)
+	shift := ring(p)[0]
+	for s := range phases {
+		phases[s] = shift
 	}
 	chordal := make([]Msg, p)
-	for i := 0; i < p; i++ {
+	for i := range chordal {
 		chordal[i] = Msg{Src: i, Dst: (i + p/2) % p}
 	}
-	phases = append(phases, chordal)
-	return schedule("nbody", p, phases)
+	return append(phases, chordal)
 }
 
-// Ring is the plain ring-shift pattern from the CPlant test suite: each
-// processor sends to its successor, one phase per round.
-type Ring struct{}
-
-// Name implements Pattern.
-func (Ring) Name() string { return "ring" }
-
-// Generator implements Pattern.
-func (Ring) Generator(p int, _ *stats.RNG) Generator {
-	checkSize(p)
-	if p == 1 {
-		return singleRank()
-	}
+// ring is one round of the CPlant test suite's ring shift: each rank
+// sends to its successor, in one phase.
+func ring(p int) [][]Msg {
 	msgs := make([]Msg, p)
-	for i := 0; i < p; i++ {
+	for i := range msgs {
 		msgs[i] = Msg{Src: i, Dst: (i + 1) % p}
 	}
-	return schedule("ring", p, [][]Msg{msgs})
+	return [][]Msg{msgs}
 }
 
-// PingPong is the all-pairs ping-pong pattern from the CPlant test suite:
+// pingPong is one round of the CPlant test suite's all-pairs ping-pong:
 // for every unordered pair, a message in each direction, each exchange
 // its own phase.
-type PingPong struct{}
-
-// Name implements Pattern.
-func (PingPong) Name() string { return "pingpong" }
-
-// Generator implements Pattern.
-func (PingPong) Generator(p int, _ *stats.RNG) Generator {
-	checkSize(p)
-	if p == 1 {
-		return singleRank()
-	}
+func pingPong(p int) [][]Msg {
 	var phases [][]Msg
-	for i := 0; i < p; i++ {
+	for i := range p {
 		for j := i + 1; j < p; j++ {
 			phases = append(phases, []Msg{{Src: i, Dst: j}, {Src: j, Dst: i}})
 		}
 	}
-	return schedule("pingpong", p, phases)
-}
-
-// Random sends each message between a uniformly random ordered pair of
-// distinct ranks. Messages are grouped into phases of p so that, like the
-// structured patterns, roughly every processor is active per subphase.
-type Random struct{}
-
-// Name implements Pattern.
-func (Random) Name() string { return "random" }
-
-// Generator implements Pattern.
-func (Random) Generator(p int, rng *stats.RNG) Generator {
-	checkSize(p)
-	if p == 1 {
-		return singleRank()
-	}
-	return Generator{name: "random", p: p, rng: rng}
-}
-
-// TestSuite is the communication test of Leung et al. behind the paper's
-// Figure 1: one round of all-to-all broadcast, one round of all-pairs
-// ping-pong, and one ring shift, repeated (in the CPlant experiments, one
-// hundred times).
-type TestSuite struct{}
-
-// Name implements Pattern.
-func (TestSuite) Name() string { return "testsuite" }
-
-// Generator implements Pattern.
-func (TestSuite) Generator(p int, rng *stats.RNG) Generator {
-	checkSize(p)
-	if p == 1 {
-		return singleRank()
-	}
-	var phases [][]Msg
-	// All-to-all broadcast: one phase.
-	broadcast := make([]Msg, 0, p*(p-1))
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j {
-				broadcast = append(broadcast, Msg{Src: i, Dst: j})
-			}
-		}
-	}
-	phases = append(phases, broadcast)
-	// All-pairs ping-pong: one exchange per phase.
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			phases = append(phases, []Msg{{Src: i, Dst: j}, {Src: j, Dst: i}})
-		}
-	}
-	// Ring shift: one phase.
-	ringPhase := make([]Msg, p)
-	for i := 0; i < p; i++ {
-		ringPhase[i] = Msg{Src: i, Dst: (i + 1) % p}
-	}
-	phases = append(phases, ringPhase)
-	return schedule("testsuite", p, phases)
-}
-
-// Mixed draws a pattern per job: all-to-all, n-body, random or ring with
-// equal probability. The paper's experiments give every job the same
-// pattern to maximize the pattern/allocator interaction and notes that
-// this is "not realistic"; Mixed is the realistic-workload extension its
-// Discussion section suggests evaluating.
-type Mixed struct{}
-
-// Name implements Pattern.
-func (Mixed) Name() string { return "mixed" }
-
-// Generator implements Pattern.
-func (Mixed) Generator(p int, rng *stats.RNG) Generator {
-	checkSize(p)
-	pool := []Pattern{AllToAll{}, NBody{}, Random{}, Ring{}}
-	g := pool[rng.Intn(len(pool))].Generator(p, rng)
-	g.rng = rng
-	return g
+	return phases
 }
 
 // AppendState implements snap.Codec: the name of the pattern that
@@ -420,11 +338,11 @@ func (g *Generator) AppendState(w *snap.Writer) {
 
 // ReadState implements snap.Codec for g, a generator the run's pattern
 // built for a job of the size the state was written for. A state that
-// names g's pattern keeps g's schedule, which a Cached pattern shares.
-// One that names another pattern can only be a Mixed job's, since
-// Mixed drew g's pattern afresh, and g is rebuilt from the pattern
-// registry; only a generator that keeps rng, a Mixed job's or the
-// random pattern's, can be. It rejects a name that builds no such
+// names g's pattern keeps g's schedule. One that names another pattern
+// can only be a mixed job's, since the mixed pattern drew g's pattern
+// afresh, and g is rebuilt from the round table through its pattern's
+// memo; only a generator that keeps rng, a mixed job's or the random
+// pattern's, can be. It rejects a name that builds no such
 // generator for the job, a cursor outside the schedule, a negative
 // message count, and a held message with a rank outside the job or, on
 // a schedule, one that is not the message at the cursor, so a corrupt
@@ -441,7 +359,7 @@ func (g *Generator) ReadState(r *snap.Reader) error {
 			return fmt.Errorf("comm: a %q generator cannot take a %q generator's state", g.name, name)
 		}
 		var err error
-		if b, err = rebuild(name, g.p, g.rng); err != nil {
+		if b, err = g.pat.build(name, g.p, g.rng); err != nil {
 			return err
 		}
 	}
@@ -472,57 +390,4 @@ func (g *Generator) ReadState(r *snap.Reader) error {
 	}
 	*g = b
 	return nil
-}
-
-// rebuild returns the generator the pattern registered under name
-// builds for a p-rank job, drawing from rng. The name must build a
-// generator of that name: not "single" for more than one rank, nor any
-// other for one, and not "mixed", which draws to pick a pattern and so
-// names no generator.
-func rebuild(name string, p int, rng *stats.RNG) (Generator, error) {
-	if name == "mixed" {
-		return Generator{}, fmt.Errorf("comm: no generator is named %q", name)
-	}
-	b := singleRank()
-	if name != "single" {
-		pat, err := ByName(name)
-		if err != nil {
-			return Generator{}, err
-		}
-		b = pat.Generator(p, rng)
-	}
-	if b.name != name || b.p != p {
-		return Generator{}, fmt.Errorf("comm: pattern %q builds no %q generator for a %d-rank job", name, name, p)
-	}
-	return b, nil
-}
-
-// RoundLen returns the number of messages in one full round of pattern
-// pat for a job of p processors, used to size message quotas in tests and
-// examples. Random reports its phase length p.
-func RoundLen(pat Pattern, p int) int {
-	if p == 1 {
-		return 1
-	}
-	switch pat.(type) {
-	case Random, Mixed:
-		return p
-	case AllToAll:
-		return p * (p - 1)
-	case NBody:
-		return p*(p/2) + p
-	case Ring:
-		return p
-	case PingPong:
-		return p * (p - 1)
-	case TestSuite:
-		return 2*p*(p-1) + p
-	}
-	panic(fmt.Sprintf("comm: RoundLen of unknown pattern %T", pat))
-}
-
-func checkSize(p int) {
-	if p <= 0 {
-		panic(fmt.Sprintf("comm: invalid job size %d", p))
-	}
 }

@@ -10,6 +10,15 @@ import (
 	"meshalloc/internal/stats"
 )
 
+// pattern returns the pattern ByName builds under name.
+func pattern(name string) *Pattern {
+	pat, err := ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return pat
+}
+
 // drain pulls n messages from a generator, one at a time.
 func drain(g *Generator, n int) []Msg {
 	msgs := make([]Msg, 0, n)
@@ -55,7 +64,7 @@ func TestMessagesStayInRange(t *testing.T) {
 		pat, _ := ByName(name)
 		for _, p := range []int{1, 2, 3, 5, 8, 15} {
 			g := pat.Generator(p, rng)
-			for _, m := range drain(&g, 3*RoundLen(pat, p)) {
+			for _, m := range drain(&g, 3*pat.RoundLen(p)) {
 				if m.Src < 0 || m.Src >= p || m.Dst < 0 || m.Dst >= p {
 					t.Fatalf("%s p=%d: message %v out of range", name, p, m)
 				}
@@ -73,12 +82,12 @@ func TestGeneratorPanicsOnBadSize(t *testing.T) {
 			t.Fatal("p=0 should panic")
 		}
 	}()
-	AllToAll{}.Generator(0, nil)
+	pattern("alltoall").Generator(0, nil)
 }
 
 func TestAllToAllCoversAllPairs(t *testing.T) {
 	p := 6
-	g := AllToAll{}.Generator(p, nil)
+	g := pattern("alltoall").Generator(p, nil)
 	seen := map[Msg]int{}
 	for _, m := range drain(&g, p*(p-1)) {
 		seen[m]++
@@ -95,7 +104,7 @@ func TestAllToAllCoversAllPairs(t *testing.T) {
 
 func TestAllToAllIsOnePhasePerRound(t *testing.T) {
 	p := 4
-	g := AllToAll{}.Generator(p, nil)
+	g := pattern("alltoall").Generator(p, nil)
 	if lens := phaseLens(&g, 2*p*(p-1)); len(lens) != 2 {
 		t.Fatalf("two all-to-all rounds have phases %v, want 2", lens)
 	}
@@ -105,8 +114,9 @@ func TestNBodyStructure(t *testing.T) {
 	// For p=15 (the paper's Figure 5): 7 ring subphases of 15 messages,
 	// then one chordal subphase of 15 messages.
 	p := 15
-	g := NBody{}.Generator(p, nil)
-	round := RoundLen(NBody{}, p)
+	pat := pattern("nbody")
+	g := pat.Generator(p, nil)
+	round := pat.RoundLen(p)
 	if round != 15*7+15 {
 		t.Fatalf("round length = %d", round)
 	}
@@ -127,8 +137,9 @@ func TestNBodyStructure(t *testing.T) {
 
 func TestNBodyPhaseCount(t *testing.T) {
 	p := 8
-	g := NBody{}.Generator(p, nil)
-	if lens := phaseLens(&g, RoundLen(NBody{}, p)); len(lens) != p/2+1 {
+	pat := pattern("nbody")
+	g := pat.Generator(p, nil)
+	if lens := phaseLens(&g, pat.RoundLen(p)); len(lens) != p/2+1 {
 		t.Fatalf("n-body round has phases %v, want %d", lens, p/2+1)
 	}
 }
@@ -136,7 +147,7 @@ func TestNBodyPhaseCount(t *testing.T) {
 func TestNBodyEvenOddRing(t *testing.T) {
 	// Every rank sends in every ring subphase, covering the whole ring.
 	for _, p := range []int{2, 3, 4, 7} {
-		g := NBody{}.Generator(p, nil)
+		g := pattern("nbody").Generator(p, nil)
 		srcs := map[int]bool{}
 		for _, m := range drain(&g, p) {
 			srcs[m.Src] = true
@@ -149,7 +160,7 @@ func TestNBodyEvenOddRing(t *testing.T) {
 
 func TestRingPattern(t *testing.T) {
 	p := 5
-	g := Ring{}.Generator(p, nil)
+	g := pattern("ring").Generator(p, nil)
 	for _, m := range drain(&g, p) {
 		if m.Dst != (m.Src+1)%p {
 			t.Fatalf("ring message %v", m)
@@ -159,8 +170,9 @@ func TestRingPattern(t *testing.T) {
 
 func TestPingPongAlternates(t *testing.T) {
 	p := 4
-	g := PingPong{}.Generator(p, nil)
-	msgs := drain(&g, RoundLen(PingPong{}, p))
+	pat := pattern("pingpong")
+	g := pat.Generator(p, nil)
+	msgs := drain(&g, pat.RoundLen(p))
 	for i := 0; i < len(msgs)/2; i++ {
 		a, b := msgs[2*i], msgs[2*i+1]
 		if a.Src != b.Dst || a.Dst != b.Src {
@@ -172,7 +184,7 @@ func TestPingPongAlternates(t *testing.T) {
 func TestRandomUniformish(t *testing.T) {
 	p := 8
 	rng := stats.NewRNG(123)
-	g := Random{}.Generator(p, rng)
+	g := pattern("random").Generator(p, rng)
 	counts := map[Msg]int{}
 	for _, m := range drain(&g, 56*500) {
 		counts[m]++
@@ -188,8 +200,9 @@ func TestRandomUniformish(t *testing.T) {
 }
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
-	g1 := Random{}.Generator(6, stats.NewRNG(9))
-	g2 := Random{}.Generator(6, stats.NewRNG(9))
+	pat := pattern("random")
+	g1 := pat.Generator(6, stats.NewRNG(9))
+	g2 := pat.Generator(6, stats.NewRNG(9))
 	a, b := drain(&g1, 100), drain(&g2, 100)
 	for i := range a {
 		if a[i] != b[i] {
@@ -200,8 +213,9 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 
 func TestTestSuiteComposition(t *testing.T) {
 	p := 4
-	g := TestSuite{}.Generator(p, nil)
-	round := RoundLen(TestSuite{}, p)
+	pat := pattern("testsuite")
+	g := pat.Generator(p, nil)
+	round := pat.RoundLen(p)
 	if round != 2*p*(p-1)+p {
 		t.Fatalf("testsuite round length = %d", round)
 	}
@@ -239,13 +253,104 @@ func TestRoundsRepeatIdentically(t *testing.T) {
 	for _, name := range []string{"alltoall", "nbody", "ring", "pingpong", "testsuite"} {
 		pat, _ := ByName(name)
 		p := 6
-		round := RoundLen(pat, p)
+		round := pat.RoundLen(p)
 		g := pat.Generator(p, nil)
 		first := drain(&g, round)
 		second := drain(&g, round)
 		for i := range first {
 			if first[i] != second[i] {
 				t.Fatalf("%s: round 2 message %d = %v, want %v", name, i, second[i], first[i])
+			}
+		}
+	}
+}
+
+// TestRoundLenClosedForms checks RoundLen, the length of a pattern's
+// memoized round, against each pattern's closed form.
+func TestRoundLenClosedForms(t *testing.T) {
+	forms := map[string]func(p int) int{
+		"alltoall":  func(p int) int { return p * (p - 1) },
+		"nbody":     func(p int) int { return p*(p/2) + p },
+		"ring":      func(p int) int { return p },
+		"pingpong":  func(p int) int { return p * (p - 1) },
+		"testsuite": func(p int) int { return 2*p*(p-1) + p },
+		"random":    func(p int) int { return p },
+		"mixed":     func(p int) int { return p },
+	}
+	for _, name := range All() {
+		pat := pattern(name)
+		for p := 1; p <= 40; p++ {
+			want := forms[name](p)
+			if p == 1 {
+				want = 1
+			}
+			if got := pat.RoundLen(p); got != want {
+				t.Errorf("%s: RoundLen(%d) = %d, want %d", name, p, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildsDrawOnlyForMixed: building a generator draws nothing from
+// the RNG, except under the mixed pattern, which draws its job's
+// pattern with one Intn(4), even for a one-rank job.
+func TestBuildsDrawOnlyForMixed(t *testing.T) {
+	for _, name := range All() {
+		for _, p := range []int{1, 5} {
+			rng, ref := stats.NewRNG(8), stats.NewRNG(8)
+			pattern(name).Generator(p, rng)
+			if name == "mixed" {
+				ref.Intn(4)
+			}
+			if a, b := rng.Int63(), ref.Int63(); a != b {
+				t.Errorf("%s p=%d: the build left the RNG at draw %d, want %d", name, p, a, b)
+			}
+		}
+	}
+}
+
+// TestMixedJobsShareSchedules: mixed jobs of one size that draw the
+// same deterministic pattern walk one schedule, the pattern's memo.
+func TestMixedJobsShareSchedules(t *testing.T) {
+	pat, rng := pattern("mixed"), stats.NewRNG(4)
+	first := map[string]*Msg{}
+	shared := map[string]int{}
+	for i := 0; i < 40; i++ {
+		g := pat.Generator(6, rng)
+		if g.phases == nil {
+			continue
+		}
+		at := &g.phases[0][0]
+		if f, ok := first[g.name]; !ok {
+			first[g.name] = at
+		} else if f != at {
+			t.Fatalf("two %s jobs walk different schedules", g.name)
+		} else {
+			shared[g.name]++
+		}
+	}
+	for _, name := range []string{"alltoall", "nbody", "ring"} {
+		if shared[name] == 0 {
+			t.Errorf("no two of 40 mixed jobs drew %s: %v", name, shared)
+		}
+	}
+}
+
+// TestOneRankGeneratorNames pins the name a one-rank job's generator
+// writes: its pattern's under a deterministic pattern, and "single"
+// under the random and mixed patterns.
+func TestOneRankGeneratorNames(t *testing.T) {
+	rng := stats.NewRNG(5)
+	for _, name := range All() {
+		want := name
+		if name == "random" || name == "mixed" {
+			want = "single"
+		}
+		pat := pattern(name)
+		for i := 0; i < 8; i++ {
+			g := pat.Generator(1, rng)
+			if got := frame(codecState(&g)).String(); got != want {
+				t.Fatalf("%s: a one-rank generator writes %q, want %q", name, got, want)
 			}
 		}
 	}
@@ -399,8 +504,9 @@ func readState(c snap.Codec, state []byte) error {
 }
 
 // FuzzBurstMatchesNext drives Burst and the per-message oracle with the
-// same fuzzer-chosen budgets, on every pattern (plain or schedule-cached)
-// at a fuzzer-chosen job size and seed. After every burst the messages,
+// same fuzzer-chosen budgets, on every pattern at a fuzzer-chosen job
+// size and seed; the two generators share the pattern's memoized
+// schedule. After every burst the messages,
 // the next RNG draw, the encoded state and the held message must agree.
 // Budget 1, what sequential issue asks for, is common; one point
 // mid-stream takes the generator through its codec as a restoring
@@ -413,10 +519,7 @@ func FuzzBurstMatchesNext(f *testing.F) {
 	f.Add(uint8(13), uint8(0), int64(4), uint8(1), []byte{100, 0, 100})
 	f.Fuzz(func(t *testing.T, which, pRaw uint8, seed int64, cut uint8, budgets []byte) {
 		names := All()
-		pat, _ := ByName(names[int(which)%len(names)])
-		if which/uint8(len(names))%2 == 1 {
-			pat = Cached(pat)
-		}
+		pat := pattern(names[int(which)%len(names)])
 		p := int(pRaw)%24 + 1
 		rngA, rngB := stats.NewRNG(seed), stats.NewRNG(seed)
 		g := pat.Generator(p, rngA)
@@ -506,27 +609,27 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 func TestGeneratorReadStateRejectsBadHeld(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		pat     Pattern
+		pat     string
 		p       int
 		cursor  []int
 		held    Msg
 		holding bool
 		ok      bool
 	}{
-		{"schedule/held", NBody{}, 4, []int{1, 0}, Msg{Src: 0, Dst: 1}, true, true},
-		{"schedule/not-at-cursor", NBody{}, 4, []int{1, 0}, Msg{Src: 1, Dst: 2}, true, false},
-		{"schedule/before-cursor", NBody{}, 4, []int{1, 0}, Msg{Src: 3, Dst: 0}, true, false},
-		{"schedule/rank-too-big", NBody{}, 4, []int{1, 0}, Msg{Src: 0, Dst: 1 << 20}, true, false},
-		{"schedule/negative-rank", NBody{}, 4, []int{1, 0}, Msg{Src: -1, Dst: 1}, true, false},
-		{"schedule/leftover", NBody{}, 4, []int{1, 0}, Msg{Src: 1 << 20, Dst: 7}, false, true},
-		{"random/held", Random{}, 4, []int{5}, Msg{Src: 3, Dst: 0}, true, true},
-		{"random/rank-too-big", Random{}, 4, []int{5}, Msg{Src: 4, Dst: 0}, true, false},
-		{"random/leftover", Random{}, 4, []int{5}, Msg{Src: 9, Dst: 9}, false, true},
-		{"single/held", Random{}, 1, []int{0, 0}, Msg{}, true, true},
-		{"single/rank-too-big", Random{}, 1, []int{0, 0}, Msg{Src: 1}, true, false},
+		{"schedule/held", "nbody", 4, []int{1, 0}, Msg{Src: 0, Dst: 1}, true, true},
+		{"schedule/not-at-cursor", "nbody", 4, []int{1, 0}, Msg{Src: 1, Dst: 2}, true, false},
+		{"schedule/before-cursor", "nbody", 4, []int{1, 0}, Msg{Src: 3, Dst: 0}, true, false},
+		{"schedule/rank-too-big", "nbody", 4, []int{1, 0}, Msg{Src: 0, Dst: 1 << 20}, true, false},
+		{"schedule/negative-rank", "nbody", 4, []int{1, 0}, Msg{Src: -1, Dst: 1}, true, false},
+		{"schedule/leftover", "nbody", 4, []int{1, 0}, Msg{Src: 1 << 20, Dst: 7}, false, true},
+		{"random/held", "random", 4, []int{5}, Msg{Src: 3, Dst: 0}, true, true},
+		{"random/rank-too-big", "random", 4, []int{5}, Msg{Src: 4, Dst: 0}, true, false},
+		{"random/leftover", "random", 4, []int{5}, Msg{Src: 9, Dst: 9}, false, true},
+		{"single/held", "random", 1, []int{0, 0}, Msg{}, true, true},
+		{"single/rank-too-big", "random", 1, []int{0, 0}, Msg{Src: 1}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := tc.pat.Generator(tc.p, stats.NewRNG(1))
+			g := pattern(tc.pat).Generator(tc.p, stats.NewRNG(1))
 			w := snap.NewWriter(nil)
 			w.String(g.name)
 			for _, c := range tc.cursor {
@@ -560,24 +663,24 @@ func TestGeneratorReadStateRejects(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		pat   Pattern
+		pat   string
 		p     int
 		state []byte
 	}{
-		{"unknown-pattern", Mixed{}, 4, state("spiral", 0, 0)},
-		{"mixed", Mixed{}, 4, state("mixed", 0, 0)},
-		{"single-for-4-ranks", Mixed{}, 4, state("single", 0, 0)},
-		{"random-for-1-rank", Mixed{}, 1, state("random", 0)},
-		{"random-into-a-schedule", NBody{}, 4, state("random", 0)},
-		{"nbody-for-1-rank", Mixed{}, 1, state("nbody", 0, 0)},
-		{"phase-past-end", NBody{}, 4, state("nbody", 3, 0)},
-		{"negative-phase", NBody{}, 4, state("nbody", -1, 0)},
-		{"index-past-phase", NBody{}, 4, state("nbody", 0, 4)},
-		{"negative-count", Random{}, 4, state("random", -1)},
-		{"truncated", NBody{}, 4, state("nbody", 0)[:20]},
+		{"unknown-pattern", "mixed", 4, state("spiral", 0, 0)},
+		{"mixed", "mixed", 4, state("mixed", 0, 0)},
+		{"single-for-4-ranks", "mixed", 4, state("single", 0, 0)},
+		{"random-for-1-rank", "mixed", 1, state("random", 0)},
+		{"random-into-a-schedule", "nbody", 4, state("random", 0)},
+		{"nbody-for-1-rank", "mixed", 1, state("nbody", 0, 0)},
+		{"phase-past-end", "nbody", 4, state("nbody", 3, 0)},
+		{"negative-phase", "nbody", 4, state("nbody", -1, 0)},
+		{"index-past-phase", "nbody", 4, state("nbody", 0, 4)},
+		{"negative-count", "random", 4, state("random", -1)},
+		{"truncated", "nbody", 4, state("nbody", 0)[:20]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := tc.pat.Generator(tc.p, stats.NewRNG(1))
+			g := pattern(tc.pat).Generator(tc.p, stats.NewRNG(1))
 			before := codecState(&g)
 			if err := readState(&g, tc.state); err == nil {
 				t.Fatal("state accepted")

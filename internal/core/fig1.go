@@ -52,13 +52,17 @@ func Fig1(o Options) (*Figure, error) {
 
 	s := Series{Label: "running time vs avg pairwise hops (30-proc test-suite job)"}
 	var xs, ys []float64
-	quota := rounds * comm.RoundLen(comm.TestSuite{}, jobSize)
+	pat, err := comm.ByName("testsuite")
+	if err != nil {
+		return nil, err
+	}
+	quota := rounds * pat.RoundLen(jobSize)
 	var buf []comm.Msg
 	for _, nodes := range allocations {
 		// The job runs alone on an idle machine: each phase is one
 		// concurrent burst, and the next starts when it has arrived.
 		net := netsim.New(m, netsim.DefaultConfig())
-		gen := comm.TestSuite{}.Generator(jobSize, nil)
+		gen := pat.Generator(jobSize, nil)
 		var sums netsim.Sums
 		dur := 0.0
 		for sent := 0; sent < quota; {

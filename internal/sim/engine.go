@@ -58,7 +58,7 @@ type Engine struct {
 	cfg       Config
 	grid      *topo.Grid
 	allocator alloc.Allocator
-	pattern   comm.Pattern
+	pattern   *comm.Pattern
 	policy    sched.Policy
 	isFCFS    bool
 	isSJF     bool
@@ -204,8 +204,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Same-size jobs share one immutable phase schedule for the run.
-	pattern = comm.Cached(pattern)
 	policy, err := sched.ByName(cfg.Scheduler)
 	if err != nil {
 		return nil, err

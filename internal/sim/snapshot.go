@@ -220,7 +220,8 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	}
 
 	// The engine RNG's state, after the rows: restoring a row builds its
-	// generator with the run's pattern, and Mixed draws to build one.
+	// generator with the run's pattern, and the mixed pattern draws to
+	// build one.
 	e.rng.AppendState(w)
 
 	// The pending FCFS queue and the event queue. Events are written in
