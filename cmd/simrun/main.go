@@ -194,7 +194,7 @@ func main() {
 		}
 	}
 
-	ck := ckptSpec{path: *ckptPath, every: *ckptEvery}
+	ck := ckptSpec{path: *ckptPath, every: *ckptEvery, jobs: *jobs, duration: *duration}
 	var res *sim.Result
 	var eng *sim.Engine
 	if *resume != "" {
@@ -387,10 +387,14 @@ func run(e *sim.Engine, src trace.Source, horizon float64, stream bool, ck ckptS
 }
 
 // ckptSpec carries the -checkpoint flags: where to write and how many
-// events between writes. A zero spec disables checkpointing.
+// events between writes; an empty path disables checkpointing. jobs and
+// duration are the run's -jobs and -duration, which every checkpoint
+// records so that a resume under others fails.
 type ckptSpec struct {
-	path  string
-	every int64
+	path     string
+	every    int64
+	jobs     int
+	duration float64
 }
 
 // armCheckpoint hooks the engine's periodic checkpoint callback to
@@ -407,22 +411,23 @@ func armCheckpoint(e *sim.Engine, src trace.Source, ck ckptSpec) {
 	var buf []byte
 	e.SetCheckpoint(ck.every, func() {
 		var err error
-		if buf, err = writeCheckpoint(ck.path, buf[:0], e, src); err != nil {
+		if buf, err = writeCheckpoint(ck, buf[:0], e, src); err != nil {
 			fatal(fmt.Errorf("-checkpoint: %v", err))
 		}
 	})
 }
 
-// writeCheckpoint serializes the engine (and, for open systems, the
-// arrival source's state) into a snap container at path, and returns
-// buf extended by the container, for the next checkpoint to reuse. The
+// writeCheckpoint serializes the engine, for open systems the arrival
+// source's state, and the run's -jobs and -duration into a snap
+// container at ck.path, and returns buf extended by the container, for
+// the next checkpoint to reuse. The
 // engine's own container is appended in place inside the outer one, so
 // the checkpoint is encoded once and written in one call. The file is
 // staged as path.tmp, synced, and renamed into place, and the directory
 // is synced after the rename, so neither a kill nor a power loss
 // mid-write can replace the previous good checkpoint with a partial
 // one. On any failure the temp file is removed.
-func writeCheckpoint(path string, buf []byte, e *sim.Engine, src trace.Source) ([]byte, error) {
+func writeCheckpoint(ck ckptSpec, buf []byte, e *sim.Engine, src trace.Source) ([]byte, error) {
 	w := snap.NewWriter(buf)
 	if err := w.BytesFrom(e); err != nil {
 		return buf, err
@@ -433,8 +438,10 @@ func writeCheckpoint(path string, buf []byte, e *sim.Engine, src trace.Source) (
 		// encode themselves.
 		src.(snap.Codec).AppendState(w)
 	}
+	w.Int(ck.jobs)
+	w.F64(ck.duration)
 	buf = w.Finish()
-	tmp := path + ".tmp"
+	tmp := ck.path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return buf, err
@@ -447,12 +454,12 @@ func writeCheckpoint(path string, buf []byte, e *sim.Engine, src trace.Source) (
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(tmp, ck.path)
 	}
 	if err != nil {
 		return buf, errors.Join(err, os.Remove(tmp))
 	}
-	return buf, syncDir(filepath.Dir(path))
+	return buf, syncDir(filepath.Dir(ck.path))
 }
 
 // syncDir flushes a directory's entries to stable storage, making a
@@ -475,7 +482,9 @@ func syncDir(dir string) error {
 // also hold the arrival source's state, which is read into the source
 // the -arrival spec and -jobs build. That fails unless the spec names
 // the process and parameters the checkpointed run used, as the engine's
-// restore fails under another configuration.
+// restore fails under another configuration. The -jobs and -duration
+// the checkpoint records must be the ones passed, and a checkpoint that
+// records neither fails.
 func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64, jobs int, horizon float64, stream bool, ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -507,6 +516,17 @@ func runResume(cfg sim.Config, path, arrivalSpec string, maxSize int, seed int64
 		if err := src.(snap.Codec).ReadState(r); err != nil {
 			return nil, nil, fmt.Errorf("-resume %s: %v", path, err)
 		}
+	}
+	// The run flags come last, so a file written before they were
+	// recorded ends before them instead of resuming under others.
+	ckJobs, ckDuration := r.Int(), r.F64()
+	switch {
+	case r.Err() != nil:
+		return nil, nil, fmt.Errorf("-resume %s: checkpoint records no -jobs and -duration: %v", path, r.Err())
+	case ckJobs != jobs:
+		return nil, nil, fmt.Errorf("-resume %s: checkpoint was written under -jobs %d, not %d", path, ckJobs, jobs)
+	case ckDuration != horizon:
+		return nil, nil, fmt.Errorf("-resume %s: checkpoint was written under -duration %g, not %g", path, ckDuration, horizon)
 	}
 	if n := r.Remaining(); n != 0 {
 		return nil, nil, fmt.Errorf("-resume %s: %d trailing bytes after checkpoint payload", path, n)

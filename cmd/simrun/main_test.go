@@ -14,6 +14,7 @@ import (
 
 	"meshalloc/internal/fault"
 	"meshalloc/internal/sim"
+	"meshalloc/internal/snap"
 	"meshalloc/internal/trace"
 )
 
@@ -64,7 +65,7 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 
 			path := filepath.Join(t.TempDir(), "ck.snap")
 			// One checkpoint, at just past half the run's events.
-			if _, _, err := tc.run(ckptSpec{path: path, every: events/2 + 1}); err != nil {
+			if _, _, err := tc.run(ckptSpec{path: path, every: events/2 + 1, jobs: jobs}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
@@ -84,11 +85,10 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 // TestCheckpointFilesArePinned pins the SHA-256 of the checkpoint file
 // a closed and an open run leave behind. Each run takes several
 // checkpoints, so the file is the last of them. The pins cover the
-// whole file: the outer container, the engine container inside it and,
-// for the open run, the arrival source's state. They were re-recorded
-// for container version 3, in which each part, the arrival source
-// included, writes itself through its codec and the source's state
-// carries its parameters.
+// whole file: the outer container, the engine container inside it,
+// for the open run the arrival source's state, and the run's -jobs and
+// -duration. They were re-recorded when the file began to record those
+// two flags, after the engine container moved to version 3.
 func TestCheckpointFilesArePinned(t *testing.T) {
 	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
 	cases := []struct {
@@ -99,18 +99,18 @@ func TestCheckpointFilesArePinned(t *testing.T) {
 		{"closed", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
 			return runClosed(checkpointCfg(), tr, false, ck)
-		}, "a2a8d88f71bb7985735a664b893e48e027eda648285cec9588ac61f29dbea4eb"},
+		}, "643ffb9f37dc918b80cf463237e0729a642a13dac3348218a26b6557e3199567"},
 		{"open", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			// main discards records under -arrival.
 			cfg := checkpointCfg()
 			cfg.KeepRecords = sim.Discard
 			return runOpen(cfg, arrival, maxSize, seed, jobs, 0, false, ck)
-		}, "ba478a154bca00b933ae535ca6f7fd761608343b569536a09cc45135ecb146d4"},
+		}, "2cd3850a669cd6b48fff917b5ff856f0ccd05e0ebf7719839fbdf34873c4384f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ck.snap")
-			_, e, err := tc.run(ckptSpec{path: path, every: 400})
+			_, e, err := tc.run(ckptSpec{path: path, every: 400, jobs: jobs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,6 +125,75 @@ func TestCheckpointFilesArePinned(t *testing.T) {
 				t.Errorf("checkpoint file (%d B) hashes to %s, pinned %s", len(data), got, tc.want)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesChangedRunFlags checkpoints a closed and an open run
+// and resumes each under its own flags, which must finish, and under
+// another -jobs or -duration, which must exit 1 naming the flag instead
+// of finishing the checkpointed run under the flags it was given.
+func TestResumeRefusesChangedRunFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"closed", []string{"-mesh", "8x8", "-pattern", "nbody", "-jobs", "300"}},
+		{"open", []string{"-mesh", "8x8", "-pattern", "nbody", "-jobs", "300", "-arrival", "poisson:200"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.snap")
+			if code, stderr := runMain(t, append(tc.args, "-checkpoint", path, "-checkpoint-every", "400")...); code != 0 {
+				t.Fatalf("checkpointed run: exit %d, stderr %q", code, stderr)
+			}
+			resume := append([]string{"-resume", path}, tc.args...)
+			if code, stderr := runMain(t, resume...); code != 0 {
+				t.Fatalf("resume under the original flags: exit %d, stderr %q", code, stderr)
+			}
+			for _, changed := range [][]string{
+				{"-jobs", "200"}, {"-jobs", "500"}, {"-duration", "1e6"},
+			} {
+				code, stderr := runMain(t, append(resume, changed...)...)
+				if code != 1 || !strings.Contains(stderr, changed[0]) {
+					t.Errorf("resume with %v: exit %d, stderr %q; want exit 1 naming %s", changed, code, stderr, changed[0])
+				}
+			}
+		})
+	}
+}
+
+// TestResumeRefusesUnrecordedRunFlags: a checkpoint in the layout that
+// recorded neither -jobs nor -duration, the engine container and the
+// source's state alone, fails to resume instead of running under
+// whatever flags the resume passes.
+func TestResumeRefusesUnrecordedRunFlags(t *testing.T) {
+	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
+	for _, open := range []bool{false, true} {
+		e, err := sim.NewEngine(checkpointCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := snap.NewWriter(nil)
+		if err := w.BytesFrom(e); err != nil {
+			t.Fatal(err)
+		}
+		w.Bool(open)
+		spec := ""
+		if open {
+			spec = arrival
+			arr, err := trace.ParseArrival(spec, maxSize, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace.Limit(arr, jobs).(snap.Codec).AppendState(w)
+		}
+		path := filepath.Join(t.TempDir(), "ck.snap")
+		if err := os.WriteFile(path, w.Finish(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = runResume(checkpointCfg(), path, spec, maxSize, seed, jobs, 0, false, ckptSpec{})
+		if err == nil || !strings.Contains(err.Error(), "records no -jobs") {
+			t.Errorf("open=%v: resuming a checkpoint without run flags: %v", open, err)
+		}
 	}
 }
 
@@ -146,7 +215,7 @@ func TestCheckpointWriteFailures(t *testing.T) {
 	dir := t.TempDir()
 
 	missing := filepath.Join(dir, "missing", "ck.snap")
-	if _, err := writeCheckpoint(missing, nil, e, nil); err == nil {
+	if _, err := writeCheckpoint(ckptSpec{path: missing}, nil, e, nil); err == nil {
 		t.Fatal("checkpoint into a missing directory succeeded")
 	}
 
@@ -159,7 +228,7 @@ func TestCheckpointWriteFailures(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(occupied, "keep"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeCheckpoint(occupied, nil, e, nil); err == nil {
+	if _, err := writeCheckpoint(ckptSpec{path: occupied}, nil, e, nil); err == nil {
 		t.Fatal("checkpoint over a non-empty directory succeeded")
 	}
 	if _, err := os.Stat(occupied + ".tmp"); !errors.Is(err, os.ErrNotExist) {
