@@ -35,12 +35,13 @@ const (
 	// SumOfSquares allocates from the interval that minimizes the sum of
 	// squared remaining interval lengths, the adaptation of the
 	// Csirik-Johnson Sum-of-Squares bin-packing heuristic that Leung et
-	// al. tried and found wanting.
+	// al. tried and found wanting. Allocating size from an interval of
+	// length L changes the sum by (L-size)^2 - L^2, which falls as L
+	// grows, so it picks what WorstFit picks.
 	SumOfSquares
 	// WorstFit allocates from the largest interval, the remaining
-	// member of Johnson's classic heuristic family; equivalent to
-	// SumOfSquares under this adaptation but kept distinct for clarity
-	// in ablation studies.
+	// member of Johnson's classic heuristic family; kept distinct from
+	// SumOfSquares by name for ablation studies.
 	WorstFit
 	// NextFit allocates from the first fitting interval at or after the
 	// previously used one, wrapping around — Johnson's cheapest
@@ -48,44 +49,37 @@ const (
 	NextFit
 )
 
+// strategies holds each strategy's name and the picker that returns the
+// index of the interval serving a request of size, or -1 if none fits.
+// FreeList picks no interval: it takes the first free ranks.
+var strategies = [...]struct {
+	name string
+	pick func(p *Packer, ivs []Interval, size int) int
+}{
+	FreeList:     {"freelist", nil},
+	FirstFit:     {"firstfit", (*Packer).pickFirstFit},
+	BestFit:      {"bestfit", (*Packer).pickBestFit},
+	SumOfSquares: {"sumofsquares", (*Packer).pickLargest},
+	WorstFit:     {"worstfit", (*Packer).pickLargest},
+	NextFit:      {"nextfit", (*Packer).pickNextFit},
+}
+
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
-	switch s {
-	case FreeList:
-		return "freelist"
-	case FirstFit:
-		return "firstfit"
-	case BestFit:
-		return "bestfit"
-	case SumOfSquares:
-		return "sumofsquares"
-	case WorstFit:
-		return "worstfit"
-	case NextFit:
-		return "nextfit"
-	default:
+	if uint(s) >= uint(len(strategies)) {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategies[s].name
 }
 
 // StrategyByName parses a strategy name as produced by String.
 func StrategyByName(name string) (Strategy, error) {
-	switch name {
-	case "freelist":
-		return FreeList, nil
-	case "firstfit":
-		return FirstFit, nil
-	case "bestfit":
-		return BestFit, nil
-	case "sumofsquares":
-		return SumOfSquares, nil
-	case "worstfit":
-		return WorstFit, nil
-	case "nextfit":
-		return NextFit, nil
-	default:
-		return 0, fmt.Errorf("binpack: unknown strategy %q", name)
+	for s, st := range strategies {
+		if st.name == name {
+			return Strategy(s), nil
+		}
 	}
+	return 0, fmt.Errorf("binpack: unknown strategy %q", name)
 }
 
 // ErrInsufficient reports that a request exceeds the free processor count.
@@ -173,22 +167,14 @@ func (p *Packer) Allocate(size int, s Strategy) ([]int, error) {
 	if size > p.numFree {
 		return nil, ErrInsufficient
 	}
-	var ranks []int
-	switch s {
-	case FreeList:
-		ranks = p.prefixRanks(size)
-	case FirstFit:
-		ranks = p.fitRanks(size, p.pickFirstFit)
-	case BestFit:
-		ranks = p.fitRanks(size, p.pickBestFit)
-	case SumOfSquares:
-		ranks = p.fitRanks(size, p.pickSumOfSquares)
-	case WorstFit:
-		ranks = p.fitRanks(size, p.pickWorstFit)
-	case NextFit:
-		ranks = p.fitRanks(size, p.pickNextFit)
-	default:
+	if uint(s) >= uint(len(strategies)) {
 		return nil, fmt.Errorf("binpack: unknown strategy %v", s)
+	}
+	var ranks []int
+	if pick := strategies[s].pick; pick == nil {
+		ranks = p.prefixRanks(size)
+	} else {
+		ranks = p.fitRanks(size, pick)
 	}
 	ids := make([]int, len(ranks))
 	for i, r := range ranks {
@@ -300,9 +286,9 @@ func (p *Packer) prefixRanks(size int) []int {
 // fitRanks serves a request from the interval chosen by pick, falling
 // back to the minimal-span window when no interval is large enough. Like
 // prefixRanks it returns a view of the persistent rank workspace.
-func (p *Packer) fitRanks(size int, pick func([]Interval, int) int) []int {
+func (p *Packer) fitRanks(size int, pick func(*Packer, []Interval, int) int) []int {
 	p.ivsBuf = p.AppendIntervals(p.ivsBuf[:0])
-	if idx := pick(p.ivsBuf, size); idx >= 0 {
+	if idx := pick(p, p.ivsBuf, size); idx >= 0 {
 		iv := p.ivsBuf[idx]
 		ranks := p.ranksBuf[:0]
 		for i := 0; i < size; i++ {
@@ -337,29 +323,9 @@ func (p *Packer) pickBestFit(ivs []Interval, size int) int {
 	return best
 }
 
-// pickSumOfSquares returns the index of the fitting interval that
-// minimizes the sum of squared remaining free-interval lengths after the
-// allocation, or -1. Allocating size from an interval of length L changes
-// the sum by (L-size)^2 - L^2, so the minimizer is the largest fitting
-// interval; ties go to the earliest.
-func (p *Packer) pickSumOfSquares(ivs []Interval, size int) int {
-	best, bestDelta := -1, 0
-	for i, iv := range ivs {
-		if iv.Len < size {
-			continue
-		}
-		rem := iv.Len - size
-		delta := rem*rem - iv.Len*iv.Len
-		if best == -1 || delta < bestDelta {
-			best, bestDelta = i, delta
-		}
-	}
-	return best
-}
-
-// pickWorstFit returns the index of the largest fitting interval, or -1.
-// Ties go to the earliest.
-func (p *Packer) pickWorstFit(ivs []Interval, size int) int {
+// pickLargest returns the index of the largest fitting interval, or -1,
+// for WorstFit and SumOfSquares. Ties go to the earliest.
+func (p *Packer) pickLargest(ivs []Interval, size int) int {
 	best, bestLen := -1, 0
 	for i, iv := range ivs {
 		if iv.Len >= size && iv.Len > bestLen {
