@@ -8,9 +8,9 @@
 // ranks to the processors the allocator assigned. Patterns repeat forever;
 // the job's message quota decides when to stop drawing from them. Each
 // deterministic pattern is one entry in a table of round builders, and a
-// run's Pattern memoizes the rounds its jobs walk.
-// Generators hand their messages out a burst at a time, one subphase
-// per call, so a job's step is one call here and one into the network.
+// run's Pattern memoizes the rounds its jobs walk. Generators hand their
+// messages out a burst at a time, one subphase per call, so a job's step
+// is one call here and one into the network.
 package comm
 
 import (
@@ -181,9 +181,6 @@ func All() []string {
 	return []string{"alltoall", "nbody", "random", "ring", "pingpong", "testsuite", "mixed"}
 }
 
-// Name returns the pattern's name, e.g. "nbody".
-func (pat *Pattern) Name() string { return pat.name }
-
 // Generator returns the message stream for a job of p >= 1 ranks. The
 // random pattern sends each message between a uniformly random ordered
 // pair of distinct ranks drawn from rng, in phases of p messages. The
@@ -209,6 +206,7 @@ func (pat *Pattern) Generator(p int, rng *stats.RNG) Generator {
 	if p == 1 {
 		name = "single"
 	}
+	// build fails on no name it is given here.
 	g, _ := pat.build(name, p, rng)
 	return g
 }

@@ -49,8 +49,8 @@ func TestByNameCoversAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("pattern %q reports name %q", name, p.Name())
+		if p.name != name {
+			t.Errorf("pattern %q is named %q", name, p.name)
 		}
 	}
 	if _, err := ByName("butterfly"); err == nil {
