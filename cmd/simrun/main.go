@@ -420,13 +420,13 @@ func armCheckpoint(e *sim.Engine, src trace.Source, ck ckptSpec) {
 // writeCheckpoint serializes the engine, for open systems the arrival
 // source's state, and the run's -jobs and -duration into a snap
 // container at ck.path, and returns buf extended by the container, for
-// the next checkpoint to reuse. The
-// engine's own container is appended in place inside the outer one, so
-// the checkpoint is encoded once and written in one call. The file is
-// staged as path.tmp, synced, and renamed into place, and the directory
-// is synced after the rename, so neither a kill nor a power loss
-// mid-write can replace the previous good checkpoint with a partial
-// one. On any failure the temp file is removed.
+// the next checkpoint to reuse. The engine's own container is appended
+// in place inside the outer one, so the checkpoint is encoded once and
+// written in one call. The file is staged as path.tmp, synced, and
+// renamed into place, and the directory is synced after the rename, so
+// neither a kill nor a power loss mid-write can replace the previous
+// good checkpoint with a partial one. On any failure the temp file is
+// removed.
 func writeCheckpoint(ck ckptSpec, buf []byte, e *sim.Engine, src trace.Source) ([]byte, error) {
 	w := snap.NewWriter(buf)
 	if err := w.BytesFrom(e); err != nil {
