@@ -87,8 +87,8 @@ func TestCheckpointResumesToUninterruptedResult(t *testing.T) {
 // checkpoints, so the file is the last of them. The pins cover the
 // whole file: the outer container, the engine container inside it,
 // for the open run the arrival source's state, and the run's -jobs and
-// -duration. They were re-recorded when the file began to record those
-// two flags, after the engine container moved to version 3.
+// -duration. They were re-recorded when the engine container moved to
+// version 4, which stores no state restore can derive.
 func TestCheckpointFilesArePinned(t *testing.T) {
 	const maxSize, seed, jobs, arrival = 64, 1, 300, "poisson:200"
 	cases := []struct {
@@ -99,13 +99,13 @@ func TestCheckpointFilesArePinned(t *testing.T) {
 		{"closed", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			tr := trace.NewSDSC(trace.SDSCConfig{Jobs: jobs, MaxSize: maxSize, Seed: seed})
 			return runClosed(checkpointCfg(), tr, false, ck)
-		}, "643ffb9f37dc918b80cf463237e0729a642a13dac3348218a26b6557e3199567"},
+		}, "8be8e2e00cfd91610c203289659334b4d5f3ccab9ce6354c492b43532b621701"},
 		{"open", func(ck ckptSpec) (*sim.Result, *sim.Engine, error) {
 			// main discards records under -arrival.
 			cfg := checkpointCfg()
 			cfg.KeepRecords = sim.Discard
 			return runOpen(cfg, arrival, maxSize, seed, jobs, 0, false, ck)
-		}, "2cd3850a669cd6b48fff917b5ff856f0ccd05e0ebf7719839fbdf34873c4384f"},
+		}, "83484f1e601cb61f3d9997fbb0a48ecf9a5f4765749f9ff83d67e4fe0a4f33e7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

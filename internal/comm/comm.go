@@ -51,21 +51,22 @@ type Generator struct {
 	// ReadState can make it the random generator a snapshot names.
 	rng   *stats.RNG
 	count int
-	// held is the first message of the next phase once a burst has
-	// found its phase's end with budget left: finding the boundary
-	// takes drawing that message, so it is held for the next burst, and
-	// holding says it has not been handed out yet. A schedule's cursor
-	// stays on its held message.
+	// held is a random generator's first message of the next phase once
+	// a burst has found its phase's end with budget left: finding the
+	// boundary takes drawing that message, so it is held for the next
+	// burst, and holding says it has not been handed out yet. A schedule
+	// finds a phase's end by its cursor and holds nothing.
 	held    Msg
 	holding bool
 }
 
-// Burst returns the next burst of at most budget messages, budget >= 1:
-// the held message if there is one, then the rest of its phase. When
-// the phase ends with budget left, the next phase's first message is
-// drawn ahead and held, so a burst never crosses a phase boundary. A
-// burst that starts mid-phase (budget 1 every time, or a restored
-// cursor) runs to the phase's end at most.
+// Burst returns the next burst of at most budget messages, budget >= 1,
+// never crossing a phase boundary: a schedule's messages from its
+// cursor to at most its phase's end, and a random generator's held
+// message if there is one, then the rest of its phase. When a random
+// phase ends with budget left, the next phase's first message is drawn
+// ahead and held. A burst that starts mid-phase (budget 1 every time,
+// or a restored cursor) runs to the phase's end at most.
 //
 // A schedule's burst is a subslice of its shared schedule; the random
 // pattern draws into *buf, growing it as needed, so a caller that keeps
@@ -80,7 +81,6 @@ func (g *Generator) Burst(budget int, buf *[]Msg) []Msg {
 	if end-start > budget {
 		end = start + budget
 	}
-	g.holding = false
 	if end < len(ph) {
 		g.idx = end
 		return ph[start:end]
@@ -88,9 +88,6 @@ func (g *Generator) Burst(budget int, buf *[]Msg) []Msg {
 	g.phase, g.idx = g.phase+1, 0
 	if g.phase == len(g.phases) {
 		g.phase = 0
-	}
-	if end-start < budget {
-		g.held, g.holding = g.phases[g.phase][0], true
 	}
 	return ph[start:end]
 }
@@ -128,9 +125,9 @@ func (g *Generator) draw() Msg {
 	return Msg{Src: src, Dst: dst}
 }
 
-// Held returns the message drawn ahead for the next burst and whether
-// it is still to be handed out; the message means nothing once it is
-// not.
+// Held returns the message a random generator drew ahead for the next
+// burst and whether it is still to be handed out; the message means
+// nothing once it is not. A schedule holds none.
 func (g *Generator) Held() (Msg, bool) { return g.held, g.holding }
 
 // rounds maps each deterministic pattern's name to the function that
@@ -315,18 +312,18 @@ func pingPong(p int) [][]Msg {
 }
 
 // AppendState implements snap.Codec: the name of the pattern that
-// built g, then a schedule's cursor or a random generator's message
-// count, then the holding flag and, while g holds a message, its two
+// built g, then a schedule's cursor, or a random generator's message
+// count, holding flag and, while it holds a message, the message's two
 // ranks. Neither the schedule nor the job size is written: ReadState
 // rebuilds the one from the name and is given the other.
 func (g *Generator) AppendState(w *snap.Writer) {
 	w.String(g.name)
-	if g.phases == nil {
-		w.Int(g.count)
-	} else {
+	if g.phases != nil {
 		w.Int(g.phase)
 		w.Int(g.idx)
+		return
 	}
+	w.Int(g.count)
 	w.Bool(g.holding)
 	if g.holding {
 		w.Int(g.held.Src)
@@ -342,10 +339,9 @@ func (g *Generator) AppendState(w *snap.Writer) {
 // memo; only a generator that keeps rng, a mixed job's or the random
 // pattern's, can be. It rejects a name that builds no such
 // generator for the job, a cursor outside the schedule, a negative
-// message count, and a held message with a rank outside the job or, on
-// a schedule, one that is not the message at the cursor, so a corrupt
-// state cannot make a generator that panics or sends what its pattern
-// never would. On error g is left as it was.
+// message count, and a held message with a rank outside the job, so a
+// corrupt state cannot make a generator that panics. On error g is left
+// as it was.
 func (g *Generator) ReadState(r *snap.Reader) error {
 	name := r.String()
 	if r.Err() != nil {
@@ -361,14 +357,13 @@ func (g *Generator) ReadState(r *snap.Reader) error {
 			return err
 		}
 	}
-	if b.phases == nil {
-		b.count = r.Int()
-	} else {
+	if b.phases != nil {
 		b.phase, b.idx = r.Int(), r.Int()
-	}
-	b.holding = r.Bool()
-	if b.holding {
-		b.held = Msg{Src: r.Int(), Dst: r.Int()}
+	} else {
+		b.count = r.Int()
+		if b.holding = r.Bool(); b.holding {
+			b.held = Msg{Src: r.Int(), Dst: r.Int()}
+		}
 	}
 	switch {
 	case r.Err() != nil:
@@ -379,12 +374,8 @@ func (g *Generator) ReadState(r *snap.Reader) error {
 		return fmt.Errorf("comm: phase cursor %d outside the %d-phase %q schedule", b.phase, len(b.phases), name)
 	case b.phases != nil && (b.idx < 0 || b.idx >= len(b.phases[b.phase])):
 		return fmt.Errorf("comm: message cursor %d outside phase %d of %q", b.idx, b.phase, name)
-	case !b.holding:
-	case b.held.Src < 0 || b.held.Src >= b.p || b.held.Dst < 0 || b.held.Dst >= b.p:
+	case b.holding && (b.held.Src < 0 || b.held.Src >= b.p || b.held.Dst < 0 || b.held.Dst >= b.p):
 		return fmt.Errorf("comm: held message %v outside a %d-rank job", b.held, b.p)
-	case b.phases != nil && b.held != b.phases[b.phase][b.idx]:
-		return fmt.Errorf("comm: held message %v is not %v, the %q schedule's phase %d message %d",
-			b.held, b.phases[b.phase][b.idx], name, b.phase, b.idx)
 	}
 	*g = b
 	return nil

@@ -46,10 +46,11 @@ func (e *Engine) Audit() error {
 	// Job-store bookkeeping: the live count, the pool free list and the
 	// inUse/dead flags must describe one consistent partition of the
 	// handle space.
-	live := 0
-	for h := range s.inUse {
-		if s.inUse[h] && !s.dead[h] {
+	live, busy := 0, 0
+	for h := range s.rows {
+		if r := &s.rows[h]; r.inUse && !r.dead {
 			live++
+			busy += r.job.Size
 		}
 	}
 	if live != s.live {
@@ -58,34 +59,28 @@ func (e *Engine) Audit() error {
 	// mark holds per-handle audit bits: markFree for a handle seen on
 	// the free list, markRun for one seen in the running-set mirror.
 	const markFree, markRun = 1, 2
-	mark := make([]uint8, len(s.inUse))
+	mark := make([]uint8, len(s.rows))
 	for _, h := range s.free {
-		if h < 0 || int(h) >= len(s.inUse) {
-			errs = append(errs, violatef("store-free", "free-list handle %d outside [0,%d)", h, len(s.inUse)))
+		if h < 0 || int(h) >= len(s.rows) {
+			errs = append(errs, violatef("store-free", "free-list handle %d outside [0,%d)", h, len(s.rows)))
 			continue
 		}
 		if mark[h]&markFree != 0 {
 			errs = append(errs, violatef("store-free", "handle %d on the free list twice", h))
 		}
 		mark[h] |= markFree
-		if s.inUse[h] {
+		if s.rows[h].inUse {
 			errs = append(errs, violatef("store-free", "handle %d both in use and on the free list", h))
 		}
 	}
-	for h := range s.inUse {
-		if !s.inUse[h] && mark[h]&markFree == 0 {
+	for h := range s.rows {
+		if !s.rows[h].inUse && mark[h]&markFree == 0 {
 			errs = append(errs, violatef("store-free", "handle %d neither in use nor on the free list", h))
 		}
 	}
 
 	// Occupancy: the busy-processor total is the sum of live job sizes,
 	// and machine size decomposes into job-held, fault-masked and free.
-	busy := 0
-	for h := range s.inUse {
-		if s.inUse[h] && !s.dead[h] {
-			busy += s.job[h].Size
-		}
-	}
 	if busy != e.busyProcs {
 		errs = append(errs, violatef("busy-procs", "live jobs hold %d processors, cached busyProcs %d", busy, e.busyProcs))
 	}
@@ -155,7 +150,7 @@ func (e *Engine) Audit() error {
 			errs = append(errs, violatef("event-seq", "two events share seq %d", ev.seq))
 		}
 		if ev.kind == kindStep || ev.kind == kindFinish {
-			if ev.h < 0 || int(ev.h) >= len(s.inUse) || !s.inUse[ev.h] {
+			if ev.h < 0 || int(ev.h) >= len(s.rows) || !s.rows[ev.h].inUse {
 				errs = append(errs, violatef("event-handle", "event seq %d references unused handle %d", ev.seq, ev.h))
 			}
 			continue
@@ -186,7 +181,7 @@ func (e *Engine) Audit() error {
 		} else {
 			seen := 0 // distinct live handles in runOrdH
 			for i, h := range e.runOrdH {
-				if h < 0 || int(h) >= len(s.inUse) || !s.inUse[h] || s.dead[h] {
+				if h < 0 || int(h) >= len(s.rows) || !s.rows[h].inUse || s.rows[h].dead {
 					errs = append(errs, violatef("run-mirror", "runOrd[%d] references non-live handle %d", i, h))
 					continue
 				}
@@ -194,7 +189,7 @@ func (e *Engine) Audit() error {
 					mark[h] |= markRun
 					seen++
 				}
-				if e.runOrd[i].EstEnd != s.estEnd[h] || e.runOrd[i].Size != s.job[h].Size {
+				if r := &s.rows[h]; e.runOrd[i].EstEnd != r.estEnd() || e.runOrd[i].Size != r.job.Size {
 					errs = append(errs, violatef("run-mirror", "runOrd[%d]=%+v disagrees with handle %d", i, e.runOrd[i], h))
 				}
 				if i > 0 && (e.runOrd[i-1].EstEnd > e.runOrd[i].EstEnd ||
@@ -233,11 +228,12 @@ func (e *Engine) Audit() error {
 			errs = append(errs, violatef("fault-masked", "counted %d masked nodes, cached %d", maskedN, e.maskedN))
 		}
 		owned := 0
-		for h := range s.inUse {
-			if !s.inUse[h] || s.dead[h] {
+		for h := range s.rows {
+			r := &s.rows[h]
+			if !r.inUse || r.dead {
 				continue
 			}
-			for _, id := range s.nodes[h] {
+			for _, id := range r.nodes {
 				owned++
 				if id < 0 || id >= len(e.owner) || e.owner[id] != int32(h) {
 					errs = append(errs, violatef("owner-map", "node %d of handle %d has owner %d", id, h, e.owner[id]))
@@ -247,7 +243,7 @@ func (e *Engine) Audit() error {
 		for n, h := range e.owner {
 			if h >= 0 {
 				owned--
-				if int(h) >= len(s.inUse) || !s.inUse[h] || s.dead[h] {
+				if int(h) >= len(s.rows) || !s.rows[h].inUse || s.rows[h].dead {
 					errs = append(errs, violatef("owner-map", "node %d owned by non-live handle %d", n, h))
 				}
 			}
@@ -257,20 +253,15 @@ func (e *Engine) Audit() error {
 		}
 	}
 
-	// Job conservation: every run instance created — a Submit or a retry
-	// resubmission — is, at any instant, exactly one of: an arrival
-	// event still queued, a pending queue entry, a running job, a
-	// finished job, or a kill victim (whose successor instance, if the
-	// policy granted one, is counted under retried). A job RunSource
-	// holds past the horizon is not yet submitted.
-	if in, out := e.submitted+e.retried, arrivals+e.Pending()+live+e.finished+e.killed; in != out {
+	// Job conservation: every submitted job is, at any instant, exactly
+	// one of: an arrival event still queued (its first, or a retry's),
+	// a pending queue entry, a running job, a finished job, or a job
+	// given up after a kill. A job RunSource holds past the horizon is
+	// not yet submitted.
+	if out := arrivals + e.Pending() + live + e.finished + e.givenUp; e.submitted != out {
 		errs = append(errs, violatef("job-conservation",
-			"%d submitted + %d retried != %d arrival events + %d queued + %d running + %d finished + %d killed",
-			e.submitted, e.retried, arrivals, e.Pending(), live, e.finished, e.killed))
-	}
-	if e.killed != e.retried+e.givenUp {
-		errs = append(errs, violatef("kill-split",
-			"%d kills != %d retried + %d given up", e.killed, e.retried, e.givenUp))
+			"%d submitted != %d arrival events + %d queued + %d running + %d finished + %d given up",
+			e.submitted, arrivals, e.Pending(), live, e.finished, e.givenUp))
 	}
 
 	return errors.Join(errs...)
@@ -348,12 +339,15 @@ func (e *Engine) rebuildDerived() (err error) {
 	// ids in range and no processor claimed twice.
 	size := e.grid.Size()
 	claimed := make([]bool, size)
+	var live []int32 // the live handles, ascending
 	busy := 0
-	for h := range s.inUse {
-		if !s.inUse[h] || s.dead[h] {
+	for h := range s.rows {
+		r := &s.rows[h]
+		if !r.inUse || r.dead {
 			continue
 		}
-		for _, id := range s.nodes[h] {
+		live = append(live, int32(h))
+		for _, id := range r.nodes {
 			if id < 0 || id >= size {
 				return fmt.Errorf("sim: handle %d claims node %d outside [0,%d)", h, id, size)
 			}
@@ -362,29 +356,24 @@ func (e *Engine) rebuildDerived() (err error) {
 			}
 			claimed[id] = true
 		}
-		busy += s.job[h].Size
+		busy += r.job.Size
 	}
 	e.busyProcs = busy
 
 	// Re-occupy in ascending handle order (deterministic, and for Buddy
 	// any order reconstructs the same quadtree: eager coalescing makes
 	// the free set a pure function of the allocated set).
-	for h := range s.inUse {
-		if s.inUse[h] && !s.dead[h] {
-			e.allocator.Occupy(s.nodes[h])
-		}
+	for _, h := range live {
+		e.allocator.Occupy(s.rows[h].nodes)
 	}
 
 	// Fault-derived state: the owner map from the node sets, then the
 	// mask for every flagged-and-unoccupied node. Flags themselves are
 	// authoritative (restored from the snapshot).
 	if e.faults != nil {
-		for h := range s.inUse {
-			if !s.inUse[h] || s.dead[h] {
-				continue
-			}
-			for _, id := range s.nodes[h] {
-				e.owner[id] = int32(h)
+		for _, h := range live {
+			for _, id := range s.rows[h].nodes {
+				e.owner[id] = h
 			}
 		}
 		for n := range e.down {
@@ -401,21 +390,11 @@ func (e *Engine) rebuildDerived() (err error) {
 
 	// Running-set mirror.
 	if !e.isFCFS {
-		var hs []int32
-		for h := range s.inUse {
-			if s.inUse[h] && !s.dead[h] {
-				hs = append(hs, int32(h))
-			}
-		}
-		sort.Slice(hs, func(i, j int) bool {
-			a, b := hs[i], hs[j]
-			if s.estEnd[a] != s.estEnd[b] {
-				return s.estEnd[a] < s.estEnd[b]
-			}
-			return a < b
+		sort.SliceStable(live, func(i, j int) bool {
+			return s.rows[live[i]].estEnd() < s.rows[live[j]].estEnd()
 		})
-		for _, h := range hs {
-			e.runOrd = append(e.runOrd, sched.Running{Size: s.job[h].Size, EstEnd: s.estEnd[h]})
+		for _, h := range live {
+			e.runOrd = append(e.runOrd, sched.Running{Size: s.rows[h].job.Size, EstEnd: s.rows[h].estEnd()})
 			e.runOrdH = append(e.runOrdH, h)
 		}
 	}

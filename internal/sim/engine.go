@@ -74,7 +74,7 @@ type Engine struct {
 	// order and already scaled (see pendingJobs, enqueue and dequeue).
 	queue []trace.Job
 	qh    int
-	store jobStore // in-flight job state, SoA, handle-indexed
+	store jobStore // in-flight job rows, handle-indexed
 	// slots is the arrival slab: the (already scaled) job of every
 	// queued arrival event, at the event's h. Freed slots recycle LIFO
 	// through slotFree.
@@ -155,7 +155,6 @@ type Engine struct {
 	maskedN    int         // count of masked nodes
 	killCount  map[int]int // kills per job ID, for retry bookkeeping
 	maskBuf    [1]int      // single-node delta scratch for observers
-	killed     int
 	retried    int
 	givenUp    int
 	wastedArea float64 // processor-seconds consumed by later-killed jobs
@@ -466,7 +465,7 @@ func (e *Engine) Step() bool {
 	if ev.t > e.now {
 		e.now = ev.t
 	}
-	if ev.kind == kindStep && !e.store.dead[ev.h] {
+	if ev.kind == kindStep && !e.store.rows[ev.h].dead {
 		// A live step is the heap's root (arrivals alone use the FIFO),
 		// and its follow-up event takes its place there: one sift
 		// instead of a pop and a push.
@@ -516,7 +515,7 @@ func (e *Engine) Step() bool {
 		e.store.release(ev.h)
 	case kindFinish:
 		e.core.Finishes++
-		if e.store.dead[ev.h] {
+		if e.store.rows[ev.h].dead {
 			e.store.release(ev.h)
 			break
 		}
@@ -657,7 +656,7 @@ func (e *Engine) Result() *Result {
 		res.UtilizationPct = 100 * e.busyArea / (e.lastAccount * float64(e.grid.Size()))
 		res.MeanQueueLen = e.queueArea / e.lastAccount
 	}
-	res.Killed = e.killed
+	res.Killed = e.retried + e.givenUp
 	res.Retried = e.retried
 	res.GivenUp = e.givenUp
 	if e.busyArea > 0 {
@@ -792,23 +791,21 @@ func (e *Engine) unmask(n int) {
 // The release may free survivors that admit queued jobs, so the
 // scheduler runs before returning.
 func (e *Engine) killJob(h int32, now float64) {
-	s := &e.store
-	nodes := s.nodes[h]
-	job := s.job[h]
+	r := &e.store.rows[h]
+	nodes, job := r.nodes, r.job
 	e.allocator.Release(nodes)
 	e.blocked = false
 	e.busyProcs -= job.Size
 	for _, fn := range e.deltaObs {
 		fn(now, nodes, false)
 	}
-	e.wastedArea += float64(job.Size) * (now - s.start[h])
+	e.wastedArea += float64(job.Size) * (now - r.start)
 	for _, id := range nodes {
 		e.owner[id] = -1
 		if (e.down[id] || e.drained[id]) && !e.masked[id] {
 			e.mask(id)
 		}
 	}
-	e.killed++
 	e.killCount[job.ID]++
 	kills := e.killCount[job.ID]
 	if !e.isFCFS {
@@ -816,7 +813,7 @@ func (e *Engine) killJob(h int32, now float64) {
 	}
 	// The job's one outstanding step/finish event still references the
 	// handle; it recycles when that stale event pops.
-	s.markDead(h)
+	e.store.markDead(h)
 	if e.cfg.Retry.Allow(kills) {
 		e.retried++
 		delay := e.cfg.Retry.Delay(kills) * e.cfg.TimeScale
@@ -951,17 +948,16 @@ func (e *Engine) dequeue(pick int) {
 // its first step.
 func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 	h := e.store.alloc()
-	s := &e.store
-	s.job[h] = job
-	s.nodes[h] = nodes
-	s.gen[h] = e.pattern.Generator(job.Size, e.rng)
-	s.quota[h] = e.quotaOf(job)
-	s.sent[h] = 0
-	s.hops[h] = 0
-	s.start[h] = now
-	s.lastArr[h] = now
-	s.queued[h] = 0
-	s.estEnd[h] = now + job.Runtime
+	r := &e.store.rows[h]
+	*r = jobRow{
+		job:     job,
+		nodes:   nodes,
+		gen:     e.pattern.Generator(job.Size, e.rng),
+		quota:   e.quotaOf(job),
+		start:   now,
+		lastArr: now,
+		inUse:   true,
+	}
 	e.busyProcs += job.Size
 	if e.owner != nil {
 		for _, id := range nodes {
@@ -969,7 +965,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 		}
 	}
 	if !e.isFCFS {
-		e.runInsert(h, s.estEnd[h], job.Size)
+		e.runInsert(h, r.estEnd(), job.Size)
 	}
 	for _, fn := range e.deltaObs {
 		fn(now, nodes, true)
@@ -980,9 +976,8 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 // finish runs as its own event at the time the job's last message
 // arrived, so processors are not released before that moment.
 func (e *Engine) finish(h int32, now float64) {
-	s := &e.store
-	nodes := s.nodes[h]
-	job := s.job[h]
+	r := &e.store.rows[h]
+	nodes, job := r.nodes, r.job
 	e.allocator.Release(nodes)
 	e.blocked = false
 	e.busyProcs -= job.Size
@@ -1003,7 +998,7 @@ func (e *Engine) finish(h int32, now float64) {
 	if !e.isFCFS {
 		e.runRemove(h)
 	}
-	end := s.lastArr[h]
+	end := r.lastArr
 	if end < now {
 		end = now
 	}
@@ -1019,23 +1014,23 @@ func (e *Engine) finish(h int32, now float64) {
 	rec := JobRecord{
 		ID:          job.ID,
 		Size:        job.Size,
-		Quota:       s.quota[h],
+		Quota:       r.quota,
 		Arrival:     job.Arrival * inv,
-		Start:       s.start[h] * inv,
+		Start:       r.start * inv,
 		Finish:      end * inv,
 		Response:    (end - job.Arrival) * inv,
-		RunTime:     (end - s.start[h]) * inv,
-		Wait:        (s.start[h] - job.Arrival) * inv,
+		RunTime:     (end - r.start) * inv,
+		Wait:        (r.start - job.Arrival) * inv,
 		AvgPairwise: avgPair,
-		QueuedSec:   s.queued[h] * inv,
+		QueuedSec:   r.queued * inv,
 		Components:  nComps,
 		Contiguous:  nComps == 1,
 	}
 	if e.cfg.KeepNodes == Keep {
 		rec.Nodes = sortedCopy(nodes)
 	}
-	if s.sent[h] > 0 {
-		rec.AvgMsgDist = float64(s.hops[h]) / float64(s.sent[h])
+	if r.sent > 0 {
+		rec.AvgMsgDist = float64(r.hops) / float64(r.sent)
 	}
 
 	// Streaming aggregates and observers see every record; the records
@@ -1059,7 +1054,7 @@ func (e *Engine) finish(h int32, now float64) {
 
 	// The finish event was the job's last reference; recycle the
 	// handle for a later arrival.
-	s.release(h)
+	e.store.release(h)
 	e.trySchedule(end)
 }
 
@@ -1067,20 +1062,20 @@ func (e *Engine) finish(h int32, now float64) {
 // time now and returns the job's follow-up event, already sequenced:
 // its finish once the quota is sent, else its next step.
 func (e *Engine) step(h int32, now float64) event {
-	s := &e.store
+	r := &e.store.rows[h]
 	budget := 1
 	if e.cfg.Issue == IssuePhased {
-		budget = int(s.quota[h] - s.sent[h]) // until phase boundary
+		budget = int(r.quota - r.sent) // until phase boundary
 	}
-	msgs := s.gen[h].Burst(budget, &e.msgBuf)
-	sums := netsim.Sums{Hops: s.hops[h], Queued: s.queued[h]}
-	maxArr := e.net.Send(msgs, s.nodes[h], now, &sums)
-	s.sent[h] += int64(len(msgs))
-	s.hops[h], s.queued[h] = sums.Hops, sums.Queued
-	if maxArr > s.lastArr[h] {
-		s.lastArr[h] = maxArr
+	msgs := r.gen.Burst(budget, &e.msgBuf)
+	sums := netsim.Sums{Hops: r.hops, Queued: r.queued}
+	maxArr := e.net.Send(msgs, r.nodes, now, &sums)
+	r.sent += int64(len(msgs))
+	r.hops, r.queued = sums.Hops, sums.Queued
+	if maxArr > r.lastArr {
+		r.lastArr = maxArr
 	}
-	if s.sent[h] >= s.quota[h] {
+	if r.sent >= r.quota {
 		return e.stamp(event{t: maxArr, kind: kindFinish, h: h})
 	}
 	// Barrier: the next subphase starts when this burst has arrived.

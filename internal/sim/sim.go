@@ -232,7 +232,7 @@ type Result struct {
 	// Fault-injection outcomes; all zero on a fault-free run. Killed
 	// counts job kills by node failures (a job killed twice counts
 	// twice), Retried the kills followed by a resubmission, GivenUp the
-	// jobs abandoned by the retry policy.
+	// jobs abandoned by the retry policy, so Killed = Retried + GivenUp.
 	Killed, Retried, GivenUp int
 	// WastedPct is the percentage of consumed processor-seconds thrown
 	// away by kills (work a job had accumulated when a failure killed

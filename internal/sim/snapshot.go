@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 
-	"meshalloc/internal/comm"
 	"meshalloc/internal/snap"
 	"meshalloc/internal/trace"
 )
@@ -101,19 +100,20 @@ func (e *Engine) writeEvent(w *snap.Writer, ev event) {
 }
 
 // rowTailLen is the encoded size of the fixed fields that close a live
-// job-store row, after its generator: quota, sent, hops and the four
-// times (start, lastArr, queued, estEnd).
-const rowTailLen = 7 * 8
+// job-store row, after its generator: sent, hops and the three times
+// (start, lastArr, queued).
+const rowTailLen = 5 * 8
 
 // Snapshot serializes the engine's authoritative state — clock, streaming
 // aggregates, the job store, the event queue, the pending queue, RNG
 // states, fault and network state, and (under the Keep policy)
 // the retained records — as one versioned, checksummed binary blob.
-// Derived indexes (allocator occupancy structures, fault masks, the
-// scheduler's incremental mirrors) are not serialized; RestoreEngine
-// rebuilds them. The engine must be between events: Snapshot is safe
-// from a checkpoint hook (SetCheckpoint), between Step calls, or after
-// RunUntil/RunSource returns.
+// Derived state (allocator occupancy structures, fault masks, the
+// scheduler's incremental mirrors, the busy-processor count, each row's
+// quota and estimated end) is not serialized; RestoreEngine derives it.
+// The engine must be between events: Snapshot is safe from a checkpoint
+// hook (SetCheckpoint), between Step calls, or after RunUntil/RunSource
+// returns.
 //
 // Snapshot encodes with AppendBinary into the spare capacity out offers
 // through an AvailableBuffer method, as bytes.Buffer and bufio.Writer
@@ -159,11 +159,9 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	w.Int(e.totalComps)
 	w.Int(e.contig)
 	w.F64(e.makespan)
-	w.Int(e.busyProcs)
 	w.F64(e.lastAccount)
 	w.F64(e.busyArea)
 	w.F64(e.queueArea)
-	w.Int(e.killed)
 	w.Int(e.retried)
 	w.Int(e.givenUp)
 	w.Int(e.submitted)
@@ -187,32 +185,30 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	// list verbatim — recycle order decides future handle assignment,
 	// which feeds event identity and scheduler tie-breaks.
 	s := &e.store
-	w.Int(len(s.job))
-	for h := range s.job {
-		w.Bool(s.inUse[h])
-		w.Bool(s.dead[h])
-		if !s.inUse[h] || s.dead[h] {
+	w.Int(len(s.rows))
+	for h := range s.rows {
+		r := &s.rows[h]
+		w.Bool(r.inUse)
+		w.Bool(r.dead)
+		if !r.inUse || r.dead {
 			continue
 		}
 		// A live row takes two windows: one for the job, its node count
 		// and its nodes, and, after the generator, one for the row's
 		// fixed tail.
-		nodes := s.nodes[h]
-		p := w.Extend(jobLen + 8 + 8*len(nodes))
-		putJob((*[jobLen]byte)(p), s.job[h])
-		le.PutUint64(p[jobLen:], uint64(len(nodes)))
-		for i, id := range nodes {
+		p := w.Extend(jobLen + 8 + 8*len(r.nodes))
+		putJob((*[jobLen]byte)(p), r.job)
+		le.PutUint64(p[jobLen:], uint64(len(r.nodes)))
+		for i, id := range r.nodes {
 			le.PutUint64(p[jobLen+8+8*i:], uint64(id))
 		}
-		s.gen[h].AppendState(w)
+		r.gen.AppendState(w)
 		t := (*[rowTailLen]byte)(w.Extend(rowTailLen))
-		le.PutUint64(t[0:], uint64(s.quota[h]))
-		le.PutUint64(t[8:], uint64(s.sent[h]))
-		le.PutUint64(t[16:], uint64(s.hops[h]))
-		le.PutUint64(t[24:], math.Float64bits(s.start[h]))
-		le.PutUint64(t[32:], math.Float64bits(s.lastArr[h]))
-		le.PutUint64(t[40:], math.Float64bits(s.queued[h]))
-		le.PutUint64(t[48:], math.Float64bits(s.estEnd[h]))
+		le.PutUint64(t[0:], uint64(r.sent))
+		le.PutUint64(t[8:], uint64(r.hops))
+		le.PutUint64(t[16:], math.Float64bits(r.start))
+		le.PutUint64(t[24:], math.Float64bits(r.lastArr))
+		le.PutUint64(t[32:], math.Float64bits(r.queued))
 	}
 	w.Int(len(s.free))
 	for _, h := range s.free {
@@ -355,11 +351,9 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	e.totalComps = r.Int()
 	e.contig = r.Int()
 	e.makespan = r.F64()
-	e.busyProcs = r.Int()
 	e.lastAccount = r.F64()
 	e.busyArea = r.F64()
 	e.queueArea = r.F64()
-	e.killed = r.Int()
 	e.retried = r.Int()
 	e.givenUp = r.Int()
 	e.submitted = r.Int()
@@ -367,7 +361,7 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 	e.downArea = r.F64()
 	blocked := r.Bool()
 	if r.Err() == nil && (!finite(e.now) || e.now < 0 || e.seq < 0 || e.finished < 0 ||
-		e.killed < 0 || e.retried < 0 || e.givenUp < 0 || e.submitted < 0 || e.busyProcs < 0) {
+		e.retried < 0 || e.givenUp < 0 || e.submitted < 0) {
 		return nil, fmt.Errorf("sim: negative or non-finite engine counters: %w", snap.ErrCorrupt)
 	}
 
@@ -383,24 +377,14 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim: %v: %w", err, snap.ErrCorrupt)
 	}
 
-	// Job store.
+	// Job store. A live row's quota is derived from its job, as
+	// startJob set it.
 	s := &e.store
 	nh := r.Count(1 << 31)
 	for h := 0; h < nh && r.Err() == nil; h++ {
-		inUse, dead := r.Bool(), r.Bool()
-		s.job = append(s.job, trace.Job{})
-		s.nodes = append(s.nodes, nil)
-		s.gen = append(s.gen, comm.Generator{})
-		s.quota = append(s.quota, 0)
-		s.sent = append(s.sent, 0)
-		s.hops = append(s.hops, 0)
-		s.start = append(s.start, 0)
-		s.lastArr = append(s.lastArr, 0)
-		s.queued = append(s.queued, 0)
-		s.estEnd = append(s.estEnd, 0)
-		s.dead = append(s.dead, dead)
-		s.inUse = append(s.inUse, inUse)
-		if !inUse || dead {
+		s.rows = append(s.rows, jobRow{inUse: r.Bool(), dead: r.Bool()})
+		row := &s.rows[h]
+		if !row.inUse || row.dead {
 			continue
 		}
 		s.live++
@@ -408,29 +392,30 @@ func RestoreEngine(in io.Reader, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.job[h] = j
 		nn := r.Count(e.grid.Size())
 		if r.Err() == nil && nn != j.Size {
 			return nil, fmt.Errorf("sim: handle %d holds %d nodes for a %d-processor job: %w",
 				h, nn, j.Size, snap.ErrCorrupt)
 		}
-		ids := make([]int, 0, nn)
+		row.job, row.nodes = j, make([]int, 0, nn)
 		for i := 0; i < nn && r.Err() == nil; i++ {
-			ids = append(ids, r.Int())
+			row.nodes = append(row.nodes, r.Int())
 		}
-		s.nodes[h] = ids
-		s.gen[h] = e.pattern.Generator(j.Size, e.rng)
-		if err := s.gen[h].ReadState(r); err != nil {
+		row.gen = e.pattern.Generator(j.Size, e.rng)
+		if err := row.gen.ReadState(r); err != nil {
 			return nil, fmt.Errorf("sim: handle %d: %v: %w", h, err, snap.ErrCorrupt)
 		}
-		s.quota[h] = r.I64()
-		s.sent[h] = r.I64()
-		s.hops[h] = r.I64()
-		s.start[h] = r.F64()
-		s.lastArr[h] = r.F64()
-		s.queued[h] = r.F64()
-		s.estEnd[h] = r.F64()
-		if r.Err() == nil && !(finite(s.start[h]) && finite(s.lastArr[h]) && finite(s.estEnd[h])) {
+		row.quota = e.quotaOf(j)
+		row.sent, row.hops = r.I64(), r.I64()
+		row.start, row.lastArr, row.queued = r.F64(), r.F64(), r.F64()
+		if r.Err() != nil {
+			break
+		}
+		if row.sent < 0 || row.sent > row.quota {
+			return nil, fmt.Errorf("sim: handle %d sent %d messages of a %d-message quota: %w",
+				h, row.sent, row.quota, snap.ErrCorrupt)
+		}
+		if !(finite(row.start) && finite(row.lastArr) && finite(row.queued)) {
 			return nil, fmt.Errorf("sim: handle %d has non-finite times: %w", h, snap.ErrCorrupt)
 		}
 	}

@@ -261,13 +261,13 @@ func TestMixedResumeCaseHoldsEveryGenerator(t *testing.T) {
 	tr := tc.tr()
 	e, _ := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
 	live := map[string]int{}
-	s := &e.store
-	for h := range s.gen {
-		if !s.inUse[h] || s.dead[h] {
+	for h := range e.store.rows {
+		row := &e.store.rows[h]
+		if !row.inUse || row.dead {
 			continue
 		}
 		w := snap.NewWriter(nil)
-		s.gen[h].AppendState(w)
+		row.gen.AppendState(w)
 		r, err := snap.NewReader(bytes.NewReader(w.Finish()))
 		if err != nil {
 			t.Fatal(err)
@@ -376,10 +376,15 @@ func FuzzRestoreEngine(f *testing.F) {
 		f.Add(dam)
 	}
 	f.Add(seed(cfgR, 100))
-	// A live job's held-back message raised to rank 2^20.
-	e, blob := stepAndSnapshot(f, cfg, tr, 100)
-	off, _ := heldOffset(f, e, blob)
-	binary.LittleEndian.PutUint64(blob[off:], 1<<20)
+	// A live random job's held-back message raised to rank 2^20.
+	e, blob := stepAndSnapshot(f, cfgR, tr, 100)
+	binary.LittleEndian.PutUint64(blob[heldOffset(f, e, blob):], 1<<20)
+	reframe(blob)
+	f.Add(blob)
+	// A live row that has sent one message past its quota.
+	e, blob = stepAndSnapshot(f, cfg, tr, 100)
+	off, quota := rowTailOffset(f, e, blob)
+	binary.LittleEndian.PutUint64(blob[off:], uint64(quota+1))
 	reframe(blob)
 	f.Add(blob)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -528,10 +533,11 @@ func TestRestoreContainerErrorsAreTyped(t *testing.T) {
 	if _, err := RestoreEngine(bytes.NewReader(bad), tc.cfg); !errors.Is(err, snap.ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
-	// A version-1 container, which stored RNG draw counts, and a
-	// version-2 one, whose parts were framed by the engine, are refused
-	// even with a valid checksum.
-	for _, v := range []uint32{1, 2} {
+	// A version-1 container, which stored RNG draw counts, a version-2
+	// one, whose parts were framed by the engine, and a version-3 one,
+	// which stored state restore derives, are refused even with a valid
+	// checksum.
+	for _, v := range []uint32{1, 2, 3} {
 		bad = append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(bad[4:], v)
 		reframe(bad)
@@ -870,27 +876,49 @@ func TestRestoreTakesRNGStateAtOnce(t *testing.T) {
 	}
 }
 
-// heldOffset finds a live job of at least three processors that holds a
-// phase's first message back in e, whose snapshot is blob, and returns
-// the offset of the held message's source rank in blob (its destination
-// rank follows) with the job's size. The generator's holding flag, the
-// held ranks and the row's quota, sent and hop counts that follow them
-// are found exactly once.
-func heldOffset(t testing.TB, e *Engine, blob []byte) (off, size int) {
+// heldOffset finds a live job whose random generator holds a phase's
+// first message back in e, whose snapshot is blob, and returns the
+// offset of the held message's source rank in blob (its destination
+// rank follows). The generator's holding flag, the held ranks and the
+// row's sent and hop counts and start time that follow them are found
+// exactly once.
+func heldOffset(t testing.TB, e *Engine, blob []byte) int {
 	t.Helper()
-	s := &e.store
-	for h := range s.job {
-		held, holding := s.gen[h].Held()
-		if !s.inUse[h] || s.dead[h] || !holding || s.job[h].Size < 3 {
+	for h := range e.store.rows {
+		r := &e.store.rows[h]
+		held, holding := r.gen.Held()
+		if !r.inUse || r.dead || !holding {
 			continue
 		}
 		key := []byte{1}
-		for _, v := range []int64{int64(held.Src), int64(held.Dst), s.quota[h], s.sent[h], s.hops[h]} {
-			key = binary.LittleEndian.AppendUint64(key, uint64(v))
+		for _, v := range []uint64{uint64(held.Src), uint64(held.Dst), uint64(r.sent), uint64(r.hops), math.Float64bits(r.start)} {
+			key = binary.LittleEndian.AppendUint64(key, v)
 		}
-		return findOnce(t, blob, key, fmt.Sprintf("handle %d's held message", h)) + 1, s.job[h].Size
+		return findOnce(t, blob, key, fmt.Sprintf("handle %d's held message", h)) + 1
 	}
 	t.Fatal("no live job holds a message back")
+	return 0
+}
+
+// rowTailOffset finds a live job in e that has sent a message and
+// returns the offset in blob, e's snapshot, of its row's tail — sent,
+// hops, start, last arrival and queueing time, found exactly once —
+// with the row's quota.
+func rowTailOffset(t testing.TB, e *Engine, blob []byte) (off int, quota int64) {
+	t.Helper()
+	for h := range e.store.rows {
+		r := &e.store.rows[h]
+		if !r.inUse || r.dead || r.sent == 0 {
+			continue
+		}
+		var key []byte
+		for _, v := range []uint64{uint64(r.sent), uint64(r.hops),
+			math.Float64bits(r.start), math.Float64bits(r.lastArr), math.Float64bits(r.queued)} {
+			key = binary.LittleEndian.AppendUint64(key, v)
+		}
+		return findOnce(t, blob, key, fmt.Sprintf("handle %d's row tail", h)), r.quota
+	}
+	t.Fatal("no live job has sent a message")
 	return 0, 0
 }
 
@@ -935,30 +963,58 @@ func restoreWithin(t *testing.T, blob []byte, cfg Config) error {
 	}
 }
 
-// TestRestoreRejectsBadHeldMessage edits the message a live 16x16
-// n-body job holds back for its next phase in a checksum-valid snapshot:
-// to rank 2^20, which would index past the job's node list on its next
-// step, and to an in-range message the schedule would not have held.
-// Both must be refused as corrupt.
+// TestRestoreRejectsBadHeldMessage raises a rank of the message a live
+// random job holds back for its next phase to 2^20, in a checksum-valid
+// snapshot of resume case random-pattern-random-alloc at half its
+// events. Restored, the rank would index past the job's node list on
+// its next step, so it must be refused as corrupt.
 func TestRestoreRejectsBadHeldMessage(t *testing.T) {
-	tc := goldenCases[1]
-	if tc.cfg.Pattern != "nbody" || tc.cfg.MeshW != 16 || tc.cfg.MeshH != 16 {
-		t.Fatalf("golden case 1 is %s on %dx%d, want nbody on 16x16", tc.cfg.Pattern, tc.cfg.MeshW, tc.cfg.MeshH)
+	tc := resumeCases[1]
+	if tc.cfg.Pattern != "random" {
+		t.Fatalf("resume case 1 runs %q, want random", tc.cfg.Pattern)
 	}
-	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).FilterMaxSize(tc.max)
+	tr := tc.tr()
 	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
 	if _, err := RestoreEngine(bytes.NewReader(blob), tc.cfg); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
 	}
-	off, _ := heldOffset(t, e, blob)
+	off := heldOffset(t, e, blob)
+	t.Run("rank-2^20", func(t *testing.T) {
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(bad[off:], 1<<20)
+		reframe(bad)
+		if err := restoreWithin(t, bad, tc.cfg); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
+		}
+	})
+}
+
+// TestRestoreRejectsBadRowCounts forges a live row in a checksum-valid
+// snapshot of golden case fig8-16x16-nbody-mc1x1 at half its events:
+// its sent count to -1 or to one past the quota restore derives from
+// its job, or its queueing time to NaN. A row that had sent more than
+// its quota once restored cleanly and then panicked on the job's next
+// step; each forgery must fail with snap.ErrCorrupt.
+func TestRestoreRejectsBadRowCounts(t *testing.T) {
+	tc := goldenCases[1]
+	if tc.name != "fig8-16x16-nbody-mc1x1" {
+		t.Fatalf("golden case 1 is %s, want fig8-16x16-nbody-mc1x1", tc.name)
+	}
+	tr := trace.NewSDSC(trace.SDSCConfig{Jobs: tc.jobs, MaxSize: tc.max, Seed: 1}).FilterMaxSize(tc.max)
+	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
+	off, quota := rowTailOffset(t, e, blob)
 	for _, c := range []struct {
 		name string
-		off  int
-		rank uint64
-	}{{"rank-2^20", off, 1 << 20}, {"not-the-schedule's", off + 8, 0}} {
+		word int // in the row's tail: sent, hops, start, last arrival, queueing time
+		v    uint64
+	}{
+		{"sent-negative", 0, ^uint64(0)},
+		{"sent-past-quota", 0, uint64(quota + 1)},
+		{"queued-NaN", 4, math.Float64bits(math.NaN())},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			bad := bytes.Clone(blob)
-			binary.LittleEndian.PutUint64(bad[c.off:], c.rank)
+			binary.LittleEndian.PutUint64(bad[off+8*c.word:], c.v)
 			reframe(bad)
 			if err := restoreWithin(t, bad, tc.cfg); !errors.Is(err, snap.ErrCorrupt) {
 				t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)

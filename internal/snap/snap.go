@@ -36,8 +36,11 @@ const Magic = "MSNP"
 // Version 2 stores each RNG's state where version 1 stored its draw
 // count. Version 3 has each part write itself through its Codec: a
 // generator drops its job size, the allocator its word count, and the
-// engine its copy of the fault stream's next event.
-const Version uint32 = 3
+// engine its copy of the fault stream's next event. Version 4 drops what
+// restore derives: each job row's quota and estimated end, the
+// busy-processor count, the kill total, and a schedule generator's held
+// message.
+const Version uint32 = 4
 
 // Codec is implemented by every stateful part a snapshot carries.
 // AppendState appends the part's state to w, and ReadState reads a
