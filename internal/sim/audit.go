@@ -172,10 +172,10 @@ func (e *Engine) Audit() error {
 			len(e.slots), arrivals, len(e.slotFree)))
 	}
 
-	// Running-set mirror: under every policy but strict FCFS, runOrd
-	// holds exactly the live set in ascending (EstEnd, handle) order —
-	// what rebuilding it from the store would produce.
-	if !e.isFCFS {
+	// Running-set mirror: under EASY, runOrd holds exactly the live set
+	// in ascending (EstEnd, handle) order — what rebuilding it from the
+	// store would produce.
+	if e.isEASY {
 		if len(e.runOrd) != live || len(e.runOrdH) != len(e.runOrd) {
 			errs = append(errs, violatef("run-mirror", "runOrd holds %d entries for %d live jobs", len(e.runOrd), live))
 		} else {
@@ -388,8 +388,8 @@ func (e *Engine) rebuildDerived() (err error) {
 		}
 	}
 
-	// Running-set mirror.
-	if !e.isFCFS {
+	// Running-set mirror, under EASY.
+	if e.isEASY {
 		sort.SliceStable(live, func(i, j int) bool {
 			return s.rows[live[i]].estEnd() < s.rows[live[j]].estEnd()
 		})

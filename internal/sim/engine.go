@@ -61,7 +61,7 @@ type Engine struct {
 	pattern   *comm.Pattern
 	policy    sched.Policy
 	isFCFS    bool
-	isSJF     bool
+	isEASY    bool
 	net       *netsim.Network
 	rng       *stats.RNG
 
@@ -81,11 +81,11 @@ type Engine struct {
 	slots    []trace.Job
 	slotFree []int32
 
-	// Scheduler-round state. Every policy reads queue itself; every
-	// policy but strict FCFS, which only ever inspects the queue head,
-	// also reads runOrd/runOrdH, the running set ordered by (EstEnd,
-	// handle), maintained at the events that change it instead of
-	// rebuilt every round. blocked is the head-blocked watermark: set
+	// Scheduler-round state. Every policy reads queue itself; EASY, the
+	// one policy that reads the running set, also reads runOrd/runOrdH,
+	// the running set ordered by (EstEnd, handle), maintained at the
+	// events that change it instead of rebuilt every round (and empty
+	// under FCFS and SJF). blocked is the head-blocked watermark: set
 	// when an FCFS/SJF round ends without a dispatch, letting the next
 	// round short-circuit in O(1), and invalidated only on release and
 	// fault transitions (plus arrivals that can change the decision: any
@@ -211,7 +211,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim: AuditEvery must be >= 0, got %d", cfg.AuditEvery)
 	}
 	_, isFCFS := policy.(sched.FCFS)
-	_, isSJF := policy.(sched.SJF)
+	_, isEASY := policy.(sched.EASY)
 	e := &Engine{
 		cfg:        cfg,
 		grid:       m,
@@ -219,12 +219,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		pattern:    pattern,
 		policy:     policy,
 		isFCFS:     isFCFS,
-		isSJF:      isSJF,
+		isEASY:     isEASY,
 		net:        netsim.New(m, cfg.Net),
 		rng:        stats.NewRNG(cfg.Seed),
 		respMedian: stats.NewP2Quantile(0.5),
 		auditEvery: int64(cfg.AuditEvery),
-		canBlock:   isFCFS || isSJF,
+		canBlock:   !isEASY,
 	}
 	if cfg.Faults.Enabled() {
 		if err := e.initFaults(); err != nil {
@@ -503,8 +503,8 @@ func (e *Engine) Step() bool {
 		}
 		// A new arrival re-arms a blocked FCFS round only when it
 		// becomes the head (empty queue); under SJF any arrival can
-		// change the pick.
-		if wasEmpty || e.isSJF {
+		// change the pick, and EASY never blocks.
+		if wasEmpty || !e.isFCFS {
 			e.blocked = false
 		}
 		e.trySchedule(ev.t)
@@ -808,7 +808,7 @@ func (e *Engine) killJob(h int32, now float64) {
 	}
 	e.killCount[job.ID]++
 	kills := e.killCount[job.ID]
-	if !e.isFCFS {
+	if e.isEASY {
 		e.runRemove(h)
 	}
 	// The job's one outstanding step/finish event still references the
@@ -885,8 +885,8 @@ func (e *Engine) trySchedule(now float64) {
 	e.core.SchedRounds++
 	for {
 		// runOrd is already (EstEnd, handle)-sorted, as Pick requires
-		// (and empty under FCFS, which never reads it), so the round
-		// costs one policy scan of the queue and nothing else.
+		// (and empty under FCFS and SJF, which never read it), so the
+		// round costs one policy scan of the queue and nothing else.
 		q := e.pendingJobs()
 		pick := e.policy.Pick(q, now, e.allocator.NumFree(), e.runOrd)
 		if pick < 0 {
@@ -964,7 +964,7 @@ func (e *Engine) startJob(job trace.Job, nodes []int, now float64) {
 			e.owner[id] = h
 		}
 	}
-	if !e.isFCFS {
+	if e.isEASY {
 		e.runInsert(h, r.estEnd(), job.Size)
 	}
 	for _, fn := range e.deltaObs {
@@ -995,7 +995,7 @@ func (e *Engine) finish(h int32, now float64) {
 		}
 		delete(e.killCount, job.ID)
 	}
-	if !e.isFCFS {
+	if e.isEASY {
 		e.runRemove(h)
 	}
 	end := r.lastArr
