@@ -66,12 +66,17 @@ func NewStream(cfg Config, n int) (*Stream, error) {
 			c.t = cfg.MTBF.sample(s.mtbfScale, c.rng.Float64())
 			s.clocks = append(s.clocks, c)
 		}
-		// Heapify: sift down from the last parent.
-		for i := len(s.clocks)/2 - 1; i >= 0; i-- {
-			s.siftDown(i)
-		}
+		s.heapify()
 	}
 	return s, nil
+}
+
+// heapify orders clocks into a heap, sifting down from the last parent.
+// A valid heap is left as it is.
+func (s *Stream) heapify() {
+	for i := len(s.clocks)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
 }
 
 // clockLess orders heap entries by (t, node); node breaks ties so the
@@ -157,10 +162,9 @@ func (s *Stream) Next() (Event, bool) {
 }
 
 // AppendState appends the stream's state to w: the scripted-schedule
-// cursor, then the clock heap verbatim (heap-array order, so restoring
-// keeps the heap property without re-heapifying), each clock's time,
-// node, next transition and splitmix64 state. The script itself is a
-// pure function of the Config and is rebuilt by NewStream.
+// cursor, then the clocks in heap-array order, each clock's time, node,
+// next transition and splitmix64 state. The script itself is a pure
+// function of the Config and is rebuilt by NewStream.
 func (s *Stream) AppendState(w *snap.Writer) {
 	w.Int(s.scriptAt)
 	w.Int(len(s.clocks))
@@ -176,7 +180,9 @@ func (s *Stream) AppendState(w *snap.Writer) {
 // ReadState reads a state AppendState wrote from a stream built with the
 // same Config. It rejects a cursor past the script, more clocks than
 // the stream minted, and a clock with a non-finite time or a node
-// outside the machine.
+// outside the machine. The clocks are heapified as read, so their order
+// in the state does not matter: the stream pops them in (t, node) order
+// whatever it is.
 func (s *Stream) ReadState(r *snap.Reader) error {
 	at := r.Int()
 	if r.Err() == nil && (at < 0 || at > len(s.script)) {
@@ -195,6 +201,7 @@ func (s *Stream) ReadState(r *snap.Reader) error {
 		}
 		s.clocks = append(s.clocks, c)
 	}
+	s.heapify()
 	s.scriptAt = at
 	return r.Err()
 }

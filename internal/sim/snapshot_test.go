@@ -791,6 +791,53 @@ func TestRestoreAcceptsEventsInAnyOrder(t *testing.T) {
 	}
 }
 
+// TestRestoreAcceptsFaultClocksInAnyOrder swaps pairs of fault-clock
+// records in a checksum-valid snapshot of resume case faulty-mc1x1 at
+// half its events and requires the restored run to finish with the
+// uninterrupted digest. Restore heapifies the clocks it reads, so their
+// order in the file is not part of the format; a stream that took them
+// as a heap as they stood popped its failures out of order.
+func TestRestoreAcceptsFaultClocksInAnyOrder(t *testing.T) {
+	tc := resumeCases[3]
+	if tc.name != "faulty-mc1x1" {
+		t.Fatalf("resume case 3 is %s, want faulty-mc1x1", tc.name)
+	}
+	tr := tc.tr()
+	res, err := Run(tc.cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, blob := stepAndSnapshot(t, tc.cfg, tr, countEvents(t, tc.cfg, tr)/2)
+	// The stream writes its script cursor and clock count, then one
+	// record per clock: time, node, next transition and splitmix64 state.
+	const clockLen = 8 + 8 + 1 + 8
+	off := findOnce(t, blob, stateKey(e.faults), "fault stream state") + 16
+	n := int(binary.LittleEndian.Uint64(blob[off-8:]))
+	for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {0, 63}} {
+		t.Run(fmt.Sprintf("swap-%d-%d", p[0], p[1]), func(t *testing.T) {
+			if p[1] >= n {
+				t.Fatalf("%d clocks, no record %d", n, p[1])
+			}
+			bad := bytes.Clone(blob)
+			a, b := bad[off+p[0]*clockLen:][:clockLen], bad[off+p[1]*clockLen:][:clockLen]
+			tmp := bytes.Clone(a)
+			copy(a, b)
+			copy(b, tmp)
+			reframe(bad)
+			e2, err := RestoreEngine(bytes.NewReader(bad), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e2.Complete(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goldenDigest(e2.Result()), goldenDigest(res); got != want {
+				t.Fatalf("resumed digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // stateKey is the bytes c's AppendState writes.
 func stateKey(c snap.Codec) []byte {
 	w := snap.NewWriter(nil)
